@@ -12,31 +12,29 @@ means the inputs contradict each other and raises Falsified.
 from dataclasses import dataclass
 
 from .errors import Falsified
-from .forms import ClassNumberReport, class_number_imaginary, class_number_real, disc_of_radicand
+from .forms import (  # class_number_imaginary: the full group data, re-exported
+    ClassNumberReport,
+    class_number_imaginary,
+    class_number_real,
+    count_reduced_forms,
+    disc_of_radicand,
+)
 from .quadratic import COND1, COND2, classify_pair
 
 _V_BY_DEGREE = {4: 2, 8: 9, 16: 16}
 
-_H2_MEMO: dict[int, tuple[int, int]] = {}
-
-
-def seed_h2_memo(entries) -> None:
-    """Pre-load class numbers keyed by radicand, e.g. from a scan cache."""
-    for r, (h, h2) in dict(entries).items():
-        _H2_MEMO[int(r)] = (int(h), int(h2))
-
 
 def quadratic_h2(r: int) -> ClassNumberReport:
-    """Class number report of Q(sqrt(r)) for squarefree r, either sign."""
-    if r in _H2_MEMO:
-        h, h2 = _H2_MEMO[r]
-        return ClassNumberReport(r if r > 1 else disc_of_radicand(r), h, h2)
+    """h and h2 of Q(sqrt(r)) for squarefree r, either sign.
+
+    For r < 0 only the reduced forms are counted: no check reads the group
+    structure that class_number_imaginary adds.
+    """
     if r > 1:
-        rep = class_number_real(r)
-    else:
-        rep = class_number_imaginary(disc_of_radicand(r))
-    _H2_MEMO[r] = (rep.h, rep.h2)
-    return rep
+        return class_number_real(r)
+    D = disc_of_radicand(r)
+    h = count_reduced_forms(D)
+    return ClassNumberReport(D, h, h & -h)
 
 
 def subfield_radicands(p: int, q: int):

@@ -208,13 +208,6 @@ class FieldElement:
             n >>= 1
         return result
 
-    def conj_gen(self, j: int) -> "FieldElement":
-        """Conjugate sending sqrt(g_j) to -sqrt(g_j)."""
-        return FieldElement(
-            self.basis,
-            tuple(-c if m >> j & 1 else c for m, c in enumerate(self._coords)),
-        )
-
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse via the product of all Galois conjugates."""
         if self.is_zero():
@@ -222,7 +215,7 @@ class FieldElement:
         v = self
         cof = self.basis.one()
         for j in range(self.basis.k):
-            w = v.conj_gen(j)
+            w = conjugate(v, 1 << j)
             cof = cof * w
             v = v * w
         assert v.is_rational()
@@ -232,40 +225,19 @@ class FieldElement:
         return f"<{serialize_element(self)} in {self.basis!r}>"
 
 
-class Automorphism:
-    """Galois automorphism given by a sign for each generator's square root."""
-
-    def __init__(self, signs: dict):
-        for g, s in signs.items():
-            if s not in (-1, 1):
-                raise ValueError(f"sign for {g} must be +-1")
-        self.signs = dict(signs)
-
-    def __repr__(self):
-        return f"Automorphism({self.signs})"
+def conjugate(u: FieldElement, mask: int) -> FieldElement:
+    """The Galois conjugate sending sqrt(g_i) to -sqrt(g_i) for each bit i of
+    mask: the coefficient of each surd picks up the sign of its subset."""
+    return FieldElement(
+        u.basis,
+        tuple(-c if (m & mask).bit_count() & 1 else c for m, c in enumerate(u._coords)),
+    )
 
 
-def apply_automorphism(u: FieldElement, t: Automorphism) -> FieldElement:
-    """Apply the automorphism: each surd's coefficient picks up the subset sign."""
-    basis = u.basis
-    for g in basis.generators:
-        if g not in t.signs:
-            raise ValueError(f"automorphism does not fix a sign for generator {g}")
-    gen_signs = [t.signs[g] for g in basis.generators]
-    out = []
-    for m, c in enumerate(u._coords):
-        s = 1
-        for i in range(basis.k):
-            if m >> i & 1:
-                s *= gen_signs[i]
-        out.append(c * s)
-    return FieldElement(basis, tuple(out))
-
-
-def relative_norm(u: FieldElement, t: Automorphism) -> FieldElement:
-    """u * t(u), which lies in the fixed field of the involution t."""
-    v = u * apply_automorphism(u, t)
-    assert apply_automorphism(v, t) == v
+def relative_norm(u: FieldElement, mask: int) -> FieldElement:
+    """u times its conjugate under mask, which lies in the fixed field."""
+    v = u * conjugate(u, mask)
+    assert conjugate(v, mask) == v
     return v
 
 
@@ -302,16 +274,6 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
             return 1 if total.lo > 0 else -1
         eps = eps / 10**8
     raise RuntimeError("sign refinement did not converge")
-
-
-def is_totally_positive(u: FieldElement) -> bool:
-    """True when u is positive under every real embedding (real support required)."""
-    real_gens = [g for g in u.basis.generators if g > 0]
-    for bits in range(1 << len(real_gens)):
-        signs = {g: 1 - 2 * (bits >> i & 1) for i, g in enumerate(real_gens)}
-        if sign_at_embedding(u, signs) < 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +358,6 @@ def sqrt_in_field(u: FieldElement):
     if w is not None:
         assert w * w == u
     return w
-
-
-def fourth_root_in_field(u: FieldElement):
-    """An exact fourth root of u, or None; tries both signs of sqrt(u)."""
-    if u.is_zero():
-        raise ValueError("fourth root of zero is excluded by the nonzero precondition")
-    w = sqrt_in_field(u)
-    if w is None:
-        return None
-    for cand in (w, -w):
-        r = _sqrt_descent(cand)
-        if r is not None:
-            assert r * r * r * r == u
-            return r
-    return None
 
 
 # ---------------------------------------------------------------------------

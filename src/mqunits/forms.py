@@ -1,11 +1,11 @@
 """Class numbers of quadratic fields via reduced binary quadratic forms.
 
-Imaginary fields: enumerate the reduced primitive positive-definite forms of
-the fundamental discriminant, then compute the class-group structure through
-Gauss composition (concordant-form method) and element orders.  Real fields:
-the narrow class number is the number of rho-reduction cycles of reduced
-indefinite forms, and the wide class number follows from the norm of the
-fundamental unit.  Everything is integer arithmetic; square-root comparisons
+Imaginary fields: the class number is the count of reduced primitive
+positive-definite forms of the fundamental discriminant, and
+class_number_imaginary adds the class-group structure from composition and
+element orders.  Real fields: the narrow class number is the number of
+rho-reduction cycles of reduced indefinite forms, and the wide class number
+follows from the norm of the fundamental unit.  Everything is integer arithmetic; square-root comparisons
 against sqrt(D) are done through isqrt brackets, never floats.
 """
 
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intarith import is_squarefree
+from .intarith import is_squarefree, prime_factors
 from .quadratic import fundamental_unit
 
 DISCRIMINANT_GUARD = 8 * 10**7
@@ -52,28 +52,6 @@ def is_fundamental_discriminant(D: int) -> bool:
         m = D // 4
         return m % 4 in (2, 3) and is_squarefree(m)
     return False
-
-
-def _two_part(h: int) -> int:
-    h2 = 1
-    while h % 2 == 0:
-        h //= 2
-        h2 *= 2
-    return h2
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,53 +97,6 @@ def _enumerate_posdef(D):
     return sorted(forms)
 
 
-def _crt(r1, m1, r2, m2):
-    g = math.gcd(m1, m2)
-    assert (r1 - r2) % g == 0
-    lcm = m1 // g * m2
-    k = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (r1 + m1 * k) % lcm, lcm
-
-
-def _coprime_representation(form, n, D):
-    """A form equivalent to `form` whose first coefficient is coprime to n.
-
-    Per prime p of n pick (x, y) mod p at which the form is nonzero (possible
-    for primitive forms), combine by CRT, then nudge y by multiples of the
-    modulus until gcd(x, y) = 1 so the pair extends to a unimodular matrix.
-    """
-    a, b, c = form
-    if math.gcd(a, n) == 1:
-        return form
-    xr, yr, mod = 0, 0, 1
-    for p in _prime_factors(n):
-        if a % p:
-            xp, yp = 1, 0
-        elif c % p:
-            xp, yp = 0, 1
-        else:
-            xp, yp = 1, 1  # then form(1,1) = a+b+c = b != 0 mod p by primitivity
-        xr, _ = _crt(xr, mod, xp, p)
-        yr, mod = _crt(yr, mod, yp, p)
-    if xr == 0:
-        xr = mod
-    t = 0
-    while math.gcd(xr, yr + t * mod) != 1:
-        t += 1
-        assert t < 10**4
-    x, y = xr, yr + t * mod
-    # unimodular completion: x*v - y*u = 1
-    g, s, tt = _egcd(x, y)
-    assert g == 1
-    v, u = s, -tt
-    a2 = a * x * x + b * x * y + c * y * y
-    b2 = 2 * a * x * u + b * (x * v + y * u) + 2 * c * y * v
-    c2 = a * u * u + b * u * v + c * v * v
-    assert b2 * b2 - 4 * a2 * c2 == D
-    assert math.gcd(a2, n) == 1
-    return (a2, b2, c2)
-
-
 def _egcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0
@@ -179,13 +110,31 @@ def _egcd(a, b):
 
 
 def compose_forms(f1, f2, D):
-    """Gauss composition of two primitive forms of discriminant D, reduced."""
+    """Composition of two primitive forms of discriminant D, reduced.
+
+    Cohen, A Course in Computational Algebraic Number Theory (GTM 138),
+    Algorithm 5.4.7: two extended gcds give the united form directly.
+    """
+    if f1[0] > f2[0]:
+        f1, f2 = f2, f1
     a1, b1, _ = f1
-    a2, b2, _ = _coprime_representation(f2, a1, D)
-    B, _ = _crt(b1, 2 * a1, b2, 2 * a2)
-    a3 = a1 * a2
-    c3 = (B * B - D) // (4 * a3)
-    return _reduce_posdef(a3, B, c3, D)
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = _egcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, y2 = _egcd(s, d)
+        y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    a3 = v1 * v2
+    b3 = b2 + 2 * v2 * r
+    return _reduce_posdef(a3, b3, (b3 * b3 - D) // (4 * a3), D)
 
 
 def _form_pow(f, n, D):
@@ -204,7 +153,7 @@ def _group_structure(forms, D):
     h = len(forms)
     e = _principal_form(D)
     structure = []
-    for l in _prime_factors(h):
+    for l in prime_factors(h):
         exp = 0
         hh = h
         while hh % l == 0:
@@ -231,20 +180,31 @@ def _group_structure(forms, D):
     return tuple(sorted(structure))
 
 
-@lru_cache(maxsize=None)
-def class_number_imaginary(D: int) -> ClassNumberReport:
-    """Class number and 2-group data of the imaginary field with discriminant D."""
+def _reduced_forms(D):
+    """The reduced forms of a supported negative fundamental discriminant."""
     if D >= 0 or not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a negative fundamental discriminant")
     if -D > DISCRIMINANT_GUARD:
         raise ValueError(f"|{D}| exceeds the supported bound {DISCRIMINANT_GUARD}")
-    forms = _enumerate_posdef(D)
+    return _enumerate_posdef(D)
+
+
+@lru_cache(maxsize=None)
+def count_reduced_forms(D: int) -> int:
+    """h(D) of a negative fundamental discriminant, without the group structure."""
+    return len(_reduced_forms(D))
+
+
+@lru_cache(maxsize=None)
+def class_number_imaginary(D: int) -> ClassNumberReport:
+    """Class number and 2-group data of the imaginary field with discriminant D."""
+    forms = _reduced_forms(D)
     h = len(forms)
     structure = _group_structure(forms, D)
     return ClassNumberReport(
         discriminant_or_radicand=D,
         h=h,
-        h2=_two_part(h),
+        h2=h & -h,
         two_rank=sum(1 for n in structure if n % 2 == 0),
         group_structure=structure,
     )
@@ -323,4 +283,4 @@ def class_number_real(d: int) -> ClassNumberReport:
         h = h_narrow // 2
     else:
         h = h_narrow
-    return ClassNumberReport(discriminant_or_radicand=d, h=h, h2=_two_part(h))
+    return ClassNumberReport(discriminant_or_radicand=d, h=h, h2=h & -h)

@@ -1,8 +1,9 @@
 """Exact integer and rational primitives used by every other module.
 
 Everything here is pure and deterministic: a grow-on-demand prime sieve,
-squarefree decomposition, perfect-square testing, the Kronecker symbol, and
-adaptive rational bracketing of square roots for exact sign determination.
+distinct prime factors, squarefree decomposition, perfect-square testing,
+the Kronecker symbol, and adaptive rational bracketing of square roots for
+exact sign determination.
 No floating point anywhere.
 """
 
@@ -50,6 +51,22 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, increasing (empty for n in -1, 0, 1)."""
+    m = abs(n)
+    out = []
+    for p in primes_upto(math.isqrt(m)):
+        if p * p > m:
+            break
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def is_perfect_square(n: int) -> tuple[bool, int | None]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import Falsified
-from .intarith import is_perfect_square, is_prime, is_squarefree, kronecker_symbol
+from .intarith import is_perfect_square, is_prime, is_squarefree, kronecker_symbol, prime_factors
 
 COND1 = "Cond1"
 COND2 = "Cond2"
@@ -170,21 +170,6 @@ def _label_value(label: str, p: int, q: int) -> int:
     }[label]
 
 
-def _squarefree_divisors(n: int) -> list[int]:
-    divs = [1]
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            divs = divs + [d * f for d in divs]
-        f += 1
-    if m > 1:
-        divs = divs + [d * m for d in divs]
-    return sorted(divs)
-
-
 def lemma_decompose(p: int, q: int, tag: str, cond: ConditionClass) -> DecompositionWitness:
     """Decompose the unit of the field tagged by `tag` into its forced Pell shape.
 
@@ -211,11 +196,14 @@ def lemma_decompose(p: int, q: int, tag: str, cond: ConditionClass) -> Decomposi
         raise Falsified(f"unit of Q(sqrt({d})) should have norm +1 and integer coordinates")
     x = unit.x
     sides = {"minus": x - 1, "plus": x + 1}
+    divisors = [1]  # the squarefree divisors of 2d
+    for f in prime_factors(2 * d):
+        divisors += [s * f for s in divisors]
 
     found = {}
     for side, value in sides.items():
         matches = []
-        for s in _squarefree_divisors(2 * d):
+        for s in divisors:
             if value % s:
                 continue
             square, root = is_perfect_square(value // s)

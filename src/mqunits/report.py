@@ -17,10 +17,9 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 
-from . import classnum
 from .classnum import (
     crosscheck_quadratic_h2,
     deg4_instance,
@@ -70,36 +69,36 @@ CHECK_IDS = (
     "structures",
 )
 
-_REPORT_KEYS = (
-    "schema", "p", "q", "condition", "lemma_witnesses", "fsu_real", "fsu_cm",
-    "q_indices", "h2_table", "kuroda_results", "structures", "checks", "elapsed_ms",
-)
-
-
 @dataclass
 class PairReport:
     """All verification data for one pair, in JSON-native form.
 
-    elapsed_ms is excluded from equality so a report compares equal to its
-    round-tripped or re-computed self.
+    The fields defaulting to None are the check artifacts; an inapplicable
+    pair leaves them all None.  elapsed_ms is excluded from equality so a
+    report compares equal to its round-tripped or re-computed self.
     """
 
     p: int
     q: int
     condition: dict
-    lemma_witnesses: list | None
-    fsu_real: dict | None
-    fsu_cm: dict | None
-    q_indices: dict | None
-    h2_table: list | None
-    kuroda_results: dict | None
-    structures: dict | None
-    checks: list
+    lemma_witnesses: list | None = None
+    fsu_real: dict | None = None
+    fsu_cm: dict | None = None
+    q_indices: dict | None = None
+    h2_table: list | None = None
+    kuroda_results: dict | None = None
+    structures: dict | None = None
+    checks: list = dc_field(default_factory=list)
     elapsed_ms: float = dc_field(compare=False, default=0.0)
 
     @property
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
+
+
+_FIELDS = tuple(f.name for f in fields(PairReport))
+_REPORT_KEYS = ("schema",) + _FIELDS
+_ARTIFACT_KEYS = tuple(f.name for f in fields(PairReport) if f.default is None)
 
 
 @dataclass
@@ -166,23 +165,7 @@ def _witness_to_dict(w) -> dict:
 
 
 def report_to_dict(report: PairReport) -> dict:
-    d = {
-        "schema": REPORT_SCHEMA,
-        "p": report.p,
-        "q": report.q,
-        "condition": report.condition,
-        "lemma_witnesses": report.lemma_witnesses,
-        "fsu_real": report.fsu_real,
-        "fsu_cm": report.fsu_cm,
-        "q_indices": report.q_indices,
-        "h2_table": report.h2_table,
-        "kuroda_results": report.kuroda_results,
-        "structures": report.structures,
-        "checks": report.checks,
-        "elapsed_ms": report.elapsed_ms,
-    }
-    assert tuple(d) == _REPORT_KEYS
-    return d
+    return {"schema": REPORT_SCHEMA, **{k: getattr(report, k) for k in _FIELDS}}
 
 
 def report_to_json(report: PairReport) -> str:
@@ -191,14 +174,9 @@ def report_to_json(report: PairReport) -> str:
 
 def report_from_dict(d: dict) -> PairReport:
     validate_report_dict(d)
-    return PairReport(
-        p=d["p"], q=d["q"], condition=d["condition"],
-        lemma_witnesses=d["lemma_witnesses"], fsu_real=d["fsu_real"],
-        fsu_cm=d["fsu_cm"], q_indices=d["q_indices"], h2_table=d["h2_table"],
-        kuroda_results=d["kuroda_results"], structures=d["structures"],
-        checks=[[c[0], c[1], c[2]] for c in d["checks"]],
-        elapsed_ms=d["elapsed_ms"],
-    )
+    kwargs = {k: d[k] for k in _FIELDS}
+    kwargs["checks"] = [list(c) for c in d["checks"]]
+    return PairReport(**kwargs)
 
 
 def report_from_json(s: str) -> PairReport:
@@ -232,8 +210,7 @@ def validate_report_dict(d: dict) -> None:
     applicable = d["condition"]["tag"] in (COND1, COND2)
     if not applicable:
         assert d["checks"] == []
-        for key in ("lemma_witnesses", "fsu_real", "fsu_cm", "q_indices",
-                    "h2_table", "kuroda_results", "structures"):
+        for key in _ARTIFACT_KEYS:
             assert d[key] is None, f"{key} must be null for inapplicable pairs"
         return
     assert [c[0] for c in d["checks"]] == list(CHECK_IDS)
@@ -280,19 +257,12 @@ def verify_pair(p: int, q: int) -> PairReport:
     """
     t0 = time.perf_counter()
     cond = classify_pair(p, q)
+    condition = {"tag": cond.tag, "reason": cond.reason}
     if not cond.is_applicable:
-        return PairReport(
-            p=p, q=q, condition={"tag": cond.tag, "reason": cond.reason},
-            lemma_witnesses=None, fsu_real=None, fsu_cm=None, q_indices=None,
-            h2_table=None, kuroda_results=None, structures=None, checks=[],
-            elapsed_ms=round((time.perf_counter() - t0) * 1000, 3),
-        )
+        return PairReport(p, q, condition,
+                          elapsed_ms=round((time.perf_counter() - t0) * 1000, 3))
 
-    rep = PairReport(
-        p=p, q=q, condition={"tag": cond.tag, "reason": cond.reason},
-        lemma_witnesses=[], fsu_real=None, fsu_cm=None, q_indices=None,
-        h2_table=None, kuroda_results=None, structures=None, checks=[],
-    )
+    rep = PairReport(p, q, condition, lemma_witnesses=[])
     ctx = {}
     for cid in CHECK_IDS:
         try:
@@ -542,10 +512,6 @@ def _pair_path(cache_dir, p, q):
     return os.path.join(cache_dir, f"pair_{p}_{q}.json")
 
 
-def _memo_path(cache_dir):
-    return os.path.join(cache_dir, "classnums.json")
-
-
 def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -569,18 +535,6 @@ def _load_cached(cache_dir, p, q):
         return None
 
 
-def _load_memo(cache_dir) -> dict:
-    path = _memo_path(cache_dir)
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-        return {int(k): (int(h), int(h2)) for k, (h, h2) in raw.items()}
-    except (ValueError, KeyError, TypeError):
-        return {}
-
-
 def _scan_worker(pair):
     p, q = pair
     return report_to_json(verify_pair(p, q))
@@ -591,18 +545,14 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     per pair in (p, q) order followed by a summary line.
 
     With a cache directory, finished pair reports are reused and newly
-    computed ones are written atomically, together with a memo of quadratic
-    class numbers that seeds future runs.  jobs > 1 distributes uncached
+    computed ones are written atomically.  jobs > 1 distributes uncached
     pairs over worker processes; output order is unchanged.
 
     Returns (reports, summary).
     """
     pairs = scan_pairs(max_n)
-    memo = {}
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        memo = _load_memo(cache_dir)
-        classnum.seed_h2_memo(memo)
 
     cached = {}
     todo = []
@@ -615,9 +565,7 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
 
     fresh = {}
     if todo and jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=classnum.seed_h2_memo, initargs=(memo,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             for pair, line in zip(todo, pool.map(_scan_worker, todo)):
                 fresh[pair] = report_from_json(line)
     else:
@@ -640,13 +588,6 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
             _atomic_write(_pair_path(cache_dir, *pair), report_to_json(rep))
         if out is not None:
             out.write(report_to_json(rep) + "\n")
-
-    if cache_dir:
-        for rep in reports:
-            for row in rep.h2_table or ():
-                memo[row["radicand"]] = (row["h"], row["h2"])
-        _atomic_write(_memo_path(cache_dir),
-                      json.dumps({str(k): list(v) for k, v in sorted(memo.items())}))
 
     summary = ScanSummary(
         range=[1, max_n], pairs_examined=len(pairs),

@@ -20,10 +20,9 @@ from itertools import combinations
 
 from .errors import Falsified
 from .field import (
-    Automorphism,
     FieldBasis,
     FieldElement,
-    apply_automorphism,
+    conjugate,
     embed_element,
     relative_norm,
     sign_at_embedding,
@@ -31,6 +30,7 @@ from .field import (
     torsion_order,
     zeta,
 )
+from .intarith import prime_factors
 from .quadratic import COND1, COND2, classify_pair, fundamental_unit
 
 
@@ -130,6 +130,19 @@ def _sign_vector(w: FieldElement):
     return tuple(out)
 
 
+def _common_sign(vecs) -> int:
+    """+1 or -1 when the product of these sign vectors has that sign under
+    every real embedding, else 0: such a product cannot be +-1 times a square."""
+    prod = vecs[0]
+    for v in vecs[1:]:
+        prod = tuple(a * b for a, b in zip(prod, v))
+    if all(s > 0 for s in prod):
+        return 1
+    if all(s < 0 for s in prod):
+        return -1
+    return 0
+
+
 def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldElement) -> UnitExpr:
     """Build a verified UnitExpr, solving for the torsion exponent."""
     exps = {r: Fraction(e) for r, e in exps.items() if e}
@@ -159,36 +172,47 @@ def verify_unit_expr(expr: UnitExpr) -> None:
     assert rebuilt.torsion_exponent == expr.torsion_exponent % _torsion(basis)[1]
 
 
-def _det(rows):
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
+def _solve(mat, rhs=()):
+    """Gauss-Jordan elimination over Fractions on the square matrix mat.
+
+    Returns (det(mat), xs) where xs holds, for each vector b in rhs, the x
+    with mat*x = b; xs is None when mat is singular.
+    """
+    n = len(mat)
+    m = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs] for i, row in enumerate(mat)]
     det = Fraction(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             det = -det
         det *= m[c][c]
         inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
-    return det
+        m[c] = [v * inv for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det, [[row[n + j] for row in m] for j in range(len(rhs))]
 
 
-def _gen_labels(gens):
-    return sorted({r for g in gens for r in g.exponents})
+def _labels(exps_list):
+    return sorted({r for e in exps_list for r in e})
+
+
+def _columns(exps_list, labels):
+    """The matrix whose columns are the exponent vectors, rows indexed by labels."""
+    return [[e.get(r, 0) for e in exps_list] for r in labels]
 
 
 def _q_log2(gens) -> int:
     """-log2 |det| of the exponent matrix; asserts the det is a power of 2."""
-    labels = _gen_labels(gens)
+    exps = [g.exponents for g in gens]
+    labels = _labels(exps)
     assert len(labels) == len(gens), "exponent matrix is not square"
-    d = abs(_det([[g.exponents.get(r, Fraction(0)) for r in labels] for g in gens]))
+    d = abs(_solve(_columns(exps, labels))[0])
     assert d != 0, "exponent matrix is singular"
     assert d.numerator == 1 and d.denominator & (d.denominator - 1) == 0
     return d.denominator.bit_length() - 1
@@ -252,28 +276,12 @@ _BIQUAD_TABLE = {
 }
 
 
-def _odd_primes(n: int):
-    out = []
-    m = abs(n)
-    while m % 2 == 0:
-        m //= 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            m //= f
-        else:
-            f += 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _symbol_map(radicands):
     """Map each field radicand to its symbolic name over the primes p, q."""
     primes = set()
     for r in radicands:
-        primes.update(_odd_primes(r))
+        primes.update(prime_factors(r))
+    primes.discard(2)
     p = [f for f in primes if f % 8 == 5]
     q = [f for f in primes if f % 8 == 3]
     if len(p) > 1 or len(q) > 1 or len(p) + len(q) < len(primes):
@@ -392,14 +400,8 @@ def _find_subset_square(gens, vecs, memo):
     n = len(gens)
     for size in range(1, n + 1):
         for idxs in combinations(range(n), size):
-            vec = vecs[idxs[0]]
-            for i in idxs[1:]:
-                vec = tuple(a * b for a, b in zip(vec, vecs[i]))
-            if all(s > 0 for s in vec):
-                sign = 1
-            elif all(s < 0 for s in vec):
-                sign = -1
-            else:
+            sign = _common_sign([vecs[i] for i in idxs])
+            if not sign:
                 continue
             exps = _sum_exps([gens[i].exponents for i in idxs])
             key = (frozenset(exps.items()), sign)
@@ -446,32 +448,24 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     base_vec = _sign_vector(two_mu)
     hits = []
     for bits in range(1 << len(gens)):
-        vec = base_vec
-        for i in range(len(gens)):
-            if bits >> i & 1:
-                vec = tuple(a * b for a, b in zip(vec, vecs[i]))
-        if all(s > 0 for s in vec):
-            sign = 1
-        elif all(s < 0 for s in vec):
-            sign = -1
-        else:
+        idxs = [i for i in range(len(gens)) if bits >> i & 1]
+        sign = _common_sign([base_vec] + [vecs[i] for i in idxs])
+        if not sign:
             continue
         eps = real.one() if sign > 0 else -real.one()
-        for i in range(len(gens)):
-            if bits >> i & 1:
-                eps = eps * gens[i].witness
+        for i in idxs:
+            eps = eps * gens[i].witness
         if sqrt_in_field(two_mu * eps) is not None:
-            hits.append((bits, eps))
+            hits.append((idxs, eps))
     if len(hits) > 1:
         raise Falsified("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
 
     units = _base_units(cm_basis)
     out = [_make_expr(cm_basis, units, g.exponents, embed_element(g.witness, cm_basis)) for g in gens]
     if hits:
-        bits, eps = hits[0]
-        if bits == 0:
+        idxs, eps = hits[0]
+        if not idxs:
             raise Falsified("(2+mu) itself is a square, contradicting the torsion order")
-        idxs = [i for i in range(len(gens)) if bits >> i & 1]
         w = sqrt_in_field(xi * embed_element(eps, cm_basis))
         if w is None:
             raise Falsified("zeta*eps is predicted to be a square in the CM field but is not")
@@ -518,42 +512,30 @@ def theorem_cm_exponents(p: int, q: int, tag: str):
     return out
 
 
-def _solve_linear(mat, rhs):
-    """Solve the square system mat*x = rhs over Fractions; None if singular
-    or inconsistent."""
-    n = len(rhs)
-    m = [list(row) + [r] for row, r in zip(mat, rhs)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return [row[n] for row in m]
+def _integral(xs) -> bool:
+    return xs is not None and all(c.denominator == 1 for x in xs for c in x)
 
 
 def vector_in_lattice(vec: dict, exps_list) -> bool:
     """Is `vec` an integer combination of the exponent vectors in exps_list?"""
-    labels = sorted({r for e in exps_list for r in e} | set(vec))
+    labels = _labels(list(exps_list) + [vec])
     if len(labels) != len(exps_list):
         return False
-    mat = [[Fraction(e.get(r, 0)) for e in exps_list] for r in labels]
-    x = _solve_linear(mat, [Fraction(vec.get(r, 0)) for r in labels])
-    return x is not None and all(c.denominator == 1 for c in x)
+    return _integral(_solve(_columns(exps_list, labels), [[vec.get(r, 0) for r in labels]])[1])
 
 
 def lattice_equal(a_list, b_list) -> bool:
-    """Do two generator lists span the same exponent lattice?"""
-    if len(a_list) != len(b_list):
+    """Do two generator lists span the same exponent lattice?
+
+    With A and B the square matrices of the two lists over the same labels,
+    they do exactly when A*B^-1 is integral and |det A| = |det B|, which
+    makes A*B^-1 unimodular.
+    """
+    labels = _labels(a_list)
+    if not len(labels) == len(a_list) == len(b_list) or labels != _labels(b_list):
         return False
-    return all(vector_in_lattice(v, b_list) for v in a_list) and all(
-        vector_in_lattice(v, a_list) for v in b_list
-    )
+    det_b, xs = _solve(_columns(b_list, labels), [[v.get(r, 0) for r in labels] for v in a_list])
+    return _integral(xs) and abs(_solve(_columns(a_list, labels))[0]) == abs(det_b)
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +686,14 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
             inv_cache[name] = env[name].inverse()
         return inv_cache[name] ** (-e)
 
+    bit = {g: 1 << i for i, g in enumerate(field.generators)}
     taus = {
-        "tau1": Automorphism({2: -1, p: 1, q: 1}),
-        "tau2": Automorphism({2: 1, p: -1, q: 1}),
-        "tau3": Automorphism({2: 1, p: 1, q: -1}),
-        "n12": Automorphism({2: -1, p: -1, q: 1}),
-        "n13": Automorphism({2: -1, p: 1, q: -1}),
-        "n23": Automorphism({2: 1, p: -1, q: -1}),
+        "tau1": bit[2],
+        "tau2": bit[p],
+        "tau3": bit[q],
+        "n12": bit[2] | bit[p],
+        "n13": bit[2] | bit[q],
+        "n23": bit[p] | bit[q],
     }
 
     table = dict(_NT_COMMON)
@@ -724,7 +707,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
             if entry is None:
                 continue
             if col.startswith("tau"):
-                computed = apply_automorphism(w, taus[col])
+                computed = conjugate(w, taus[col])
             else:
                 tau = taus[col] if col in taus else taus["tau" + col[1]]
                 computed = relative_norm(w, tau)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -6,12 +7,14 @@ from mqunits.forms import (
     class_number_imaginary,
     class_number_real,
     compose_forms,
+    count_reduced_forms,
     disc_of_radicand,
     is_fundamental_discriminant,
     _enumerate_posdef,
     _principal_form,
     _reduce_posdef,
 )
+from mqunits.intarith import prime_factors
 
 # Classical class numbers of imaginary quadratic fields, keyed by fundamental
 # discriminant.  Standard table values.
@@ -50,6 +53,9 @@ def test_imaginary_structure_examples():
     assert r.group_structure == (4,)
     r = class_number_imaginary(-120)
     assert (r.group_structure, r.two_rank) == ((2, 2), 2)
+    assert class_number_imaginary(-260).group_structure == (2, 4)
+    assert class_number_imaginary(-420).group_structure == (2, 2, 2)
+    assert class_number_imaginary(-2184).group_structure == (2, 2, 2, 3)
 
 
 def test_imaginary_structure_product_is_h():
@@ -62,18 +68,32 @@ def test_imaginary_structure_product_is_h():
 
 
 def test_composition_closure_and_identity():
-    for D in (-15, -84, -440):
+    # -260: (2,4), -420: (2,2,2), -2184: (2,2,2,3)
+    for D in (-15, -84, -440, -260, -420, -2184):
         forms = _enumerate_posdef(D)
         group = set(forms)
         e = _principal_form(D)
         assert e in group
         for f1, f2 in itertools.product(forms, repeat=2):
-            assert compose_forms(f1, f2, D) in group
+            f12 = compose_forms(f1, f2, D)
+            assert f12 in group and f12 == compose_forms(f2, f1, D)
+            for f3 in forms:
+                assert compose_forms(f12, f3, D) == compose_forms(f1, compose_forms(f2, f3, D), D)
         for f in forms:
             a, b, c = f
             inv = _reduce_posdef(a, -b, c, D)
             assert compose_forms(f, inv, D) == e
             assert compose_forms(f, e, D) == f
+
+
+def test_genus_theory_two_rank():
+    for D in range(-3, -3001, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        r = class_number_imaginary(D)
+        assert r.h == count_reduced_forms(D)
+        assert r.two_rank == len(prime_factors(D)) - 1, D
+        assert math.prod(r.group_structure) == r.h, D
 
 
 def test_real_known_class_numbers():
@@ -115,6 +135,8 @@ def test_is_fundamental_discriminant():
 def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         class_number_imaginary(-12)
+    with pytest.raises(ValueError):
+        count_reduced_forms(-12)
     with pytest.raises(ValueError):
         class_number_imaginary(5)
     with pytest.raises(ValueError):

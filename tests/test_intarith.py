@@ -10,6 +10,7 @@ from mqunits.intarith import (
     is_prime,
     is_squarefree,
     kronecker_symbol,
+    prime_factors,
     primes_upto,
     sqrt_interval,
     squarefree_decompose,
@@ -31,6 +32,21 @@ def test_primes_upto_grows_then_shrinks_consistently():
 def test_is_prime_small_table():
     table = {p for p in range(200) if is_prime(p)}
     assert table == set(primes_upto(199))
+
+
+def test_prime_factors_matches_naive_trial_division():
+    def naive(n):
+        m, f, out = abs(n), 2, []
+        while m > 1:
+            if m % f == 0:
+                out.append(f)
+                while m % f == 0:
+                    m //= f
+            f += 1
+        return out
+
+    for n in range(-3, 10**4 + 1):
+        assert prime_factors(n) == naive(n), n
 
 
 def test_squarefree_decompose_examples():

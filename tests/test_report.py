@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -132,7 +135,6 @@ def test_scan_cache_round_trip(tmp_path):
     cold_reports, cold_summary = scan(12, cache_dir=cache, out=cold_out)
     assert os.path.exists(os.path.join(cache, "pair_5_3.json"))
     assert os.path.exists(os.path.join(cache, "pair_5_11.json"))
-    assert os.path.exists(os.path.join(cache, "classnums.json"))
 
     warm_out = io.StringIO()
     warm_reports, warm_summary = scan(12, cache_dir=cache, out=warm_out)
@@ -140,10 +142,40 @@ def test_scan_cache_round_trip(tmp_path):
     assert warm_reports == cold_reports
     # warm output is byte-identical: cached reports keep their stored timings
     assert warm_out.getvalue().splitlines()[:2] == cold_out.getvalue().splitlines()[:2]
+    assert sorted(os.listdir(cache)) == ["pair_5_11.json", "pair_5_3.json"]
 
-    memo = json.loads((tmp_path / "cache" / "classnums.json").read_text())
-    assert memo["-15"] == [2, 2]
-    assert memo["-55"] == [4, 4]
+
+def test_scan_ignores_an_old_class_number_memo(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    memo = cache / "classnums.json"
+    memo.write_text('{"-55": [8, 8]}')
+    before = memo.stat()
+    reports, summary = scan(12, cache_dir=str(cache))
+    row = next(r for r in reports[1].h2_table if r["radicand"] == -55)
+    assert (reports[1].p, reports[1].q) == (5, 11)
+    assert (row["h"], row["h2"]) == (4, 4)
+    assert reports[1].kuroda_results == {"h2_Kplus": 1, "h2_K": 4}
+    assert summary.failures == []
+    assert memo.read_text() == '{"-55": [8, 8]}'
+    assert memo.stat().st_mtime_ns == before.st_mtime_ns
+
+
+def test_verify_pair_reads_no_group_structure():
+    # a fresh interpreter, so no class number computed by another test is cached
+    code = textwrap.dedent("""
+        from mqunits import forms
+        from mqunits.report import verify_pair
+
+        def boom(*args):
+            raise AssertionError("group structure computed on the verify path")
+
+        forms._group_structure = boom
+        rep = verify_pair(5, 11)
+        assert len(rep.checks) == 16 and rep.passed, rep.checks
+    """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_scan_recovers_from_corrupt_cache(tmp_path):

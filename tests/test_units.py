@@ -206,6 +206,22 @@ def test_lattice_helpers():
     assert lattice_equal(a, [{2: 1, 3: 1}, {3: H}])
     assert not lattice_equal(a, [{2: 1}, {3: 1}])
     assert not lattice_equal(a, [{2: 1}])
+    gens = theorem_real_exponents(5, 11, COND1)
+    # doubling one generator gives an index-2 sublattice with the same span
+    sub = [dict(g) for g in gens]
+    sub[6] = {r: 2 * e for r, e in sub[6].items()}
+    assert not lattice_equal(gens, sub)
+    assert not lattice_equal(sub, gens)
+    # adding a multiple of one generator to another and negating a third is
+    # a unimodular change of basis
+    mixed = [dict(g) for g in gens]
+    for r, e in gens[4].items():
+        mixed[6][r] = mixed[6].get(r, 0) + 3 * e
+    mixed[1] = {r: -e for r, e in mixed[1].items()}
+    assert lattice_equal(gens, mixed)
+    assert lattice_equal(mixed, gens)
+    # a vector outside the label set of the other list
+    assert not lattice_equal(gens, gens[:6] + [{7: Fraction(1)}])
 
 
 def test_unit_expr_cleared_level():
