@@ -8,7 +8,7 @@ negative radicand (conventionally -1, listed last) among the generators.
 Everything is exact: coefficients are Fractions, products reduce through the
 precomputed structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3), square roots
 are extracted by recursive descent through the quadratic tower, and real
-signs are decided by adaptive rational bracketing of the surds.
+signs are decided by integer square roots of the cleared terms.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 
-from .intarith import RationalInterval, is_perfect_square, sqrt_interval, squarefree_decompose
+from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose
 
 
 class FieldBasis:
@@ -244,8 +244,12 @@ def relative_norm(u: FieldElement, mask: int) -> FieldElement:
 def sign_at_embedding(u: FieldElement, signs: dict) -> int:
     """Sign of u under the real embedding sending sqrt(g) to signs[g]*sqrt(g).
 
-    Only defined for elements supported on positive radicands.  Refines
-    rational brackets of the surds until zero is excluded.
+    Only defined for elements supported on positive radicands.  With the
+    coefficients cleared to integers (a positive common denominator keeps the
+    sign), u is a sum of k terms n*sqrt(r).  Each signed floor
+    sign(n)*floor(|n|*sqrt(r)*10^d) is off by less than 1, so once their sum S
+    has |S| >= k, S has the sign of u.  Otherwise d doubles; the loop ends
+    because u != 0 and the surds are linearly independent over Q.
     """
     if u.is_zero():
         raise ValueError("sign of zero is undefined")
@@ -265,15 +269,17 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
             if m >> i & 1:
                 s *= signs[basis.generators[i]]
         terms.append((c * s, r))
-    eps = Fraction(1, 10**8)
-    for _ in range(50):
-        total = RationalInterval.point(0)
-        for c, r in terms:
-            total = total + sqrt_interval(r, eps).scaled(c)
-        if not total.contains_zero():
-            return 1 if total.lo > 0 else -1
-        eps = eps / 10**8
-    raise RuntimeError("sign refinement did not converge")
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    terms = [(c.numerator * (den // c.denominator), r) for c, r in terms]
+    digits = 8
+    while True:
+        total = 0
+        for n, r in terms:
+            lo, _ = sqrt_interval(n * n * r, digits)
+            total += lo if n > 0 else -lo
+        if abs(total) >= len(terms):
+            return 1 if total > 0 else -1
+        digits *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,15 @@
-"""Exact integer and rational primitives used by every other module.
+"""Exact integer primitives used by every other module.
 
 Everything here is pure and deterministic: a grow-on-demand prime sieve,
 distinct prime factors, squarefree decomposition, perfect-square testing,
-the Kronecker symbol, and adaptive rational bracketing of square roots for
-exact sign determination.
+the Kronecker symbol, and integer brackets of scaled square roots for exact
+sign determination.
 No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 _sieve_limit = 13
@@ -146,64 +143,11 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """A closed interval [lo, hi] with rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def scaled(self, c: Fraction) -> "RationalInterval":
-        """The interval c*[lo, hi]; endpoints swap when c < 0."""
-        if c >= 0:
-            return RationalInterval(c * self.lo, c * self.hi)
-        return RationalInterval(c * self.hi, c * self.lo)
-
-    @staticmethod
-    def point(x) -> "RationalInterval":
-        x = Fraction(x)
-        return RationalInterval(x, x)
-
-
-@lru_cache(maxsize=None)
-def _sqrt_bracket(n: int, digits: int) -> RationalInterval:
-    scale = 10**digits
-    target = n * scale * scale
-    r = math.isqrt(target)
-    if r * r == target:
-        exact = Fraction(r, scale)
-        return RationalInterval(exact, exact)
-    return RationalInterval(Fraction(r, scale), Fraction(r + 1, scale))
-
-
-def sqrt_interval(n: int, eps) -> RationalInterval:
-    """Bracket sqrt(n) by rationals: lo**2 <= n <= hi**2 with hi - lo <= eps.
-
-    Deterministic precision ladder (8, 16, 32, ... digits), so shrinking eps
-    always yields an interval nested inside the previous one.
-    """
-    if n <= 0:
-        raise ValueError("sqrt_interval needs a positive integer")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    digits = 8
-    while True:
-        iv = _sqrt_bracket(n, digits)
-        if iv.width <= eps:
-            return iv
-        digits *= 2
+def sqrt_interval(n: int, digits: int) -> tuple[int, int]:
+    """Integer bracket (lo, hi) of sqrt(n) * 10**digits: lo <= sqrt(n) * 10**digits
+    <= hi and hi - lo <= 1, with lo == hi exactly when the scaled root is an integer."""
+    if n <= 0 or digits < 0:
+        raise ValueError("sqrt_interval needs n > 0 and digits >= 0")
+    target = n * 100**digits
+    lo = math.isqrt(target)
+    return lo, lo if lo * lo == target else lo + 1

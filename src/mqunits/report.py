@@ -17,8 +17,10 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
+from itertools import starmap
 
 from .classnum import (
     crosscheck_quadratic_h2,
@@ -49,25 +51,6 @@ from .units import (
 
 REPORT_SCHEMA = "mqunits-report/1"
 SCAN_SCHEMA = "mqunits-scan/1"
-
-CHECK_IDS = (
-    "classify",
-    "lemma_q",
-    "lemma_2q",
-    "lemma_pq",
-    "lemma_2pq",
-    "biquad_fsu_all",
-    "wada_q_index",
-    "wada_generators",
-    "azizi_square",
-    "cm_fsu",
-    "norm_tables",
-    "quad_h2_table",
-    "kuroda_deg4",
-    "kuroda_deg8",
-    "kuroda_deg16",
-    "structures",
-)
 
 @dataclass
 class PairReport:
@@ -494,7 +477,7 @@ _CHECKS = {
     "kuroda_deg16": _check_kuroda_deg16,
     "structures": _check_structures,
 }
-assert tuple(_CHECKS) == CHECK_IDS
+CHECK_IDS = tuple(_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +508,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _load_cached(cache_dir, p, q):
+    """The cached report of the pair, or None when the file is missing or
+    does not decode and validate as a report (it is then recomputed)."""
     path = _pair_path(cache_dir, p, q)
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             return report_from_json(fh.read())
-    except (AssertionError, ValueError, KeyError):
+    except (AssertionError, ValueError, KeyError, TypeError, IndexError):
         return None
 
 
@@ -544,50 +529,43 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     """Verify every applicable pair up to max_n, emitting one report JSON line
     per pair in (p, q) order followed by a summary line.
 
-    With a cache directory, finished pair reports are reused and newly
-    computed ones are written atomically.  jobs > 1 distributes uncached
-    pairs over worker processes; output order is unchanged.
+    With a cache directory, finished pair reports are reused and each newly
+    computed one is written atomically as soon as it is done, so an
+    interrupted scan keeps the pairs it finished.  jobs > 1 distributes
+    uncached pairs over worker processes; output order is unchanged.
 
     Returns (reports, summary).
     """
     pairs = scan_pairs(max_n)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-
-    cached = {}
-    todo = []
-    for pair in pairs:
-        got = _load_cached(cache_dir, *pair) if cache_dir else None
-        if got is not None:
-            cached[pair] = got
-        else:
-            todo.append(pair)
-
-    fresh = {}
-    if todo and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for pair, line in zip(todo, pool.map(_scan_worker, todo)):
-                fresh[pair] = report_from_json(line)
-    else:
-        for pair in todo:
-            fresh[pair] = verify_pair(*pair)
+    cached = {pair: _load_cached(cache_dir, *pair) for pair in pairs} if cache_dir else {}
+    todo = [pair for pair in pairs if cached.get(pair) is None]
 
     reports = []
     failures = []
     c1 = c2 = 0
-    for pair in pairs:
-        rep = cached.get(pair) or fresh[pair]
-        reports.append(rep)
-        tag = rep.condition["tag"]
-        c1 += tag == COND1
-        c2 += tag == COND2
-        for cid, ok, _ in rep.checks:
-            if not ok:
-                failures.append([rep.p, rep.q, cid])
-        if cache_dir and pair in fresh:
-            _atomic_write(_pair_path(cache_dir, *pair), report_to_json(rep))
-        if out is not None:
-            out.write(report_to_json(rep) + "\n")
+    parallel = jobs > 1 and bool(todo)
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        # both iterators yield in todo order, each report as soon as it is done
+        fresh = (map(report_from_json, pool.map(_scan_worker, todo)) if parallel
+                 else starmap(verify_pair, todo))
+        for pair in pairs:
+            rep = cached.get(pair)
+            if rep is None:
+                rep = next(fresh)
+                if cache_dir:
+                    _atomic_write(_pair_path(cache_dir, *pair), report_to_json(rep))
+            reports.append(rep)
+            tag = rep.condition["tag"]
+            c1 += tag == COND1
+            c2 += tag == COND2
+            for cid, ok, _ in rep.checks:
+                if not ok:
+                    failures.append([rep.p, rep.q, cid])
+            if out is not None:
+                out.write(report_to_json(rep) + "\n")
+                out.flush()
 
     summary = ScanSummary(
         range=[1, max_n], pairs_examined=len(pairs),

@@ -111,14 +111,10 @@ def _torsion_name(n: int) -> str:
 
 
 def _norm_pos(w: FieldElement) -> FieldElement:
-    """Normalize a real-supported witness to be positive at the all-plus
-    embedding; complex-supported witnesses are left as computed."""
-    signs = {g: 1 for g in w.basis.generators if g > 0}
-    try:
-        s = sign_at_embedding(w, signs)
-    except ValueError:
-        return w
-    return w if s > 0 else -w
+    """Normalize a witness of a totally real field to be positive at the
+    all-plus embedding."""
+    signs = {g: 1 for g in w.basis.generators}
+    return w if sign_at_embedding(w, signs) > 0 else -w
 
 
 def _sign_vector(w: FieldElement):

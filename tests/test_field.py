@@ -161,6 +161,15 @@ def test_sign_at_embedding():
         sign_at_embedding(b.zero(), {2: 1})
 
 
+def test_sign_at_embedding_beyond_400_digits():
+    # (1 - sqrt2)^n has about 766 zeros after the point, while its
+    # coefficients have about 766 digits each
+    b = FieldBasis((2,))
+    eps2 = b.element({1: 1, 2: 1})
+    assert sign_at_embedding(conjugate(eps2**2001, 1), {2: 1}) == -1
+    assert sign_at_embedding(conjugate(eps2**2002, 1), {2: 1}) == 1
+
+
 def test_sqrt_in_field_examples():
     b = FieldBasis((5, 11))
     eps55 = unit_element(55, b)

@@ -1,11 +1,7 @@
-import math
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from mqunits.intarith import (
-    RationalInterval,
     is_perfect_square,
     is_prime,
     is_squarefree,
@@ -119,49 +115,34 @@ def test_kronecker_unit_modulus(a):
     assert kronecker_symbol(a, 1) == 1
 
 
-def test_interval_basics():
-    iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
-    assert iv.width == Fraction(1, 6)
-    assert not iv.contains_zero()
-    assert RationalInterval(Fraction(-1), Fraction(1)).contains_zero()
-    with pytest.raises(ValueError):
-        RationalInterval(Fraction(1), Fraction(0))
-
-
-def test_interval_arithmetic():
-    a = RationalInterval(Fraction(1), Fraction(2))
-    b = RationalInterval(Fraction(-1), Fraction(3))
-    s = a + b
-    assert (s.lo, s.hi) == (Fraction(0), Fraction(5))
-    neg = a.scaled(Fraction(-2))
-    assert (neg.lo, neg.hi) == (Fraction(-4), Fraction(-2))
-
-
 def test_sqrt_interval_exact_square():
-    iv = sqrt_interval(4, Fraction(1, 10))
-    assert iv.lo == iv.hi == 2
+    assert sqrt_interval(4, 0) == (2, 2)
+    assert sqrt_interval(4, 3) == (2000, 2000)
+    assert sqrt_interval(2, 1) == (14, 15)
 
 
 def test_sqrt_interval_brackets():
-    iv = sqrt_interval(2, Fraction(1, 10**6))
-    assert iv.lo * iv.lo <= 2 <= iv.hi * iv.hi
-    assert iv.width <= Fraction(1, 10**6)
+    lo, hi = sqrt_interval(2, 6)
+    assert lo * lo <= 2 * 10**12 <= hi * hi
+    assert hi - lo == 1
 
 
 def test_sqrt_interval_rejects_bad_input():
     with pytest.raises(ValueError):
-        sqrt_interval(0, Fraction(1, 10))
+        sqrt_interval(0, 3)
     with pytest.raises(ValueError):
-        sqrt_interval(2, 0)
+        sqrt_interval(-2, 3)
+    with pytest.raises(ValueError):
+        sqrt_interval(2, -1)
 
 
 @given(
     st.integers(min_value=2, max_value=10**6),
-    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
 )
 def test_sqrt_interval_nesting(n, k):
-    wide = sqrt_interval(n, Fraction(1, 10**k))
-    tight = sqrt_interval(n, Fraction(1, 10 ** (k + 6)))
-    assert wide.lo <= tight.lo and tight.hi <= wide.hi
-    assert wide.lo * wide.lo <= n <= wide.hi * wide.hi
-    assert math.isqrt(n) <= wide.hi
+    lo, hi = sqrt_interval(n, k)
+    tlo, thi = sqrt_interval(n, k + 6)
+    assert lo * 10**6 <= tlo and thi <= hi * 10**6
+    assert lo * lo <= n * 100**k <= hi * hi
+    assert hi - lo <= 1 and (lo == hi) == is_perfect_square(n)[0]

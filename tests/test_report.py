@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from mqunits import report
 from mqunits.report import (
     CHECK_IDS,
     PairReport,
@@ -34,6 +35,15 @@ def test_verify_pair_all_checks_pass():
     assert len(rep.lemma_witnesses) == 4
     assert len(rep.h2_table) == 15
     assert rep.elapsed_ms > 0
+
+
+@pytest.mark.parametrize("p, q", [
+    (653, 347), (709, 739), (821, 827), (829, 811), (941, 947), (997, 907), (997, 947),
+])
+def test_verify_pair_needs_signs_beyond_400_digits(p, q):
+    rep = verify_pair(p, q)
+    assert [c[0] for c in rep.checks] == list(CHECK_IDS)
+    assert rep.passed, [c for c in rep.checks if not c[1]]
 
 
 def test_verify_pair_cond2():
@@ -187,6 +197,44 @@ def test_scan_recovers_from_corrupt_cache(tmp_path):
     reports, summary = scan(12, cache_dir=cache)
     assert summary.failures == []
     validate_report_dict(json.loads(open(path).read()))
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: None,
+    lambda d: [1, 2],
+    lambda d: {**d, "checks": None},
+    lambda d: {**d, "checks": [[]]},
+], ids=["null", "list", "checks-null", "empty-check"])
+def test_scan_recomputes_a_cache_file_that_is_not_a_report(tmp_path, mangle):
+    cache = str(tmp_path / "cache")
+    _, cold = scan(12, cache_dir=cache)
+    path = os.path.join(cache, "pair_5_11.json")
+    with open(path) as fh:
+        good = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(mangle(good), fh)
+    reports, summary = scan(12, cache_dir=cache)
+    assert summary == cold and reports[1].passed
+    with open(path) as fh:
+        assert report_from_json(fh.read()) == reports[1]
+
+
+def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
+    calls = []
+
+    def interrupt_third(p, q):
+        calls.append((p, q))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return verify_pair(p, q)
+
+    monkeypatch.setattr(report, "verify_pair", interrupt_third)
+    cache = tmp_path / "cache"
+    out = io.StringIO()
+    with pytest.raises(KeyboardInterrupt):
+        scan(20, cache_dir=str(cache), out=out)
+    assert sorted(os.listdir(cache)) == ["pair_5_11.json", "pair_5_3.json"]
+    assert [json.loads(line)["q"] for line in out.getvalue().splitlines()] == [3, 11]
 
 
 def test_scan_parallel_matches_sequential(tmp_path):
