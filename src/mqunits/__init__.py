@@ -2,7 +2,6 @@
 
 from .classnum import (
     KurodaInstance,
-    StructureReport,
     crosscheck_quadratic_h2,
     kuroda_h2,
     predict_structures,
@@ -40,7 +39,7 @@ from .units import (
 __all__ = [
     "ClassNumberReport", "ConditionClass", "DecompositionWitness", "Falsified",
     "FieldBasis", "FieldElement", "FsuResult", "KurodaInstance", "PairReport",
-    "QuadraticUnit", "ScanSummary", "StructureReport", "UnitExpr",
+    "QuadraticUnit", "ScanSummary", "UnitExpr",
     "azizi_extend", "class_number_imaginary", "class_number_real", "classify_pair",
     "crosscheck_quadratic_h2", "fsu_biquadratic", "fsu_quadratic", "fundamental_unit",
     "kuroda_h2", "lemma_decompose", "norm_table", "parse_element",

@@ -50,20 +50,17 @@ def subfield_radicands(p: int, q: int):
 class KurodaInstance:
     """One application of the class number formula.
 
-    degree 4, 8 and 16 carry v_exponent 2, 9 and 16 and expect 3, 7 and 15
-    subfield entries (radicand, h2) respectively.
+    degree 4, 8 and 16 carry the exponent v = 2, 9 and 16 and expect 3, 7
+    and 15 subfield entries (radicand, h2) respectively.
     """
 
     degree: int
-    v_exponent: int
     subfield_h2: tuple
     q_log2: int
 
     def __post_init__(self):
         if self.degree not in _V_BY_DEGREE:
             raise ValueError(f"degree {self.degree} not covered")
-        if self.v_exponent != _V_BY_DEGREE[self.degree]:
-            raise ValueError(f"degree {self.degree} requires v = {_V_BY_DEGREE[self.degree]}")
         self.subfield_h2 = tuple((int(r), int(h)) for r, h in self.subfield_h2)
         if len(self.subfield_h2) != self.degree - 1:
             raise ValueError(f"degree {self.degree} has {self.degree - 1} quadratic subfields")
@@ -76,7 +73,7 @@ def kuroda_h2(instance: KurodaInstance) -> int:
     num = 2 ** instance.q_log2
     for _, h in instance.subfield_h2:
         num *= h
-    den = 2 ** instance.v_exponent
+    den = 2 ** _V_BY_DEGREE[instance.degree]
     if num % den:
         raise Falsified(
             f"class number formula gives {num}/{den} for the degree-{instance.degree} field, "
@@ -88,19 +85,19 @@ def kuroda_h2(instance: KurodaInstance) -> int:
 def deg4_instance(p: int, q_log2: int) -> KurodaInstance:
     """Formula instance for Q(sqrt2, sqrt p)."""
     rads = (2, p, 2 * p)
-    return KurodaInstance(4, 2, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
+    return KurodaInstance(4, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
 
 
 def deg8_instance(p: int, q: int, q_log2: int) -> KurodaInstance:
     """Formula instance for the totally real field Q(sqrt2, sqrt p, sqrt q)."""
     rads = (2, p, q, 2 * p, 2 * q, p * q, 2 * p * q)
-    return KurodaInstance(8, 9, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
+    return KurodaInstance(8, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
 
 
 def deg16_instance(p: int, q: int, q_log2: int) -> KurodaInstance:
     """Formula instance for the CM field Q(sqrt2, sqrt p, sqrt q, i)."""
     rads = subfield_radicands(p, q)
-    return KurodaInstance(16, 16, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
+    return KurodaInstance(16, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +138,16 @@ def crosscheck_quadratic_h2(p: int, q: int, cond):
 # predicted 2-class group and Galois structures
 
 
-@dataclass
-class StructureReport:
-    """Predicted 2-class group shapes along the towers over a pair (p, q).
+def predict_structures(p: int, q: int) -> dict:
+    """The report's structures entry for an applicable pair.
 
-    m is the exponent with h2(-pq) = 2^m.  Group labels are plain strings:
-    "(2,2)", "Z/n", "Q_k" (generalized quaternion of order 2^k).
-    """
-
-    m: int
-    cl2_genus_base: str
-    cl2_L: int
-    cl2_F: str
-    cl2_K: str
-    gal_F2: str
-    gal_k2: str
-    h2_Ln_plus: int
-    iwasawa: tuple
-
-    def h2_Ln(self, n: int) -> int:
-        assert n >= 1
-        return 2 ** (n + self.m - 1)
-
-
-def predict_structures(p: int, q: int) -> StructureReport:
-    """Fill the structure template for an applicable pair.
-
-    m comes from the independently computed h2(-pq).  Under Cond1 the class
-    groups of the two index-2 towers are of type (2,2) with generalized
-    quaternion Galois group Q_{m+1}; under Cond2 everything collapses to
-    cyclic: m must equal 1 (h2(-pq) = 2) and the tower group is Z/4.
-    A violated condition constraint raises Falsified.
+    m comes from the independently computed h2(-pq) = 2^m.  Under Cond1 the
+    class groups of the two index-2 towers are of type (2,2) with
+    generalized quaternion Galois group Q_{m+1}; under Cond2 everything
+    collapses to cyclic: m must equal 1 (h2(-pq) = 2) and the tower group is
+    Z/4.  The 2-class number of the n-th layer is h2_Ln = 2^(n+m-1).  Group
+    labels are plain strings: "(2,2)", "Z/n", "Q_k" (generalized quaternion
+    of order 2^k).  A violated condition constraint raises Falsified.
     """
     cond = classify_pair(p, q)
     if not cond.is_applicable:
@@ -187,14 +163,15 @@ def predict_structures(p: int, q: int) -> StructureReport:
         if m < 2:
             raise Falsified(f"Cond1 pair ({p},{q}) has h2(-pq) = {h2}, expected >= 4")
         cl2_tower, gal_f2 = "(2,2)", f"Q_{m + 1}"
-    return StructureReport(
-        m=m,
-        cl2_genus_base="(2,2)",
-        cl2_L=2 ** (m + 1),
-        cl2_F=cl2_tower,
-        cl2_K=cl2_tower,
-        gal_F2=gal_f2,
-        gal_k2=f"Q_{m + 2}",
-        h2_Ln_plus=1,
-        iwasawa=(1, m - 1),
-    )
+    return {
+        "m": m,
+        "cl2_genus_base": "(2,2)",
+        "cl2_L": 2 ** (m + 1),
+        "cl2_F": cl2_tower,
+        "cl2_K": cl2_tower,
+        "gal_F2": gal_f2,
+        "gal_k2": f"Q_{m + 2}",
+        "h2_Ln": "2^n" if m == 1 else f"2^(n+{m - 1})",
+        "h2_Ln_plus": 1,
+        "iwasawa": [1, m - 1],
+    }

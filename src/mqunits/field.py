@@ -387,20 +387,17 @@ def zeta(n: int, basis: FieldBasis) -> FieldElement:
 
 def torsion_order(basis: FieldBasis) -> int:
     """Order of the roots of unity in the field: 2 for totally real fields,
-    else determined by which of i, zeta_8, zeta_{2^n}, zeta_3 lie inside."""
+    else determined by which of i, zeta_8, zeta_3 lie inside.
+
+    No multiquadratic field contains zeta_16: Gal(Q(zeta_16)/Q) = Z/2 x Z/4
+    is not elementary abelian.
+    """
     rads = basis.mask_of
     n = 2
     if -1 in rads:
         n = 4
         if 2 in rads:
             n = 8
-            mu = basis.surd(2)
-            while True:
-                nxt = sqrt_in_field(mu + 2)
-                if nxt is None:
-                    break
-                n *= 2
-                mu = nxt
     if -3 in rads:
         n *= 3
     return n

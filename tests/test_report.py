@@ -8,16 +8,15 @@ import textwrap
 import pytest
 
 from mqunits import report
+from mqunits.errors import Falsified
 from mqunits.report import (
     CHECK_IDS,
-    PairReport,
     report_emit,
     report_from_json,
     report_to_dict,
     report_to_json,
     scan,
     scan_pairs,
-    summary_from_json,
     validate_report_dict,
     verify_pair,
 )
@@ -104,16 +103,21 @@ def test_not_applicable_report():
 
 
 def test_validate_rejects_mangled_reports():
-    d = report_to_dict(verify_pair(5, 3))
-    good = json.dumps(d)
-    bad = json.loads(good)
-    bad["checks"] = bad["checks"][:-1]
-    with pytest.raises(AssertionError):
-        validate_report_dict(bad)
-    bad = json.loads(good)
-    del bad["fsu_cm"]
-    with pytest.raises(AssertionError):
-        validate_report_dict(bad)
+    good = json.dumps(report_to_dict(verify_pair(5, 3)))
+    validate_report_dict(json.loads(good))
+    for mangle in (
+        lambda d: d["checks"].pop(),
+        lambda d: d.pop("fsu_cm"),
+        lambda d: d.update(checks=[["x", True, "y"]]),
+        lambda d: d.update(fsu_cm=None),  # null although cm_fsu passed
+        lambda d: d["lemma_witnesses"].pop(),
+        # wada_q_index failed, but its dependents still read as run
+        lambda d: d["checks"][6].__setitem__(slice(1, 3), [False, "falsified: x"]),
+    ):
+        bad = json.loads(good)
+        mangle(bad)
+        with pytest.raises(ValueError):
+            validate_report_dict(bad)
 
 
 def test_scan_pairs_enumeration():
@@ -131,8 +135,10 @@ def test_scan_stream_and_summary():
     assert len(lines) == 3
     for line in lines[:2]:
         validate_report_dict(json.loads(line))
-    back = summary_from_json(lines[2])
-    assert back == summary
+    assert json.loads(lines[2]) == {
+        "schema": "mqunits-scan/1", "range": [1, 12], "pairs_examined": 2,
+        "cond1_count": 1, "cond2_count": 1, "failures": [],
+    }
     assert summary.pairs_examined == 2
     assert summary.cond1_count == 1 and summary.cond2_count == 1
     assert summary.failures == []
@@ -237,15 +243,70 @@ def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
     assert [json.loads(line)["q"] for line in out.getvalue().splitlines()] == [3, 11]
 
 
-def test_scan_parallel_matches_sequential(tmp_path):
+def _fail_wada_fsu_on_5_11(monkeypatch):
+    wada_fsu = report.wada_fsu
+
+    def failing(field, subfields):
+        if field.generators == (2, 5, 11):
+            raise Falsified("forced")
+        return wada_fsu(field, subfields)
+
+    monkeypatch.setattr(report, "wada_fsu", failing)
+
+
+def test_scan_parallel_matches_sequential(monkeypatch):
     _, seq = scan(12)
     _, par = scan(12, jobs=2)
-    assert seq == par
+    assert seq == par and not seq.failures
+    # worker processes are forked, so they inherit the patched wada_fsu
+    _fail_wada_fsu_on_5_11(monkeypatch)
+    seq_reports, seq = scan(12)
+    par_reports, par = scan(12, jobs=2)
+    assert seq == par and seq.failures and seq_reports == par_reports
 
 
-def test_failed_checks_never_raise():
-    # an applicable pair is fully checked even when artifacts are exercised
-    # through the whole pipeline; failures would land in checks, not raise
-    rep = verify_pair(29, 3)
-    assert isinstance(rep, PairReport)
-    assert rep.passed
+def test_failed_checks_never_raise(monkeypatch):
+    _fail_wada_fsu_on_5_11(monkeypatch)
+    rep = verify_pair(5, 11)
+    checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
+    assert checks["wada_q_index"] == (False, "falsified: forced")
+    for cid in ("wada_generators", "cm_fsu", "norm_tables", "kuroda_deg8"):
+        assert checks[cid] == (False, "skipped: wada_q_index failed")
+    assert checks["kuroda_deg16"] == (False, "skipped: cm_fsu failed")
+    for cid in ("classify", "lemma_q", "lemma_2q", "lemma_pq", "lemma_2pq",
+                "biquad_fsu_all", "azizi_square", "quad_h2_table", "kuroda_deg4", "structures"):
+        assert checks[cid][0], cid
+    assert rep.fsu_real is rep.fsu_cm is rep.kuroda_results is None
+    assert report_from_json(report_to_json(rep)) == rep
+
+
+def test_pair_beyond_the_discriminant_guard_round_trips():
+    # p*q = 10061503 > 10^7: the class numbers of +-8pq are out of range
+    rep = verify_pair(3181, 3163)
+    checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
+    assert checks["quad_h2_table"][1].startswith("error: ValueError(")
+    for cid in ("kuroda_deg4", "kuroda_deg8", "kuroda_deg16", "structures"):
+        assert checks[cid] == (False, "skipped: quad_h2_table failed")
+    assert all(checks[cid][0] for cid in CHECK_IDS[:11])
+    validate_report_dict(report_to_dict(rep))
+    assert report_from_json(report_to_json(rep)) == rep
+
+
+def test_optimized_interpreter_recomputes_an_edited_cache_file(tmp_path):
+    # validation must not rest on assert statements, which python -O strips
+    cache = str(tmp_path / "cache")
+    scan(11, cache_dir=cache)
+    path = os.path.join(cache, "pair_5_11.json")
+    with open(path) as fh:
+        d = json.load(fh)
+    d["checks"] = [["x", True, "y"]]
+    d["kuroda_results"]["h2_K"] = 999
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    res = subprocess.run([sys.executable, "-O", "-m", "mqunits.cli", "scan", "--max", "11",
+                          "--cache", cache], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    line = json.loads(res.stdout.splitlines()[1])
+    assert line["kuroda_results"]["h2_K"] == 4 and len(line["checks"]) == len(CHECK_IDS)
+    with open(path) as fh:
+        assert report_from_json(fh.read()) == report_from_json(json.dumps(line))
