@@ -4,7 +4,8 @@ Verbs: `verify` runs the full check battery for one pair, `scan` sweeps all
 pairs up to a bound, `fsu` prints a fundamental system of units for a field
 given by its radicands, `classnum` prints the class number data of one
 quadratic field.  Exit code 0 means every check passed, 1 means some check
-failed or a claim was falsified, 2 means the invocation was malformed.
+failed or a claim was falsified, 2 means the invocation was malformed or the
+pair lies beyond the supported range.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 from .errors import Falsified
 from .field import FieldBasis
 from .forms import class_number_imaginary, class_number_real, is_fundamental_discriminant
-from .quadratic import classify_pair
+from .quadratic import UNSUPPORTED, classify_pair
 from .report import (
     _fsu_to_dict,
     report_emit,
@@ -27,6 +28,8 @@ from .units import azizi_extend, fsu_biquadratic, fsu_quadratic, unit_index, wad
 def _cmd_verify(args) -> int:
     rep = verify_pair(args.p, args.q)
     sys.stdout.buffer.write(report_emit(rep, "json" if args.json else "text"))
+    if rep.condition["tag"] == UNSUPPORTED:
+        return 2
     return 0 if rep.passed else 1
 
 

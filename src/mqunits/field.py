@@ -5,10 +5,14 @@ the squarefree parts of the 2^k subset products of the generators.  sqrt(r)
 for negative r means i*sqrt(|r|), so CM fields use the same machinery with a
 negative radicand (conventionally -1, listed last) among the generators.
 
-Everything is exact: coefficients are Fractions, products reduce through the
-precomputed structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3), square roots
-are extracted by recursive descent through the quadratic tower, and real
-signs are decided by integer square roots of the cleared terms.
+Everything is exact and runs on integers: an element is a tuple of integer
+numerators over one positive common denominator, in lowest terms (Cohen, A
+Course in Computational Algebraic Number Theory, ch. 4).  Products reduce
+through the precomputed structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3),
+square roots are extracted by recursive descent through the quadratic tower,
+and real signs are decided by integer square roots of the numerator terms.
+Fractions appear only at the edges: scalar arguments, rational_value, coords
+and the text form.
 """
 
 from __future__ import annotations
@@ -80,22 +84,23 @@ class FieldBasis:
         return f"Q({surds})" if surds else "Q"
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0),) * self.dim)
+        return FieldElement(self, (0,) * self.dim, 1)
 
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return FieldElement(self, (1,) + (0,) * (self.dim - 1), 1)
 
     def from_rational(self, x) -> "FieldElement":
-        coords = [Fraction(0)] * self.dim
-        coords[0] = Fraction(x)
-        return FieldElement(self, tuple(coords))
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return FieldElement(self, (x.numerator,) + (0,) * (self.dim - 1), x.denominator)
 
     def element(self, coords: dict) -> "FieldElement":
         """Build an element from {radicand: coefficient}."""
-        out = [Fraction(0)] * self.dim
+        terms = {}
         for r, c in coords.items():
-            out[self.mask_of[r]] += Fraction(c)
-        return FieldElement(self, tuple(out))
+            c = Fraction(c)
+            terms[self.mask_of[r]] = (c.numerator, c.denominator)
+        return _from_terms(self, terms)
 
     def surd(self, r: int) -> "FieldElement":
         """The basis surd sqrt(r) (i*sqrt(|r|) for negative r)."""
@@ -103,55 +108,65 @@ class FieldBasis:
 
 
 class FieldElement:
-    """Immutable element of a multiquadratic field."""
+    """Immutable element of a multiquadratic field.
 
-    __slots__ = ("basis", "_coords")
+    The coefficient of sqrt(radicand(m)) is _num[m] / _den: integer
+    numerators over one common denominator, kept in lowest terms, with
+    gcd(_den, *_num) == 1 and _den > 0.  Zero is (0, ..., 0)/1.  Equal
+    elements therefore have equal tuples, which equality and hashing compare.
+    The constructor trusts its caller; _reduced brings a pair to this form.
+    """
 
-    def __init__(self, basis: FieldBasis, coords: tuple):
-        assert len(coords) == basis.dim
+    __slots__ = ("basis", "_num", "_den")
+
+    def __init__(self, basis: FieldBasis, num: tuple, den: int):
+        assert len(num) == basis.dim
         self.basis = basis
-        self._coords = coords
+        self._num = num
+        self._den = den
 
     @property
     def coords(self) -> dict:
         """Nonzero coefficients keyed by radicand."""
         rads = self.basis.radicands
-        return {rads[m]: c for m, c in enumerate(self._coords) if c}
+        return {rads[m]: Fraction(n, self._den) for m, n in enumerate(self._num) if n}
 
     def is_zero(self) -> bool:
-        return not any(self._coords)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self._coords[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         assert self.is_rational()
-        return self._coords[0]
+        return Fraction(self._num[0], self._den)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.basis == other.basis and self._coords == other._coords
+            return (self.basis == other.basis and self._den == other._den
+                    and self._num == other._num)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self._coords[0] == other
+            return (self.is_rational() and self._num[0] == other.numerator
+                    and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.basis.generators, self._coords))
+        return hash((self.basis.generators, self._num, self._den))
 
     def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.basis.from_rational(other)
         if isinstance(other, FieldElement):
-            if other.basis != self.basis:
+            if other.basis is not self.basis and other.basis != self.basis:
                 raise ValueError("elements belong to different bases")
             return other
+        if isinstance(other, (int, Fraction)):
+            return self.basis.from_rational(other)
         return None
 
     def __add__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.basis, tuple(a + b for a, b in zip(self._coords, other._coords)))
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -159,38 +174,37 @@ class FieldElement:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.basis, tuple(a - b for a, b in zip(self._coords, other._coords)))
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return FieldElement(self.basis, tuple(-a for a in self._coords))
+        return FieldElement(self.basis, tuple(-a for a in self._num), self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.basis, tuple(a * other for a in self._coords))
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, FieldElement):
+            if isinstance(other, (int, Fraction)):
+                return _scaled(self, other.numerator, other.denominator)
             return NotImplemented
-        dim = self.basis.dim
+        other = self._lift(other)
         coef = self.basis._coef
-        out = [Fraction(0)] * dim
-        for m1, x in enumerate(self._coords):
-            if not x:
-                continue
-            row = coef[m1]
-            for m2, y in enumerate(other._coords):
-                if not y:
-                    continue
-                out[m1 ^ m2] += x * y * row[m2]
-        return FieldElement(self.basis, tuple(out))
+        ys = [(m2, y) for m2, y in enumerate(other._num) if y]
+        out = [0] * self.basis.dim
+        for m1, x in enumerate(self._num):
+            if x:
+                row = coef[m1]
+                for m2, y in ys:
+                    out[m1 ^ m2] += x * y * row[m2]
+        return _reduced(self.basis, tuple(out), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            if not other:
+                raise ZeroDivisionError("dividing a field element by zero")
+            return _scaled(self, other.denominator, other.numerator)
         other = self._lift(other)
         if other is None:
             return NotImplemented
@@ -219,10 +233,43 @@ class FieldElement:
             cof = cof * w
             v = v * w
         assert v.is_rational()
-        return cof * (Fraction(1) / v.rational_value())
+        return _scaled(cof, v._den, v._num[0])
 
     def __repr__(self):
         return f"<{serialize_element(self)} in {self.basis!r}>"
+
+
+def _reduced(basis: FieldBasis, num: tuple, den: int) -> FieldElement:
+    """The element num/den (den > 0) with numerators and denominator divided
+    by their gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(a // g for a in num)
+        den //= g
+    return FieldElement(basis, num, den)
+
+
+def _add(u: FieldElement, v: FieldElement, sign: int) -> FieldElement:
+    """u + sign*v over the least common denominator, for sign in (1, -1)."""
+    g = math.gcd(u._den, v._den)
+    fu, fv = v._den // g, u._den // g * sign
+    return _reduced(u.basis, tuple(a * fu + b * fv for a, b in zip(u._num, v._num)), u._den * fu)
+
+
+def _scaled(u: FieldElement, n: int, d: int) -> FieldElement:
+    """u * n/d for integers n and d != 0."""
+    if d < 0:
+        n, d = -n, -d
+    return _reduced(u.basis, tuple(a * n for a in u._num), u._den * d)
+
+
+def _from_terms(basis: FieldBasis, terms: dict) -> FieldElement:
+    """The element with coefficient n/d (d > 0) at mask m, for {m: (n, d)}."""
+    den = math.lcm(*(d for _, d in terms.values()))
+    num = [0] * basis.dim
+    for m, (n, d) in terms.items():
+        num[m] = n * (den // d)
+    return _reduced(basis, tuple(num), den)
 
 
 def conjugate(u: FieldElement, mask: int) -> FieldElement:
@@ -230,7 +277,8 @@ def conjugate(u: FieldElement, mask: int) -> FieldElement:
     mask: the coefficient of each surd picks up the sign of its subset."""
     return FieldElement(
         u.basis,
-        tuple(-c if (m & mask).bit_count() & 1 else c for m, c in enumerate(u._coords)),
+        tuple(-c if (m & mask).bit_count() & 1 else c for m, c in enumerate(u._num)),
+        u._den,
     )
 
 
@@ -244,9 +292,9 @@ def relative_norm(u: FieldElement, mask: int) -> FieldElement:
 def sign_at_embedding(u: FieldElement, signs: dict) -> int:
     """Sign of u under the real embedding sending sqrt(g) to signs[g]*sqrt(g).
 
-    Only defined for elements supported on positive radicands.  With the
-    coefficients cleared to integers (a positive common denominator keeps the
-    sign), u is a sum of k terms n*sqrt(r).  Each signed floor
+    Only defined for elements supported on positive radicands.  The common
+    denominator is positive, so u has the sign of its numerator part, a sum
+    of k terms n*sqrt(r).  Each signed floor
     sign(n)*floor(|n|*sqrt(r)*10^d) is off by less than 1, so once their sum S
     has |S| >= k, S has the sign of u.  Otherwise d doubles; the loop ends
     because u != 0 and the surds are linearly independent over Q.
@@ -258,8 +306,8 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
         if g > 0 and g not in signs:
             raise ValueError(f"no sign provided for generator {g}")
     terms = []
-    for m, c in enumerate(u._coords):
-        if not c:
+    for m, n in enumerate(u._num):
+        if not n:
             continue
         r = basis.radicands[m]
         if r < 0:
@@ -268,9 +316,7 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
         for i in range(basis.k):
             if m >> i & 1:
                 s *= signs[basis.generators[i]]
-        terms.append((c * s, r))
-    den = math.lcm(*(c.denominator for c, _ in terms))
-    terms = [(c.numerator * (den // c.denominator), r) for c, r in terms]
+        terms.append((n * s, r))
     digits = 8
     while True:
         total = 0
@@ -291,41 +337,31 @@ def _split_top(u: FieldElement):
     basis = u.basis
     sub = basis.sub
     half = sub.dim
-    top = half
-    a = [Fraction(0)] * half
-    b = [Fraction(0)] * half
-    for m in range(half):
-        a[m] = u._coords[m]
-        c = basis._coef[m][top]
-        b[m] = u._coords[m | top] / c
-    return FieldElement(sub, tuple(a)), FieldElement(sub, tuple(b))
+    # coordinate m|top of u is b_m * c_m, where sqrt(r_m)*sqrt(g_top) = c_m*sqrt(r_{m|top})
+    scale = [basis._coef[m][half] for m in range(half)]
+    lcm = math.lcm(*scale)
+    a = _reduced(sub, u._num[:half], u._den)
+    b = _reduced(sub, tuple(n * (lcm // c) for n, c in zip(u._num[half:], scale)), u._den * lcm)
+    return a, b
 
 
 def _join_top(basis: FieldBasis, a: FieldElement, b: FieldElement) -> FieldElement:
     half = basis.sub.dim
-    top = half
-    out = [Fraction(0)] * basis.dim
-    for m in range(half):
-        out[m] = a._coords[m]
-        out[m | top] = b._coords[m] * basis._coef[m][top]
-    return FieldElement(basis, tuple(out))
-
-
-def _sqrt_rational(x: Fraction):
-    if x < 0:
-        return None
-    nsq, nroot = is_perfect_square(x.numerator)
-    dsq, droot = is_perfect_square(x.denominator)
-    if nsq and dsq:
-        return Fraction(nroot, droot)
-    return None
+    coef = basis._coef
+    g = math.gcd(a._den, b._den)
+    fa, fb = b._den // g, a._den // g
+    num = (tuple(n * fa for n in a._num)
+           + tuple(n * fb * coef[m][half] for m, n in enumerate(b._num)))
+    return _reduced(basis, num, a._den * fa)
 
 
 def _sqrt_descent(u: FieldElement):
     basis = u.basis
     if basis.k == 0:
-        r = _sqrt_rational(u._coords[0])
-        return None if r is None else basis.from_rational(r)
+        # n/d is in lowest terms, so it is a square exactly when n and d are
+        nsq, nroot = is_perfect_square(u._num[0])
+        dsq, droot = is_perfect_square(u._den)
+        return FieldElement(basis, (nroot,), droot) if nsq and dsq else None
     d = basis.generators[-1]
     a, b = _split_top(u)
     if b.is_zero():
@@ -334,16 +370,16 @@ def _sqrt_descent(u: FieldElement):
             return _join_top(basis, r, a.basis.zero())
         r = _sqrt_descent(a * d)
         if r is not None:
-            return _join_top(basis, a.basis.zero(), r * Fraction(1, d))
+            return _join_top(basis, a.basis.zero(), r / d)
         return None
     n = a * a - b * b * d
     w = _sqrt_descent(n)
     if w is None:
         return None
     for ww in (w, -w):
-        s = _sqrt_descent((a + ww) * Fraction(1, 2))
+        s = _sqrt_descent((a + ww) / 2)
         if s is not None and not s.is_zero():
-            t = b * s.inverse() * Fraction(1, 2)
+            t = b * s.inverse() / 2
             assert s * s + t * t * d == a and 2 * s * t == b
             return _join_top(basis, s, t)
     return None
@@ -413,36 +449,36 @@ _TERM_RE = re.compile(r"^(-?\d+)/(\d+)\*sqrt\((-?\d+)\)$")
 def serialize_element(u: FieldElement) -> str:
     """Canonical text form: nonzero terms "num/den*sqrt(r)" joined by " + "
     in basis mask order; the zero element prints as "0/1*sqrt(1)"."""
-    parts = []
-    for m, c in enumerate(u._coords):
-        if c:
-            parts.append(f"{c.numerator}/{c.denominator}*sqrt({u.basis.radicands[m]})")
+    parts = [f"{c.numerator}/{c.denominator}*sqrt({r})" for r, c in u.coords.items()]
     return " + ".join(parts) if parts else "0/1*sqrt(1)"
 
 
 def parse_element(s: str, basis: FieldBasis) -> FieldElement:
     """Inverse of serialize_element for elements of the given basis."""
-    out = [Fraction(0)] * basis.dim
-    seen = set()
+    terms = {}
     for part in s.split(" + "):
         m = _TERM_RE.match(part.strip())
         if not m:
             raise ValueError(f"bad element term {part!r}")
         num, den, r = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        if not den:
+            raise ValueError(f"zero denominator in {part!r}")
         if r not in basis.mask_of:
             raise ValueError(f"radicand {r} not in basis {basis!r}")
-        if r in seen:
+        if basis.mask_of[r] in terms:
             raise ValueError(f"radicand {r} repeated")
-        seen.add(r)
-        out[basis.mask_of[r]] = Fraction(num, den)
-    return FieldElement(basis, tuple(out))
+        terms[basis.mask_of[r]] = (num, den)
+    return _from_terms(basis, terms)
 
 
 def embed_element(u: FieldElement, big: FieldBasis) -> FieldElement:
     """Reinterpret u inside a larger basis containing all its radicands."""
-    out = [Fraction(0)] * big.dim
-    for r, c in u.coords.items():
-        if r not in big.mask_of:
-            raise ValueError(f"radicand {r} of element not present in {big!r}")
-        out[big.mask_of[r]] = c
-    return FieldElement(big, tuple(out))
+    num = [0] * big.dim
+    rads = u.basis.radicands
+    for m, n in enumerate(u._num):
+        if n:
+            r = rads[m]
+            if r not in big.mask_of:
+                raise ValueError(f"radicand {r} of element not present in {big!r}")
+            num[big.mask_of[r]] = n
+    return FieldElement(big, tuple(num), u._den)

@@ -27,6 +27,7 @@ from .intarith import is_perfect_square, is_prime, is_squarefree, kronecker_symb
 COND1 = "Cond1"
 COND2 = "Cond2"
 NOT_APPLICABLE = "NotApplicable"
+UNSUPPORTED = "Unsupported"
 
 DECOMPOSITION_TAGS = ("2pq", "pq", "2q", "q")
 

@@ -16,6 +16,7 @@ like any other.
 import json
 import math
 import os
+import re
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,9 +37,9 @@ from .classnum import (
 )
 from .errors import Falsified
 from .field import FieldBasis, embed_element, serialize_element, sqrt_in_field
-from .forms import disc_of_radicand
+from .forms import DISCRIMINANT_GUARD, disc_of_radicand
 from .intarith import is_prime
-from .quadratic import COND1, COND2, classify_pair, lemma_decompose
+from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
 from .units import (
     azizi_extend,
     fsu_biquadratic,
@@ -53,6 +54,10 @@ from .units import (
 
 REPORT_SCHEMA = "mqunits-report/1"
 SCAN_SCHEMA = "mqunits-scan/1"
+
+# The largest of the 15 subfield discriminants is disc(+-2pq) = 8pq, so the
+# class-number checks stay inside the forms guard exactly when p*q <= MAX_PQ.
+MAX_PQ = DISCRIMINANT_GUARD // 8
 
 @dataclass
 class PairReport:
@@ -286,10 +291,13 @@ def verify_pair(p: int, q: int) -> PairReport:
     A check runs only when all of its prerequisites passed, and receives
     their artifacts in prerequisite order; otherwise its entry names the
     first failed prerequisite.  An inapplicable pair yields a
-    condition-only report with no checks.
+    condition-only report with no checks, and so does a pair beyond the
+    supported range p*q <= MAX_PQ, tagged Unsupported.
     """
     t0 = time.perf_counter()
     cond = classify_pair(p, q)
+    if cond.is_applicable and p * q > MAX_PQ:
+        cond = ConditionClass(UNSUPPORTED, f"p*q = {p * q} exceeds the supported limit {MAX_PQ}")
     condition = {"tag": cond.tag, "reason": cond.reason}
     if not cond.is_applicable:
         return PairReport(p, q, condition,
@@ -500,6 +508,45 @@ def _pair_path(cache_dir, p, q):
     return os.path.join(cache_dir, f"pair_{p}_{q}.json")
 
 
+_PAIR_FILE = re.compile(r"pair_\d+_\d+\.json")
+
+
+def _cache_manifest() -> str:
+    """The manifest of a cache this code writes: the report schema and the
+    SHA-256 over the package sources (*.py, in sorted name order)."""
+    import hashlib  # loads OpenSSL, a few ms that only a cached scan needs
+
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                src = fh.read()
+            digest.update(f"{name}\0{len(src)}\0".encode())
+            digest.update(src)
+    return json.dumps({"schema": REPORT_SCHEMA, "sources_sha256": digest.hexdigest()},
+                      separators=(",", ":"))
+
+
+def _open_cache(cache_dir) -> None:
+    """Make cache_dir hold only reports written by this code: unless its
+    manifest.json matches _cache_manifest(), delete its pair files, then
+    write the manifest before any pair is computed."""
+    os.makedirs(cache_dir, exist_ok=True)
+    manifest = _cache_manifest()
+    path = os.path.join(cache_dir, "manifest.json")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read() == manifest.encode():
+                return
+    except FileNotFoundError:
+        pass
+    for name in os.listdir(cache_dir):
+        if _PAIR_FILE.fullmatch(name):
+            os.unlink(os.path.join(cache_dir, name))
+    _atomic_write(path, manifest)
+
+
 def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -536,14 +583,16 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
 
     With a cache directory, finished pair reports are reused and each newly
     computed one is written atomically as soon as it is done, so an
-    interrupted scan keeps the pairs it finished.  jobs > 1 distributes
-    uncached pairs over worker processes; output order is unchanged.
+    interrupted scan keeps the pairs it finished.  Reports are reused only
+    while the directory's manifest names this code (see _open_cache).
+    jobs > 1 distributes uncached pairs over worker processes; output order
+    is unchanged.
 
     Returns (reports, summary).
     """
     pairs = scan_pairs(max_n)
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
+        _open_cache(cache_dir)
     cached = {pair: _load_cached(cache_dir, *pair) for pair in pairs} if cache_dir else {}
     todo = [pair for pair in pairs if cached.get(pair) is None]
 

@@ -117,24 +117,29 @@ def _norm_pos(w: FieldElement) -> FieldElement:
     return w if sign_at_embedding(w, signs) > 0 else -w
 
 
-def _sign_vector(w: FieldElement):
-    gens = [g for g in w.basis.generators if g > 0]
-    out = []
-    for bits in range(1 << len(gens)):
-        signs = {g: 1 - 2 * (bits >> i & 1) for i, g in enumerate(gens)}
-        out.append(sign_at_embedding(w, signs))
-    return tuple(out)
+def _sign_vector(w: FieldElement) -> int:
+    """The real embeddings where w is negative, as a mask: w lies in a totally
+    real field, and bit j stands for the embedding that negates sqrt(g_i) for
+    each bit i of j."""
+    gens = w.basis.generators
+    out = 0
+    for j in range(w.basis.dim):
+        signs = {g: 1 - 2 * (j >> i & 1) for i, g in enumerate(gens)}
+        if sign_at_embedding(w, signs) < 0:
+            out |= 1 << j
+    return out
 
 
-def _common_sign(vecs) -> int:
-    """+1 or -1 when the product of these sign vectors has that sign under
-    every real embedding, else 0: such a product cannot be +-1 times a square."""
-    prod = vecs[0]
-    for v in vecs[1:]:
-        prod = tuple(a * b for a, b in zip(prod, v))
-    if all(s > 0 for s in prod):
+def _common_sign(vecs, dim: int) -> int:
+    """+1 or -1 when the product of elements with these sign masks has that
+    sign under all dim real embeddings, else 0: such a product cannot be +-1
+    times a square."""
+    neg = 0
+    for v in vecs:
+        neg ^= v
+    if not neg:
         return 1
-    if all(s < 0 for s in prod):
+    if neg == (1 << dim) - 1:
         return -1
     return 0
 
@@ -394,9 +399,10 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
 
 def _find_subset_square(gens, vecs, memo):
     n = len(gens)
+    dim = gens[0].witness.basis.dim
     for size in range(1, n + 1):
         for idxs in combinations(range(n), size):
-            sign = _common_sign([vecs[i] for i in idxs])
+            sign = _common_sign([vecs[i] for i in idxs], dim)
             if not sign:
                 continue
             exps = _sum_exps([gens[i].exponents for i in idxs])
@@ -445,7 +451,7 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     hits = []
     for bits in range(1 << len(gens)):
         idxs = [i for i in range(len(gens)) if bits >> i & 1]
-        sign = _common_sign([base_vec] + [vecs[i] for i in idxs])
+        sign = _common_sign([base_vec] + [vecs[i] for i in idxs], real.dim)
         if not sign:
             continue
         eps = real.one() if sign > 0 else -real.one()

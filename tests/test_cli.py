@@ -35,6 +35,13 @@ def test_verify_not_applicable():
     assert "NotApplicable" in res.stdout
 
 
+def test_verify_unsupported_pair_exits_2():
+    res = run_cli("verify", "--p", "3181", "--q", "3163")
+    assert res.returncode == 2
+    assert res.stdout == ("pair (3181, 3163): Unsupported "
+                          "(p*q = 10061503 exceeds the supported limit 10000000)\n")
+
+
 def test_usage_errors_exit_2():
     assert run_cli("verify", "--p", "5").returncode == 2
     assert run_cli("frobnicate").returncode == 2

@@ -1,8 +1,10 @@
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqunits.field import (
     FieldBasis,
@@ -34,14 +36,13 @@ def numeric_square_oracle(u):
     for bits in range(1 << k):
         sgn = [1 - 2 * (bits >> i & 1) for i in range(k)]
         val = Decimal(0)
-        for m, c in enumerate(u._coords):
-            if not c:
-                continue
+        for r, c in u.coords.items():
+            m = basis.mask_of[r]
             s = 1
             for i in range(k):
                 if m >> i & 1:
                     s *= sgn[i]
-            root = Decimal(basis.radicands[m]).sqrt()
+            root = Decimal(r).sqrt()
             val += Decimal(c.numerator) / Decimal(c.denominator) * s * root
         embeddings.append((sgn, val))
     if any(v < 0 for _, v in embeddings):
@@ -297,3 +298,95 @@ def test_sqrt_verdict_matches_numeric_oracle():
         assert not numeric_square_oracle(v)
         checked_nonsquare += 1
     assert checked_square >= 20 and checked_nonsquare >= 15
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a reference on {radicand: Fraction}
+
+PROPERTY_FIELDS = (FieldBasis((2, 5, 3, -1)), FieldBasis((2, 13, 11)))
+
+
+def _ref_add(x, y, sign):
+    out = dict(x)
+    for r, c in y.items():
+        out[r] = out.get(r, 0) + sign * c
+    return {r: c for r, c in out.items() if c}
+
+
+def _ref_mul(basis, x, y):
+    """sqrt(r1)*sqrt(r2) = s*sqrt(r3), with r1*r2 = s^2*r3, negated when both
+    radicands are negative (i*i = -1)."""
+    out = {}
+    for r1, c1 in x.items():
+        for r2, c2 in y.items():
+            r3 = next(r for r in basis.radicands
+                      if r1 * r2 % r == 0 and r1 * r2 // r > 0
+                      and math.isqrt(r1 * r2 // r) ** 2 == r1 * r2 // r)
+            s = math.isqrt(r1 * r2 // r3) * (-1 if r1 < 0 and r2 < 0 else 1)
+            out[r3] = out.get(r3, 0) + c1 * c2 * s
+    return {r: c for r, c in out.items() if c}
+
+
+def _assert_canonical(u):
+    assert u._den > 0 and math.gcd(u._den, *u._num) == 1
+    assert all(isinstance(n, int) for n in u._num)
+    if u.is_zero():
+        assert u._den == 1
+
+
+@st.composite
+def _element_pairs(draw):
+    basis = draw(st.sampled_from(PROPERTY_FIELDS))
+    coef = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**4))
+    elem = st.dictionaries(st.sampled_from(basis.radicands), coef, max_size=basis.dim)
+    scalar = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+    return basis, draw(elem), draw(elem), draw(st.integers(0, basis.dim - 1)), draw(scalar)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_element_pairs())
+def test_integer_arithmetic_matches_a_fraction_reference(case):
+    basis, x, y, mask, c = case
+    u, v = basis.element(x), basis.element(y)
+    x = {r: a for r, a in x.items() if a}
+    y = {r: a for r, a in y.items() if a}
+    assert u.coords == x and v.coords == y
+    results = {
+        "add": (u + v, _ref_add(x, y, 1)),
+        "sub": (u - v, _ref_add(x, y, -1)),
+        "neg": (-u, {r: -a for r, a in x.items()}),
+        "mul": (u * v, _ref_mul(basis, x, y)),
+        "scale": (u * c, {r: a * c for r, a in x.items()}),
+        "divide": (u / c, {r: a / c for r, a in x.items()}),
+        "conjugate": (conjugate(u, mask), {
+            r: -a if (basis.mask_of[r] & mask).bit_count() & 1 else a for r, a in x.items()}),
+    }
+    for name, (got, want) in results.items():
+        assert got.coords == want, name
+        _assert_canonical(got)
+    if x:
+        inv = u.inverse()
+        _assert_canonical(inv)
+        assert _ref_mul(basis, x, inv.coords) == {1: 1}
+    assert parse_element(serialize_element(u), basis) == u
+
+
+def test_canonical_form():
+    b = FieldBasis((2, 13, 11))
+    half = b.element({1: Fraction(2, 4)})
+    assert half == b.from_rational(Fraction(1, 2)) and hash(half) == hash(b.from_rational(Fraction(1, 2)))
+    assert (half._num[0], half._den) == (1, 2)
+    u = b.element({2: Fraction(6, 4), 26: Fraction(-9, 6)})
+    assert u._num == (0, 3, 0, -3, 0, 0, 0, 0) and u._den == 2
+    assert {r: (c.numerator, c.denominator) for r, c in u.coords.items()} == {2: (3, 2), 26: (-3, 2)}
+    for zero in (b.zero(), u - u, u * 0, b.element({13: 0}), parse_element("0/5*sqrt(2)", b)):
+        assert zero._den == 1 and zero._num == (0,) * 8 and zero == b.zero() and zero == 0
+        assert hash(zero) == hash(b.zero())
+    for w in (half, u, u * u, u.inverse(), u / -3, u * Fraction(-4, 9), conjugate(u, 0b101)):
+        _assert_canonical(w)
+    assert u / -3 == u * Fraction(-1, 3) and (u / -3)._den > 0
+    assert parse_element("2/4*sqrt(1) + -6/4*sqrt(26)", b) == b.element({1: Fraction(1, 2), 26: Fraction(-3, 2)})
+    with pytest.raises(ValueError):
+        parse_element("1/0*sqrt(2)", b)
+    with pytest.raises(ZeroDivisionError):
+        u / 0

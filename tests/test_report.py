@@ -9,8 +9,10 @@ import pytest
 
 from mqunits import report
 from mqunits.errors import Falsified
+from mqunits.forms import DISCRIMINANT_GUARD
 from mqunits.report import (
     CHECK_IDS,
+    MAX_PQ,
     report_emit,
     report_from_json,
     report_to_dict,
@@ -158,7 +160,57 @@ def test_scan_cache_round_trip(tmp_path):
     assert warm_reports == cold_reports
     # warm output is byte-identical: cached reports keep their stored timings
     assert warm_out.getvalue().splitlines()[:2] == cold_out.getvalue().splitlines()[:2]
-    assert sorted(os.listdir(cache)) == ["pair_5_11.json", "pair_5_3.json"]
+    assert sorted(os.listdir(cache)) == ["manifest.json", "pair_5_11.json", "pair_5_3.json"]
+
+
+def _count_verify_calls(monkeypatch):
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return verify_pair(p, q)
+
+    monkeypatch.setattr(report, "verify_pair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("stale", ["digest", "missing"])
+def test_scan_cache_is_tied_to_the_code_that_wrote_it(tmp_path, monkeypatch, stale):
+    cache = str(tmp_path / "cache")
+    cold_out = io.StringIO()
+    scan(12, cache_dir=cache, out=cold_out)
+    manifest_path = os.path.join(cache, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    assert manifest["schema"] == "mqunits-report/1" and len(manifest["sources_sha256"]) == 64
+    calls = _count_verify_calls(monkeypatch)
+
+    # the manifest matches: nothing is recomputed and the output is byte-identical
+    warm_out = io.StringIO()
+    scan(12, cache_dir=cache, out=warm_out)
+    assert calls == [] and warm_out.getvalue() == cold_out.getvalue()
+
+    # a well-formed edit, as if another version of the code had written the file
+    path = os.path.join(cache, "pair_5_11.json")
+    with open(path) as fh:
+        d = json.load(fh)
+    d["kuroda_results"]["h2_K"] = 999
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    (tmp_path / "cache" / "pair_7_3.json").write_text("outside the scanned range")
+    if stale == "digest":
+        with open(manifest_path, "w") as fh:
+            json.dump({**manifest, "sources_sha256": "0" * 64}, fh)
+    else:
+        os.unlink(manifest_path)
+    reports, summary = scan(12, cache_dir=cache)
+    assert calls == [(5, 3), (5, 11)]
+    assert reports[1].kuroda_results["h2_K"] == 4 and summary.failures == []
+    with open(path) as fh:
+        assert report_from_json(fh.read()) == reports[1]
+    with open(manifest_path) as fh:
+        assert json.load(fh) == manifest
+    assert sorted(os.listdir(cache)) == ["manifest.json", "pair_5_11.json", "pair_5_3.json"]
 
 
 def test_scan_ignores_an_old_class_number_memo(tmp_path):
@@ -239,7 +291,7 @@ def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
     out = io.StringIO()
     with pytest.raises(KeyboardInterrupt):
         scan(20, cache_dir=str(cache), out=out)
-    assert sorted(os.listdir(cache)) == ["pair_5_11.json", "pair_5_3.json"]
+    assert sorted(os.listdir(cache)) == ["manifest.json", "pair_5_11.json", "pair_5_3.json"]
     assert [json.loads(line)["q"] for line in out.getvalue().splitlines()] == [3, 11]
 
 
@@ -281,15 +333,20 @@ def test_failed_checks_never_raise(monkeypatch):
 
 
 def test_pair_beyond_the_discriminant_guard_round_trips():
-    # p*q = 10061503 > 10^7: the class numbers of +-8pq are out of range
+    # p*q = 10061503 > 10^7: the class numbers of +-8pq are out of range, so
+    # the pair is decided up front and no check runs
     rep = verify_pair(3181, 3163)
-    checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
-    assert checks["quad_h2_table"][1].startswith("error: ValueError(")
-    for cid in ("kuroda_deg4", "kuroda_deg8", "kuroda_deg16", "structures"):
-        assert checks[cid] == (False, "skipped: quad_h2_table failed")
-    assert all(checks[cid][0] for cid in CHECK_IDS[:11])
+    assert rep.condition == {
+        "tag": "Unsupported",
+        "reason": "p*q = 10061503 exceeds the supported limit 10000000",
+    }
+    assert rep.checks == [] and rep.passed
+    assert all(getattr(rep, k) is None for k in ("lemma_witnesses", "fsu_real", "h2_table"))
     validate_report_dict(report_to_dict(rep))
     assert report_from_json(report_to_json(rep)) == rep
+    assert MAX_PQ * 8 == DISCRIMINANT_GUARD
+    inside = verify_pair(3181, 3011)  # p*q = 9577991
+    assert inside.condition["tag"] == "Cond2" and inside.passed
 
 
 def test_optimized_interpreter_recomputes_an_edited_cache_file(tmp_path):
