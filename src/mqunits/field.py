@@ -11,8 +11,8 @@ Course in Computational Algebraic Number Theory, ch. 4).  Products reduce
 through the precomputed structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3),
 square roots are extracted by recursive descent through the quadratic tower,
 and real signs are decided by integer square roots of the numerator terms.
-Fractions appear only at the edges: scalar arguments, rational_value, coords
-and the text form.
+Fractions appear only at the edges: scalar arguments, coords and the text
+form.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from fractions import Fraction
 
 from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose
 
+# generator tuple -> its one FieldBasis
+_BASES = {}
+
 
 class FieldBasis:
     """The multiquadratic field generated by square roots of `generators`.
@@ -31,10 +34,22 @@ class FieldBasis:
     the squarefree part of the product of the generators selected by m.
     Generators must be multiplicatively independent modulo squares, which
     makes the 2^k radicands distinct and the surds linearly independent.
+
+    There is one instance per generator tuple: FieldBasis(gens) returns the
+    basis built by the first call with these generators, so bases compare
+    by identity.  A tuple that fails validation is never stored.
     """
 
-    def __init__(self, generators):
-        generators = tuple(int(g) for g in generators)
+    def __new__(cls, generators):
+        generators = tuple(map(int, generators))
+        basis = _BASES.get(generators)
+        if basis is None:
+            basis = super().__new__(cls)
+            basis._build(generators)
+            _BASES[generators] = basis
+        return basis
+
+    def _build(self, generators):
         for g in generators:
             if g in (0, 1) or squarefree_decompose(g)[1] != 1:
                 raise ValueError(f"generator {g} must be squarefree and != 0, 1")
@@ -66,18 +81,12 @@ class FieldBasis:
                 row.append(-t if r1 < 0 and r2 < 0 else t)
             coef.append(tuple(row))
         self._coef = tuple(coef)
-        self._sub = None
 
     @property
     def sub(self) -> "FieldBasis":
-        """The subfield dropping the last generator (cached)."""
+        """The subfield dropping the last generator."""
         assert self.k > 0
-        if self._sub is None:
-            self._sub = FieldBasis(self.generators[:-1])
-        return self._sub
-
-    def __eq__(self, other):
-        return isinstance(other, FieldBasis) and self.generators == other.generators
+        return FieldBasis(self.generators[:-1])
 
     def __repr__(self):
         surds = ",".join(f"sqrt({g})" for g in self.generators)
@@ -137,13 +146,9 @@ class FieldElement:
     def is_rational(self) -> bool:
         return not any(self._num[1:])
 
-    def rational_value(self) -> Fraction:
-        assert self.is_rational()
-        return Fraction(self._num[0], self._den)
-
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return (self.basis == other.basis and self._den == other._den
+            return (self.basis is other.basis and self._den == other._den
                     and self._num == other._num)
         if isinstance(other, (int, Fraction)):
             return (self.is_rational() and self._num[0] == other.numerator
@@ -155,7 +160,7 @@ class FieldElement:
 
     def _lift(self, other):
         if isinstance(other, FieldElement):
-            if other.basis is not self.basis and other.basis != self.basis:
+            if other.basis is not self.basis:
                 raise ValueError("elements belong to different bases")
             return other
         if isinstance(other, (int, Fraction)):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import Falsified
@@ -48,11 +47,6 @@ class QuadraticUnit:
         assert self.x * self.x - self.d * self.y * self.y == self.norm * self.denom**2
         if self.denom == 2:
             assert self.d % 4 == 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, Fraction]:
-        """(rational part, coefficient of sqrt(d)) as exact fractions."""
-        return Fraction(self.x, self.denom), Fraction(self.y, self.denom)
 
     def __str__(self):
         if self.denom == 1:
@@ -112,24 +106,20 @@ def fundamental_unit(d: int) -> QuadraticUnit:
 
     P, Q = (1, 2) if d % 4 == 1 else (0, 1)
     first = step(P, Q)
-    ax, ay = Fraction(1), Fraction(0)
+    # the product so far is (x + y*sqrt(d))/den, kept in lowest terms
+    x, y, den = 1, 0, 1
     P, Q = first
     period = 0
     while True:
-        ax, ay = (ax * P + ay * d) / Q, (ax + ay * P) / Q
+        x, y, den = x * P + y * d, x + y * P, den * Q
+        g = math.gcd(x, y, den)
+        x, y, den = x // g, y // g, den // g
         period += 1
         P, Q = step(P, Q)
         if (P, Q) == first:
             break
-    denom = math.lcm(ax.denominator, ay.denominator)
-    assert denom in (1, 2)
-    return QuadraticUnit(
-        d=d,
-        x=int(ax * denom),
-        y=int(ay * denom),
-        denom=denom,
-        norm=-1 if period % 2 else 1,
-    )
+    assert den in (1, 2)
+    return QuadraticUnit(d=d, x=x, y=y, denom=den, norm=-1 if period % 2 else 1)
 
 
 def classify_pair(p: int, q: int) -> ConditionClass:

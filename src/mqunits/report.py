@@ -42,6 +42,7 @@ from .intarith import is_prime
 from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
 from .units import (
     azizi_extend,
+    exponent_level,
     fsu_biquadratic,
     lattice_equal,
     norm_table,
@@ -107,12 +108,10 @@ class ScanSummary:
 
 
 def _unit_label(exponents) -> str:
-    s = 1
-    for e in exponents.values():
-        s = math.lcm(s, Fraction(e).denominator)
+    s = exponent_level([exponents])
     parts = []
     for r, e in sorted(exponents.items()):
-        n = int(Fraction(e) * s)
+        n = int(e * s)
         parts.append(f"eps_{r}" if n == 1 else f"eps_{r}^{n}")
     inner = "*".join(parts)
     if s == 1:
@@ -531,8 +530,12 @@ def _cache_manifest() -> str:
 def _open_cache(cache_dir) -> None:
     """Make cache_dir hold only reports written by this code: unless its
     manifest.json matches _cache_manifest(), delete its pair files, then
-    write the manifest before any pair is computed."""
-    os.makedirs(cache_dir, exist_ok=True)
+    write the manifest before any pair is computed.  Raises ValueError when
+    cache_dir exists but is not a directory."""
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except FileExistsError:
+        raise ValueError(f"cache path {cache_dir!r} exists and is not a directory") from None
     manifest = _cache_manifest()
     path = os.path.join(cache_dir, "manifest.json")
     try:

@@ -5,6 +5,9 @@ field element (the witness) together with its exponent vector over the
 fundamental units of the quadratic subfields, with denominators 1, 2 or 4.
 An FSU is a list of such units whose exponent matrix is nonsingular; the
 absolute determinant 2^(-j) records the index of the subfield-unit lattice.
+Exponent lattices are compared through their Hermite normal forms over the
+integers, after scaling every vector by the lcm of the exponent denominators
+(Cohen, A Course in Computational Algebraic Number Theory, section 2.4).
 
 Construction goes bottom-up: known FSU shapes for the six relevant
 biquadratic configurations, then saturation by square roots of subset
@@ -16,6 +19,7 @@ an exact element; a missing root raises Falsified rather than guessing.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import Falsified
@@ -51,10 +55,12 @@ class UnitExpr:
     witness: FieldElement
 
     def cleared_level(self) -> int:
-        s = 1
-        for e in self.exponents.values():
-            s = math.lcm(s, e.denominator)
-        return s
+        return exponent_level([self.exponents])
+
+
+def exponent_level(exps_list) -> int:
+    """The lcm of the denominators of every exponent in the list of vectors."""
+    return math.lcm(*(e.denominator for exps in exps_list for e in exps.values()))
 
 
 @dataclass
@@ -81,29 +87,24 @@ def _base_units(basis: FieldBasis) -> dict:
     return {r: _quad_unit(r, basis) for r in basis.radicands if r > 1}
 
 
-_TORSION_CACHE = {}
-
-
+@cache
 def _torsion(basis: FieldBasis):
     """(generator, order) of the roots of unity of the field."""
-    key = basis.generators
-    if key not in _TORSION_CACHE:
-        n = torsion_order(basis)
-        if n == 2:
-            g = basis.from_rational(-1)
-        elif n == 4:
-            g = basis.surd(-1)
-        elif n == 8:
-            g = zeta(8, basis)
-        elif n == 12:
-            g = basis.element({3: Fraction(1, 2), -1: Fraction(1, 2)})
-        elif n == 24:
-            g = zeta(24, basis)
-        else:
-            raise AssertionError(f"unexpected torsion order {n}")
-        assert g ** n == basis.one() and g ** (n // 2) == -basis.one()
-        _TORSION_CACHE[key] = (g, n)
-    return _TORSION_CACHE[key]
+    n = torsion_order(basis)
+    if n == 2:
+        g = basis.from_rational(-1)
+    elif n == 4:
+        g = basis.surd(-1)
+    elif n == 8:
+        g = zeta(8, basis)
+    elif n == 12:
+        g = basis.element({3: Fraction(1, 2), -1: Fraction(1, 2)})
+    elif n == 24:
+        g = zeta(24, basis)
+    else:
+        raise AssertionError(f"unexpected torsion order {n}")
+    assert g ** n == basis.one() and g ** (n // 2) == -basis.one()
+    return g, n
 
 
 def _torsion_name(n: int) -> str:
@@ -147,9 +148,7 @@ def _common_sign(vecs, dim: int) -> int:
 def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldElement) -> UnitExpr:
     """Build a verified UnitExpr, solving for the torsion exponent."""
     exps = {r: Fraction(e) for r, e in exps.items() if e}
-    s = 1
-    for e in exps.values():
-        s = math.lcm(s, e.denominator)
+    s = exponent_level([exps])
     assert s in (1, 2, 4), f"exponent denominator {s} out of range"
     lhs = witness ** s
     rhs = basis.one()
@@ -173,50 +172,55 @@ def verify_unit_expr(expr: UnitExpr) -> None:
     assert rebuilt.torsion_exponent == expr.torsion_exponent % _torsion(basis)[1]
 
 
-def _solve(mat, rhs=()):
-    """Gauss-Jordan elimination over Fractions on the square matrix mat.
+def _hnf(exps_list, frame) -> list:
+    """The row Hermite normal form of the lattice spanned by exps_list, whose
+    vectors all lie in the list frame.
 
-    Returns (det(mat), xs) where xs holds, for each vector b in rhs, the x
-    with mat*x = b; xs is None when mat is singular.
+    Columns are the labels of frame, and every vector is scaled by the
+    exponent level of frame, so the entries are integers.  The nonzero rows
+    come out in echelon form with positive pivots, and the entries above each
+    pivot are reduced into [0, pivot), which makes the form unique: two lists
+    span the same lattice exactly when their forms in one frame are equal.
     """
-    n = len(mat)
-    m = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs] for i, row in enumerate(mat)]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det, [[row[n + j] for row in m] for j in range(len(rhs))]
-
-
-def _labels(exps_list):
-    return sorted({r for e in exps_list for r in e})
-
-
-def _columns(exps_list, labels):
-    """The matrix whose columns are the exponent vectors, rows indexed by labels."""
-    return [[e.get(r, 0) for e in exps_list] for r in labels]
+    labels = sorted({r for exps in frame for r in exps})
+    level = exponent_level(frame)
+    rows = [[e.numerator * (level // e.denominator) for e in (exps.get(r, 0) for r in labels)]
+            for exps in exps_list]
+    out = []
+    for c in range(len(labels)):
+        live = [row for row in rows if row[c]]
+        if not live:
+            continue
+        # Euclid down column c: reduce every other live row by the smallest
+        while len(live) > 1:
+            piv = min(live, key=lambda row: abs(row[c]))
+            for row in live:
+                if row is not piv:
+                    f = row[c] // piv[c]
+                    row[:] = [a - f * b for a, b in zip(row, piv)]
+            live = [row for row in live if row[c]]
+        (piv,) = live
+        rows = [row for row in rows if row is not piv]
+        if piv[c] < 0:
+            piv = [-a for a in piv]
+        for row in out:
+            f = row[c] // piv[c]
+            if f:
+                row[:] = [a - f * b for a, b in zip(row, piv)]
+        out.append(piv)
+    return out
 
 
 def _q_log2(gens) -> int:
     """-log2 |det| of the exponent matrix; asserts the det is a power of 2."""
     exps = [g.exponents for g in gens]
-    labels = _labels(exps)
-    assert len(labels) == len(gens), "exponent matrix is not square"
-    d = abs(_solve(_columns(exps, labels))[0])
-    assert d != 0, "exponent matrix is singular"
-    assert d.numerator == 1 and d.denominator & (d.denominator - 1) == 0
-    return d.denominator.bit_length() - 1
+    form = _hnf(exps, exps)
+    n = len(gens)
+    assert all(len(row) == n for row in form), "exponent matrix is not square"
+    assert len(form) == n, "exponent matrix is singular"
+    index, rem = divmod(exponent_level(exps) ** n, math.prod(row[i] for i, row in enumerate(form)))
+    assert rem == 0 and index & (index - 1) == 0
+    return index.bit_length() - 1
 
 
 def _sum_exps(dicts):
@@ -514,30 +518,16 @@ def theorem_cm_exponents(p: int, q: int, tag: str):
     return out
 
 
-def _integral(xs) -> bool:
-    return xs is not None and all(c.denominator == 1 for x in xs for c in x)
-
-
 def vector_in_lattice(vec: dict, exps_list) -> bool:
     """Is `vec` an integer combination of the exponent vectors in exps_list?"""
-    labels = _labels(list(exps_list) + [vec])
-    if len(labels) != len(exps_list):
-        return False
-    return _integral(_solve(_columns(exps_list, labels), [[vec.get(r, 0) for r in labels]])[1])
+    frame = list(exps_list) + [vec]
+    return _hnf(exps_list, frame) == _hnf(frame, frame)
 
 
 def lattice_equal(a_list, b_list) -> bool:
-    """Do two generator lists span the same exponent lattice?
-
-    With A and B the square matrices of the two lists over the same labels,
-    they do exactly when A*B^-1 is integral and |det A| = |det B|, which
-    makes A*B^-1 unimodular.
-    """
-    labels = _labels(a_list)
-    if not len(labels) == len(a_list) == len(b_list) or labels != _labels(b_list):
-        return False
-    det_b, xs = _solve(_columns(b_list, labels), [[v.get(r, 0) for r in labels] for v in a_list])
-    return _integral(xs) and abs(_solve(_columns(a_list, labels))[0]) == abs(det_b)
+    """Do two generator lists span the same exponent lattice?"""
+    frame = list(a_list) + list(b_list)
+    return _hnf(a_list, frame) == _hnf(b_list, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +637,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     p, q = ps[0], qs[0]
     cond = classify_pair(p, q)
     assert cond.is_applicable
-    assert fsu.field == field
+    assert fsu.field is field
 
     units = _base_units(field)
     env = {

@@ -68,6 +68,16 @@ def test_scan_emits_reports_and_summary(tmp_path):
     assert warm.stdout == res.stdout
 
 
+def test_scan_cache_path_not_a_directory_exits_2(tmp_path):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory\n")
+    res = run_cli("scan", "--max", "12", "--cache", str(cache))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("mqunits: error: ")
+    assert str(cache) in res.stderr
+
+
 def test_scan_with_jobs():
     res = run_cli("scan", "--max", "12", "--jobs", "2")
     assert res.returncode == 0

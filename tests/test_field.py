@@ -250,6 +250,17 @@ def test_basis_validation():
     assert b.sub.generators == (2, 5)
 
 
+def test_basis_interned_by_generator_tuple():
+    b = FieldBasis([2, 5])
+    assert FieldBasis((2, 5)) is b
+    assert FieldBasis((2, 5, 11)).sub is b
+    assert b.sub is FieldBasis((2,))
+    # a failed build is not stored, so the error repeats
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            FieldBasis((2, 3, 6))
+
+
 def test_serialization():
     b = FieldBasis((5, 11))
     eps55 = unit_element(55, b)

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,37 @@ def pell_minimal_unit(d):
         if sols:
             x, y, denom, nrm = min(sols)
             return QuadraticUnit(d=d, x=x, y=y, denom=denom, norm=nrm)
+
+
+def fraction_unit(d):
+    """(x, y, denom, norm) by the continued-fraction recurrence on Fractions."""
+    sq = math.isqrt(d)
+
+    def step(P, Q):
+        a = (P + sq) // Q
+        P2 = a * Q - P
+        return P2, (d - P2 * P2) // Q
+
+    first = step(*((1, 2) if d % 4 == 1 else (0, 1)))
+    ax, ay = Fraction(1), Fraction(0)
+    P, Q = first
+    period = 0
+    while True:
+        ax, ay = (ax * P + ay * d) / Q, (ax + ay * P) / Q
+        period += 1
+        P, Q = step(P, Q)
+        if (P, Q) == first:
+            break
+    denom = math.lcm(ax.denominator, ay.denominator)
+    return int(ax * denom), int(ay * denom), denom, -1 if period % 2 else 1
+
+
+def test_fundamental_unit_matches_fraction_recurrence():
+    radicands = [d for d in range(2, 600) if is_squarefree(d)]
+    radicands += [2 * 3181 * 3011, 3181 * 3011, 2 * 3011, 2 * 2333 * 3691]
+    for d in radicands:
+        u = fundamental_unit(d)
+        assert (u.x, u.y, u.denom, u.norm) == fraction_unit(d), d
 
 
 def test_fundamental_unit_frozen_values():

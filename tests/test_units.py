@@ -4,6 +4,7 @@ import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
@@ -12,7 +13,9 @@ from mqunits.units import (
     FsuResult,
     NORM_COLUMNS,
     UnitExpr,
+    _q_log2,
     azizi_extend,
+    exponent_level,
     fsu_biquadratic,
     fsu_quadratic,
     lattice_equal,
@@ -224,7 +227,125 @@ def test_lattice_helpers():
     assert not lattice_equal(gens, gens[:6] + [{7: Fraction(1)}])
 
 
+def test_lattice_equal_rank_deficient_lists():
+    # dependent lists compare by the lattice they span, not by their length
+    a = [{2: H, 3: H}, {2: 1, 3: 1}]
+    b = [{2: -H, 3: -H}]
+    assert lattice_equal(a, b) and lattice_equal(b, a)
+    assert lattice_equal([{2: 1}, {3: 1}, {2: 1, 3: 1}], [{2: 1}, {3: 1}])
+    assert not lattice_equal(b, [{2: 1, 3: 1}])
+    assert not lattice_equal(a, [{2: H}, {3: H}])
+
+
+def fraction_inverse_det(rows):
+    """(inverse, det) of a square Fraction matrix by Gauss-Jordan; the
+    inverse is None when the matrix is singular."""
+    n = len(rows)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return None, Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return [row[n:] for row in m], det
+
+
+def fraction_in_lattice(rows, basis_rows):
+    """Is every row an integer combination of the nonsingular basis_rows?"""
+    inv, _ = fraction_inverse_det(basis_rows)
+    n = len(basis_rows)
+    return all(sum(row[k] * inv[k][j] for k in range(n)).denominator == 1
+               for row in rows for j in range(n))
+
+
+def fraction_lattice_equal(a_rows, b_rows):
+    """B^-1 A integral and |det A| = |det B|, for nonsingular A and B."""
+    return (fraction_in_lattice(a_rows, b_rows)
+            and abs(fraction_inverse_det(a_rows)[1]) == abs(fraction_inverse_det(b_rows)[1]))
+
+
+EXPONENTS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 4)))
+
+
+@st.composite
+def unimodular_change(draw, rows):
+    """rows after a random product of row additions, sign flips and a permutation."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            rows[i] = [-a for a in rows[i]]
+        else:
+            k = draw(st.integers(-3, 3))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def exponent_matrices(draw):
+    """A nonsingular square matrix of exponents with denominators 1, 2, 4:
+    either random, or a unimodular change of an upper triangular matrix with
+    diagonal 1, 1/2 or 1/4, whose |det| is then a power of 1/2."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        rows = [[draw(EXPONENTS) for _ in range(n)] for _ in range(n)]
+        assume(fraction_inverse_det(rows)[1] != 0)
+        return rows
+    diag = st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(1, 4)))
+    tri = [[draw(diag) if i == j else draw(EXPONENTS) if j > i else Fraction(0)
+            for j in range(n)] for i in range(n)]
+    return draw(unimodular_change(tri))
+
+
+def as_dicts(rows, labels):
+    return [{r: e for r, e in zip(labels, row) if e} for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lattice_helpers_match_fraction_reference(data):
+    b_rows = data.draw(exponent_matrices())
+    n = len(b_rows)
+    labels = data.draw(st.permutations((2, 3, 5, 6, 7, 10)))[:n]
+    a_rows = data.draw(unimodular_change(b_rows))
+    i = data.draw(st.integers(0, n - 1))
+    sub_rows = [[2 * e for e in row] if k == i else row for k, row in enumerate(a_rows)]
+    b, a, sub = (as_dicts(rows, labels) for rows in (b_rows, a_rows, sub_rows))
+
+    assert fraction_lattice_equal(a_rows, b_rows)
+    assert lattice_equal(a, b) and lattice_equal(b, a)
+    assert not fraction_lattice_equal(sub_rows, b_rows)
+    assert not lattice_equal(sub, b) and not lattice_equal(b, sub)
+
+    coeffs = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+    coeffs[i] += data.draw(st.sampled_from((0, H, Fraction(1, 4))))
+    v_row = [sum(c * row[j] for c, row in zip(coeffs, b_rows)) for j in range(n)]
+    (v,) = as_dicts([v_row], labels)
+    assert vector_in_lattice(v, b) == fraction_in_lattice([v_row], b_rows)
+    assert vector_in_lattice(v, sub) == fraction_in_lattice([v_row], sub_rows)
+
+    for rows, exps in ((b_rows, b), (sub_rows, sub)):
+        gens = [UnitExpr(0, e, None) for e in exps]
+        det = abs(fraction_inverse_det(rows)[1])
+        if det.numerator == 1 and det.denominator & (det.denominator - 1) == 0:
+            assert _q_log2(gens) == det.denominator.bit_length() - 1
+        else:
+            with pytest.raises(AssertionError):
+                _q_log2(gens)
+
+
 def test_unit_expr_cleared_level():
     field, fsu = deg8(5, 11)
     levels = sorted({g.cleared_level() for g in fsu.generators})
     assert levels == [1, 2, 4]
+    assert exponent_level(exps_list(fsu)) == 4
