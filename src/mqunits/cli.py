@@ -95,7 +95,7 @@ def _cmd_classnum(args) -> int:
         "h": rep.h,
         "h2": rep.h2,
         "two_rank": rep.two_rank,
-        "group_structure": list(rep.group_structure) if rep.group_structure else None,
+        "group_structure": None if rep.group_structure is None else list(rep.group_structure),
     }, separators=(",", ":")))
     return 0
 

@@ -3,19 +3,26 @@
 Imaginary fields: the class number is the count of reduced primitive
 positive-definite forms of the fundamental discriminant, and
 class_number_imaginary adds the class-group structure from composition and
-element orders.  Real fields: the narrow class number is the number of
-rho-reduction cycles of reduced indefinite forms, and the wide class number
-follows from the norm of the fundamental unit.  Everything is integer arithmetic; square-root comparisons
-against sqrt(D) are done through isqrt brackets, never floats.
+the torsion of each Sylow subgroup.  Real fields: the narrow class number
+is the number of rho-reduction cycles of reduced indefinite forms, and the
+wide class number follows from the norm of the fundamental unit.
+
+Both enumerations go by leading coefficient (Cohen, GTM 138, 5.3 and 5.6;
+Buell, Binary Quadratic Forms, ch. 3 and 4).  A reduced form has
+|a| <= sqrt(|D|), and its b is a root of b*b = D (mod 4|a|), so one table
+of those roots for every a up to sqrt(|D|) yields every reduced form in
+about sqrt(|D|) steps.  Everything is integer arithmetic; square-root
+comparisons against sqrt(D) are done through isqrt brackets, never floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intarith import is_squarefree, prime_factors
+from .intarith import is_squarefree, prime_factors, primes_upto, sqrt_mod_prime
 from .quadratic import fundamental_unit
 
 DISCRIMINANT_GUARD = 8 * 10**7
@@ -79,21 +86,65 @@ def _principal_form(D):
     return (1, 0, -D // 4)
 
 
+def _sqrt_table(D, A):
+    """Yield (a, roots) for 0 < a <= A: the residues b mod 2a with b*b = D (mod 4a).
+
+    D is a fundamental discriminant, so an odd prime dividing D divides it
+    once: b*b = D has the one root 0 mod p and none mod p^2.  A
+    smallest-prime-factor sieve splits each a into prime powers.  Roots mod
+    an odd prime come from Tonelli-Shanks and are lifted to its powers by
+    trying the p lifts of each root; the 2-part keeps b mod 2^(k+1) with
+    b*b = D (mod 2^(k+2)), lifted the same way.  The Chinese remainder
+    theorem joins the parts.
+    """
+    spf = list(range(A + 1))
+    for p in reversed(primes_upto(math.isqrt(A))):
+        spf[p * p :: p] = [p] * len(range(p * p, A + 1, p))
+    odd = [[0]] * (A + 1)  # odd m: the roots mod m
+    for m in range(3, A + 1, 2):
+        p = q = spf[m]
+        while m % (q * p) == 0:
+            q *= p
+        if q < m:
+            odd[m] = _crt(odd[q], q, odd[m // q], m // q)
+        elif q == p:
+            r = sqrt_mod_prime(D, p)
+            odd[m] = [] if r is None else sorted({r, -r % p})
+        else:
+            odd[m] = [x for r in odd[q // p] for x in range(r, q, q // p) if (x * x - D) % q == 0]
+    roots, k = [D % 2], 0  # the roots mod 2^(k+1) of b*b = D (mod 2^(k+2))
+    while roots and 1 << k <= A:
+        for m in range(1, (A >> k) + 1, 2):
+            yield m << k, _crt(roots, 2 << k, odd[m], m)
+        k += 1
+        roots = [x for r in roots for x in (r, r + (1 << k)) if (x * x - D) % (4 << k) == 0]
+
+
+def _crt(roots1, m1, roots2, m2):
+    """Every x mod m1*m2 with x = r1 (mod m1), x = r2 (mod m2) for coprime m1, m2."""
+    if not roots1 or not roots2:
+        return []
+    k = pow(m1, -1, m2)
+    return [r1 + m1 * ((r2 - r1) * k % m2) for r1 in roots1 for r2 in roots2]
+
+
 def _enumerate_posdef(D):
+    """Reduced positive definite forms (a, b, c) of a negative fundamental D.
+
+    Reduced means |b| <= a <= c, with b >= 0 when |b| = a or a = c, so
+    3a^2 <= |D|.  For each such a, every root b of b*b = D (mod 4a) taken
+    in (-a, a] gives one candidate with c = (b*b - D)/(4a), kept when c >= a.
+    The cost is the square-root table to sqrt(|D|/3) plus one step per root
+    (Cohen, GTM 138, 5.3; Buell, Binary Quadratic Forms, ch. 3).
+    """
     forms = []
-    b = D % 2
-    while 3 * b * b <= -D:
-        m = (b * b - D) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                if math.gcd(a, math.gcd(b, c)) == 1:
-                    forms.append((a, b, c))
-                    if 0 < b < a < c:
-                        forms.append((a, -b, c))
-            a += 1
-        b += 2
+    for a, roots in _sqrt_table(D, math.isqrt(-D // 3)):
+        for b in roots:
+            if b > a:
+                b -= 2 * a
+            c = (b * b - D) // (4 * a)
+            if c > a or (c == a and b >= 0):
+                forms.append((a, b, c))
     return sorted(forms)
 
 
@@ -138,18 +189,27 @@ def compose_forms(f1, f2, D):
 
 
 def _form_pow(f, n, D):
-    result = _principal_form(D)
-    base = f
+    result = None
     while n:
         if n & 1:
-            result = compose_forms(result, base, D)
-        base = compose_forms(base, base, D)
+            result = f if result is None else compose_forms(result, f, D)
         n >>= 1
-    return result
+        if n:
+            f = compose_forms(f, f, D)
+    return _principal_form(D) if result is None else result
 
 
 def _group_structure(forms, D):
-    """Primary cyclic decomposition from counts of l^j-torsion elements."""
+    """Primary cyclic decomposition from the l^j-torsion of each Sylow subgroup.
+
+    For each prime l with l^e exactly dividing h: when e = 1 the l-part is
+    cyclic of order l.  Otherwise the forms, in sorted order, are raised to
+    the power h/l^e, which lands in the l-Sylow subgroup, and the subgroup
+    generated so far is closed under composition, coset by coset, until it
+    has l^e elements.  The l^j-torsion is counted inside that subgroup
+    alone, so a prime costs a few projections and about e*l^e powerings by
+    l, where raising all h forms to every l^j cost about e*h powerings.
+    """
     h = len(forms)
     e = _principal_form(D)
     structure = []
@@ -159,10 +219,29 @@ def _group_structure(forms, D):
         while hh % l == 0:
             hh //= l
             exp += 1
-        counts = [1]
-        for j in range(1, exp + 1):
-            nj = sum(1 for f in forms if _form_pow(f, l**j, D) == e)
-            counts.append(nj)
+        if exp == 1:  # a group of prime order is cyclic
+            structure.append(l)
+            continue
+        sylow = {e}
+        for f in forms:
+            if len(sylow) == l**exp:
+                break
+            x = _form_pow(f, hh, D)
+            if x in sylow:
+                continue
+            g, reps = x, list(sylow)
+            while x not in sylow:
+                sylow.update(compose_forms(y, x, D) for y in reps)
+                x = compose_forms(x, g, D)
+        assert len(sylow) == l**exp
+        counts = [0] * (exp + 1)
+        for f in sylow:
+            j = 0
+            while f != e:
+                f = _form_pow(f, l, D)
+                j += 1
+            counts[j] += 1
+        counts = list(itertools.accumulate(counts))
         t = []
         for j in range(1, exp + 1):
             assert counts[j] % counts[j - 1] == 0
@@ -215,22 +294,24 @@ def class_number_imaginary(D: int) -> ClassNumberReport:
 
 
 def _enumerate_indefinite(D):
-    """Reduced indefinite forms: |sqrt(D) - 2|a|| < b < sqrt(D), exact via isqrt."""
+    """Reduced indefinite forms of a positive fundamental D, both signs of a.
+
+    Reduced means |sqrt(D) - 2|a|| < b < sqrt(D), exact via s = isqrt(D) as
+    max(s + 1 - 2|a|, 2|a| - s) <= b <= s, so |a| <= s.  For each a, each
+    root class of b*b = D (mod 4a) is walked through that window in steps of
+    2a, giving (a, b, c) and (-a, b, -c) with c = (b*b - D)/(4a).  The cost
+    is the square-root table to sqrt(D) plus about one step per root
+    (Cohen, GTM 138, 5.6; Buell, Binary Quadratic Forms, ch. 4).
+    """
     s = math.isqrt(D)
     forms = []
-    b = 2 - (D % 2)
-    while b <= s:
-        m = (D - b * b) // 4
-        e = 1
-        while e * e <= m:
-            if m % e == 0:
-                for aa in {e, m // e}:
-                    if 2 * aa + b >= s + 1 and 2 * aa - b <= s:
-                        c = -(m // aa)
-                        forms.append((aa, b, c))
-                        forms.append((-aa, b, -c))
-            e += 1
-        b += 2
+    for a, roots in _sqrt_table(D, s):
+        lo = max(1, s + 1 - 2 * a, 2 * a - s)
+        for r in roots:
+            for b in range(lo + (r - lo) % (2 * a), s + 1, 2 * a):
+                c = (b * b - D) // (4 * a)
+                forms.append((a, b, c))
+                forms.append((-a, b, -c))
     return sorted(forms)
 
 
@@ -249,11 +330,13 @@ def _rho(form, D, s):
 
 def _narrow_class_number(D):
     s = math.isqrt(D)
-    allforms = frozenset(_enumerate_indefinite(D))
+    forms = _enumerate_indefinite(D)
+    allforms = frozenset(forms)
     remaining = set(allforms)
     cycles = 0
-    while remaining:
-        start = min(remaining)
+    for start in forms:
+        if start not in remaining:
+            continue
         f = start
         steps = 0
         while True:

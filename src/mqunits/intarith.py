@@ -2,8 +2,8 @@
 
 Everything here is pure and deterministic: a grow-on-demand prime sieve,
 distinct prime factors, squarefree decomposition, perfect-square testing,
-the Kronecker symbol, and integer brackets of scaled square roots for exact
-sign determination.
+the Kronecker symbol, square roots modulo an odd prime, and integer brackets
+of scaled square roots for exact sign determination.
 No floating point anywhere.
 """
 
@@ -141,6 +141,38 @@ def kronecker_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p by Tonelli-Shanks (Cohen,
+    GTM 138, Algorithm 1.5.1), or None when n is not a square mod p."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    x, b = pow(n, (q + 1) // 2, p), pow(n, q, p)
+    if b == 1:
+        return x
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    y, r = pow(z, q, p), e
+    while b != 1:
+        m, t = 1, b * b % p
+        while t != 1:
+            t = t * t % p
+            m += 1
+        t = pow(y, 1 << (r - m - 1), p)
+        y = t * t % p
+        r = m
+        x = x * t % p
+        b = b * y % p
+    return x
 
 
 def sqrt_interval(n: int, digits: int) -> tuple[int, int]:

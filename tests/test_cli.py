@@ -122,6 +122,11 @@ def test_classnum_verb():
     assert d["h"] == 12 and d["h2"] == 4
     assert d["group_structure"] is not None
 
+    for disc in ("-3", "-163"):
+        d = json.loads(run_cli("classnum", "--disc", disc).stdout)
+        assert (d["h"], d["two_rank"], d["group_structure"]) == (1, 0, [])
+
     res = run_cli("classnum", "--disc", "40")
     d = json.loads(res.stdout)
     assert d["radicand"] == 10 and d["h"] == 2
+    assert d["group_structure"] is None

@@ -10,11 +10,139 @@ from mqunits.forms import (
     count_reduced_forms,
     disc_of_radicand,
     is_fundamental_discriminant,
+    _enumerate_indefinite,
     _enumerate_posdef,
+    _group_structure,
     _principal_form,
     _reduce_posdef,
+    _sqrt_table,
 )
 from mqunits.intarith import prime_factors
+
+
+# Oracles: the former O(|D|) enumerations, which loop over b and then over
+# trial divisors of (|D| - b^2)/4, and the former group structure, which
+# raises every form to every power l^j.
+
+
+def oracle_enumerate_posdef(D):
+    forms = []
+    b = D % 2
+    while 3 * b * b <= -D:
+        m = (b * b - D) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                if math.gcd(a, math.gcd(b, c)) == 1:
+                    forms.append((a, b, c))
+                    if 0 < b < a < c:
+                        forms.append((a, -b, c))
+            a += 1
+        b += 2
+    return sorted(forms)
+
+
+def oracle_enumerate_indefinite(D):
+    """Reduced indefinite forms: |sqrt(D) - 2|a|| < b < sqrt(D), exact via isqrt."""
+    s = math.isqrt(D)
+    forms = []
+    b = 2 - (D % 2)
+    while b <= s:
+        m = (D - b * b) // 4
+        e = 1
+        while e * e <= m:
+            if m % e == 0:
+                for aa in {e, m // e}:
+                    if 2 * aa + b >= s + 1 and 2 * aa - b <= s:
+                        c = -(m // aa)
+                        forms.append((aa, b, c))
+                        forms.append((-aa, b, -c))
+            e += 1
+        b += 2
+    return sorted(forms)
+
+
+def oracle_form_pow(f, n, D):
+    result = _principal_form(D)
+    base = f
+    while n:
+        if n & 1:
+            result = compose_forms(result, base, D)
+        base = compose_forms(base, base, D)
+        n >>= 1
+    return result
+
+
+def oracle_group_structure(forms, D):
+    """Primary cyclic decomposition from counts of l^j-torsion elements."""
+    h = len(forms)
+    e = _principal_form(D)
+    structure = []
+    for l in prime_factors(h):
+        exp = 0
+        hh = h
+        while hh % l == 0:
+            hh //= l
+            exp += 1
+        counts = [1]
+        for j in range(1, exp + 1):
+            nj = sum(1 for f in forms if oracle_form_pow(f, l**j, D) == e)
+            counts.append(nj)
+        t = []
+        for j in range(1, exp + 1):
+            assert counts[j] % counts[j - 1] == 0
+            ratio = counts[j] // counts[j - 1]
+            tj = 0
+            while ratio > 1:
+                assert ratio % l == 0
+                ratio //= l
+                tj += 1
+            t.append(tj)
+        t.append(0)
+        for j in range(1, exp + 1):
+            structure.extend([l**j] * (t[j - 1] - t[j]))
+    assert math.prod(structure) == h
+    return tuple(sorted(structure))
+
+
+def assert_matches_oracle(D):
+    if D < 0:
+        forms = _enumerate_posdef(D)
+        assert forms == oracle_enumerate_posdef(D), D
+        assert _group_structure(forms, D) == oracle_group_structure(forms, D), D
+    else:
+        assert _enumerate_indefinite(D) == oracle_enumerate_indefinite(D), D
+
+
+def test_enumerations_match_oracle_small():
+    for n in range(3, 5001):
+        for D in (n, -n):
+            if is_fundamental_discriminant(D):
+                assert_matches_oracle(D)
+
+
+# Drawn log-uniformly from [10^6, 3*10^7] with random.Random(20200419),
+# alternating signs, keeping fundamental discriminants.
+LARGE_DISCRIMINANTS = (-3639156, 7183013, -12291195, 6678829, -1310983, 16830440, -2491336, 1010012)
+
+
+def test_enumerations_match_oracle_large():
+    for D in LARGE_DISCRIMINANTS:
+        assert is_fundamental_discriminant(D)
+        assert_matches_oracle(D)
+
+
+def test_sqrt_table_matches_brute_force():
+    for D in (-3, -4, -8, -15, -20, -84, -3896, -4547, 5, 8, 12, 40, 60, 105, 1020):
+        A = 60
+        pairs = list(_sqrt_table(D, A))
+        table = dict(pairs)
+        assert len(table) == len(pairs) and set(table) <= set(range(1, A + 1))
+        for a in range(1, A + 1):
+            want = [b for b in range(2 * a) if (b * b - D) % (4 * a) == 0]
+            assert sorted(table.get(a, ())) == want, (D, a)
+
 
 # Classical class numbers of imaginary quadratic fields, keyed by fundamental
 # discriminant.  Standard table values.
@@ -56,6 +184,11 @@ def test_imaginary_structure_examples():
     assert class_number_imaginary(-260).group_structure == (2, 4)
     assert class_number_imaginary(-420).group_structure == (2, 2, 2)
     assert class_number_imaginary(-2184).group_structure == (2, 2, 2, 3)
+    # odd primary parts above l, and several primes
+    assert class_number_imaginary(-3299).group_structure == (3, 9)
+    assert class_number_imaginary(-4027).group_structure == (3, 3)
+    assert class_number_imaginary(-3896).group_structure == (3, 3, 4)
+    assert class_number_imaginary(-4547).group_structure == (17,)
 
 
 def test_imaginary_structure_product_is_h():

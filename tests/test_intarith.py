@@ -9,6 +9,7 @@ from mqunits.intarith import (
     prime_factors,
     primes_upto,
     sqrt_interval,
+    sqrt_mod_prime,
     squarefree_decompose,
 )
 
@@ -113,6 +114,18 @@ def test_kronecker_multiplicative_in_numerator(a, b, n):
 @given(st.integers(min_value=-500, max_value=500))
 def test_kronecker_unit_modulus(a):
     assert kronecker_symbol(a, 1) == 1
+
+
+def test_sqrt_mod_prime_matches_squares():
+    # 257 = 2^8 + 1 runs the Tonelli-Shanks loop at full depth
+    for p in primes_upto(400)[1:]:
+        squares = {x * x % p for x in range(p)}
+        for n in range(-p, p):
+            r = sqrt_mod_prime(n, p)
+            if n % p in squares:
+                assert r is not None and (r * r - n) % p == 0, (n, p)
+            else:
+                assert r is None, (n, p)
 
 
 def test_sqrt_interval_exact_square():
