@@ -4,9 +4,11 @@ For a multiquadratic field of degree 4, 8 or 16 the 2-class number is
 2^(q_log2 - v) times the product of the 2-class numbers of its quadratic
 subfields, where q_log2 is the exponent of the unit index and v is a fixed
 exponent per field shape (2, 9, 16).  The subfield values are computed by
-the forms module, so the formula ties the unit-index computation to class
-numbers computed by an entirely independent route.  A non-integral result
-means the inputs contradict each other and raises Falsified.
+the forms module, which computes no unit (a real field's narrow class
+number is halved by reading the rho cycles), so the formula ties the
+unit-index computation to class numbers computed by an entirely independent
+route.  A non-integral result means the inputs contradict each other and
+raises Falsified.
 """
 
 from dataclasses import dataclass

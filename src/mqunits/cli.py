@@ -14,8 +14,8 @@ import sys
 
 from .errors import Falsified
 from .field import FieldBasis
-from .forms import class_number_imaginary, class_number_real, is_fundamental_discriminant
-from .quadratic import UNSUPPORTED, classify_pair
+from .forms import class_number_imaginary, class_number_real, supported_discriminant
+from .quadratic import UNSUPPORTED
 from .report import (
     _fsu_to_dict,
     report_emit,
@@ -57,9 +57,8 @@ def _build_fsu(radicands, cm):
         q = next((r for r in odd if r % 8 == 3), None)
         if p is None or q is None:
             raise ValueError("degree-8 fields need one radicand = 5 and one = 3 (mod 8)")
-        cond = classify_pair(p, q)
         field = FieldBasis((2, p, q))
-        fsu = wada_fsu(field, [fsu_biquadratic(2, d, cond) for d in (p, q, p * q)])
+        fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (p, q, p * q)])
     else:
         raise ValueError("supported fields have 1 to 3 real radicands")
     if cm:
@@ -80,9 +79,7 @@ def _cmd_fsu(args) -> int:
 
 
 def _cmd_classnum(args) -> int:
-    D = args.disc
-    if not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a fundamental discriminant")
+    D = supported_discriminant(args.disc)
     if D < 0:
         rep = class_number_imaginary(D)
         radicand = None

@@ -5,7 +5,9 @@ positive-definite forms of the fundamental discriminant, and
 class_number_imaginary adds the class-group structure from composition and
 the torsion of each Sylow subgroup.  Real fields: the narrow class number
 is the number of rho-reduction cycles of reduced indefinite forms, and the
-wide class number follows from the norm of the fundamental unit.
+wide class number is half of it unless (1, b0, c0) and (-1, b0, -c0) share
+a cycle, that is unless the fundamental unit has norm -1 (Buell, Binary
+Quadratic Forms, ch. 3).  No unit is computed here.
 
 Both enumerations go by leading coefficient (Cohen, GTM 138, 5.3 and 5.6;
 Buell, Binary Quadratic Forms, ch. 3 and 4).  A reduced form has
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intarith import is_squarefree, prime_factors, primes_upto, sqrt_mod_prime
-from .quadratic import fundamental_unit
+from .quadratic import fundamental_unit  # noqa: F401  unused; perfbench traces this binding
 
 DISCRIMINANT_GUARD = 8 * 10**7
 
@@ -48,6 +50,16 @@ def disc_of_radicand(m: int) -> int:
     if m in (0, 1) or not is_squarefree(m):
         raise ValueError(f"{m} is not a valid radicand")
     return m if m % 4 == 1 else 4 * m
+
+
+def supported_discriminant(D: int) -> int:
+    """D itself when it is a fundamental discriminant with |D| <= DISCRIMINANT_GUARD;
+    the bound is tested first, so a huge D never reaches a squarefree test."""
+    if abs(D) > DISCRIMINANT_GUARD:
+        raise ValueError(f"|{D}| exceeds the supported bound {DISCRIMINANT_GUARD}")
+    if not is_fundamental_discriminant(D):
+        raise ValueError(f"{D} is not a fundamental discriminant")
+    return D
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -261,11 +273,9 @@ def _group_structure(forms, D):
 
 def _reduced_forms(D):
     """The reduced forms of a supported negative fundamental discriminant."""
-    if D >= 0 or not is_fundamental_discriminant(D):
+    if D >= 0:
         raise ValueError(f"{D} is not a negative fundamental discriminant")
-    if -D > DISCRIMINANT_GUARD:
-        raise ValueError(f"|{D}| exceeds the supported bound {DISCRIMINANT_GUARD}")
-    return _enumerate_posdef(D)
+    return _enumerate_posdef(supported_discriminant(D))
 
 
 @lru_cache(maxsize=None)
@@ -329,12 +339,19 @@ def _rho(form, D, s):
 
 
 def _narrow_class_number(D):
+    """The number of rho cycles, and whether the principal form (1, b0, c0),
+    b0 = s or s - 1 with the parity of D for s = isqrt(D), shares its cycle
+    with (-1, b0, -c0): it does when that cycle, walked first, removed both."""
     s = math.isqrt(D)
+    b0 = s - (s - D) % 2
+    principal = (1, b0, (b0 * b0 - D) // 4)
+    negative = (-1, b0, -principal[2])
     forms = _enumerate_indefinite(D)
     allforms = frozenset(forms)
     remaining = set(allforms)
     cycles = 0
-    for start in forms:
+    shared = None
+    for start in itertools.chain((principal,), forms):
         if start not in remaining:
             continue
         f = start
@@ -348,22 +365,20 @@ def _narrow_class_number(D):
             if f == start:
                 break
         cycles += 1
-    return cycles
+        if shared is None:
+            shared = negative not in remaining
+    return cycles, shared
 
 
 @lru_cache(maxsize=None)
 def class_number_real(d: int) -> ClassNumberReport:
     """Wide class number of Q(sqrt(d)): rho cycles give the narrow number,
-    halved exactly when the fundamental unit has norm +1."""
-    if d <= 1 or not is_squarefree(d):
+    halved exactly when the principal form and its negative lie in different
+    cycles, that is when the fundamental unit has norm +1 (Buell, ch. 3)."""
+    if d <= 1:
         raise ValueError(f"{d} is not a valid real radicand")
-    D = disc_of_radicand(d)
-    if D > DISCRIMINANT_GUARD:
-        raise ValueError(f"{D} exceeds the supported bound {DISCRIMINANT_GUARD}")
-    h_narrow = _narrow_class_number(D)
-    if fundamental_unit(d).norm == 1:
-        assert h_narrow % 2 == 0
-        h = h_narrow // 2
-    else:
-        h = h_narrow
+    D = supported_discriminant(d if d % 4 == 1 else 4 * d)
+    h_narrow, negative_norm = _narrow_class_number(D)
+    assert negative_norm or h_narrow % 2 == 0
+    h = h_narrow if negative_norm else h_narrow // 2
     return ClassNumberReport(discriminant_or_radicand=d, h=h, h2=h & -h)

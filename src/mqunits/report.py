@@ -291,12 +291,14 @@ def verify_pair(p: int, q: int) -> PairReport:
     their artifacts in prerequisite order; otherwise its entry names the
     first failed prerequisite.  An inapplicable pair yields a
     condition-only report with no checks, and so does a pair beyond the
-    supported range p*q <= MAX_PQ, tagged Unsupported.
+    supported range p*q <= MAX_PQ, tagged Unsupported before p and q are
+    classified, so a huge input never reaches trial division.
     """
     t0 = time.perf_counter()
-    cond = classify_pair(p, q)
-    if cond.is_applicable and p * q > MAX_PQ:
+    if p * q > MAX_PQ:
         cond = ConditionClass(UNSUPPORTED, f"p*q = {p * q} exceeds the supported limit {MAX_PQ}")
+    else:
+        cond = classify_pair(p, q)
     condition = {"tag": cond.tag, "reason": cond.reason}
     if not cond.is_applicable:
         return PairReport(p, q, condition,
@@ -346,7 +348,7 @@ def _check_biquad_fsu_all(p, q, cond, rep):
     built = {}
     qs = []
     for d1, d2 in configs:
-        fsu = fsu_biquadratic(d1, d2, cond)
+        fsu = fsu_biquadratic(d1, d2)
         want = expected.get((d1, d2), 1)
         if fsu.q_index_log2 != want:
             return False, f"Q(sqrt{d1}, sqrt{d2}) has q_log2 {fsu.q_index_log2}, expected {want}", None

@@ -165,13 +165,6 @@ def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldEl
     raise AssertionError("witness does not match its exponent vector")
 
 
-def verify_unit_expr(expr: UnitExpr) -> None:
-    """Re-check the defining identity of a UnitExpr; raises on mismatch."""
-    basis = expr.witness.basis
-    rebuilt = _make_expr(basis, _base_units(basis), expr.exponents, expr.witness)
-    assert rebuilt.torsion_exponent == expr.torsion_exponent % _torsion(basis)[1]
-
-
 def _hnf(exps_list, frame) -> list:
     """The row Hermite normal form of the lattice spanned by exps_list, whose
     vectors all lie in the list frame.
@@ -302,23 +295,20 @@ def _symbol_map(radicands):
     return table, reverse
 
 
-def fsu_biquadratic(d1: int, d2: int, cond=None) -> FsuResult:
+def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     """FSU of the real biquadratic field Q(sqrt(d1), sqrt(d2)).
 
     Covers the six configurations whose quadratic subfield radicands are
     {p,q,pq}, {2,q,2q}, {p,2q,2pq}, {q,2p,2pq}, {2,pq,2pq} or {2,p,2p} with
     p = 5 mod 8 and q = 3 mod 8 primes.  The shape of the system depends on
-    the condition class of the pair (p, q) through the Legendre symbol;
-    cond=None infers it when both primes appear, and is accepted for the
-    configurations whose shape is the same either way.
+    the condition class of the pair (p, q) through the Legendre symbol when
+    both primes appear; {2,q,2q} and {2,p,2p} have one shape either way.
     Predicted square roots are materialized exactly; raises Falsified when
     one does not exist, ValueError for an unknown configuration.
     """
     basis = FieldBasis((d1, d2))
     if basis.is_cm:
         raise ValueError("biquadratic FSU shapes cover totally real fields only")
-    if cond is not None and not cond.is_applicable:
-        raise ValueError(f"condition class required: {cond.reason}")
     rads = [r for r in basis.radicands if r != 1]
     try:
         table, reverse = _symbol_map(rads)
@@ -329,17 +319,9 @@ def fsu_biquadratic(d1: int, d2: int, cond=None) -> FsuResult:
         actual = classify_pair(reverse["p"], reverse["q"])
         if not actual.is_applicable:
             raise ValueError(f"pair not applicable: {actual.reason}")
-        if cond is not None and actual.tag != cond.tag:
-            raise ValueError(
-                f"condition {cond.tag} does not match the pair ({reverse['p']}, {reverse['q']})"
-            )
         specs = shapes[actual.tag]
-    elif cond is not None:
-        specs = shapes[cond.tag]
-    elif shapes[COND1] == shapes[COND2]:
+    else:  # {2,q,2q} or {2,p,2p}: one shape for both classes
         specs = shapes[COND1]
-    else:
-        raise ValueError("condition class required for this configuration")
     units = _base_units(basis)
     gens = []
     for is_sqrt, syms in specs:

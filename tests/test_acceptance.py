@@ -136,10 +136,9 @@ def test_criterion_03_azizi_square_every_pair(scan_run):
         assert ok, (p, q, detail)
     # independent recomputation on one pair per condition
     for p, q in ((5, 11), (13, 11)):
-        cond = classify_pair(p, q)
         kplus = FieldBasis((2, p, q))
         u = kplus.surd(2) + kplus.from_rational(2)
-        for g in fsu_biquadratic(2, q, cond).generators:
+        for g in fsu_biquadratic(2, q).generators:
             u = u * embed_element(g.witness, kplus)
         w = sqrt_in_field(u)
         assert w is not None and w * w == u
@@ -255,10 +254,9 @@ def test_criterion_08_arithmetic_properties(scan_run):
     # exact square roots against a floating-point oracle
     checked = 0
     for p, q in ((5, 11), (13, 3)):
-        cond = classify_pair(p, q)
         basis = FieldBasis((2, p, q))
         gens = [embed_element(g.witness, basis)
-                for fsu in (fsu_biquadratic(2, d, cond) for d in (p, q, p * q))
+                for fsu in (fsu_biquadratic(2, d) for d in (p, q, p * q))
                 for g in fsu.generators]
         for _ in range(60):
             v = basis.one() if rng.random() < 0.5 else -basis.one()
@@ -271,7 +269,7 @@ def test_criterion_08_arithmetic_properties(scan_run):
                 a, b = _float_eval(w, signs), _float_eval(v, signs)
                 assert math.isclose(abs(a), abs(b), rel_tol=1e-9), (p, q, signs)
             checked += 1
-        fsu = wada_fsu(basis, [fsu_biquadratic(2, d, cond) for d in (p, q, p * q)])
+        fsu = wada_fsu(basis, [fsu_biquadratic(2, d) for d in (p, q, p * q)])
         ws = [g.witness for g in fsu.generators]
         for _ in range(40):
             k = rng.randint(1, 7)
@@ -295,9 +293,8 @@ def test_criterion_08_arithmetic_properties(scan_run):
 
     # wada output is saturated: no signed subset product is a square
     for p, q in ((5, 11), (13, 3)):
-        cond = classify_pair(p, q)
         basis = FieldBasis((2, p, q))
-        fsu = wada_fsu(basis, [fsu_biquadratic(2, d, cond) for d in (p, q, p * q)])
+        fsu = wada_fsu(basis, [fsu_biquadratic(2, d) for d in (p, q, p * q)])
         ws = [g.witness for g in fsu.generators]
         for k in range(1, 8):
             for sub in combinations(range(7), k):

@@ -42,12 +42,24 @@ def test_verify_unsupported_pair_exits_2():
                           "(p*q = 10061503 exceeds the supported limit 10000000)\n")
 
 
+def test_huge_inputs_exit_2_without_a_traceback():
+    big = 10**400 + 1
+    res = run_cli("verify", "--p", str(big), "--q", "3")
+    assert res.returncode == 2
+    assert res.stdout.startswith(f"pair ({big}, 3): Unsupported (p*q = {3 * big} exceeds")
+    for disc in (big, -(10**400) + 1):
+        res = run_cli("classnum", "--disc", str(disc))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"mqunits: error: |{disc}| exceeds the supported bound 80000000\n"
+
+
 def test_usage_errors_exit_2():
     assert run_cli("verify", "--p", "5").returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli().returncode == 2
     assert run_cli("classnum", "--disc", "20").returncode == 2
     assert run_cli("fsu", "--radicands", "7,11").returncode == 2
+    assert run_cli("fsu", "--radicands", "2,21,3").returncode == 2  # composite p
 
 
 def test_scan_emits_reports_and_summary(tmp_path):

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from mqunits import forms, quadratic
 from mqunits.forms import (
+    DISCRIMINANT_GUARD,
     class_number_imaginary,
     class_number_real,
     compose_forms,
@@ -13,11 +15,12 @@ from mqunits.forms import (
     _enumerate_indefinite,
     _enumerate_posdef,
     _group_structure,
+    _narrow_class_number,
     _principal_form,
     _reduce_posdef,
     _sqrt_table,
 )
-from mqunits.intarith import prime_factors
+from mqunits.intarith import is_squarefree, prime_factors
 
 
 # Oracles: the former O(|D|) enumerations, which loop over b and then over
@@ -236,11 +239,38 @@ def test_real_known_class_numbers():
 
 def test_real_narrow_equals_wide_for_negative_norm():
     # d=10: norm(eps)=-1, so the rho-cycle count is already the wide number
-    from mqunits.forms import _narrow_class_number
-
-    assert _narrow_class_number(40) == 2
+    assert _narrow_class_number(40) == (2, True)
     # d=15: norm(eps)=+1, narrow is twice wide
-    assert _narrow_class_number(60) == 4
+    assert _narrow_class_number(60) == (4, False)
+
+
+def test_cycle_flag_is_the_norm_of_the_fundamental_unit():
+    # the unit side is only the oracle here: forms never computes a unit
+    for d in range(2, 5001):
+        if is_squarefree(d):
+            shared = _narrow_class_number(disc_of_radicand(d))[1]
+            assert shared == (quadratic.fundamental_unit(d).norm == -1), d
+
+
+def test_real_class_numbers_need_no_fundamental_unit(monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"fundamental_unit({d}) called")
+
+    monkeypatch.setattr(quadratic, "fundamental_unit", refuse)
+    monkeypatch.setattr(forms, "fundamental_unit", refuse)
+    for d, h in KNOWN_REAL_H.items():
+        assert class_number_real.__wrapped__(d).h == h, d
+
+
+def test_huge_discriminants_hit_the_guard_before_any_squarefree_test():
+    for D in (10**400 + 1, -(10**400) + 1):
+        with pytest.raises(ValueError, match="exceeds the supported bound"):
+            forms.supported_discriminant(D)
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        count_reduced_forms(-(10**400) + 1)
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        class_number_real(10**400 + 1)
+    assert forms.supported_discriminant(-DISCRIMINANT_GUARD + 1) == -DISCRIMINANT_GUARD + 1
 
 
 def test_disc_of_radicand():

@@ -349,6 +349,18 @@ def test_pair_beyond_the_discriminant_guard_round_trips():
     assert inside.condition["tag"] == "Cond2" and inside.passed
 
 
+def test_huge_pair_is_unsupported_before_trial_division():
+    # 10^400 + 1 is far past any sieve; the product alone decides the pair
+    p = 10**400 + 1
+    rep = verify_pair(p, 3)
+    assert rep.condition == {
+        "tag": "Unsupported",
+        "reason": f"p*q = {3 * p} exceeds the supported limit {MAX_PQ}",
+    }
+    assert rep.checks == []
+    assert report_from_json(report_to_json(rep)) == rep
+
+
 def test_optimized_interpreter_recomputes_an_edited_cache_file(tmp_path):
     # validation must not rest on assert statements, which python -O strips
     cache = str(tmp_path / "cache")

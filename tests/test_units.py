@@ -8,12 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
-from mqunits.quadratic import COND1, COND2, classify_pair
+from mqunits.quadratic import COND1, COND2
 from mqunits.units import (
     FsuResult,
     NORM_COLUMNS,
     UnitExpr,
+    _base_units,
+    _make_expr,
     _q_log2,
+    _torsion,
     azizi_extend,
     exponent_level,
     fsu_biquadratic,
@@ -24,18 +27,23 @@ from mqunits.units import (
     theorem_real_exponents,
     unit_index,
     vector_in_lattice,
-    verify_unit_expr,
     wada_fsu,
 )
 
 H = Fraction(1, 2)
 
 
+def verify_unit_expr(expr: UnitExpr) -> None:
+    """Re-check the defining identity of a UnitExpr; raises on mismatch."""
+    basis = expr.witness.basis
+    rebuilt = _make_expr(basis, _base_units(basis), expr.exponents, expr.witness)
+    assert rebuilt.torsion_exponent == expr.torsion_exponent % _torsion(basis)[1]
+
+
 @functools.lru_cache(maxsize=None)
 def deg8(p, q):
-    cond = classify_pair(p, q)
     field = FieldBasis((2, p, q))
-    subs = tuple(fsu_biquadratic(2, d, cond) for d in (p, q, p * q))
+    subs = tuple(fsu_biquadratic(2, d) for d in (p, q, p * q))
     return field, wada_fsu(field, subs)
 
 
@@ -54,7 +62,7 @@ def test_fsu_quadratic():
 
 
 def test_biquad_cond1_pq():
-    fsu = fsu_biquadratic(5, 11, classify_pair(5, 11))
+    fsu = fsu_biquadratic(5, 11)
     assert exps_list(fsu) == [{5: 1}, {11: 1}, {55: H}]
     assert fsu.generators[2].witness == fsu.field.element({5: 3, 11: 2})
     assert fsu.q_index_log2 == 1 and unit_index(fsu) == 2
@@ -64,7 +72,7 @@ def test_biquad_cond1_pq():
 
 
 def test_biquad_cond2_pq():
-    fsu = fsu_biquadratic(5, 3, classify_pair(5, 3))
+    fsu = fsu_biquadratic(5, 3)
     assert exps_list(fsu) == [{5: 1}, {3: 1}, {3: H, 15: H}]
     w = fsu.generators[2].witness
     assert w == fsu.field.element({1: Fraction(3, 2), 3: H, 5: H, 15: H})
@@ -72,7 +80,7 @@ def test_biquad_cond2_pq():
 
 
 def test_biquad_2_q_example():
-    fsu = fsu_biquadratic(2, 3, classify_pair(5, 3))
+    fsu = fsu_biquadratic(2, 3)
     assert exps_list(fsu) == [{2: 1}, {3: H}, {6: H}]
     basis = fsu.field
     assert fsu.generators[1].witness == basis.element({2: H, 6: H})
@@ -82,11 +90,10 @@ def test_biquad_2_q_example():
 
 @pytest.mark.parametrize("p,q", [(5, 11), (13, 11)])
 def test_biquad_all_six_configs(p, q):
-    cond = classify_pair(p, q)
     for d1, d2, expect_q in [
         (p, q, 1), (2, q, 2), (p, 2 * q, 1), (q, 2 * p, 1), (2, p * q, 1), (2, p, 1),
     ]:
-        fsu = fsu_biquadratic(d1, d2, cond)
+        fsu = fsu_biquadratic(d1, d2)
         assert len(fsu.generators) == 3
         assert fsu.q_index_log2 == expect_q, (d1, d2)
         for g in fsu.generators:
@@ -94,15 +101,10 @@ def test_biquad_all_six_configs(p, q):
 
 
 def test_biquad_rejections():
-    c = classify_pair(5, 11)
     with pytest.raises(ValueError):
-        fsu_biquadratic(5, 7, c)
+        fsu_biquadratic(5, 7)
     with pytest.raises(ValueError):
-        fsu_biquadratic(5, -11, c)
-    with pytest.raises(ValueError):
-        fsu_biquadratic(5, 11, classify_pair(5, 7))
-    with pytest.raises(ValueError):
-        fsu_biquadratic(5, 11, classify_pair(5, 3))
+        fsu_biquadratic(5, -11)
 
 
 def test_wada_deg8_cond1():
@@ -126,10 +128,9 @@ def test_wada_deg8_cond2():
 
 
 def test_wada_degenerate_biquadratic():
-    cond = classify_pair(5, 11)
     field = FieldBasis((5, 11))
     fsu = wada_fsu(field, (fsu_quadratic(5), fsu_quadratic(11), fsu_quadratic(55)))
-    direct = fsu_biquadratic(5, 11, cond)
+    direct = fsu_biquadratic(5, 11)
     assert fsu.q_index_log2 == direct.q_index_log2 == 1
     assert lattice_equal(exps_list(fsu), exps_list(direct))
 
@@ -142,7 +143,7 @@ def test_azizi_eighth_roots_of_unity():
 
 
 def test_azizi_biquadratic_cm():
-    real = fsu_biquadratic(5, 3, classify_pair(5, 3))
+    real = fsu_biquadratic(5, 3)
     cm = FieldBasis((5, 3, -1))
     fsu = azizi_extend(real, cm)
     assert fsu.torsion == "zeta12" and fsu.q_index_log2 == 2
@@ -196,8 +197,7 @@ def test_norm_table(p, q):
 
 
 def test_norm_table_requires_deg8_shape():
-    cond = classify_pair(5, 11)
-    fsu = fsu_biquadratic(5, 11, cond)
+    fsu = fsu_biquadratic(5, 11)
     with pytest.raises(AssertionError):
         norm_table(fsu.field, fsu)
 
