@@ -14,7 +14,7 @@ import sys
 
 from .errors import Falsified
 from .field import FieldBasis
-from .forms import class_number_imaginary, class_number_real, supported_discriminant
+from .forms import DISCRIMINANT_GUARD, class_number_imaginary, class_number_real, supported_discriminant
 from .quadratic import UNSUPPORTED
 from .report import (
     _fsu_to_dict,
@@ -45,6 +45,9 @@ def _build_fsu(radicands, cm):
         cm = True
     if any(r < 2 for r in rads):
         raise ValueError("radicands must be squarefree integers > 1, optionally with -1")
+    for r in rads:
+        if r > DISCRIMINANT_GUARD:
+            raise ValueError(f"radicand {r} exceeds the supported bound {DISCRIMINANT_GUARD}")
     if len(rads) == 1:
         fsu = fsu_quadratic(rads[0])
     elif len(rads) == 2:

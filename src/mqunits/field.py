@@ -5,14 +5,16 @@ the squarefree parts of the 2^k subset products of the generators.  sqrt(r)
 for negative r means i*sqrt(|r|), so CM fields use the same machinery with a
 negative radicand (conventionally -1, listed last) among the generators.
 
-Everything is exact and runs on integers: an element is a tuple of integer
-numerators over one positive common denominator, in lowest terms (Cohen, A
-Course in Computational Algebraic Number Theory, ch. 4).  Products reduce
-through the precomputed structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3),
-square roots are extracted by recursive descent through the quadratic tower,
-and real signs are decided by integer square roots of the numerator terms.
-Fractions appear only at the edges: scalar arguments, coords and the text
-form.
+Everything is exact and runs on one integer core: pure functions on pairs
+(num, den), a tuple of integer numerators over one positive common
+denominator in lowest terms (Cohen, A Course in Computational Algebraic
+Number Theory, ch. 4).  FieldElement wraps a pair with its basis, and its
+operators are thin calls into the core.  Products reduce through the
+structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3) kept on the basis, square
+roots descend the quadratic tower on pairs with the last, quadratic level
+solved in closed form on integers, and real signs are decided by integer
+square roots of the numerator terms.  Fractions appear only at the edges:
+scalar arguments, coords and the text form.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose
 # generator tuple -> its one FieldBasis
 _BASES = {}
 
+# digits of the first round of sign refinement
+SIGN_DIGITS = 8
+
 
 class FieldBasis:
     """The multiquadratic field generated by square roots of `generators`.
@@ -37,7 +42,10 @@ class FieldBasis:
 
     There is one instance per generator tuple: FieldBasis(gens) returns the
     basis built by the first call with these generators, so bases compare
-    by identity.  A tuple that fails validation is never stored.
+    by identity.  A tuple that fails validation is never stored.  `sub` is
+    the subfield dropping the last generator (None for Q), and `quad_units`
+    holds the fundamental units of the real quadratic subfields once
+    units._base_units has built them.
     """
 
     def __new__(cls, generators):
@@ -81,12 +89,17 @@ class FieldBasis:
                 row.append(-t if r1 < 0 and r2 < 0 else t)
             coef.append(tuple(row))
         self._coef = tuple(coef)
-
-    @property
-    def sub(self) -> "FieldBasis":
-        """The subfield dropping the last generator."""
-        assert self.k > 0
-        return FieldBasis(self.generators[:-1])
+        self.quad_units = None
+        self.sub = None
+        if self.k:
+            # sqrt(r_m)*sqrt(g_top) = _top[m]*sqrt(r_{m|top}) for m below top;
+            # _top_lift scales the top half of a numerator tuple to a common
+            # denominator over those constants
+            half = self.dim >> 1
+            self._top = tuple(self._coef[m][half] for m in range(half))
+            lcm = math.lcm(*self._top)
+            self._top_lift = (tuple(lcm // c for c in self._top), lcm)
+            self.sub = FieldBasis(generators[:-1])
 
     def __repr__(self):
         surds = ",".join(f"sqrt({g})" for g in self.generators)
@@ -116,6 +129,72 @@ class FieldBasis:
         return self.element({r: 1})
 
 
+# ---------------------------------------------------------------------------
+# the integer core: pairs (num, den) with den > 0 and gcd(den, *num) == 1
+
+
+def _reduced(num: tuple, den: int) -> tuple:
+    """The pair num/den (den > 0) with numerators and denominator divided by
+    their gcd; zero comes out as (0, ..., 0)/1."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(a // g for a in num)
+        den //= g
+    return num, den
+
+
+def _add(x: tuple, y: tuple, sign: int) -> tuple:
+    """x + sign*y over the least common denominator, for sign in (1, -1)."""
+    (xn, xd), (yn, yd) = x, y
+    g = math.gcd(xd, yd)
+    fx, fy = yd // g, xd // g * sign
+    return _reduced(tuple(a * fx + b * fy for a, b in zip(xn, yn)), xd * fx)
+
+
+def _scaled(x: tuple, n: int, d: int) -> tuple:
+    """x * n/d for integers n and d != 0."""
+    if d < 0:
+        n, d = -n, -d
+    return _reduced(tuple(a * n for a in x[0]), x[1] * d)
+
+
+def _neg(x: tuple) -> tuple:
+    return tuple(-a for a in x[0]), x[1]
+
+
+def _mul(basis: FieldBasis, x: tuple, y: tuple) -> tuple:
+    """The product of two pairs over basis."""
+    coef = basis._coef
+    ys = [(m2, b) for m2, b in enumerate(y[0]) if b]
+    out = [0] * basis.dim
+    for m1, a in enumerate(x[0]):
+        if a:
+            row = coef[m1]
+            for m2, b in ys:
+                out[m1 ^ m2] += a * b * row[m2]
+    return _reduced(tuple(out), x[1] * y[1])
+
+
+def _conjugate(x: tuple, mask: int) -> tuple:
+    """The Galois conjugate sending sqrt(g_i) to -sqrt(g_i) for each bit i of
+    mask: the coefficient of each surd picks up the sign of its subset."""
+    return tuple(-c if (m & mask).bit_count() & 1 else c for m, c in enumerate(x[0])), x[1]
+
+
+def _inverse(basis: FieldBasis, x: tuple) -> tuple:
+    """x^-1 for x != 0.  Multiplying v = x by its conjugate under each
+    generator in turn ends in a rational v; the cofactor, the product of
+    those conjugates, divided by v is the inverse."""
+    v, cof = x, ((1,), 1)
+    for j in range(basis.k):
+        w = _conjugate(v, 1 << j)
+        cof = _mul(basis, cof, w) if j else w
+        v = _mul(basis, v, w)
+    (n, *rest), d = v
+    assert not any(rest)
+    return _scaled(cof, d, n)
+
+
 class FieldElement:
     """Immutable element of a multiquadratic field.
 
@@ -123,7 +202,8 @@ class FieldElement:
     numerators over one common denominator, kept in lowest terms, with
     gcd(_den, *_num) == 1 and _den > 0.  Zero is (0, ..., 0)/1.  Equal
     elements therefore have equal tuples, which equality and hashing compare.
-    The constructor trusts its caller; _reduced brings a pair to this form.
+    The constructor trusts its caller; the core functions return pairs in
+    this form.
     """
 
     __slots__ = ("basis", "_num", "_den")
@@ -171,7 +251,7 @@ class FieldElement:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _add(self, other, 1)
+        return FieldElement(self.basis, *_add((self._num, self._den), (other._num, other._den), 1))
 
     __radd__ = __add__
 
@@ -179,29 +259,23 @@ class FieldElement:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return _add(self, other, -1)
+        return FieldElement(self.basis, *_add((self._num, self._den), (other._num, other._den), -1))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return FieldElement(self.basis, tuple(-a for a in self._num), self._den)
+        return FieldElement(self.basis, *_neg((self._num, self._den)))
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             if isinstance(other, (int, Fraction)):
-                return _scaled(self, other.numerator, other.denominator)
+                return FieldElement(self.basis, *_scaled((self._num, self._den),
+                                                         other.numerator, other.denominator))
             return NotImplemented
         other = self._lift(other)
-        coef = self.basis._coef
-        ys = [(m2, y) for m2, y in enumerate(other._num) if y]
-        out = [0] * self.basis.dim
-        for m1, x in enumerate(self._num):
-            if x:
-                row = coef[m1]
-                for m2, y in ys:
-                    out[m1 ^ m2] += x * y * row[m2]
-        return _reduced(self.basis, tuple(out), self._den * other._den)
+        return FieldElement(self.basis, *_mul(self.basis, (self._num, self._den),
+                                              (other._num, other._den)))
 
     __rmul__ = __mul__
 
@@ -209,21 +283,30 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("dividing a field element by zero")
-            return _scaled(self, other.denominator, other.numerator)
+            return FieldElement(self.basis, *_scaled((self._num, self._den),
+                                                     other.denominator, other.numerator))
         other = self._lift(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __pow__(self, n: int):
+        """Binary powering: x**0 is one, x**1 is x itself, and no square is
+        taken beyond the top bit of n."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.basis.one()
+        if not n:
+            return self.basis.one()
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 
@@ -231,41 +314,10 @@ class FieldElement:
         """Multiplicative inverse via the product of all Galois conjugates."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero field element")
-        v = self
-        cof = self.basis.one()
-        for j in range(self.basis.k):
-            w = conjugate(v, 1 << j)
-            cof = cof * w
-            v = v * w
-        assert v.is_rational()
-        return _scaled(cof, v._den, v._num[0])
+        return FieldElement(self.basis, *_inverse(self.basis, (self._num, self._den)))
 
     def __repr__(self):
         return f"<{serialize_element(self)} in {self.basis!r}>"
-
-
-def _reduced(basis: FieldBasis, num: tuple, den: int) -> FieldElement:
-    """The element num/den (den > 0) with numerators and denominator divided
-    by their gcd."""
-    g = math.gcd(den, *num)
-    if g != 1:
-        num = tuple(a // g for a in num)
-        den //= g
-    return FieldElement(basis, num, den)
-
-
-def _add(u: FieldElement, v: FieldElement, sign: int) -> FieldElement:
-    """u + sign*v over the least common denominator, for sign in (1, -1)."""
-    g = math.gcd(u._den, v._den)
-    fu, fv = v._den // g, u._den // g * sign
-    return _reduced(u.basis, tuple(a * fu + b * fv for a, b in zip(u._num, v._num)), u._den * fu)
-
-
-def _scaled(u: FieldElement, n: int, d: int) -> FieldElement:
-    """u * n/d for integers n and d != 0."""
-    if d < 0:
-        n, d = -n, -d
-    return _reduced(u.basis, tuple(a * n for a in u._num), u._den * d)
 
 
 def _from_terms(basis: FieldBasis, terms: dict) -> FieldElement:
@@ -274,17 +326,13 @@ def _from_terms(basis: FieldBasis, terms: dict) -> FieldElement:
     num = [0] * basis.dim
     for m, (n, d) in terms.items():
         num[m] = n * (den // d)
-    return _reduced(basis, tuple(num), den)
+    return FieldElement(basis, *_reduced(tuple(num), den))
 
 
 def conjugate(u: FieldElement, mask: int) -> FieldElement:
     """The Galois conjugate sending sqrt(g_i) to -sqrt(g_i) for each bit i of
-    mask: the coefficient of each surd picks up the sign of its subset."""
-    return FieldElement(
-        u.basis,
-        tuple(-c if (m & mask).bit_count() & 1 else c for m, c in enumerate(u._num)),
-        u._den,
-    )
+    mask."""
+    return FieldElement(u.basis, *_conjugate((u._num, u._den), mask))
 
 
 def relative_norm(u: FieldElement, mask: int) -> FieldElement:
@@ -294,41 +342,55 @@ def relative_norm(u: FieldElement, mask: int) -> FieldElement:
     return v
 
 
+# ---------------------------------------------------------------------------
+# real signs
+
+
+def embedding_floors(u: FieldElement, digits: int) -> list:
+    """[(m, sign(n)*floor(|n|*sqrt(r_m)*10^digits))] over the nonzero
+    numerators n of u, which must be nonzero and supported on positive
+    radicands."""
+    if u.is_zero():
+        raise ValueError("sign of zero is undefined")
+    rads = u.basis.radicands
+    out = []
+    for m, n in enumerate(u._num):
+        if n:
+            if rads[m] < 0:
+                raise ValueError("sign_at_embedding requires a real-supported element")
+            lo, _ = sqrt_interval(n * n * rads[m], digits)
+            out.append((m, lo if n > 0 else -lo))
+    return out
+
+
+def embedding_sum(floors: list, j: int) -> int:
+    """The floors summed under the real embedding that negates sqrt(g_i) for
+    each bit i of j.  The sum is off by less than len(floors) from 10^digits
+    times the numerator part of u there, so |sum| >= len(floors) decides the
+    sign of u at that embedding."""
+    return sum(-f if (m & j).bit_count() & 1 else f for m, f in floors)
+
+
 def sign_at_embedding(u: FieldElement, signs: dict) -> int:
     """Sign of u under the real embedding sending sqrt(g) to signs[g]*sqrt(g).
 
-    Only defined for elements supported on positive radicands.  The common
-    denominator is positive, so u has the sign of its numerator part, a sum
-    of k terms n*sqrt(r).  Each signed floor
-    sign(n)*floor(|n|*sqrt(r)*10^d) is off by less than 1, so once their sum S
-    has |S| >= k, S has the sign of u.  Otherwise d doubles; the loop ends
+    Only defined for nonzero elements supported on positive radicands.  The
+    common denominator is positive, so u has the sign of its numerator part,
+    a sum of terms n*sqrt(r), bracketed by embedding_floors at SIGN_DIGITS
+    digits.  While the sum does not decide, the digits double; the loop ends
     because u != 0 and the surds are linearly independent over Q.
     """
-    if u.is_zero():
-        raise ValueError("sign of zero is undefined")
-    basis = u.basis
-    for g in basis.generators:
+    j = 0
+    for i, g in enumerate(u.basis.generators):
         if g > 0 and g not in signs:
             raise ValueError(f"no sign provided for generator {g}")
-    terms = []
-    for m, n in enumerate(u._num):
-        if not n:
-            continue
-        r = basis.radicands[m]
-        if r < 0:
-            raise ValueError("sign_at_embedding requires a real-supported element")
-        s = 1
-        for i in range(basis.k):
-            if m >> i & 1:
-                s *= signs[basis.generators[i]]
-        terms.append((n * s, r))
-    digits = 8
+        if signs.get(g, 1) < 0:
+            j |= 1 << i
+    digits = SIGN_DIGITS
     while True:
-        total = 0
-        for n, r in terms:
-            lo, _ = sqrt_interval(n * n * r, digits)
-            total += lo if n > 0 else -lo
-        if abs(total) >= len(terms):
+        floors = embedding_floors(u, digits)
+        total = embedding_sum(floors, j)
+        if abs(total) >= len(floors):
             return 1 if total > 0 else -1
         digits *= 2
 
@@ -337,55 +399,83 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
 # square roots by descent through the tower
 
 
-def _split_top(u: FieldElement):
-    """Write u = a + b*sqrt(g_top) with a, b in the subfield basis."""
-    basis = u.basis
-    sub = basis.sub
-    half = sub.dim
-    # coordinate m|top of u is b_m * c_m, where sqrt(r_m)*sqrt(g_top) = c_m*sqrt(r_{m|top})
-    scale = [basis._coef[m][half] for m in range(half)]
-    lcm = math.lcm(*scale)
-    a = _reduced(sub, u._num[:half], u._den)
-    b = _reduced(sub, tuple(n * (lcm // c) for n, c in zip(u._num[half:], scale)), u._den * lcm)
-    return a, b
+def _split_top(basis: FieldBasis, x: tuple) -> tuple:
+    """Write x = a + b*sqrt(g_top) with pairs a, b over basis.sub."""
+    num, den = x
+    half = basis.dim >> 1
+    lift, lcm = basis._top_lift
+    return (_reduced(num[:half], den),
+            _reduced(tuple(n * f for n, f in zip(num[half:], lift)), den * lcm))
 
 
-def _join_top(basis: FieldBasis, a: FieldElement, b: FieldElement) -> FieldElement:
-    half = basis.sub.dim
-    coef = basis._coef
-    g = math.gcd(a._den, b._den)
-    fa, fb = b._den // g, a._den // g
-    num = (tuple(n * fa for n in a._num)
-           + tuple(n * fb * coef[m][half] for m, n in enumerate(b._num)))
-    return _reduced(basis, num, a._den * fa)
+def _join_top(basis: FieldBasis, a: tuple, b: tuple) -> tuple:
+    """a + b*sqrt(g_top) for pairs a, b over basis.sub."""
+    (an, ad), (bn, bd) = a, b
+    g = math.gcd(ad, bd)
+    fa, fb = bd // g, ad // g
+    num = tuple(n * fa for n in an) + tuple(n * fb * c for n, c in zip(bn, basis._top))
+    return _reduced(num, ad * fa)
 
 
-def _sqrt_descent(u: FieldElement):
-    basis = u.basis
-    if basis.k == 0:
-        # n/d is in lowest terms, so it is a square exactly when n and d are
-        nsq, nroot = is_perfect_square(u._num[0])
-        dsq, droot = is_perfect_square(u._den)
-        return FieldElement(basis, (nroot,), droot) if nsq and dsq else None
-    d = basis.generators[-1]
-    a, b = _split_top(u)
-    if b.is_zero():
-        r = _sqrt_descent(a)
-        if r is not None:
-            return _join_top(basis, r, a.basis.zero())
-        r = _sqrt_descent(a * d)
-        if r is not None:
-            return _join_top(basis, a.basis.zero(), r / d)
+def _sqrt_quadratic(g: int, a: int, b: int, d: int):
+    """A square root of (a + b*sqrt(g))/d (d > 0) in Q(sqrt(g)) as a pair,
+    or None: the quadratic level of the descent in closed form.
+
+    P/Q with Q > 0 is a rational square exactly when P*Q is an integer square.
+    With b = 0, sqrt(a/d) = sqrt(a*d)/d is tried before sqrt(a*g/d)/g.
+    Otherwise the norm (a^2 - g*b^2)/d^2 must be a square w^2/d^2 with w >= 0,
+    and for +w, then -w, s = sqrt((a +- w)/2d) = r/2d with r > 0 gives the
+    root s + t*sqrt(g), t = (b/d)/2s = b/r.
+    """
+    if not b:
+        is_sq, r = is_perfect_square(a * d)
+        if is_sq:
+            return _reduced((r, 0), d)
+        is_sq, r = is_perfect_square(a * g * d)
+        return _scaled(((0, r), d), 1, g) if is_sq else None
+    is_sq, w = is_perfect_square(a * a - g * b * b)
+    if not is_sq:
         return None
-    n = a * a - b * b * d
-    w = _sqrt_descent(n)
+    for p in (a + w, a - w):
+        is_sq, r = is_perfect_square(2 * d * p)
+        if is_sq and r:
+            root = _reduced((r * r, 2 * d * b), 2 * d * r)
+            (s, t), e = root
+            assert (s * s + t * t * g) * d == a * e * e and 2 * s * t * d == b * e * e
+            return root
+    return None
+
+
+def _sqrt_descent(basis: FieldBasis, x: tuple):
+    """A square root of the pair x over basis as a pair, or None."""
+    if basis.k == 1:
+        (a, b), d = x
+        return _sqrt_quadratic(basis.generators[0], a, b, d)
+    if basis.k == 0:
+        (n,), d = x
+        n_sq, n_root = is_perfect_square(n)
+        d_sq, d_root = is_perfect_square(d)
+        return ((n_root,), d_root) if n_sq and d_sq else None
+    sub, g = basis.sub, basis.generators[-1]
+    a, b = _split_top(basis, x)
+    zero = ((0,) * sub.dim, 1)
+    if not any(b[0]):
+        r = _sqrt_descent(sub, a)
+        if r is not None:
+            return _join_top(basis, r, zero)
+        r = _sqrt_descent(sub, _scaled(a, g, 1))
+        if r is not None:
+            return _join_top(basis, zero, _scaled(r, 1, g))
+        return None
+    w = _sqrt_descent(sub, _add(_mul(sub, a, a), _scaled(_mul(sub, b, b), g, 1), -1))
     if w is None:
         return None
-    for ww in (w, -w):
-        s = _sqrt_descent((a + ww) / 2)
-        if s is not None and not s.is_zero():
-            t = b * s.inverse() / 2
-            assert s * s + t * t * d == a and 2 * s * t == b
+    for ww in (w, _neg(w)):
+        s = _sqrt_descent(sub, _scaled(_add(a, ww, 1), 1, 2))
+        if s is not None and any(s[0]):
+            t = _scaled(_mul(sub, b, _inverse(sub, s)), 1, 2)
+            assert (_add(_mul(sub, s, s), _scaled(_mul(sub, t, t), g, 1), 1) == a
+                    and _scaled(_mul(sub, s, t), 2, 1) == b)
             return _join_top(basis, s, t)
     return None
 
@@ -393,17 +483,23 @@ def _sqrt_descent(u: FieldElement):
 def sqrt_in_field(u: FieldElement):
     """An exact square root of u in its own field, or None.
 
-    Descends the quadratic tower in generator order: with u = a + b*sqrt(d)
-    over the subfield F, either b = 0 and one of a, a*d must be a square in
-    F, or the relative norm a^2 - b^2*d must be a square w^2 in F with
-    (a+w)/2 or (a-w)/2 a square again.  The returned witness is re-squared.
-    Which of the two roots comes back is not specified; callers normalize.
+    Descends the quadratic tower in generator order on integer pairs: with
+    u = a + b*sqrt(d) over the subfield F, either b = 0 and one of a, a*d
+    must be a square in F, or the relative norm a^2 - b^2*d must be a square
+    w^2 in F with (a+w)/2 or (a-w)/2 a square again.  At the quadratic level
+    F = Q, and the same steps run in closed form on integers
+    (_sqrt_quadratic).  The witness is re-squared, under python -O too.
+    Which of the two roots comes back is fixed by the order of the tries but
+    not specified; callers normalize.
     """
     if u.is_zero():
         raise ValueError("sqrt of zero is excluded by the nonzero precondition")
-    w = _sqrt_descent(u)
-    if w is not None:
-        assert w * w == u
+    root = _sqrt_descent(u.basis, (u._num, u._den))
+    if root is None:
+        return None
+    w = FieldElement(u.basis, *root)
+    if w * w != u:
+        raise ArithmeticError(f"square root witness {w!r} does not re-square to {u!r}")
     return w
 
 

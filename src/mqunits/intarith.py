@@ -76,19 +76,39 @@ def is_perfect_square(n: int) -> tuple[bool, int | None]:
     return False, None
 
 
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for n >= 0, by Newton's method on integers."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > n ** (1/3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+# |n| beyond which squarefree_decompose refuses: its trial division would
+# need primes past 10^6
+DECOMPOSE_LIMIT = 10**18
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s * f**2 with s squarefree and sign(s) = sign(n).
 
     Trial division only up to the cube root: the undivided remainder then has
     at most two prime factors, so it is 1, p, p**2 or p*q, and a single
-    perfect-square test finishes the job.
+    perfect-square test finishes the job.  Raises ValueError for n = 0 and
+    for |n| > DECOMPOSE_LIMIT.
     """
     if n == 0:
         raise ValueError("0 has no squarefree decomposition")
     sign = 1 if n > 0 else -1
     m = abs(n)
+    if m > DECOMPOSE_LIMIT:
+        raise ValueError(f"|{n}| exceeds the squarefree decomposition bound {DECOMPOSE_LIMIT}")
     s, f = 1, 1
-    for p in primes_upto(round(m ** (1.0 / 3.0)) + 2):
+    for p in primes_upto(_icbrt(m) + 1):
         if p * p > m:
             break
         e = 0

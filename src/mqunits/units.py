@@ -24,10 +24,13 @@ from itertools import combinations
 
 from .errors import Falsified
 from .field import (
+    SIGN_DIGITS,
     FieldBasis,
     FieldElement,
     conjugate,
     embed_element,
+    embedding_floors,
+    embedding_sum,
     relative_norm,
     sign_at_embedding,
     sqrt_in_field,
@@ -84,7 +87,11 @@ def _quad_unit(r: int, basis: FieldBasis) -> FieldElement:
 
 
 def _base_units(basis: FieldBasis) -> dict:
-    return {r: _quad_unit(r, basis) for r in basis.radicands if r > 1}
+    """{r: eps_r} over the real quadratic subfields, built once per basis and
+    kept on it; callers must not change the dict."""
+    if basis.quad_units is None:
+        basis.quad_units = {r: _quad_unit(r, basis) for r in basis.radicands if r > 1}
+    return basis.quad_units
 
 
 @cache
@@ -121,12 +128,16 @@ def _norm_pos(w: FieldElement) -> FieldElement:
 def _sign_vector(w: FieldElement) -> int:
     """The real embeddings where w is negative, as a mask: w lies in a totally
     real field, and bit j stands for the embedding that negates sqrt(g_i) for
-    each bit i of j."""
+    each bit i of j.  The first-round floors of sign_at_embedding are taken
+    once for all embeddings; it refines only where their sum does not decide."""
     gens = w.basis.generators
+    floors = embedding_floors(w, SIGN_DIGITS)
     out = 0
     for j in range(w.basis.dim):
-        signs = {g: 1 - 2 * (j >> i & 1) for i, g in enumerate(gens)}
-        if sign_at_embedding(w, signs) < 0:
+        total = embedding_sum(floors, j)
+        if abs(total) < len(floors):
+            total = sign_at_embedding(w, {g: 1 - 2 * (j >> i & 1) for i, g in enumerate(gens)})
+        if total < 0:
             out |= 1 << j
     return out
 

@@ -53,6 +53,23 @@ def test_huge_inputs_exit_2_without_a_traceback():
         assert res.stderr == f"mqunits: error: |{disc}| exceeds the supported bound 80000000\n"
 
 
+def test_huge_radicand_exits_2_without_a_traceback():
+    big = 10**400 + 1
+    res = run_cli("fsu", "--radicands", f"2,{big}")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"mqunits: error: radicand {big} exceeds the supported bound 80000000\n"
+
+
+def test_import_needs_only_the_standard_library():
+    # -S leaves site-packages off the path, so a third-party import would fail
+    code = "import sys, mqunits.cli; print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))"
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    allowed = set(sys.stdlib_module_names) | {"mqunits", "__main__", "__mp_main__"}
+    tops = set(res.stdout.split())
+    assert "mqunits" in tops and tops <= allowed, sorted(tops - allowed)
+
+
 def test_usage_errors_exit_2():
     assert run_cli("verify", "--p", "5").returncode == 2
     assert run_cli("frobnicate").returncode == 2

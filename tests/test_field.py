@@ -1,5 +1,8 @@
 import math
 import random
+import subprocess
+import sys
+import textwrap
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -7,9 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqunits.field import (
+    SIGN_DIGITS,
     FieldBasis,
+    FieldElement,
     conjugate,
     embed_element,
+    embedding_floors,
+    embedding_sum,
     parse_element,
     relative_norm,
     serialize_element,
@@ -18,7 +25,9 @@ from mqunits.field import (
     torsion_order,
     zeta,
 )
+from mqunits.intarith import is_perfect_square
 from mqunits.quadratic import fundamental_unit
+from mqunits.units import _sign_vector
 
 
 def unit_element(d, basis):
@@ -401,3 +410,181 @@ def test_canonical_form():
         parse_element("1/0*sqrt(2)", b)
     with pytest.raises(ZeroDivisionError):
         u / 0
+
+
+# ---------------------------------------------------------------------------
+# square roots against the element-level descent
+
+
+def _oracle_split(u):
+    """u = a + b*sqrt(g) with a, b in the subfield dropping the last generator g."""
+    basis, sub = u.basis, u.basis.sub
+    g = basis.generators[-1]
+    a = sub.element({r: c for r, c in u.coords.items() if r in sub.mask_of})
+    b = sub.element(((u - embed_element(a, basis)) * basis.surd(g) / g).coords)
+    return a, b
+
+
+def _oracle_join(basis, s, t):
+    return embed_element(s, basis) + embed_element(t, basis) * basis.surd(basis.generators[-1])
+
+
+def oracle_sqrt(u):
+    """The square-root descent on FieldElement operations, level by level down
+    to Q, trying roots in the order sqrt_in_field promises."""
+    basis = u.basis
+    if basis.k == 0:
+        c = Fraction(u.coords.get(1, 0))
+        n_sq, n_root = is_perfect_square(c.numerator)
+        d_sq, d_root = is_perfect_square(c.denominator)
+        return basis.from_rational(Fraction(n_root, d_root)) if n_sq and d_sq else None
+    sub, d = basis.sub, basis.generators[-1]
+    a, b = _oracle_split(u)
+    if b.is_zero():
+        r = oracle_sqrt(a)
+        if r is not None:
+            return _oracle_join(basis, r, sub.zero())
+        r = oracle_sqrt(a * d)
+        if r is not None:
+            return _oracle_join(basis, sub.zero(), r / d)
+        return None
+    w = oracle_sqrt(a * a - b * b * d)
+    if w is None:
+        return None
+    for ww in (w, -w):
+        s = oracle_sqrt((a + ww) / 2)
+        if s is not None and not s.is_zero():
+            t = b * s.inverse() / 2
+            assert s * s + t * t * d == a and 2 * s * t == b
+            return _oracle_join(basis, s, t)
+    return None
+
+
+ORACLE_FIELDS = ((5,), (2, 5), (2, 5, 3), (2, 5, 3, -1))
+
+
+@pytest.mark.parametrize("gens", ORACLE_FIELDS)
+def test_sqrt_in_field_returns_the_oracle_root(gens):
+    rng = random.Random(sum(gens) + 97)
+    basis = FieldBasis(gens)
+
+    def rand_elem(support, size):
+        return basis.element({r: Fraction(rng.randint(-size, size), rng.randint(1, 4)) for r in support})
+
+    def subfield_support():
+        # elements with zero top coordinate exercise the b = 0 branch
+        return [r for r in basis.radicands if basis.mask_of[r] < basis.dim // 2]
+
+    units = [unit_element(r, basis) for r in basis.radicands if r > 1]
+    cases = []
+    for _ in range(30):
+        w = rand_elem(basis.radicands, 9)
+        cases += [w * w, rand_elem(basis.radicands, 9)]
+        v = rand_elem(subfield_support(), 9)
+        cases += [v * v, v * v * basis.generators[-1], v]
+    for _ in range(20):
+        e = basis.one()
+        for u in rng.sample(units, rng.randint(1, len(units))):
+            e = e * u
+        cases += [e, e * e, -e]
+    squares = 0
+    for u in cases:
+        if u.is_zero():
+            continue
+        got, want = sqrt_in_field(u), oracle_sqrt(u)
+        assert got == want
+        squares += got is not None
+    assert squares >= 60
+
+
+def test_sqrt_quadratic_level_with_zero_surd_coefficient():
+    b5 = FieldBasis((5,))
+    for a, root in ((9, 3), (Fraction(9, 4), Fraction(3, 2))):
+        assert sqrt_in_field(b5.from_rational(a)) == b5.from_rational(root)
+    # only a*d is a square: a = 5/4 and 20 give sqrt(5)/2 and 2*sqrt(5)
+    assert sqrt_in_field(b5.from_rational(Fraction(5, 4))) == b5.element({5: Fraction(1, 2)})
+    assert sqrt_in_field(b5.from_rational(20)) == b5.element({5: 2})
+    assert sqrt_in_field(b5.from_rational(-5)) is None
+    assert sqrt_in_field(b5.from_rational(3)) is None
+    bi = FieldBasis((-1,))
+    # sqrt(a*d)/d with d = -1: the root of -4 comes back as -2i
+    assert sqrt_in_field(bi.from_rational(-4)) == bi.element({-1: -2})
+    for basis in (b5, bi, FieldBasis((2, 5, 3, -1))):
+        for a in (9, Fraction(5, 4), 20, -5, -4, 3, Fraction(-1, 9)):
+            u = basis.from_rational(a)
+            assert sqrt_in_field(u) == oracle_sqrt(u)
+
+
+def test_sqrt_resquare_survives_python_O():
+    # the descent is patched to return a wrong root, 2 + sqrt(2) for 4
+    code = textwrap.dedent("""\
+        import sys
+        from mqunits import field
+        b = field.FieldBasis((2, 5))
+        field._sqrt_descent = lambda basis, x: ((2, 1, 0, 0), 1)
+        try:
+            w = field.sqrt_in_field(b.from_rational(4))
+        except ArithmeticError:
+            print("raised", sys.flags.optimize)
+        else:
+            print("returned", w)
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised 1\n"
+
+
+# ---------------------------------------------------------------------------
+# sign masks and powers
+
+
+def test_sign_vector_matches_sign_at_embedding_where_8_digits_do_not_decide():
+    b = FieldBasis((2, 5, 3))
+    eps2, eps5, eps3 = (unit_element(r, b) for r in (2, 5, 3))
+    big = eps2 ** 40
+    elems = [big, conjugate(big, 0b001), conjugate(big, 0b001) * eps5,
+             conjugate(big * eps3, 0b101),
+             conjugate(big, 0b001) + b.from_rational(Fraction(1, 10**20)),
+             eps2 * eps5 * eps3, -conjugate(eps5 * eps3, 0b110)]
+    undecided = 0
+    for w in elems:
+        floors = embedding_floors(w, SIGN_DIGITS)
+        want = 0
+        for j in range(b.dim):
+            signs = {g: 1 - 2 * (j >> i & 1) for i, g in enumerate(b.generators)}
+            if sign_at_embedding(w, signs) < 0:
+                want |= 1 << j
+            undecided += abs(embedding_sum(floors, j)) < len(floors)
+        assert _sign_vector(w) == want
+    assert undecided >= 8
+
+
+def test_powers_match_repeated_products():
+    rng = random.Random(5)
+    b = FieldBasis((2, 5, 3))
+    x = b.element({r: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for r in b.radicands})
+    product = b.one()
+    for n in range(10):
+        assert x ** n == product
+        product = product * x
+    inv = x.inverse()
+    product = b.one()
+    for n in range(1, 4):
+        product = product * inv
+        assert x ** -n == product
+
+
+def test_powers_make_no_wasted_products(monkeypatch):
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    x = FieldBasis((2, 5)).element({1: 1, 2: 1, 5: 3})
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        calls.clear()
+        x ** n
+        assert len(calls) == products, n

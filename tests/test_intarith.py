@@ -67,6 +67,16 @@ def test_squarefree_decompose_large_semiprime_square():
     assert squarefree_decompose(4 * p * p * q) == (q, 2 * p)
 
 
+def test_squarefree_decompose_integer_bound():
+    # the largest prime below 10^6, cubed, sits just under the limit
+    p = 999983
+    assert squarefree_decompose(p**3) == (p, p)
+    assert squarefree_decompose(-(10**18)) == (-1, 10**9)
+    for n in (10**18 + 1, 10**400 + 1, -(10**400) - 1):
+        with pytest.raises(ValueError):
+            squarefree_decompose(n)
+
+
 @given(st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0))
 def test_squarefree_decompose_roundtrip(n):
     s, f = squarefree_decompose(n)

@@ -344,6 +344,14 @@ def test_lattice_helpers_match_fraction_reference(data):
                 _q_log2(gens)
 
 
+def test_base_units_built_once_per_basis():
+    field = FieldBasis((2, 13, 11))
+    units = _base_units(field)
+    assert _base_units(field) is units and field.quad_units is units
+    assert sorted(units) == [r for r in sorted(field.radicands) if r > 1]
+    assert _base_units(FieldBasis((2, 13))) is not units
+
+
 def test_unit_expr_cleared_level():
     field, fsu = deg8(5, 11)
     levels = sorted({g.cleared_level() for g in fsu.generators})
