@@ -14,7 +14,7 @@ structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3) kept on the basis, square
 roots descend the quadratic tower on pairs with the last, quadratic level
 solved in closed form on integers, and real signs are decided by integer
 square roots of the numerator terms.  Fractions appear only at the edges:
-scalar arguments, coords and the text form.
+scalar arguments and coords.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose
 # generator tuple -> its one FieldBasis
 _BASES = {}
 
-# digits of the first round of sign refinement
-SIGN_DIGITS = 8
-
 
 class FieldBasis:
     """The multiquadratic field generated by square roots of `generators`.
@@ -43,9 +40,10 @@ class FieldBasis:
     There is one instance per generator tuple: FieldBasis(gens) returns the
     basis built by the first call with these generators, so bases compare
     by identity.  A tuple that fails validation is never stored.  `sub` is
-    the subfield dropping the last generator (None for Q), and `quad_units`
+    the subfield dropping the last generator (None for Q), `quad_units`
     holds the fundamental units of the real quadratic subfields once
-    units._base_units has built them.
+    units._base_units has built them, and `chars` the character data once
+    units._char_data has built it.
     """
 
     def __new__(cls, generators):
@@ -64,13 +62,10 @@ class FieldBasis:
         self.generators = generators
         self.k = len(generators)
         self.dim = 1 << self.k
-        rads = []
-        for m in range(self.dim):
-            prod = 1
-            for i in range(self.k):
-                if m >> i & 1:
-                    prod *= generators[i]
-            rads.append(squarefree_decompose(prod)[0])
+        # the squarefree part of r*g for squarefree r and g is r*g/gcd(r, g)^2
+        rads = [1]
+        for g in generators:
+            rads += [r * g // math.gcd(r, g) ** 2 for r in rads]
         for m in range(1, self.dim):
             if rads[m] == 1:
                 raise ValueError("generators are multiplicatively dependent modulo squares")
@@ -90,6 +85,7 @@ class FieldBasis:
             coef.append(tuple(row))
         self._coef = tuple(coef)
         self.quad_units = None
+        self.chars = None
         self.sub = None
         if self.k:
             # sqrt(r_m)*sqrt(g_top) = _top[m]*sqrt(r_{m|top}) for m below top;
@@ -336,39 +332,27 @@ def conjugate(u: FieldElement, mask: int) -> FieldElement:
 
 
 def relative_norm(u: FieldElement, mask: int) -> FieldElement:
-    """u times its conjugate under mask, which lies in the fixed field."""
-    v = u * conjugate(u, mask)
-    assert conjugate(v, mask) == v
-    return v
+    """u times its conjugate under mask.  With u = A + B, where A holds the
+    terms fixed by mask and B those it negates, that is A^2 - B^2: each
+    unordered pair of terms of A, or of B, is multiplied once, and every
+    surd of the result is fixed by mask by construction."""
+    coef = u.basis._coef
+    out = [0] * u.basis.dim
+    parts = ([], [])
+    for m, n in enumerate(u._num):
+        if n:
+            parts[(m & mask).bit_count() & 1].append((m, n))
+    for sign, terms in zip((1, -1), parts):
+        for i, (m1, a) in enumerate(terms):
+            row = coef[m1]
+            out[0] += sign * a * a * row[m1]
+            for m2, b in terms[i + 1:]:
+                out[m1 ^ m2] += 2 * sign * a * b * row[m2]
+    return FieldElement(u.basis, *_reduced(tuple(out), u._den * u._den))
 
 
 # ---------------------------------------------------------------------------
 # real signs
-
-
-def embedding_floors(u: FieldElement, digits: int) -> list:
-    """[(m, sign(n)*floor(|n|*sqrt(r_m)*10^digits))] over the nonzero
-    numerators n of u, which must be nonzero and supported on positive
-    radicands."""
-    if u.is_zero():
-        raise ValueError("sign of zero is undefined")
-    rads = u.basis.radicands
-    out = []
-    for m, n in enumerate(u._num):
-        if n:
-            if rads[m] < 0:
-                raise ValueError("sign_at_embedding requires a real-supported element")
-            lo, _ = sqrt_interval(n * n * rads[m], digits)
-            out.append((m, lo if n > 0 else -lo))
-    return out
-
-
-def embedding_sum(floors: list, j: int) -> int:
-    """The floors summed under the real embedding that negates sqrt(g_i) for
-    each bit i of j.  The sum is off by less than len(floors) from 10^digits
-    times the numerator part of u there, so |sum| >= len(floors) decides the
-    sign of u at that embedding."""
-    return sum(-f if (m & j).bit_count() & 1 else f for m, f in floors)
 
 
 def sign_at_embedding(u: FieldElement, signs: dict) -> int:
@@ -376,9 +360,12 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
 
     Only defined for nonzero elements supported on positive radicands.  The
     common denominator is positive, so u has the sign of its numerator part,
-    a sum of terms n*sqrt(r), bracketed by embedding_floors at SIGN_DIGITS
-    digits.  While the sum does not decide, the digits double; the loop ends
-    because u != 0 and the surds are linearly independent over Q.
+    a sum of terms n*sqrt(r).  Each term is bracketed by its signed floor
+    sign(n)*floor(|n|*sqrt(r)*10^digits), starting at 8 digits; the sum of
+    the floors is off by less than their count from 10^digits times that
+    part, so a sum at least the count in absolute value decides.  While it
+    does not, the digits double; the loop ends because u != 0 and the surds
+    are linearly independent over Q.
     """
     j = 0
     for i, g in enumerate(u.basis.generators):
@@ -386,11 +373,19 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
             raise ValueError(f"no sign provided for generator {g}")
         if signs.get(g, 1) < 0:
             j |= 1 << i
-    digits = SIGN_DIGITS
+    if u.is_zero():
+        raise ValueError("sign of zero is undefined")
+    rads = u.basis.radicands
+    terms = [(m, -n if (m & j).bit_count() & 1 else n) for m, n in enumerate(u._num) if n]
+    if any(rads[m] < 0 for m, _ in terms):
+        raise ValueError("sign_at_embedding requires a real-supported element")
+    digits = 8
     while True:
-        floors = embedding_floors(u, digits)
-        total = embedding_sum(floors, j)
-        if abs(total) >= len(floors):
+        total = 0
+        for m, n in terms:
+            lo, _ = sqrt_interval(n * n * rads[m], digits)
+            total += lo if n > 0 else -lo
+        if abs(total) >= len(terms):
             return 1 if total > 0 else -1
         digits *= 2
 
@@ -550,7 +545,12 @@ _TERM_RE = re.compile(r"^(-?\d+)/(\d+)\*sqrt\((-?\d+)\)$")
 def serialize_element(u: FieldElement) -> str:
     """Canonical text form: nonzero terms "num/den*sqrt(r)" joined by " + "
     in basis mask order; the zero element prints as "0/1*sqrt(1)"."""
-    parts = [f"{c.numerator}/{c.denominator}*sqrt({r})" for r, c in u.coords.items()]
+    den, rads = u._den, u.basis.radicands
+    parts = []
+    for m, n in enumerate(u._num):
+        if n:
+            g = math.gcd(n, den)
+            parts.append(f"{n // g}/{den // g}*sqrt({rads[m]})")
     return " + ".join(parts) if parts else "0/1*sqrt(1)"
 
 

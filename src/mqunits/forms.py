@@ -304,14 +304,16 @@ def class_number_imaginary(D: int) -> ClassNumberReport:
 
 
 def _enumerate_indefinite(D):
-    """Reduced indefinite forms of a positive fundamental D, both signs of a.
+    """Reduced indefinite forms (a, b, c) with a > 0 of a positive
+    fundamental D.
 
     Reduced means |sqrt(D) - 2|a|| < b < sqrt(D), exact via s = isqrt(D) as
-    max(s + 1 - 2|a|, 2|a| - s) <= b <= s, so |a| <= s.  For each a, each
-    root class of b*b = D (mod 4a) is walked through that window in steps of
-    2a, giving (a, b, c) and (-a, b, -c) with c = (b*b - D)/(4a).  The cost
-    is the square-root table to sqrt(D) plus about one step per root
-    (Cohen, GTM 138, 5.6; Buell, Binary Quadratic Forms, ch. 4).
+    max(s + 1 - 2a, 2a - s) <= b <= s, so a <= s.  For each a, each root
+    class of b*b = D (mod 4a) is walked through that window in steps of 2a,
+    giving (a, b, c) with c = (b*b - D)/(4a) < 0.  The forms with a < 0 are
+    the (-a, b, -c).  The cost is the square-root table to sqrt(D) plus
+    about one step per root (Cohen, GTM 138, 5.6; Buell, Binary Quadratic
+    Forms, ch. 4).
     """
     s = math.isqrt(D)
     forms = []
@@ -319,10 +321,8 @@ def _enumerate_indefinite(D):
         lo = max(1, s + 1 - 2 * a, 2 * a - s)
         for r in roots:
             for b in range(lo + (r - lo) % (2 * a), s + 1, 2 * a):
-                c = (b * b - D) // (4 * a)
-                forms.append((a, b, c))
-                forms.append((-a, b, -c))
-    return sorted(forms)
+                forms.append((a, b, (b * b - D) // (4 * a)))
+    return forms
 
 
 def _rho(form, D, s):
@@ -341,32 +341,35 @@ def _rho(form, D, s):
 def _narrow_class_number(D):
     """The number of rho cycles, and whether the principal form (1, b0, c0),
     b0 = s or s - 1 with the parity of D for s = isqrt(D), shares its cycle
-    with (-1, b0, -c0): it does when that cycle, walked first, removed both."""
+    with (-1, b0, -c0).
+
+    The sign of a alternates along a rho cycle, and (a, b, c) -> (-a, b, -c)
+    commutes with rho, so the forms with a > 0 of each cycle make one cycle
+    of rho^2, and counting those counts the rho cycles.  The principal
+    cycle is walked first, and (-1, b0, -c0) shares it exactly when that
+    form comes up at an odd step.
+    """
     s = math.isqrt(D)
     b0 = s - (s - D) % 2
     principal = (1, b0, (b0 * b0 - D) // 4)
     negative = (-1, b0, -principal[2])
     forms = _enumerate_indefinite(D)
-    allforms = frozenset(forms)
-    remaining = set(allforms)
+    remaining = set(forms)
     cycles = 0
-    shared = None
+    shared = False
     for start in itertools.chain((principal,), forms):
         if start not in remaining:
             continue
         f = start
-        steps = 0
         while True:
-            remaining.discard(f)
-            f = _rho(f, D, s)
-            assert f in allforms
-            steps += 1
-            assert steps <= len(allforms)
+            # KeyError: rho left the enumerated forms or crossed into another cycle
+            remaining.remove(f)
+            g = _rho(f, D, s)
+            shared |= not cycles and g == negative
+            f = _rho(g, D, s)
             if f == start:
                 break
         cycles += 1
-        if shared is None:
-            shared = negative not in remaining
     return cycles, shared
 
 

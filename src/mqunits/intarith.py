@@ -15,8 +15,9 @@ _primes: list[int] = [2, 3, 5, 7, 11, 13]
 _sieve_limit = 13
 
 
-def primes_upto(n: int) -> list[int]:
-    """Return all primes <= n (cached sieve, grown as needed)."""
+def _sieve(n: int) -> list[int]:
+    """The shared list of primes, grown to hold every prime <= n; callers
+    iterate it up to their own bound and must not change it."""
     global _primes, _sieve_limit
     if n > _sieve_limit:
         limit = max(2 * _sieve_limit, n, 1024)
@@ -27,24 +28,31 @@ def primes_upto(n: int) -> list[int]:
                 sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
         _primes = [i for i in range(limit + 1) if sieve[i]]
         _sieve_limit = limit
-    if n >= _sieve_limit:
-        return list(_primes)
+    return _primes
+
+
+def primes_upto(n: int) -> list[int]:
+    """Return all primes <= n (cached sieve, grown as needed)."""
+    primes = _sieve(n)
     # bisect by hand to avoid importing for one call site
-    lo, hi = 0, len(_primes)
+    lo, hi = 0, len(primes)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _primes[mid] <= n:
+        if primes[mid] <= n:
             lo = mid + 1
         else:
             hi = mid
-    return _primes[:lo]
+    return primes[:lo]
 
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for the scan ranges used here."""
     if n < 2:
         return False
-    for p in primes_upto(math.isqrt(n)):
+    r = math.isqrt(n)
+    for p in _sieve(r):
+        if p > r:
+            break
         if n % p == 0:
             return n == p
     return True
@@ -54,7 +62,7 @@ def prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n, increasing (empty for n in -1, 0, 1)."""
     m = abs(n)
     out = []
-    for p in primes_upto(math.isqrt(m)):
+    for p in _sieve(math.isqrt(m)):
         if p * p > m:
             break
         if m % p == 0:
@@ -108,8 +116,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     if m > DECOMPOSE_LIMIT:
         raise ValueError(f"|{n}| exceeds the squarefree decomposition bound {DECOMPOSE_LIMIT}")
     s, f = 1, 1
-    for p in primes_upto(_icbrt(m) + 1):
-        if p * p > m:
+    bound = _icbrt(m) + 1
+    for p in _sieve(bound):
+        if p > bound or p * p > m:
             break
         e = 0
         while m % p == 0:

@@ -606,15 +606,17 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     c1 = c2 = 0
     parallel = jobs > 1 and bool(todo)
     with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
-        # both iterators yield in todo order, each report as soon as it is done
-        fresh = (map(report_from_json, pool.map(_scan_worker, todo)) if parallel
-                 else starmap(verify_pair, todo))
+        # both iterators yield (report, its JSON line or None) in todo order,
+        # each as soon as it is done; a report is serialized at most once
+        fresh = (((report_from_json(line), line) for line in pool.map(_scan_worker, todo))
+                 if parallel else ((rep, None) for rep in starmap(verify_pair, todo)))
         for pair in pairs:
-            rep = cached.get(pair)
+            rep, line = cached.get(pair), None
             if rep is None:
-                rep = next(fresh)
+                rep, line = next(fresh)
                 if cache_dir:
-                    _atomic_write(_pair_path(cache_dir, *pair), report_to_json(rep))
+                    line = line or report_to_json(rep)
+                    _atomic_write(_pair_path(cache_dir, *pair), line)
             reports.append(rep)
             tag = rep.condition["tag"]
             c1 += tag == COND1
@@ -623,7 +625,7 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
                 if not ok:
                     failures.append([rep.p, rep.q, cid])
             if out is not None:
-                out.write(report_to_json(rep) + "\n")
+                out.write((line or report_to_json(rep)) + "\n")
                 out.flush()
 
     summary = ScanSummary(

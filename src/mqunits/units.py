@@ -14,6 +14,15 @@ biquadratic configurations, then saturation by square roots of subset
 products for degree-8 totally real fields, then one torsion-twisted square
 root for the CM extension.  Every predicted square root is materialized as
 an exact element; a missing root raises Falsified rather than guessing.
+
+Each unit is verified once, where it is made (_make_expr); a unit carried
+into a larger field is embedded with its exponents and torsion exponent
+(_embed_expr).  Both searches form a subset product only when quadratic
+characters allow it to be +-1 times a square: a unit maps to a nonzero
+residue at CHAR_PRIMES primes l = 7 (mod 8), and a product that is +-w^2
+has the same Legendre symbol, +1 or -1, at every one of them (Adleman,
+"Factoring numbers using singular integers", STOC 1991).  Every candidate
+still goes through the exact square root and its re-square.
 """
 
 import math
@@ -24,20 +33,17 @@ from itertools import combinations
 
 from .errors import Falsified
 from .field import (
-    SIGN_DIGITS,
     FieldBasis,
     FieldElement,
     conjugate,
     embed_element,
-    embedding_floors,
-    embedding_sum,
     relative_norm,
     sign_at_embedding,
     sqrt_in_field,
     torsion_order,
     zeta,
 )
-from .intarith import prime_factors
+from .intarith import is_prime, prime_factors
 from .quadratic import COND1, COND2, classify_pair, fundamental_unit
 
 
@@ -68,12 +74,16 @@ def exponent_level(exps_list) -> int:
 
 @dataclass
 class FsuResult:
-    """A fundamental system of units of `field` modulo roots of unity."""
+    """A fundamental system of units of `field` modulo roots of unity.
+
+    chars holds the character vectors of the generators when the builder
+    computed them (wada_fsu does), for azizi_extend to reuse."""
 
     field: FieldBasis
     torsion: str
     generators: tuple
     q_index_log2: int
+    chars: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +91,12 @@ class FsuResult:
 
 
 def _quad_unit(r: int, basis: FieldBasis) -> FieldElement:
-    """The fundamental unit of Q(sqrt(r)) as an element of `basis`."""
+    """The fundamental unit of Q(sqrt(r)) as an element of `basis`: x and y
+    are odd when the denominator is 2, so the pair is in lowest terms."""
     u = fundamental_unit(r)
-    return basis.element({1: Fraction(u.x, u.denom), r: Fraction(u.y, u.denom)})
+    num = [0] * basis.dim
+    num[0], num[basis.mask_of[r]] = u.x, u.y
+    return FieldElement(basis, tuple(num), u.denom)
 
 
 def _base_units(basis: FieldBasis) -> dict:
@@ -125,35 +138,73 @@ def _norm_pos(w: FieldElement) -> FieldElement:
     return w if sign_at_embedding(w, signs) > 0 else -w
 
 
-def _sign_vector(w: FieldElement) -> int:
-    """The real embeddings where w is negative, as a mask: w lies in a totally
-    real field, and bit j stands for the embedding that negates sqrt(g_i) for
-    each bit i of j.  The first-round floors of sign_at_embedding are taken
-    once for all embeddings; it refines only where their sum does not decide."""
-    gens = w.basis.generators
-    floors = embedding_floors(w, SIGN_DIGITS)
+# primes per character vector; each is 7 (mod 8), so sqrt(2) exists mod l and
+# -1 is a non-residue: the vector of -1 is all ones
+CHAR_PRIMES = 16
+_ALL_CHARS = (1 << CHAR_PRIMES) - 1
+
+
+def _char_data(basis: FieldBasis) -> tuple:
+    """(primes, L, images) for the character vectors of a totally real
+    basis, built once per basis and kept on it.
+
+    primes are the first CHAR_PRIMES primes l = 7 (mod 8) at which every
+    generator is a nonzero square, L is their product, and images[m] is the
+    image of sqrt(r_m) mod L, joined by the Chinese remainder theorem.  At
+    the i-th prime the ring map sends sqrt(g_j) to pow(g_j, (l+1)/4, l),
+    negated for each bit j of i mod 2^k, so the maps spread over the
+    embeddings of the field.
+    """
+    if basis.chars is None:
+        if basis.is_cm:
+            raise ValueError("character vectors need a totally real field")
+        gens, rads = basis.generators, basis.radicands
+        primes = []
+        l = 7
+        while len(primes) < CHAR_PRIMES:
+            if is_prime(l) and all(pow(g, l >> 1, l) == 1 for g in gens):
+                primes.append(l)
+            l += 8
+        big = math.prod(primes)
+        # sqrt(prod of the generators in m) = f_m * sqrt(r_m) with f_m > 0
+        prods = [1] * basis.dim
+        for m in range(1, basis.dim):
+            low = m & -m
+            prods[m] = prods[m ^ low] * gens[low.bit_length() - 1]
+        images = [0] * basis.dim
+        for i, l in enumerate(primes):
+            roots = [pow(g, (l + 1) >> 2, l) for g in gens]
+            roots = [l - x if i >> j & 1 else x for j, x in enumerate(roots)]
+            cofactor = big // l * pow(big // l, -1, l)
+            for m in range(basis.dim):
+                x = pow(math.isqrt(prods[m] // rads[m]), -1, l)
+                for j, root in enumerate(roots):
+                    if m >> j & 1:
+                        x = x * root % l
+                images[m] += x * cofactor
+        basis.chars = (tuple(primes), big, tuple(x % big for x in images))
+    return basis.chars
+
+
+def _char_vector(w: FieldElement) -> int:
+    """The character vector of w, an element of a totally real field that is
+    a unit at every character prime (any unit, and 2 + sqrt(2)): bit i is
+    set when w maps to a non-residue at the i-th character prime.
+
+    The vector of a product is the XOR of the vectors, a square has vector
+    0 and minus a square all ones.  A unit never vanishes at an odd prime
+    that divides no generator; a zero residue raises ArithmeticError.
+    """
+    primes, big, images = _char_data(w.basis)
+    x = sum(n * c for n, c in zip(w._num, images) if n) * w._den % big
     out = 0
-    for j in range(w.basis.dim):
-        total = embedding_sum(floors, j)
-        if abs(total) < len(floors):
-            total = sign_at_embedding(w, {g: 1 - 2 * (j >> i & 1) for i, g in enumerate(gens)})
-        if total < 0:
-            out |= 1 << j
+    for i, l in enumerate(primes):
+        r = x % l
+        if not r:
+            raise ArithmeticError(f"{w!r} vanishes at the character prime {l}")
+        if pow(r, l >> 1, l) != 1:
+            out |= 1 << i
     return out
-
-
-def _common_sign(vecs, dim: int) -> int:
-    """+1 or -1 when the product of elements with these sign masks has that
-    sign under all dim real embeddings, else 0: such a product cannot be +-1
-    times a square."""
-    neg = 0
-    for v in vecs:
-        neg ^= v
-    if not neg:
-        return 1
-    if neg == (1 << dim) - 1:
-        return -1
-    return 0
 
 
 def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldElement) -> UnitExpr:
@@ -174,6 +225,19 @@ def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldEl
             return UnitExpr(t, exps, witness)
         cur = cur * gen
     raise AssertionError("witness does not match its exponent vector")
+
+
+def _embed_expr(g: UnitExpr, big: FieldBasis) -> UnitExpr:
+    """The unit g of a totally real field as a unit of the larger field big.
+
+    Nothing is re-verified: an embedding is an injective ring map, so the
+    identity of g still holds in big, with -1 = zeta^(n/2) for the torsion
+    generator zeta of order n of big.
+    """
+    if g.witness.basis.is_cm:
+        raise ValueError("only units of totally real fields are embedded")
+    return UnitExpr(g.torsion_exponent * (_torsion(big)[1] // 2), dict(g.exponents),
+                    embed_element(g.witness, big))
 
 
 def _hnf(exps_list, frame) -> list:
@@ -216,14 +280,17 @@ def _hnf(exps_list, frame) -> list:
 
 
 def _q_log2(gens) -> int:
-    """-log2 |det| of the exponent matrix; asserts the det is a power of 2."""
+    """-log2 |det| of the exponent matrix.  Raises ArithmeticError, under
+    python -O too, unless the matrix is square and nonsingular with |det| a
+    power of 1/2."""
     exps = [g.exponents for g in gens]
     form = _hnf(exps, exps)
     n = len(gens)
-    assert all(len(row) == n for row in form), "exponent matrix is not square"
-    assert len(form) == n, "exponent matrix is singular"
+    if len(form) != n or any(len(row) != n for row in form):
+        raise ArithmeticError("exponent matrix is not square and nonsingular")
     index, rem = divmod(exponent_level(exps) ** n, math.prod(row[i] for i, row in enumerate(form)))
-    assert rem == 0 and index & (index - 1) == 0
+    if rem or index & (index - 1):
+        raise ArithmeticError("exponent lattice index is not a power of 2")
     return index.bit_length() - 1
 
 
@@ -364,53 +431,49 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
     for being a square in the field.  A found square root replaces the
     highest-index generator of its subset and the sweep restarts; the loop
     ends with a full sweep that finds nothing, which is the closure proof.
-    Subsets are tried by increasing size, then lexicographically.  An exact
-    sign-vector filter skips subsets whose product changes sign under some
-    real embedding (such a product cannot be a square).
+    Subsets are tried by increasing size, then lexicographically.  A subset
+    whose character vectors XOR to neither 0 nor all ones is skipped: its
+    product is not +-1 times a square, so no product or root is formed.
+    The vectors are computed once per generator and kept on the result.
     """
     assert not field.is_cm
-    units = _base_units(field)
     gens = []
     seen = set()
     for fsu in subfield_fsus:
         for g in fsu.generators:
             key = frozenset(g.exponents.items())
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(_make_expr(field, units, g.exponents, embed_element(g.witness, field)))
-    _q_log2(gens)
-    vecs = [_sign_vector(g.witness) for g in gens]
-    memo = {}
-    while True:
-        found = _find_subset_square(gens, vecs, memo)
-        if found is None:
-            break
-        idxs, exps, w, sign = found
-        half = {r: e / 2 for r, e in exps.items()}
+            if key not in seen:
+                seen.add(key)
+                gens.append(_embed_expr(g, field))
+    vecs = [_char_vector(g.witness) for g in gens]
+    units = _base_units(field)
+    while (found := _find_subset_square(gens, vecs)) is not None:
+        idxs, w = found
+        half = {r: e / 2 for r, e in _sum_exps(gens[i].exponents for i in idxs).items()}
         top = max(idxs)
         gens[top] = _make_expr(field, units, half, _norm_pos(w))
-        vecs[top] = _sign_vector(gens[top].witness)
-    return FsuResult(field, "-1", tuple(gens), _q_log2(gens))
+        vecs[top] = _char_vector(gens[top].witness)
+    return FsuResult(field, "-1", tuple(gens), _q_log2(gens), tuple(vecs))
 
 
-def _find_subset_square(gens, vecs, memo):
+def _find_subset_square(gens, vecs):
+    """(idxs, w) for the first subset whose product u has u or -u = w^2, or
+    None.  The product and its root are formed only when the XOR of the
+    subset's character vectors is 0 (then u is tried) or all ones (-u)."""
     n = len(gens)
-    dim = gens[0].witness.basis.dim
     for size in range(1, n + 1):
         for idxs in combinations(range(n), size):
-            sign = _common_sign([vecs[i] for i in idxs], dim)
-            if not sign:
+            x = 0
+            for i in idxs:
+                x ^= vecs[i]
+            if x and x != _ALL_CHARS:
                 continue
-            exps = _sum_exps([gens[i].exponents for i in idxs])
-            key = (frozenset(exps.items()), sign)
-            if key not in memo:
-                u = gens[idxs[0]].witness
-                for i in idxs[1:]:
-                    u = u * gens[i].witness
-                memo[key] = sqrt_in_field(u if sign > 0 else -u)
-            if memo[key] is not None:
-                return idxs, exps, memo[key], sign
+            u = gens[idxs[0]].witness
+            for i in idxs[1:]:
+                u = u * gens[i].witness
+            w = sqrt_in_field(-u if x else u)
+            if w is not None:
+                return idxs, w
     return None
 
 
@@ -425,10 +488,14 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     primitive 2^n-th root of unity zeta, searches all subset products e of
     the real FSU, up to sign, for (2 + mu) * e a square in K.  At most one
     subset can succeed; two successes contradict the independence of the
-    FSU and raise Falsified.  On success the highest-index generator of the
-    subset is replaced by an exact square root of zeta * e, which halves the
-    exponent lattice; otherwise the real FSU carries over unchanged except
-    for the enlarged torsion.
+    FSU and raise Falsified.  The XOR of the character vectors of 2 + mu and
+    of every subset comes from one table of 2^n entries; only a subset whose
+    XOR is 0 (sign +1) or all ones (sign -1) has its product formed and
+    tested.  The real generators are embedded without re-verification.  On
+    success the highest-index generator of the subset is replaced by an
+    exact square root of zeta * e, which halves the exponent lattice;
+    otherwise the real FSU carries over unchanged except for the enlarged
+    torsion.
     """
     real = real_fsu.field
     if not cm_basis.is_cm:
@@ -442,16 +509,21 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     xi = zeta(8, cm_basis) if n0 == 3 else cm_basis.surd(-1)
     two_mu = mu + 2
 
-    gens = list(real_fsu.generators)
-    vecs = [_sign_vector(g.witness) for g in gens]
-    base_vec = _sign_vector(two_mu)
+    gens = real_fsu.generators
+    vecs = real_fsu.chars
+    if vecs is None:
+        vecs = [_char_vector(g.witness) for g in gens]
+    # table[bits]: the XOR of the vectors of 2 + mu and of the generators in bits
+    table = [_char_vector(two_mu)]
+    for bits in range(1, 1 << len(gens)):
+        low = bits & -bits
+        table.append(table[bits ^ low] ^ vecs[low.bit_length() - 1])
     hits = []
-    for bits in range(1 << len(gens)):
-        idxs = [i for i in range(len(gens)) if bits >> i & 1]
-        sign = _common_sign([base_vec] + [vecs[i] for i in idxs], real.dim)
-        if not sign:
+    for bits, x in enumerate(table):
+        if x and x != _ALL_CHARS:
             continue
-        eps = real.one() if sign > 0 else -real.one()
+        idxs = [i for i in range(len(gens)) if bits >> i & 1]
+        eps = -real.one() if x else real.one()
         for i in idxs:
             eps = eps * gens[i].witness
         if sqrt_in_field(two_mu * eps) is not None:
@@ -460,7 +532,7 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
         raise Falsified("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
 
     units = _base_units(cm_basis)
-    out = [_make_expr(cm_basis, units, g.exponents, embed_element(g.witness, cm_basis)) for g in gens]
+    out = [_embed_expr(g, cm_basis) for g in gens]
     if hits:
         idxs, eps = hits[0]
         if not idxs:
@@ -681,6 +753,18 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
         "n23": bit[p] | bit[q],
     }
 
+    monomials = {}
+
+    def monomial(mono):
+        """The product of the powers in mono, evaluated once per table."""
+        key = tuple(mono.items())
+        if key not in monomials:
+            value = field.one()
+            for name, e in mono.items():
+                value = value * power(name, e)
+            monomials[key] = value
+        return monomials[key]
+
     table = dict(_NT_COMMON)
     table.update(_NT_COND1 if cond.tag == COND1 else _NT_COND2)
     rows = []
@@ -697,9 +781,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
                 tau = taus[col] if col in taus else taus["tau" + col[1]]
                 computed = relative_norm(w, tau)
             sign, mono = entry
-            value = field.one()
-            for name, e in mono.items():
-                value = value * power(name, e)
+            value = monomial(mono)
             if sign in (1, -1):
                 if computed != (value if sign > 0 else -value):
                     raise Falsified(f"norm table mismatch at row {label}, column {col}")

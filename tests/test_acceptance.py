@@ -5,9 +5,11 @@ with its measured evidence.  Criteria that consume scan output share one
 session-scoped run of `scan --max 200` through the real CLI.
 """
 
+import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -24,6 +26,8 @@ from mqunits.units import fsu_biquadratic, theorem_real_exponents, wada_fsu
 
 
 SCAN_MAX = 200
+# SHA-256 of the stdout of `scan --max 200` with every "elapsed_ms":N cut out
+SCAN_DIGEST = "73d6e7bdaf4d43de25534890aeebf2fe5ce9ab5b5ea3f6a63223d5a88f620fa3"
 SCAN_BUDGET_S = 600
 LEMMA_BUDGET_S = 60
 
@@ -338,3 +342,10 @@ def test_criterion_10_scan_cli(scan_run):
     print(f"\nPASS criterion 10: scan --max {SCAN_MAX} exited 0 in "
           f"{scan_run['elapsed']:.1f}s (budget {SCAN_BUDGET_S}s) with "
           f"{len(expected_pairs)} schema-valid reports")
+
+
+def test_scan_output_is_byte_identical(scan_run):
+    assert scan_run["proc"].returncode == 0, scan_run["proc"].stderr
+    stripped = re.sub(r'"elapsed_ms":[-+0-9.eE]+', "", scan_run["proc"].stdout)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == SCAN_DIGEST
+    print(f"\nPASS scan --max {SCAN_MAX} output digest {SCAN_DIGEST[:8]}... unchanged")

@@ -9,14 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mqunits import field as field_module
 from mqunits.field import (
-    SIGN_DIGITS,
     FieldBasis,
     FieldElement,
     conjugate,
     embed_element,
-    embedding_floors,
-    embedding_sum,
     parse_element,
     relative_norm,
     serialize_element,
@@ -25,9 +23,8 @@ from mqunits.field import (
     torsion_order,
     zeta,
 )
-from mqunits.intarith import is_perfect_square
+from mqunits.intarith import is_perfect_square, squarefree_decompose
 from mqunits.quadratic import fundamental_unit
-from mqunits.units import _sign_vector
 
 
 def unit_element(d, basis):
@@ -157,6 +154,20 @@ def test_relative_norm():
     assert relative_norm(u, 1) == b3.from_rational(-2)
 
 
+def test_relative_norm_matches_the_product_with_the_conjugate():
+    rng = random.Random(8)
+    for gens in ((2, 5, 3), (2, 13, 11), (2, 5, 3, -1), (5, 3, -1)):
+        b = FieldBasis(gens)
+        for _ in range(10):
+            u = b.element({r: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           for r in b.radicands if rng.random() < 0.7})
+            for mask in range(b.dim):
+                v = relative_norm(u, mask)
+                assert v == u * conjugate(u, mask)
+                assert conjugate(v, mask) == v
+                _assert_canonical(v)
+
+
 def test_sign_at_embedding():
     b = FieldBasis((2,))
     eps2 = b.element({1: 1, 2: 1})
@@ -257,6 +268,13 @@ def test_basis_validation():
     assert b.radicands[3] == 10
     assert b.radicands[7] == 110
     assert b.sub.generators == (2, 5)
+
+
+def test_radicands_are_the_squarefree_parts_of_the_subset_products():
+    for gens in ((2, 5, 11), (6, 10, 7), (2, 13, 3, -1), (-3, 15, 35), (30, 42, 70, -1)):
+        b = FieldBasis(gens)
+        for m, r in enumerate(b.radicands):
+            assert r == squarefree_decompose(math.prod(g for i, g in enumerate(gens) if m >> i & 1))[0]
 
 
 def test_basis_interned_by_generator_tuple():
@@ -412,6 +430,17 @@ def test_canonical_form():
         u / 0
 
 
+def test_serialize_matches_the_fraction_form():
+    rng = random.Random(4)
+    b = FieldBasis((2, 5, 3, -1))
+    for _ in range(50):
+        u = b.element({r: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 60))
+                       for r in b.radicands if rng.random() < 0.5})
+        want = " + ".join(f"{c.numerator}/{c.denominator}*sqrt({r})" for r, c in u.coords.items())
+        assert serialize_element(u) == (want or "0/1*sqrt(1)")
+        assert parse_element(serialize_element(u), b) == u
+
+
 # ---------------------------------------------------------------------------
 # square roots against the element-level descent
 
@@ -538,7 +567,20 @@ def test_sqrt_resquare_survives_python_O():
 # sign masks and powers
 
 
-def test_sign_vector_matches_sign_at_embedding_where_8_digits_do_not_decide():
+def decimal_sign(u, j):
+    """The sign of u at the real embedding that negates sqrt(g_i) for each
+    bit i of j, evaluated with 200 Decimal digits."""
+    getcontext().prec = 200
+    total = Decimal(0)
+    for m, n in enumerate(u._num):
+        if n:
+            t = Decimal(n) * Decimal(u.basis.radicands[m]).sqrt()
+            total += -t if (m & j).bit_count() & 1 else t
+    assert abs(total) > Decimal(10) ** -150
+    return 1 if total > 0 else -1
+
+
+def test_sign_at_embedding_refines_where_8_digits_do_not_decide(monkeypatch):
     b = FieldBasis((2, 5, 3))
     eps2, eps5, eps3 = (unit_element(r, b) for r in (2, 5, 3))
     big = eps2 ** 40
@@ -546,16 +588,17 @@ def test_sign_vector_matches_sign_at_embedding_where_8_digits_do_not_decide():
              conjugate(big * eps3, 0b101),
              conjugate(big, 0b001) + b.from_rational(Fraction(1, 10**20)),
              eps2 * eps5 * eps3, -conjugate(eps5 * eps3, 0b110)]
+    digits = []
+    sqrt_interval = field_module.sqrt_interval
+    monkeypatch.setattr(field_module, "sqrt_interval",
+                        lambda n, d: digits.append(d) or sqrt_interval(n, d))
     undecided = 0
     for w in elems:
-        floors = embedding_floors(w, SIGN_DIGITS)
-        want = 0
         for j in range(b.dim):
+            digits.clear()
             signs = {g: 1 - 2 * (j >> i & 1) for i, g in enumerate(b.generators)}
-            if sign_at_embedding(w, signs) < 0:
-                want |= 1 << j
-            undecided += abs(embedding_sum(floors, j)) < len(floors)
-        assert _sign_vector(w) == want
+            assert sign_at_embedding(w, signs) == decimal_sign(w, j)
+            undecided += max(digits) > 8
     assert undecided >= 8
 
 

@@ -18,6 +18,7 @@ from mqunits.forms import (
     _narrow_class_number,
     _principal_form,
     _reduce_posdef,
+    _rho,
     _sqrt_table,
 )
 from mqunits.intarith import is_squarefree, prime_factors
@@ -64,6 +65,22 @@ def oracle_enumerate_indefinite(D):
             e += 1
         b += 2
     return sorted(forms)
+
+
+def oracle_narrow_class_number(D):
+    """The rho cycles counted over the reduced forms of both signs."""
+    s = math.isqrt(D)
+    remaining = set(oracle_enumerate_indefinite(D))
+    cycles = 0
+    while remaining:
+        f = start = min(remaining)
+        while True:
+            remaining.remove(f)
+            f = _rho(f, D, s)
+            if f == start:
+                break
+        cycles += 1
+    return cycles
 
 
 def oracle_form_pow(f, n, D):
@@ -115,7 +132,9 @@ def assert_matches_oracle(D):
         assert forms == oracle_enumerate_posdef(D), D
         assert _group_structure(forms, D) == oracle_group_structure(forms, D), D
     else:
-        assert _enumerate_indefinite(D) == oracle_enumerate_indefinite(D), D
+        want = [f for f in oracle_enumerate_indefinite(D) if f[0] > 0]
+        assert sorted(_enumerate_indefinite(D)) == want, D
+        assert _narrow_class_number(D)[0] == oracle_narrow_class_number(D), D
 
 
 def test_enumerations_match_oracle_small():

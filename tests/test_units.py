@@ -1,19 +1,30 @@
 """Tests for FSU construction, saturation, CM extension and norm tables."""
 
 import functools
+import math
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mqunits import report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
+from mqunits.intarith import kronecker_symbol
 from mqunits.quadratic import COND1, COND2
 from mqunits.units import (
+    CHAR_PRIMES,
     FsuResult,
     NORM_COLUMNS,
     UnitExpr,
     _base_units,
+    _char_data,
+    _char_vector,
+    _embed_expr,
     _make_expr,
     _q_log2,
     _torsion,
@@ -340,7 +351,7 @@ def test_lattice_helpers_match_fraction_reference(data):
         if det.numerator == 1 and det.denominator & (det.denominator - 1) == 0:
             assert _q_log2(gens) == det.denominator.bit_length() - 1
         else:
-            with pytest.raises(AssertionError):
+            with pytest.raises(ArithmeticError):
                 _q_log2(gens)
 
 
@@ -357,3 +368,140 @@ def test_unit_expr_cleared_level():
     levels = sorted({g.cleared_level() for g in fsu.generators})
     assert levels == [1, 2, 4]
     assert exponent_level(exps_list(fsu)) == 4
+
+
+def test_q_log2_raises_under_python_O():
+    # the index of {2: 3} is 1/3, not a power of 2
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from mqunits.units import UnitExpr, _q_log2
+        try:
+            print("returned", _q_log2([UnitExpr(0, {2: Fraction(3)}, None)]))
+        except ArithmeticError:
+            print("raised")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised\n"
+
+
+# ---------------------------------------------------------------------------
+# character vectors and the unit ledger
+
+CHAR_PAIRS = ((5, 11), (13, 3), (173, 163), (653, 347))
+
+
+def oracle_char_vector(w):
+    """The character vector of w computed prime by prime: the first
+    CHAR_PRIMES primes l = 7 (mod 8) with every generator a square mod l,
+    sqrt(g_j) -> pow(g_j, (l+1)/4, l) negated for each bit j of i mod 2^k at
+    the i-th prime, and the Kronecker symbol of the image of w."""
+    basis = w.basis
+    gens = basis.generators
+    primes = []
+    l = 7
+    while len(primes) < CHAR_PRIMES:
+        if all(l % d for d in range(2, math.isqrt(l) + 1)) and all(kronecker_symbol(g, l) == 1 for g in gens):
+            primes.append(l)
+        l += 8
+    assert _char_data(basis)[0] == tuple(primes)
+    out = 0
+    for i, l in enumerate(primes):
+        roots = [pow(g, (l + 1) // 4, l) * (-1 if i >> j & 1 else 1) for j, g in enumerate(gens)]
+        assert all((x * x - g) % l == 0 for x, g in zip(roots, gens))
+        value = 0
+        for r, c in w.coords.items():
+            m = basis.mask_of[r]
+            chosen = [j for j in range(basis.k) if m >> j & 1]
+            f = math.isqrt(math.prod(gens[j] for j in chosen) // r)
+            image = math.prod(roots[j] for j in chosen) * pow(f, -1, l)
+            value += c.numerator * image * pow(c.denominator, -1, l)
+        symbol = kronecker_symbol(value % l, l)
+        assert symbol in (1, -1)
+        out |= (symbol < 0) << i
+    return out
+
+
+@pytest.mark.parametrize("p,q", CHAR_PAIRS)
+def test_char_vectors_match_the_prime_by_prime_oracle(p, q):
+    field, fsu = deg8(p, q)
+    assert fsu.chars == tuple(_char_vector(g.witness) for g in fsu.generators)
+    for g in fsu.generators:
+        assert _char_vector(g.witness) == oracle_char_vector(g.witness)
+    two = field.surd(2) + 2
+    assert _char_vector(two) == oracle_char_vector(two)
+
+
+@pytest.mark.parametrize("p,q", CHAR_PAIRS)
+def test_char_vectors_of_squares(p, q):
+    field, fsu = deg8(p, q)
+    rng = random.Random(p * q)
+    full = (1 << CHAR_PRIMES) - 1
+    assert _char_vector(-field.one()) == full
+    for _ in range(6):
+        w = field.one()
+        for g in fsu.generators:
+            w = w * g.witness ** rng.randint(-2, 2)
+        v = _char_vector(w)
+        assert _char_vector(w * w) == 0
+        assert _char_vector(-w * w) == full
+        assert _char_vector(-w) == v ^ full
+        u = fsu.generators[rng.randrange(7)].witness
+        assert _char_vector(w * u) == v ^ _char_vector(u)
+
+
+def test_char_vector_refuses_zero_residues_and_cm_fields():
+    field = FieldBasis((2, 5, 11))
+    l = _char_data(field)[0][0]
+    with pytest.raises(ArithmeticError):
+        _char_vector(field.from_rational(Fraction(1, l)))
+    with pytest.raises(ValueError):
+        _char_vector(FieldBasis((2, 5, 11, -1)).one())
+
+
+@pytest.mark.parametrize("real,big", [
+    (lambda: fsu_biquadratic(5, 3), (5, 3, -1)),  # zeta12
+    (lambda: deg8(13, 3)[1], (2, 13, 3, -1)),  # zeta24
+    (lambda: deg8(5, 11)[1], (2, 5, 11, -1)),  # zeta8
+    (lambda: fsu_biquadratic(2, 13), (2, 13, 3)),  # totally real target
+])
+def test_embed_expr_matches_make_expr(real, big):
+    big = FieldBasis(big)
+    gens = list(real().generators)
+    small = gens[0].witness.basis
+    # the witnesses are positive at the all-plus embedding, so their torsion
+    # exponents are 0; the negated witnesses bring in -1 = zeta^(n/2)
+    gens += [_make_expr(small, _base_units(small), g.exponents, -g.witness) for g in gens]
+    assert any(g.torsion_exponent for g in gens)
+    for g in gens:
+        e = _embed_expr(g, big)
+        assert e.exponents == g.exponents and e.witness.basis is big
+        verify_unit_expr(e)
+        assert e == _make_expr(big, _base_units(big), g.exponents, e.witness)
+
+
+def test_embed_expr_refuses_cm_units():
+    cm = azizi_extend(fsu_biquadratic(5, 3), FieldBasis((5, 3, -1)))
+    with pytest.raises(ValueError):
+        _embed_expr(cm.generators[0], FieldBasis((2, 5, 3, -1)))
+
+
+def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
+    made, roots = [], []
+    make, sqrt = units._make_expr, units.sqrt_in_field
+
+    def counting_make(*args):
+        made.append(1)
+        return make(*args)
+
+    def counting_sqrt(u):
+        w = sqrt(u)
+        roots.append(w is not None)
+        return w
+
+    monkeypatch.setattr(units, "_make_expr", counting_make)
+    monkeypatch.setattr(units, "sqrt_in_field", counting_sqrt)
+    monkeypatch.setattr(report, "sqrt_in_field", counting_sqrt)
+    assert report.verify_pair(13, 3).passed
+    assert len(made) == 10
+    assert all(roots) and len(roots) == 13
