@@ -29,6 +29,13 @@ from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose
 _BASES = {}
 
 
+def drop_bases() -> None:
+    """Forget every interned basis, with the units and data kept on it.
+    Later FieldBasis calls build new bases, so an element of a dropped
+    basis must not meet one of its successor."""
+    _BASES.clear()
+
+
 class FieldBasis:
     """The multiquadratic field generated by square roots of `generators`.
 
@@ -42,8 +49,10 @@ class FieldBasis:
     by identity.  A tuple that fails validation is never stored.  `sub` is
     the subfield dropping the last generator (None for Q), `quad_units`
     holds the fundamental units of the real quadratic subfields once
-    units._base_units has built them, and `chars` the character data once
-    units._char_data has built it.
+    units._base_units has built them, `chars` the character data once
+    units._char_data has built it, and `torsion` the generator and order of
+    the roots of unity once units._torsion has found them.  drop_bases
+    forgets every interned basis.
     """
 
     def __new__(cls, generators):
@@ -86,6 +95,7 @@ class FieldBasis:
         self._coef = tuple(coef)
         self.quad_units = None
         self.chars = None
+        self.torsion = None
         self.sub = None
         if self.k:
             # sqrt(r_m)*sqrt(g_top) = _top[m]*sqrt(r_{m|top}) for m below top;

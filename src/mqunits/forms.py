@@ -10,11 +10,16 @@ a cycle, that is unless the fundamental unit has norm -1 (Buell, Binary
 Quadratic Forms, ch. 3).  No unit is computed here.
 
 Both enumerations go by leading coefficient (Cohen, GTM 138, 5.3 and 5.6;
-Buell, Binary Quadratic Forms, ch. 3 and 4).  A reduced form has
-|a| <= sqrt(|D|), and its b is a root of b*b = D (mod 4|a|), so one table
-of those roots for every a up to sqrt(|D|) yields every reduced form in
-about sqrt(|D|) steps.  Everything is integer arithmetic; square-root
-comparisons against sqrt(D) are done through isqrt brackets, never floats.
+Buell, Binary Quadratic Forms, ch. 3 and 4).  A reduced form has b a root
+of b*b = D (mod 4|a|), and |a| <= sqrt(|D|/3) when D < 0.  When D > 0,
+|a|*|c| = (D - b*b)/4 < D/4 and rho carries (a, b, c) to a form led by c,
+so every rho cycle holds a form with |a| < sqrt(D)/2, and the cycles are
+started from those alone.  The table of roots is walked only over the a
+that have any, built from the odd prime powers with roots, so it costs
+about one Chinese remaindering per admissible a up to sqrt(|D|/3) or
+sqrt(D)/2, plus one step per root.  Everything is integer arithmetic;
+square-root comparisons against sqrt(D) are done through isqrt brackets,
+never floats.
 """
 
 from __future__ import annotations
@@ -99,37 +104,49 @@ def _principal_form(D):
 
 
 def _sqrt_table(D, A):
-    """Yield (a, roots) for 0 < a <= A: the residues b mod 2a with b*b = D (mod 4a).
+    """Yield (a, roots) for the 0 < a <= A that have roots: the residues
+    b mod 2a with b*b = D (mod 4a), nonempty.
 
-    D is a fundamental discriminant, so an odd prime dividing D divides it
-    once: b*b = D has the one root 0 mod p and none mod p^2.  A
-    smallest-prime-factor sieve splits each a into prime powers.  Roots mod
-    an odd prime come from Tonelli-Shanks and are lifted to its powers by
-    trying the p lifts of each root; the 2-part keeps b mod 2^(k+1) with
+    The a are built by a depth-first walk over products of odd prime
+    powers l^e <= A that have roots, in increasing l, each odd node then
+    multiplied by the powers of 2 that have roots; an a with a prime power
+    that has none is never visited.  D is a fundamental discriminant, so an
+    odd l dividing D has the one root 0 mod l and none mod l^2.  Roots mod
+    any other l come from Tonelli-Shanks and are lifted to l^e by trying
+    the l lifts of each root; the 2-part keeps b mod 2^(k+1) with
     b*b = D (mod 2^(k+2)), lifted the same way.  The Chinese remainder
-    theorem joins the parts.
+    theorem joins the parts, once per odd node and once per yielded a.
     """
-    spf = list(range(A + 1))
-    for p in reversed(primes_upto(math.isqrt(A))):
-        spf[p * p :: p] = [p] * len(range(p * p, A + 1, p))
-    odd = [[0]] * (A + 1)  # odd m: the roots mod m
-    for m in range(3, A + 1, 2):
-        p = q = spf[m]
-        while m % (q * p) == 0:
-            q *= p
-        if q < m:
-            odd[m] = _crt(odd[q], q, odd[m // q], m // q)
-        elif q == p:
-            r = sqrt_mod_prime(D, p)
-            odd[m] = [] if r is None else sorted({r, -r % p})
-        else:
-            odd[m] = [x for r in odd[q // p] for x in range(r, q, q // p) if (x * x - D) % q == 0]
-    roots, k = [D % 2], 0  # the roots mod 2^(k+1) of b*b = D (mod 2^(k+2))
+    twos, roots, k = [], [D % 2], 0  # (2^k, the roots mod 2^(k+1) of b*b = D (mod 2^(k+2)))
     while roots and 1 << k <= A:
-        for m in range(1, (A >> k) + 1, 2):
-            yield m << k, _crt(roots, 2 << k, odd[m], m)
+        twos.append((1 << k, roots))
         k += 1
         roots = [x for r in roots for x in (r, r + (1 << k)) if (x * x - D) % (4 << k) == 0]
+    chains = []  # per odd prime l <= A with roots: [(l^e, the roots mod l^e), ...]
+    for l in primes_upto(A)[1:]:
+        r = sqrt_mod_prime(D, l)
+        if r is None:
+            continue
+        chain = [(l, [r, l - r] if r else [0])]
+        q = l * l
+        while r and q <= A:
+            chain.append((q, [x for y in chain[-1][1] for x in range(y, q, q // l) if (x * x - D) % q == 0]))
+            q *= l
+        chains.append(chain)
+    stack = [(1, [0], 0)]  # (odd m, the roots mod m, index of the next prime)
+    while stack:
+        m, odd, i = stack.pop()
+        for t, two in twos:
+            if m * t > A:
+                break
+            yield m * t, _crt(two, 2 * t, odd, m)
+        for j in range(i, len(chains)):
+            if m * chains[j][0][0] > A:
+                break
+            for q, rq in chains[j]:
+                if m * q > A:
+                    break
+                stack.append((m * q, _crt(odd, m, rq, q), j + 1))
 
 
 def _crt(roots1, m1, roots2, m2):
@@ -304,25 +321,22 @@ def class_number_imaginary(D: int) -> ClassNumberReport:
 
 
 def _enumerate_indefinite(D):
-    """Reduced indefinite forms (a, b, c) with a > 0 of a positive
-    fundamental D.
+    """Yield the reduced indefinite forms (a, b, c) with
+    0 < a <= isqrt(D)//2 of a positive fundamental D.
 
     Reduced means |sqrt(D) - 2|a|| < b < sqrt(D), exact via s = isqrt(D) as
-    max(s + 1 - 2a, 2a - s) <= b <= s, so a <= s.  For each a, each root
-    class of b*b = D (mod 4a) is walked through that window in steps of 2a,
-    giving (a, b, c) with c = (b*b - D)/(4a) < 0.  The forms with a < 0 are
-    the (-a, b, -c).  The cost is the square-root table to sqrt(D) plus
-    about one step per root (Cohen, GTM 138, 5.6; Buell, Binary Quadratic
-    Forms, ch. 4).
+    s + 1 - 2a <= b <= s for these a.  For each a, each root class of
+    b*b = D (mod 4a) is walked through that window in steps of 2a, giving
+    (a, b, c) with c = (b*b - D)/(4a) < 0.  The cost is the square-root
+    table to sqrt(D)/2 plus about one step per root (Cohen, GTM 138, 5.6;
+    Buell, Binary Quadratic Forms, ch. 4).
     """
     s = math.isqrt(D)
-    forms = []
-    for a, roots in _sqrt_table(D, s):
-        lo = max(1, s + 1 - 2 * a, 2 * a - s)
+    for a, roots in _sqrt_table(D, s // 2):
+        lo = s + 1 - 2 * a
         for r in roots:
             for b in range(lo + (r - lo) % (2 * a), s + 1, 2 * a):
-                forms.append((a, b, (b * b - D) // (4 * a)))
-    return forms
+                yield a, b, (b * b - D) // (4 * a)
 
 
 def _rho(form, D, s):
@@ -345,25 +359,35 @@ def _narrow_class_number(D):
 
     The sign of a alternates along a rho cycle, and (a, b, c) -> (-a, b, -c)
     commutes with rho, so the forms with a > 0 of each cycle make one cycle
-    of rho^2, and counting those counts the rho cycles.  The principal
+    of rho^2, and counting those counts the rho cycles.  A reduced form has
+    |a|*|c| = (D - b*b)/4 < D/4, and rho carries (a, b, c) to a form led by
+    c, so every cycle holds a form with |a| <= s//2.  The walks therefore
+    start only from the principal form, from each f with 0 < a <= s//2,
+    and from -rho(f) = rho(-f), which reaches the cycle of a small form
+    with a < 0: a table to sqrt(D)/2 instead of sqrt(D).  The principal
     cycle is walked first, and (-1, b0, -c0) shares it exactly when that
-    form comes up at an odd step.
+    form comes up at an odd step.  A walked form that was already seen or
+    is not reduced (0 < b <= s and |s - 2a| < b, exact for a > 0) means rho
+    is broken, and raises ArithmeticError.
     """
     s = math.isqrt(D)
     b0 = s - (s - D) % 2
     principal = (1, b0, (b0 * b0 - D) // 4)
     negative = (-1, b0, -principal[2])
-    forms = _enumerate_indefinite(D)
-    remaining = set(forms)
+    seen = set()
     cycles = 0
     shared = False
-    for start in itertools.chain((principal,), forms):
-        if start not in remaining:
+    starts = itertools.chain.from_iterable(
+        ((a, b, c), _rho((-a, b, -c), D, s)) for a, b, c in _enumerate_indefinite(D))
+    for start in itertools.chain((principal,), starts):
+        if start in seen:
             continue
         f = start
         while True:
-            # KeyError: rho left the enumerated forms or crossed into another cycle
-            remaining.remove(f)
+            a, b, _ = f
+            if f in seen or not 0 < b <= s or abs(s - 2 * a) >= b:
+                raise ArithmeticError(f"rho left the reduced forms of {D} at {f}")
+            seen.add(f)
             g = _rho(f, D, s)
             shared |= not cycles and g == negative
             f = _rho(g, D, s)

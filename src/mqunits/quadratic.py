@@ -42,11 +42,10 @@ class QuadraticUnit:
     norm: int
 
     def __post_init__(self):
-        assert self.x > 0 and self.y > 0
-        assert self.denom in (1, 2)
-        assert self.x * self.x - self.d * self.y * self.y == self.norm * self.denom**2
-        if self.denom == 2:
-            assert self.d % 4 == 1
+        if not (self.x > 0 and self.y > 0 and self.denom in (1, 2)
+                and self.x * self.x - self.d * self.y * self.y == self.norm * self.denom**2
+                and (self.denom == 1 or self.d % 4 == 1)):
+            raise ValueError(f"{self} is not a unit of norm {self.norm}")
 
     def __str__(self):
         if self.denom == 1:

@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
-from itertools import starmap
 
 from .classnum import (
     crosscheck_quadratic_h2,
@@ -36,7 +35,7 @@ from .classnum import (
     subfield_radicands,
 )
 from .errors import Falsified
-from .field import FieldBasis, embed_element, serialize_element, sqrt_in_field
+from .field import FieldBasis, drop_bases, embed_element, serialize_element, sqrt_in_field
 from .forms import DISCRIMINANT_GUARD, disc_of_radicand
 from .intarith import is_prime
 from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
@@ -577,9 +576,17 @@ def _load_cached(cache_dir, p, q):
         return None
 
 
+def _verify_fresh(pair):
+    """verify_pair, then drop the interned field bases: no later pair reads
+    them, and a scan would otherwise keep every basis it ever built."""
+    try:
+        return verify_pair(*pair)
+    finally:
+        drop_bases()
+
+
 def _scan_worker(pair):
-    p, q = pair
-    return report_to_json(verify_pair(p, q))
+    return report_to_json(_verify_fresh(pair))
 
 
 def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
@@ -590,11 +597,14 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     computed one is written atomically as soon as it is done, so an
     interrupted scan keeps the pairs it finished.  Reports are reused only
     while the directory's manifest names this code (see _open_cache).
-    jobs > 1 distributes uncached pairs over worker processes; output order
-    is unchanged.
+    jobs > 1 distributes uncached pairs over at most that many worker
+    processes, never more than there are uncached pairs; output order is
+    unchanged.  jobs < 1 raises ValueError before anything is written.
 
     Returns (reports, summary).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = scan_pairs(max_n)
     if cache_dir:
         _open_cache(cache_dir)
@@ -605,11 +615,11 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     failures = []
     c1 = c2 = 0
     parallel = jobs > 1 and bool(todo)
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) if parallel else nullcontext() as pool:
         # both iterators yield (report, its JSON line or None) in todo order,
         # each as soon as it is done; a report is serialized at most once
         fresh = (((report_from_json(line), line) for line in pool.map(_scan_worker, todo))
-                 if parallel else ((rep, None) for rep in starmap(verify_pair, todo)))
+                 if parallel else ((rep, None) for rep in map(_verify_fresh, todo)))
         for pair in pairs:
             rep, line = cached.get(pair), None
             if rep is None:

@@ -28,7 +28,6 @@ still goes through the exact square root and its re-square.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 from .errors import Falsified
@@ -107,9 +106,11 @@ def _base_units(basis: FieldBasis) -> dict:
     return basis.quad_units
 
 
-@cache
 def _torsion(basis: FieldBasis):
-    """(generator, order) of the roots of unity of the field."""
+    """(generator, order) of the roots of unity of the field, found once per
+    basis and kept on it."""
+    if basis.torsion is not None:
+        return basis.torsion
     n = torsion_order(basis)
     if n == 2:
         g = basis.from_rational(-1)
@@ -124,7 +125,8 @@ def _torsion(basis: FieldBasis):
     else:
         raise AssertionError(f"unexpected torsion order {n}")
     assert g ** n == basis.one() and g ** (n // 2) == -basis.one()
-    return g, n
+    basis.torsion = g, n
+    return basis.torsion
 
 
 def _torsion_name(n: int) -> str:
@@ -695,14 +697,16 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     match exactly; a symbolic sign is resolved on first use and must stay
     consistent within its row.  Any mismatch raises Falsified.
     """
-    assert not field.is_cm and field.k == 3
     ps = [g for g in field.generators if g % 8 == 5]
     qs = [g for g in field.generators if g % 8 == 3]
-    assert 2 in field.generators and len(ps) == 1 and len(qs) == 1
+    if field.is_cm or field.k != 3 or 2 not in field.generators or len(ps) != 1 or len(qs) != 1:
+        raise ValueError(f"{field} is not Q(sqrt2, sqrt p, sqrt q) with p = 5, q = 3 (mod 8)")
     p, q = ps[0], qs[0]
     cond = classify_pair(p, q)
-    assert cond.is_applicable
-    assert fsu.field is field
+    if not cond.is_applicable:
+        raise ValueError(f"pair ({p}, {q}) is not applicable: {cond.reason}")
+    if fsu.field is not field:
+        raise ValueError(f"the unit system lives in {fsu.field}, not in {field}")
 
     units = _base_units(field)
     env = {

@@ -113,6 +113,13 @@ def test_scan_with_jobs():
     assert len(res.stdout.splitlines()) == 3
 
 
+def test_scan_jobs_below_one_is_a_usage_error():
+    res = run_cli("scan", "--max", "12", "--jobs", "0")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "mqunits: error: jobs must be at least 1, got 0\n"
+
+
 def test_fsu_biquadratic():
     res = run_cli("fsu", "--radicands", "2,5")
     assert res.returncode == 0

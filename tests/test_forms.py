@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -132,7 +136,8 @@ def assert_matches_oracle(D):
         assert forms == oracle_enumerate_posdef(D), D
         assert _group_structure(forms, D) == oracle_group_structure(forms, D), D
     else:
-        want = [f for f in oracle_enumerate_indefinite(D) if f[0] > 0]
+        half = math.isqrt(D) // 2
+        want = [f for f in oracle_enumerate_indefinite(D) if 0 < f[0] <= half]
         assert sorted(_enumerate_indefinite(D)) == want, D
         assert _narrow_class_number(D)[0] == oracle_narrow_class_number(D), D
 
@@ -155,15 +160,80 @@ def test_enumerations_match_oracle_large():
         assert_matches_oracle(D)
 
 
+def test_every_rho_cycle_holds_a_half_width_form():
+    for D in range(3, 5001):
+        if not is_fundamental_discriminant(D):
+            continue
+        s = math.isqrt(D)
+        remaining = set(oracle_enumerate_indefinite(D))
+        while remaining:
+            f = start = min(remaining)
+            small = False
+            while True:
+                remaining.remove(f)
+                small |= abs(f[0]) <= s // 2
+                f = _rho(f, D, s)
+                if f == start:
+                    break
+            assert small, (D, start)
+
+
 def test_sqrt_table_matches_brute_force():
-    for D in (-3, -4, -8, -15, -20, -84, -3896, -4547, 5, 8, 12, 40, 60, 105, 1020):
-        A = 60
+    # 856, 421, -164 and -131 have roots mod 9, 25, 27, 49 and 121
+    odd_squares = {9, 25, 27, 49, 121}
+    covered = set()
+    for D in (-3, -4, -8, -15, -20, -84, -131, -164, -3896, -4547,
+              5, 8, 12, 40, 60, 105, 421, 856, 1020):
+        A = 300
         pairs = list(_sqrt_table(D, A))
         table = dict(pairs)
         assert len(table) == len(pairs) and set(table) <= set(range(1, A + 1))
+        assert all(table.values()), D
+        covered |= odd_squares & set(table)
         for a in range(1, A + 1):
             want = [b for b in range(2 * a) if (b * b - D) % (4 * a) == 0]
             assert sorted(table.get(a, ())) == want, (D, a)
+    assert covered == odd_squares
+
+
+def _merging_rho(D):
+    """rho, except that every form off the principal cycle is sent into it."""
+    s = math.isqrt(D)
+    b0 = s - (s - D) % 2
+    f = principal = (1, b0, (b0 * b0 - D) // 4)
+    cycle = set()
+    while f not in cycle:
+        cycle.add(f)
+        f = _rho(f, D, s)
+    return lambda f, D, s: _rho(f if f in cycle else principal, D, s)
+
+
+def test_broken_rho_raises(monkeypatch):
+    monkeypatch.setattr(forms, "_rho", _merging_rho(60))
+    with pytest.raises(ArithmeticError, match="rho left"):
+        _narrow_class_number(60)
+    # a map onto forms that are not reduced
+    monkeypatch.setattr(forms, "_rho", lambda f, D, s: (f[2], f[1] + 2 * f[2], f[0]))
+    with pytest.raises(ArithmeticError, match="rho left"):
+        _narrow_class_number(60)
+
+
+def test_broken_rho_raises_under_python_O():
+    code = textwrap.dedent("""\
+        import sys
+        import test_forms
+        from mqunits import forms
+        forms._rho = test_forms._merging_rho(60)
+        try:
+            print("returned", forms._narrow_class_number(60))
+        except ArithmeticError:
+            print("raised", sys.flags.optimize)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(__file__), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised 1\n"
 
 
 # Classical class numbers of imaginary quadratic fields, keyed by fundamental

@@ -179,5 +179,5 @@ def test_lemma_decompose_rejects_bad_calls():
 
 
 def test_unit_invariant_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         QuadraticUnit(d=2, x=2, y=1, denom=1, norm=1)

@@ -7,8 +7,9 @@ import textwrap
 
 import pytest
 
-from mqunits import report
+from mqunits import field, report
 from mqunits.errors import Falsified
+from mqunits.field import FieldBasis
 from mqunits.forms import DISCRIMINANT_GUARD
 from mqunits.report import (
     CHECK_IDS,
@@ -315,6 +316,54 @@ def test_scan_parallel_matches_sequential(monkeypatch):
     seq_reports, seq = scan(12)
     par_reports, par = scan(12, jobs=2)
     assert seq == par and seq.failures and seq_reports == par_reports
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_scan_pool_never_exceeds_the_uncached_pairs(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(report, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(seen, max_workers))
+    _, seq = scan(12)
+    assert seen == []
+    _, par = scan(12, jobs=64, cache_dir=str(tmp_path))
+    assert par == seq and seen == [2]  # (5, 3) and (5, 11)
+    os.unlink(tmp_path / "pair_5_11.json")
+    assert scan(12, jobs=64, cache_dir=str(tmp_path))[1] == seq and seen == [2, 1]
+    # every pair cached: no pool at all
+    assert scan(12, jobs=64, cache_dir=str(tmp_path))[1] == seq and seen == [2, 1]
+
+
+def test_scan_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            scan(12, jobs=jobs, out=out)
+        assert out.getvalue() == ""
+
+
+def test_scan_drops_the_bases_of_each_fresh_pair(tmp_path):
+    verify_pair(5, 11)
+    assert field._BASES
+    scan(12, cache_dir=str(tmp_path))
+    assert not field._BASES
+    basis = FieldBasis((2, 5))
+    scan(12, cache_dir=str(tmp_path))  # warm: verifies nothing, so drops nothing
+    assert FieldBasis((2, 5)) is basis
 
 
 def test_failed_checks_never_raise(monkeypatch):

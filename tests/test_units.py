@@ -209,7 +209,7 @@ def test_norm_table(p, q):
 
 def test_norm_table_requires_deg8_shape():
     fsu = fsu_biquadratic(5, 11)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         norm_table(fsu.field, fsu)
 
 
