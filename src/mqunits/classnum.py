@@ -66,8 +66,10 @@ class KurodaInstance:
         self.subfield_h2 = tuple((int(r), int(h)) for r, h in self.subfield_h2)
         if len(self.subfield_h2) != self.degree - 1:
             raise ValueError(f"degree {self.degree} has {self.degree - 1} quadratic subfields")
-        assert self.q_log2 >= 0
-        assert all(h >= 1 for _, h in self.subfield_h2)
+        if self.q_log2 < 0:
+            raise ValueError(f"unit index exponent {self.q_log2} is negative")
+        if any(h < 1 for _, h in self.subfield_h2):
+            raise ValueError(f"subfield 2-class numbers {self.subfield_h2} are not all positive")
 
 
 def kuroda_h2(instance: KurodaInstance) -> int:
@@ -155,7 +157,8 @@ def predict_structures(p: int, q: int) -> dict:
     if not cond.is_applicable:
         raise ValueError(f"pair is not applicable: {cond.reason}")
     h2 = quadratic_h2(-p * q).h2
-    assert h2 & (h2 - 1) == 0 and h2 > 1
+    if h2 & (h2 - 1) or h2 < 2:
+        raise Falsified(f"h2(-{p * q}) = {h2} is not a power of 2 above 1")
     m = h2.bit_length() - 1
     if cond.tag == COND2:
         if m != 1:

@@ -4,17 +4,20 @@ Imaginary fields: the class number is the count of reduced primitive
 positive-definite forms of the fundamental discriminant, and
 class_number_imaginary adds the class-group structure from composition and
 the torsion of each Sylow subgroup.  Real fields: the narrow class number
-is the number of rho-reduction cycles of reduced indefinite forms, and the
-wide class number is half of it unless (1, b0, c0) and (-1, b0, -c0) share
-a cycle, that is unless the fundamental unit has norm -1 (Buell, Binary
-Quadratic Forms, ch. 3).  No unit is computed here.
+is the number of rho-reduction cycles of reduced indefinite forms.
+Negation (a, b, c) -> (-a, b, -c) carries a cycle C to a cycle -C, and
+C = -C for every cycle exactly when (1, b0, c0) and (-1, b0, -c0) share
+one, that is when the fundamental unit has norm -1; otherwise the wide
+class number is half the narrow one (Buell, Binary Quadratic Forms, ch. 3).
+One walk of C yields the forms of -C as well, so each pair C, -C is walked
+once.  No unit is computed here.
 
 Both enumerations go by leading coefficient (Cohen, GTM 138, 5.3 and 5.6;
 Buell, Binary Quadratic Forms, ch. 3 and 4).  A reduced form has b a root
 of b*b = D (mod 4|a|), and |a| <= sqrt(|D|/3) when D < 0.  When D > 0,
 |a|*|c| = (D - b*b)/4 < D/4 and rho carries (a, b, c) to a form led by c,
-so every rho cycle holds a form with |a| < sqrt(D)/2, and the cycles are
-started from those alone.  The table of roots is walked only over the a
+so every rho cycle holds a form with |a| < sqrt(D)/2, and the walks start
+from those with a > 0 alone.  The table of roots is walked only over the a
 that have any, built from the odd prime powers with roots, so it costs
 about one Chinese remaindering per admissible a up to sqrt(|D|/3) or
 sqrt(D)/2, plus one step per root.  Everything is integer arithmetic;
@@ -321,22 +324,21 @@ def class_number_imaginary(D: int) -> ClassNumberReport:
 
 
 def _enumerate_indefinite(D):
-    """Yield the reduced indefinite forms (a, b, c) with
+    """Yield (a, b) for each reduced indefinite form (a, b, c) with
     0 < a <= isqrt(D)//2 of a positive fundamental D.
 
     Reduced means |sqrt(D) - 2|a|| < b < sqrt(D), exact via s = isqrt(D) as
-    s + 1 - 2a <= b <= s for these a.  For each a, each root class of
-    b*b = D (mod 4a) is walked through that window in steps of 2a, giving
-    (a, b, c) with c = (b*b - D)/(4a) < 0.  The cost is the square-root
-    table to sqrt(D)/2 plus about one step per root (Cohen, GTM 138, 5.6;
-    Buell, Binary Quadratic Forms, ch. 4).
+    s + 1 - 2a <= b <= s for these a.  That window holds 2a consecutive
+    integers, so each root class of b*b = D (mod 4a) gives exactly one b,
+    and c = (b*b - D)/(4a) < 0 follows from a and b.  The cost is the
+    square-root table to sqrt(D)/2 plus one step per root (Cohen, GTM 138,
+    5.6; Buell, Binary Quadratic Forms, ch. 4).
     """
     s = math.isqrt(D)
     for a, roots in _sqrt_table(D, s // 2):
         lo = s + 1 - 2 * a
         for r in roots:
-            for b in range(lo + (r - lo) % (2 * a), s + 1, 2 * a):
-                yield a, b, (b * b - D) // (4 * a)
+            yield a, lo + (r - lo) % (2 * a)
 
 
 def _rho(form, D, s):
@@ -358,42 +360,60 @@ def _narrow_class_number(D):
     with (-1, b0, -c0).
 
     The sign of a alternates along a rho cycle, and (a, b, c) -> (-a, b, -c)
-    commutes with rho, so the forms with a > 0 of each cycle make one cycle
-    of rho^2, and counting those counts the rho cycles.  A reduced form has
-    |a|*|c| = (D - b*b)/4 < D/4, and rho carries (a, b, c) to a form led by
-    c, so every cycle holds a form with |a| <= s//2.  The walks therefore
-    start only from the principal form, from each f with 0 < a <= s//2,
-    and from -rho(f) = rho(-f), which reaches the cycle of a small form
-    with a < 0: a table to sqrt(D)/2 instead of sqrt(D).  The principal
-    cycle is walked first, and (-1, b0, -c0) shares it exactly when that
-    form comes up at an odd step.  A walked form that was already seen or
-    is not reduced (0 < b <= s and |s - 2a| < b, exact for a > 0) means rho
-    is broken, and raises ArithmeticError.
+    commutes with rho, so the forms with a > 0 of each cycle C make one
+    cycle of rho^2, and the negated odd-step forms -rho(f) of that walk are
+    the forms with a > 0 of the cycle -C.  One walk therefore accounts for
+    the pair C, -C: C = -C exactly when -rho(start) was walked, and then
+    every negated form must belong to C; otherwise C and -C are two cycles,
+    and the negated forms are marked seen.  Since -C is C times the class of
+    (-1, b0, -c0), every cycle must agree with the principal cycle, which is
+    walked first, so the count is even whenever that cycle is not shared.
+    A reduced form has |a|*|c| = (D - b*b)/4 < D/4, and rho carries
+    (a, b, c) to a form led by c, so every cycle holds a form with
+    |a| <= s//2, and C or -C holds one with a > 0: the walks start only
+    from the principal form and from each (a, b) with 0 < a <= s//2 not yet
+    seen.  A walked form that was already seen, a walked or negated form
+    that is not reduced (0 < b <= s and |s - 2a| < b, exact for a > 0), or a
+    cycle that disagrees with these rules means rho is broken, and raises
+    ArithmeticError.
     """
     s = math.isqrt(D)
     b0 = s - (s - D) % 2
-    principal = (1, b0, (b0 * b0 - D) // 4)
-    negative = (-1, b0, -principal[2])
-    seen = set()
+    cycle_of = {}  # (a, b) of each a > 0 form seen -> the index of its cycle
     cycles = 0
-    shared = False
-    starts = itertools.chain.from_iterable(
-        ((a, b, c), _rho((-a, b, -c), D, s)) for a, b, c in _enumerate_indefinite(D))
-    for start in itertools.chain((principal,), starts):
-        if start in seen:
+    shared = None
+    for a, b in itertools.chain(((1, b0),), _enumerate_indefinite(D)):
+        if (a, b) in cycle_of:
             continue
-        f = start
+        f = start = (a, b, (b * b - D) // (4 * a))
+        negated = []
         while True:
             a, b, _ = f
-            if f in seen or not 0 < b <= s or abs(s - 2 * a) >= b:
+            if (a, b) in cycle_of or not 0 < b <= s or abs(s - 2 * a) >= b:
                 raise ArithmeticError(f"rho left the reduced forms of {D} at {f}")
-            seen.add(f)
+            cycle_of[a, b] = cycles
             g = _rho(f, D, s)
-            shared |= not cycles and g == negative
+            a, b, _ = g
+            if not 0 < b <= s or abs(s + 2 * a) >= b:
+                raise ArithmeticError(f"rho left the reduced forms of {D} at {g}")
+            negated.append((-a, b))
             f = _rho(g, D, s)
             if f == start:
                 break
-        cycles += 1
+        paired = cycle_of.get(negated[0]) == cycles
+        if shared is None:
+            shared = paired
+        elif paired != shared:
+            raise ArithmeticError(f"the rho cycle of {start} disagrees with the principal cycle of {D}")
+        if shared:  # every negated form is on C
+            commutes = set(map(cycle_of.get, negated)) == {cycles}
+        else:  # the negated forms of -C are new and distinct
+            size = len(cycle_of)
+            cycle_of.update(dict.fromkeys(negated, cycles + 1))
+            commutes = len(cycle_of) == size + len(negated)
+        if not commutes:
+            raise ArithmeticError(f"rho of {D} does not commute with negation on the cycle of {start}")
+        cycles += 1 if shared else 2
     return cycles, shared
 
 
@@ -406,6 +426,5 @@ def class_number_real(d: int) -> ClassNumberReport:
         raise ValueError(f"{d} is not a valid real radicand")
     D = supported_discriminant(d if d % 4 == 1 else 4 * d)
     h_narrow, negative_norm = _narrow_class_number(D)
-    assert negative_norm or h_narrow % 2 == 0
     h = h_narrow if negative_norm else h_narrow // 2
     return ClassNumberReport(discriminant_or_radicand=d, h=h, h2=h & -h)

@@ -189,9 +189,13 @@ def report_emit(report: PairReport, format: str = "json") -> bytes:
     raise ValueError(f"unknown report format {format!r}")
 
 
+def _malformed(what: str) -> ValueError:
+    return ValueError(f"malformed report: {what}")
+
+
 def _require(ok: bool, what: str) -> None:
     if not ok:
-        raise ValueError(f"malformed report: {what}")
+        raise _malformed(what)
 
 
 def _is_fsu(v) -> bool:
@@ -200,7 +204,8 @@ def _is_fsu(v) -> bool:
 
 
 def _has_keys(*keys):
-    return lambda v: isinstance(v, dict) and set(v) == set(keys)
+    keys = set(keys)
+    return lambda v: isinstance(v, dict) and set(v) == keys
 
 
 # report field -> (the check that fills it, the shape it must have when set)
@@ -216,6 +221,9 @@ _ARTIFACT_FIELDS = {
 }
 
 
+_H2_ROW_KEYS = ("radicand", "discriminant", "h", "h2")
+
+
 def validate_report_dict(d) -> None:
     """Check the fixed schema; raise ValueError on any deviation.
 
@@ -224,7 +232,10 @@ def validate_report_dict(d) -> None:
     "skipped: <first failed prerequisite> failed".  An artifact field must
     be well formed when the check that fills it passed, and may be null
     when that check failed; lemma_witnesses holds one entry per passed
-    lemma check.
+    lemma check.  The stated class numbers must agree with each other: the
+    h2_table rows follow subfield_radicands with h2 = h & -h, and a passed
+    kuroda_deg16 or structures entry restates h2(-pq) as h2_K = 2^m.  No
+    class number is recomputed, so an edited h with a consistent h2 passes.
     """
     _require(isinstance(d, dict) and tuple(d) == _REPORT_KEYS, "key set or order")
     _require(d["schema"] == REPORT_SCHEMA, "schema")
@@ -238,21 +249,39 @@ def validate_report_dict(d) -> None:
         return
     _require(isinstance(checks, list) and len(checks) == len(CHECK_IDS), "check count")
     passed = set()
+    # the loops below run once per cached report, so they raise without a
+    # call or a formatted message per entry
     for cid, c in zip(CHECK_IDS, checks):
-        _require(isinstance(c, list) and len(c) == 3 and c[0] == cid
-                 and isinstance(c[1], bool) and isinstance(c[2], str), f"check entry {cid}")
+        if not (isinstance(c, list) and len(c) == 3 and c[0] == cid
+                and isinstance(c[1], bool) and isinstance(c[2], str)):
+            raise _malformed(f"check entry {cid}")
         skip = _skip_detail(cid, passed)
-        _require(skip is None or c[1:] == [False, skip], f"{cid} must read {skip!r}")
+        if skip is not None and c[1:] != [False, skip]:
+            raise _malformed(f"{cid} must read {skip!r}")
         if c[1]:
             passed.add(cid)
     witnesses = d["lemma_witnesses"]
-    _require(isinstance(witnesses, list)
-             and len(witnesses) == sum(cid.startswith("lemma_") for cid in passed),
+    _require(isinstance(witnesses, list) and len(witnesses) == len(passed & _LEMMA_IDS),
              "lemma_witnesses")
     for key, (cid, well_formed) in _ARTIFACT_FIELDS.items():
         _require(well_formed(d[key]) if d[key] is not None else cid not in passed, key)
-    _require("kuroda_deg16" not in passed or isinstance(d["kuroda_results"]["h2_K"], int),
-             "kuroda_results.h2_K")
+    table = d["h2_table"]
+    if table is not None:
+        for r, row in zip(subfield_radicands(d["p"], d["q"]), table):
+            if type(row) is not dict or tuple(row) != _H2_ROW_KEYS:
+                raise _malformed(f"h2_table row keys of {r}")
+            radicand, discriminant, h, h2 = row.values()
+            # type(x) is int: JSON true decodes to a bool, which isinstance counts as int
+            if not (radicand == r and discriminant == (r if r % 4 == 1 else 4 * r)
+                    and type(h) is int and h >= 1 and type(h2) is int and h2 == h & -h):
+                raise _malformed(f"h2_table row of {r}")
+    # row 12 is h2(-pq); kuroda_deg16 and structures run only after quad_h2_table passed
+    if "kuroda_deg16" in passed:
+        h2_K = d["kuroda_results"]["h2_K"]
+        _require(type(h2_K) is int and h2_K == table[12]["h2"], "kuroda_results.h2_K")
+    if "structures" in passed:
+        m = d["structures"]["m"]
+        _require(type(m) is int and m >= 0 and 1 << m == table[12]["h2"], "structures.m")
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +506,7 @@ _CHECKS = {
     "structures": _check_structures,
 }
 CHECK_IDS = tuple(_CHECKS)
+_LEMMA_IDS = {cid for cid in CHECK_IDS if cid.startswith("lemma_")}
 
 # check id -> the checks that must pass before it runs, in the order their
 # artifacts are passed to it; a check not listed has none

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+from mqunits import classnum
 from mqunits.classnum import (
     KurodaInstance,
     crosscheck_quadratic_h2,
@@ -12,6 +17,7 @@ from mqunits.classnum import (
     subfield_radicands,
 )
 from mqunits.errors import Falsified
+from mqunits.forms import ClassNumberReport
 from mqunits.quadratic import classify_pair
 
 
@@ -41,6 +47,31 @@ def test_kuroda_instance_validation():
         KurodaInstance(6, (), 0)
     with pytest.raises(ValueError):
         KurodaInstance(8, ((2, 1), (5, 1)), 6)
+    with pytest.raises(ValueError, match="not all positive"):
+        KurodaInstance(4, ((2, 1), (5, 0), (10, 2)), 3)
+    with pytest.raises(ValueError, match="negative"):
+        KurodaInstance(4, ((2, 1), (5, 1), (10, 2)), -1)
+
+
+def test_input_checks_hold_under_python_O():
+    # assert statements vanish under python -O; these checks must not
+    code = textwrap.dedent("""\
+        from mqunits import classnum
+        from mqunits.forms import ClassNumberReport
+        for args in ((4, ((2, 1), (5, 0), (10, 2)), 3), (4, ((2, 1), (5, 1), (10, 2)), -1)):
+            try:
+                print("accepted", classnum.kuroda_h2(classnum.KurodaInstance(*args)))
+            except ValueError:
+                print("rejected")
+        classnum.quadratic_h2 = lambda r: ClassNumberReport(r, 12, 12)
+        try:
+            print("accepted", classnum.predict_structures(5, 11)["m"])
+        except classnum.Falsified:
+            print("falsified")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "rejected\nrejected\nfalsified\n"
 
 
 def test_instance_builders():
@@ -112,6 +143,12 @@ def test_predict_structures_cond2():
 def test_predict_structures_cond1_larger():
     rep = predict_structures(13, 3)
     assert rep["m"] == 2 and rep["gal_F2"] == "Q_3"
+
+
+def test_predict_structures_rejects_an_h2_that_is_not_a_power_of_2(monkeypatch):
+    monkeypatch.setattr(classnum, "quadratic_h2", lambda r: ClassNumberReport(r, 12, 12))
+    with pytest.raises(Falsified, match="not a power of 2"):
+        predict_structures(5, 11)
 
 
 def test_predict_structures_rejects_inapplicable():

@@ -87,6 +87,22 @@ def oracle_narrow_class_number(D):
     return cycles
 
 
+def oracle_principal_cycle_is_shared(D):
+    """Whether (-1, b0, -c0) lies on the rho cycle of the principal form,
+    walked through the oracle's reduced forms."""
+    s = math.isqrt(D)
+    b0 = s - (s - D) % 2
+    reduced = set(oracle_enumerate_indefinite(D))
+    f = principal = (1, b0, (b0 * b0 - D) // 4)
+    shared = False
+    while True:
+        assert f in reduced, (D, f)
+        shared |= f == (-1, b0, -principal[2])
+        f = _rho(f, D, s)
+        if f == principal:
+            return shared
+
+
 def oracle_form_pow(f, n, D):
     result = _principal_form(D)
     base = f
@@ -136,10 +152,12 @@ def assert_matches_oracle(D):
         assert forms == oracle_enumerate_posdef(D), D
         assert _group_structure(forms, D) == oracle_group_structure(forms, D), D
     else:
+        # c = (b*b - D)/(4a) follows from a and b, so (a, b) pairs lose nothing
         half = math.isqrt(D) // 2
-        want = [f for f in oracle_enumerate_indefinite(D) if 0 < f[0] <= half]
+        want = [(a, b) for a, b, _ in oracle_enumerate_indefinite(D) if 0 < a <= half]
         assert sorted(_enumerate_indefinite(D)) == want, D
-        assert _narrow_class_number(D)[0] == oracle_narrow_class_number(D), D
+        assert _narrow_class_number(D) == (oracle_narrow_class_number(D),
+                                           oracle_principal_cycle_is_shared(D)), D
 
 
 def test_enumerations_match_oracle_small():
@@ -208,6 +226,63 @@ def _merging_rho(D):
     return lambda f, D, s: _rho(f if f in cycle else principal, D, s)
 
 
+# norm(eps) = -1 for D = 40; +1 for D = 60 and 1010012 (radicand 3 mod 4)
+@pytest.mark.parametrize("D", [40, 60, 1010012])
+def test_one_walk_for_each_pair_of_cycles(monkeypatch, D):
+    calls = []
+
+    def counted(f, D, s):
+        calls.append(f)
+        return _rho(f, D, s)
+
+    monkeypatch.setattr(forms, "_rho", counted)
+    cycles, shared = _narrow_class_number(D)
+    assert shared == (D == 40)
+    positive = {f for f in oracle_enumerate_indefinite(D) if f[0] > 0}
+    # each walk alternates a > 0 and a < 0 forms: two calls per walked form
+    walked, odd = calls[::2], calls[1::2]
+    assert len(calls) == 2 * len(set(walked)) and set(walked) <= positive
+    assert len(walked) == (len(positive) if shared else len(positive) // 2)
+    negated = {(-a, b, -c) for a, b, c in odd}
+    if shared:
+        assert negated == positive
+    else:
+        assert negated | set(walked) == positive and not negated & set(walked)
+
+
+def _cross_rho(D, kind):
+    """rho, except that one odd step leaves its cycle for another one.
+
+    "merge": the principal form steps into the cycle -C of its own cycle C,
+    and a form of -C steps back, so C and -C make one cycle that disagrees
+    with every other pair.  "detour": a form of another cycle steps to the
+    negated principal form (-1, b0, -c0), whose negation was already seen,
+    and then returns to its own cycle.
+    """
+    s = math.isqrt(D)
+    b0 = s - (s - D) % 2
+    principal = (1, b0, (b0 * b0 - D) // 4)
+    neg = lambda f: (-f[0], f[1], -f[2])
+    if kind == "merge":
+        other = neg(_rho(principal, D, s))
+        swap = {principal: _rho(other, D, s), other: _rho(principal, D, s)}
+    else:
+        own, f = {principal, neg(principal)}, _rho(principal, D, s)
+        while f != principal:
+            own |= {f, neg(f)}
+            f = _rho(f, D, s)
+        f = min(f for f in oracle_enumerate_indefinite(D) if f[0] > 0 and f not in own)
+        swap = {f: neg(principal), neg(principal): _rho(_rho(f, D, s), D, s)}
+    return lambda f, D, s: swap[f] if f in swap else _rho(f, D, s)
+
+
+@pytest.mark.parametrize("kind, message", [("merge", "disagrees"), ("detour", "negation")])
+def test_rho_that_crosses_cycles_raises(monkeypatch, kind, message):
+    monkeypatch.setattr(forms, "_rho", _cross_rho(60, kind))
+    with pytest.raises(ArithmeticError, match=message):
+        _narrow_class_number(60)
+
+
 def test_broken_rho_raises(monkeypatch):
     monkeypatch.setattr(forms, "_rho", _merging_rho(60))
     with pytest.raises(ArithmeticError, match="rho left"):
@@ -223,17 +298,19 @@ def test_broken_rho_raises_under_python_O():
         import sys
         import test_forms
         from mqunits import forms
-        forms._rho = test_forms._merging_rho(60)
-        try:
-            print("returned", forms._narrow_class_number(60))
-        except ArithmeticError:
-            print("raised", sys.flags.optimize)
+        for broken in (test_forms._merging_rho(60), test_forms._cross_rho(60, "merge"),
+                       test_forms._cross_rho(60, "detour")):
+            forms._rho = broken
+            try:
+                print("returned", forms._narrow_class_number(60))
+            except ArithmeticError:
+                print("raised", sys.flags.optimize)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(__file__), env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "raised 1\n"
+    assert res.stdout == "raised 1\n" * 3
 
 
 # Classical class numbers of imaginary quadratic fields, keyed by fundamental

@@ -116,6 +116,15 @@ def test_validate_rejects_mangled_reports():
         lambda d: d["lemma_witnesses"].pop(),
         # wada_q_index failed, but its dependents still read as run
         lambda d: d["checks"][6].__setitem__(slice(1, 3), [False, "falsified: x"]),
+        # stated class numbers that contradict each other
+        lambda d: d["kuroda_results"].update(h2_K=999),
+        lambda d: d["kuroda_results"].update(h2_K=2.0),
+        lambda d: d["structures"].update(m=2),
+        lambda d: d["h2_table"][0].update(h2=2),
+        lambda d: d["h2_table"][12].update(h=True, h2=True),
+        lambda d: d["h2_table"][3].update(discriminant=20),
+        lambda d: d["h2_table"].reverse(),
+        lambda d: d["h2_table"][0].pop("discriminant"),
     ):
         bad = json.loads(good)
         mangle(bad)
@@ -276,6 +285,27 @@ def test_scan_recomputes_a_cache_file_that_is_not_a_report(tmp_path, mangle):
     assert summary == cold and reports[1].passed
     with open(path) as fh:
         assert report_from_json(fh.read()) == reports[1]
+
+
+def test_scan_recomputes_a_cached_report_that_contradicts_itself(tmp_path, monkeypatch):
+    # the manifest still matches: only the stated values give the edit away
+    cache = str(tmp_path / "cache")
+    scan(12, cache_dir=cache)
+    path = os.path.join(cache, "pair_5_11.json")
+    with open(path) as fh:
+        d = json.load(fh)
+    d["kuroda_results"]["h2_K"] = 999
+    with open(path, "w") as fh:
+        json.dump(d, fh)
+    calls = _count_verify_calls(monkeypatch)
+    warm_out = io.StringIO()
+    reports, summary = scan(12, cache_dir=cache, out=warm_out)
+    assert calls == [(5, 11)]
+    assert reports[1].kuroda_results["h2_K"] == 4 and summary.failures == []
+    with open(path) as fh:
+        assert report_from_json(fh.read()) == reports[1]
+    lines = [json.loads(line) for line in warm_out.getvalue().splitlines()]
+    assert lines[1]["kuroda_results"] == {"h2_Kplus": 1, "h2_K": 4}
 
 
 def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
