@@ -534,35 +534,47 @@ def scan_pairs(max_n: int):
     return sorted((p, q) for p in ps for q in qs)
 
 
-def _pair_path(cache_dir, p, q):
-    return os.path.join(cache_dir, f"pair_{p}_{q}.json")
+def _pair_name(p, q):
+    return f"pair_{p}_{q}.json"
 
 
 _PAIR_FILE = re.compile(r"pair_\d+_\d+\.json")
+# one "<SHA-256 hex>  <pair file name>" line (sha256sum format) per pair file written
+_DIGESTS = "pairs.sha256"
+_DIGEST_LINE = re.compile(r"([0-9a-f]{64})  (pair_\d+_\d+\.json)")
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # loads OpenSSL, a few ms that only a cached scan needs
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def _cache_manifest() -> str:
     """The manifest of a cache this code writes: the report schema and the
     SHA-256 over the package sources (*.py, in sorted name order)."""
-    import hashlib  # loads OpenSSL, a few ms that only a cached scan needs
-
     pkg = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
+    parts = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
                 src = fh.read()
-            digest.update(f"{name}\0{len(src)}\0".encode())
-            digest.update(src)
-    return json.dumps({"schema": REPORT_SCHEMA, "sources_sha256": digest.hexdigest()},
+            parts += [f"{name}\0{len(src)}\0".encode(), src]
+    return json.dumps({"schema": REPORT_SCHEMA, "sources_sha256": _sha256(b"".join(parts))},
                       separators=(",", ":"))
 
 
-def _open_cache(cache_dir) -> None:
-    """Make cache_dir hold only reports written by this code: unless its
-    manifest.json matches _cache_manifest(), delete its pair files, then
-    write the manifest before any pair is computed.  Raises ValueError when
-    cache_dir exists but is not a directory."""
+def _open_cache(cache_dir) -> dict:
+    """Make cache_dir hold only reports written by this code and return the
+    recorded digests, {pair file name: SHA-256 hex}.
+
+    Unless manifest.json matches _cache_manifest(), delete the pair files and
+    the digest file, then write the manifest before any pair is computed.
+    Otherwise read the digest file: the last complete line for a name wins,
+    and a torn or malformed line is dropped, so that pair is a miss.  A
+    digest file with dropped or superseded lines is rewritten with the
+    winning lines only.  Raises ValueError when cache_dir exists but is not
+    a directory."""
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except FileExistsError:
@@ -572,20 +584,39 @@ def _open_cache(cache_dir) -> None:
     try:
         with open(path, "rb") as fh:
             if fh.read() == manifest.encode():
-                return
+                return _read_digests(os.path.join(cache_dir, _DIGESTS))
     except FileNotFoundError:
         pass
     for name in os.listdir(cache_dir):
-        if _PAIR_FILE.fullmatch(name):
+        if name == _DIGESTS or _PAIR_FILE.fullmatch(name):
             os.unlink(os.path.join(cache_dir, name))
-    _atomic_write(path, manifest)
+    _atomic_write(path, manifest.encode())
+    return {}
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _read_digests(path) -> dict:
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return {}
+    digests = {}
+    # the last element is "" after a final newline, or else a torn line
+    for line in data.decode(errors="replace").split("\n")[:-1]:
+        m = _DIGEST_LINE.fullmatch(line)
+        if m:
+            digests[m[2]] = m[1]
+    text = "".join(f"{h}  {name}\n" for name, h in digests.items()).encode()
+    if text != data:
+        _atomic_write(path, text)
+    return digests
+
+
+def _atomic_write(path: str, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -593,16 +624,39 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_cached(cache_dir, p, q):
-    """The cached report of the pair, or None when the file is missing or
-    does not decode and validate as a report (it is then recomputed)."""
-    path = _pair_path(cache_dir, p, q)
-    if not os.path.exists(path):
+def _store(cache_dir, p, q, line: str) -> None:
+    """Write the pair file atomically, then append its digest line."""
+    name = _pair_name(p, q)
+    data = line.encode()
+    _atomic_write(os.path.join(cache_dir, name), data)
+    with open(os.path.join(cache_dir, _DIGESTS), "ab") as fh:
+        fh.write(f"{_sha256(data)}  {name}\n".encode())
+
+
+def _load_cached(cache_dir, digests, p, q):
+    """(report, JSON line) of the cached pair, or None for a miss.
+
+    A pair file is reused only if its bytes hash to the digest recorded when
+    scan wrote it and it still decodes and validates as a report.  The
+    digest proves the text is the canonical line this code wrote, so scan
+    prints it as it is, with no re-encoding.  A missing file or digest line,
+    a hand edit, or a file that is not a report is a miss: the pair is
+    recomputed."""
+    name = _pair_name(p, q)
+    want = digests.get(name)
+    if want is None:
         return None
     try:
-        with open(path) as fh:
-            return report_from_json(fh.read())
-    except ValueError:
+        with open(os.path.join(cache_dir, name), "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    if _sha256(data) != want:
+        return None
+    try:
+        line = data.decode()
+        return report_from_json(line), line
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError included
         return None
 
 
@@ -624,9 +678,13 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     per pair in (p, q) order followed by a summary line.
 
     With a cache directory, finished pair reports are reused and each newly
-    computed one is written atomically as soon as it is done, so an
-    interrupted scan keeps the pairs it finished.  Reports are reused only
-    while the directory's manifest names this code (see _open_cache).
+    computed one is written atomically as soon as it is done, followed by
+    one line with its SHA-256 in the digest file, so an interrupted scan
+    keeps the pairs it finished.  Reports are reused only while the
+    directory's manifest names this code (see _open_cache) and only if
+    their bytes still hash to the recorded digest (see _load_cached); a
+    reused report is printed as the stored text, so a warm scan prints the
+    bytes it checked.
     jobs > 1 distributes uncached pairs over at most that many worker
     processes, never more than there are uncached pairs; output order is
     unchanged.  jobs < 1 raises ValueError before anything is written.
@@ -636,9 +694,10 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = scan_pairs(max_n)
+    cached = {}
     if cache_dir:
-        _open_cache(cache_dir)
-    cached = {pair: _load_cached(cache_dir, *pair) for pair in pairs} if cache_dir else {}
+        digests = _open_cache(cache_dir)
+        cached = {pair: _load_cached(cache_dir, digests, *pair) for pair in pairs}
     todo = [pair for pair in pairs if cached.get(pair) is None]
 
     reports = []
@@ -651,12 +710,11 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
         fresh = (((report_from_json(line), line) for line in pool.map(_scan_worker, todo))
                  if parallel else ((rep, None) for rep in map(_verify_fresh, todo)))
         for pair in pairs:
-            rep, line = cached.get(pair), None
-            if rep is None:
-                rep, line = next(fresh)
-                if cache_dir:
-                    line = line or report_to_json(rep)
-                    _atomic_write(_pair_path(cache_dir, *pair), line)
+            hit = cached.get(pair)
+            rep, line = hit or next(fresh)
+            if hit is None and cache_dir:
+                line = line or report_to_json(rep)
+                _store(cache_dir, *pair, line)
             reports.append(rep)
             tag = rep.condition["tag"]
             c1 += tag == COND1

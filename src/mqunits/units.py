@@ -164,7 +164,8 @@ def _char_data(basis: FieldBasis) -> tuple:
         primes = []
         l = 7
         while len(primes) < CHAR_PRIMES:
-            if is_prime(l) and all(pow(g, l >> 1, l) == 1 for g in gens):
+            # the cheap symbol test first: it rejects most l without is_prime
+            if all(pow(g, l >> 1, l) == 1 for g in gens) and is_prime(l):
                 primes.append(l)
             l += 8
         big = math.prod(primes)

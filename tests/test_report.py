@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -170,7 +171,30 @@ def test_scan_cache_round_trip(tmp_path):
     assert warm_reports == cold_reports
     # warm output is byte-identical: cached reports keep their stored timings
     assert warm_out.getvalue().splitlines()[:2] == cold_out.getvalue().splitlines()[:2]
-    assert sorted(os.listdir(cache)) == ["manifest.json", "pair_5_11.json", "pair_5_3.json"]
+    assert sorted(os.listdir(cache)) == [
+        "manifest.json", "pair_5_11.json", "pair_5_3.json", "pairs.sha256"]
+
+
+def _digest_lines(cache):
+    with open(os.path.join(cache, "pairs.sha256")) as fh:
+        return fh.read().splitlines()
+
+
+def _assert_digests_hold(cache):
+    # what `sha256sum -c pairs.sha256` checks inside the cache directory
+    for line in _digest_lines(cache):
+        digest, name = line.split("  ")
+        with open(os.path.join(cache, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def _record_digest(cache, name):
+    """Append the digest of the pair file as it is now, as scan does after
+    writing it, so only decoding and validation can reject the file."""
+    with open(os.path.join(cache, name), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    with open(os.path.join(cache, "pairs.sha256"), "a") as fh:
+        fh.write(f"{digest}  {name}\n")
 
 
 def _count_verify_calls(monkeypatch):
@@ -220,7 +244,10 @@ def test_scan_cache_is_tied_to_the_code_that_wrote_it(tmp_path, monkeypatch, sta
         assert report_from_json(fh.read()) == reports[1]
     with open(manifest_path) as fh:
         assert json.load(fh) == manifest
-    assert sorted(os.listdir(cache)) == ["manifest.json", "pair_5_11.json", "pair_5_3.json"]
+    assert sorted(os.listdir(cache)) == [
+        "manifest.json", "pair_5_11.json", "pair_5_3.json", "pairs.sha256"]
+    # the old digest file went with the old pair files
+    assert [line[66:] for line in _digest_lines(cache)] == ["pair_5_3.json", "pair_5_11.json"]
 
 
 def test_scan_ignores_an_old_class_number_memo(tmp_path):
@@ -262,6 +289,7 @@ def test_scan_recovers_from_corrupt_cache(tmp_path):
     path = os.path.join(cache, "pair_5_3.json")
     with open(path, "w") as fh:
         fh.write("{ not json")
+    _record_digest(cache, "pair_5_3.json")
     reports, summary = scan(12, cache_dir=cache)
     assert summary.failures == []
     validate_report_dict(json.loads(open(path).read()))
@@ -281,6 +309,7 @@ def test_scan_recomputes_a_cache_file_that_is_not_a_report(tmp_path, mangle):
         good = json.load(fh)
     with open(path, "w") as fh:
         json.dump(mangle(good), fh)
+    _record_digest(cache, "pair_5_11.json")
     reports, summary = scan(12, cache_dir=cache)
     assert summary == cold and reports[1].passed
     with open(path) as fh:
@@ -288,7 +317,7 @@ def test_scan_recomputes_a_cache_file_that_is_not_a_report(tmp_path, mangle):
 
 
 def test_scan_recomputes_a_cached_report_that_contradicts_itself(tmp_path, monkeypatch):
-    # the manifest still matches: only the stated values give the edit away
+    # the manifest and the digest still match: only the stated values give the edit away
     cache = str(tmp_path / "cache")
     scan(12, cache_dir=cache)
     path = os.path.join(cache, "pair_5_11.json")
@@ -297,6 +326,7 @@ def test_scan_recomputes_a_cached_report_that_contradicts_itself(tmp_path, monke
     d["kuroda_results"]["h2_K"] = 999
     with open(path, "w") as fh:
         json.dump(d, fh)
+    _record_digest(cache, "pair_5_11.json")
     calls = _count_verify_calls(monkeypatch)
     warm_out = io.StringIO()
     reports, summary = scan(12, cache_dir=cache, out=warm_out)
@@ -306,6 +336,74 @@ def test_scan_recomputes_a_cached_report_that_contradicts_itself(tmp_path, monke
         assert report_from_json(fh.read()) == reports[1]
     lines = [json.loads(line) for line in warm_out.getvalue().splitlines()]
     assert lines[1]["kuroda_results"] == {"h2_Kplus": 1, "h2_K": 4}
+
+
+def test_scan_recomputes_a_hand_edit_that_validates(tmp_path, monkeypatch):
+    # h2 = h & -h still holds, so only the recorded digest gives the edit away
+    cache = str(tmp_path / "cache")
+    scan(12, cache_dir=cache)
+    path = os.path.join(cache, "pair_5_11.json")
+    with open(path) as fh:
+        d = json.load(fh)
+    assert d["h2_table"][0] == {"radicand": -1, "discriminant": -4, "h": 1, "h2": 1}
+    d["h2_table"][0]["h"] = 77
+    with open(path, "w") as fh:
+        fh.write(json.dumps(d, separators=(",", ":")))
+    with open(path) as fh:
+        validate_report_dict(json.load(fh))
+    calls = _count_verify_calls(monkeypatch)
+    warm_out = io.StringIO()
+    reports, summary = scan(12, cache_dir=cache, out=warm_out)
+    assert calls == [(5, 11)] and summary.failures == []
+    assert json.loads(warm_out.getvalue().splitlines()[1])["h2_table"][0]["h"] == 1
+    with open(path) as fh:
+        assert report_from_json(fh.read()) == reports[1]
+    # the recomputed file is reused, and its newer digest line won
+    scan(12, cache_dir=cache)
+    assert calls == [(5, 11)]
+    assert [line[66:] for line in _digest_lines(cache)] == ["pair_5_3.json", "pair_5_11.json"]
+    _assert_digests_hold(cache)
+
+
+def test_scan_reuses_a_pair_file_rewritten_with_equal_bytes(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    cold_out = io.StringIO()
+    scan(12, cache_dir=cache, out=cold_out)
+    path = os.path.join(cache, "pair_5_11.json")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    os.unlink(path)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    calls = _count_verify_calls(monkeypatch)
+    warm_out = io.StringIO()
+    scan(12, cache_dir=cache, out=warm_out)
+    assert calls == [] and warm_out.getvalue() == cold_out.getvalue()
+
+
+@pytest.mark.parametrize("damage,lost", [("missing", (5, 3)), ("torn", (5, 11))])
+def test_scan_recomputes_only_the_pair_whose_digest_line_is_lost(tmp_path, monkeypatch,
+                                                                 damage, lost):
+    cache = str(tmp_path / "cache")
+    cold_out = io.StringIO()
+    scan(12, cache_dir=cache, out=cold_out)
+    path = os.path.join(cache, "pairs.sha256")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    first, last = data.splitlines(keepends=True)
+    with open(path, "wb") as fh:
+        # "missing" drops the line of pair_5_3.json; "torn" cuts the last line short
+        fh.write(last if damage == "missing" else first + last[:40])
+    calls = _count_verify_calls(monkeypatch)
+    warm_out = io.StringIO()
+    scan(12, cache_dir=cache, out=warm_out)
+    assert calls == [lost]
+    kept = 1 - [(5, 3), (5, 11)].index(lost)
+    assert warm_out.getvalue().splitlines()[kept] == cold_out.getvalue().splitlines()[kept]
+    scan(12, cache_dir=cache)
+    assert calls == [lost]
+    _assert_digests_hold(cache)
+    assert len(_digest_lines(cache)) == 2
 
 
 def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
@@ -322,8 +420,14 @@ def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
     out = io.StringIO()
     with pytest.raises(KeyboardInterrupt):
         scan(20, cache_dir=str(cache), out=out)
-    assert sorted(os.listdir(cache)) == ["manifest.json", "pair_5_11.json", "pair_5_3.json"]
+    assert sorted(os.listdir(cache)) == [
+        "manifest.json", "pair_5_11.json", "pair_5_3.json", "pairs.sha256"]
     assert [json.loads(line)["q"] for line in out.getvalue().splitlines()] == [3, 11]
+
+    # the rerun reuses both finished pairs
+    calls = _count_verify_calls(monkeypatch)
+    _, summary = scan(20, cache_dir=str(cache))
+    assert calls == [(5, 19), (13, 3), (13, 11), (13, 19)] and summary.failures == []
 
 
 def _fail_wada_fsu_on_5_11(monkeypatch):
@@ -451,6 +555,7 @@ def test_optimized_interpreter_recomputes_an_edited_cache_file(tmp_path):
     d["kuroda_results"]["h2_K"] = 999
     with open(path, "w") as fh:
         json.dump(d, fh)
+    _record_digest(cache, "pair_5_11.json")
     res = subprocess.run([sys.executable, "-O", "-m", "mqunits.cli", "scan", "--max", "11",
                           "--cache", cache], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

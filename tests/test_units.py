@@ -450,6 +450,17 @@ def test_char_vectors_of_squares(p, q):
         assert _char_vector(w * u) == v ^ _char_vector(u)
 
 
+@pytest.mark.parametrize("gens,primes", [
+    ((2, 5, 11), (79, 151, 239, 271, 359, 431, 439, 479,
+                  919, 1031, 1151, 1231, 1319, 1399, 1471, 1559)),
+    ((2, 13, 3), (23, 191, 263, 311, 503, 599, 647, 719,
+                  887, 911, 1031, 1223, 1439, 1511, 1559, 1583)),
+])
+def test_char_primes_are_pinned(gens, primes):
+    # the primes enter every character vector, so the search order must not move them
+    assert _char_data(FieldBasis(gens))[0] == primes
+
+
 def test_char_vector_refuses_zero_residues_and_cm_fields():
     field = FieldBasis((2, 5, 11))
     l = _char_data(field)[0][0]
