@@ -130,6 +130,12 @@ def main(argv=None) -> int:
     c.set_defaults(run=_cmd_classnum)
 
     args = parser.parse_args(argv)
+    # a fundamental unit inside the supported range can have more digits than
+    # the default int <-> str limit (Python 3.10.7 and later), so the limit is
+    # lifted while the verb runs; arguments were parsed under it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except Falsified as exc:
@@ -137,6 +143,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

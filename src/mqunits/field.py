@@ -335,32 +335,6 @@ def _from_terms(basis: FieldBasis, terms: dict) -> FieldElement:
     return FieldElement(basis, *_reduced(tuple(num), den))
 
 
-def conjugate(u: FieldElement, mask: int) -> FieldElement:
-    """The Galois conjugate sending sqrt(g_i) to -sqrt(g_i) for each bit i of
-    mask."""
-    return FieldElement(u.basis, *_conjugate((u._num, u._den), mask))
-
-
-def relative_norm(u: FieldElement, mask: int) -> FieldElement:
-    """u times its conjugate under mask.  With u = A + B, where A holds the
-    terms fixed by mask and B those it negates, that is A^2 - B^2: each
-    unordered pair of terms of A, or of B, is multiplied once, and every
-    surd of the result is fixed by mask by construction."""
-    coef = u.basis._coef
-    out = [0] * u.basis.dim
-    parts = ([], [])
-    for m, n in enumerate(u._num):
-        if n:
-            parts[(m & mask).bit_count() & 1].append((m, n))
-    for sign, terms in zip((1, -1), parts):
-        for i, (m1, a) in enumerate(terms):
-            row = coef[m1]
-            out[0] += sign * a * a * row[m1]
-            for m2, b in terms[i + 1:]:
-                out[m1 ^ m2] += 2 * sign * a * b * row[m2]
-    return FieldElement(u.basis, *_reduced(tuple(out), u._den * u._den))
-
-
 # ---------------------------------------------------------------------------
 # real signs
 

@@ -12,8 +12,10 @@ integers, after scaling every vector by the lcm of the exponent denominators
 Construction goes bottom-up: known FSU shapes for the six relevant
 biquadratic configurations, then saturation by square roots of subset
 products for degree-8 totally real fields, then one torsion-twisted square
-root for the CM extension.  Every predicted square root is materialized as
-an exact element; a missing root raises Falsified rather than guessing.
+root for the CM extension.  The builders materialize every predicted square
+root as an exact element; a missing root raises Falsified rather than
+guessing.  The norm tables of the degree-8 field take no root: they are
+checked on exponent vectors, with signs at the real embeddings (norm_table).
 
 Each unit is verified once, where it is made (_make_expr); a unit carried
 into a larger field is embedded with its exponents and torsion exponent
@@ -34,9 +36,7 @@ from .errors import Falsified
 from .field import (
     FieldBasis,
     FieldElement,
-    conjugate,
     embed_element,
-    relative_norm,
     sign_at_embedding,
     sqrt_in_field,
     torsion_order,
@@ -243,22 +243,22 @@ def _embed_expr(g: UnitExpr, big: FieldBasis) -> UnitExpr:
                     embed_element(g.witness, big))
 
 
-def _hnf(exps_list, frame) -> list:
-    """The row Hermite normal form of the lattice spanned by exps_list, whose
-    vectors all lie in the list frame.
+def _scaled_row(exps: dict, labels, level: int) -> list:
+    """The exponents of exps at labels, times level, as integers."""
+    return [e.numerator * (level // e.denominator) for e in (exps.get(r, 0) for r in labels)]
 
-    Columns are the labels of frame, and every vector is scaled by the
-    exponent level of frame, so the entries are integers.  The nonzero rows
-    come out in echelon form with positive pivots, and the entries above each
-    pivot are reduced into [0, pivot), which makes the form unique: two lists
-    span the same lattice exactly when their forms in one frame are equal.
+
+def _echelon(rows, ncols: int) -> list:
+    """The row Hermite normal form of the integer rows over their first
+    ncols columns; later columns ride along with every row operation.
+
+    The nonzero rows come out in echelon form with positive pivots, and the
+    entries above each pivot are reduced into [0, pivot), which makes the
+    form unique for the lattice the rows span.  The rows are changed in
+    place.
     """
-    labels = sorted({r for exps in frame for r in exps})
-    level = exponent_level(frame)
-    rows = [[e.numerator * (level // e.denominator) for e in (exps.get(r, 0) for r in labels)]
-            for exps in exps_list]
     out = []
-    for c in range(len(labels)):
+    for c in range(ncols):
         live = [row for row in rows if row[c]]
         if not live:
             continue
@@ -280,6 +280,19 @@ def _hnf(exps_list, frame) -> list:
                 row[:] = [a - f * b for a, b in zip(row, piv)]
         out.append(piv)
     return out
+
+
+def _hnf(exps_list, frame) -> list:
+    """The row Hermite normal form of the lattice spanned by exps_list, whose
+    vectors all lie in the list frame.
+
+    Columns are the labels of frame, and every vector is scaled by the
+    exponent level of frame, so the entries are integers.  Two lists span
+    the same lattice exactly when their forms in one frame are equal.
+    """
+    labels = sorted({r for exps in frame for r in exps})
+    level = exponent_level(frame)
+    return _echelon([_scaled_row(exps, labels, level) for exps in exps_list], len(labels))
 
 
 def _q_log2(gens) -> int:
@@ -686,17 +699,31 @@ _NT_COND2 = {
 }
 
 _NT_ROW_ORDER = (E2, EP, SQ, S2Q, SPQ, S2PQ, SP2P, F4)
+# the units of theorem_real_exponents, in its order
+_REAL_NAMES = (E2, EP, SQ, S2Q, SPQ, SP2P, F4)
 
 
 def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     """Check conjugates and relative norms of the degree-8 units against the
     predicted table, resolving the symbolic signs.
 
-    Every table entry is materialized exactly from canonical witnesses
-    (square roots normalized positive at the all-plus embedding) and
-    compared with the computed conjugate or norm.  A fixed-sign entry must
-    match exactly; a symbolic sign is resolved on first use and must stay
-    consistent within its row.  Any mismatch raises Falsified.
+    A named unit is the one with its exponent vector that is positive at the
+    all-plus embedding, and an entry claims tau(w) or w*tau(w) = sign *
+    monomial.  The claim is checked in two parts, on integer exponent
+    vectors scaled by their level:
+    - the exponents: tau(eps_r) = N(eps_r)/eps_r when tau moves sqrt(r), so
+      tau negates those exponents of w; that, plus w for a norm column, must
+      be the vector of the monomial;
+    - the sign: two real units with one exponent vector differ by +-1, and
+      the monomial is positive at the all-plus embedding, so the sign is
+      that of w at the embedding sigma negating the column's mask.  With
+      w = +-prod g_i^c_i over the FSU generators, that is the product of
+      s_i(sigma)*s_i(1) over the odd c_i, s_i(sigma) being the sign of g_i
+      at sigma.
+    The c come from one integer echelon of the generators; a row vector
+    outside their lattice names no unit.  A fixed sign must match; a
+    symbolic sign is resolved on first use and must stay consistent within
+    its row.  Any mismatch raises Falsified.
     """
     ps = [g for g in field.generators if g % 8 == 5]
     qs = [g for g in field.generators if g % 8 == 3]
@@ -709,97 +736,67 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     if fsu.field is not field:
         raise ValueError(f"the unit system lives in {fsu.field}, not in {field}")
 
-    units = _base_units(field)
-    env = {
-        E2: units[2], EP: units[p], EQ: units[q], E2P: units[2 * p],
-        E2Q: units[2 * q], EPQ: units[p * q], E2PQ: units[2 * p * q],
-    }
-    by_exps = {frozenset(g.exponents.items()): g.witness for g in fsu.generators}
-
-    def materialize(name, exps, square):
-        key = frozenset(exps.items())
-        if key in by_exps and by_exps[key] * by_exps[key] == square:
-            return _norm_pos(by_exps[key])
-        w = sqrt_in_field(square)
-        if w is None:
-            raise Falsified(f"{name} is predicted to exist in {field!r} but its square is not a square")
-        return _norm_pos(w)
-
-    H, Q4 = Fraction(1, 2), Fraction(1, 4)
-    env[SQ] = materialize(SQ, {q: H}, env[EQ])
-    env[S2Q] = materialize(S2Q, {2 * q: H}, env[E2Q])
-    env[SPQ] = materialize(SPQ, {p * q: H}, env[EPQ])
-    env[S2PQ] = materialize(S2PQ, {2 * p * q: H}, env[E2PQ])
-    env[SP2P] = materialize(SP2P, {2: H, p: H, 2 * p: H}, env[E2] * env[EP] * env[E2P])
-    if cond.tag == COND1:
-        f4_exps = {p: H, 2 * q: Q4, p * q: Q4, 2 * p * q: Q4}
-        f4_square = env[EP] * env[S2Q] * env[SPQ] * env[S2PQ]
-    else:
-        f4_exps = {2: H, p: H, q: Q4, p * q: Q4, 2 * p * q: Q4}
-        f4_square = env[E2] * env[EP] * env[SQ] * env[SPQ] * env[S2PQ]
-    env[F4] = materialize(F4, f4_exps, f4_square)
-
-    inv_cache = {}
-
-    def power(name, e):
-        if e >= 0:
-            return env[name] ** e
-        if name not in inv_cache:
-            inv_cache[name] = env[name].inverse()
-        return inv_cache[name] ** (-e)
+    named = dict(zip(_REAL_NAMES, theorem_real_exponents(p, q, cond.tag)))
+    named[S2PQ] = {2 * p * q: Fraction(1, 2)}
+    for name, r in ((EQ, q), (E2P, 2 * p), (E2Q, 2 * q), (EPQ, p * q), (E2PQ, 2 * p * q)):
+        named[name] = {r: 1}
+    gens = [g.exponents for g in fsu.generators]
+    # column m - 1 holds the exponent of eps at radicand m, so tau negates
+    # the columns whose mask meets its own in an odd number of bits
+    labels = field.radicands[1:]
+    level = exponent_level(gens + list(named.values()))
+    vec = {name: _scaled_row(e, labels, level) for name, e in named.items()}
+    n, k = len(gens), len(labels)
+    form = _echelon([_scaled_row(e, labels, level) + [int(i == j) for j in range(n)]
+                     for i, e in enumerate(gens)], k)
 
     bit = {g: 1 << i for i, g in enumerate(field.generators)}
-    taus = {
-        "tau1": bit[2],
-        "tau2": bit[p],
-        "tau3": bit[q],
-        "n12": bit[2] | bit[p],
-        "n13": bit[2] | bit[q],
-        "n23": bit[p] | bit[q],
-    }
-
-    monomials = {}
-
-    def monomial(mono):
-        """The product of the powers in mono, evaluated once per table."""
-        key = tuple(mono.items())
-        if key not in monomials:
-            value = field.one()
-            for name, e in mono.items():
-                value = value * power(name, e)
-            monomials[key] = value
-        return monomials[key]
+    t1, t2, t3 = bit[2], bit[p], bit[q]
+    masks = dict(zip(NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
+    gen_signs = [{m: sign_at_embedding(g.witness, {h: -1 if m & b else 1 for h, b in bit.items()})
+                  for m in {0, *masks.values()}} for g in fsu.generators]
 
     table = dict(_NT_COMMON)
     table.update(_NT_COND1 if cond.tag == COND1 else _NT_COND2)
     rows = []
     for label in _NT_ROW_ORDER:
-        w = env[label]
+        w = vec[label]
+        # reduce (w | 0) by the rows (h | u) of the form, u*G = h: what is
+        # left is (0 | -c) exactly when w = c*G
+        x = w + [0] * n
+        for row in form:
+            c = next(j for j, a in enumerate(row) if a)
+            f, rem = divmod(x[c], row[c])
+            if rem:
+                break
+            x = [a - f * b for a, b in zip(x, row)]
+        if any(x[:k]):
+            raise Falsified(f"{label} is predicted to exist in {field!r} but its exponent vector "
+                            "is not in the unit lattice")
+        odd = [i for i, a in enumerate(x[k:]) if a & 1]
         resolved = {}
         entries = {}
         for col, entry in zip(NORM_COLUMNS, table[label]):
             if entry is None:
                 continue
-            if col.startswith("tau"):
-                computed = conjugate(w, taus[col])
-            else:
-                tau = taus[col] if col in taus else taus["tau" + col[1]]
-                computed = relative_norm(w, tau)
             sign, mono = entry
-            value = monomial(mono)
+            mask = masks[col]
+            image = [-a if (m & mask).bit_count() & 1 else a for m, a in enumerate(w, 1)]
+            if not col.startswith("tau"):
+                image = [a + b for a, b in zip(image, w)]
+            target = [0] * k
+            for name, e in mono.items():
+                target = [a + e * b for a, b in zip(target, vec[name])]
+            if image != target:
+                raise Falsified(f"norm table shape mismatch at row {label}, column {col}")
+            got = math.prod(gen_signs[i][mask] * gen_signs[i][0] for i in odd)
             if sign in (1, -1):
-                if computed != (value if sign > 0 else -value):
+                if got != sign:
                     raise Falsified(f"norm table mismatch at row {label}, column {col}")
                 entries[col] = (sign, None, dict(mono))
-                continue
-            if computed == value:
-                got = 1
-            elif computed == -value:
-                got = -1
-            else:
-                raise Falsified(f"norm table shape mismatch at row {label}, column {col}")
-            if resolved.setdefault(sign, got) != got:
+            elif resolved.setdefault(sign, got) != got:
                 raise Falsified(f"inconsistent sign {sign} in norm table row {label}")
-            entries[col] = (got, sign, dict(mono))
+            else:
+                entries[col] = (got, sign, dict(mono))
         rows.append(NormRow(label, entries))
     return NormTable(field, tuple(rows))

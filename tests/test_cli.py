@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -150,6 +151,14 @@ def test_fsu_degree8_cm():
     assert d["q_index_log2"] == 7
     assert d["unit_index"] == 256
     assert len(d["generators"]) == 7
+
+
+def test_fsu_prints_a_unit_over_the_default_digit_limit():
+    # the fundamental unit of Q(sqrt(12001999)) has 4459-digit coefficients
+    res = run_cli("fsu", "--radicands", "12001999")
+    assert res.returncode == 0, res.stderr
+    (g,) = json.loads(res.stdout)["generators"]
+    assert max(map(len, re.findall(r"\d+", g["witness"]))) > 4300
 
 
 def test_classnum_verb():

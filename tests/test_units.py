@@ -15,7 +15,8 @@ from mqunits import report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
 from mqunits.intarith import kronecker_symbol
-from mqunits.quadratic import COND1, COND2
+from mqunits.quadratic import COND1, COND2, classify_pair
+from mqunits.report import scan_pairs
 from mqunits.units import (
     CHAR_PRIMES,
     FsuResult,
@@ -40,6 +41,8 @@ from mqunits.units import (
     vector_in_lattice,
     wada_fsu,
 )
+
+import norm_oracle
 
 H = Fraction(1, 2)
 
@@ -211,6 +214,41 @@ def test_norm_table_requires_deg8_shape():
     fsu = fsu_biquadratic(5, 11)
     with pytest.raises(ValueError):
         norm_table(fsu.field, fsu)
+
+
+def test_norm_table_matches_the_oracle():
+    """The exponent-and-sign table equals the table evaluated in the field."""
+    pairs = [pq for pq in scan_pairs(200) if classify_pair(*pq).is_applicable]
+    assert len(pairs) == 156
+    for p, q in pairs + [(653, 347), (3181, 3011)]:
+        field = FieldBasis((2, p, q))
+        fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (p, q, p * q)])
+        assert norm_table(field, fsu) == norm_oracle.norm_table(field, fsu), (p, q)
+
+
+@pytest.mark.parametrize("entry", [
+    (1, {units.E2: -1}),  # the fixed sign of tau1(eps_2) flipped
+    (-1, {units.E2: -2}),  # its monomial exponent altered
+])
+def test_tampered_norm_table_entry_is_falsified(monkeypatch, entry):
+    field, fsu = deg8(5, 11)
+    assert units._NT_COMMON[units.E2][0] == (-1, {units.E2: -1})
+    monkeypatch.setitem(units._NT_COMMON, units.E2, (entry,) + units._NT_COMMON[units.E2][1:])
+    for table in (norm_table, norm_oracle.norm_table):
+        with pytest.raises(Falsified, match="norm table"):
+            table(field, fsu)
+
+
+def test_norm_table_row_outside_the_unit_lattice_is_falsified():
+    field, fsu = deg8(5, 11)
+    # squaring one generator leaves an index-2 sublattice, which misses one
+    # of the seven named units that span the full lattice
+    g = max(fsu.generators, key=lambda g: g.cleared_level())
+    squared = UnitExpr(0, {r: 2 * e for r, e in g.exponents.items()}, g.witness * g.witness)
+    gens = tuple(squared if h is g else h for h in fsu.generators)
+    small = FsuResult(field, fsu.torsion, gens, fsu.q_index_log2 - 1)
+    with pytest.raises(Falsified, match="is predicted to exist"):
+        norm_table(field, small)
 
 
 def test_lattice_helpers():
@@ -515,4 +553,5 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
     monkeypatch.setattr(report, "sqrt_in_field", counting_sqrt)
     assert report.verify_pair(13, 3).passed
     assert len(made) == 10
-    assert all(roots) and len(roots) == 13
+    # the norm table takes no root: it works on exponents and signs
+    assert all(roots) and len(roots) == 12
