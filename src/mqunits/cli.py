@@ -15,6 +15,7 @@ import sys
 from .errors import Falsified
 from .field import FieldBasis
 from .forms import DISCRIMINANT_GUARD, class_number_imaginary, class_number_real, supported_discriminant
+from .intarith import unlimited_int_digits
 from .quadratic import UNSUPPORTED
 from .report import (
     _fsu_to_dict,
@@ -131,21 +132,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     # a fundamental unit inside the supported range can have more digits than
-    # the default int <-> str limit (Python 3.10.7 and later), so the limit is
-    # lifted while the verb runs; arguments were parsed under it
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    # the default int <-> str limit, so the limit is lifted while the verb
+    # runs; arguments were parsed under it
     try:
-        return args.run(args)
+        with unlimited_int_digits():
+            return args.run(args)
     except Falsified as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import math
 import re
 from fractions import Fraction
 
-from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose
+from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose, unlimited_int_digits
 
 # generator tuple -> its one FieldBasis
 _BASES = {}
@@ -342,14 +342,8 @@ def _from_terms(basis: FieldBasis, terms: dict) -> FieldElement:
 def sign_at_embedding(u: FieldElement, signs: dict) -> int:
     """Sign of u under the real embedding sending sqrt(g) to signs[g]*sqrt(g).
 
-    Only defined for nonzero elements supported on positive radicands.  The
-    common denominator is positive, so u has the sign of its numerator part,
-    a sum of terms n*sqrt(r).  Each term is bracketed by its signed floor
-    sign(n)*floor(|n|*sqrt(r)*10^digits), starting at 8 digits; the sum of
-    the floors is off by less than their count from 10^digits times that
-    part, so a sum at least the count in absolute value decides.  While it
-    does not, the digits double; the loop ends because u != 0 and the surds
-    are linearly independent over Q.
+    Only defined for nonzero elements supported on positive radicands; the
+    work is done by signs_at_embeddings.
     """
     j = 0
     for i, g in enumerate(u.basis.generators):
@@ -357,21 +351,48 @@ def sign_at_embedding(u: FieldElement, signs: dict) -> int:
             raise ValueError(f"no sign provided for generator {g}")
         if signs.get(g, 1) < 0:
             j |= 1 << i
+    return signs_at_embeddings(u, (j,))[0]
+
+
+def signs_at_embeddings(u: FieldElement, masks) -> list:
+    """The signs of u at several real embeddings, in the order of masks:
+    mask j sends sqrt(g_i) to -sqrt(g_i) for each bit i of j and fixes the
+    other generators.
+
+    Only defined for nonzero elements supported on positive radicands.  The
+    common denominator is positive, so u has the sign of its numerator part,
+    a sum of terms n*sqrt(r).  Each term is bracketed by its signed floor
+    sign(n)*floor(|n|*sqrt(r)*10^digits), starting at 8 digits, and the
+    embedding j flips the terms whose mask meets j in an odd number of bits.
+    The sum of the floors is off by less than their count from 10^digits
+    times that part, so a sum at least the count in absolute value decides.
+    The floors are taken once per precision for every embedding, and only
+    the embeddings left undecided go on to twice the digits; the loop ends
+    because u != 0 and the surds are linearly independent over Q.
+    """
     if u.is_zero():
         raise ValueError("sign of zero is undefined")
     rads = u.basis.radicands
-    terms = [(m, -n if (m & j).bit_count() & 1 else n) for m, n in enumerate(u._num) if n]
+    terms = [(m, n) for m, n in enumerate(u._num) if n]
     if any(rads[m] < 0 for m, _ in terms):
         raise ValueError("sign_at_embedding requires a real-supported element")
+    out = {}
+    todo = set(masks)
     digits = 8
-    while True:
-        total = 0
+    while todo:
+        floors = []
         for m, n in terms:
             lo, _ = sqrt_interval(n * n * rads[m], digits)
-            total += lo if n > 0 else -lo
-        if abs(total) >= len(terms):
-            return 1 if total > 0 else -1
+            floors.append((m, lo if n > 0 else -lo))
+        for j in tuple(todo):
+            total = 0
+            for m, f in floors:
+                total += -f if (m & j).bit_count() & 1 else f
+            if abs(total) >= len(terms):
+                out[j] = 1 if total > 0 else -1
+                todo.discard(j)
         digits *= 2
+    return [out[j] for j in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +547,7 @@ def torsion_order(basis: FieldBasis) -> int:
 _TERM_RE = re.compile(r"^(-?\d+)/(\d+)\*sqrt\((-?\d+)\)$")
 
 
+@unlimited_int_digits()
 def serialize_element(u: FieldElement) -> str:
     """Canonical text form: nonzero terms "num/den*sqrt(r)" joined by " + "
     in basis mask order; the zero element prints as "0/1*sqrt(1)"."""
@@ -538,6 +560,7 @@ def serialize_element(u: FieldElement) -> str:
     return " + ".join(parts) if parts else "0/1*sqrt(1)"
 
 
+@unlimited_int_digits()
 def parse_element(s: str, basis: FieldBasis) -> FieldElement:
     """Inverse of serialize_element for elements of the given basis."""
     terms = {}

@@ -4,12 +4,15 @@ Everything here is pure and deterministic: a grow-on-demand prime sieve,
 distinct prime factors, squarefree decomposition, perfect-square testing,
 the Kronecker symbol, square roots modulo an odd prime, and integer brackets
 of scaled square roots for exact sign determination.
-No floating point anywhere.
+No floating point anywhere.  unlimited_int_digits lifts the interpreter's
+limit on int <-> str conversion for the code that prints or reads units.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 _sieve_limit = 13
@@ -212,3 +215,22 @@ def sqrt_interval(n: int, digits: int) -> tuple[int, int]:
     target = n * 100**digits
     lo = math.isqrt(target)
     return lo, lo if lo * lo == target else lo + 1
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int <-> str conversion limit (Python 3.10.7 and later) inside
+    the block and restore the limit found on entry; where the interpreter
+    has no limit, the block runs as it is.  Fundamental units inside the
+    supported range can have more digits than the default limit of 4300.
+    Also usable as a decorator: `@unlimited_int_digits()`."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)

@@ -13,13 +13,13 @@ prerequisite failed is skipped, and a report with failed checks round-trips
 like any other.
 """
 
+import functools
 import json
 import math
 import os
 import re
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
@@ -37,18 +37,16 @@ from .classnum import (
 from .errors import Falsified
 from .field import FieldBasis, drop_bases, embed_element, serialize_element, sqrt_in_field
 from .forms import DISCRIMINANT_GUARD, disc_of_radicand
-from .intarith import is_prime
+from .intarith import is_prime, unlimited_int_digits
 from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
 from .units import (
     azizi_extend,
     exponent_level,
     fsu_biquadratic,
-    lattice_equal,
     norm_table,
     theorem_cm_exponents,
     theorem_real_exponents,
     unit_index,
-    vector_in_lattice,
     wada_fsu,
 )
 
@@ -156,6 +154,7 @@ def report_to_dict(report: PairReport) -> dict:
     return {"schema": REPORT_SCHEMA, **{k: getattr(report, k) for k in _FIELDS}}
 
 
+@unlimited_int_digits()
 def report_to_json(report: PairReport) -> str:
     return json.dumps(report_to_dict(report), separators=(",", ":"))
 
@@ -167,6 +166,7 @@ def report_from_dict(d: dict) -> PairReport:
     return PairReport(**kwargs)
 
 
+@unlimited_int_digits()
 def report_from_json(s: str) -> PairReport:
     return report_from_dict(json.loads(s))
 
@@ -312,6 +312,7 @@ def _skip_detail(cid, passed):
     return None
 
 
+@unlimited_int_digits()
 def verify_pair(p: int, q: int) -> PairReport:
     """Run every registered check for the pair and assemble its report.
 
@@ -370,13 +371,26 @@ def _make_lemma_check(tag):
     return check
 
 
+@functools.lru_cache(maxsize=64)
+def _one_prime_fsu(d1, d2):
+    """fsu_biquadratic(d1, d2) for the fields Q(sqrt2, sqrt p) and
+    Q(sqrt2, sqrt q), kept across pairs: a scan pairs every p with every q.
+
+    A kept result may live in a basis that drop_bases has since forgotten.
+    Its units are only embedded into the fields of later pairs and its
+    q_index_log2 is only read, so no arithmetic mixes it with the elements
+    of a newer basis (FieldElement refuses that).  Every caller gets the
+    same result and must not change it."""
+    return fsu_biquadratic(d1, d2)
+
+
 def _check_biquad_fsu_all(p, q, cond, rep):
     configs = ((p, q), (2, q), (p, 2 * q), (2 * p, q), (2, p * q), (2, p))
     expected = {(2, q): 2}
     built = {}
     qs = []
     for d1, d2 in configs:
-        fsu = fsu_biquadratic(d1, d2)
+        fsu = (_one_prime_fsu if d1 == 2 and d2 in (p, q) else fsu_biquadratic)(d1, d2)
         want = expected.get((d1, d2), 1)
         if fsu.q_index_log2 != want:
             return False, f"Q(sqrt{d1}, sqrt{d2}) has q_log2 {fsu.q_index_log2}, expected {want}", None
@@ -394,11 +408,10 @@ def _check_wada_q_index(p, q, cond, rep, biquad):
 
 
 def _check_wada_generators(p, q, cond, rep, fsu):
-    exps = [g.exponents for g in fsu.generators]
-    if not lattice_equal(exps, theorem_real_exponents(p, q, cond.tag)):
+    if not fsu.spans(theorem_real_exponents(p, q, cond.tag)):
         return False, "generator lattice differs from the theorem lattice", None
     other = COND2 if cond.tag == COND1 else COND1
-    if vector_in_lattice(theorem_real_exponents(p, q, other)[-1], exps):
+    if fsu.contains(theorem_real_exponents(p, q, other)[-1]):
         return False, f"lattice does not separate {cond.tag} from {other}", None
     labels = [g["label"] for g in rep.fsu_real["generators"]]
     return True, "lattice matches theorem; generators " + ", ".join(labels), None
@@ -424,8 +437,7 @@ def _check_cm_fsu(p, q, cond, rep, fsu):
         return False, f"torsion {cm.torsion}, expected {want_torsion}", None
     if cm.q_index_log2 != 7:
         return False, f"q_log2 = {cm.q_index_log2}, expected 7", None
-    exps = [g.exponents for g in cm.generators]
-    if not lattice_equal(exps, theorem_cm_exponents(p, q, cond.tag)):
+    if not cm.spans(theorem_cm_exponents(p, q, cond.tag)):
         return False, "CM generator lattice differs from the theorem lattice", None
     twisted = [g for g in cm.generators if g.torsion_exponent]
     order = int(cm.torsion[4:])
@@ -704,7 +716,13 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     failures = []
     c1 = c2 = 0
     parallel = jobs > 1 and bool(todo)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) if parallel else nullcontext() as pool:
+    pool = nullcontext()
+    if parallel:
+        # multiprocessing and its imports cost every other verb about 24 ms
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
+    with pool:
         # both iterators yield (report, its JSON line or None) in todo order,
         # each as soon as it is done; a report is serialized at most once
         fresh = (((report_from_json(line), line) for line in pool.map(_scan_worker, todo))

@@ -5,17 +5,25 @@ field element (the witness) together with its exponent vector over the
 fundamental units of the quadratic subfields, with denominators 1, 2 or 4.
 An FSU is a list of such units whose exponent matrix is nonsingular; the
 absolute determinant 2^(-j) records the index of the subfield-unit lattice.
-Exponent lattices are compared through their Hermite normal forms over the
-integers, after scaling every vector by the lcm of the exponent denominators
-(Cohen, A Course in Computational Algebraic Number Theory, section 2.4).
+Each FsuResult carries one integer frame of its generators: the row Hermite
+normal form of their exponent rows times 4, over the real radicands of the
+field, with the transformation riding along (Cohen, A Course in
+Computational Algebraic Number Theory, section 2.4).  The index, the
+comparison with a theorem lattice and the coordinates of a vector in the
+unit lattice are all read from that frame.
 
 Construction goes bottom-up: known FSU shapes for the six relevant
 biquadratic configurations, then saturation by square roots of subset
-products for degree-8 totally real fields, then one torsion-twisted square
-root for the CM extension.  The builders materialize every predicted square
-root as an exact element; a missing root raises Falsified rather than
-guessing.  The norm tables of the degree-8 field take no root: they are
-checked on exponent vectors, with signs at the real embeddings (norm_table).
+products for degree-8 totally real fields, then one torsion-twisted unit
+for the CM extension.  The builders materialize every predicted square root
+as an exact element; a missing root raises Falsified rather than guessing.
+The twisted unit takes no root of its own: with xi a primitive 2^n-th root
+of unity and mu = xi + 1/xi, (1 + xi)^2 = xi*(2 + mu), so the root w of
+(2 + mu)*eps that Azizi's criterion finds in the real field gives
+(1 + xi)*w/(2 + mu), a square root of xi*eps.  The norm tables of the
+degree-8 field take no root either: they are checked on exponent vectors,
+with the signs of the generators at the real embeddings (norm_table), one
+sign pass per generator for all the embeddings it needs.
 
 Each unit is verified once, where it is made (_make_expr); a unit carried
 into a larger field is embedded with its exponents and torsion exponent
@@ -28,7 +36,7 @@ still goes through the exact square root and its re-square.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,11 +46,12 @@ from .field import (
     FieldElement,
     embed_element,
     sign_at_embedding,
+    signs_at_embeddings,
     sqrt_in_field,
     torsion_order,
     zeta,
 )
-from .intarith import is_prime, prime_factors
+from .intarith import _sieve, prime_factors
 from .quadratic import COND1, COND2, classify_pair, fundamental_unit
 
 
@@ -76,13 +85,33 @@ class FsuResult:
     """A fundamental system of units of `field` modulo roots of unity.
 
     chars holds the character vectors of the generators when the builder
-    computed them (wada_fsu does), for azizi_extend to reuse."""
+    computed them (wada_fsu does), for azizi_extend to reuse.  frame is the
+    exponent frame of the generators over the real radicands of the field
+    (_exponent_frame), built once here; q_index_log2 is read off its
+    diagonal and raises ArithmeticError, under python -O too, unless the
+    exponent matrix is square and nonsingular with index a power of 2."""
 
     field: FieldBasis
     torsion: str
     generators: tuple
-    q_index_log2: int
     chars: tuple | None = None
+    frame: tuple = dc_field(init=False, repr=False, compare=False)
+    q_index_log2: int = dc_field(init=False)
+
+    def __post_init__(self):
+        self.frame = _exponent_frame(_real_labels(self.field), [g.exponents for g in self.generators])
+        self.q_index_log2 = _frame_q_log2(self.frame, len(self.generators))
+
+    def spans(self, exps_list) -> bool:
+        """Do the generators span the lattice of the vectors in exps_list?
+        Both sides are put in Hermite normal form over the frame's labels."""
+        labels = _real_labels(self.field)
+        k = len(labels)
+        return [list(row[:k]) for row in self.frame] == _echelon(_exponent_rows(exps_list, labels), k)
+
+    def contains(self, exps: dict) -> bool:
+        """Is the vector exps an integer combination of the generators?"""
+        return _frame_solve(self.frame, _exponent_rows([exps], _real_labels(self.field))[0]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -150,42 +179,58 @@ def _char_data(basis: FieldBasis) -> tuple:
     """(primes, L, images) for the character vectors of a totally real
     basis, built once per basis and kept on it.
 
-    primes are the first CHAR_PRIMES primes l = 7 (mod 8) at which every
-    generator is a nonzero square, L is their product, and images[m] is the
-    image of sqrt(r_m) mod L, joined by the Chinese remainder theorem.  At
-    the i-th prime the ring map sends sqrt(g_j) to pow(g_j, (l+1)/4, l),
-    negated for each bit j of i mod 2^k, so the maps spread over the
-    embeddings of the field.
+    primes are the first CHAR_PRIMES primes l = 7 (mod 8) of the shared
+    sieve at which every generator is a nonzero square, L is their product,
+    and images[m] is the image of sqrt(r_m) mod L.  At the i-th prime the
+    ring map sends sqrt(g_j) to pow(g_j, (l+1)/4, l), negated for each bit j
+    of i mod 2^k, so the maps spread over the embeddings of the field.  The
+    image of each sqrt(g_j) is joined over the primes by the Chinese
+    remainder theorem once, and that of sqrt(r_m) is their product times
+    the inverse of f_m.
     """
     if basis.chars is None:
         if basis.is_cm:
             raise ValueError("character vectors need a totally real field")
         gens, rads = basis.generators, basis.radicands
+        # 2 is a square mod every l = 7 (mod 8), so a squarefree generator is
+        # a square there exactly when its odd part is
+        odd = [g >> 1 if g & 1 == 0 else g for g in gens]
+        odd = [g for g in odd if g != 1]
         primes = []
-        l = 7
+        seen, bound = 0, 1024
         while len(primes) < CHAR_PRIMES:
-            # the cheap symbol test first: it rejects most l without is_prime
-            if all(pow(g, l >> 1, l) == 1 for g in gens) and is_prime(l):
-                primes.append(l)
-            l += 8
+            sieve = _sieve(bound)
+            for l in sieve[seen:]:
+                if l & 7 != 7:
+                    continue
+                for g in odd:
+                    if pow(g, l >> 1, l) != 1:
+                        break
+                else:
+                    primes.append(l)
+                    if len(primes) == CHAR_PRIMES:
+                        break
+            seen, bound = len(sieve), 2 * sieve[-1]
         big = math.prod(primes)
+        cofactors = [big // l * pow(big // l, -1, l) for l in primes]
+        roots = []
+        for j, g in enumerate(gens):
+            x = 0
+            for i, (l, cofactor) in enumerate(zip(primes, cofactors)):
+                r = pow(g, (l + 1) >> 2, l)
+                x += (l - r if i >> j & 1 else r) * cofactor
+            roots.append(x % big)
         # sqrt(prod of the generators in m) = f_m * sqrt(r_m) with f_m > 0
         prods = [1] * basis.dim
+        images = [1] * basis.dim
         for m in range(1, basis.dim):
             low = m & -m
-            prods[m] = prods[m ^ low] * gens[low.bit_length() - 1]
-        images = [0] * basis.dim
-        for i, l in enumerate(primes):
-            roots = [pow(g, (l + 1) >> 2, l) for g in gens]
-            roots = [l - x if i >> j & 1 else x for j, x in enumerate(roots)]
-            cofactor = big // l * pow(big // l, -1, l)
-            for m in range(basis.dim):
-                x = pow(math.isqrt(prods[m] // rads[m]), -1, l)
-                for j, root in enumerate(roots):
-                    if m >> j & 1:
-                        x = x * root % l
-                images[m] += x * cofactor
-        basis.chars = (tuple(primes), big, tuple(x % big for x in images))
+            j = low.bit_length() - 1
+            prods[m] = prods[m ^ low] * gens[j]
+            images[m] = images[m ^ low] * roots[j] % big
+        images = tuple(x * pow(math.isqrt(prods[m] // rads[m]), -1, big) % big
+                       for m, x in enumerate(images))
+        basis.chars = (tuple(primes), big, images)
     return basis.chars
 
 
@@ -243,9 +288,27 @@ def _embed_expr(g: UnitExpr, big: FieldBasis) -> UnitExpr:
                     embed_element(g.witness, big))
 
 
-def _scaled_row(exps: dict, labels, level: int) -> list:
-    """The exponents of exps at labels, times level, as integers."""
-    return [e.numerator * (level // e.denominator) for e in (exps.get(r, 0) for r in labels)]
+def _real_labels(field: FieldBasis) -> list:
+    """The real radicands r > 1 of the field in mask order: the labels of
+    exponent vectors over the fundamental units eps_r."""
+    return [r for r in field.radicands if r > 1]
+
+
+def _exponent_rows(exps_list, labels, level: int = 4) -> list:
+    """Each exponent vector times level as an integer row over labels.
+    Raises ArithmeticError for an exponent whose denominator does not divide
+    level and KeyError for a radicand outside labels."""
+    col = {r: i for i, r in enumerate(labels)}
+    rows = []
+    for exps in exps_list:
+        row = [0] * len(labels)
+        for r, e in exps.items():
+            a, rem = divmod(level * e.numerator, e.denominator)
+            if rem:
+                raise ArithmeticError(f"exponent {e} of eps_{r} is not a multiple of 1/{level}")
+            row[col[r]] = a
+        rows.append(row)
+    return rows
 
 
 def _echelon(rows, ncols: int) -> list:
@@ -282,32 +345,48 @@ def _echelon(rows, ncols: int) -> list:
     return out
 
 
-def _hnf(exps_list, frame) -> list:
-    """The row Hermite normal form of the lattice spanned by exps_list, whose
-    vectors all lie in the list frame.
+def _exponent_frame(labels, exps_list) -> tuple:
+    """The integer frame of the exponent vectors in exps_list over labels.
 
-    Columns are the labels of frame, and every vector is scaled by the
-    exponent level of frame, so the entries are integers.  Two lists span
-    the same lattice exactly when their forms in one frame are equal.
+    With G the matrix of the vectors times 4 (_exponent_rows), the frame is
+    the row Hermite normal form of (G | identity) over the columns of G: each
+    of its rows (h | u) has u*G = h, the h form the Hermite normal form of
+    the lattice G spans, and a dependent vector leaves no row.
     """
-    labels = sorted({r for exps in frame for r in exps})
-    level = exponent_level(frame)
-    return _echelon([_scaled_row(exps, labels, level) for exps in exps_list], len(labels))
+    n, k = len(exps_list), len(labels)
+    rows = _exponent_rows(exps_list, labels)
+    for i, row in enumerate(rows):
+        row += [int(i == j) for j in range(n)]
+    return tuple(map(tuple, _echelon(rows, k)))
 
 
-def _q_log2(gens) -> int:
-    """-log2 |det| of the exponent matrix.  Raises ArithmeticError, under
-    python -O too, unless the matrix is square and nonsingular with |det| a
-    power of 1/2."""
-    exps = [g.exponents for g in gens]
-    form = _hnf(exps, exps)
-    n = len(gens)
-    if len(form) != n or any(len(row) != n for row in form):
+def _frame_q_log2(frame, n: int) -> int:
+    """-log2 |det| of the exponent matrix of the n vectors whose frame is
+    given, read off the diagonal as 4^n / prod(pivots).  Raises
+    ArithmeticError, under python -O too, unless the matrix is square and
+    nonsingular with |det| a power of 1/2."""
+    if len(frame) != n or any(len(row) != 2 * n for row in frame):
         raise ArithmeticError("exponent matrix is not square and nonsingular")
-    index, rem = divmod(exponent_level(exps) ** n, math.prod(row[i] for i, row in enumerate(form)))
-    if rem or index & (index - 1):
+    # a quotient of 4^n that is an integer is a power of 2
+    index, rem = divmod(4 ** n, math.prod(row[i] for i, row in enumerate(frame)))
+    if rem:
         raise ArithmeticError("exponent lattice index is not a power of 2")
     return index.bit_length() - 1
+
+
+def _frame_solve(frame, row):
+    """The integer c with row = c*G for the square nonsingular matrix G whose
+    frame is given, or None when row is not in the lattice of G.  Reduces
+    (row | 0) by the frame rows (h | u), whose pivots lie on the diagonal:
+    what is left is (0 | -c)."""
+    x = list(row) + [0] * len(row)
+    for i, h in enumerate(frame):
+        f, rem = divmod(x[i], h[i])
+        if rem:
+            return None
+        if f:
+            x = [a - f * b for a, b in zip(x, h)]
+    return [-a for a in x[len(row):]]
 
 
 def _sum_exps(dicts):
@@ -327,7 +406,7 @@ def fsu_quadratic(d: int) -> FsuResult:
     basis = FieldBasis((d,))
     assert not basis.is_cm
     expr = UnitExpr(0, {d: Fraction(1)}, _quad_unit(d, basis))
-    return FsuResult(basis, "-1", (expr,), 0)
+    return FsuResult(basis, "-1", (expr,))
 
 
 def _V(*syms):
@@ -432,7 +511,7 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
             names = "*".join(f"eps_{r}" for r in parts)
             raise Falsified(f"{names} is predicted to be a square in {basis!r} but is not")
         gens.append(_make_expr(basis, units, {r: Fraction(1, 2) for r in parts}, _norm_pos(w)))
-    return FsuResult(basis, "-1", tuple(gens), _q_log2(gens))
+    return FsuResult(basis, "-1", tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +548,7 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
         top = max(idxs)
         gens[top] = _make_expr(field, units, half, _norm_pos(w))
         vecs[top] = _char_vector(gens[top].witness)
-    return FsuResult(field, "-1", tuple(gens), _q_log2(gens), tuple(vecs))
+    return FsuResult(field, "-1", tuple(gens), tuple(vecs))
 
 
 def _find_subset_square(gens, vecs):
@@ -508,10 +587,12 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     of every subset comes from one table of 2^n entries; only a subset whose
     XOR is 0 (sign +1) or all ones (sign -1) has its product formed and
     tested.  The real generators are embedded without re-verification.  On
-    success the highest-index generator of the subset is replaced by an
-    exact square root of zeta * e, which halves the exponent lattice;
-    otherwise the real FSU carries over unchanged except for the enlarged
-    torsion.
+    success the highest-index generator of the subset is replaced by
+    (1 + zeta)*w/(2 + mu) for the root w of (2 + mu)*e that the search found:
+    since (1 + zeta)^2 = zeta*(2 + mu), it is a square root of zeta*e, and
+    _make_expr checks it against its exponent identity.  That halves the
+    exponent lattice; otherwise the real FSU carries over unchanged except
+    for the enlarged torsion.
     """
     real = real_fsu.field
     if not cm_basis.is_cm:
@@ -542,23 +623,32 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
         eps = -real.one() if x else real.one()
         for i in idxs:
             eps = eps * gens[i].witness
-        if sqrt_in_field(two_mu * eps) is not None:
-            hits.append((idxs, eps))
+        w = sqrt_in_field(two_mu * eps)
+        if w is not None:
+            hits.append((idxs, w))
     if len(hits) > 1:
         raise Falsified("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
 
     units = _base_units(cm_basis)
     out = [_embed_expr(g, cm_basis) for g in gens]
     if hits:
-        idxs, eps = hits[0]
+        idxs, w = hits[0]
         if not idxs:
             raise Falsified("(2+mu) itself is a square, contradicting the torsion order")
-        w = sqrt_in_field(xi * embed_element(eps, cm_basis))
-        if w is None:
-            raise Falsified("zeta*eps is predicted to be a square in the CM field but is not")
+        # (1 + xi)^2 = xi*(2 + mu), so this squares to xi*w^2/(2 + mu) = xi*eps
+        root = embed_element(w * two_mu.inverse(), cm_basis) * (xi + 1)
         half = {r: e / 2 for r, e in _sum_exps([gens[i].exponents for i in idxs]).items()}
-        out[max(idxs)] = _make_expr(cm_basis, units, half, w)
-    return FsuResult(cm_basis, _torsion_name(order), tuple(out), _q_log2(out))
+        out[max(idxs)] = _make_expr(cm_basis, units, half, _first_positive(root))
+    return FsuResult(cm_basis, _torsion_name(order), tuple(out))
+
+
+def _first_positive(w: FieldElement) -> FieldElement:
+    """w or -w, whichever has its first nonzero coefficient in mask order
+    positive.  Of the two square roots of an element of a CM field whose
+    imaginary part is nonzero, that is the one sqrt_in_field returns: its
+    lower half is a root of the real subfield, and every root that descent
+    returns in a totally real field starts with a positive coefficient."""
+    return w if next(n for n in w._num if n) > 0 else -w
 
 
 def unit_index(fsu: FsuResult) -> int:
@@ -601,14 +691,16 @@ def theorem_cm_exponents(p: int, q: int, tag: str):
 
 def vector_in_lattice(vec: dict, exps_list) -> bool:
     """Is `vec` an integer combination of the exponent vectors in exps_list?"""
-    frame = list(exps_list) + [vec]
-    return _hnf(exps_list, frame) == _hnf(frame, frame)
+    return lattice_equal(exps_list, [*exps_list, vec])
 
 
 def lattice_equal(a_list, b_list) -> bool:
-    """Do two generator lists span the same exponent lattice?"""
-    frame = list(a_list) + list(b_list)
-    return _hnf(a_list, frame) == _hnf(b_list, frame)
+    """Do two lists of exponent vectors span the same lattice?"""
+    every = [*a_list, *b_list]
+    labels = sorted({r for exps in every for r in exps})
+    level, k = exponent_level(every), len(labels)
+    return (_echelon(_exponent_rows(a_list, labels, level), k)
+            == _echelon(_exponent_rows(b_list, labels, level), k))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +802,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     A named unit is the one with its exponent vector that is positive at the
     all-plus embedding, and an entry claims tau(w) or w*tau(w) = sign *
     monomial.  The claim is checked in two parts, on integer exponent
-    vectors scaled by their level:
+    vectors scaled by 4:
     - the exponents: tau(eps_r) = N(eps_r)/eps_r when tau moves sqrt(r), so
       tau negates those exponents of w; that, plus w for a norm column, must
       be the vector of the monomial;
@@ -720,8 +812,9 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
       w = +-prod g_i^c_i over the FSU generators, that is the product of
       s_i(sigma)*s_i(1) over the odd c_i, s_i(sigma) being the sign of g_i
       at sigma.
-    The c come from one integer echelon of the generators; a row vector
-    outside their lattice names no unit.  A fixed sign must match; a
+    The c are solved on the frame of the FSU; a row vector outside its
+    lattice names no unit.  The signs come from one sign pass per generator
+    over the identity and the six embeddings of the columns.  A fixed sign must match; a
     symbolic sign is resolved on first use and must stay consistent within
     its row.  Any mismatch raises Falsified.
     """
@@ -740,55 +833,46 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     named[S2PQ] = {2 * p * q: Fraction(1, 2)}
     for name, r in ((EQ, q), (E2P, 2 * p), (E2Q, 2 * q), (EPQ, p * q), (E2PQ, 2 * p * q)):
         named[name] = {r: 1}
-    gens = [g.exponents for g in fsu.generators]
-    # column m - 1 holds the exponent of eps at radicand m, so tau negates
-    # the columns whose mask meets its own in an odd number of bits
+    # column m - 1 holds the exponent of eps at radicand m; the labels are
+    # those of the frame, and the rows are scaled by 4 like it
     labels = field.radicands[1:]
-    level = exponent_level(gens + list(named.values()))
-    vec = {name: _scaled_row(e, labels, level) for name, e in named.items()}
-    n, k = len(gens), len(labels)
-    form = _echelon([_scaled_row(e, labels, level) + [int(i == j) for j in range(n)]
-                     for i, e in enumerate(gens)], k)
+    k = len(labels)
+    vec = dict(zip(named, _exponent_rows(named.values(), labels)))
 
     bit = {g: 1 << i for i, g in enumerate(field.generators)}
     t1, t2, t3 = bit[2], bit[p], bit[q]
     masks = dict(zip(NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
-    gen_signs = [{m: sign_at_embedding(g.witness, {h: -1 if m & b else 1 for h, b in bit.items()})
-                  for m in {0, *masks.values()}} for g in fsu.generators]
+    # the image of w under a column: tau multiplies the entry at mask m by
+    # -1 when m meets its mask in an odd number of bits, a norm adds w
+    factors = {col: [(-1 if (m & mask).bit_count() & 1 else 1) + (not col.startswith("tau"))
+                     for m in range(1, k + 1)] for col, mask in masks.items()}
+    embeddings = sorted({0, *masks.values()})
+    gen_signs = [dict(zip(embeddings, signs_at_embeddings(g.witness, embeddings)))
+                 for g in fsu.generators]
 
     table = dict(_NT_COMMON)
     table.update(_NT_COND1 if cond.tag == COND1 else _NT_COND2)
     rows = []
     for label in _NT_ROW_ORDER:
         w = vec[label]
-        # reduce (w | 0) by the rows (h | u) of the form, u*G = h: what is
-        # left is (0 | -c) exactly when w = c*G
-        x = w + [0] * n
-        for row in form:
-            c = next(j for j, a in enumerate(row) if a)
-            f, rem = divmod(x[c], row[c])
-            if rem:
-                break
-            x = [a - f * b for a, b in zip(x, row)]
-        if any(x[:k]):
+        c = _frame_solve(fsu.frame, w)
+        if c is None:
             raise Falsified(f"{label} is predicted to exist in {field!r} but its exponent vector "
                             "is not in the unit lattice")
-        odd = [i for i, a in enumerate(x[k:]) if a & 1]
+        odd = [i for i, a in enumerate(c) if a & 1]
         resolved = {}
         entries = {}
         for col, entry in zip(NORM_COLUMNS, table[label]):
             if entry is None:
                 continue
             sign, mono = entry
-            mask = masks[col]
-            image = [-a if (m & mask).bit_count() & 1 else a for m, a in enumerate(w, 1)]
-            if not col.startswith("tau"):
-                image = [a + b for a, b in zip(image, w)]
+            image = [a * f for a, f in zip(w, factors[col])]
             target = [0] * k
             for name, e in mono.items():
                 target = [a + e * b for a, b in zip(target, vec[name])]
             if image != target:
                 raise Falsified(f"norm table shape mismatch at row {label}, column {col}")
+            mask = masks[col]
             got = math.prod(gen_signs[i][mask] * gen_signs[i][0] for i in odd)
             if sign in (1, -1):
                 if got != sign:

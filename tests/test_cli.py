@@ -69,6 +69,8 @@ def test_import_needs_only_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"mqunits", "__main__", "__mp_main__"}
     tops = set(res.stdout.split())
     assert "mqunits" in tops and tops <= allowed, sorted(tops - allowed)
+    # the process pool is imported by a scan with --jobs above 1 only
+    assert not tops & {"concurrent", "multiprocessing"}
 
 
 def test_usage_errors_exit_2():

@@ -17,6 +17,7 @@ from mqunits.field import (
     parse_element,
     serialize_element,
     sign_at_embedding,
+    signs_at_embeddings,
     sqrt_in_field,
     torsion_order,
     zeta,
@@ -576,6 +577,46 @@ def test_sign_at_embedding_refines_where_8_digits_do_not_decide(monkeypatch):
             assert sign_at_embedding(w, signs) == decimal_sign(w, j)
             undecided += max(digits) > 8
     assert undecided >= 8
+
+
+def test_sign_kernel_matches_sign_at_embedding_at_every_embedding():
+    b = FieldBasis((2, 5, 3))
+    eps2, eps5, eps3 = (unit_element(r, b) for r in (2, 5, 3))
+    rng = random.Random(7)
+    elems = [b.element({r: Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for r in b.radicands})
+             for _ in range(20)]
+    # near-cancelling: at the identity (1 - sqrt2)^k is tiny against its coefficients
+    elems += [conjugate(eps2 ** k, 0b001) * u for k in (30, 61, 200) for u in (b.one(), eps5, eps3)]
+    elems = [w for w in elems if not w.is_zero()]
+    masks = list(range(b.dim))
+    for w in elems:
+        signs = signs_at_embeddings(w, masks)
+        for j in masks:
+            gen_signs = {g: 1 - 2 * (j >> i & 1) for i, g in enumerate(b.generators)}
+            assert signs[j] == sign_at_embedding(w, gen_signs) == decimal_sign(w, j)
+    # the masks come back in the order asked, repeats included
+    w = elems[0]
+    assert signs_at_embeddings(w, [5, 0, 5]) == [signs_at_embeddings(w, [j])[0] for j in (5, 0, 5)]
+    with pytest.raises(ValueError):
+        signs_at_embeddings(b.zero(), [0])
+
+
+def test_sign_kernel_brackets_each_term_once_per_precision(monkeypatch):
+    # (1 - sqrt2)^200 needs far more than 8 digits at the identity, and its
+    # conjugate (1 + sqrt2)^200 is decided at once: the kernel refines only
+    # the identity, on the floors of one pass over the terms per precision
+    b = FieldBasis((2,))
+    w = conjugate(b.element({1: 1, 2: 1}) ** 200, 1)
+    calls = []
+    sqrt_interval = field_module.sqrt_interval
+    monkeypatch.setattr(field_module, "sqrt_interval",
+                        lambda n, d: calls.append(d) or sqrt_interval(n, d))
+    assert sign_at_embedding(w, {2: 1}) == 1
+    alone = list(calls)
+    assert max(alone) > 8
+    calls.clear()
+    assert signs_at_embeddings(w, [0, 1]) == [1, 1]
+    assert calls == alone
 
 
 def test_powers_match_repeated_products():

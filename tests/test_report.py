@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -471,7 +472,8 @@ class _RecordingPool:
 
 def test_scan_pool_never_exceeds_the_uncached_pairs(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setattr(report, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(seen, max_workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(seen, max_workers))
     _, seq = scan(12)
     assert seen == []
     _, par = scan(12, jobs=64, cache_dir=str(tmp_path))
@@ -563,3 +565,19 @@ def test_optimized_interpreter_recomputes_an_edited_cache_file(tmp_path):
     assert line["kuroda_results"]["h2_K"] == 4 and len(line["checks"]) == len(CHECK_IDS)
     with open(path) as fh:
         assert report_from_json(fh.read()) == report_from_json(json.dumps(line))
+
+
+def test_a_unit_over_the_digit_limit_round_trips_in_process():
+    # the fundamental unit of Q(sqrt(12001999)) has 4459-digit coefficients;
+    # the library lifts the int <-> str limit itself, and puts it back
+    from mqunits.field import parse_element
+    from mqunits.units import fsu_quadratic
+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    fsu = fsu_quadratic(12001999)
+    text = json.dumps(report._fsu_to_dict(fsu))
+    (g,) = json.loads(text)["generators"]
+    assert parse_element(g["witness"], fsu.field) == fsu.generators[0].witness
+    if limit is not None:
+        assert max(map(len, g["witness"].replace("/", " ").replace("*", " ").split())) > limit
+        assert sys.get_int_max_str_digits() == limit

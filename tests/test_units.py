@@ -26,8 +26,9 @@ from mqunits.units import (
     _char_data,
     _char_vector,
     _embed_expr,
+    _exponent_frame,
+    _frame_q_log2,
     _make_expr,
-    _q_log2,
     _torsion,
     azizi_extend,
     exponent_level,
@@ -246,7 +247,8 @@ def test_norm_table_row_outside_the_unit_lattice_is_falsified():
     g = max(fsu.generators, key=lambda g: g.cleared_level())
     squared = UnitExpr(0, {r: 2 * e for r, e in g.exponents.items()}, g.witness * g.witness)
     gens = tuple(squared if h is g else h for h in fsu.generators)
-    small = FsuResult(field, fsu.torsion, gens, fsu.q_index_log2 - 1)
+    small = FsuResult(field, fsu.torsion, gens)
+    assert small.q_index_log2 == fsu.q_index_log2 - 1
     with pytest.raises(Falsified, match="is predicted to exist"):
         norm_table(field, small)
 
@@ -384,13 +386,13 @@ def test_lattice_helpers_match_fraction_reference(data):
     assert vector_in_lattice(v, sub) == fraction_in_lattice([v_row], sub_rows)
 
     for rows, exps in ((b_rows, b), (sub_rows, sub)):
-        gens = [UnitExpr(0, e, None) for e in exps]
+        frame = _exponent_frame(labels, exps)
         det = abs(fraction_inverse_det(rows)[1])
         if det.numerator == 1 and det.denominator & (det.denominator - 1) == 0:
-            assert _q_log2(gens) == det.denominator.bit_length() - 1
+            assert _frame_q_log2(frame, n) == det.denominator.bit_length() - 1
         else:
             with pytest.raises(ArithmeticError):
-                _q_log2(gens)
+                _frame_q_log2(frame, n)
 
 
 def test_base_units_built_once_per_basis():
@@ -409,18 +411,19 @@ def test_unit_expr_cleared_level():
 
 
 def test_q_log2_raises_under_python_O():
-    # the index of {2: 3} is 1/3, not a power of 2
+    # the index of {2: 3} is 1/3, not a power of 2; the second list is singular
     code = textwrap.dedent("""
         from fractions import Fraction
-        from mqunits.units import UnitExpr, _q_log2
-        try:
-            print("returned", _q_log2([UnitExpr(0, {2: Fraction(3)}, None)]))
-        except ArithmeticError:
-            print("raised")
+        from mqunits.units import _frame_q_log2, _exponent_frame
+        for exps in ([{2: Fraction(3)}], [{2: Fraction(1, 2), 3: 1}, {2: 1, 3: 2}]):
+            try:
+                print("returned", _frame_q_log2(_exponent_frame([2, 3][:len(exps)], exps), len(exps)))
+            except ArithmeticError:
+                print("raised")
     """)
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "raised\n"
+    assert res.stdout == "raised\nraised\n"
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +502,40 @@ def test_char_primes_are_pinned(gens, primes):
     assert _char_data(FieldBasis(gens))[0] == primes
 
 
+def per_prime_char_data(basis):
+    """(primes, L, images) as the prime search of trial steps l += 8 with an
+    is_prime test, and images built prime by prime, then joined by CRT."""
+    gens, rads = basis.generators, basis.radicands
+    primes = []
+    l = 7
+    while len(primes) < CHAR_PRIMES:
+        if all(pow(g, l >> 1, l) == 1 for g in gens) and all(l % d for d in range(2, math.isqrt(l) + 1)):
+            primes.append(l)
+        l += 8
+    big = math.prod(primes)
+    prods = [1] * basis.dim
+    for m in range(1, basis.dim):
+        low = m & -m
+        prods[m] = prods[m ^ low] * gens[low.bit_length() - 1]
+    images = [0] * basis.dim
+    for i, l in enumerate(primes):
+        roots = [pow(g, (l + 1) >> 2, l) for g in gens]
+        roots = [l - x if i >> j & 1 else x for j, x in enumerate(roots)]
+        cofactor = big // l * pow(big // l, -1, l)
+        for m in range(basis.dim):
+            x = pow(math.isqrt(prods[m] // rads[m]), -1, l)
+            for j, root in enumerate(roots):
+                if m >> j & 1:
+                    x = x * root % l
+            images[m] += x * cofactor
+    return tuple(primes), big, tuple(x % big for x in images)
+
+
+@pytest.mark.parametrize("gens", [(2, 5, 11), (2, 13, 3), (2, 53, 43), (2, 277, 83), (2, 6, 35), (2, 13)])
+def test_char_data_matches_the_per_prime_oracle(gens):
+    assert _char_data(FieldBasis(gens)) == per_prime_char_data(FieldBasis(gens))
+
+
 def test_char_vector_refuses_zero_residues_and_cm_fields():
     field = FieldBasis((2, 5, 11))
     l = _char_data(field)[0][0]
@@ -551,7 +588,59 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
     monkeypatch.setattr(units, "_make_expr", counting_make)
     monkeypatch.setattr(units, "sqrt_in_field", counting_sqrt)
     monkeypatch.setattr(report, "sqrt_in_field", counting_sqrt)
+    report._one_prime_fsu.cache_clear()  # so that Q(sqrt2, sqrt13) and Q(sqrt2, sqrt3) are built
     assert report.verify_pair(13, 3).passed
     assert len(made) == 10
-    # the norm table takes no root: it works on exponents and signs
-    assert all(roots) and len(roots) == 12
+    # the norm table takes no root: it works on exponents and signs; the
+    # twisted CM unit takes none either, it comes from the root of Azizi's test
+    assert all(roots) and len(roots) == 11
+
+
+@pytest.mark.parametrize("make,big", [
+    (lambda: deg8(13, 3)[1], (2, 13, 3, -1)),  # zeta24
+    (lambda: deg8(5, 11)[1], (2, 5, 11, -1)),  # zeta8
+    (lambda: deg8(3181, 3011)[1], (2, 3181, 3011, -1)),
+    (lambda: fsu_biquadratic(5, 3), (5, 3, -1)),  # zeta12: xi = i, mu = 0
+])
+def test_closed_form_twisted_unit_is_the_root_sqrt_in_field_finds(make, big):
+    fsu = azizi_extend(make(), FieldBasis(big))
+    (g,) = [g for g in fsu.generators if g.torsion_exponent]
+    # the twisted unit squares to xi*eps; the descent finds the same sign of its root
+    assert sqrt_in_field(g.witness * g.witness) == g.witness
+    verify_unit_expr(g)
+
+
+def test_frame_reads_the_index_and_the_coordinates():
+    field, fsu = deg8(5, 11)
+    n = len(fsu.generators)
+    assert len(fsu.frame) == n and all(len(row) == 2 * n for row in fsu.frame)
+    g = [[int(4 * e.get(r, 0)) for r in field.radicands[1:]] for e in exps_list(fsu)]
+    for row in fsu.frame:
+        h, u = row[:n], row[n:]
+        assert list(h) == [sum(c * gi[j] for c, gi in zip(u, g)) for j in range(n)]
+    assert fsu.q_index_log2 == 6
+    assert fsu.spans(theorem_real_exponents(5, 11, COND1))
+    assert not fsu.spans(theorem_real_exponents(5, 11, COND2))
+    assert fsu.contains({22: H}) and not fsu.contains(theorem_real_exponents(5, 11, COND2)[6])
+    assert not fsu.contains({2: Fraction(1, 4)})
+
+
+def test_one_prime_fields_are_built_once_per_scan():
+    def verify(p, q):
+        # as scan runs a pair: the bases are dropped afterwards
+        rep = report._verify_fresh((p, q))
+        rep.elapsed_ms = 0.0
+        return report.report_to_json(rep)
+
+    cache = report._one_prime_fsu
+    cache.cache_clear()
+    fresh = verify(13, 3)
+    cache.cache_clear()
+    verify(13, 11)
+    assert cache.cache_info().currsize == 2
+    # Q(sqrt2, sqrt13) comes from the cache, in a basis that was dropped
+    again = verify(13, 3)
+    info = cache.cache_info()
+    assert again == fresh and info.hits == 1 and info.currsize == 3
+    # bounded by a constant, whatever the range a scan covers
+    assert info.maxsize == 64
