@@ -35,7 +35,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _, summary = scan(args.max, jobs=args.jobs, cache_dir=args.cache, out=sys.stdout)
+    summary = scan(args.max, jobs=args.jobs, cache_dir=args.cache, out=sys.stdout)
     return 0 if not summary.failures else 1
 
 

@@ -222,9 +222,8 @@ def lemma_decompose(p: int, q: int, tag: str, cond: ConditionClass) -> Decomposi
     r2 = _label_value(r2_label, p, q)
     # re-square the surd identity: (u1*sqrt(r1) + u2*sqrt(r2))**2 == m*eps
     m = 2 if doubled else 1
-    assert r1 * r2 == d
-    assert u1 * u1 * r1 + u2 * u2 * r2 == m * x
-    assert 2 * u1 * u2 == m * unit.y
+    if r1 * r2 != d or u1 * u1 * r1 + u2 * u2 * r2 != m * x or 2 * u1 * u2 != m * unit.y:
+        raise Falsified(f"the witness for eps_{d} does not re-square")
     case_id = f"x-1={s_minus}*u^2, x+1={s_plus}*u^2"
     return DecompositionWitness(
         radicand_tag=tag,

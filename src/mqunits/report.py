@@ -11,13 +11,17 @@ Falsified and unexpected errors inside a check turn into a failed entry in
 the report's check list; they never escape verify_pair.  A check whose
 prerequisite failed is skipped, and a report with failed checks round-trips
 like any other.
+
+scan streams one report line per pair of a range and returns the
+ScanSummary.  Of each pair it keeps only the line, the condition tag and
+the failed check ids, whether the pair came from the cache, from this
+process or from a pool worker.  A cached pair file holds a digest line
+under the key of the code that wrote it, then the report line.
 """
 
 import functools
 import json
-import math
 import os
-import re
 import tempfile
 import time
 from contextlib import nullcontext
@@ -288,22 +292,6 @@ def validate_report_dict(d) -> None:
 # the per-pair check battery
 
 
-def _witness_resquares(w) -> bool:
-    # (u1*sqrt(r1) + u2*sqrt(r2))^2 == (2 if doubled else 1) * (x + y*sqrt(d))/denom
-    u = w.unit
-    prod = w.r1 * w.r2
-    g2, rem = divmod(prod, u.d)
-    if rem:
-        return False
-    g = math.isqrt(g2)
-    if g * g != g2:
-        return False
-    k = 2 if w.doubled else 1
-    s = w.u1 * w.u1 * w.r1 + w.u2 * w.u2 * w.r2
-    t = 2 * w.u1 * w.u2 * g
-    return s * u.denom == k * u.x and t * u.denom == k * u.y
-
-
 def _skip_detail(cid, passed):
     """The detail of a check whose prerequisite did not pass, else None."""
     for pre in _PREREQUISITES.get(cid, ()):
@@ -363,8 +351,6 @@ def _check_classify(p, q, cond, rep):
 def _make_lemma_check(tag):
     def check(p, q, cond, rep):
         w = lemma_decompose(p, q, tag, cond)
-        if not _witness_resquares(w):
-            return False, f"witness for eps_{tag} does not re-square", None
         rep.lemma_witnesses.append(_witness_to_dict(w))
         return True, f"case {w.case_id}: ({w.u1}*sqrt({w.r1}) + {w.u2}*sqrt({w.r2}))^2 = " \
                      f"{'2*' if w.doubled else ''}eps_{tag}", None
@@ -550,78 +536,33 @@ def _pair_name(p, q):
     return f"pair_{p}_{q}.json"
 
 
-_PAIR_FILE = re.compile(r"pair_\d+_\d+\.json")
-# one "<SHA-256 hex>  <pair file name>" line (sha256sum format) per pair file written
-_DIGESTS = "pairs.sha256"
-_DIGEST_LINE = re.compile(r"([0-9a-f]{64})  (pair_\d+_\d+\.json)")
-
-
 def _sha256(data: bytes) -> str:
     import hashlib  # loads OpenSSL, a few ms that only a cached scan needs
 
     return hashlib.sha256(data).hexdigest()
 
 
-def _cache_manifest() -> str:
-    """The manifest of a cache this code writes: the report schema and the
-    SHA-256 over the package sources (*.py, in sorted name order)."""
+def _code_key() -> str:
+    """The key of the code that writes a cache: the SHA-256 hex over the
+    report schema and the package sources (*.py, in sorted name order)."""
     pkg = os.path.dirname(os.path.abspath(__file__))
-    parts = []
+    parts = [f"{REPORT_SCHEMA}\0".encode()]
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
                 src = fh.read()
             parts += [f"{name}\0{len(src)}\0".encode(), src]
-    return json.dumps({"schema": REPORT_SCHEMA, "sources_sha256": _sha256(b"".join(parts))},
-                      separators=(",", ":"))
+    return _sha256(b"".join(parts))
 
 
-def _open_cache(cache_dir) -> dict:
-    """Make cache_dir hold only reports written by this code and return the
-    recorded digests, {pair file name: SHA-256 hex}.
-
-    Unless manifest.json matches _cache_manifest(), delete the pair files and
-    the digest file, then write the manifest before any pair is computed.
-    Otherwise read the digest file: the last complete line for a name wins,
-    and a torn or malformed line is dropped, so that pair is a miss.  A
-    digest file with dropped or superseded lines is rewritten with the
-    winning lines only.  Raises ValueError when cache_dir exists but is not
-    a directory."""
+def _open_cache(cache_dir) -> str:
+    """Create cache_dir if needed and return the key of this code.  Raises
+    ValueError when cache_dir exists but is not a directory."""
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except FileExistsError:
         raise ValueError(f"cache path {cache_dir!r} exists and is not a directory") from None
-    manifest = _cache_manifest()
-    path = os.path.join(cache_dir, "manifest.json")
-    try:
-        with open(path, "rb") as fh:
-            if fh.read() == manifest.encode():
-                return _read_digests(os.path.join(cache_dir, _DIGESTS))
-    except FileNotFoundError:
-        pass
-    for name in os.listdir(cache_dir):
-        if name == _DIGESTS or _PAIR_FILE.fullmatch(name):
-            os.unlink(os.path.join(cache_dir, name))
-    _atomic_write(path, manifest.encode())
-    return {}
-
-
-def _read_digests(path) -> dict:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        return {}
-    digests = {}
-    # the last element is "" after a final newline, or else a torn line
-    for line in data.decode(errors="replace").split("\n")[:-1]:
-        m = _DIGEST_LINE.fullmatch(line)
-        if m:
-            digests[m[2]] = m[1]
-    text = "".join(f"{h}  {name}\n" for name, h in digests.items()).encode()
-    if text != data:
-        _atomic_write(path, text)
-    return digests
+    return _code_key()
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -636,112 +577,101 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _store(cache_dir, p, q, line: str) -> None:
-    """Write the pair file atomically, then append its digest line."""
-    name = _pair_name(p, q)
+def _store(cache_dir, key, p, q, line: str) -> None:
+    """Write the pair file atomically: the SHA-256 hex of key + line, a
+    newline, then the report line."""
     data = line.encode()
-    _atomic_write(os.path.join(cache_dir, name), data)
-    with open(os.path.join(cache_dir, _DIGESTS), "ab") as fh:
-        fh.write(f"{_sha256(data)}  {name}\n".encode())
+    _atomic_write(os.path.join(cache_dir, _pair_name(p, q)),
+                  _sha256(key.encode() + data).encode() + b"\n" + data)
 
 
-def _load_cached(cache_dir, digests, p, q):
-    """(report, JSON line) of the cached pair, or None for a miss.
+def _outcome(rep: PairReport, line: str):
+    """What scan keeps of a pair: (JSON line, condition tag, failed check ids)."""
+    return line, rep.condition["tag"], [cid for cid, ok, _ in rep.checks if not ok]
 
-    A pair file is reused only if its bytes hash to the digest recorded when
-    scan wrote it and it still decodes and validates as a report.  The
-    digest proves the text is the canonical line this code wrote, so scan
-    prints it as it is, with no re-encoding.  A missing file or digest line,
-    a hand edit, or a file that is not a report is a miss: the pair is
-    recomputed."""
-    name = _pair_name(p, q)
-    want = digests.get(name)
-    if want is None:
-        return None
+
+def _load_cached(cache_dir, key, p, q):
+    """The _outcome of the cached pair, or None for a miss.
+
+    A pair file is reused only if its first line is the digest _store
+    writes under this code's key for the rest of the file, and the rest
+    still decodes and validates as a report.  The digest proves the text is
+    the canonical line this code wrote, so scan prints it as it is, with no
+    re-encoding.  A missing file, a file written by other code or in
+    another format, a hand edit, or a file that is not a report is a miss:
+    the pair is recomputed."""
     try:
-        with open(os.path.join(cache_dir, name), "rb") as fh:
-            data = fh.read()
+        with open(os.path.join(cache_dir, _pair_name(p, q)), "rb") as fh:
+            digest, _, data = fh.read().partition(b"\n")
     except FileNotFoundError:
         return None
-    if _sha256(data) != want:
+    if digest != _sha256(key.encode() + data).encode():
         return None
     try:
         line = data.decode()
-        return report_from_json(line), line
+        return _outcome(report_from_json(line), line)
     except ValueError:  # UnicodeDecodeError and JSONDecodeError included
         return None
 
 
-def _verify_fresh(pair):
-    """verify_pair, then drop the interned field bases: no later pair reads
-    them, and a scan would otherwise keep every basis it ever built."""
+def _scan_pair(pair):
+    """The _outcome of verify_pair on a fresh pair, in this process or in a
+    pool worker.  The interned field bases are dropped afterwards: no later
+    pair reads them, and a scan would otherwise keep every basis it ever
+    built."""
     try:
-        return verify_pair(*pair)
+        rep = verify_pair(*pair)
     finally:
         drop_bases()
+    return _outcome(rep, report_to_json(rep))
 
 
-def _scan_worker(pair):
-    return report_to_json(_verify_fresh(pair))
-
-
-def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
+def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None) -> ScanSummary:
     """Verify every applicable pair up to max_n, emitting one report JSON line
     per pair in (p, q) order followed by a summary line.
 
-    With a cache directory, finished pair reports are reused and each newly
-    computed one is written atomically as soon as it is done, followed by
-    one line with its SHA-256 in the digest file, so an interrupted scan
-    keeps the pairs it finished.  Reports are reused only while the
-    directory's manifest names this code (see _open_cache) and only if
-    their bytes still hash to the recorded digest (see _load_cached); a
-    reused report is printed as the stored text, so a warm scan prints the
-    bytes it checked.
+    With a cache directory, finished pairs are reused and each newly
+    computed one is written atomically as soon as it is done, so an
+    interrupted scan keeps the pairs it finished.  A pair file is reused
+    only if the digest it holds names this code and its bytes (see
+    _load_cached); a reused pair is printed as the stored text, so a warm
+    scan prints the bytes it checked.
     jobs > 1 distributes uncached pairs over at most that many worker
     processes, never more than there are uncached pairs; output order is
     unchanged.  jobs < 1 raises ValueError before anything is written.
 
-    Returns (reports, summary).
+    Returns the summary only; the reports are the lines written to out.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = scan_pairs(max_n)
     cached = {}
     if cache_dir:
-        digests = _open_cache(cache_dir)
-        cached = {pair: _load_cached(cache_dir, digests, *pair) for pair in pairs}
+        key = _open_cache(cache_dir)
+        cached = {pair: _load_cached(cache_dir, key, *pair) for pair in pairs}
     todo = [pair for pair in pairs if cached.get(pair) is None]
 
-    reports = []
     failures = []
     c1 = c2 = 0
-    parallel = jobs > 1 and bool(todo)
     pool = nullcontext()
-    if parallel:
+    if jobs > 1 and todo:
         # multiprocessing and its imports cost every other verb about 24 ms
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
-    with pool:
-        # both iterators yield (report, its JSON line or None) in todo order,
-        # each as soon as it is done; a report is serialized at most once
-        fresh = (((report_from_json(line), line) for line in pool.map(_scan_worker, todo))
-                 if parallel else ((rep, None) for rep in map(_verify_fresh, todo)))
+    with pool as executor:
+        # yields the outcomes of todo in order, each as soon as it is done
+        fresh = (executor.map if executor else map)(_scan_pair, todo)
         for pair in pairs:
             hit = cached.get(pair)
-            rep, line = hit or next(fresh)
+            line, tag, failed = hit or next(fresh)
             if hit is None and cache_dir:
-                line = line or report_to_json(rep)
-                _store(cache_dir, *pair, line)
-            reports.append(rep)
-            tag = rep.condition["tag"]
+                _store(cache_dir, key, *pair, line)
             c1 += tag == COND1
             c2 += tag == COND2
-            for cid, ok, _ in rep.checks:
-                if not ok:
-                    failures.append([rep.p, rep.q, cid])
+            failures += [[*pair, cid] for cid in failed]
             if out is not None:
-                out.write((line or report_to_json(rep)) + "\n")
+                out.write(line + "\n")
                 out.flush()
 
     summary = ScanSummary(
@@ -750,7 +680,7 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None):
     )
     if out is not None:
         out.write(summary_to_json(summary) + "\n")
-    return reports, summary
+    return summary
 
 
 def summary_to_json(summary: ScanSummary) -> str:

@@ -261,11 +261,12 @@ def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldEl
     s = exponent_level([exps])
     assert s in (1, 2, 4), f"exponent denominator {s} out of range"
     lhs = witness ** s
-    rhs = basis.one()
+    rhs = None
     for r, e in exps.items():
         n = e * s
         assert n.denominator == 1
-        rhs = rhs * base_units[r] ** int(n)
+        power = base_units[r] ** int(n)
+        rhs = power if rhs is None else rhs * power
     gen, order = _torsion(basis)
     cur = rhs
     for t in range(order):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -166,6 +169,28 @@ def test_lemma_decompose_surd_identity_resquares():
             assert w.u1**2 * w.r1 + w.u2**2 * w.r2 == m * w.unit.x
             assert 2 * w.u1 * w.u2 == m * w.unit.y
             assert w.r1 * w.r2 == w.unit.d
+
+
+def test_lemma_decompose_wrong_witness_is_falsified_under_python_O():
+    # the re-square is the only check of the roots, so it must not be an assert
+    code = textwrap.dedent("""\
+        from mqunits import quadratic
+        from mqunits.errors import Falsified
+        is_perfect_square = quadratic.is_perfect_square
+
+        def off_by_one(n):
+            square, root = is_perfect_square(n)
+            return square, root + 1 if square else root
+
+        quadratic.is_perfect_square = off_by_one
+        try:
+            quadratic.lemma_decompose(5, 11, "q", quadratic.classify_pair(5, 11))
+        except Falsified as exc:
+            print("falsified:", exc)
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "falsified: the witness for eps_11 does not re-square\n"
 
 
 def test_lemma_decompose_rejects_bad_calls():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -144,11 +145,12 @@ def test_scan_pairs_enumeration():
 
 def test_scan_stream_and_summary():
     buf = io.StringIO()
-    reports, summary = scan(12, out=buf)
+    summary = scan(12, out=buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3
     for line in lines[:2]:
         validate_report_dict(json.loads(line))
+    assert [(json.loads(line)["p"], json.loads(line)["q"]) for line in lines[:2]] == [(5, 3), (5, 11)]
     assert json.loads(lines[2]) == {
         "schema": "mqunits-scan/1", "range": [1, 12], "pairs_examined": 2,
         "cond1_count": 1, "cond2_count": 1, "failures": [],
@@ -156,46 +158,48 @@ def test_scan_stream_and_summary():
     assert summary.pairs_examined == 2
     assert summary.cond1_count == 1 and summary.cond2_count == 1
     assert summary.failures == []
-    assert [(r.p, r.q) for r in reports] == [(5, 3), (5, 11)]
 
 
 def test_scan_cache_round_trip(tmp_path):
     cache = str(tmp_path / "cache")
     cold_out = io.StringIO()
-    cold_reports, cold_summary = scan(12, cache_dir=cache, out=cold_out)
+    cold_summary = scan(12, cache_dir=cache, out=cold_out)
     assert os.path.exists(os.path.join(cache, "pair_5_3.json"))
     assert os.path.exists(os.path.join(cache, "pair_5_11.json"))
 
     warm_out = io.StringIO()
-    warm_reports, warm_summary = scan(12, cache_dir=cache, out=warm_out)
+    warm_summary = scan(12, cache_dir=cache, out=warm_out)
     assert warm_summary == cold_summary
-    assert warm_reports == cold_reports
     # warm output is byte-identical: cached reports keep their stored timings
-    assert warm_out.getvalue().splitlines()[:2] == cold_out.getvalue().splitlines()[:2]
-    assert sorted(os.listdir(cache)) == [
-        "manifest.json", "pair_5_11.json", "pair_5_3.json", "pairs.sha256"]
+    assert warm_out.getvalue() == cold_out.getvalue()
+    assert sorted(os.listdir(cache)) == ["pair_5_11.json", "pair_5_3.json"]
+    # a pair file is its digest line, then the report line exactly as printed
+    for name, line in zip(["pair_5_3.json", "pair_5_11.json"], cold_out.getvalue().splitlines()):
+        with open(os.path.join(cache, name)) as fh:
+            digest, report_line = fh.read().split("\n")
+        assert report_line == line
+        assert digest == hashlib.sha256((report._code_key() + line).encode()).hexdigest()
 
 
-def _digest_lines(cache):
-    with open(os.path.join(cache, "pairs.sha256")) as fh:
-        return fh.read().splitlines()
+def _pair_line(path):
+    """The report line of a pair file, after its digest line."""
+    with open(path) as fh:
+        return fh.read().partition("\n")[2]
 
 
-def _assert_digests_hold(cache):
-    # what `sha256sum -c pairs.sha256` checks inside the cache directory
-    for line in _digest_lines(cache):
-        digest, name = line.split("  ")
-        with open(os.path.join(cache, name), "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+def _rewrite_digest(path, line=None):
+    """Write line, by default the pair file's own report line, to the pair
+    file under the digest scan would write with this code's key, so only
+    decoding and validation can reject it."""
+    if line is None:
+        line = _pair_line(path)
+    digest = hashlib.sha256((report._code_key() + line).encode()).hexdigest()
+    with open(path, "w") as fh:
+        fh.write(f"{digest}\n{line}")
 
 
-def _record_digest(cache, name):
-    """Append the digest of the pair file as it is now, as scan does after
-    writing it, so only decoding and validation can reject the file."""
-    with open(os.path.join(cache, name), "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    with open(os.path.join(cache, "pairs.sha256"), "a") as fh:
-        fh.write(f"{digest}  {name}\n")
+def _digest_holds(cache, p, q):
+    return report._load_cached(cache, report._code_key(), p, q) is not None
 
 
 def _count_verify_calls(monkeypatch):
@@ -214,41 +218,36 @@ def test_scan_cache_is_tied_to_the_code_that_wrote_it(tmp_path, monkeypatch, sta
     cache = str(tmp_path / "cache")
     cold_out = io.StringIO()
     scan(12, cache_dir=cache, out=cold_out)
-    manifest_path = os.path.join(cache, "manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    assert manifest["schema"] == "mqunits-report/1" and len(manifest["sources_sha256"]) == 64
     calls = _count_verify_calls(monkeypatch)
 
-    # the manifest matches: nothing is recomputed and the output is byte-identical
+    # the key matches: nothing is recomputed and the output is byte-identical
     warm_out = io.StringIO()
     scan(12, cache_dir=cache, out=warm_out)
     assert calls == [] and warm_out.getvalue() == cold_out.getvalue()
 
-    # a well-formed edit, as if another version of the code had written the file
+    # the same valid report line, as another version of the code would have
+    # written it: under another key ("digest"), or bare, in the format of the
+    # versions that kept the digests apart ("missing")
     path = os.path.join(cache, "pair_5_11.json")
-    with open(path) as fh:
-        d = json.load(fh)
-    d["kuroda_results"]["h2_K"] = 999
+    line = _pair_line(path)
     with open(path, "w") as fh:
-        json.dump(d, fh)
-    (tmp_path / "cache" / "pair_7_3.json").write_text("outside the scanned range")
-    if stale == "digest":
-        with open(manifest_path, "w") as fh:
-            json.dump({**manifest, "sources_sha256": "0" * 64}, fh)
-    else:
-        os.unlink(manifest_path)
-    reports, summary = scan(12, cache_dir=cache)
-    assert calls == [(5, 3), (5, 11)]
-    assert reports[1].kuroda_results["h2_K"] == 4 and summary.failures == []
-    with open(path) as fh:
-        assert report_from_json(fh.read()) == reports[1]
-    with open(manifest_path) as fh:
-        assert json.load(fh) == manifest
+        if stale == "digest":
+            other = hashlib.sha256(("0" * 64 + line).encode()).hexdigest()
+            fh.write(f"{other}\n{line}")
+        else:
+            fh.write(line)
+    leftovers = {"pair_7_3.json": "outside the scanned range", "manifest.json": "{}",
+                 "pairs.sha256": f"{'0' * 64}  pair_5_3.json\n"}
+    for name, text in leftovers.items():
+        (tmp_path / "cache" / name).write_text(text)
+    summary = scan(12, cache_dir=cache)
+    assert calls == [(5, 11)] and summary.failures == []
+    assert _digest_holds(cache, 5, 11) and _digest_holds(cache, 5, 3)
+    # files the scan does not own are neither read nor removed
+    for name, text in leftovers.items():
+        assert (tmp_path / "cache" / name).read_text() == text
     assert sorted(os.listdir(cache)) == [
-        "manifest.json", "pair_5_11.json", "pair_5_3.json", "pairs.sha256"]
-    # the old digest file went with the old pair files
-    assert [line[66:] for line in _digest_lines(cache)] == ["pair_5_3.json", "pair_5_11.json"]
+        "manifest.json", "pair_5_11.json", "pair_5_3.json", "pair_7_3.json", "pairs.sha256"]
 
 
 def test_scan_ignores_an_old_class_number_memo(tmp_path):
@@ -257,11 +256,13 @@ def test_scan_ignores_an_old_class_number_memo(tmp_path):
     memo = cache / "classnums.json"
     memo.write_text('{"-55": [8, 8]}')
     before = memo.stat()
-    reports, summary = scan(12, cache_dir=str(cache))
-    row = next(r for r in reports[1].h2_table if r["radicand"] == -55)
-    assert (reports[1].p, reports[1].q) == (5, 11)
+    out = io.StringIO()
+    summary = scan(12, cache_dir=str(cache), out=out)
+    d = json.loads(out.getvalue().splitlines()[1])
+    row = next(r for r in d["h2_table"] if r["radicand"] == -55)
+    assert (d["p"], d["q"]) == (5, 11)
     assert (row["h"], row["h2"]) == (4, 4)
-    assert reports[1].kuroda_results == {"h2_Kplus": 1, "h2_K": 4}
+    assert d["kuroda_results"] == {"h2_Kplus": 1, "h2_K": 4}
     assert summary.failures == []
     assert memo.read_text() == '{"-55": [8, 8]}'
     assert memo.stat().st_mtime_ns == before.st_mtime_ns
@@ -288,12 +289,11 @@ def test_scan_recovers_from_corrupt_cache(tmp_path):
     cache = str(tmp_path / "cache")
     scan(12, cache_dir=cache)
     path = os.path.join(cache, "pair_5_3.json")
-    with open(path, "w") as fh:
-        fh.write("{ not json")
-    _record_digest(cache, "pair_5_3.json")
-    reports, summary = scan(12, cache_dir=cache)
+    _rewrite_digest(path, "{ not json")
+    summary = scan(12, cache_dir=cache)
     assert summary.failures == []
-    validate_report_dict(json.loads(open(path).read()))
+    validate_report_dict(json.loads(_pair_line(path)))
+    assert _digest_holds(cache, 5, 3)
 
 
 @pytest.mark.parametrize("mangle", [
@@ -304,66 +304,59 @@ def test_scan_recovers_from_corrupt_cache(tmp_path):
 ], ids=["null", "list", "checks-null", "empty-check"])
 def test_scan_recomputes_a_cache_file_that_is_not_a_report(tmp_path, mangle):
     cache = str(tmp_path / "cache")
-    _, cold = scan(12, cache_dir=cache)
+    cold_out = io.StringIO()
+    cold = scan(12, cache_dir=cache, out=cold_out)
     path = os.path.join(cache, "pair_5_11.json")
-    with open(path) as fh:
-        good = json.load(fh)
-    with open(path, "w") as fh:
-        json.dump(mangle(good), fh)
-    _record_digest(cache, "pair_5_11.json")
-    reports, summary = scan(12, cache_dir=cache)
-    assert summary == cold and reports[1].passed
-    with open(path) as fh:
-        assert report_from_json(fh.read()) == reports[1]
+    _rewrite_digest(path, json.dumps(mangle(json.loads(_pair_line(path)))))
+    out = io.StringIO()
+    summary = scan(12, cache_dir=cache, out=out)
+    line = out.getvalue().splitlines()[1]
+    assert summary == cold and report_from_json(line).passed
+    assert _pair_line(path) == line
+    assert report_from_json(line) == report_from_json(cold_out.getvalue().splitlines()[1])
 
 
 def test_scan_recomputes_a_cached_report_that_contradicts_itself(tmp_path, monkeypatch):
-    # the manifest and the digest still match: only the stated values give the edit away
+    # the key and the digest still match: only the stated values give the edit away
     cache = str(tmp_path / "cache")
     scan(12, cache_dir=cache)
     path = os.path.join(cache, "pair_5_11.json")
-    with open(path) as fh:
-        d = json.load(fh)
+    d = json.loads(_pair_line(path))
     d["kuroda_results"]["h2_K"] = 999
-    with open(path, "w") as fh:
-        json.dump(d, fh)
-    _record_digest(cache, "pair_5_11.json")
+    _rewrite_digest(path, json.dumps(d))
     calls = _count_verify_calls(monkeypatch)
     warm_out = io.StringIO()
-    reports, summary = scan(12, cache_dir=cache, out=warm_out)
-    assert calls == [(5, 11)]
-    assert reports[1].kuroda_results["h2_K"] == 4 and summary.failures == []
-    with open(path) as fh:
-        assert report_from_json(fh.read()) == reports[1]
-    lines = [json.loads(line) for line in warm_out.getvalue().splitlines()]
-    assert lines[1]["kuroda_results"] == {"h2_Kplus": 1, "h2_K": 4}
+    summary = scan(12, cache_dir=cache, out=warm_out)
+    assert calls == [(5, 11)] and summary.failures == []
+    line = warm_out.getvalue().splitlines()[1]
+    assert json.loads(line)["kuroda_results"] == {"h2_Kplus": 1, "h2_K": 4}
+    assert _pair_line(path) == line
 
 
 def test_scan_recomputes_a_hand_edit_that_validates(tmp_path, monkeypatch):
-    # h2 = h & -h still holds, so only the recorded digest gives the edit away
+    # h2 = h & -h still holds, so only the digest line gives the edit away
     cache = str(tmp_path / "cache")
     scan(12, cache_dir=cache)
     path = os.path.join(cache, "pair_5_11.json")
     with open(path) as fh:
-        d = json.load(fh)
+        digest, _, line = fh.read().partition("\n")
+    d = json.loads(line)
     assert d["h2_table"][0] == {"radicand": -1, "discriminant": -4, "h": 1, "h2": 1}
     d["h2_table"][0]["h"] = 77
+    edited = json.dumps(d, separators=(",", ":"))
+    validate_report_dict(json.loads(edited))
     with open(path, "w") as fh:
-        fh.write(json.dumps(d, separators=(",", ":")))
-    with open(path) as fh:
-        validate_report_dict(json.load(fh))
+        fh.write(f"{digest}\n{edited}")
     calls = _count_verify_calls(monkeypatch)
     warm_out = io.StringIO()
-    reports, summary = scan(12, cache_dir=cache, out=warm_out)
+    summary = scan(12, cache_dir=cache, out=warm_out)
     assert calls == [(5, 11)] and summary.failures == []
-    assert json.loads(warm_out.getvalue().splitlines()[1])["h2_table"][0]["h"] == 1
-    with open(path) as fh:
-        assert report_from_json(fh.read()) == reports[1]
-    # the recomputed file is reused, and its newer digest line won
+    line = warm_out.getvalue().splitlines()[1]
+    assert json.loads(line)["h2_table"][0]["h"] == 1
+    assert _pair_line(path) == line
+    # the recomputed file is reused
     scan(12, cache_dir=cache)
-    assert calls == [(5, 11)]
-    assert [line[66:] for line in _digest_lines(cache)] == ["pair_5_3.json", "pair_5_11.json"]
-    _assert_digests_hold(cache)
+    assert calls == [(5, 11)] and _digest_holds(cache, 5, 11)
 
 
 def test_scan_reuses_a_pair_file_rewritten_with_equal_bytes(tmp_path, monkeypatch):
@@ -388,13 +381,13 @@ def test_scan_recomputes_only_the_pair_whose_digest_line_is_lost(tmp_path, monke
     cache = str(tmp_path / "cache")
     cold_out = io.StringIO()
     scan(12, cache_dir=cache, out=cold_out)
-    path = os.path.join(cache, "pairs.sha256")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    first, last = data.splitlines(keepends=True)
-    with open(path, "wb") as fh:
-        # "missing" drops the line of pair_5_3.json; "torn" cuts the last line short
-        fh.write(last if damage == "missing" else first + last[:40])
+    path = os.path.join(cache, report._pair_name(*lost))
+    with open(path) as fh:
+        digest, _, line = fh.read().partition("\n")
+    with open(path, "w") as fh:
+        # "missing" drops the digest line of pair_5_3.json; "torn" cuts that
+        # of pair_5_11.json short
+        fh.write(line if damage == "missing" else f"{digest[:40]}\n{line}")
     calls = _count_verify_calls(monkeypatch)
     warm_out = io.StringIO()
     scan(12, cache_dir=cache, out=warm_out)
@@ -403,8 +396,7 @@ def test_scan_recomputes_only_the_pair_whose_digest_line_is_lost(tmp_path, monke
     assert warm_out.getvalue().splitlines()[kept] == cold_out.getvalue().splitlines()[kept]
     scan(12, cache_dir=cache)
     assert calls == [lost]
-    _assert_digests_hold(cache)
-    assert len(_digest_lines(cache)) == 2
+    assert _digest_holds(cache, 5, 3) and _digest_holds(cache, 5, 11)
 
 
 def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
@@ -421,13 +413,12 @@ def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
     out = io.StringIO()
     with pytest.raises(KeyboardInterrupt):
         scan(20, cache_dir=str(cache), out=out)
-    assert sorted(os.listdir(cache)) == [
-        "manifest.json", "pair_5_11.json", "pair_5_3.json", "pairs.sha256"]
+    assert sorted(os.listdir(cache)) == ["pair_5_11.json", "pair_5_3.json"]
     assert [json.loads(line)["q"] for line in out.getvalue().splitlines()] == [3, 11]
 
     # the rerun reuses both finished pairs
     calls = _count_verify_calls(monkeypatch)
-    _, summary = scan(20, cache_dir=str(cache))
+    summary = scan(20, cache_dir=str(cache))
     assert calls == [(5, 19), (13, 3), (13, 11), (13, 19)] and summary.failures == []
 
 
@@ -442,15 +433,19 @@ def _fail_wada_fsu_on_5_11(monkeypatch):
     monkeypatch.setattr(report, "wada_fsu", failing)
 
 
+def _without_elapsed(out):
+    return re.sub(r'"elapsed_ms":[-+0-9.eE]+', "", out.getvalue())
+
+
 def test_scan_parallel_matches_sequential(monkeypatch):
-    _, seq = scan(12)
-    _, par = scan(12, jobs=2)
-    assert seq == par and not seq.failures
+    assert scan(12) == scan(12, jobs=2)
     # worker processes are forked, so they inherit the patched wada_fsu
     _fail_wada_fsu_on_5_11(monkeypatch)
-    seq_reports, seq = scan(12)
-    par_reports, par = scan(12, jobs=2)
-    assert seq == par and seq.failures and seq_reports == par_reports
+    seq_out, par_out = io.StringIO(), io.StringIO()
+    seq = scan(12, out=seq_out)
+    par = scan(12, jobs=2, out=par_out)
+    assert seq == par and seq.failures
+    assert _without_elapsed(seq_out) == _without_elapsed(par_out)
 
 
 class _RecordingPool:
@@ -470,18 +465,42 @@ class _RecordingPool:
         return map(fn, items)
 
 
-def test_scan_pool_never_exceeds_the_uncached_pairs(tmp_path, monkeypatch):
+def _record_pools(monkeypatch):
     seen = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(seen, max_workers))
-    _, seq = scan(12)
+    return seen
+
+
+def test_scan_pool_never_exceeds_the_uncached_pairs(tmp_path, monkeypatch):
+    seen = _record_pools(monkeypatch)
+    seq = scan(12)
     assert seen == []
-    _, par = scan(12, jobs=64, cache_dir=str(tmp_path))
+    par = scan(12, jobs=64, cache_dir=str(tmp_path))
     assert par == seq and seen == [2]  # (5, 3) and (5, 11)
     os.unlink(tmp_path / "pair_5_11.json")
-    assert scan(12, jobs=64, cache_dir=str(tmp_path))[1] == seq and seen == [2, 1]
+    assert scan(12, jobs=64, cache_dir=str(tmp_path)) == seq and seen == [2, 1]
     # every pair cached: no pool at all
-    assert scan(12, jobs=64, cache_dir=str(tmp_path))[1] == seq and seen == [2, 1]
+    assert scan(12, jobs=64, cache_dir=str(tmp_path)) == seq and seen == [2, 1]
+
+
+def test_scan_decodes_no_fresh_report_in_the_parent(tmp_path, monkeypatch):
+    # a pool worker hands back the line it encoded; the parent only prints it
+    seen = _record_pools(monkeypatch)
+    decoded = []
+
+    def counted(line):
+        decoded.append(line)
+        return report_from_json(line)
+
+    monkeypatch.setattr(report, "report_from_json", counted)
+    out = io.StringIO()
+    summary = scan(12, jobs=2, cache_dir=str(tmp_path), out=out)
+    assert seen == [2] and decoded == [] and summary.failures == []
+    assert len(out.getvalue().splitlines()) == 3
+    # a warm scan decodes each cached report once, to validate it
+    scan(12, jobs=2, cache_dir=str(tmp_path))
+    assert seen == [2] and len(decoded) == 2
 
 
 def test_scan_rejects_jobs_below_one():
@@ -551,20 +570,16 @@ def test_optimized_interpreter_recomputes_an_edited_cache_file(tmp_path):
     cache = str(tmp_path / "cache")
     scan(11, cache_dir=cache)
     path = os.path.join(cache, "pair_5_11.json")
-    with open(path) as fh:
-        d = json.load(fh)
+    d = json.loads(_pair_line(path))
     d["checks"] = [["x", True, "y"]]
     d["kuroda_results"]["h2_K"] = 999
-    with open(path, "w") as fh:
-        json.dump(d, fh)
-    _record_digest(cache, "pair_5_11.json")
+    _rewrite_digest(path, json.dumps(d))
     res = subprocess.run([sys.executable, "-O", "-m", "mqunits.cli", "scan", "--max", "11",
                           "--cache", cache], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     line = json.loads(res.stdout.splitlines()[1])
     assert line["kuroda_results"]["h2_K"] == 4 and len(line["checks"]) == len(CHECK_IDS)
-    with open(path) as fh:
-        assert report_from_json(fh.read()) == report_from_json(json.dumps(line))
+    assert report_from_json(_pair_line(path)) == report_from_json(json.dumps(line))
 
 
 def test_a_unit_over_the_digit_limit_round_trips_in_process():

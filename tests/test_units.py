@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -628,9 +629,8 @@ def test_frame_reads_the_index_and_the_coordinates():
 def test_one_prime_fields_are_built_once_per_scan():
     def verify(p, q):
         # as scan runs a pair: the bases are dropped afterwards
-        rep = report._verify_fresh((p, q))
-        rep.elapsed_ms = 0.0
-        return report.report_to_json(rep)
+        line, _, _ = report._scan_pair((p, q))
+        return re.sub(r'"elapsed_ms":[-+0-9.eE]+', "", line)
 
     cache = report._one_prime_fsu
     cache.cache_clear()
