@@ -18,11 +18,12 @@ of b*b = D (mod 4|a|), and |a| <= sqrt(|D|/3) when D < 0.  When D > 0,
 |a|*|c| = (D - b*b)/4 < D/4 and rho carries (a, b, c) to a form led by c,
 so every rho cycle holds a form with |a| < sqrt(D)/2, and the walks start
 from those with a > 0 alone.  The table of roots is walked only over the a
-that have any, built from the odd prime powers with roots, so it costs
-about one Chinese remaindering per admissible a up to sqrt(|D|/3) or
-sqrt(D)/2, plus one step per root.  Everything is integer arithmetic;
-square-root comparisons against sqrt(D) are done through isqrt brackets,
-never floats.
+that have any, built from the odd prime powers with roots.  It counts
+roots without finding them, and finds them, one Chinese remaindering per
+a, only where forms are read: a >= sqrt(|D|)/2 when D < 0, the Sylow
+subgroups, and rho-walk starts until the walks hold every form counted.
+Everything is integer arithmetic; square-root comparisons against sqrt(D)
+are done through isqrt brackets, never floats.
 """
 
 from __future__ import annotations
@@ -106,78 +107,108 @@ def _principal_form(D):
     return (1, 0, -D // 4)
 
 
-def _sqrt_table(D, A):
-    """Yield (a, roots) for the 0 < a <= A that have roots: the residues
-    b mod 2a with b*b = D (mod 4a), nonempty.
+def _sqrt_table(D, A, lo=0):
+    """Yield (a, roots) for the lo < a <= A that have roots: the residues
+    b mod 2a with b*b = D (mod 4a), nonempty.  Return N(lo), the number of
+    those residues summed over 0 < a <= lo.
 
     The a are built by a depth-first walk over products of odd prime
     powers l^e <= A that have roots, in increasing l, each odd node then
-    multiplied by the powers of 2 that have roots; an a with a prime power
-    that has none is never visited.  D is a fundamental discriminant, so an
-    odd l dividing D has the one root 0 mod l and none mod l^2.  Roots mod
-    any other l come from Tonelli-Shanks and are lifted to l^e by trying
-    the l lifts of each root; the 2-part keeps b mod 2^(k+1) with
-    b*b = D (mod 2^(k+2)), lifted the same way.  The Chinese remainder
-    theorem joins the parts, once per odd node and once per yielded a.
+    multiplied by the powers of 2 that have roots.  Each node carries its
+    root count and its prime-power path, so N(lo) needs no roots.  The
+    yielded a alone get roots: a memoized Tonelli-Shanks root per prime,
+    Hensel-lifted, joined along the path by the Chinese remainder theorem
+    once per odd node, then once per a with the roots mod 2^(k+1) of
+    b*b = D (mod 2^(k+2)), lifted by trial.
     """
     twos, roots, k = [], [D % 2], 0  # (2^k, the roots mod 2^(k+1) of b*b = D (mod 2^(k+2)))
     while roots and 1 << k <= A:
         twos.append((1 << k, roots))
         k += 1
         roots = [x for r in roots for x in (r, r + (1 << k)) if (x * x - D) % (4 << k) == 0]
-    chains = []  # per odd prime l <= A with roots: [(l^e, the roots mod l^e), ...]
-    for l in primes_upto(A)[1:]:
-        r = sqrt_mod_prime(D, l)
-        if r is None:
-            continue
-        chain = [(l, [r, l - r] if r else [0])]
-        q = l * l
-        while r and q <= A:
-            chain.append((q, [x for y in chain[-1][1] for x in range(y, q, q // l) if (x * x - D) % q == 0]))
-            q *= l
-        chains.append(chain)
-    stack = [(1, [0], 0)]  # (odd m, the roots mod m, index of the next prime)
+    chains = _chains(D, A)
+    lifted = {}  # l -> a root of D mod the last of its powers
+    known = {1: [0]}  # odd m -> its roots, for m on the path of a yielded a
+    count = 0
+    stack = [(1, 1, (), 0)]  # (odd m, its number of roots, its path of (chain, l^e), index of the next prime)
     while stack:
-        m, odd, i = stack.pop()
+        m, n, path, i = stack.pop()
         for t, two in twos:
             if m * t > A:
                 break
-            yield m * t, _crt(two, 2 * t, odd, m)
+            if m * t <= lo:
+                count += n * len(two)
+                continue
+            if m not in known:
+                mm = 1
+                for (l, _, powers), q in path:
+                    if mm * q not in known:
+                        if l not in lifted:
+                            r = sqrt_mod_prime(D, l)
+                            for p in powers[1:]:  # l does not divide 2r
+                                r = (r - (r * r - D) * pow(2 * r, -1, p)) % p
+                            lifted[l] = r
+                        known[mm * q] = _crt(known[mm], mm, {lifted[l] % q, -lifted[l] % q}, q)
+                    mm *= q
+            yield m * t, _crt(two, 2 * t, known[m], m)
         for j in range(i, len(chains)):
-            if m * chains[j][0][0] > A:
+            l, nl, powers = chains[j]
+            if m * l > A:
                 break
-            for q, rq in chains[j]:
+            for q in powers:
                 if m * q > A:
                     break
-                stack.append((m * q, _crt(odd, m, rq, q), j + 1))
+                stack.append((m * q, n * nl, path + ((chains[j], q),), j + 1))
+    return count
+
+
+@lru_cache(maxsize=1)
+def _chains(D, A):
+    """(l, 1 + (D/l) roots mod each l^e, the l^e <= A with roots) per odd prime l <= A with
+    roots, for a fundamental D; cached for the last (D, A): a count and a listing share it."""
+    chains = []
+    for l in primes_upto(A)[1:]:
+        nl = 1 + pow(D, (l - 1) // 2, l)  # l when (D/l) = -1
+        if nl <= 2:
+            powers = [l]
+            while nl == 2 and powers[-1] * l <= A:
+                powers.append(powers[-1] * l)
+            chains.append((l, nl, powers))
+    return chains
+
+
+def _drain(table):
+    """The return value N(lo) of a root table, and the entries it yields."""
+    entries = []
+    while True:
+        try:
+            entries.append(next(table))
+        except StopIteration as done:
+            return done.value, entries
 
 
 def _crt(roots1, m1, roots2, m2):
     """Every x mod m1*m2 with x = r1 (mod m1), x = r2 (mod m2) for coprime m1, m2."""
-    if not roots1 or not roots2:
-        return []
     k = pow(m1, -1, m2)
     return [r1 + m1 * ((r2 - r1) * k % m2) for r1 in roots1 for r2 in roots2]
 
 
-def _enumerate_posdef(D):
-    """Reduced positive definite forms (a, b, c) of a negative fundamental D.
+def _enumerate_posdef(D, table=None):
+    """Yield the reduced positive definite forms (a, b, c) of a negative
+    fundamental D from the entries (a, roots) of a root table, in its order.
 
     Reduced means |b| <= a <= c, with b >= 0 when |b| = a or a = c, so
     3a^2 <= |D|.  For each such a, every root b of b*b = D (mod 4a) taken
-    in (-a, a] gives one candidate with c = (b*b - D)/(4a), kept when c >= a.
-    The cost is the square-root table to sqrt(|D|/3) plus one step per root
+    in (-a, a] gives one candidate with c = (b*b - D)/(4a), kept when c >= a
     (Cohen, GTM 138, 5.3; Buell, Binary Quadratic Forms, ch. 3).
     """
-    forms = []
-    for a, roots in _sqrt_table(D, math.isqrt(-D // 3)):
+    for a, roots in _sqrt_table(D, math.isqrt(-D // 3)) if table is None else table:
         for b in roots:
             if b > a:
                 b -= 2 * a
             c = (b * b - D) // (4 * a)
             if c > a or (c == a and b >= 0):
-                forms.append((a, b, c))
-    return sorted(forms)
+                yield a, b, c
 
 
 def _egcd(a, b):
@@ -231,23 +262,23 @@ def _form_pow(f, n, D):
     return _principal_form(D) if result is None else result
 
 
-def _group_structure(forms, D):
-    """Primary cyclic decomposition from the l^j-torsion of each Sylow subgroup.
+def _group_structure(h, D):
+    """Primary cyclic decomposition of the class group, of order h, by Sylow torsion.
 
     For each prime l with l^e exactly dividing h: when e = 1 the l-part is
-    cyclic of order l.  Otherwise the forms, in sorted order, are raised to
-    the power h/l^e, which lands in the l-Sylow subgroup, and the subgroup
-    generated so far is closed under composition, coset by coset, until it
-    has l^e elements.  The l^j-torsion is counted inside that subgroup
-    alone, so a prime costs a few projections and about e*l^e powerings by
-    l, where raising all h forms to every l^j cost about e*h powerings.
+    cyclic of order l.  Otherwise forms, listed lazily in any order, are
+    raised to the power h/l^e, which lands in the l-Sylow subgroup, and the
+    subgroup generated so far is closed under composition, coset by coset,
+    until it has l^e elements.  The l^j-torsion is counted inside that
+    subgroup alone: a few projections and about e*l^e powerings by l.  h is
+    counted and the forms listed, so a Sylow subgroup of another size,
+    torsion counts not stepping by powers of l, or a product other than h
+    mean the two routes disagree, and raise ArithmeticError.
     """
-    h = len(forms)
     e = _principal_form(D)
     structure = []
     for l in prime_factors(h):
-        exp = 0
-        hh = h
+        exp, hh = 0, h
         while hh % l == 0:
             hh //= l
             exp += 1
@@ -255,7 +286,7 @@ def _group_structure(forms, D):
             structure.append(l)
             continue
         sylow = {e}
-        for f in forms:
+        for f in _enumerate_posdef(D):
             if len(sylow) == l**exp:
                 break
             x = _form_pow(f, hh, D)
@@ -265,7 +296,8 @@ def _group_structure(forms, D):
             while x not in sylow:
                 sylow.update(compose_forms(y, x, D) for y in reps)
                 x = compose_forms(x, g, D)
-        assert len(sylow) == l**exp
+        if len(sylow) != l**exp:
+            raise ArithmeticError(f"the {l}-Sylow subgroup of {D} has {len(sylow)} elements, not {l**exp}")
         counts = [0] * (exp + 1)
         for f in sylow:
             j = 0
@@ -276,40 +308,39 @@ def _group_structure(forms, D):
         counts = list(itertools.accumulate(counts))
         t = []
         for j in range(1, exp + 1):
-            assert counts[j] % counts[j - 1] == 0
-            ratio = counts[j] // counts[j - 1]
+            ratio, rest = divmod(counts[j], counts[j - 1])
             tj = 0
-            while ratio > 1:
-                assert ratio % l == 0
+            while ratio % l == 0:
                 ratio //= l
                 tj += 1
+            if ratio != 1 or rest:
+                raise ArithmeticError(f"the {l}-torsion counts {counts} of {D} do not step by powers of {l}")
             t.append(tj)
         t.append(0)
         for j in range(1, exp + 1):
             structure.extend([l**j] * (t[j - 1] - t[j]))
-    assert math.prod(structure) == h
+    if math.prod(structure) != h:
+        raise ArithmeticError(f"the class group structure {structure} of {D} does not multiply to h = {h}")
     return tuple(sorted(structure))
-
-
-def _reduced_forms(D):
-    """The reduced forms of a supported negative fundamental discriminant."""
-    if D >= 0:
-        raise ValueError(f"{D} is not a negative fundamental discriminant")
-    return _enumerate_posdef(supported_discriminant(D))
 
 
 @lru_cache(maxsize=None)
 def count_reduced_forms(D: int) -> int:
-    """h(D) of a negative fundamental discriminant, without the group structure."""
-    return len(_reduced_forms(D))
+    """h(D) of a negative fundamental discriminant, without the group structure.
+    A root b of b*b = D (mod 4a) in (-a, a] with 4a^2 < |D| always gives a
+    reduced form, as c >= |D|/(4a) > a, so only the larger a are listed."""
+    if D >= 0:
+        raise ValueError(f"{D} is not a negative fundamental discriminant")
+    D = supported_discriminant(D)
+    n, window = _drain(_sqrt_table(D, math.isqrt(-D // 3), math.isqrt((-D - 1) // 4)))
+    return n + sum(1 for _ in _enumerate_posdef(D, window))
 
 
 @lru_cache(maxsize=None)
 def class_number_imaginary(D: int) -> ClassNumberReport:
     """Class number and 2-group data of the imaginary field with discriminant D."""
-    forms = _reduced_forms(D)
-    h = len(forms)
-    structure = _group_structure(forms, D)
+    h = count_reduced_forms(D)
+    structure = _group_structure(h, D)
     return ClassNumberReport(
         discriminant_or_radicand=D,
         h=h,
@@ -330,9 +361,9 @@ def _enumerate_indefinite(D):
     Reduced means |sqrt(D) - 2|a|| < b < sqrt(D), exact via s = isqrt(D) as
     s + 1 - 2a <= b <= s for these a.  That window holds 2a consecutive
     integers, so each root class of b*b = D (mod 4a) gives exactly one b,
-    and c = (b*b - D)/(4a) < 0 follows from a and b.  The cost is the
-    square-root table to sqrt(D)/2 plus one step per root (Cohen, GTM 138,
-    5.6; Buell, Binary Quadratic Forms, ch. 4).
+    and c = (b*b - D)/(4a) < 0 follows from a and b.  The table finds the
+    roots of an a only when it is drawn (Cohen, GTM 138, 5.6; Buell, Binary
+    Quadratic Forms, ch. 4).
     """
     s = math.isqrt(D)
     for a, roots in _sqrt_table(D, s // 2):
@@ -372,15 +403,18 @@ def _narrow_class_number(D):
     (a, b, c) to a form led by c, so every cycle holds a form with
     |a| <= s//2, and C or -C holds one with a > 0: the walks start only
     from the principal form and from each (a, b) with 0 < a <= s//2 not yet
-    seen.  A walked form that was already seen, a walked or negated form
-    that is not reduced (0 < b <= s and |s - 2a| < b, exact for a > 0), or a
-    cycle that disagrees with these rules means rho is broken, and raises
-    ArithmeticError.
+    seen, until the walks hold all N(s//2) of them.  A walked form that was
+    already seen, a walked or negated form that is not a reduced form of D
+    (0 < b <= s and |s - 2a| < b, exact for a > 0, and b*b - 4ac = D), a
+    cycle that disagrees with these rules, or another count when the walks
+    stop means rho or the count is broken, and raises ArithmeticError.
     """
     s = math.isqrt(D)
+    half = s // 2
     b0 = s - (s - D) % 2
+    total = _drain(_sqrt_table(D, half, half))[0]
     cycle_of = {}  # (a, b) of each a > 0 form seen -> the index of its cycle
-    cycles = 0
+    cycles = found = 0  # found: the keys of cycle_of with a <= s//2
     shared = None
     for a, b in itertools.chain(((1, b0),), _enumerate_indefinite(D)):
         if (a, b) in cycle_of:
@@ -388,13 +422,14 @@ def _narrow_class_number(D):
         f = start = (a, b, (b * b - D) // (4 * a))
         negated = []
         while True:
-            a, b, _ = f
-            if (a, b) in cycle_of or not 0 < b <= s or abs(s - 2 * a) >= b:
+            a, b, c = f
+            if (a, b) in cycle_of or not 0 < b <= s or abs(s - 2 * a) >= b or b * b - 4 * a * c != D:
                 raise ArithmeticError(f"rho left the reduced forms of {D} at {f}")
             cycle_of[a, b] = cycles
+            found += a <= half
             g = _rho(f, D, s)
-            a, b, _ = g
-            if not 0 < b <= s or abs(s + 2 * a) >= b:
+            a, b, c = g
+            if not 0 < b <= s or abs(s + 2 * a) >= b or b * b - 4 * a * c != D:
                 raise ArithmeticError(f"rho left the reduced forms of {D} at {g}")
             negated.append((-a, b))
             f = _rho(g, D, s)
@@ -411,9 +446,14 @@ def _narrow_class_number(D):
             size = len(cycle_of)
             cycle_of.update(dict.fromkeys(negated, cycles + 1))
             commutes = len(cycle_of) == size + len(negated)
+            found += sum(a <= half for a, _ in negated)
         if not commutes:
             raise ArithmeticError(f"rho of {D} does not commute with negation on the cycle of {start}")
         cycles += 1 if shared else 2
+        if found >= total:
+            break
+    if found != total:
+        raise ArithmeticError(f"the rho cycles of {D} hold {found} forms with 0 < a <= {half}, the table {total}")
     return cycles, shared
 
 

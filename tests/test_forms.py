@@ -16,6 +16,7 @@ from mqunits.forms import (
     count_reduced_forms,
     disc_of_radicand,
     is_fundamental_discriminant,
+    _drain,
     _enumerate_indefinite,
     _enumerate_posdef,
     _group_structure,
@@ -148,9 +149,11 @@ def oracle_group_structure(forms, D):
 
 def assert_matches_oracle(D):
     if D < 0:
-        forms = _enumerate_posdef(D)
-        assert forms == oracle_enumerate_posdef(D), D
-        assert _group_structure(forms, D) == oracle_group_structure(forms, D), D
+        forms = oracle_enumerate_posdef(D)
+        assert sorted(_enumerate_posdef(D)) == forms, D
+        h = count_reduced_forms(D)
+        assert h == len(forms), D
+        assert _group_structure(h, D) == oracle_group_structure(forms, D), D
     else:
         # c = (b*b - D)/(4a) follows from a and b, so (a, b) pairs lose nothing
         half = math.isqrt(D) // 2
@@ -212,6 +215,17 @@ def test_sqrt_table_matches_brute_force():
             want = [b for b in range(2 * a) if (b * b - D) % (4 * a) == 0]
             assert sorted(table.get(a, ())) == want, (D, a)
     assert covered == odd_squares
+
+
+def test_sqrt_table_counts_the_roots_up_to_lo_and_lists_the_rest():
+    for D in (-3, -4, -15, -84, -131, -3896, 5, 8, 105, 421, 856, 1020):
+        A = 200
+        brute = {a: [b for b in range(2 * a) if (b * b - D) % (4 * a) == 0] for a in range(1, A + 1)}
+        for lo in (0, 1, 2, 37, 150, A):
+            count, listed = _drain(_sqrt_table(D, A, lo))
+            assert count == sum(len(brute[a]) for a in range(1, lo + 1)), (D, lo)
+            assert sorted((a, sorted(roots)) for a, roots in listed) == [
+                (a, roots) for a, roots in brute.items() if a > lo and roots], (D, lo)
 
 
 def _merging_rho(D):
@@ -283,6 +297,59 @@ def test_rho_that_crosses_cycles_raises(monkeypatch, kind, message):
         _narrow_class_number(60)
 
 
+def _off_discriminant_rho(f, D, s):
+    """rho read off (a, b) alone, whose forms led by a < 0 carry c + 1:
+    forms of discriminant D - 4a, with the (a, b) of the true rho."""
+    a, b, _ = f
+    a, b, c = _rho((a, b, (b * b - D) // (4 * a)), D, s)
+    return (a, b, c + 1) if a < 0 else (a, b, c)
+
+
+def _miscounted_table(offset):
+    """_sqrt_table, with every count N(lo) of lo > 0 off by offset."""
+    def table(D, A, lo=0):
+        count = yield from _sqrt_table(D, A, lo)
+        return count + offset if lo else count
+    return table
+
+
+# Drawing every table entry would take 218 and 1020 starts here.
+@pytest.mark.parametrize("D", [1010012, 6678829])
+def test_walks_stop_drawing_starts_once_the_table_count_is_reached(monkeypatch, D):
+    drawn = []
+
+    def counted(D):
+        for start in _enumerate_indefinite(D):
+            drawn.append(start)
+            yield start
+
+    monkeypatch.setattr(forms, "_enumerate_indefinite", counted)
+    assert _narrow_class_number(D) == (oracle_narrow_class_number(D), oracle_principal_cycle_is_shared(D))
+    assert 0 < len(drawn) < 10
+
+
+@pytest.mark.parametrize("D", [40, 60, 1010012])
+def test_rho_off_the_discriminant_raises(monkeypatch, D):
+    monkeypatch.setattr(forms, "_rho", _off_discriminant_rho)
+    with pytest.raises(ArithmeticError, match="rho left"):
+        _narrow_class_number(D)
+
+
+# D = 5 has one table form: a count of 0 must not skip the principal cycle
+@pytest.mark.parametrize("offset", [1, -1])
+@pytest.mark.parametrize("D", [5, 40, 60, 1010012, 6678829])
+def test_miscounted_table_raises(monkeypatch, D, offset):
+    monkeypatch.setattr(forms, "_sqrt_table", _miscounted_table(offset))
+    with pytest.raises(ArithmeticError, match="the table"):
+        _narrow_class_number(D)
+
+
+def test_structure_of_a_miscounted_group_raises():
+    # -260 has h = 8, so no 16 forms make a 2-Sylow subgroup
+    with pytest.raises(ArithmeticError, match="2-Sylow subgroup of -260 has 8 elements, not 16"):
+        _group_structure(16, -260)
+
+
 def test_broken_rho_raises(monkeypatch):
     monkeypatch.setattr(forms, "_rho", _merging_rho(60))
     with pytest.raises(ArithmeticError, match="rho left"):
@@ -313,6 +380,34 @@ def test_broken_rho_raises_under_python_O():
     assert res.stdout == "raised 1\n" * 3
 
 
+def test_broken_count_or_discriminant_raises_under_python_O():
+    code = textwrap.dedent("""\
+        import sys
+        import test_forms
+        from mqunits import forms
+        table, rho = forms._sqrt_table, forms._rho
+        for name, broken in (("_rho", test_forms._off_discriminant_rho),
+                             ("_sqrt_table", test_forms._miscounted_table(1)),
+                             ("_sqrt_table", test_forms._miscounted_table(-1))):
+            forms._sqrt_table, forms._rho = table, rho
+            setattr(forms, name, broken)
+            try:
+                print("returned", forms._narrow_class_number(60))
+            except ArithmeticError:
+                print("raised", sys.flags.optimize)
+        forms._sqrt_table, forms._rho = table, rho
+        try:
+            print("returned", forms._group_structure(16, -260))
+        except ArithmeticError:
+            print("raised", sys.flags.optimize)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(__file__), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised 1\n" * 4
+
+
 # Classical class numbers of imaginary quadratic fields, keyed by fundamental
 # discriminant.  Standard table values.
 KNOWN_IMAGINARY_H = {
@@ -334,7 +429,7 @@ def test_imaginary_known_class_numbers():
 
 
 def test_imaginary_reduced_forms_minus15():
-    assert _enumerate_posdef(-15) == [(1, 1, 4), (2, 1, 2)]
+    assert sorted(_enumerate_posdef(-15)) == [(1, 1, 4), (2, 1, 2)]
 
 
 def test_imaginary_structure_examples():
@@ -372,7 +467,7 @@ def test_imaginary_structure_product_is_h():
 def test_composition_closure_and_identity():
     # -260: (2,4), -420: (2,2,2), -2184: (2,2,2,3)
     for D in (-15, -84, -440, -260, -420, -2184):
-        forms = _enumerate_posdef(D)
+        forms = sorted(_enumerate_posdef(D))
         group = set(forms)
         e = _principal_form(D)
         assert e in group
