@@ -13,6 +13,7 @@ raises Falsified.
 
 from dataclasses import dataclass
 
+from . import claims
 from .errors import Falsified
 from .forms import (  # class_number_imaginary: the full group data, re-exported
     ClassNumberReport,
@@ -21,7 +22,7 @@ from .forms import (  # class_number_imaginary: the full group data, re-exported
     count_reduced_forms,
     disc_of_radicand,
 )
-from .quadratic import COND1, COND2, classify_pair
+from .quadratic import classify_pair
 
 _V_BY_DEGREE = {4: 2, 8: 9, 16: 16}
 
@@ -41,11 +42,8 @@ def quadratic_h2(r: int) -> ClassNumberReport:
 
 def subfield_radicands(p: int, q: int):
     """The 15 quadratic subfield radicands of Q(sqrt2, sqrt p, sqrt q, i),
-    in the fixed report order."""
-    return (
-        -1, 2, -2, p, -p, q, -q, 2 * p, -2 * p, 2 * q, -2 * q,
-        p * q, -p * q, 2 * p * q, -2 * p * q,
-    )
+    in the report order of claims.SUBFIELDS."""
+    return tuple(claims.value(s, p, q) for s in claims.SUBFIELDS)
 
 
 @dataclass
@@ -86,22 +84,24 @@ def kuroda_h2(instance: KurodaInstance) -> int:
     return num // den
 
 
-def deg4_instance(p: int, q_log2: int) -> KurodaInstance:
-    """Formula instance for Q(sqrt2, sqrt p)."""
-    rads = (2, p, 2 * p)
-    return KurodaInstance(4, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
+def kuroda_instance(field: tuple, p: int, q: int, q_log2: int) -> KurodaInstance:
+    """Formula instance for the field of claims.KURODA_FIELDS named by its
+    generator symbols, over the computed h2 of its quadratic subfields."""
+    rads = [claims.value(s, p, q) for s in claims.KURODA_FIELDS[field]]
+    return KurodaInstance(len(rads) + 1, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
 
 
-def deg8_instance(p: int, q: int, q_log2: int) -> KurodaInstance:
-    """Formula instance for the totally real field Q(sqrt2, sqrt p, sqrt q)."""
-    rads = (2, p, q, 2 * p, 2 * q, p * q, 2 * p * q)
-    return KurodaInstance(8, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
-
-
-def deg16_instance(p: int, q: int, q_log2: int) -> KurodaInstance:
-    """Formula instance for the CM field Q(sqrt2, sqrt p, sqrt q, i)."""
-    rads = subfield_radicands(p, q)
-    return KurodaInstance(16, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
+def claimed_h2(field: tuple, p: int, q: int, tag: str) -> int:
+    """The 2-class number of a field of claims.KURODA_FIELDS as the formula
+    gives it over what the paper claims under condition class tag: the
+    subfield h2 of claims.H2_CLAIMS (a bound counts as its value) and the
+    unit index of claims.Q_LOG2, with one more factor 2 for the torsion of
+    the CM field K (units.unit_index)."""
+    h2 = claims.H2_CLAIMS[tag]
+    syms = claims.KURODA_FIELDS[field]
+    q_log2 = claims.Q_LOG2[field] + ("-1" in field)
+    return kuroda_h2(KurodaInstance(len(syms) + 1, tuple(
+        (claims.value(s, p, q), h2[s][1]) for s in syms), q_log2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +109,17 @@ def deg16_instance(p: int, q: int, q_log2: int) -> KurodaInstance:
 
 
 def crosscheck_quadratic_h2(p: int, q: int, cond):
-    """Compare computed h2 of all 15 quadratic subfields with the claimed
-    values; returns (claim, computed, pass) triples.
-
-    The claims: h2 = 1 for 2, p, q, 2q, -1, -2, -q; h2 = 2 for 2p, pq, 2pq,
-    -p, -2p, -2q; h2 = 4 for -2pq; and for -pq exactly 2 under Cond2 but
-    2^m with m >= 2 under Cond1.
-    """
+    """Compare computed h2 of all 15 quadratic subfields with the values
+    claims.H2_CLAIMS gives for the pair's condition class; returns
+    (claim, computed, pass) triples in report order."""
     if not cond.is_applicable:
         raise ValueError(f"pair is not applicable: {cond.reason}")
-    ones = {2, p, q, 2 * q, -1, -2, -q}
-    twos = {2 * p, p * q, 2 * p * q, -p, -2 * p, -2 * q}
+    table = claims.H2_CLAIMS[cond.tag]
     out = []
-    for r in subfield_radicands(p, q):
+    for s, r in zip(claims.SUBFIELDS, subfield_radicands(p, q)):
+        rel, n = claim = table[s]
         h2 = quadratic_h2(r).h2
-        if r == -p * q:
-            if cond.tag == COND2:
-                out.append((f"h2({r}) == 2", h2, h2 == 2))
-            else:
-                out.append((f"h2({r}) >= 4", h2, h2 >= 4))
-        elif r == -2 * p * q:
-            out.append((f"h2({r}) == 4", h2, h2 == 4))
-        elif r in ones:
-            out.append((f"h2({r}) == 1", h2, h2 == 1))
-        else:
-            assert r in twos
-            out.append((f"h2({r}) == 2", h2, h2 == 2))
+        out.append((f"h2({r}) {rel} {n}", h2, claims.holds(claim, h2)))
     return out
 
 
@@ -145,13 +130,12 @@ def crosscheck_quadratic_h2(p: int, q: int, cond):
 def predict_structures(p: int, q: int) -> dict:
     """The report's structures entry for an applicable pair.
 
-    m comes from the independently computed h2(-pq) = 2^m.  Under Cond1 the
-    class groups of the two index-2 towers are of type (2,2) with
-    generalized quaternion Galois group Q_{m+1}; under Cond2 everything
-    collapses to cyclic: m must equal 1 (h2(-pq) = 2) and the tower group is
-    Z/4.  The 2-class number of the n-th layer is h2_Ln = 2^(n+m-1).  Group
-    labels are plain strings: "(2,2)", "Z/n", "Q_k" (generalized quaternion
-    of order 2^k).  A violated condition constraint raises Falsified.
+    m comes from the independently computed h2(-pq) = 2^m, and must satisfy
+    the claim on m of claims.STRUCTURES, which also gives the tower groups
+    of the pair's condition class.  The 2-class number of the n-th layer is
+    h2_Ln = 2^(n+m-1).  Group labels are plain strings: "(2,2)", "Z/n",
+    "Q_k" (generalized quaternion of order 2^k).  A violated claim raises
+    Falsified.
     """
     cond = classify_pair(p, q)
     if not cond.is_applicable:
@@ -160,21 +144,19 @@ def predict_structures(p: int, q: int) -> dict:
     if h2 & (h2 - 1) or h2 < 2:
         raise Falsified(f"h2(-{p * q}) = {h2} is not a power of 2 above 1")
     m = h2.bit_length() - 1
-    if cond.tag == COND2:
-        if m != 1:
-            raise Falsified(f"Cond2 pair ({p},{q}) has h2(-pq) = {h2}, expected 2")
-        cl2_tower, gal_f2 = "Z/4", "Z/4"
-    else:
-        if m < 2:
-            raise Falsified(f"Cond1 pair ({p},{q}) has h2(-pq) = {h2}, expected >= 4")
-        cl2_tower, gal_f2 = "(2,2)", f"Q_{m + 1}"
+    claim = claims.STRUCTURES[cond.tag]
+    if not claims.holds(claim["m"], m):
+        rel, n = claim["m"]
+        want = 2 ** n if rel == "==" else f"{rel} {2 ** n}"
+        raise Falsified(f"{cond.tag} pair ({p},{q}) has h2(-pq) = {h2}, expected {want}")
+    cl2_tower = claim["cl2_tower"]
     return {
         "m": m,
         "cl2_genus_base": "(2,2)",
         "cl2_L": 2 ** (m + 1),
         "cl2_F": cl2_tower,
         "cl2_K": cl2_tower,
-        "gal_F2": gal_f2,
+        "gal_F2": claim["gal_F2"].format(m1=m + 1),
         "gal_k2": f"Q_{m + 2}",
         "h2_Ln": "2^n" if m == 1 else f"2^(n+{m - 1})",
         "h2_Ln_plus": 1,

@@ -20,15 +20,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .claims import COND1, COND2, PELL_CASES, value
 from .errors import Falsified
 from .intarith import is_perfect_square, is_prime, is_squarefree, kronecker_symbol, prime_factors
 
-COND1 = "Cond1"
-COND2 = "Cond2"
 NOT_APPLICABLE = "NotApplicable"
 UNSUPPORTED = "Unsupported"
 
-DECOMPOSITION_TAGS = ("2pq", "pq", "2q", "q")
+DECOMPOSITION_TAGS = tuple(PELL_CASES[COND1])
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,6 @@ def fundamental_unit(d: int) -> QuadraticUnit:
         P, Q = step(P, Q)
         if (P, Q) == first:
             break
-    assert den in (1, 2)
     return QuadraticUnit(d=d, x=x, y=y, denom=den, norm=-1 if period % 2 else 1)
 
 
@@ -137,27 +135,6 @@ def classify_pair(p: int, q: int) -> ConditionClass:
     if sym == 1:
         return ConditionClass(COND1, "p == 5, q == 3 (mod 8), (p/q) == +1")
     return ConditionClass(COND2, "p == 5, q == 3 (mod 8), (p/q) == -1")
-
-
-# (tag, condition) -> (shape of x-1, shape of x+1, side u1 comes from,
-#                      radicand under u1, radicand under u2, doubled)
-_SHAPES = {
-    ("2pq", COND1): ("p", "2q", "minus", "p", "2q", True),
-    ("2pq", COND2): ("2p", "q", "minus", "2p", "q", True),
-    ("pq", COND1): ("2q", "2p", "plus", "p", "q", False),
-    ("pq", COND2): ("q", "p", "plus", "p", "q", True),
-    ("2q", COND1): ("1", "2q", "minus", "1", "2q", True),
-    ("2q", COND2): ("1", "2q", "minus", "1", "2q", True),
-    ("q", COND1): ("1", "q", "minus", "1", "q", True),
-    ("q", COND2): ("1", "q", "minus", "1", "q", True),
-}
-
-
-def _label_value(label: str, p: int, q: int) -> int:
-    return {
-        "1": 1, "2": 2, "p": p, "q": q,
-        "2p": 2 * p, "2q": 2 * q, "pq": p * q, "2pq": 2 * p * q,
-    }[label]
 
 
 def lemma_decompose(p: int, q: int, tag: str, cond: ConditionClass) -> DecompositionWitness:
@@ -180,7 +157,7 @@ def lemma_decompose(p: int, q: int, tag: str, cond: ConditionClass) -> Decomposi
     if check.tag != cond.tag:
         raise ValueError(f"pair ({p},{q}) is {check.tag}, not {cond.tag}")
 
-    d = _label_value(tag, p, q)
+    d = value(tag, p, q)
     unit = fundamental_unit(d)
     if unit.norm != 1 or unit.denom != 1:
         raise Falsified(f"unit of Q(sqrt({d})) should have norm +1 and integer coordinates")
@@ -191,35 +168,35 @@ def lemma_decompose(p: int, q: int, tag: str, cond: ConditionClass) -> Decomposi
         divisors += [s * f for s in divisors]
 
     found = {}
-    for side, value in sides.items():
+    for side, n in sides.items():
         matches = []
         for s in divisors:
-            if value % s:
+            if n % s:
                 continue
-            square, root = is_perfect_square(value // s)
+            square, root = is_perfect_square(n // s)
             if square:
                 matches.append((s, root))
         if len(matches) != 1:
             raise Falsified(f"x{'-' if side == 'minus' else '+'}1 of eps_{d} matched {len(matches)} shapes")
         found[side] = matches[0]
 
-    s_minus, s_plus, u1_side, r1_label, r2_label, doubled = _SHAPES[(tag, check.tag)]
-    expected = {"minus": _label_value(s_minus, p, q), "plus": _label_value(s_plus, p, q)}
+    s_minus, s_plus, u1_side, r1_label, r2_label, doubled = PELL_CASES[check.tag][tag]
+    expected = {"minus": value(s_minus, p, q), "plus": value(s_plus, p, q)}
     for side in ("minus", "plus"):
         if found[side][0] != expected[side]:
             raise Falsified(
                 f"eps_{d}: x{'-' if side == 'minus' else '+'}1 = {found[side][0]}*square, "
                 f"predicted {expected[side]}*square"
             )
-    for value in sides.values():
+    for n in sides.values():
         for scale in (2, 2 * d):
-            if is_perfect_square(scale * value)[0]:
+            if is_perfect_square(scale * n)[0]:
                 raise Falsified(f"{scale}*(x-+1) is a square for eps_{d}")
 
     u1 = found[u1_side][1]
     u2 = found["plus" if u1_side == "minus" else "minus"][1]
-    r1 = _label_value(r1_label, p, q)
-    r2 = _label_value(r2_label, p, q)
+    r1 = value(r1_label, p, q)
+    r2 = value(r2_label, p, q)
     # re-square the surd identity: (u1*sqrt(r1) + u2*sqrt(r2))**2 == m*eps
     m = 2 if doubled else 1
     if r1 * r2 != d or u1 * u1 * r1 + u2 * u2 * r2 != m * x or 2 * u1 * u2 != m * unit.y:

@@ -28,12 +28,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 
+from . import claims
 from .classnum import (
+    claimed_h2,
     crosscheck_quadratic_h2,
-    deg4_instance,
-    deg8_instance,
-    deg16_instance,
     kuroda_h2,
+    kuroda_instance,
     predict_structures,
     quadratic_h2,
     subfield_radicands,
@@ -204,7 +204,8 @@ def _require(ok: bool, what: str) -> None:
 
 def _is_fsu(v) -> bool:
     return (isinstance(v, dict) and set(v) == {"field", "torsion", "q_index_log2", "generators"}
-            and isinstance(v["generators"], list) and len(v["generators"]) == 7)
+            and isinstance(v["generators"], list)
+            and len(v["generators"]) == len(claims.KPLUS_FSU))
 
 
 def _has_keys(*keys):
@@ -226,6 +227,7 @@ _ARTIFACT_FIELDS = {
 
 
 _H2_ROW_KEYS = ("radicand", "discriminant", "h", "h2")
+_NEG_PQ_ROW = claims.SUBFIELDS.index("-pq")
 
 
 def validate_report_dict(d) -> None:
@@ -279,13 +281,13 @@ def validate_report_dict(d) -> None:
             if not (radicand == r and discriminant == (r if r % 4 == 1 else 4 * r)
                     and type(h) is int and h >= 1 and type(h2) is int and h2 == h & -h):
                 raise _malformed(f"h2_table row of {r}")
-    # row 12 is h2(-pq); kuroda_deg16 and structures run only after quad_h2_table passed
+    # kuroda_deg16 and structures run only after quad_h2_table passed
     if "kuroda_deg16" in passed:
         h2_K = d["kuroda_results"]["h2_K"]
-        _require(type(h2_K) is int and h2_K == table[12]["h2"], "kuroda_results.h2_K")
+        _require(type(h2_K) is int and h2_K == table[_NEG_PQ_ROW]["h2"], "kuroda_results.h2_K")
     if "structures" in passed:
         m = d["structures"]["m"]
-        _require(type(m) is int and m >= 0 and 1 << m == table[12]["h2"], "structures.m")
+        _require(type(m) is int and m >= 0 and 1 << m == table[_NEG_PQ_ROW]["h2"], "structures.m")
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +373,12 @@ def _one_prime_fsu(d1, d2):
 
 
 def _check_biquad_fsu_all(p, q, cond, rep):
-    configs = ((p, q), (2, q), (p, 2 * q), (2 * p, q), (2, p * q), (2, p))
-    expected = {(2, q): 2}
     built = {}
     qs = []
-    for d1, d2 in configs:
+    for field in claims.BIQUAD_FSU:
+        d1, d2 = (claims.value(s, p, q) for s in field)
         fsu = (_one_prime_fsu if d1 == 2 and d2 in (p, q) else fsu_biquadratic)(d1, d2)
-        want = expected.get((d1, d2), 1)
+        want = claims.Q_LOG2[field]
         if fsu.q_index_log2 != want:
             return False, f"Q(sqrt{d1}, sqrt{d2}) has q_log2 {fsu.q_index_log2}, expected {want}", None
         built[(d1, d2)] = fsu
@@ -388,16 +389,17 @@ def _check_biquad_fsu_all(p, q, cond, rep):
 def _check_wada_q_index(p, q, cond, rep, biquad):
     fsu = wada_fsu(FieldBasis((2, p, q)), [biquad[(2, p)], biquad[(2, q)], biquad[(2, p * q)]])
     rep.fsu_real = _fsu_to_dict(fsu)
-    if fsu.q_index_log2 != 6:
-        return False, f"q_log2 = {fsu.q_index_log2}, expected 6", None
-    return True, f"q(K+) = 2^6, unit index {unit_index(fsu)}", fsu
+    want = claims.Q_LOG2[claims.K_PLUS]
+    if fsu.q_index_log2 != want:
+        return False, f"q_log2 = {fsu.q_index_log2}, expected {want}", None
+    return True, f"q(K+) = 2^{want}, unit index {unit_index(fsu)}", fsu
 
 
 def _check_wada_generators(p, q, cond, rep, fsu):
     if not fsu.spans(theorem_real_exponents(p, q, cond.tag)):
         return False, "generator lattice differs from the theorem lattice", None
     other = COND2 if cond.tag == COND1 else COND1
-    if fsu.contains(theorem_real_exponents(p, q, other)[-1]):
+    if fsu.contains(claims.exponents(claims.UNITS[other][claims.F4], p, q)):
         return False, f"lattice does not separate {cond.tag} from {other}", None
     labels = [g["label"] for g in rep.fsu_real["generators"]]
     return True, "lattice matches theorem; generators " + ", ".join(labels), None
@@ -417,12 +419,12 @@ def _check_cm_fsu(p, q, cond, rep, fsu):
     cm = azizi_extend(fsu, FieldBasis((2, p, q, -1)))
     rep.fsu_cm = _fsu_to_dict(cm)
     rep.q_indices = {"real_log2": fsu.q_index_log2, "cm_log2": cm.q_index_log2}
-    # q = 3 adjoins the cube roots of unity on top of zeta8
-    want_torsion = "zeta24" if q == 3 else "zeta8"
+    want_torsion = claims.CM_TORSION[q == 3]
     if cm.torsion != want_torsion:
         return False, f"torsion {cm.torsion}, expected {want_torsion}", None
-    if cm.q_index_log2 != 7:
-        return False, f"q_log2 = {cm.q_index_log2}, expected 7", None
+    want = claims.Q_LOG2[claims.K_CM]
+    if cm.q_index_log2 != want:
+        return False, f"q_log2 = {cm.q_index_log2}, expected {want}", None
     if not cm.spans(theorem_cm_exponents(p, q, cond.tag)):
         return False, "CM generator lattice differs from the theorem lattice", None
     twisted = [g for g in cm.generators if g.torsion_exponent]
@@ -432,7 +434,7 @@ def _check_cm_fsu(p, q, cond, rep, fsu):
     t = twisted[0].torsion_exponent
     if t % (order // 4) or (t // (order // 4)) % 2 == 0:
         return False, f"quartic twist is not +-i: exponent {t} of order {order}", None
-    return True, f"torsion {cm.torsion}, q_index_log2 7, unit index {unit_index(cm)}", cm
+    return True, f"torsion {cm.torsion}, q_index_log2 {want}, unit index {unit_index(cm)}", cm
 
 
 def _check_norm_tables(p, q, cond, rep, fsu):
@@ -455,23 +457,29 @@ def _check_quad_h2_table(p, q, cond, rep):
     return True, "15 subfield class numbers match the claimed table", None
 
 
+# kuroda_deg4 and kuroda_deg8 expect what the formula gives over the claims;
+# kuroda_deg16 expects the computed h2(-pq), of which Cond1 claims only a bound
+
+
 def _check_kuroda_deg4(p, q, cond, rep, h2_table, biquad):
-    val = kuroda_h2(deg4_instance(p, biquad[(2, p)].q_index_log2))
-    if val != 1:
-        return False, f"h2(Q(sqrt2, sqrt{p})) = {val}, expected 1", None
-    return True, f"h2(Q(sqrt2, sqrt{p})) = 1", None
+    val = kuroda_h2(kuroda_instance(claims.K_2P, p, q, biquad[(2, p)].q_index_log2))
+    want = claimed_h2(claims.K_2P, p, q, cond.tag)
+    if val != want:
+        return False, f"h2(Q(sqrt2, sqrt{p})) = {val}, expected {want}", None
+    return True, f"h2(Q(sqrt2, sqrt{p})) = {val}", None
 
 
 def _check_kuroda_deg8(p, q, cond, rep, h2_table, fsu):
-    val = kuroda_h2(deg8_instance(p, q, fsu.q_index_log2))
+    val = kuroda_h2(kuroda_instance(claims.K_PLUS, p, q, fsu.q_index_log2))
     rep.kuroda_results = {"h2_Kplus": val, "h2_K": None}
-    if val != 1:
-        return False, f"h2(K+) = {val}, expected 1", None
-    return True, "h2(K+) = 1", None
+    want = claimed_h2(claims.K_PLUS, p, q, cond.tag)
+    if val != want:
+        return False, f"h2(K+) = {val}, expected {want}", None
+    return True, f"h2(K+) = {val}", None
 
 
 def _check_kuroda_deg16(p, q, cond, rep, h2_table, cm, deg8):
-    val = kuroda_h2(deg16_instance(p, q, cm.q_index_log2 + 1))
+    val = kuroda_h2(kuroda_instance(claims.K_CM, p, q, cm.q_index_log2 + 1))
     rep.kuroda_results["h2_K"] = val
     want = quadratic_h2(-p * q).h2
     if val != want:

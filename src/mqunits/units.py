@@ -40,6 +40,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
+from . import claims
 from .errors import Falsified
 from .field import (
     FieldBasis,
@@ -52,7 +53,7 @@ from .field import (
     zeta,
 )
 from .intarith import _sieve, prime_factors
-from .quadratic import COND1, COND2, classify_pair, fundamental_unit
+from .quadratic import COND1, classify_pair, fundamental_unit
 
 
 @dataclass
@@ -263,9 +264,7 @@ def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldEl
     lhs = witness ** s
     rhs = None
     for r, e in exps.items():
-        n = e * s
-        assert n.denominator == 1
-        power = base_units[r] ** int(n)
+        power = base_units[r] ** int(e * s)
         rhs = power if rhs is None else rhs * power
     gen, order = _torsion(basis)
     cur = rhs
@@ -410,108 +409,52 @@ def fsu_quadratic(d: int) -> FsuResult:
     return FsuResult(basis, "-1", (expr,))
 
 
-def _V(*syms):
-    return (False, syms)
-
-
-def _S(*syms):
-    return (True, syms)
-
-
-# Known FSU shapes for the six biquadratic configurations, keyed by the set
-# of quadratic subfield radicands written with p = 5 mod 8 and q = 3 mod 8.
-_BIQUAD_TABLE = {
-    frozenset({"p", "q", "pq"}): {
-        COND1: (_V("p"), _V("q"), _S("pq")),
-        COND2: (_V("p"), _V("q"), _S("q", "pq")),
-    },
-    frozenset({"2", "q", "2q"}): {
-        COND1: (_V("2"), _S("q"), _S("2q")),
-        COND2: (_V("2"), _S("q"), _S("2q")),
-    },
-    frozenset({"p", "2q", "2pq"}): {
-        COND1: (_V("p"), _V("2q"), _S("2q", "2pq")),
-        COND2: (_V("p"), _V("2q"), _S("2pq")),
-    },
-    frozenset({"q", "2p", "2pq"}): {
-        COND1: (_V("q"), _V("2p"), _S("2pq")),
-        COND2: (_V("q"), _V("2p"), _S("q", "2pq")),
-    },
-    frozenset({"2", "pq", "2pq"}): {
-        COND1: (_V("2"), _V("pq"), _S("pq", "2pq")),
-        COND2: (_V("2"), _V("pq"), _S("pq", "2pq")),
-    },
-    frozenset({"2", "p", "2p"}): {
-        COND1: (_V("2"), _V("p"), _S("2", "p", "2p")),
-        COND2: (_V("2"), _V("p"), _S("2", "p", "2p")),
-    },
-}
-
-
-def _symbol_map(radicands):
-    """Map each field radicand to its symbolic name over the primes p, q."""
-    primes = set()
-    for r in radicands:
-        primes.update(prime_factors(r))
-    primes.discard(2)
-    p = [f for f in primes if f % 8 == 5]
-    q = [f for f in primes if f % 8 == 3]
-    if len(p) > 1 or len(q) > 1 or len(p) + len(q) < len(primes):
-        raise ValueError(f"radicands {radicands} are not built from one p = 5 and one q = 3 mod 8")
-    table = {2: "2"}
-    if p:
-        table.update({p[0]: "p", 2 * p[0]: "2p"})
-    if q:
-        table.update({q[0]: "q", 2 * q[0]: "2q"})
-    if p and q:
-        table.update({p[0] * q[0]: "pq", 2 * p[0] * q[0]: "2pq"})
-    reverse = {v: k for k, v in table.items()}
-    return table, reverse
-
-
 def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     """FSU of the real biquadratic field Q(sqrt(d1), sqrt(d2)).
 
-    Covers the six configurations whose quadratic subfield radicands are
-    {p,q,pq}, {2,q,2q}, {p,2q,2pq}, {q,2p,2pq}, {2,pq,2pq} or {2,p,2p} with
-    p = 5 mod 8 and q = 3 mod 8 primes.  The shape of the system depends on
-    the condition class of the pair (p, q) through the Legendre symbol when
-    both primes appear; {2,q,2q} and {2,p,2p} have one shape either way.
+    Covers the six configurations of claims.BIQUAD_FSU, built from primes
+    p = 5 mod 8 and q = 3 mod 8 and found by their radicand sets, so the
+    order of d1 and d2 does not matter.  The system is the one claimed for
+    the condition class of the pair (p, q) when both primes appear.
     Predicted square roots are materialized exactly; raises Falsified when
     one does not exist, ValueError for an unknown configuration.
     """
     basis = FieldBasis((d1, d2))
     if basis.is_cm:
         raise ValueError("biquadratic FSU shapes cover totally real fields only")
-    rads = [r for r in basis.radicands if r != 1]
-    try:
-        table, reverse = _symbol_map(rads)
-        shapes = _BIQUAD_TABLE[frozenset(table[r] for r in rads)]
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"unknown biquadratic configuration {sorted(rads)}") from exc
-    if "p" in reverse and "q" in reverse:
-        actual = classify_pair(reverse["p"], reverse["q"])
+    rads = set(basis.radicands) - {1}
+    primes = {f for r in rads for f in prime_factors(r)} - {2}
+    ps = [f for f in primes if f % 8 == 5]
+    qs = [f for f in primes if f % 8 == 3]
+    key = None
+    if len(ps) <= 1 and len(qs) <= 1 and len(ps) + len(qs) == len(primes):
+        # a prime the field lacks stands as 0, which no radicand equals
+        p, q = (ps or [0])[0], (qs or [0])[0]
+        for s1, s2 in claims.BIQUAD_FSU:
+            a, b = claims.value(s1, p, q), claims.value(s2, p, q)
+            if {a, b, a * b // math.gcd(a, b) ** 2} == rads:
+                key = s1, s2
+    if key is None:
+        raise ValueError(f"unknown biquadratic configuration {sorted(rads)}")
+    tag = COND1  # {2,q,2q} and {2,p,2p} have one system for both classes
+    if ps and qs:
+        actual = classify_pair(p, q)
         if not actual.is_applicable:
             raise ValueError(f"pair not applicable: {actual.reason}")
-        specs = shapes[actual.tag]
-    else:  # {2,q,2q} or {2,p,2p}: one shape for both classes
-        specs = shapes[COND1]
+        tag = actual.tag
     units = _base_units(basis)
     gens = []
-    for is_sqrt, syms in specs:
-        parts = [reverse[s] for s in syms]
-        if not is_sqrt:
-            (r,) = parts
-            gens.append(UnitExpr(0, {r: Fraction(1)}, units[r]))
+    for vec in claims.BIQUAD_FSU[key][tag]:
+        exps = claims.exponents(vec, p, q)
+        if exponent_level([exps]) == 1:  # a quadratic unit itself
+            (r,) = exps
+            gens.append(UnitExpr(0, exps, units[r]))
             continue
-        prod = basis.one()
-        for r in parts:
-            prod = prod * units[r]
-        w = sqrt_in_field(prod)
+        w = sqrt_in_field(math.prod(map(units.get, exps), start=basis.one()))
         if w is None:
-            names = "*".join(f"eps_{r}" for r in parts)
+            names = "*".join(f"eps_{r}" for r in exps)
             raise Falsified(f"{names} is predicted to be a square in {basis!r} but is not")
-        gens.append(_make_expr(basis, units, {r: Fraction(1, 2) for r in parts}, _norm_pos(w)))
+        gens.append(_make_expr(basis, units, exps, _norm_pos(w)))
     return FsuResult(basis, "-1", tuple(gens))
 
 
@@ -663,31 +606,13 @@ def unit_index(fsu: FsuResult) -> int:
 
 
 def theorem_real_exponents(p: int, q: int, tag: str):
-    """Reference FSU exponent vectors for Q(sqrt2, sqrt p, sqrt q)."""
-    H, Q = Fraction(1, 2), Fraction(1, 4)
-    base = [
-        {2: Fraction(1)},
-        {p: Fraction(1)},
-        {q: H},
-        {2 * q: H},
-        {p * q: H},
-        {2: H, p: H, 2 * p: H},
-    ]
-    if tag == COND1:
-        base.append({p: H, 2 * q: Q, p * q: Q, 2 * p * q: Q})
-    elif tag == COND2:
-        base.append({2: H, p: H, q: Q, p * q: Q, 2 * p * q: Q})
-    else:
-        raise ValueError(f"no reference list for condition {tag}")
-    return base
+    """Reference FSU exponent vectors for Q(sqrt2, sqrt p, sqrt q): claims.KPLUS_FSU."""
+    return [claims.exponents(claims.UNITS[tag][name], p, q) for name in claims.KPLUS_FSU]
 
 
 def theorem_cm_exponents(p: int, q: int, tag: str):
-    """Reference FSU exponent vectors for Q(sqrt2, sqrt p, sqrt q, i): the
-    real list with sqrt(eps_2q) replaced by the torsion-twisted root."""
-    out = theorem_real_exponents(p, q, tag)
-    out[3] = {2: Fraction(1, 2), q: Fraction(1, 4), 2 * q: Fraction(1, 4)}
-    return out
+    """Reference FSU exponent vectors for Q(sqrt2, sqrt p, sqrt q, i): claims.CM_FSU."""
+    return [claims.exponents(claims.UNITS[tag][name], p, q) for name in claims.CM_FSU]
 
 
 def vector_in_lattice(vec: dict, exps_list) -> bool:
@@ -720,85 +645,9 @@ class NormTable:
     rows: tuple
 
 
-NORM_COLUMNS = ("tau1", "tau2", "tau3", "n1", "n2", "n3", "n12", "n13", "n23")
-
-# Predicted conjugates and relative norms of the degree-8 units.  tau1, tau2,
-# tau3 negate sqrt(2), sqrt(p), sqrt(q); column nXY is the norm 1 + tauX*tauY.
-# Each entry is (sign, monomial): sign is +-1 or a per-row symbol resolved at
-# check time, the monomial maps unit names to integer powers.  None = no claim.
-
-E2, EP, EQ, E2P, E2Q, EPQ, E2PQ = (
-    "eps_2", "eps_p", "eps_q", "eps_2p", "eps_2q", "eps_pq", "eps_2pq",
-)
-SQ, S2Q, SPQ, S2PQ = "sqrt_eps_q", "sqrt_eps_2q", "sqrt_eps_pq", "sqrt_eps_2pq"
-SP2P = "sqrt_eps_2_eps_p_eps_2p"
-F4 = "fourth_root"
-
-_NT_COMMON = {
-    E2: (
-        (-1, {E2: -1}), (1, {E2: 1}), (1, {E2: 1}),
-        (-1, {}), (1, {E2: 2}), (1, {E2: 2}), (-1, {}), (-1, {}), (1, {E2: 2}),
-    ),
-    EP: (
-        (1, {EP: 1}), (-1, {EP: -1}), (1, {EP: 1}),
-        (1, {EP: 2}), (-1, {}), (1, {EP: 2}), (-1, {}), (1, {EP: 2}), (-1, {}),
-    ),
-    SQ: (
-        (-1, {SQ: 1}), (1, {SQ: 1}), (-1, {SQ: -1}),
-        (-1, {EQ: 1}), (1, {EQ: 1}), (-1, {}), (-1, {EQ: 1}), (1, {}), (-1, {}),
-    ),
-    S2Q: (
-        (1, {S2Q: -1}), (1, {S2Q: 1}), (-1, {S2Q: -1}),
-        (1, {}), (1, {E2Q: 1}), (-1, {}), (1, {}), (-1, {E2Q: 1}), (-1, {}),
-    ),
-    SP2P: (
-        ("u", {SP2P: 1, E2: -1, E2P: -1}), ("v", {SP2P: 1, EP: -1, E2P: -1}), (1, {SP2P: 1}),
-        ("u", {EP: 1}), ("v", {E2: 1}), (1, {E2: 1, EP: 1, E2P: 1}), None, None, None,
-    ),
-}
-
-_NT_COND1 = {
-    SPQ: (
-        (1, {SPQ: 1}), (-1, {SPQ: -1}), (1, {SPQ: -1}),
-        (1, {EPQ: 1}), (-1, {}), (1, {}), (-1, {}), (1, {}), (-1, {EPQ: 1}),
-    ),
-    S2PQ: (
-        (1, {S2PQ: -1}), (1, {S2PQ: -1}), (-1, {S2PQ: -1}),
-        (1, {}), (1, {}), (-1, {}), (1, {E2PQ: 1}), (-1, {E2PQ: 1}), (-1, {E2PQ: 1}),
-    ),
-    F4: (
-        ("r", {F4: 1, S2Q: -1, S2PQ: -1}),
-        ("s", {F4: 1, EP: -1, SPQ: -1, S2PQ: -1}),
-        ("t", {F4: 1, S2Q: -1, SPQ: -1, S2PQ: -1}),
-        ("r", {EP: 1, SPQ: 1}), ("s", {S2Q: 1}), ("t", {EP: 1}), None, None, None,
-    ),
-}
-
-_NT_COND2 = {
-    SPQ: (
-        (-1, {SPQ: 1}), (-1, {SPQ: -1}), (1, {SPQ: -1}),
-        (-1, {EPQ: 1}), (-1, {}), (1, {}), (1, {}), (-1, {}), (-1, {EPQ: 1}),
-    ),
-    S2PQ: (
-        (-1, {S2PQ: -1}), (1, {S2PQ: -1}), (-1, {S2PQ: -1}),
-        (-1, {}), (1, {}), (-1, {}), (-1, {E2PQ: 1}), (1, {E2PQ: 1}), (-1, {E2PQ: 1}),
-    ),
-    F4: (
-        ("r", {F4: 1, E2: -1, S2PQ: -1}),
-        ("s", {F4: 1, EP: -1, SPQ: -1, S2PQ: -1}),
-        ("t", {F4: 1, SQ: -1, SPQ: -1, S2PQ: -1}),
-        ("r", {EP: 1, SQ: 1, SPQ: 1}), ("s", {E2: 1, SQ: 1}), ("t", {E2: 1, EP: 1}), None, None, None,
-    ),
-}
-
-_NT_ROW_ORDER = (E2, EP, SQ, S2Q, SPQ, S2PQ, SP2P, F4)
-# the units of theorem_real_exponents, in its order
-_REAL_NAMES = (E2, EP, SQ, S2Q, SPQ, SP2P, F4)
-
-
 def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     """Check conjugates and relative norms of the degree-8 units against the
-    predicted table, resolving the symbolic signs.
+    table claims.NORM_TABLES of the pair's class, resolving the symbolic signs.
 
     A named unit is the one with its exponent vector that is positive at the
     all-plus embedding, and an entry claims tau(w) or w*tau(w) = sign *
@@ -830,19 +679,17 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     if fsu.field is not field:
         raise ValueError(f"the unit system lives in {fsu.field}, not in {field}")
 
-    named = dict(zip(_REAL_NAMES, theorem_real_exponents(p, q, cond.tag)))
-    named[S2PQ] = {2 * p * q: Fraction(1, 2)}
-    for name, r in ((EQ, q), (E2P, 2 * p), (E2Q, 2 * q), (EPQ, p * q), (E2PQ, 2 * p * q)):
-        named[name] = {r: 1}
+    named = claims.UNITS[cond.tag]
     # column m - 1 holds the exponent of eps at radicand m; the labels are
     # those of the frame, and the rows are scaled by 4 like it
     labels = field.radicands[1:]
     k = len(labels)
-    vec = dict(zip(named, _exponent_rows(named.values(), labels)))
+    scaled = _exponent_rows([claims.exponents(v, p, q) for v in named.values()], labels)
+    vec = dict(zip(named, scaled))
 
     bit = {g: 1 << i for i, g in enumerate(field.generators)}
     t1, t2, t3 = bit[2], bit[p], bit[q]
-    masks = dict(zip(NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
+    masks = dict(zip(claims.NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
     # the image of w under a column: tau multiplies the entry at mask m by
     # -1 when m meets its mask in an odd number of bits, a norm adds w
     factors = {col: [(-1 if (m & mask).bit_count() & 1 else 1) + (not col.startswith("tau"))
@@ -851,10 +698,8 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     gen_signs = [dict(zip(embeddings, signs_at_embeddings(g.witness, embeddings)))
                  for g in fsu.generators]
 
-    table = dict(_NT_COMMON)
-    table.update(_NT_COND1 if cond.tag == COND1 else _NT_COND2)
     rows = []
-    for label in _NT_ROW_ORDER:
+    for label, claimed in claims.NORM_TABLES[cond.tag].items():
         w = vec[label]
         c = _frame_solve(fsu.frame, w)
         if c is None:
@@ -863,7 +708,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
         odd = [i for i, a in enumerate(c) if a & 1]
         resolved = {}
         entries = {}
-        for col, entry in zip(NORM_COLUMNS, table[label]):
+        for col, entry in zip(claims.NORM_COLUMNS, claimed):
             if entry is None:
                 continue
             sign, mono = entry

@@ -4,20 +4,20 @@ norm_table here checks the predicted table the direct way: it rebuilds every
 named unit as an exact field element (square roots normalized positive at
 the all-plus embedding), forms each conjugate and each relative norm
 u * conjugate(u, mask), and compares it with the evaluated monomial.  It
-reads the same prediction tables as mqunits.units.norm_table, so a test
-that edits one entry reaches both.
+reads the same claimed tables as mqunits.units.norm_table
+(claims.NORM_TABLES), so a test that edits one entry reaches both, but it
+builds its units and evaluates its entries without that function.
 """
 
 from fractions import Fraction
 
-from mqunits import units
+from mqunits.claims import (
+    E2, E2P, E2PQ, E2Q, EP, EPQ, EQ, F4, NORM_COLUMNS, NORM_TABLES, S2PQ, S2Q, SP2P, SPQ, SQ,
+)
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, FieldElement, _conjugate, sqrt_in_field
 from mqunits.quadratic import COND1, classify_pair
-from mqunits.units import (
-    E2, E2P, E2PQ, E2Q, EP, EPQ, EQ, F4, NORM_COLUMNS, S2PQ, S2Q, SP2P, SPQ, SQ,
-    FsuResult, NormRow, NormTable, _base_units, _norm_pos,
-)
+from mqunits.units import FsuResult, NormRow, NormTable, _base_units, _norm_pos
 
 
 def conjugate(u: FieldElement, mask: int) -> FieldElement:
@@ -83,14 +83,12 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
     t1, t2, t3 = bit[2], bit[p], bit[q]
     masks = dict(zip(NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
 
-    table = dict(units._NT_COMMON)
-    table.update(units._NT_COND1 if cond.tag == COND1 else units._NT_COND2)
     rows = []
-    for label in units._NT_ROW_ORDER:
+    for label, claimed in NORM_TABLES[cond.tag].items():
         w = env[label]
         resolved = {}
         entries = {}
-        for col, entry in zip(NORM_COLUMNS, table[label]):
+        for col, entry in zip(NORM_COLUMNS, claimed):
             if entry is None:
                 continue
             computed = conjugate(w, masks[col])

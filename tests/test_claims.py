@@ -1,0 +1,91 @@
+"""Tests for the claims table: what follows from it alone, and that every
+check reads its claim from it."""
+
+import pytest
+
+from mqunits import claims
+from mqunits.claims import COND1, COND2, K_2P, K_CM, K_PLUS
+from mqunits.classnum import KurodaInstance, claimed_h2, kuroda_h2
+from mqunits.quadratic import classify_pair
+from mqunits.report import verify_pair
+
+# one pair of each condition class; (13, 3) has the zeta24 torsion of q = 3
+PAIRS = {COND1: (13, 3), COND2: (13, 11)}
+
+
+def test_value_resolves_every_symbol():
+    assert [claims.value(s, 5, 3) for s in claims.SUBFIELDS] == \
+        [-1, 2, -2, 5, -5, 3, -3, 10, -10, 6, -6, 15, -15, 30, -30]
+    assert claims.value("1", 5, 3) == 1
+    assert claims.exponents(claims.UNITS[COND1][claims.F4], 5, 11) == \
+        {5: claims.H, 22: claims.Q4, 55: claims.Q4, 110: claims.Q4}
+
+
+def _formula_over_claims(field, tag, h2_neg_pq=None):
+    """kuroda_h2 over the claimed subfield h2 and the claimed unit index of
+    field, with h2(-pq) replaced by h2_neg_pq when given."""
+    p, q = PAIRS[tag]
+    h2 = {s: n for s, (_, n) in claims.H2_CLAIMS[tag].items()}
+    if h2_neg_pq is not None:
+        h2["-pq"] = h2_neg_pq
+    subs = tuple((claims.value(s, p, q), h2[s]) for s in claims.KURODA_FIELDS[field])
+    # the unit index of K has one more factor 2 than its lattice index, for the torsion
+    q_log2 = claims.Q_LOG2[field] + (field == K_CM)
+    return kuroda_h2(KurodaInstance(len(subs) + 1, subs, q_log2))
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+def test_the_formula_checks_follow_from_the_claims(tag):
+    # kuroda_deg4 and kuroda_deg8 compare the formula with what it gives over
+    # the claims, and the claims alone give h2 = 1 for both fields: a pair
+    # whose unit indices and subfield h2 pass their own checks passes these
+    assert _formula_over_claims(K_2P, tag) == 1 == claimed_h2(K_2P, *PAIRS[tag], tag)
+    assert _formula_over_claims(K_PLUS, tag) == 1 == claimed_h2(K_PLUS, *PAIRS[tag], tag)
+    # over the claims, the degree-16 product is h2(-pq) itself, so kuroda_deg16
+    # reads back the value it compares with
+    rel, n = claims.H2_CLAIMS[tag]["-pq"]
+    if tag == COND2:
+        assert (rel, n) == ("==", 2)
+        assert _formula_over_claims(K_CM, tag) == 2 == claimed_h2(K_CM, *PAIRS[tag], tag)
+    else:
+        assert (rel, n) == (">=", 4)
+        for h2 in (4, 8, 16, 32):
+            assert _formula_over_claims(K_CM, tag, h2) == h2
+
+
+def _other(tag):
+    return COND2 if tag == COND1 else COND1
+
+
+# check id -> a fault that edits one entry of the claims table the check reads
+FAULTS = {
+    "lemma_q": lambda mp, tag, p, q: mp.setitem(
+        claims.PELL_CASES[tag], "q", ("q", "1", "minus", "1", "q", True)),
+    "biquad_fsu_all": lambda mp, tag, p, q: mp.setitem(claims.Q_LOG2, ("2", "q"), 1),
+    "wada_q_index": lambda mp, tag, p, q: mp.setitem(claims.Q_LOG2, K_PLUS, 5),
+    # the other class's fourth root put in the lattice of this one
+    "wada_generators": lambda mp, tag, p, q: mp.setitem(
+        claims.UNITS[_other(tag)], claims.F4, claims.UNITS[tag][claims.F4]),
+    "cm_fsu": lambda mp, tag, p, q: mp.setitem(claims.CM_TORSION, q == 3, "zeta12"),
+    "norm_tables": lambda mp, tag, p, q: mp.setitem(
+        claims.NORM_TABLES[tag], claims.E2,
+        ((1, {claims.E2: -1}),) + claims.NORM_TABLES[tag][claims.E2][1:]),
+    "quad_h2_table": lambda mp, tag, p, q: mp.setitem(claims.H2_CLAIMS[tag], "q", ("==", 2)),
+    "structures": lambda mp, tag, p, q: mp.setitem(claims.STRUCTURES[tag], "m", ("==", 3)),
+}
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+@pytest.mark.parametrize("cid", list(FAULTS))
+def test_one_claim_fault_fails_exactly_the_check_that_reads_it(monkeypatch, cid, tag):
+    p, q = PAIRS[tag]
+    assert classify_pair(p, q).tag == tag
+    with monkeypatch.context() as mp:
+        FAULTS[cid](mp, tag, p, q)
+        rep = verify_pair(p, q)
+    failed = {c: detail for c, ok, detail in rep.checks if not ok}
+    # the check fails by Falsified or by returning False, and every other
+    # failed entry is a check skipped below it
+    assert not failed[cid].startswith(("error:", "skipped:")), failed[cid]
+    assert all(detail.startswith("skipped: ") for c, detail in failed.items() if c != cid), failed
+    assert verify_pair(p, q).passed

@@ -5,13 +5,12 @@ import textwrap
 import pytest
 
 from mqunits import classnum
+from mqunits.claims import K_2P, K_CM, K_PLUS
 from mqunits.classnum import (
     KurodaInstance,
     crosscheck_quadratic_h2,
-    deg4_instance,
-    deg8_instance,
-    deg16_instance,
     kuroda_h2,
+    kuroda_instance,
     predict_structures,
     quadratic_h2,
     subfield_radicands,
@@ -75,19 +74,19 @@ def test_input_checks_hold_under_python_O():
 
 
 def test_instance_builders():
-    inst = deg8_instance(5, 11, 6)
+    inst = kuroda_instance(K_PLUS, 5, 11, 6)
     assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 1, 2, 1, 2, 2)
     assert kuroda_h2(inst) == 1
 
-    inst = deg16_instance(5, 3, 8)
+    inst = kuroda_instance(K_CM, 5, 3, 8)
     assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 4)
     assert kuroda_h2(inst) == 2
 
     # under Cond1 the degree-16 value reproduces h2(-pq)
-    inst = deg16_instance(5, 11, 8)
+    inst = kuroda_instance(K_CM, 5, 11, 8)
     assert kuroda_h2(inst) == 4 == quadratic_h2(-55).h2
 
-    inst = deg4_instance(5, 1)
+    inst = kuroda_instance(K_2P, 5, 3, 1)
     assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 2)
     assert kuroda_h2(inst) == 1
 

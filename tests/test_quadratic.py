@@ -206,3 +206,19 @@ def test_lemma_decompose_rejects_bad_calls():
 def test_unit_invariant_enforced():
     with pytest.raises(ValueError):
         QuadraticUnit(d=2, x=2, y=1, denom=1, norm=1)
+
+
+def test_unit_denominator_is_enforced_under_python_O():
+    # fundamental_unit relies on this raise, not on an assert, for den in (1, 2):
+    # (6 + 2*sqrt(5))/4 has norm 1 but a denominator the maximal order never needs
+    code = textwrap.dedent("""\
+        from mqunits.quadratic import QuadraticUnit
+        try:
+            QuadraticUnit(d=5, x=6, y=2, denom=4, norm=1)
+            print("accepted")
+        except ValueError:
+            print("rejected")
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "rejected\n"

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mqunits import report, units
+from mqunits import claims, report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
 from mqunits.intarith import kronecker_symbol
@@ -21,7 +21,6 @@ from mqunits.report import scan_pairs
 from mqunits.units import (
     CHAR_PRIMES,
     FsuResult,
-    NORM_COLUMNS,
     UnitExpr,
     _base_units,
     _char_data,
@@ -203,7 +202,7 @@ def test_norm_table(p, q):
     assert labels[0] == "eps_2" and labels[-1] == "fourth_root"
     for row in table.rows:
         for col, (sign, symbol, mono) in row.entries.items():
-            assert col in NORM_COLUMNS and sign in (-1, 1)
+            assert col in claims.NORM_COLUMNS and sign in (-1, 1)
     full_rows = [row for row in table.rows if len(row.entries) == 9]
     assert len(full_rows) == 6
     assert len(table.rows[-1].entries) == 6
@@ -229,13 +228,14 @@ def test_norm_table_matches_the_oracle():
 
 
 @pytest.mark.parametrize("entry", [
-    (1, {units.E2: -1}),  # the fixed sign of tau1(eps_2) flipped
-    (-1, {units.E2: -2}),  # its monomial exponent altered
+    (1, {claims.E2: -1}),  # the fixed sign of tau1(eps_2) flipped
+    (-1, {claims.E2: -2}),  # its monomial exponent altered
 ])
 def test_tampered_norm_table_entry_is_falsified(monkeypatch, entry):
     field, fsu = deg8(5, 11)
-    assert units._NT_COMMON[units.E2][0] == (-1, {units.E2: -1})
-    monkeypatch.setitem(units._NT_COMMON, units.E2, (entry,) + units._NT_COMMON[units.E2][1:])
+    table = claims.NORM_TABLES[COND1]
+    assert table[claims.E2][0] == (-1, {claims.E2: -1})
+    monkeypatch.setitem(table, claims.E2, (entry,) + table[claims.E2][1:])
     for table in (norm_table, norm_oracle.norm_table):
         with pytest.raises(Falsified, match="norm table"):
             table(field, fsu)
