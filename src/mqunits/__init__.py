@@ -2,7 +2,6 @@
 
 from .classnum import (
     KurodaInstance,
-    crosscheck_quadratic_h2,
     kuroda_h2,
     predict_structures,
     quadratic_h2,
@@ -41,9 +40,8 @@ __all__ = [
     "FieldBasis", "FieldElement", "FsuResult", "KurodaInstance", "PairReport",
     "QuadraticUnit", "ScanSummary", "UnitExpr",
     "azizi_extend", "class_number_imaginary", "class_number_real", "classify_pair",
-    "crosscheck_quadratic_h2", "fsu_biquadratic", "fsu_quadratic", "fundamental_unit",
-    "kuroda_h2", "lemma_decompose", "norm_table", "parse_element",
-    "predict_structures", "quadratic_h2", "report_emit", "report_from_json", "report_to_json",
-    "scan", "serialize_element", "sqrt_in_field", "unit_index", "verify_pair",
-    "wada_fsu",
+    "fsu_biquadratic", "fsu_quadratic", "fundamental_unit", "kuroda_h2", "lemma_decompose",
+    "norm_table", "parse_element", "predict_structures", "quadratic_h2", "report_emit",
+    "report_from_json", "report_to_json", "scan", "serialize_element", "sqrt_in_field",
+    "unit_index", "verify_pair", "wada_fsu",
 ]

@@ -4,11 +4,14 @@ For a multiquadratic field of degree 4, 8 or 16 the 2-class number is
 2^(q_log2 - v) times the product of the 2-class numbers of its quadratic
 subfields, where q_log2 is the exponent of the unit index and v is a fixed
 exponent per field shape (2, 9, 16).  The subfield values are computed by
-the forms module, which computes no unit (a real field's narrow class
-number is halved by reading the rho cycles), so the formula ties the
-unit-index computation to class numbers computed by an entirely independent
-route.  A non-integral result means the inputs contradict each other and
-raises Falsified.
+quadratic_h2 over the forms module, which computes no unit (a real field's
+narrow class number is halved by reading the rho cycles), so the formula
+ties the unit-index computation to class numbers computed by an entirely
+independent route.  The report's quad_h2_table check computes the 15
+subfield values of a pair once, as a map from subfield symbol to h2;
+kuroda_instance and predict_structures read that map.
+A non-integral result means the inputs contradict each other and raises
+Falsified.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,6 @@ from .forms import (  # class_number_imaginary: the full group data, re-exported
     count_reduced_forms,
     disc_of_radicand,
 )
-from .quadratic import classify_pair
 
 _V_BY_DEGREE = {4: 2, 8: 9, 16: 16}
 
@@ -84,11 +86,11 @@ def kuroda_h2(instance: KurodaInstance) -> int:
     return num // den
 
 
-def kuroda_instance(field: tuple, p: int, q: int, q_log2: int) -> KurodaInstance:
+def kuroda_instance(field: tuple, p: int, q: int, h2: dict, q_log2: int) -> KurodaInstance:
     """Formula instance for the field of claims.KURODA_FIELDS named by its
-    generator symbols, over the computed h2 of its quadratic subfields."""
-    rads = [claims.value(s, p, q) for s in claims.KURODA_FIELDS[field]]
-    return KurodaInstance(len(rads) + 1, tuple((r, quadratic_h2(r).h2) for r in rads), q_log2)
+    generator symbols, over h2, a map from subfield symbol to 2-class number."""
+    syms = claims.KURODA_FIELDS[field]
+    return KurodaInstance(len(syms) + 1, tuple((claims.value(s, p, q), h2[s]) for s in syms), q_log2)
 
 
 def claimed_h2(field: tuple, p: int, q: int, tag: str) -> int:
@@ -97,58 +99,34 @@ def claimed_h2(field: tuple, p: int, q: int, tag: str) -> int:
     subfield h2 of claims.H2_CLAIMS (a bound counts as its value) and the
     unit index of claims.Q_LOG2, with one more factor 2 for the torsion of
     the CM field K (units.unit_index)."""
-    h2 = claims.H2_CLAIMS[tag]
-    syms = claims.KURODA_FIELDS[field]
-    q_log2 = claims.Q_LOG2[field] + ("-1" in field)
-    return kuroda_h2(KurodaInstance(len(syms) + 1, tuple(
-        (claims.value(s, p, q), h2[s][1]) for s in syms), q_log2))
-
-
-# ---------------------------------------------------------------------------
-# claimed subfield values
-
-
-def crosscheck_quadratic_h2(p: int, q: int, cond):
-    """Compare computed h2 of all 15 quadratic subfields with the values
-    claims.H2_CLAIMS gives for the pair's condition class; returns
-    (claim, computed, pass) triples in report order."""
-    if not cond.is_applicable:
-        raise ValueError(f"pair is not applicable: {cond.reason}")
-    table = claims.H2_CLAIMS[cond.tag]
-    out = []
-    for s, r in zip(claims.SUBFIELDS, subfield_radicands(p, q)):
-        rel, n = claim = table[s]
-        h2 = quadratic_h2(r).h2
-        out.append((f"h2({r}) {rel} {n}", h2, claims.holds(claim, h2)))
-    return out
+    h2 = {s: n for s, (_, n) in claims.H2_CLAIMS[tag].items()}
+    return kuroda_h2(kuroda_instance(field, p, q, h2, claims.Q_LOG2[field] + ("-1" in field)))
 
 
 # ---------------------------------------------------------------------------
 # predicted 2-class group and Galois structures
 
 
-def predict_structures(p: int, q: int) -> dict:
-    """The report's structures entry for an applicable pair.
+def predict_structures(p: int, q: int, tag: str, h2_neg_pq: int) -> dict:
+    """The report's structures entry for a pair of condition class tag.
 
-    m comes from the independently computed h2(-pq) = 2^m, and must satisfy
+    m comes from the computed h2_neg_pq = h2(-pq) = 2^m, and must satisfy
     the claim on m of claims.STRUCTURES, which also gives the tower groups
-    of the pair's condition class.  The 2-class number of the n-th layer is
-    h2_Ln = 2^(n+m-1).  Group labels are plain strings: "(2,2)", "Z/n",
-    "Q_k" (generalized quaternion of order 2^k).  A violated claim raises
-    Falsified.
+    of the class; an unknown tag raises ValueError.  The 2-class number of
+    the n-th layer is h2_Ln = 2^(n+m-1).  Group labels are plain strings:
+    "(2,2)", "Z/n", "Q_k" (generalized quaternion of order 2^k).  A
+    violated claim raises Falsified.
     """
-    cond = classify_pair(p, q)
-    if not cond.is_applicable:
-        raise ValueError(f"pair is not applicable: {cond.reason}")
-    h2 = quadratic_h2(-p * q).h2
-    if h2 & (h2 - 1) or h2 < 2:
-        raise Falsified(f"h2(-{p * q}) = {h2} is not a power of 2 above 1")
-    m = h2.bit_length() - 1
-    claim = claims.STRUCTURES[cond.tag]
+    if tag not in claims.STRUCTURES:
+        raise ValueError(f"no structures are claimed for condition class {tag!r}")
+    if h2_neg_pq & (h2_neg_pq - 1) or h2_neg_pq < 2:
+        raise Falsified(f"h2(-{p * q}) = {h2_neg_pq} is not a power of 2 above 1")
+    m = h2_neg_pq.bit_length() - 1
+    claim = claims.STRUCTURES[tag]
     if not claims.holds(claim["m"], m):
         rel, n = claim["m"]
         want = 2 ** n if rel == "==" else f"{rel} {2 ** n}"
-        raise Falsified(f"{cond.tag} pair ({p},{q}) has h2(-pq) = {h2}, expected {want}")
+        raise Falsified(f"{tag} pair ({p},{q}) has h2(-pq) = {h2_neg_pq}, expected {want}")
     cl2_tower = claim["cl2_tower"]
     return {
         "m": m,

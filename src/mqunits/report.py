@@ -31,7 +31,6 @@ from fractions import Fraction
 from . import claims
 from .classnum import (
     claimed_h2,
-    crosscheck_quadratic_h2,
     kuroda_h2,
     kuroda_instance,
     predict_structures,
@@ -444,33 +443,40 @@ def _check_norm_tables(p, q, cond, rep, fsu):
 
 
 def _check_quad_h2_table(p, q, cond, rep):
-    rows = crosscheck_quadratic_h2(p, q, cond)
-    table = []
-    for r in subfield_radicands(p, q):
+    """Compute the 15 subfield class numbers once, compare each with its
+    claim, and pass them on as {symbol: h2} to the checks that read them."""
+    claimed = claims.H2_CLAIMS[cond.tag]
+    table, h2, bad = [], {}, []
+    for s, r in zip(claims.SUBFIELDS, subfield_radicands(p, q)):
         cr = quadratic_h2(r)
         table.append({"radicand": r, "discriminant": disc_of_radicand(r),
                       "h": cr.h, "h2": cr.h2})
+        h2[s] = cr.h2
+        if not claims.holds(claimed[s], cr.h2):
+            rel, n = claimed[s]
+            bad.append(f"h2({r}) {rel} {n}")
     rep.h2_table = table
-    bad = [claim for claim, _, ok in rows if not ok]
     if bad:
         return False, "mismatched claims: " + "; ".join(bad), None
-    return True, "15 subfield class numbers match the claimed table", None
+    return True, "15 subfield class numbers match the claimed table", h2
 
 
+# The checks below read the computed h2 from the quad_h2_table artifact.
 # kuroda_deg4 and kuroda_deg8 expect what the formula gives over the claims;
-# kuroda_deg16 expects the computed h2(-pq), of which Cond1 claims only a bound
+# kuroda_deg16 expects the computed h2(-pq), of which Cond1 claims only a
+# bound, and so compares the table's h2(-pq) with a product that contains it
 
 
-def _check_kuroda_deg4(p, q, cond, rep, h2_table, biquad):
-    val = kuroda_h2(kuroda_instance(claims.K_2P, p, q, biquad[(2, p)].q_index_log2))
+def _check_kuroda_deg4(p, q, cond, rep, h2, biquad):
+    val = kuroda_h2(kuroda_instance(claims.K_2P, p, q, h2, biquad[(2, p)].q_index_log2))
     want = claimed_h2(claims.K_2P, p, q, cond.tag)
     if val != want:
         return False, f"h2(Q(sqrt2, sqrt{p})) = {val}, expected {want}", None
     return True, f"h2(Q(sqrt2, sqrt{p})) = {val}", None
 
 
-def _check_kuroda_deg8(p, q, cond, rep, h2_table, fsu):
-    val = kuroda_h2(kuroda_instance(claims.K_PLUS, p, q, fsu.q_index_log2))
+def _check_kuroda_deg8(p, q, cond, rep, h2, fsu):
+    val = kuroda_h2(kuroda_instance(claims.K_PLUS, p, q, h2, fsu.q_index_log2))
     rep.kuroda_results = {"h2_Kplus": val, "h2_K": None}
     want = claimed_h2(claims.K_PLUS, p, q, cond.tag)
     if val != want:
@@ -478,17 +484,17 @@ def _check_kuroda_deg8(p, q, cond, rep, h2_table, fsu):
     return True, f"h2(K+) = {val}", None
 
 
-def _check_kuroda_deg16(p, q, cond, rep, h2_table, cm, deg8):
-    val = kuroda_h2(kuroda_instance(claims.K_CM, p, q, cm.q_index_log2 + 1))
+def _check_kuroda_deg16(p, q, cond, rep, h2, cm, deg8):
+    val = kuroda_h2(kuroda_instance(claims.K_CM, p, q, h2, cm.q_index_log2 + 1))
     rep.kuroda_results["h2_K"] = val
-    want = quadratic_h2(-p * q).h2
+    want = h2["-pq"]
     if val != want:
         return False, f"h2(K) = {val}, expected h2(-pq) = {want}", None
     return True, f"h2(K) = {val} = h2(-{p * q})", None
 
 
-def _check_structures(p, q, cond, rep, h2_table):
-    s = rep.structures = predict_structures(p, q)
+def _check_structures(p, q, cond, rep, h2):
+    s = rep.structures = predict_structures(p, q, cond.tag, h2["-pq"])
     return True, (f"m = {s['m']}, Cl2(L) = Z/{s['cl2_L']}, Cl2(F) = {s['cl2_F']}, "
                   f"Gal(F2/F) = {s['gal_F2']}, Gal(k2/k) = {s['gal_k2']}"), None
 

@@ -389,12 +389,38 @@ def _frame_solve(frame, row):
     return [-a for a in x[len(row):]]
 
 
-def _sum_exps(dicts):
+def _square_subsets(gens, vecs, factor=None):
+    """Yield (idxs, w) for each subset of the generators whose product u,
+    times factor when one is given, has u or -u = w^2: by size, then
+    lexicographically, from the empty subset when there is a factor and
+    from size 1 otherwise.  The product and its root are formed only when
+    the XOR of the character vectors of the subset and of factor is 0 (then
+    u is tried) or all ones (-u)."""
+    n = len(gens)
+    x0 = 0 if factor is None else _char_vector(factor)
+    for size in range(factor is None, n + 1):
+        for idxs in combinations(range(n), size):
+            x = x0
+            for i in idxs:
+                x ^= vecs[i]
+            if x and x != _ALL_CHARS:
+                continue
+            u = factor
+            for i in idxs:
+                u = gens[i].witness if u is None else u * gens[i].witness
+            w = sqrt_in_field(-u if x else u)
+            if w is not None:
+                yield idxs, w
+
+
+def _halved(gens, idxs) -> dict:
+    """The exponent vector of a square root of the product of the generators
+    at idxs; _make_expr drops the exponents that cancel."""
     out = {}
-    for d in dicts:
-        for r, e in d.items():
-            out[r] = out.get(r, Fraction(0)) + e
-    return {r: e for r, e in out.items() if e}
+    for i in idxs:
+        for r, e in gens[i].exponents.items():
+            out[r] = out.get(r, 0) + e / 2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +496,9 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
     for being a square in the field.  A found square root replaces the
     highest-index generator of its subset and the sweep restarts; the loop
     ends with a full sweep that finds nothing, which is the closure proof.
-    Subsets are tried by increasing size, then lexicographically.  A subset
-    whose character vectors XOR to neither 0 nor all ones is skipped: its
-    product is not +-1 times a square, so no product or root is formed.
+    Each sweep takes the first subset _square_subsets yields: by increasing
+    size, then lexicographically, skipping a subset whose character vectors
+    XOR to neither 0 nor all ones, whose product is not +-1 times a square.
     The vectors are computed once per generator and kept on the result.
     """
     assert not field.is_cm
@@ -486,34 +512,12 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
                 gens.append(_embed_expr(g, field))
     vecs = [_char_vector(g.witness) for g in gens]
     units = _base_units(field)
-    while (found := _find_subset_square(gens, vecs)) is not None:
+    while (found := next(_square_subsets(gens, vecs), None)) is not None:
         idxs, w = found
-        half = {r: e / 2 for r, e in _sum_exps(gens[i].exponents for i in idxs).items()}
         top = max(idxs)
-        gens[top] = _make_expr(field, units, half, _norm_pos(w))
+        gens[top] = _make_expr(field, units, _halved(gens, idxs), _norm_pos(w))
         vecs[top] = _char_vector(gens[top].witness)
     return FsuResult(field, "-1", tuple(gens), tuple(vecs))
-
-
-def _find_subset_square(gens, vecs):
-    """(idxs, w) for the first subset whose product u has u or -u = w^2, or
-    None.  The product and its root are formed only when the XOR of the
-    subset's character vectors is 0 (then u is tried) or all ones (-u)."""
-    n = len(gens)
-    for size in range(1, n + 1):
-        for idxs in combinations(range(n), size):
-            x = 0
-            for i in idxs:
-                x ^= vecs[i]
-            if x and x != _ALL_CHARS:
-                continue
-            u = gens[idxs[0]].witness
-            for i in idxs[1:]:
-                u = u * gens[i].witness
-            w = sqrt_in_field(-u if x else u)
-            if w is not None:
-                return idxs, w
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +531,11 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     primitive 2^n-th root of unity zeta, searches all subset products e of
     the real FSU, up to sign, for (2 + mu) * e a square in K.  At most one
     subset can succeed; two successes contradict the independence of the
-    FSU and raise Falsified.  The XOR of the character vectors of 2 + mu and
-    of every subset comes from one table of 2^n entries; only a subset whose
-    XOR is 0 (sign +1) or all ones (sign -1) has its product formed and
-    tested.  The real generators are embedded without re-verification.  On
+    FSU and raise Falsified.  The search is the one wada_fsu sweeps with,
+    _square_subsets with the factor 2 + mu, run to the end: every subset,
+    the empty one first, whose character vectors XOR with that of 2 + mu to
+    0 (sign +1) or all ones (sign -1) has its product formed and tested.
+    The real generators are embedded without re-verification.  On
     success the highest-index generator of the subset is replaced by
     (1 + zeta)*w/(2 + mu) for the root w of (2 + mu)*e that the search found:
     since (1 + zeta)^2 = zeta*(2 + mu), it is a square root of zeta*e, and
@@ -551,25 +556,8 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     two_mu = mu + 2
 
     gens = real_fsu.generators
-    vecs = real_fsu.chars
-    if vecs is None:
-        vecs = [_char_vector(g.witness) for g in gens]
-    # table[bits]: the XOR of the vectors of 2 + mu and of the generators in bits
-    table = [_char_vector(two_mu)]
-    for bits in range(1, 1 << len(gens)):
-        low = bits & -bits
-        table.append(table[bits ^ low] ^ vecs[low.bit_length() - 1])
-    hits = []
-    for bits, x in enumerate(table):
-        if x and x != _ALL_CHARS:
-            continue
-        idxs = [i for i in range(len(gens)) if bits >> i & 1]
-        eps = -real.one() if x else real.one()
-        for i in idxs:
-            eps = eps * gens[i].witness
-        w = sqrt_in_field(two_mu * eps)
-        if w is not None:
-            hits.append((idxs, w))
+    vecs = real_fsu.chars or [_char_vector(g.witness) for g in gens]
+    hits = list(_square_subsets(gens, vecs, two_mu))
     if len(hits) > 1:
         raise Falsified("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
 
@@ -581,8 +569,7 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
             raise Falsified("(2+mu) itself is a square, contradicting the torsion order")
         # (1 + xi)^2 = xi*(2 + mu), so this squares to xi*w^2/(2 + mu) = xi*eps
         root = embed_element(w * two_mu.inverse(), cm_basis) * (xi + 1)
-        half = {r: e / 2 for r, e in _sum_exps([gens[i].exponents for i in idxs]).items()}
-        out[max(idxs)] = _make_expr(cm_basis, units, half, _first_positive(root))
+        out[max(idxs)] = _make_expr(cm_basis, units, _halved(gens, idxs), _first_positive(root))
     return FsuResult(cm_basis, _torsion_name(order), tuple(out))
 
 

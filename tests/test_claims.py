@@ -3,7 +3,7 @@ check reads its claim from it."""
 
 import pytest
 
-from mqunits import claims
+from mqunits import claims, report
 from mqunits.claims import COND1, COND2, K_2P, K_CM, K_PLUS
 from mqunits.classnum import KurodaInstance, claimed_h2, kuroda_h2
 from mqunits.quadratic import classify_pair
@@ -75,6 +75,14 @@ FAULTS = {
 }
 
 
+def assert_fails_exactly(rep, cid, ways=("error:", "skipped:")):
+    """cid failed, not in one of the ways given, and every other failed entry
+    is a check skipped below it."""
+    failed = {c: detail for c, ok, detail in rep.checks if not ok}
+    assert not failed[cid].startswith(ways), failed[cid]
+    assert all(detail.startswith("skipped: ") for c, detail in failed.items() if c != cid), failed
+
+
 @pytest.mark.parametrize("tag", [COND1, COND2])
 @pytest.mark.parametrize("cid", list(FAULTS))
 def test_one_claim_fault_fails_exactly_the_check_that_reads_it(monkeypatch, cid, tag):
@@ -83,9 +91,27 @@ def test_one_claim_fault_fails_exactly_the_check_that_reads_it(monkeypatch, cid,
     with monkeypatch.context() as mp:
         FAULTS[cid](mp, tag, p, q)
         rep = verify_pair(p, q)
-    failed = {c: detail for c, ok, detail in rep.checks if not ok}
-    # the check fails by Falsified or by returning False, and every other
-    # failed entry is a check skipped below it
-    assert not failed[cid].startswith(("error:", "skipped:")), failed[cid]
-    assert all(detail.startswith("skipped: ") for c, detail in failed.items() if c != cid), failed
+    # the check fails by Falsified or by returning False
+    assert_fails_exactly(rep, cid)
+    assert verify_pair(p, q).passed
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+def test_a_one_prime_system_fault_fails_biquad_fsu_all(monkeypatch, tag):
+    # the systems of Q(sqrt2, sqrt p) and Q(sqrt2, sqrt q) are kept across
+    # pairs (report._one_prime_fsu), so the fault is seen only with that cache
+    # cleared on both sides of it; Q(sqrt2, sqrt q) has one system for both
+    # classes, and fsu_biquadratic reads it under Cond1, so both entries change
+    p, q = PAIRS[tag]
+    plain = ({"2": 1}, {"q": 1}, {"2q": 1})
+    report._one_prime_fsu.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            for t in (COND1, COND2):
+                mp.setitem(claims.BIQUAD_FSU[("2", "q")], t, plain)
+            rep = verify_pair(p, q)
+    finally:
+        report._one_prime_fsu.cache_clear()
+    # three plain units have index 1: the check returns False, it raises nothing
+    assert_fails_exactly(rep, "biquad_fsu_all", ("error:", "skipped:", "falsified:"))
     assert verify_pair(p, q).passed

@@ -4,11 +4,10 @@ import textwrap
 
 import pytest
 
-from mqunits import classnum
+from mqunits import claims, classnum, report
 from mqunits.claims import K_2P, K_CM, K_PLUS
 from mqunits.classnum import (
     KurodaInstance,
-    crosscheck_quadratic_h2,
     kuroda_h2,
     kuroda_instance,
     predict_structures,
@@ -16,7 +15,6 @@ from mqunits.classnum import (
     subfield_radicands,
 )
 from mqunits.errors import Falsified
-from mqunits.forms import ClassNumberReport
 from mqunits.quadratic import classify_pair
 
 
@@ -56,15 +54,13 @@ def test_input_checks_hold_under_python_O():
     # assert statements vanish under python -O; these checks must not
     code = textwrap.dedent("""\
         from mqunits import classnum
-        from mqunits.forms import ClassNumberReport
         for args in ((4, ((2, 1), (5, 0), (10, 2)), 3), (4, ((2, 1), (5, 1), (10, 2)), -1)):
             try:
                 print("accepted", classnum.kuroda_h2(classnum.KurodaInstance(*args)))
             except ValueError:
                 print("rejected")
-        classnum.quadratic_h2 = lambda r: ClassNumberReport(r, 12, 12)
         try:
-            print("accepted", classnum.predict_structures(5, 11)["m"])
+            print("accepted", classnum.predict_structures(5, 11, "Cond1", 12)["m"])
         except classnum.Falsified:
             print("falsified")
     """)
@@ -73,34 +69,61 @@ def test_input_checks_hold_under_python_O():
     assert res.stdout == "rejected\nrejected\nfalsified\n"
 
 
+def computed_h2(p, q):
+    """{symbol: h2} over the 15 subfields, as quad_h2_table passes it on."""
+    return {s: quadratic_h2(claims.value(s, p, q)).h2 for s in claims.SUBFIELDS}
+
+
+def structures(p, q):
+    return predict_structures(p, q, classify_pair(p, q).tag, quadratic_h2(-p * q).h2)
+
+
 def test_instance_builders():
-    inst = kuroda_instance(K_PLUS, 5, 11, 6)
+    inst = kuroda_instance(K_PLUS, 5, 11, computed_h2(5, 11), 6)
     assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 1, 2, 1, 2, 2)
     assert kuroda_h2(inst) == 1
 
-    inst = kuroda_instance(K_CM, 5, 3, 8)
+    inst = kuroda_instance(K_CM, 5, 3, computed_h2(5, 3), 8)
     assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 4)
     assert kuroda_h2(inst) == 2
 
     # under Cond1 the degree-16 value reproduces h2(-pq)
-    inst = kuroda_instance(K_CM, 5, 11, 8)
+    inst = kuroda_instance(K_CM, 5, 11, computed_h2(5, 11), 8)
     assert kuroda_h2(inst) == 4 == quadratic_h2(-55).h2
 
-    inst = kuroda_instance(K_2P, 5, 3, 1)
+    inst = kuroda_instance(K_2P, 5, 3, computed_h2(5, 3), 1)
     assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 2)
     assert kuroda_h2(inst) == 1
 
 
 @pytest.mark.parametrize("p,q", [(5, 11), (5, 3), (13, 3), (13, 11)])
 def test_crosscheck_all_pass(p, q):
-    rows = crosscheck_quadratic_h2(p, q, classify_pair(p, q))
-    assert len(rows) == 15
-    assert all(ok for _, _, ok in rows)
+    # quad_h2_table cross-checks the 15 computed values with the claims
+    cond = classify_pair(p, q)
+    rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
+    ok, detail, h2 = report._check_quad_h2_table(p, q, cond, rep)
+    assert ok, detail
+    assert h2 == computed_h2(p, q) and list(h2) == list(claims.SUBFIELDS)
+    assert [row["h2"] for row in rep.h2_table] == list(h2.values())
 
 
-def test_crosscheck_rejects_inapplicable():
-    with pytest.raises(ValueError):
-        crosscheck_quadratic_h2(5, 7, classify_pair(5, 7))
+@pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
+def test_verify_pair_computes_each_subfield_class_number_once(monkeypatch, p, q):
+    calls = []
+    original = classnum.quadratic_h2
+
+    def counting(r):
+        calls.append(r)
+        return original(r)
+
+    # every module that imported quadratic_h2 holds a binding of its own
+    bound = [mod for name, mod in sys.modules.items()
+             if name.partition(".")[0] == "mqunits" and getattr(mod, "quadratic_h2", None) is original]
+    assert classnum in bound and report in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "quadratic_h2", counting)
+    assert report.verify_pair(p, q).passed
+    assert len(calls) == 15 and sorted(calls) == sorted(subfield_radicands(p, q))
 
 
 def test_spot_class_numbers():
@@ -111,7 +134,7 @@ def test_spot_class_numbers():
 
 
 def test_predict_structures_cond1():
-    rep = predict_structures(5, 11)
+    rep = structures(5, 11)
     assert rep["m"] == 2
     assert rep["cl2_genus_base"] == "(2,2)"
     assert rep["cl2_L"] == 8
@@ -126,7 +149,7 @@ def test_predict_structures_cond1():
 
 
 def test_predict_structures_cond2():
-    rep = predict_structures(5, 3)
+    rep = structures(5, 3)
     assert rep["m"] == 1
     assert rep["cl2_L"] == 4
     assert rep["cl2_F"] == rep["cl2_K"] == "Z/4"
@@ -135,21 +158,21 @@ def test_predict_structures_cond2():
     assert rep["iwasawa"] == [1, 0]
     assert rep["h2_Ln"] == "2^n"
 
-    rep = predict_structures(13, 11)
+    rep = structures(13, 11)
     assert rep["m"] == 1 and rep["gal_F2"] == "Z/4"
 
 
 def test_predict_structures_cond1_larger():
-    rep = predict_structures(13, 3)
+    rep = structures(13, 3)
     assert rep["m"] == 2 and rep["gal_F2"] == "Q_3"
 
 
-def test_predict_structures_rejects_an_h2_that_is_not_a_power_of_2(monkeypatch):
-    monkeypatch.setattr(classnum, "quadratic_h2", lambda r: ClassNumberReport(r, 12, 12))
+def test_predict_structures_rejects_an_h2_that_is_not_a_power_of_2():
     with pytest.raises(Falsified, match="not a power of 2"):
-        predict_structures(5, 11)
+        predict_structures(5, 11, "Cond1", 12)
 
 
 def test_predict_structures_rejects_inapplicable():
-    with pytest.raises(ValueError):
-        predict_structures(5, 7)
+    # an inapplicable pair has a tag that STRUCTURES does not know
+    with pytest.raises(ValueError, match="no structures are claimed"):
+        predict_structures(5, 7, classify_pair(5, 7).tag, 2)

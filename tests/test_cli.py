@@ -1,8 +1,12 @@
+import hashlib
 import json
 import re
 import subprocess
 import sys
 
+import pytest
+
+from mqunits import cli
 from mqunits.report import CHECK_IDS, validate_report_dict
 
 
@@ -153,6 +157,39 @@ def test_fsu_degree8_cm():
     assert d["q_index_log2"] == 7
     assert d["unit_index"] == 256
     assert len(d["generators"]) == 7
+
+
+# SHA-256 of the stdout of `fsu --radicands R` and `fsu --radicands R --cm`.
+# The CM fields reach the torsion zeta4 (5), zeta8 (2,5 and 2,5,11), zeta12
+# (5,3 and 13,3) and zeta24 (2,3 and 2,13,3); 5,3 and 13,3 extend a
+# biquadratic system, whose saturation a scan never runs.
+FSU_DIGESTS = {
+    "5": ("2f5cb9a17160bbf3f9bdf47a9c074642f3dcbca0a27abba6f78ab8bfe17b483c",
+          "f8bb8e2dab2d1a9c42eb9a90d03b841d4db71092607ea6cb85d4bfe432af3a53"),
+    "2,5": ("a9613dedd4a7a1c75c91e0b5808786fb4a6be278e3c4b5ca67799aa2aa6df8b6",
+            "1b5ea5a06b40a318fabbde751f716c698ad34cb3f0ac7689cd2f30140b6a168a"),
+    "2,3": ("cec00d99d5e4480ed471496590f04b24dc6dd44817ad18c01d39ca270443ab1f",
+            "3b7d2ca4da9dbc2198041bcd659fbf22b735dfdee1ec0bc0c11cc4240accc5f6"),
+    "5,3": ("5eba5e09ec76ed2ae0c190ca4e7839703de7e7250a2f86b4360b9273d6735865",
+            "bb520b385036beb5ddf3f66a2f323211872959bcff24dfb51858dc946574af9b"),
+    "13,3": ("8bed7ca14c92ba669d2b168ec77c106fc40ed9805090bf96011382c617dc0838",
+             "af0eac1ded4ed9de28bdb90b3061eb14a5cc89f07dd1e3c818d5caec4e117179"),
+    "2,5,11": ("6b10a4c53c51ccc5a24e06568515def1d119958312ef322ae06d6904dc18cfce",
+               "bfaf74020e26af1390a389916549f863e180f9b60dfcd6df92c5754cc19ca757"),
+    "2,13,3": ("a74b5b6a83431aff2b6cb80f30b0bc3a1696450c53a9e5e5226ffb34287d7b79",
+               "66f70861e0adf2bc77e733cf8b1c94c500bc791ac1440728895bca2a27c5bf9c"),
+    "2,29,19": ("4674a070967c2ead5d1594e255ff2b6a6109bef8a1c437a1e462591954bb8238",
+                "f669bb4a95c59d7ad630245ece8ca8c429154cd2ba7c5e611a1f9f488ebe3709"),
+}
+
+
+@pytest.mark.parametrize("cm", [False, True])
+@pytest.mark.parametrize("radicands", list(FSU_DIGESTS))
+def test_fsu_prints_the_pinned_bytes(capsys, radicands, cm):
+    # in process, so that a run under python -O reaches the CM paths with -O
+    assert cli.main(["fsu", "--radicands", radicands] + ["--cm"] * cm) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == FSU_DIGESTS[radicands][cm]
 
 
 def test_fsu_prints_a_unit_over_the_default_digit_limit():

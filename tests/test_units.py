@@ -597,6 +597,22 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
     assert all(roots) and len(roots) == 11
 
 
+@pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
+def test_azizi_extend_sees_two_subsets_when_a_generator_is_squared(p, q):
+    # with eps_p replaced by its square, the subset that makes (2+mu)*eps a
+    # square makes it one with and without that generator: the search runs
+    # through every subset and the second hit raises
+    field, fsu = deg8(p, q)
+    gens = list(fsu.generators)
+    g = gens[1]
+    assert g.exponents == {p: 1} and g.torsion_exponent == 0
+    gens[1] = UnitExpr(0, {p: 2 * g.exponents[p]}, g.witness * g.witness)
+    squared = FsuResult(field, "-1", tuple(gens))
+    assert squared.chars is None
+    with pytest.raises(Falsified, match="two independent unit subsets"):
+        azizi_extend(squared, FieldBasis((2, p, q, -1)))
+
+
 @pytest.mark.parametrize("make,big", [
     (lambda: deg8(13, 3)[1], (2, 13, 3, -1)),  # zeta24
     (lambda: deg8(5, 11)[1], (2, 5, 11, -1)),  # zeta8
