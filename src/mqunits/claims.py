@@ -64,18 +64,19 @@ PELL_CASES = {
 }
 
 # The six biquadratic fields Q(sqrt d1, sqrt d2) that the battery builds, in
-# the order it builds them, and a fundamental system of units of each.  A
-# vector with exponents 1/2 is the square root of its product.
+# the order it builds them, and a fundamental system of units of each: keyed
+# by condition class when the field holds both p and q, one system
+# otherwise.  A vector with exponents 1/2 is the square root of its product.
 BIQUAD_FSU = {
     ("p", "q"): {COND1: ({"p": 1}, {"q": 1}, {"pq": H}),
                  COND2: ({"p": 1}, {"q": 1}, {"q": H, "pq": H})},
-    ("2", "q"): _both(({"2": 1}, {"q": H}, {"2q": H})),
+    ("2", "q"): ({"2": 1}, {"q": H}, {"2q": H}),
     ("p", "2q"): {COND1: ({"p": 1}, {"2q": 1}, {"2q": H, "2pq": H}),
                   COND2: ({"p": 1}, {"2q": 1}, {"2pq": H})},
     ("2p", "q"): {COND1: ({"q": 1}, {"2p": 1}, {"2pq": H}),
                   COND2: ({"q": 1}, {"2p": 1}, {"q": H, "2pq": H})},
     ("2", "pq"): _both(({"2": 1}, {"pq": 1}, {"pq": H, "2pq": H})),
-    ("2", "p"): _both(({"2": 1}, {"p": 1}, {"2": H, "p": H, "2p": H})),
+    ("2", "p"): ({"2": 1}, {"p": 1}, {"2": H, "p": H, "2p": H}),
 }
 
 K_2P = ("2", "p")  # Q(sqrt2, sqrt p)

@@ -4,13 +4,14 @@ Imaginary fields: the class number is the count of reduced primitive
 positive-definite forms of the fundamental discriminant, and
 class_number_imaginary adds the class-group structure from composition and
 the torsion of each Sylow subgroup.  Real fields: the narrow class number
-is the number of rho-reduction cycles of reduced indefinite forms.
-Negation (a, b, c) -> (-a, b, -c) carries a cycle C to a cycle -C, and
-C = -C for every cycle exactly when (1, b0, c0) and (-1, b0, -c0) share
-one, that is when the fundamental unit has norm -1; otherwise the wide
-class number is half the narrow one (Buell, Binary Quadratic Forms, ch. 3).
-One walk of C yields the forms of -C as well, so each pair C, -C is walked
-once.  No unit is computed here.
+is the number of rho-reduction cycles of reduced indefinite forms.  The
+group K of negation nu (a, b, c) -> (-a, b, -c), which commutes with rho,
+and reflection sigma (a, b, c) -> (c, b, a), which reverses rho and
+carries a cycle to that of the inverse class, permutes the cycles; each
+K-orbit of cycles is walked once and holds 4/|H| of them, H the
+stabilizer of one.  nu fixes every cycle exactly when the fundamental
+unit has norm -1; otherwise the wide class number is half the narrow one
+(Buell, Binary Quadratic Forms, ch. 3).  No unit is computed here.
 
 Both enumerations go by leading coefficient (Cohen, GTM 138, 5.3 and 5.6;
 Buell, Binary Quadratic Forms, ch. 3 and 4).  A reduced form has b a root
@@ -270,10 +271,12 @@ def _group_structure(h, D):
     raised to the power h/l^e, which lands in the l-Sylow subgroup, and the
     subgroup generated so far is closed under composition, coset by coset,
     until it has l^e elements.  The l^j-torsion is counted inside that
-    subgroup alone: a few projections and about e*l^e powerings by l.  h is
-    counted and the forms listed, so a Sylow subgroup of another size,
-    torsion counts not stepping by powers of l, or a product other than h
-    mean the two routes disagree, and raise ArithmeticError.
+    subgroup alone, from the depth of each element f, the least j with
+    f^(l^j) principal: 1 plus the depth of f^l, so each element is raised
+    to the l-th power once (Cohen, GTM 138, 5.4).  h is counted and the
+    forms listed, so a Sylow subgroup of another size, an l-power chain
+    longer than e, torsion counts not stepping by powers of l, or a product
+    other than h mean the two routes disagree, and raise ArithmeticError.
     """
     e = _principal_form(D)
     structure = []
@@ -292,20 +295,24 @@ def _group_structure(h, D):
             x = _form_pow(f, hh, D)
             if x in sylow:
                 continue
-            g, reps = x, list(sylow)
+            g, reps = x, [y for y in sylow if y != e]
             while x not in sylow:
+                sylow.add(x)  # the representative e gives x itself
                 sylow.update(compose_forms(y, x, D) for y in reps)
                 x = compose_forms(x, g, D)
         if len(sylow) != l**exp:
             raise ArithmeticError(f"the {l}-Sylow subgroup of {D} has {len(sylow)} elements, not {l**exp}")
-        counts = [0] * (exp + 1)
+        depth = {e: 0}
         for f in sylow:
-            j = 0
-            while f != e:
+            chain = []
+            while f not in depth and len(chain) <= exp:
+                chain.append(f)
                 f = _form_pow(f, l, D)
-                j += 1
-            counts[j] += 1
-        counts = list(itertools.accumulate(counts))
+            if f not in depth or depth[f] + len(chain) > exp:
+                raise ArithmeticError(f"the {l}-power chain of {chain[0]} in {D} is longer than {exp}")
+            for j, g in enumerate(reversed(chain), depth[f] + 1):
+                depth[g] = j
+        counts = [sum(depth[f] <= j for f in sylow) for j in range(exp + 1)]  # the l^j-torsion
         t = []
         for j in range(1, exp + 1):
             ratio, rest = divmod(counts[j], counts[j - 1])
@@ -390,66 +397,73 @@ def _narrow_class_number(D):
     b0 = s or s - 1 with the parity of D for s = isqrt(D), shares its cycle
     with (-1, b0, -c0).
 
-    The sign of a alternates along a rho cycle, and (a, b, c) -> (-a, b, -c)
-    commutes with rho, so the forms with a > 0 of each cycle C make one
-    cycle of rho^2, and the negated odd-step forms -rho(f) of that walk are
-    the forms with a > 0 of the cycle -C.  One walk therefore accounts for
-    the pair C, -C: C = -C exactly when -rho(start) was walked, and then
-    every negated form must belong to C; otherwise C and -C are two cycles,
-    and the negated forms are marked seen.  Since -C is C times the class of
-    (-1, b0, -c0), every cycle must agree with the principal cycle, which is
-    walked first, so the count is even whenever that cycle is not shared.
-    A reduced form has |a|*|c| = (D - b*b)/4 < D/4, and rho carries
-    (a, b, c) to a form led by c, so every cycle holds a form with
-    |a| <= s//2, and C or -C holds one with a > 0: the walks start only
-    from the principal form and from each (a, b) with 0 < a <= s//2 not yet
-    seen, until the walks hold all N(s//2) of them.  A walked form that was
-    already seen, a walked or negated form that is not a reduced form of D
-    (0 < b <= s and |s - 2a| < b, exact for a > 0, and b*b - 4ac = D), a
-    cycle that disagrees with these rules, or another count when the walks
-    stop means rho or the count is broken, and raises ArithmeticError.
+    The sign of a alternates along a cycle.  A K-orbit of forms holds one
+    or two forms with a > 0 and is keyed by (min(|a|, |c|), b); relative to
+    a walked cycle C, its label is the k in K with the keyed member on kC.
+    An orbit of cycles is walked from a start with a > 0 in two segments of
+    rho^2 steps, each up to its first form with a > 0 already keyed: along
+    C from the start, and along sigma C from rho(sigma(start)), which is C
+    backward from the start.  A symmetry of C folds it at two points, and
+    each segment reaches one; with none, the first segment closes C and the
+    second stops at once.  The stabilizer H of C holds the product of the
+    two labels of each key met again, at a stop or an odd step, and
+    nu*sigma when it fixes a walked form (|a| = |c|); two such elements
+    make H all of K, and the orbit holds 4/|H| cycles.  nu C is C times
+    the class of (-1, b0, -c0), so nu is in every H or none, as in that of
+    the principal cycle, walked first.  Then the walks start from each
+    (a, b) with 0 < a <= s//2 not yet keyed, until the keys hold all
+    N(s//2) of them.  A walked form that is not a reduced form of D of its
+    sign (0 < b <= s and |s - 2|a|| < b, exact, and b*b - 4ac = D), a key
+    of another orbit, an orbit that disagrees on nu, or another count when
+    the walks stop means rho or the count is broken, and raises
+    ArithmeticError.  A count short by exactly the forms of the last orbits
+    walked stops the walks before those orbits, and is not seen.
     """
     s = math.isqrt(D)
     half = s // 2
     b0 = s - (s - D) % 2
     total = _drain(_sqrt_table(D, half, half))[0]
-    cycle_of = {}  # (a, b) of each a > 0 form seen -> the index of its cycle
-    cycles = found = 0  # found: the keys of cycle_of with a <= s//2
+    keyed = {}  # k[0]*(s + 1) + k[1] for each key k walked -> 4 * (its orbit's index) + its label
+    cycles = found = orbits = 0  # found: the forms with 0 < a <= s//2 in the keyed orbits
     shared = None
     for a, b in itertools.chain(((1, b0),), _enumerate_indefinite(D)):
-        if (a, b) in cycle_of:
+        c = (b * b - D) // (4 * a)
+        if min(a, -c) * (s + 1) + b in keyed:
             continue
-        f = start = (a, b, (b * b - D) // (4 * a))
-        negated = []
-        while True:
-            a, b, c = f
-            if (a, b) in cycle_of or not 0 < b <= s or abs(s - 2 * a) >= b or b * b - 4 * a * c != D:
-                raise ArithmeticError(f"rho left the reduced forms of {D} at {f}")
-            cycle_of[a, b] = cycles
-            found += a <= half
-            g = _rho(f, D, s)
-            a, b, c = g
-            if not 0 < b <= s or abs(s + 2 * a) >= b or b * b - 4 * a * c != D:
-                raise ArithmeticError(f"rho left the reduced forms of {D} at {g}")
-            negated.append((-a, b))
-            f = _rho(g, D, s)
-            if f == start:
-                break
-        paired = cycle_of.get(negated[0]) == cycles
+        start = (a, b, c)
+        stabilizer = set()  # labels 1 = nu, 2 = sigma, 3 = nu*sigma, composed by xor
+        for f, label in ((start, 0), (_rho(start[::-1], D, s), 2)):
+            sign = 1  # the sign of a: +1 on the rho^2 steps, -1 on the odd steps
+            while True:
+                a, b, c = f
+                x, y = sign * a, -sign * c
+                if x <= 0 or not 0 < b <= s or not s - b < 2 * x < s + b or b * b - 4 * a * c != D:
+                    raise ArithmeticError(f"rho left the reduced forms of {D} at {f}")
+                if x > y:
+                    key, mine = y * (s + 1) + b, label ^ (sign < 0) ^ 3
+                else:
+                    key, mine = x * (s + 1) + b, label ^ (sign < 0)
+                    if x == y:  # nu*sigma fixes f
+                        stabilizer.add(3)
+                theirs = keyed.get(key)
+                if theirs is None:
+                    keyed[key] = 4 * orbits + mine
+                    found += (x <= half) + (x != y and y <= half)
+                else:
+                    if theirs >> 2 != orbits:
+                        raise ArithmeticError(f"rho left the orbit of {start} for another orbit of {D} at {f}")
+                    stabilizer.add((theirs ^ mine) & 3)
+                    if sign > 0:
+                        break
+                f, sign = _rho(f, D, s), -sign
+        stabilizer.discard(0)
+        nu = 1 in stabilizer or len(stabilizer) > 1
         if shared is None:
-            shared = paired
-        elif paired != shared:
+            shared = nu
+        elif nu != shared:
             raise ArithmeticError(f"the rho cycle of {start} disagrees with the principal cycle of {D}")
-        if shared:  # every negated form is on C
-            commutes = set(map(cycle_of.get, negated)) == {cycles}
-        else:  # the negated forms of -C are new and distinct
-            size = len(cycle_of)
-            cycle_of.update(dict.fromkeys(negated, cycles + 1))
-            commutes = len(cycle_of) == size + len(negated)
-            found += sum(a <= half for a, _ in negated)
-        if not commutes:
-            raise ArithmeticError(f"rho of {D} does not commute with negation on the cycle of {start}")
-        cycles += 1 if shared else 2
+        cycles += 4 >> min(len(stabilizer), 2)
+        orbits += 1
         if found >= total:
             break
     if found != total:

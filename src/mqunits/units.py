@@ -53,7 +53,7 @@ from .field import (
     zeta,
 )
 from .intarith import _sieve, prime_factors
-from .quadratic import COND1, classify_pair, fundamental_unit
+from .quadratic import classify_pair, fundamental_unit
 
 
 @dataclass
@@ -441,7 +441,8 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     Covers the six configurations of claims.BIQUAD_FSU, built from primes
     p = 5 mod 8 and q = 3 mod 8 and found by their radicand sets, so the
     order of d1 and d2 does not matter.  The system is the one claimed for
-    the condition class of the pair (p, q) when both primes appear.
+    the condition class of the pair (p, q) when both primes appear, and
+    the field's one system otherwise.
     Predicted square roots are materialized exactly; raises Falsified when
     one does not exist, ValueError for an unknown configuration.
     """
@@ -462,15 +463,15 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
                 key = s1, s2
     if key is None:
         raise ValueError(f"unknown biquadratic configuration {sorted(rads)}")
-    tag = COND1  # {2,q,2q} and {2,p,2p} have one system for both classes
+    system = claims.BIQUAD_FSU[key]
     if ps and qs:
         actual = classify_pair(p, q)
         if not actual.is_applicable:
             raise ValueError(f"pair not applicable: {actual.reason}")
-        tag = actual.tag
+        system = system[actual.tag]
     units = _base_units(basis)
     gens = []
-    for vec in claims.BIQUAD_FSU[key][tag]:
+    for vec in system:
         exps = claims.exponents(vec, p, q)
         if exponent_level([exps]) == 1:  # a quadratic unit itself
             (r,) = exps

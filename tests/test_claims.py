@@ -96,22 +96,46 @@ def test_one_claim_fault_fails_exactly_the_check_that_reads_it(monkeypatch, cid,
     assert verify_pair(p, q).passed
 
 
-@pytest.mark.parametrize("tag", [COND1, COND2])
-def test_a_one_prime_system_fault_fails_biquad_fsu_all(monkeypatch, tag):
-    # the systems of Q(sqrt2, sqrt p) and Q(sqrt2, sqrt q) are kept across
-    # pairs (report._one_prime_fsu), so the fault is seen only with that cache
-    # cleared on both sides of it; Q(sqrt2, sqrt q) has one system for both
-    # classes, and fsu_biquadratic reads it under Cond1, so both entries change
-    p, q = PAIRS[tag]
-    plain = ({"2": 1}, {"q": 1}, {"2q": 1})
+def _verify_with_one_prime_cache_cleared(mp, fault, p, q):
+    """verify_pair(p, q) with fault applied; the systems of Q(sqrt2, sqrt p)
+    and Q(sqrt2, sqrt q) are kept across pairs (report._one_prime_fsu), so
+    a fault in them is seen only with that cache cleared on both sides."""
     report._one_prime_fsu.cache_clear()
     try:
-        with monkeypatch.context() as mp:
-            for t in (COND1, COND2):
-                mp.setitem(claims.BIQUAD_FSU[("2", "q")], t, plain)
-            rep = verify_pair(p, q)
+        with mp.context() as m:
+            fault(m)
+            return verify_pair(p, q)
     finally:
         report._one_prime_fsu.cache_clear()
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+def test_a_one_prime_system_fault_fails_biquad_fsu_all(monkeypatch, tag):
+    # Q(sqrt2, sqrt q) has one system, read by pairs of both classes
+    p, q = PAIRS[tag]
+    plain = ({"2": 1}, {"q": 1}, {"2q": 1})
+    rep = _verify_with_one_prime_cache_cleared(
+        monkeypatch, lambda mp: mp.setitem(claims.BIQUAD_FSU, ("2", "q"), plain), p, q)
     # three plain units have index 1: the check returns False, it raises nothing
     assert_fails_exactly(rep, "biquad_fsu_all", ("error:", "skipped:", "falsified:"))
     assert verify_pair(p, q).passed
+
+
+def test_a_plain_system_in_any_biquad_fsu_leaf_fails_biquad_fsu_all(monkeypatch):
+    # a system keyed by class fails on a pair of that class; a one-prime
+    # system is read by both classes, so it fails on a pair of each
+    faulted = []
+    for field, entry in claims.BIQUAD_FSU.items():
+        third = "".join(s for s in "2pq" if "".join(field).count(s) % 2)
+        plain = tuple({s: 1} for s in (*field, third))
+        by_class = isinstance(entry, dict)
+        for tag in entry if by_class else (COND1, COND2):
+            if by_class:
+                fault = lambda mp, entry=entry, tag=tag: mp.setitem(entry, tag, plain)
+            else:
+                fault = lambda mp, field=field: mp.setitem(claims.BIQUAD_FSU, field, plain)
+            rep = _verify_with_one_prime_cache_cleared(monkeypatch, fault, *PAIRS[tag])
+            assert_fails_exactly(rep, "biquad_fsu_all", ("error:", "skipped:", "falsified:"))
+            faulted.append((field, tag))
+    assert len(faulted) == 12
+    assert all(verify_pair(*pair).passed for pair in PAIRS.values())

@@ -72,20 +72,44 @@ def oracle_enumerate_indefinite(D):
     return sorted(forms)
 
 
-def oracle_narrow_class_number(D):
-    """The rho cycles counted over the reduced forms of both signs."""
+def oracle_cycles(D):
+    """The rho cycles, as sets, walked over the reduced forms of both signs."""
     s = math.isqrt(D)
     remaining = set(oracle_enumerate_indefinite(D))
-    cycles = 0
+    cycles = []
     while remaining:
         f = start = min(remaining)
+        cycle = set()
         while True:
             remaining.remove(f)
+            cycle.add(f)
             f = _rho(f, D, s)
             if f == start:
                 break
-        cycles += 1
+        cycles.append(frozenset(cycle))
     return cycles
+
+
+def oracle_narrow_class_number(D):
+    """The rho cycles counted over the reduced forms of both signs."""
+    return len(oracle_cycles(D))
+
+
+# The group K acting on reduced indefinite forms: nu commutes with rho,
+# sigma and nu*sigma reverse it.
+K_ACTION = {
+    "1": lambda f: f,
+    "nu": lambda f: (-f[0], f[1], -f[2]),
+    "sigma": lambda f: (f[2], f[1], f[0]),
+    "nu*sigma": lambda f: (-f[2], f[1], -f[0]),
+}
+
+
+def oracle_stabilizers(D):
+    """The stabilizers in K of the rho cycles of D, each as a set of names."""
+    cycles = oracle_cycles(D)
+    cycle_of = {f: C for C in cycles for f in C}
+    return {frozenset(k for k, act in K_ACTION.items() if cycle_of[act(min(C))] == C) for C in cycles}
 
 
 def oracle_principal_cycle_is_shared(D):
@@ -181,6 +205,36 @@ def test_enumerations_match_oracle_large():
         assert_matches_oracle(D)
 
 
+def test_narrow_class_number_matches_oracle_below_20000():
+    checked = 0
+    for D in range(5, 20000):
+        if is_fundamental_discriminant(D):
+            assert _narrow_class_number(D) == (oracle_narrow_class_number(D),
+                                               oracle_principal_cycle_is_shared(D)), D
+            checked += 1
+    assert checked == 6081
+
+
+# The first fundamental discriminant whose rho cycles reach each stabilizer
+# type of the orbit walk: |H| = 4, 2, 2, 2 and 1 give orbits of 1, 2, 2, 2
+# and 4 cycles.
+STABILIZER_TYPES = {
+    5: {"1", "nu", "sigma", "nu*sigma"},
+    12: {"1", "sigma"},
+    136: {"1", "nu*sigma"},
+    145: {"1", "nu"},
+    316: {"1"},
+}
+
+
+@pytest.mark.parametrize("D", list(STABILIZER_TYPES))
+def test_each_stabilizer_type_is_reached_and_counted(D):
+    stabilizer = frozenset(STABILIZER_TYPES[D])
+    assert stabilizer in oracle_stabilizers(D)
+    assert not any(stabilizer in oracle_stabilizers(E) for E in range(5, D) if is_fundamental_discriminant(E))
+    assert _narrow_class_number(D) == (oracle_narrow_class_number(D), oracle_principal_cycle_is_shared(D))
+
+
 def test_every_rho_cycle_holds_a_half_width_form():
     for D in range(3, 5001):
         if not is_fundamental_discriminant(D):
@@ -240,7 +294,11 @@ def _merging_rho(D):
     return lambda f, D, s: _rho(f if f in cycle else principal, D, s)
 
 
-# norm(eps) = -1 for D = 40; +1 for D = 60 and 1010012 (radicand 3 mod 4)
+# norm(eps) = -1 for D = 40; +1 for D = 60 and 1010012 (radicand 3 mod 4).
+# One walk per pair of cycles C, nu C took 8, 4 and 304 rho calls here.
+RHO_CALLS = {40: 6, 60: 6, 1010012: 154}
+
+
 @pytest.mark.parametrize("D", [40, 60, 1010012])
 def test_one_walk_for_each_pair_of_cycles(monkeypatch, D):
     calls = []
@@ -252,16 +310,21 @@ def test_one_walk_for_each_pair_of_cycles(monkeypatch, D):
     monkeypatch.setattr(forms, "_rho", counted)
     cycles, shared = _narrow_class_number(D)
     assert shared == (D == 40)
-    positive = {f for f in oracle_enumerate_indefinite(D) if f[0] > 0}
-    # each walk alternates a > 0 and a < 0 forms: two calls per walked form
-    walked, odd = calls[::2], calls[1::2]
-    assert len(calls) == 2 * len(set(walked)) and set(walked) <= positive
-    assert len(walked) == (len(positive) if shared else len(positive) // 2)
-    negated = {(-a, b, -c) for a, b, c in odd}
-    if shared:
-        assert negated == positive
-    else:
-        assert negated | set(walked) == positive and not negated & set(walked)
+    reduced = oracle_enumerate_indefinite(D)
+    positive = {f for f in reduced if f[0] > 0}
+    # every rho call is on a reduced form, and no a > 0 form is walked twice
+    walked = [f for f in calls if f[0] > 0]
+    assert set(calls) <= set(reduced) and len(walked) == len(set(walked))
+    # the K-orbits of the walked forms hold every a > 0 form, each once
+    keyed = {}
+    for a, b, c in calls:
+        x, y = abs(a), abs(c)
+        keyed[min(x, y), b] = {(x, b, -y), (y, b, -x)}
+    members = [f for orbit in keyed.values() for f in orbit]
+    assert sorted(members) == sorted(positive)
+    # about half the calls of one walk per pair C, nu C
+    pair_walks = len(reduced) if shared else len(reduced) // 2
+    assert len(calls) == RHO_CALLS[D] <= pair_walks // 2 + 2 * cycles
 
 
 def _cross_rho(D, kind):
@@ -290,7 +353,7 @@ def _cross_rho(D, kind):
     return lambda f, D, s: swap[f] if f in swap else _rho(f, D, s)
 
 
-@pytest.mark.parametrize("kind, message", [("merge", "disagrees"), ("detour", "negation")])
+@pytest.mark.parametrize("kind, message", [("merge", "disagrees"), ("detour", "another orbit")])
 def test_rho_that_crosses_cycles_raises(monkeypatch, kind, message):
     monkeypatch.setattr(forms, "_rho", _cross_rho(60, kind))
     with pytest.raises(ArithmeticError, match=message):
@@ -350,6 +413,44 @@ def test_structure_of_a_miscounted_group_raises():
         _group_structure(16, -260)
 
 
+def _squares_miss_the_principal_form(D, bound):
+    """compose_forms, except that a form of order 2 squares to itself, so
+    its powers by 2 never reach the principal form; after bound calls it
+    raises RuntimeError, which is not the ArithmeticError a test expects."""
+    e, calls = _principal_form(D), []
+
+    def compose(f1, f2, D):
+        calls.append(f1)
+        if len(calls) > bound:
+            raise RuntimeError(f"{bound} compositions")
+        f = compose_forms(f1, f2, D)
+        return f1 if f1 == f2 and f == e else f
+    return compose
+
+
+def test_composition_that_misses_the_principal_form_raises(monkeypatch):
+    # -260 has the group (2, 4); its 8 forms make the 2-Sylow subgroup as before
+    monkeypatch.setattr(forms, "compose_forms", _squares_miss_the_principal_form(-260, 100))
+    with pytest.raises(ArithmeticError, match="2-power chain"):
+        _group_structure(8, -260)
+
+
+def test_each_sylow_element_is_raised_to_the_l_th_power_once(monkeypatch):
+    # -6611599 has the cyclic group of order 1024: about h compositions close
+    # the Sylow subgroup and h more take each element's square once
+    D = -6611599
+    h = count_reduced_forms(D)
+    calls = []
+
+    def counted(f1, f2, D):
+        calls.append(f1)
+        return compose_forms(f1, f2, D)
+
+    monkeypatch.setattr(forms, "compose_forms", counted)
+    assert _group_structure(h, D) == (h,) == (1024,)
+    assert len(calls) <= 2 * h + 2 * h.bit_length()
+
+
 def test_broken_rho_raises(monkeypatch):
     monkeypatch.setattr(forms, "_rho", _merging_rho(60))
     with pytest.raises(ArithmeticError, match="rho left"):
@@ -400,12 +501,17 @@ def test_broken_count_or_discriminant_raises_under_python_O():
             print("returned", forms._group_structure(16, -260))
         except ArithmeticError:
             print("raised", sys.flags.optimize)
+        forms.compose_forms = test_forms._squares_miss_the_principal_form(-260, 100)
+        try:
+            print("returned", forms._group_structure(8, -260))
+        except ArithmeticError:
+            print("raised", sys.flags.optimize)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(__file__), env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "raised 1\n" * 4
+    assert res.stdout == "raised 1\n" * 5
 
 
 # Classical class numbers of imaginary quadratic fields, keyed by fundamental
