@@ -1,7 +1,6 @@
 """Exact unit groups and 2-class numbers of small multiquadratic fields."""
 
 from .classnum import (
-    KurodaInstance,
     kuroda_h2,
     predict_structures,
     quadratic_h2,
@@ -37,8 +36,8 @@ from .units import (
 
 __all__ = [
     "ClassNumberReport", "ConditionClass", "DecompositionWitness", "Falsified",
-    "FieldBasis", "FieldElement", "FsuResult", "KurodaInstance", "PairReport",
-    "QuadraticUnit", "ScanSummary", "UnitExpr",
+    "FieldBasis", "FieldElement", "FsuResult", "PairReport", "QuadraticUnit",
+    "ScanSummary", "UnitExpr",
     "azizi_extend", "class_number_imaginary", "class_number_real", "classify_pair",
     "fsu_biquadratic", "fsu_quadratic", "fundamental_unit", "kuroda_h2", "lemma_decompose",
     "norm_table", "parse_element", "predict_structures", "quadratic_h2", "report_emit",

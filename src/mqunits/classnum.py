@@ -1,20 +1,21 @@
 """2-class numbers of multiquadratic fields via the class number formula.
 
 For a multiquadratic field of degree 4, 8 or 16 the 2-class number is
-2^(q_log2 - v) times the product of the 2-class numbers of its quadratic
-subfields, where q_log2 is the exponent of the unit index and v is a fixed
-exponent per field shape (2, 9, 16).  The subfield values are computed by
-quadratic_h2 over the forms module, which computes no unit (a real field's
-narrow class number is halved by reading the rho cycles), so the formula
-ties the unit-index computation to class numbers computed by an entirely
-independent route.  The report's quad_h2_table check computes the 15
-subfield values of a pair once, as a map from subfield symbol to h2;
-kuroda_instance and predict_structures read that map.
-A non-integral result means the inputs contradict each other and raises
-Falsified.
+Q * prod h2(k_i) / 2^v over its quadratic subfields k_i, where Q = 2^j is
+the unit index (units.unit_index, which counts the torsion of the CM field
+K) and v is a fixed exponent per field shape (2, 9, 16).  kuroda_h2 names
+the field and its subfields by the symbols of claims.KURODA_FIELDS.  The
+subfield values are computed by quadratic_h2 over the forms module, which
+computes no unit (a real field's narrow class number is halved by reading
+the rho cycles), so the formula ties the unit-index computation to class
+numbers computed by an entirely independent route.  The report's
+quad_h2_table check computes the 15 subfield values of a pair once, as a
+map from subfield symbol to h2; kuroda_h2 and predict_structures read that
+map.  A non-integral result means the inputs contradict each other and
+raises Falsified.
 """
 
-from dataclasses import dataclass
+import math
 
 from . import claims
 from .errors import Falsified
@@ -48,59 +49,31 @@ def subfield_radicands(p: int, q: int):
     return tuple(claims.value(s, p, q) for s in claims.SUBFIELDS)
 
 
-@dataclass
-class KurodaInstance:
-    """One application of the class number formula.
-
-    degree 4, 8 and 16 carry the exponent v = 2, 9 and 16 and expect 3, 7
-    and 15 subfield entries (radicand, h2) respectively.
-    """
-
-    degree: int
-    subfield_h2: tuple
-    q_log2: int
-
-    def __post_init__(self):
-        if self.degree not in _V_BY_DEGREE:
-            raise ValueError(f"degree {self.degree} not covered")
-        self.subfield_h2 = tuple((int(r), int(h)) for r, h in self.subfield_h2)
-        if len(self.subfield_h2) != self.degree - 1:
-            raise ValueError(f"degree {self.degree} has {self.degree - 1} quadratic subfields")
-        if self.q_log2 < 0:
-            raise ValueError(f"unit index exponent {self.q_log2} is negative")
-        if any(h < 1 for _, h in self.subfield_h2):
-            raise ValueError(f"subfield 2-class numbers {self.subfield_h2} are not all positive")
-
-
-def kuroda_h2(instance: KurodaInstance) -> int:
-    """Evaluate 2^(q_log2 - v) * prod(subfield h2); Falsified if non-integral."""
-    num = 2 ** instance.q_log2
-    for _, h in instance.subfield_h2:
-        num *= h
-    den = 2 ** _V_BY_DEGREE[instance.degree]
+def kuroda_h2(field: tuple, h2: dict, unit_index: int) -> int:
+    """unit_index * prod(subfield h2) / 2^v for the field of
+    claims.KURODA_FIELDS named by its generator symbols, over h2, a map from
+    subfield symbol to 2-class number, and the unit index 2^j of
+    units.unit_index; Falsified if the value is not an integer."""
+    syms = claims.KURODA_FIELDS[field]
+    num = unit_index * math.prod(h2[s] for s in syms)
+    degree = len(syms) + 1
+    den = 2 ** _V_BY_DEGREE[degree]
     if num % den:
         raise Falsified(
-            f"class number formula gives {num}/{den} for the degree-{instance.degree} field, "
+            f"class number formula gives {num}/{den} for the degree-{degree} field, "
             "which is not an integer"
         )
     return num // den
 
 
-def kuroda_instance(field: tuple, p: int, q: int, h2: dict, q_log2: int) -> KurodaInstance:
-    """Formula instance for the field of claims.KURODA_FIELDS named by its
-    generator symbols, over h2, a map from subfield symbol to 2-class number."""
-    syms = claims.KURODA_FIELDS[field]
-    return KurodaInstance(len(syms) + 1, tuple((claims.value(s, p, q), h2[s]) for s in syms), q_log2)
-
-
-def claimed_h2(field: tuple, p: int, q: int, tag: str) -> int:
+def claimed_h2(field: tuple, tag: str) -> int:
     """The 2-class number of a field of claims.KURODA_FIELDS as the formula
     gives it over what the paper claims under condition class tag: the
     subfield h2 of claims.H2_CLAIMS (a bound counts as its value) and the
-    unit index of claims.Q_LOG2, with one more factor 2 for the torsion of
-    the CM field K (units.unit_index)."""
+    unit index of claims.Q_LOG2, which stores the exponent-lattice index,
+    times one more factor 2 for the torsion of the CM field K."""
     h2 = {s: n for s, (_, n) in claims.H2_CLAIMS[tag].items()}
-    return kuroda_h2(kuroda_instance(field, p, q, h2, claims.Q_LOG2[field] + ("-1" in field)))
+    return kuroda_h2(field, h2, 2 ** (claims.Q_LOG2[field] + ("-1" in field)))
 
 
 # ---------------------------------------------------------------------------

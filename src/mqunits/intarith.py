@@ -2,8 +2,8 @@
 
 Everything here is pure and deterministic: a grow-on-demand prime sieve,
 distinct prime factors, squarefree decomposition, perfect-square testing,
-the Kronecker symbol, square roots modulo an odd prime, and integer brackets
-of scaled square roots for exact sign determination.
+square roots modulo an odd prime, and integer brackets of scaled square
+roots for exact sign determination.
 No floating point anywhere.  unlimited_int_digits lifts the interpreter's
 limit on int <-> str conversion for the code that prints or reads units.
 """
@@ -140,39 +140,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 def is_squarefree(n: int) -> bool:
     return n != 0 and squarefree_decompose(n)[1] == 1
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), the full multiplicative extension of Legendre's."""
-    if n == 0:
-        raise ValueError("Kronecker symbol needs a nonzero modulus")
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    # peel off the even part of n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t & 1 and a % 8 in (3, 5):
-            result = -result
-    # Jacobi loop on the odd part
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def sqrt_mod_prime(n: int, p: int) -> int | None:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .claims import COND1, COND2, PELL_CASES, value
 from .errors import Falsified
-from .intarith import is_perfect_square, is_prime, is_squarefree, kronecker_symbol, prime_factors
+from .intarith import is_perfect_square, is_prime, is_squarefree, prime_factors
 
 NOT_APPLICABLE = "NotApplicable"
 UNSUPPORTED = "Unsupported"
@@ -130,9 +130,8 @@ def classify_pair(p: int, q: int) -> ConditionClass:
         return ConditionClass(NOT_APPLICABLE, f"p % 8 == {p % 8}, need 5")
     if q % 8 != 3:
         return ConditionClass(NOT_APPLICABLE, f"q % 8 == {q % 8}, need 3")
-    sym = kronecker_symbol(p, q)
-    assert sym != 0
-    if sym == 1:
+    # Euler's criterion: p and q are distinct odd primes
+    if pow(p, (q - 1) // 2, q) == 1:
         return ConditionClass(COND1, "p == 5, q == 3 (mod 8), (p/q) == +1")
     return ConditionClass(COND2, "p == 5, q == 3 (mod 8), (p/q) == -1")
 

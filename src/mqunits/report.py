@@ -32,7 +32,6 @@ from . import claims
 from .classnum import (
     claimed_h2,
     kuroda_h2,
-    kuroda_instance,
     predict_structures,
     quadratic_h2,
     subfield_radicands,
@@ -461,31 +460,32 @@ def _check_quad_h2_table(p, q, cond, rep):
     return True, "15 subfield class numbers match the claimed table", h2
 
 
-# The checks below read the computed h2 from the quad_h2_table artifact.
+# The checks below read the computed h2 from the quad_h2_table artifact and
+# the unit index of the FSU they are given, which for K counts its torsion.
 # kuroda_deg4 and kuroda_deg8 expect what the formula gives over the claims;
 # kuroda_deg16 expects the computed h2(-pq), of which Cond1 claims only a
 # bound, and so compares the table's h2(-pq) with a product that contains it
 
 
 def _check_kuroda_deg4(p, q, cond, rep, h2, biquad):
-    val = kuroda_h2(kuroda_instance(claims.K_2P, p, q, h2, biquad[(2, p)].q_index_log2))
-    want = claimed_h2(claims.K_2P, p, q, cond.tag)
+    val = kuroda_h2(claims.K_2P, h2, unit_index(biquad[(2, p)]))
+    want = claimed_h2(claims.K_2P, cond.tag)
     if val != want:
         return False, f"h2(Q(sqrt2, sqrt{p})) = {val}, expected {want}", None
     return True, f"h2(Q(sqrt2, sqrt{p})) = {val}", None
 
 
 def _check_kuroda_deg8(p, q, cond, rep, h2, fsu):
-    val = kuroda_h2(kuroda_instance(claims.K_PLUS, p, q, h2, fsu.q_index_log2))
+    val = kuroda_h2(claims.K_PLUS, h2, unit_index(fsu))
     rep.kuroda_results = {"h2_Kplus": val, "h2_K": None}
-    want = claimed_h2(claims.K_PLUS, p, q, cond.tag)
+    want = claimed_h2(claims.K_PLUS, cond.tag)
     if val != want:
         return False, f"h2(K+) = {val}, expected {want}", None
     return True, f"h2(K+) = {val}", None
 
 
 def _check_kuroda_deg16(p, q, cond, rep, h2, cm, deg8):
-    val = kuroda_h2(kuroda_instance(claims.K_CM, p, q, h2, cm.q_index_log2 + 1))
+    val = kuroda_h2(claims.K_CM, h2, unit_index(cm))
     rep.kuroda_results["h2_K"] = val
     want = h2["-pq"]
     if val != want:

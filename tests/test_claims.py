@@ -5,7 +5,7 @@ import pytest
 
 from mqunits import claims, report
 from mqunits.claims import COND1, COND2, K_2P, K_CM, K_PLUS
-from mqunits.classnum import KurodaInstance, claimed_h2, kuroda_h2
+from mqunits.classnum import claimed_h2, kuroda_h2
 from mqunits.quadratic import classify_pair
 from mqunits.report import verify_pair
 
@@ -24,14 +24,11 @@ def test_value_resolves_every_symbol():
 def _formula_over_claims(field, tag, h2_neg_pq=None):
     """kuroda_h2 over the claimed subfield h2 and the claimed unit index of
     field, with h2(-pq) replaced by h2_neg_pq when given."""
-    p, q = PAIRS[tag]
     h2 = {s: n for s, (_, n) in claims.H2_CLAIMS[tag].items()}
     if h2_neg_pq is not None:
         h2["-pq"] = h2_neg_pq
-    subs = tuple((claims.value(s, p, q), h2[s]) for s in claims.KURODA_FIELDS[field])
     # the unit index of K has one more factor 2 than its lattice index, for the torsion
-    q_log2 = claims.Q_LOG2[field] + (field == K_CM)
-    return kuroda_h2(KurodaInstance(len(subs) + 1, subs, q_log2))
+    return kuroda_h2(field, h2, 2 ** (claims.Q_LOG2[field] + (field == K_CM)))
 
 
 @pytest.mark.parametrize("tag", [COND1, COND2])
@@ -39,14 +36,14 @@ def test_the_formula_checks_follow_from_the_claims(tag):
     # kuroda_deg4 and kuroda_deg8 compare the formula with what it gives over
     # the claims, and the claims alone give h2 = 1 for both fields: a pair
     # whose unit indices and subfield h2 pass their own checks passes these
-    assert _formula_over_claims(K_2P, tag) == 1 == claimed_h2(K_2P, *PAIRS[tag], tag)
-    assert _formula_over_claims(K_PLUS, tag) == 1 == claimed_h2(K_PLUS, *PAIRS[tag], tag)
+    assert _formula_over_claims(K_2P, tag) == 1 == claimed_h2(K_2P, tag)
+    assert _formula_over_claims(K_PLUS, tag) == 1 == claimed_h2(K_PLUS, tag)
     # over the claims, the degree-16 product is h2(-pq) itself, so kuroda_deg16
     # reads back the value it compares with
     rel, n = claims.H2_CLAIMS[tag]["-pq"]
     if tag == COND2:
         assert (rel, n) == ("==", 2)
-        assert _formula_over_claims(K_CM, tag) == 2 == claimed_h2(K_CM, *PAIRS[tag], tag)
+        assert _formula_over_claims(K_CM, tag) == 2 == claimed_h2(K_CM, tag)
     else:
         assert (rel, n) == (">=", 4)
         for h2 in (4, 8, 16, 32):

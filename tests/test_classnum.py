@@ -7,58 +7,41 @@ import pytest
 from mqunits import claims, classnum, report
 from mqunits.claims import K_2P, K_CM, K_PLUS
 from mqunits.classnum import (
-    KurodaInstance,
     kuroda_h2,
-    kuroda_instance,
     predict_structures,
     quadratic_h2,
     subfield_radicands,
 )
 from mqunits.errors import Falsified
 from mqunits.quadratic import classify_pair
+from mqunits.units import unit_index
 
 
-DEG8_RADS = (2, 5, 11, 10, 22, 55, 110)
+def h2_of(field, values):
+    """{symbol: h2} over the subfields of field, in claims.KURODA_FIELDS order."""
+    return dict(zip(claims.KURODA_FIELDS[field], values))
 
 
 def test_kuroda_known_values():
-    inst = KurodaInstance(8, tuple(zip(DEG8_RADS, (1, 1, 1, 2, 1, 2, 2))), 6)
-    assert kuroda_h2(inst) == 1
-
-    rads16 = subfield_radicands(5, 3)
-    inst = KurodaInstance(16, tuple(zip(rads16, (1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 4))), 8)
-    assert kuroda_h2(inst) == 2
-
-    inst = KurodaInstance(4, ((2, 1), (5, 1), (10, 2)), 1)
-    assert kuroda_h2(inst) == 1
+    # K+ of (5, 11): subfields 2, 5, 11, 10, 22, 55, 110
+    assert kuroda_h2(K_PLUS, h2_of(K_PLUS, (1, 1, 1, 2, 1, 2, 2)), 2 ** 6) == 1
+    # K of (5, 3), unit index 2^8 with the torsion
+    assert kuroda_h2(K_CM, h2_of(K_CM, (1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 4)), 2 ** 8) == 2
+    # Q(sqrt2, sqrt5): subfields 2, 5, 10
+    assert kuroda_h2(K_2P, h2_of(K_2P, (1, 1, 2)), 2) == 1
 
 
 def test_kuroda_non_integral_is_falsified():
-    inst = KurodaInstance(8, tuple(zip(DEG8_RADS, (1, 1, 1, 2, 1, 2, 2))), 5)
-    with pytest.raises(Falsified):
-        kuroda_h2(inst)
-
-
-def test_kuroda_instance_validation():
-    with pytest.raises(ValueError):
-        KurodaInstance(6, (), 0)
-    with pytest.raises(ValueError):
-        KurodaInstance(8, ((2, 1), (5, 1)), 6)
-    with pytest.raises(ValueError, match="not all positive"):
-        KurodaInstance(4, ((2, 1), (5, 0), (10, 2)), 3)
-    with pytest.raises(ValueError, match="negative"):
-        KurodaInstance(4, ((2, 1), (5, 1), (10, 2)), -1)
+    with pytest.raises(Falsified) as err:
+        kuroda_h2(K_PLUS, h2_of(K_PLUS, (1, 1, 1, 2, 1, 2, 2)), 2 ** 5)
+    assert str(err.value) == \
+        "class number formula gives 256/512 for the degree-8 field, which is not an integer"
 
 
 def test_input_checks_hold_under_python_O():
     # assert statements vanish under python -O; these checks must not
     code = textwrap.dedent("""\
         from mqunits import classnum
-        for args in ((4, ((2, 1), (5, 0), (10, 2)), 3), (4, ((2, 1), (5, 1), (10, 2)), -1)):
-            try:
-                print("accepted", classnum.kuroda_h2(classnum.KurodaInstance(*args)))
-            except ValueError:
-                print("rejected")
         try:
             print("accepted", classnum.predict_structures(5, 11, "Cond1", 12)["m"])
         except classnum.Falsified:
@@ -66,7 +49,7 @@ def test_input_checks_hold_under_python_O():
     """)
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "rejected\nrejected\nfalsified\n"
+    assert res.stdout == "falsified\n"
 
 
 def computed_h2(p, q):
@@ -78,22 +61,46 @@ def structures(p, q):
     return predict_structures(p, q, classify_pair(p, q).tag, quadratic_h2(-p * q).h2)
 
 
+def battery_fsus(p, q):
+    """The FSUs of Q(sqrt2, sqrt p), K+ and K, built as the battery builds them."""
+    cond = classify_pair(p, q)
+    rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
+    biquad = report._check_biquad_fsu_all(p, q, cond, rep)[2]
+    fsu = report._check_wada_q_index(p, q, cond, rep, biquad)[2]
+    cm = report._check_cm_fsu(p, q, cond, rep, fsu)[2]
+    return {K_2P: biquad[(2, p)], K_PLUS: fsu, K_CM: cm}
+
+
 def test_instance_builders():
-    inst = kuroda_instance(K_PLUS, 5, 11, computed_h2(5, 11), 6)
-    assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 1, 2, 1, 2, 2)
-    assert kuroda_h2(inst) == 1
-
-    inst = kuroda_instance(K_CM, 5, 3, computed_h2(5, 3), 8)
-    assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 4)
-    assert kuroda_h2(inst) == 2
-
+    # the formula over the computed table and the unit indices of the built FSUs
+    fsus = battery_fsus(5, 11)
+    h2 = computed_h2(5, 11)
+    assert [h2[s] for s in claims.KURODA_FIELDS[K_PLUS]] == [1, 1, 1, 2, 1, 2, 2]
+    assert kuroda_h2(K_PLUS, h2, unit_index(fsus[K_PLUS])) == 1
     # under Cond1 the degree-16 value reproduces h2(-pq)
-    inst = kuroda_instance(K_CM, 5, 11, computed_h2(5, 11), 8)
-    assert kuroda_h2(inst) == 4 == quadratic_h2(-55).h2
+    assert kuroda_h2(K_CM, h2, unit_index(fsus[K_CM])) == 4 == quadratic_h2(-55).h2
 
-    inst = kuroda_instance(K_2P, 5, 3, computed_h2(5, 3), 1)
-    assert tuple(h for _, h in inst.subfield_h2) == (1, 1, 2)
-    assert kuroda_h2(inst) == 1
+    fsus = battery_fsus(5, 3)
+    h2 = computed_h2(5, 3)
+    assert list(h2.values()) == [1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 4]
+    assert kuroda_h2(K_CM, h2, unit_index(fsus[K_CM])) == 2
+    assert [h2[s] for s in claims.KURODA_FIELDS[K_2P]] == [1, 1, 2]
+    assert kuroda_h2(K_2P, h2, unit_index(fsus[K_2P])) == 1
+
+
+@pytest.mark.parametrize("p,q", [(13, 3), (13, 11)])
+def test_the_unit_index_and_the_claims_count_the_cm_factor_alike(p, q):
+    # units.unit_index adds the torsion factor of K, and claimed_h2 adds it
+    # to the lattice index that claims.Q_LOG2 stores: the two must agree
+    fsus = battery_fsus(p, q)
+    indices = {field: unit_index(fsu) for field, fsu in fsus.items()}
+    assert indices == {K_2P: 2, K_PLUS: 64, K_CM: 256}
+    assert indices == {field: 2 ** (claims.Q_LOG2[field] + ("-1" in field)) for field in fsus}
+    h2 = computed_h2(p, q)
+    assert report.verify_pair(p, q).kuroda_results == {
+        "h2_Kplus": kuroda_h2(K_PLUS, h2, indices[K_PLUS]),
+        "h2_K": kuroda_h2(K_CM, h2, indices[K_CM]),
+    }
 
 
 @pytest.mark.parametrize("p,q", [(5, 11), (5, 3), (13, 3), (13, 11)])

@@ -5,7 +5,6 @@ from mqunits.intarith import (
     is_perfect_square,
     is_prime,
     is_squarefree,
-    kronecker_symbol,
     prime_factors,
     primes_upto,
     sqrt_interval,
@@ -90,40 +89,6 @@ def test_is_perfect_square():
     assert is_perfect_square(441) == (True, 21)
     assert is_perfect_square(440) == (False, None)
     assert is_perfect_square(-4) == (False, None)
-
-
-def test_kronecker_examples():
-    assert kronecker_symbol(5, 11) == 1
-    assert kronecker_symbol(5, 3) == -1
-    assert kronecker_symbol(0, 3) == 0
-    assert kronecker_symbol(3, 2) == -1
-    assert kronecker_symbol(2, 2) == 0
-    with pytest.raises(ValueError):
-        kronecker_symbol(3, 0)
-
-
-def test_kronecker_matches_euler_criterion_on_odd_primes():
-    for p in primes_upto(60):
-        if p == 2:
-            continue
-        for a in range(1, p):
-            euler = pow(a, (p - 1) // 2, p)
-            expected = 1 if euler == 1 else -1
-            assert kronecker_symbol(a, p) == expected
-
-
-@given(
-    st.integers(min_value=-500, max_value=500),
-    st.integers(min_value=-500, max_value=500),
-    st.integers(min_value=1, max_value=499).map(lambda k: 2 * k + 1),
-)
-def test_kronecker_multiplicative_in_numerator(a, b, n):
-    assert kronecker_symbol(a * b, n) == kronecker_symbol(a, n) * kronecker_symbol(b, n)
-
-
-@given(st.integers(min_value=-500, max_value=500))
-def test_kronecker_unit_modulus(a):
-    assert kronecker_symbol(a, 1) == 1
 
 
 def test_sqrt_mod_prime_matches_squares():
