@@ -31,28 +31,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import FrozenRecord
 from .intarith import is_squarefree, prime_factors, primes_upto, sqrt_mod_prime
 from .quadratic import fundamental_unit  # noqa: F401  unused; perfbench traces this binding
 
 DISCRIMINANT_GUARD = 8 * 10**7
 
 
-@dataclass(frozen=True)
-class ClassNumberReport:
+class ClassNumberReport(FrozenRecord):
     """Class number of one quadratic field with its exact 2-part.
 
     group_structure lists primary cyclic orders (imaginary case only);
     two_rank counts its even entries.  Real fields report h and h2 only.
     """
 
-    discriminant_or_radicand: int
-    h: int
-    h2: int
-    two_rank: int | None = None
-    group_structure: tuple[int, ...] | None = None
+    __slots__ = ("discriminant_or_radicand", "h", "h2", "two_rank", "group_structure")
+
+    def __init__(self, discriminant_or_radicand: int, h: int, h2: int, two_rank: int | None = None,
+                 group_structure: tuple[int, ...] | None = None):
+        super().__init__(discriminant_or_radicand, h, h2, two_rank, group_structure)
 
 
 def disc_of_radicand(m: int) -> int:

@@ -17,9 +17,9 @@ witness and checks that every competing shape fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import FrozenRecord
 from .claims import COND1, COND2, PELL_CASES, value
 from .errors import Falsified
 from .intarith import is_perfect_square, is_prime, is_squarefree, prime_factors
@@ -30,21 +30,16 @@ UNSUPPORTED = "Unsupported"
 DECOMPOSITION_TAGS = tuple(PELL_CASES[COND1])
 
 
-@dataclass(frozen=True)
-class QuadraticUnit:
+class QuadraticUnit(FrozenRecord):
     """Fundamental unit (x + y*sqrt(d))/denom of the maximal order of Q(sqrt(d))."""
 
-    d: int
-    x: int
-    y: int
-    denom: int
-    norm: int
+    __slots__ = ("d", "x", "y", "denom", "norm")
 
-    def __post_init__(self):
-        if not (self.x > 0 and self.y > 0 and self.denom in (1, 2)
-                and self.x * self.x - self.d * self.y * self.y == self.norm * self.denom**2
-                and (self.denom == 1 or self.d % 4 == 1)):
-            raise ValueError(f"{self} is not a unit of norm {self.norm}")
+    def __init__(self, d: int, x: int, y: int, denom: int, norm: int):
+        super().__init__(d, x, y, denom, norm)
+        if not (x > 0 and y > 0 and denom in (1, 2) and x * x - d * y * y == norm * denom**2
+                and (denom == 1 or d % 4 == 1)):
+            raise ValueError(f"{self} is not a unit of norm {norm}")
 
     def __str__(self):
         if self.denom == 1:
@@ -52,20 +47,20 @@ class QuadraticUnit:
         return f"({self.x}+{self.y}*sqrt({self.d}))/2"
 
 
-@dataclass(frozen=True)
-class ConditionClass:
+class ConditionClass(FrozenRecord):
     """Outcome of classifying a prime pair (p, q) by congruence and symbol."""
 
-    tag: str
-    reason: str
+    __slots__ = ("tag", "reason")
+
+    def __init__(self, tag: str, reason: str):
+        super().__init__(tag, reason)
 
     @property
     def is_applicable(self) -> bool:
         return self.tag in (COND1, COND2)
 
 
-@dataclass(frozen=True)
-class DecompositionWitness:
+class DecompositionWitness(FrozenRecord):
     """Certified shape of x-1 and x+1 for one fundamental unit.
 
     The surd identity u1*sqrt(r1) + u2*sqrt(r2) squares to 2*eps when doubled
@@ -73,14 +68,11 @@ class DecompositionWitness:
     terms of the symbols p and q of the pair.
     """
 
-    radicand_tag: str
-    case_id: str
-    u1: int
-    u2: int
-    r1: int
-    r2: int
-    doubled: bool
-    unit: QuadraticUnit
+    __slots__ = ("radicand_tag", "case_id", "u1", "u2", "r1", "r2", "doubled", "unit")
+
+    def __init__(self, radicand_tag: str, case_id: str, u1: int, u2: int, r1: int, r2: int,
+                 doubled: bool, unit: QuadraticUnit):
+        super().__init__(radicand_tag, case_id, u1, u2, r1, r2, doubled, unit)
 
 
 @lru_cache(maxsize=None)

@@ -22,13 +22,12 @@ under the key of the code that wrote it, then the report line.
 import functools
 import json
 import os
-import tempfile
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 
 from . import claims
+from ._record import Record
 from .classnum import (
     claimed_h2,
     kuroda_h2,
@@ -59,47 +58,46 @@ SCAN_SCHEMA = "mqunits-scan/1"
 # class-number checks stay inside the forms guard exactly when p*q <= MAX_PQ.
 MAX_PQ = DISCRIMINANT_GUARD // 8
 
-@dataclass
-class PairReport:
+# the key order of a report line: the schema, then the PairReport fields
+_REPORT_KEYS = ("schema", "p", "q", "condition", "lemma_witnesses", "fsu_real", "fsu_cm", "q_indices",
+                "h2_table", "kuroda_results", "structures", "checks", "elapsed_ms")
+_FIELDS = _REPORT_KEYS[1:]
+_ARTIFACT_KEYS = _FIELDS[3:-2]  # lemma_witnesses to structures, the fields defaulting to None
+
+
+class PairReport(Record):
     """All verification data for one pair, in JSON-native form.
 
     The fields defaulting to None are the check artifacts; an inapplicable
-    pair leaves them all None.  elapsed_ms is excluded from equality so a
-    report compares equal to its round-tripped or re-computed self.
+    pair leaves them all None.  checks defaults to a fresh list.  elapsed_ms
+    is excluded from equality so a report compares equal to its
+    round-tripped or re-computed self.
     """
 
-    p: int
-    q: int
-    condition: dict
-    lemma_witnesses: list | None = None
-    fsu_real: dict | None = None
-    fsu_cm: dict | None = None
-    q_indices: dict | None = None
-    h2_table: list | None = None
-    kuroda_results: dict | None = None
-    structures: dict | None = None
-    checks: list = dc_field(default_factory=list)
-    elapsed_ms: float = dc_field(compare=False, default=0.0)
+    __slots__ = _FIELDS
+    _uncompared = ("elapsed_ms",)
+
+    def __init__(self, p: int, q: int, condition: dict, lemma_witnesses: list | None = None,
+                 fsu_real: dict | None = None, fsu_cm: dict | None = None,
+                 q_indices: dict | None = None, h2_table: list | None = None,
+                 kuroda_results: dict | None = None, structures: dict | None = None,
+                 checks: list | None = None, elapsed_ms: float = 0.0):
+        super().__init__(p, q, condition, lemma_witnesses, fsu_real, fsu_cm, q_indices, h2_table,
+                         kuroda_results, structures, [] if checks is None else checks, elapsed_ms)
 
     @property
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
 
 
-_FIELDS = tuple(f.name for f in fields(PairReport))
-_REPORT_KEYS = ("schema",) + _FIELDS
-_ARTIFACT_KEYS = tuple(f.name for f in fields(PairReport) if f.default is None)
-
-
-@dataclass
-class ScanSummary:
+class ScanSummary(Record):
     """Totals of one scan run: the range, the counts and every failed check."""
 
-    range: list
-    pairs_examined: int
-    cond1_count: int
-    cond2_count: int
-    failures: list
+    __slots__ = ("range", "pairs_examined", "cond1_count", "cond2_count", "failures")
+
+    def __init__(self, range: list, pairs_examined: int, cond1_count: int, cond2_count: int,
+                 failures: list):
+        super().__init__(range, pairs_examined, cond1_count, cond2_count, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +578,8 @@ def _open_cache(cache_dir) -> str:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    import tempfile  # loads random, shutil and the compressors, which only a cached scan needs
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -36,11 +36,11 @@ still goes through the exact square root and its re-square.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
 from . import claims
+from ._record import Record
 from .errors import Falsified
 from .field import (
     FieldBasis,
@@ -56,8 +56,7 @@ from .intarith import _sieve, prime_factors
 from .quadratic import classify_pair, fundamental_unit
 
 
-@dataclass
-class UnitExpr:
+class UnitExpr(Record):
     """A unit as torsion * product of quadratic fundamental units to rational powers.
 
     With s the lcm of the exponent denominators, the defining identity is
@@ -68,9 +67,10 @@ class UnitExpr:
     real case) and eps_r is the fundamental unit of Q(sqrt(r)).
     """
 
-    torsion_exponent: int
-    exponents: dict
-    witness: FieldElement
+    __slots__ = ("torsion_exponent", "exponents", "witness")
+
+    def __init__(self, torsion_exponent: int, exponents: dict, witness: FieldElement):
+        super().__init__(torsion_exponent, exponents, witness)
 
     def cleared_level(self) -> int:
         return exponent_level([self.exponents])
@@ -81,27 +81,23 @@ def exponent_level(exps_list) -> int:
     return math.lcm(*(e.denominator for exps in exps_list for e in exps.values()))
 
 
-@dataclass
-class FsuResult:
+class FsuResult(Record):
     """A fundamental system of units of `field` modulo roots of unity.
 
     chars holds the character vectors of the generators when the builder
     computed them (wada_fsu does), for azizi_extend to reuse.  frame is the
     exponent frame of the generators over the real radicands of the field
-    (_exponent_frame), built once here; q_index_log2 is read off its
-    diagonal and raises ArithmeticError, under python -O too, unless the
-    exponent matrix is square and nonsingular with index a power of 2."""
+    (_exponent_frame), built once here and left out of equality;
+    q_index_log2 is read off its diagonal and raises ArithmeticError, under
+    python -O too, unless the exponent matrix is square and nonsingular
+    with index a power of 2."""
 
-    field: FieldBasis
-    torsion: str
-    generators: tuple
-    chars: tuple | None = None
-    frame: tuple = dc_field(init=False, repr=False, compare=False)
-    q_index_log2: int = dc_field(init=False)
+    __slots__ = ("field", "torsion", "generators", "chars", "frame", "q_index_log2")
+    _uncompared = ("frame",)
 
-    def __post_init__(self):
-        self.frame = _exponent_frame(_real_labels(self.field), [g.exponents for g in self.generators])
-        self.q_index_log2 = _frame_q_log2(self.frame, len(self.generators))
+    def __init__(self, field: FieldBasis, torsion: str, generators: tuple, chars: tuple | None = None):
+        frame = _exponent_frame(_real_labels(field), [g.exponents for g in generators])
+        super().__init__(field, torsion, generators, chars, frame, _frame_q_log2(frame, len(generators)))
 
     def spans(self, exps_list) -> bool:
         """Do the generators span the lattice of the vectors in exps_list?
@@ -621,16 +617,18 @@ def lattice_equal(a_list, b_list) -> bool:
 # conjugation and relative norm tables
 
 
-@dataclass
-class NormRow:
-    label: str
-    entries: dict
+class NormRow(Record):
+    __slots__ = ("label", "entries")
+
+    def __init__(self, label: str, entries: dict):
+        super().__init__(label, entries)
 
 
-@dataclass
-class NormTable:
-    field: FieldBasis
-    rows: tuple
+class NormTable(Record):
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: FieldBasis, rows: tuple):
+        super().__init__(field, rows)
 
 
 def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
