@@ -10,6 +10,7 @@ pair lies beyond the supported range.
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import Falsified
@@ -46,14 +47,20 @@ def _build_fsu(radicands, cm):
         cm = True
     if any(r < 2 for r in rads):
         raise ValueError("radicands must be squarefree integers > 1, optionally with -1")
-    for r in rads:
+    if not 1 <= len(rads) <= 3:
+        raise ValueError("supported fields have 1 to 3 real radicands")
+    # every radicand of the field, products included, as FieldBasis forms them
+    field_rads = [1]
+    for g in rads:
+        field_rads += [r * g // math.gcd(r, g) ** 2 for r in field_rads]
+    for r in sorted(field_rads):
         if r > DISCRIMINANT_GUARD:
             raise ValueError(f"radicand {r} exceeds the supported bound {DISCRIMINANT_GUARD}")
     if len(rads) == 1:
         fsu = fsu_quadratic(rads[0])
     elif len(rads) == 2:
         fsu = fsu_biquadratic(rads[0], rads[1])
-    elif len(rads) == 3:
+    else:
         if 2 not in rads:
             raise ValueError("degree-8 fields must include radicand 2")
         odd = [r for r in rads if r != 2]
@@ -63,8 +70,6 @@ def _build_fsu(radicands, cm):
             raise ValueError("degree-8 fields need one radicand = 5 and one = 3 (mod 8)")
         field = FieldBasis((2, p, q))
         fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (p, q, p * q)])
-    else:
-        raise ValueError("supported fields have 1 to 3 real radicands")
     if cm:
         fsu = azizi_extend(fsu, FieldBasis(fsu.field.generators + (-1,)))
     return fsu

@@ -23,7 +23,7 @@ import math
 import re
 from fractions import Fraction
 
-from .intarith import is_perfect_square, sqrt_interval, squarefree_decompose, unlimited_int_digits
+from .intarith import is_perfect_square, is_squarefree, sqrt_interval, unlimited_int_digits
 
 # generator tuple -> its one FieldBasis
 _BASES = {}
@@ -64,9 +64,13 @@ class FieldBasis:
             _BASES[generators] = basis
         return basis
 
+    def __reduce__(self):
+        # pickle and copy go through __new__, which returns the interned basis
+        return FieldBasis, (self.generators,)
+
     def _build(self, generators):
         for g in generators:
-            if g in (0, 1) or squarefree_decompose(g)[1] != 1:
+            if g == 1 or not is_squarefree(g):
                 raise ValueError(f"generator {g} must be squarefree and != 0, 1")
         self.generators = generators
         self.k = len(generators)

@@ -34,7 +34,7 @@ import math
 from functools import lru_cache
 
 from ._record import FrozenRecord
-from .intarith import is_squarefree, prime_factors, primes_upto, sqrt_mod_prime
+from .intarith import _sieve, is_squarefree, prime_factors, sqrt_mod_prime
 from .quadratic import fundamental_unit  # noqa: F401  unused; perfbench traces this binding
 
 DISCRIMINANT_GUARD = 8 * 10**7
@@ -167,7 +167,9 @@ def _chains(D, A):
     """(l, 1 + (D/l) roots mod each l^e, the l^e <= A with roots) per odd prime l <= A with
     roots, for a fundamental D; cached for the last (D, A): a count and a listing share it."""
     chains = []
-    for l in primes_upto(A)[1:]:
+    for l in itertools.islice(_sieve(A), 1, None):
+        if l > A:
+            break
         nl = 1 + pow(D, (l - 1) // 2, l)  # l when (D/l) = -1
         if nl <= 2:
             powers = [l]

@@ -1,7 +1,8 @@
 """Exact integer primitives used by every other module.
 
 Everything here is pure and deterministic: a grow-on-demand prime sieve,
-distinct prime factors, squarefree decomposition, perfect-square testing,
+distinct prime factors by trial division up to FACTOR_LIMIT, with the
+primality and squarefree tests built on them, perfect-square testing,
 square roots modulo an odd prime, and integer brackets of scaled square
 roots for exact sign determination.
 No floating point anywhere.  unlimited_int_digits lifts the interpreter's
@@ -34,36 +35,19 @@ def _sieve(n: int) -> list[int]:
     return _primes
 
 
-def primes_upto(n: int) -> list[int]:
-    """Return all primes <= n (cached sieve, grown as needed)."""
-    primes = _sieve(n)
-    # bisect by hand to avoid importing for one call site
-    lo, hi = 0, len(primes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if primes[mid] <= n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return primes[:lo]
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for the scan ranges used here."""
-    if n < 2:
-        return False
-    r = math.isqrt(n)
-    for p in _sieve(r):
-        if p > r:
-            break
-        if n % p == 0:
-            return n == p
-    return True
+# |n| beyond which prime_factors refuses: its trial division would need
+# primes past 10^6
+FACTOR_LIMIT = 10**12
 
 
 def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, increasing (empty for n in -1, 0, 1)."""
+    """The distinct primes dividing n, increasing (empty for n in -1, 0, 1).
+
+    The one trial division of the package; raises ValueError for
+    |n| > FACTOR_LIMIT before dividing anything."""
     m = abs(n)
+    if m > FACTOR_LIMIT:
+        raise ValueError(f"|{n}| exceeds the factoring bound {FACTOR_LIMIT}")
     out = []
     for p in _sieve(math.isqrt(m)):
         if p * p > m:
@@ -77,6 +61,14 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and prime_factors(n) == [n]
+
+
+def is_squarefree(n: int) -> bool:
+    return n != 0 and all(n % (l * l) for l in prime_factors(n))
+
+
 def is_perfect_square(n: int) -> tuple[bool, int | None]:
     """Return (True, k) with k*k == n, or (False, None). Negative n is never a square."""
     if n < 0:
@@ -85,61 +77,6 @@ def is_perfect_square(n: int) -> tuple[bool, int | None]:
     if k * k == n:
         return True, k
     return False, None
-
-
-def _icbrt(n: int) -> int:
-    """floor(n ** (1/3)) for n >= 0, by Newton's method on integers."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > n ** (1/3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
-# |n| beyond which squarefree_decompose refuses: its trial division would
-# need primes past 10^6
-DECOMPOSE_LIMIT = 10**18
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = s * f**2 with s squarefree and sign(s) = sign(n).
-
-    Trial division only up to the cube root: the undivided remainder then has
-    at most two prime factors, so it is 1, p, p**2 or p*q, and a single
-    perfect-square test finishes the job.  Raises ValueError for n = 0 and
-    for |n| > DECOMPOSE_LIMIT.
-    """
-    if n == 0:
-        raise ValueError("0 has no squarefree decomposition")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    if m > DECOMPOSE_LIMIT:
-        raise ValueError(f"|{n}| exceeds the squarefree decomposition bound {DECOMPOSE_LIMIT}")
-    s, f = 1, 1
-    bound = _icbrt(m) + 1
-    for p in _sieve(bound):
-        if p > bound or p * p > m:
-            break
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e & 1:
-            s *= p
-        f *= p ** (e >> 1)
-    square, root = is_perfect_square(m)
-    if square:
-        f *= root
-    else:
-        s *= m
-    return sign * s, f
-
-
-def is_squarefree(n: int) -> bool:
-    return n != 0 and squarefree_decompose(n)[1] == 1
 
 
 def sqrt_mod_prime(n: int, p: int) -> int | None:

@@ -10,8 +10,9 @@ writing eps = x + y*sqrt(d) the product (x-1)(x+1) = d*y**2 forces each of
 x-1 and x+1 into a squarefree-times-square shape.  Which shape survives is
 determined by the quadratic residue symbol (p/q), and from the surviving
 shape one reads off an exact surd identity such as
-sqrt(2*eps_2pq) = u1*sqrt(p) + u2*sqrt(2q).  lemma_decompose recovers that
-witness and checks that every competing shape fails.
+sqrt(2*eps_2pq) = u1*sqrt(p) + u2*sqrt(2q).  lemma_decompose tests each side
+against the one squarefree shape the claims predict, which as the side's
+squarefree kernel excludes every other, and recovers that witness.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from ._record import FrozenRecord
 from .claims import COND1, COND2, PELL_CASES, value
 from .errors import Falsified
-from .intarith import is_perfect_square, is_prime, is_squarefree, prime_factors
+from .intarith import is_perfect_square, is_prime, is_squarefree
 
 NOT_APPLICABLE = "NotApplicable"
 UNSUPPORTED = "Unsupported"
@@ -128,64 +129,41 @@ def classify_pair(p: int, q: int) -> ConditionClass:
     return ConditionClass(COND2, "p == 5, q == 3 (mod 8), (p/q) == -1")
 
 
-def lemma_decompose(p: int, q: int, tag: str, cond: ConditionClass) -> DecompositionWitness:
+def lemma_decompose(p: int, q: int, tag: str) -> DecompositionWitness:
     """Decompose the unit of the field tagged by `tag` into its forced Pell shape.
 
-    tag picks the radicand: "2pq", "pq", "2q" or "q".  Writing the unit as
-    x + y*sqrt(d), the squarefree part of each of x-1 and x+1 must divide 2d,
-    so every candidate shape is tested by dividing out a squarefree divisor
-    and checking the quotient for squareness -- no factoring of the huge
-    integers x-1 and x+1 is ever attempted.  Exactly one shape can match per
-    side; it must be the one predicted by the pair's condition, and the
-    doubled products 2*(x-1), 2*(x+1), 2d*(x-1), 2d*(x+1) must all be
-    non-squares.  Any violation raises Falsified.
+    tag picks the radicand d: "2pq", "pq", "2q" or "q".  Writing the unit as
+    x + y*sqrt(d), claims.PELL_CASES predicts for the pair's condition a
+    squarefree shape s of each side n = x-1, x+1.  One division and one
+    square test decide whether n = s*u**2, with no factoring of the huge
+    integer n.  When it holds, s is the squarefree kernel of n, which is
+    unique, so no other shape can match; and 2*n or 2d*n could only be a
+    square if s were 2 or the squarefree kernel of 2d, which no shape of the
+    table is.  The roots u of the two sides give the surd identity, which is
+    re-squared.  Any violation raises Falsified.
     """
     if tag not in DECOMPOSITION_TAGS:
         raise ValueError(f"unknown tag {tag!r}")
-    check = classify_pair(p, q)
-    if not check.is_applicable:
-        raise ValueError(f"pair ({p},{q}) not applicable: {check.reason}")
-    if check.tag != cond.tag:
-        raise ValueError(f"pair ({p},{q}) is {check.tag}, not {cond.tag}")
+    cond = classify_pair(p, q)
+    if not cond.is_applicable:
+        raise ValueError(f"pair ({p},{q}) not applicable: {cond.reason}")
 
     d = value(tag, p, q)
     unit = fundamental_unit(d)
     if unit.norm != 1 or unit.denom != 1:
         raise Falsified(f"unit of Q(sqrt({d})) should have norm +1 and integer coordinates")
     x = unit.x
-    sides = {"minus": x - 1, "plus": x + 1}
-    divisors = [1]  # the squarefree divisors of 2d
-    for f in prime_factors(2 * d):
-        divisors += [s * f for s in divisors]
+    s_minus, s_plus, u1_side, r1_label, r2_label, doubled = PELL_CASES[cond.tag][tag]
+    roots = {}
+    for side, n, shape in (("minus", x - 1, s_minus), ("plus", x + 1, s_plus)):
+        s = value(shape, p, q)
+        square, roots[side] = is_perfect_square(n // s) if n % s == 0 else (False, None)
+        if not square:
+            raise Falsified(f"x{'-' if side == 'minus' else '+'}1 of eps_{d} is not {s} times a square, "
+                            f"the predicted shape {shape}*u^2")
 
-    found = {}
-    for side, n in sides.items():
-        matches = []
-        for s in divisors:
-            if n % s:
-                continue
-            square, root = is_perfect_square(n // s)
-            if square:
-                matches.append((s, root))
-        if len(matches) != 1:
-            raise Falsified(f"x{'-' if side == 'minus' else '+'}1 of eps_{d} matched {len(matches)} shapes")
-        found[side] = matches[0]
-
-    s_minus, s_plus, u1_side, r1_label, r2_label, doubled = PELL_CASES[check.tag][tag]
-    expected = {"minus": value(s_minus, p, q), "plus": value(s_plus, p, q)}
-    for side in ("minus", "plus"):
-        if found[side][0] != expected[side]:
-            raise Falsified(
-                f"eps_{d}: x{'-' if side == 'minus' else '+'}1 = {found[side][0]}*square, "
-                f"predicted {expected[side]}*square"
-            )
-    for n in sides.values():
-        for scale in (2, 2 * d):
-            if is_perfect_square(scale * n)[0]:
-                raise Falsified(f"{scale}*(x-+1) is a square for eps_{d}")
-
-    u1 = found[u1_side][1]
-    u2 = found["plus" if u1_side == "minus" else "minus"][1]
+    u1 = roots[u1_side]
+    u2 = roots["plus" if u1_side == "minus" else "minus"]
     r1 = value(r1_label, p, q)
     r2 = value(r2_label, p, q)
     # re-square the surd identity: (u1*sqrt(r1) + u2*sqrt(r2))**2 == m*eps

@@ -348,7 +348,7 @@ def _check_classify(p, q, cond, rep):
 
 def _make_lemma_check(tag):
     def check(p, q, cond, rep):
-        w = lemma_decompose(p, q, tag, cond)
+        w = lemma_decompose(p, q, tag)
         rep.lemma_witnesses.append(_witness_to_dict(w))
         return True, f"case {w.case_id}: ({w.u1}*sqrt({w.r1}) + {w.u2}*sqrt({w.r2}))^2 = " \
                      f"{'2*' if w.doubled else ''}eps_{tag}", None

@@ -446,7 +446,8 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     if basis.is_cm:
         raise ValueError("biquadratic FSU shapes cover totally real fields only")
     rads = set(basis.radicands) - {1}
-    primes = {f for r in rads for f in prime_factors(r)} - {2}
+    # the third radicand's primes are among those of d1 and d2
+    primes = {*prime_factors(d1), *prime_factors(d2)} - {2}
     ps = [f for f in primes if f % 8 == 5]
     qs = [f for f in primes if f % 8 == 3]
     key = None

@@ -20,7 +20,7 @@ import pytest
 
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
 from mqunits.forms import class_number_imaginary, class_number_real, disc_of_radicand
-from mqunits.quadratic import DECOMPOSITION_TAGS, classify_pair, lemma_decompose
+from mqunits.quadratic import DECOMPOSITION_TAGS, lemma_decompose
 from mqunits.report import _unit_label, scan_pairs, validate_report_dict
 from mqunits.units import fsu_biquadratic, theorem_real_exponents, wada_fsu
 
@@ -95,9 +95,8 @@ def test_criterion_01_lemma_suite_full_range():
     assert len(pairs) >= 40
     n = 0
     for p, q in pairs:
-        cond = classify_pair(p, q)
         for tag in DECOMPOSITION_TAGS:
-            w = lemma_decompose(p, q, tag, cond)
+            w = lemma_decompose(p, q, tag)
             assert _resquares(w), (p, q, tag)
             n += 1
     dt = time.perf_counter() - t0

@@ -1,11 +1,14 @@
 """Tests for the claims table: what follows from it alone, and that every
 check reads its claim from it."""
 
+import math
+
 import pytest
 
 from mqunits import claims, report
 from mqunits.claims import COND1, COND2, K_2P, K_CM, K_PLUS
 from mqunits.classnum import claimed_h2, kuroda_h2
+from mqunits.intarith import is_squarefree
 from mqunits.quadratic import classify_pair
 from mqunits.report import verify_pair
 
@@ -19,6 +22,21 @@ def test_value_resolves_every_symbol():
     assert claims.value("1", 5, 3) == 1
     assert claims.exponents(claims.UNITS[COND1][claims.F4], 5, 11) == \
         {5: claims.H, 22: claims.Q4, 55: claims.Q4, 110: claims.Q4}
+
+
+def test_pell_shapes_leave_no_doubled_product_a_square():
+    # lemma_decompose tests each side of x-1, x+1 against its predicted shape
+    # s only: s is squarefree, so it is the side's squarefree kernel, and
+    # 2*(x+-1) or 2d*(x+-1) would be a square only if s were 2 or the
+    # squarefree kernel of 2d
+    for cls, cases in claims.PELL_CASES.items():
+        for tag, (s_minus, s_plus, *_) in cases.items():
+            for p, q in PAIRS.values():
+                d = claims.value(tag, p, q)
+                kernel_2d = 2 * d // math.gcd(2, d) ** 2
+                for shape in (s_minus, s_plus):
+                    s = claims.value(shape, p, q)
+                    assert is_squarefree(s) and s not in (2, kernel_2d), (cls, tag, shape, p, q)
 
 
 def _formula_over_claims(field, tag, h2_neg_pq=None):

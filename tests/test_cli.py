@@ -65,6 +65,18 @@ def test_huge_radicand_exits_2_without_a_traceback():
     assert res.stderr == f"mqunits: error: radicand {big} exceeds the supported bound 80000000\n"
 
 
+@pytest.mark.parametrize("radicands, product", [
+    ("79999973,79999987", 79999973 * 79999987),
+    ("2,5,10000019", 2 * 5 * 10000019),
+])
+def test_fsu_refuses_a_product_radicand_past_the_guard(radicands, product):
+    # every given radicand is below the guard; a radicand of the field they
+    # generate is not, and must be refused before any unit is computed
+    res = run_cli("fsu", "--radicands", radicands, timeout=30)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"mqunits: error: radicand {product} exceeds the supported bound 80000000\n"
+
+
 def test_import_needs_only_the_standard_library():
     # -S leaves site-packages off the path, so a third-party import would fail
     code = "import sys, mqunits.cli; print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -22,8 +24,9 @@ from mqunits.field import (
     torsion_order,
     zeta,
 )
-from mqunits.intarith import is_perfect_square, squarefree_decompose
+from mqunits.intarith import is_perfect_square
 from mqunits.quadratic import fundamental_unit
+from mqunits.units import fsu_biquadratic
 
 from norm_oracle import conjugate
 
@@ -241,17 +244,33 @@ def test_basis_validation():
         FieldBasis((6, 10, 15))
     with pytest.raises(ValueError):
         FieldBasis((1,))
+    # a generator past intarith.FACTOR_LIMIT is refused before any division
+    with pytest.raises(ValueError, match="exceeds the factoring bound"):
+        FieldBasis((10**400 + 1,))
     b = FieldBasis((2, 5, 11))
     assert b.radicands[3] == 10
     assert b.radicands[7] == 110
     assert b.sub.generators == (2, 5)
 
 
+def _squarefree_part(n):
+    """The squarefree s of the sign of n with n = s*f**2, by naive trial division."""
+    s, m, f = (1 if n > 0 else -1), abs(n), 2
+    while f * f <= m:
+        while m % (f * f) == 0:
+            m //= f * f
+        if m % f == 0:
+            m //= f
+            s *= f
+        f += 1
+    return s * m
+
+
 def test_radicands_are_the_squarefree_parts_of_the_subset_products():
     for gens in ((2, 5, 11), (6, 10, 7), (2, 13, 3, -1), (-3, 15, 35), (30, 42, 70, -1)):
         b = FieldBasis(gens)
         for m, r in enumerate(b.radicands):
-            assert r == squarefree_decompose(math.prod(g for i, g in enumerate(gens) if m >> i & 1))[0]
+            assert r == _squarefree_part(math.prod(g for i, g in enumerate(gens) if m >> i & 1))
 
 
 def test_basis_interned_by_generator_tuple():
@@ -263,6 +282,15 @@ def test_basis_interned_by_generator_tuple():
     for _ in range(2):
         with pytest.raises(ValueError):
             FieldBasis((2, 3, 6))
+
+
+def test_bases_elements_and_systems_survive_pickle_and_deepcopy():
+    b = FieldBasis((2, 5))
+    assert pickle.loads(pickle.dumps(b)) is b
+    one = b.one()
+    assert copy.deepcopy(one) == one
+    fsu = fsu_biquadratic(2, 5)
+    assert pickle.loads(pickle.dumps(fsu)) == fsu
 
 
 def test_serialization():

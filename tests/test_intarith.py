@@ -2,86 +2,82 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mqunits.intarith import (
+    FACTOR_LIMIT,
+    _sieve,
     is_perfect_square,
     is_prime,
     is_squarefree,
     prime_factors,
-    primes_upto,
     sqrt_interval,
     sqrt_mod_prime,
-    squarefree_decompose,
 )
 
 
+def _naive_factors(n):
+    m, f, out = abs(n), 2, []
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    return out + [m] if m > 1 else out
+
+
+def _naive_squarefree(n):
+    return n != 0 and all(n % (f * f) for f in _naive_factors(n))
+
+
+def _primes_upto(n):
+    # the shared sieve's primes <= n; the sieve may hold more
+    return [p for p in _sieve(n) if p <= n]
+
+
 def test_primes_upto_small():
-    assert primes_upto(1) == []
-    assert primes_upto(2) == [2]
-    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert _primes_upto(1) == []
+    assert _primes_upto(2) == [2]
+    assert _primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_primes_upto_grows_then_shrinks_consistently():
-    big = primes_upto(10_000)
-    small = primes_upto(100)
+    big = _primes_upto(10_000)
+    small = _primes_upto(100)
     assert small == [p for p in big if p <= 100]
+    assert big == [n for n in range(10_001) if _naive_factors(n) == [n]]
 
 
 def test_is_prime_small_table():
     table = {p for p in range(200) if is_prime(p)}
-    assert table == set(primes_upto(199))
+    assert table == {n for n in range(200) if _naive_factors(n) == [n]}
 
 
 def test_prime_factors_matches_naive_trial_division():
-    def naive(n):
-        m, f, out = abs(n), 2, []
-        while m > 1:
-            if m % f == 0:
-                out.append(f)
-                while m % f == 0:
-                    m //= f
-            f += 1
-        return out
-
-    for n in range(-3, 10**4 + 1):
-        assert prime_factors(n) == naive(n), n
-
-
-def test_squarefree_decompose_examples():
-    assert squarefree_decompose(1) == (1, 1)
-    assert squarefree_decompose(200) == (2, 10)
-    assert squarefree_decompose(-12) == (-3, 2)
-    assert squarefree_decompose(440) == (110, 2)
-    assert squarefree_decompose(55) == (55, 1)
-
-
-def test_squarefree_decompose_rejects_zero():
-    with pytest.raises(ValueError):
-        squarefree_decompose(0)
-
-
-def test_squarefree_decompose_large_semiprime_square():
-    # remainder after cube-root trial division is p*q and p**2 respectively
+    # is_prime and is_squarefree are built on prime_factors; the last four
+    # inputs each have two prime factors (with multiplicity) above their
+    # cube root, and 4*1009^2*1013 stands in for 4*10007^2*10009, which is
+    # past FACTOR_LIMIT
     p, q = 10007, 10009
-    assert squarefree_decompose(p * q) == (p * q, 1)
-    assert squarefree_decompose(p * p) == (1, p)
-    assert squarefree_decompose(4 * p * p * q) == (q, 2 * p)
+    for n in [*range(-3, 10**4 + 1), p * q, p * p, 4 * 1009**2 * 1013, 999983**2]:
+        naive = _naive_factors(n)
+        assert prime_factors(n) == naive, n
+        assert is_prime(n) == (naive == [n]), n
+        assert is_squarefree(n) == _naive_squarefree(n), n
 
 
-def test_squarefree_decompose_integer_bound():
-    # the largest prime below 10^6, cubed, sits just under the limit
-    p = 999983
-    assert squarefree_decompose(p**3) == (p, p)
-    assert squarefree_decompose(-(10**18)) == (-1, 10**9)
-    for n in (10**18 + 1, 10**400 + 1, -(10**400) - 1):
-        with pytest.raises(ValueError):
-            squarefree_decompose(n)
+def test_prime_factors_refuses_past_the_bound():
+    assert prime_factors(FACTOR_LIMIT) == [2, 5]
+    for n in (FACTOR_LIMIT + 1, 4 * 10007**2 * 10009, 10**400 + 1, -(10**400) - 1):
+        for f in (prime_factors, is_squarefree, is_prime):
+            if f is is_prime and n < 0:
+                assert not is_prime(n)  # no negative number is prime
+                continue
+            with pytest.raises(ValueError, match="exceeds the factoring bound"):
+                f(n)
 
 
-@given(st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0))
-def test_squarefree_decompose_roundtrip(n):
-    s, f = squarefree_decompose(n)
-    assert s * f * f == n
-    assert f > 0
-    assert is_squarefree(s)
+@given(st.integers(min_value=-(10**6), max_value=10**6))
+def test_is_squarefree_matches_naive(n):
+    assert is_squarefree(n) == _naive_squarefree(n)
 
 
 def test_is_perfect_square():
@@ -93,7 +89,7 @@ def test_is_perfect_square():
 
 def test_sqrt_mod_prime_matches_squares():
     # 257 = 2^8 + 1 runs the Tonelli-Shanks loop at full depth
-    for p in primes_upto(400)[1:]:
+    for p in _primes_upto(400)[1:]:
         squares = {x * x % p for x in range(p)}
         for n in range(-p, p):
             r = sqrt_mod_prime(n, p)

@@ -124,7 +124,7 @@ def test_classify_pair_rejects_bad_input():
 
 
 def test_lemma_decompose_2pq_cond2():
-    w = lemma_decompose(5, 3, "2pq", classify_pair(5, 3))
+    w = lemma_decompose(5, 3, "2pq")
     assert (w.unit.x, w.unit.y) == (11, 2)
     assert (w.u1, w.u2) == (1, 2)
     assert (w.r1, w.r2) == (10, 3)
@@ -134,7 +134,7 @@ def test_lemma_decompose_2pq_cond2():
 
 
 def test_lemma_decompose_2pq_cond1():
-    w = lemma_decompose(5, 11, "2pq", classify_pair(5, 11))
+    w = lemma_decompose(5, 11, "2pq")
     assert (w.unit.x, w.unit.y) == (21, 2)
     assert (w.u1, w.u2) == (2, 1)
     assert (w.r1, w.r2) == (5, 22)
@@ -143,7 +143,7 @@ def test_lemma_decompose_2pq_cond1():
 
 
 def test_lemma_decompose_pq_cond1():
-    w = lemma_decompose(5, 11, "pq", classify_pair(5, 11))
+    w = lemma_decompose(5, 11, "pq")
     assert (w.unit.x, w.unit.y) == (89, 12)
     assert (w.u1, w.u2) == (3, 2)
     assert (w.r1, w.r2) == (5, 11)
@@ -153,7 +153,7 @@ def test_lemma_decompose_pq_cond1():
 
 
 def test_lemma_decompose_q_cond2():
-    w = lemma_decompose(5, 3, "q", classify_pair(5, 3))
+    w = lemma_decompose(5, 3, "q")
     assert (w.unit.x, w.unit.y) == (2, 1)
     assert (w.u1, w.u2) == (1, 1)
     # 2 = -u1^2 + q*u2^2
@@ -162,9 +162,8 @@ def test_lemma_decompose_q_cond2():
 
 def test_lemma_decompose_surd_identity_resquares():
     for p, q in ((5, 3), (5, 11), (13, 3), (29, 3), (13, 11), (5, 43)):
-        cond = classify_pair(p, q)
         for tag in DECOMPOSITION_TAGS:
-            w = lemma_decompose(p, q, tag, cond)
+            w = lemma_decompose(p, q, tag)
             m = 2 if w.doubled else 1
             assert w.u1**2 * w.r1 + w.u2**2 * w.r2 == m * w.unit.x
             assert 2 * w.u1 * w.u2 == m * w.unit.y
@@ -184,7 +183,7 @@ def test_lemma_decompose_wrong_witness_is_falsified_under_python_O():
 
         quadratic.is_perfect_square = off_by_one
         try:
-            quadratic.lemma_decompose(5, 11, "q", quadratic.classify_pair(5, 11))
+            quadratic.lemma_decompose(5, 11, "q")
         except Falsified as exc:
             print("falsified:", exc)
     """)
@@ -194,13 +193,10 @@ def test_lemma_decompose_wrong_witness_is_falsified_under_python_O():
 
 
 def test_lemma_decompose_rejects_bad_calls():
-    cond = classify_pair(5, 11)
     with pytest.raises(ValueError):
-        lemma_decompose(5, 11, "3pq", cond)
+        lemma_decompose(5, 11, "3pq")
     with pytest.raises(ValueError):
-        lemma_decompose(5, 7, "2pq", classify_pair(5, 7))
-    with pytest.raises(ValueError):
-        lemma_decompose(5, 3, "2pq", cond)  # (5,3) is Cond2, cond says Cond1
+        lemma_decompose(5, 7, "2pq")
 
 
 def test_unit_invariant_enforced():

@@ -28,6 +28,23 @@ from mqunits.report import (
 )
 
 
+# SHA-256 of report_to_json(verify_pair(p, q)) with "elapsed_ms":N cut out,
+# for pairs near the top of the range, where the Pell units of the lemmas
+# are largest and neither the scan --max 200 digest nor the benchmark
+# references reach
+LARGE_PAIR_DIGESTS = {
+    (653, 347): "91e9e796d5b056115822c44ba16346f33e9cce3a11d6356d0808be9cd8fa0062",
+    (1213, 1019): "926eecfa18679109906faad54ddfbb06b7c86a74510f9a76029a1be31cf505e7",
+    (3181, 3011): "aed291885ea65c5884ccdd131e171a710db594759067e7a60f5e2e701742e4ce",
+}
+
+
+@pytest.mark.parametrize("pair", list(LARGE_PAIR_DIGESTS))
+def test_large_pairs_print_the_pinned_bytes(pair):
+    line = re.sub(r'"elapsed_ms":[-+0-9.eE]+', "", report_to_json(verify_pair(*pair)))
+    assert hashlib.sha256(line.encode()).hexdigest() == LARGE_PAIR_DIGESTS[pair]
+
+
 def test_verify_pair_all_checks_pass():
     rep = verify_pair(5, 11)
     assert [c[0] for c in rep.checks] == list(CHECK_IDS)
