@@ -51,8 +51,8 @@ class FieldBasis:
     holds the fundamental units of the real quadratic subfields once
     units._base_units has built them, `chars` the character data once
     units._char_data has built it, and `torsion` the generator and order of
-    the roots of unity once units._torsion has found them.  drop_bases
-    forgets every interned basis.
+    the roots of unity once units._torsion, the one routine that decides
+    them, has found them.  drop_bases forgets every interned basis.
     """
 
     def __new__(cls, generators):
@@ -505,43 +505,6 @@ def sqrt_in_field(u: FieldElement):
     if w * w != u:
         raise ArithmeticError(f"square root witness {w!r} does not re-square to {u!r}")
     return w
-
-
-# ---------------------------------------------------------------------------
-# roots of unity
-
-
-def zeta(n: int, basis: FieldBasis) -> FieldElement:
-    """The root of unity zeta_n as an exact element; n in {8, 24}."""
-    if n == 8:
-        for r in (-1, 2, -2):
-            if r not in basis.mask_of:
-                raise ValueError("zeta_8 needs radicands -1 and 2")
-        return basis.element({2: Fraction(1, 2), -2: Fraction(1, 2)})
-    if n == 24:
-        if -3 not in basis.mask_of:
-            raise ValueError("zeta_24 needs radicand -3")
-        zeta3 = basis.element({1: Fraction(-1, 2), -3: Fraction(1, 2)})
-        return zeta(8, basis) * zeta3
-    raise ValueError("only zeta_8 and zeta_24 are constructed directly")
-
-
-def torsion_order(basis: FieldBasis) -> int:
-    """Order of the roots of unity in the field: 2 for totally real fields,
-    else determined by which of i, zeta_8, zeta_3 lie inside.
-
-    No multiquadratic field contains zeta_16: Gal(Q(zeta_16)/Q) = Z/2 x Z/4
-    is not elementary abelian.
-    """
-    rads = basis.mask_of
-    n = 2
-    if -1 in rads:
-        n = 4
-        if 2 in rads:
-            n = 8
-    if -3 in rads:
-        n *= 3
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .forms import DISCRIMINANT_GUARD, disc_of_radicand
 from .intarith import is_prime, unlimited_int_digits
 from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
 from .units import (
+    _torsion,
     azizi_extend,
     exponent_level,
     fsu_biquadratic,
@@ -355,10 +356,12 @@ def _make_lemma_check(tag):
     return check
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=None)
 def _one_prime_fsu(d1, d2):
     """fsu_biquadratic(d1, d2) for the fields Q(sqrt2, sqrt p) and
-    Q(sqrt2, sqrt q), kept across pairs: a scan pairs every p with every q.
+    Q(sqrt2, sqrt q), all kept across pairs, about 4 KB each: a scan pairs
+    every p with every q, p-major, so a smaller LRU bound would miss at
+    every (2, q) lookup.
 
     A kept result may live in a basis that drop_bases has since forgotten.
     Its units are only embedded into the fields of later pairs and its
@@ -424,8 +427,8 @@ def _check_cm_fsu(p, q, cond, rep, fsu):
     if not cm.spans(theorem_cm_exponents(p, q, cond.tag)):
         return False, "CM generator lattice differs from the theorem lattice", None
     twisted = [g for g in cm.generators if g.torsion_exponent]
-    order = int(cm.torsion[4:])
-    if len(twisted) != 1 or twisted[0].cleared_level() != 4:
+    order = _torsion(cm.field)[1]
+    if len(twisted) != 1 or exponent_level([twisted[0].exponents]) != 4:
         return False, "expected exactly one generator twisted at the quartic level", None
     t = twisted[0].torsion_exponent
     if t % (order // 4) or (t // (order // 4)) % 2 == 0:
@@ -434,9 +437,9 @@ def _check_cm_fsu(p, q, cond, rep, fsu):
 
 
 def _check_norm_tables(p, q, cond, rep, fsu):
-    nt = norm_table(fsu.field, fsu)
-    n_entries = sum(len(row.entries) for row in nt.rows)
-    return True, f"{len(nt.rows)} rows, {n_entries} entries consistent", None
+    rows = norm_table(fsu.field, fsu)
+    n_entries = sum(len(row.entries) for row in rows)
+    return True, f"{len(rows)} rows, {n_entries} entries consistent", None
 
 
 def _check_quad_h2_table(p, q, cond, rep):

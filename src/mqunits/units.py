@@ -25,12 +25,13 @@ degree-8 field take no root either: they are checked on exponent vectors,
 with the signs of the generators at the real embeddings (norm_table), one
 sign pass per generator for all the embeddings it needs.
 
-Each unit is verified once, where it is made (_make_expr); a unit carried
-into a larger field is embedded with its exponents and torsion exponent
-(_embed_expr).  Both searches form a subset product only when quadratic
-characters allow it to be +-1 times a square: a unit maps to a nonzero
-residue at CHAR_PRIMES primes l = 7 (mod 8), and a product that is +-w^2
-has the same Legendre symbol, +1 or -1, at every one of them (Adleman,
+Each unit is verified once, where it is made: a claimed root by the
+re-square of sqrt_in_field, a unit with derived exponents by _make_expr; a
+unit carried into a larger field is embedded with its exponents and torsion
+exponent (_embed_expr).  Both searches form a subset product only when
+quadratic characters allow it to be +-1 times a square: a unit maps to a
+nonzero residue at CHAR_PRIMES primes l = 7 (mod 8), and a product that is
++-w^2 has the same Legendre symbol, +1 or -1, at every one of them (Adleman,
 "Factoring numbers using singular integers", STOC 1991).  Every candidate
 still goes through the exact square root and its re-square.
 """
@@ -49,8 +50,6 @@ from .field import (
     sign_at_embedding,
     signs_at_embeddings,
     sqrt_in_field,
-    torsion_order,
-    zeta,
 )
 from .intarith import _sieve, prime_factors
 from .quadratic import classify_pair, fundamental_unit
@@ -72,9 +71,6 @@ class UnitExpr(Record):
     def __init__(self, torsion_exponent: int, exponents: dict, witness: FieldElement):
         super().__init__(torsion_exponent, exponents, witness)
 
-    def cleared_level(self) -> int:
-        return exponent_level([self.exponents])
-
 
 def exponent_level(exps_list) -> int:
     """The lcm of the denominators of every exponent in the list of vectors."""
@@ -82,22 +78,27 @@ def exponent_level(exps_list) -> int:
 
 
 class FsuResult(Record):
-    """A fundamental system of units of `field` modulo roots of unity.
+    """A fundamental system of units of `field` modulo roots of unity: the
+    field and its generators, with everything else derived from them.
 
-    chars holds the character vectors of the generators when the builder
-    computed them (wada_fsu does), for azizi_extend to reuse.  frame is the
-    exponent frame of the generators over the real radicands of the field
-    (_exponent_frame), built once here and left out of equality;
-    q_index_log2 is read off its diagonal and raises ArithmeticError, under
-    python -O too, unless the exponent matrix is square and nonsingular
-    with index a power of 2."""
+    frame is the exponent frame of the generators over the real radicands
+    of the field (_exponent_frame), built once here and left out of
+    equality; q_index_log2 is read off its diagonal and raises
+    ArithmeticError, under python -O too, unless the exponent matrix is
+    square and nonsingular with index a power of 2.  torsion names the
+    generator of the roots of unity that _torsion decides, "-1" or "zetaN"."""
 
-    __slots__ = ("field", "torsion", "generators", "chars", "frame", "q_index_log2")
+    __slots__ = ("field", "generators", "frame", "q_index_log2")
     _uncompared = ("frame",)
 
-    def __init__(self, field: FieldBasis, torsion: str, generators: tuple, chars: tuple | None = None):
+    def __init__(self, field: FieldBasis, generators: tuple):
         frame = _exponent_frame(_real_labels(field), [g.exponents for g in generators])
-        super().__init__(field, torsion, generators, chars, frame, _frame_q_log2(frame, len(generators)))
+        super().__init__(field, generators, frame, _frame_q_log2(frame, len(generators)))
+
+    @property
+    def torsion(self) -> str:
+        n = _torsion(self.field)[1]
+        return "-1" if n == 2 else f"zeta{n}"
 
     def spans(self, exps_list) -> bool:
         """Do the generators span the lattice of the vectors in exps_list?
@@ -133,30 +134,28 @@ def _base_units(basis: FieldBasis) -> dict:
 
 
 def _torsion(basis: FieldBasis):
-    """(generator, order) of the roots of unity of the field, found once per
-    basis and kept on it."""
-    if basis.torsion is not None:
-        return basis.torsion
-    n = torsion_order(basis)
-    if n == 2:
-        g = basis.from_rational(-1)
-    elif n == 4:
-        g = basis.surd(-1)
-    elif n == 8:
-        g = zeta(8, basis)
-    elif n == 12:
-        g = basis.element({3: Fraction(1, 2), -1: Fraction(1, 2)})
-    elif n == 24:
-        g = zeta(24, basis)
-    else:
-        raise AssertionError(f"unexpected torsion order {n}")
-    assert g ** n == basis.one() and g ** (n // 2) == -basis.one()
-    basis.torsion = g, n
+    """(generator, order) of the roots of unity of the field, decided here
+    alone, once per basis and kept on it: -1, i, zeta8 = (sqrt2 + sqrt-2)/2,
+    zeta12 = (sqrt3 + i)/2 or zeta24 = zeta8*(-1 + sqrt-3)/2.  No
+    multiquadratic field holds zeta16 (Gal(Q(zeta16)/Q) = Z/2 x Z/4 is not
+    elementary abelian); one with sqrt-3 but not i raises ValueError."""
+    if basis.torsion is None:
+        rads = basis.mask_of
+        if -1 not in rads:
+            if -3 in rads:
+                raise ValueError(f"{basis!r} holds the cube roots of unity but not i")
+            g, n = basis.from_rational(-1), 2
+        elif 2 in rads:
+            g, n = basis.element({2: Fraction(1, 2), -2: Fraction(1, 2)}), 8
+            if -3 in rads:
+                g, n = g * basis.element({1: Fraction(-1, 2), -3: Fraction(1, 2)}), 24
+        elif -3 in rads:
+            g, n = basis.element({3: Fraction(1, 2), -1: Fraction(1, 2)}), 12
+        else:
+            g, n = basis.surd(-1), 4
+        assert g ** n == basis.one() and g ** (n // 2) == -basis.one()
+        basis.torsion = g, n
     return basis.torsion
-
-
-def _torsion_name(n: int) -> str:
-    return "-1" if n == 2 else f"zeta{n}"
 
 
 def _norm_pos(w: FieldElement) -> FieldElement:
@@ -428,7 +427,7 @@ def fsu_quadratic(d: int) -> FsuResult:
     basis = FieldBasis((d,))
     assert not basis.is_cm
     expr = UnitExpr(0, {d: Fraction(1)}, _quad_unit(d, basis))
-    return FsuResult(basis, "-1", (expr,))
+    return FsuResult(basis, (expr,))
 
 
 def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
@@ -470,16 +469,20 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     gens = []
     for vec in system:
         exps = claims.exponents(vec, p, q)
-        if exponent_level([exps]) == 1:  # a quadratic unit itself
+        level = exponent_level([exps])
+        if level == 1:  # a quadratic unit itself
             (r,) = exps
             gens.append(UnitExpr(0, exps, units[r]))
             continue
-        w = sqrt_in_field(math.prod(map(units.get, exps), start=basis.one()))
+        if level != 2:
+            raise ValueError(f"claimed unit {exps} is neither a quadratic unit nor a square root")
+        # the re-square of sqrt_in_field is the identity check of the root
+        w = sqrt_in_field(math.prod((units[r] ** int(2 * e) for r, e in exps.items()), start=basis.one()))
         if w is None:
             names = "*".join(f"eps_{r}" for r in exps)
             raise Falsified(f"{names} is predicted to be a square in {basis!r} but is not")
-        gens.append(_make_expr(basis, units, exps, _norm_pos(w)))
-    return FsuResult(basis, "-1", tuple(gens))
+        gens.append(UnitExpr(0, exps, _norm_pos(w)))
+    return FsuResult(basis, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +500,7 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
     Each sweep takes the first subset _square_subsets yields: by increasing
     size, then lexicographically, skipping a subset whose character vectors
     XOR to neither 0 nor all ones, whose product is not +-1 times a square.
-    The vectors are computed once per generator and kept on the result.
+    The vectors are computed once per generator and not kept on the result.
     """
     assert not field.is_cm
     gens = []
@@ -515,7 +518,7 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
         top = max(idxs)
         gens[top] = _make_expr(field, units, _halved(gens, idxs), _norm_pos(w))
         vecs[top] = _char_vector(gens[top].witness)
-    return FsuResult(field, "-1", tuple(gens), tuple(vecs))
+    return FsuResult(field, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +528,20 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
 def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
     """FSU of the CM field K(i) from the FSU of the totally real field K.
 
-    With 2^n the 2-power torsion order of K(i) and mu = zeta + 1/zeta for a
-    primitive 2^n-th root of unity zeta, searches all subset products e of
-    the real FSU, up to sign, for (2 + mu) * e a square in K.  At most one
-    subset can succeed; two successes contradict the independence of the
-    FSU and raise Falsified.  The search is the one wada_fsu sweeps with,
-    _square_subsets with the factor 2 + mu, run to the end: every subset,
-    the empty one first, whose character vectors XOR with that of 2 + mu to
-    0 (sign +1) or all ones (sign -1) has its product formed and tested.
-    The real generators are embedded without re-verification.  On
-    success the highest-index generator of the subset is replaced by
-    (1 + zeta)*w/(2 + mu) for the root w of (2 + mu)*e that the search found:
-    since (1 + zeta)^2 = zeta*(2 + mu), it is a square root of zeta*e, and
-    _make_expr checks it against its exponent identity.  That halves the
+    With 2^n the 2-power torsion order of K(i) and mu = zeta + 1/zeta for
+    the primitive 2^n-th root of unity zeta = zeta8 or i, searches all
+    subset products e of the real FSU, up to sign, for (2 + mu) * e a square
+    in K.  At most one subset can succeed; two successes contradict the
+    independence of the FSU and raise Falsified.  The search is the one
+    wada_fsu sweeps with, _square_subsets with the factor 2 + mu, run to the
+    end: every subset, the empty one first, whose character vectors
+    (computed here) XOR with that of 2 + mu to 0 (sign +1) or all ones
+    (sign -1) has its product formed and tested.  The real generators are
+    embedded without re-verification.  On success the highest-index
+    generator of the subset is replaced by (1 + zeta)*w/(2 + mu) for the
+    root w of (2 + mu)*e that the search found: since (1 + zeta)^2 =
+    zeta*(2 + mu), it is a square root of zeta*e, and _make_expr checks it
+    against its exponent identity.  That halves the
     exponent lattice; otherwise the real FSU carries over unchanged except
     for the enlarged torsion.
     """
@@ -546,15 +550,14 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
         raise ValueError("cm_basis must contain a negative radicand")
     if cm_basis.generators != real.generators + (-1,):
         raise ValueError("cm_basis must extend the real basis by -1")
-    tors_gen, order = _torsion(cm_basis)
-    n0 = (order & -order).bit_length() - 1
-    assert n0 in (2, 3), f"unsupported 2-power torsion 2^{n0}"
-    mu = real.surd(2) if n0 == 3 else real.zero()
-    xi = zeta(8, cm_basis) if n0 == 3 else cm_basis.surd(-1)
+    # the order is 4, 8, 12 or 24: 2^n is 8 exactly when zeta8 is in K(i)
+    zeta8 = _torsion(cm_basis)[1] % 8 == 0
+    mu = real.surd(2) if zeta8 else real.zero()
+    xi = cm_basis.element({2: Fraction(1, 2), -2: Fraction(1, 2)}) if zeta8 else cm_basis.surd(-1)
     two_mu = mu + 2
 
     gens = real_fsu.generators
-    vecs = real_fsu.chars or [_char_vector(g.witness) for g in gens]
+    vecs = [_char_vector(g.witness) for g in gens]
     hits = list(_square_subsets(gens, vecs, two_mu))
     if len(hits) > 1:
         raise Falsified("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
@@ -568,7 +571,7 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
         # (1 + xi)^2 = xi*(2 + mu), so this squares to xi*w^2/(2 + mu) = xi*eps
         root = embed_element(w * two_mu.inverse(), cm_basis) * (xi + 1)
         out[max(idxs)] = _make_expr(cm_basis, units, _halved(gens, idxs), _first_positive(root))
-    return FsuResult(cm_basis, _torsion_name(order), tuple(out))
+    return FsuResult(cm_basis, tuple(out))
 
 
 def _first_positive(w: FieldElement) -> FieldElement:
@@ -625,16 +628,10 @@ class NormRow(Record):
         super().__init__(label, entries)
 
 
-class NormTable(Record):
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field: FieldBasis, rows: tuple):
-        super().__init__(field, rows)
-
-
-def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
+def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     """Check conjugates and relative norms of the degree-8 units against the
-    table claims.NORM_TABLES of the pair's class, resolving the symbolic signs.
+    table claims.NORM_TABLES of the pair's class, resolving the symbolic signs,
+    and return the rows, one NormRow per named unit.
 
     A named unit is the one with its exponent vector that is positive at the
     all-plus embedding, and an entry claims tau(w) or w*tau(w) = sign *
@@ -716,4 +713,4 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
             else:
                 entries[col] = (got, sign, dict(mono))
         rows.append(NormRow(label, entries))
-    return NormTable(field, tuple(rows))
+    return tuple(rows)

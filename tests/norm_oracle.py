@@ -17,7 +17,7 @@ from mqunits.claims import (
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, FieldElement, _conjugate, sqrt_in_field
 from mqunits.quadratic import COND1, classify_pair
-from mqunits.units import FsuResult, NormRow, NormTable, _base_units, _norm_pos
+from mqunits.units import FsuResult, NormRow, _base_units, _norm_pos
 
 
 def conjugate(u: FieldElement, mask: int) -> FieldElement:
@@ -25,7 +25,7 @@ def conjugate(u: FieldElement, mask: int) -> FieldElement:
     return FieldElement(u.basis, *_conjugate((u._num, u._den), mask))
 
 
-def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
+def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     """The norm table of field, every entry evaluated as a field element.
 
     A fixed-sign entry must match exactly; a symbolic sign is resolved on
@@ -111,4 +111,4 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> NormTable:
                 raise Falsified(f"inconsistent sign {sign} in norm table row {label}")
             entries[col] = (got, sign, dict(mono))
         rows.append(NormRow(label, entries))
-    return NormTable(field, tuple(rows))
+    return tuple(rows)

@@ -21,8 +21,6 @@ from mqunits.field import (
     sign_at_embedding,
     signs_at_embeddings,
     sqrt_in_field,
-    torsion_order,
-    zeta,
 )
 from mqunits.intarith import is_perfect_square
 from mqunits.quadratic import fundamental_unit
@@ -202,37 +200,8 @@ def test_sqrt_in_cm_field():
     i = b2i.surd(-1)
     w = sqrt_in_field(i)
     assert w is not None and w * w == i
-    z8 = zeta(8, b2i)
+    z8 = b2i.element({2: Fraction(1, 2), -2: Fraction(1, 2)})
     assert w in (z8, -z8, z8 * i, -(z8 * i)) or w * w == i
-
-
-def test_zeta():
-    b = FieldBasis((2, 5, 11, -1))
-    z8 = zeta(8, b)
-    assert z8 ** 8 == b.one()
-    assert z8 ** 4 == -b.one()
-    assert z8 * z8 == b.surd(-1)
-    b24 = FieldBasis((2, 5, 3, -1))
-    z24 = zeta(24, b24)
-    assert z24 ** 24 == b24.one()
-    assert z24 ** 8 != b24.one()
-    assert z24 ** 12 != b24.one()
-    with pytest.raises(ValueError):
-        zeta(8, FieldBasis((5, 3)))
-    with pytest.raises(ValueError):
-        zeta(24, b)
-    with pytest.raises(ValueError):
-        zeta(6, b24)
-
-
-def test_torsion_order():
-    assert torsion_order(FieldBasis((2, 5, 11, -1))) == 8
-    assert torsion_order(FieldBasis((2, 5, 3, -1))) == 24
-    assert torsion_order(FieldBasis((5, 3))) == 2
-    assert torsion_order(FieldBasis((5, 3, -1))) == 12
-    assert torsion_order(FieldBasis((2, -1))) == 8
-    assert torsion_order(FieldBasis((-2, 5))) == 2
-    assert torsion_order(FieldBasis((-3, 5))) == 6
 
 
 def test_basis_validation():

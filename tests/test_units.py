@@ -1,5 +1,6 @@
 """Tests for FSU construction, saturation, CM extension and norm tables."""
 
+import collections
 import functools
 import math
 import random
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 from fractions import Fraction
 
 import pytest
@@ -149,6 +151,42 @@ def test_wada_degenerate_biquadratic():
     assert lattice_equal(exps_list(fsu), exps_list(direct))
 
 
+def test_biquadratic_claim_outside_the_half_level_is_refused(monkeypatch):
+    # the claimed roots are formed from their exponents and checked only by
+    # their re-square, so a claimed fourth root must not reach the square root
+    monkeypatch.setitem(claims.BIQUAD_FSU, ("2", "q"), ({"2": 1}, {"q": H}, {"2q": Fraction(1, 4)}))
+    with pytest.raises(ValueError, match="neither a quadratic unit nor a square root"):
+        fsu_biquadratic(2, 3)
+
+
+def test_wada_result_is_its_field_and_generators():
+    field, fsu = deg8(13, 3)
+    assert fsu == FsuResult(field, fsu.generators)
+    assert fsu.torsion == "-1"
+
+
+def test_torsion():
+    """The generator and order of the roots of unity, and their name on an FSU."""
+    for gens, order, name in [((2, 5, 11, -1), 8, "zeta8"), ((2, 5, 3, -1), 24, "zeta24"),
+                              ((5, 3), 2, "-1"), ((5, 3, -1), 12, "zeta12"), ((2, -1), 8, "zeta8"),
+                              ((-2, 5), 2, "-1"), ((5, -1), 4, "zeta4")]:
+        basis = FieldBasis(gens)
+        g, n = _torsion(basis)
+        assert n == order and _torsion(basis) is basis.torsion, gens
+        one = basis.one()
+        assert g ** n == one and g ** (n // 2) == -one, gens
+        # a primitive n-th root: no power n/l is 1 for a prime l dividing n
+        assert all(g ** (n // l) != one for l in (2, 3) if n % l == 0), gens
+        if n % 8 == 0:
+            zeta8 = basis.element({2: H, -2: H})
+            assert zeta8 * zeta8 == basis.surd(-1)
+            assert g == (zeta8 if n == 8 else zeta8 * basis.element({1: -H, -3: H})), gens
+        assert FsuResult(basis, ()).torsion == name
+    # Q(sqrt-3, sqrt5) holds the sixth roots of unity, which no builder needs
+    with pytest.raises(ValueError, match="cube roots"):
+        _torsion(FieldBasis((-3, 5)))
+
+
 def test_azizi_eighth_roots_of_unity():
     fsu = azizi_extend(fsu_quadratic(2), FieldBasis((2, -1)))
     assert fsu.torsion == "zeta8" and fsu.q_index_log2 == 0
@@ -195,17 +233,17 @@ def test_azizi_deg16():
 @pytest.mark.parametrize("p,q", [(5, 11), (5, 3)])
 def test_norm_table(p, q):
     field, fsu = deg8(p, q)
-    table = norm_table(field, fsu)
-    assert len(table.rows) == 8
-    labels = [row.label for row in table.rows]
+    rows = norm_table(field, fsu)
+    assert isinstance(rows, tuple) and len(rows) == 8
+    labels = [row.label for row in rows]
     assert labels[0] == "eps_2" and labels[-1] == "fourth_root"
-    for row in table.rows:
+    for row in rows:
         for col, (sign, symbol, mono) in row.entries.items():
             assert col in claims.NORM_COLUMNS and sign in (-1, 1)
-    full_rows = [row for row in table.rows if len(row.entries) == 9]
+    full_rows = [row for row in rows if len(row.entries) == 9]
     assert len(full_rows) == 6
-    assert len(table.rows[-1].entries) == 6
-    sp2p = next(row for row in table.rows if row.label == "sqrt_eps_2_eps_p_eps_2p")
+    assert len(rows[-1].entries) == 6
+    sp2p = next(row for row in rows if row.label == "sqrt_eps_2_eps_p_eps_2p")
     sign, symbol, mono = sp2p.entries["n3"]
     assert sign == 1 and symbol is None
 
@@ -244,10 +282,10 @@ def test_norm_table_row_outside_the_unit_lattice_is_falsified():
     field, fsu = deg8(5, 11)
     # squaring one generator leaves an index-2 sublattice, which misses one
     # of the seven named units that span the full lattice
-    g = max(fsu.generators, key=lambda g: g.cleared_level())
+    g = max(fsu.generators, key=lambda g: exponent_level([g.exponents]))
     squared = UnitExpr(0, {r: 2 * e for r, e in g.exponents.items()}, g.witness * g.witness)
     gens = tuple(squared if h is g else h for h in fsu.generators)
-    small = FsuResult(field, fsu.torsion, gens)
+    small = FsuResult(field, gens)
     assert small.q_index_log2 == fsu.q_index_log2 - 1
     with pytest.raises(Falsified, match="is predicted to exist"):
         norm_table(field, small)
@@ -403,9 +441,9 @@ def test_base_units_built_once_per_basis():
     assert _base_units(FieldBasis((2, 13))) is not units
 
 
-def test_unit_expr_cleared_level():
+def test_exponent_level_of_each_unit_and_of_the_system():
     field, fsu = deg8(5, 11)
-    levels = sorted({g.cleared_level() for g in fsu.generators})
+    levels = sorted({exponent_level([g.exponents]) for g in fsu.generators})
     assert levels == [1, 2, 4]
     assert exponent_level(exps_list(fsu)) == 4
 
@@ -471,7 +509,6 @@ def oracle_char_vector(w):
 @pytest.mark.parametrize("p,q", CHAR_PAIRS)
 def test_char_vectors_match_the_prime_by_prime_oracle(p, q):
     field, fsu = deg8(p, q)
-    assert fsu.chars == tuple(_char_vector(g.witness) for g in fsu.generators)
     for g in fsu.generators:
         assert _char_vector(g.witness) == oracle_char_vector(g.witness)
     two = field.surd(2) + 2
@@ -595,7 +632,10 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
     monkeypatch.setattr(report, "sqrt_in_field", counting_sqrt)
     report._one_prime_fsu.cache_clear()  # so that Q(sqrt2, sqrt13) and Q(sqrt2, sqrt3) are built
     assert report.verify_pair(13, 3).passed
-    assert len(made) == 10
+    # a claimed biquadratic root is checked by its re-square alone; the
+    # three units whose exponents are derived are the two roots of the
+    # saturation of K+ and the twisted CM unit
+    assert len(made) == 3
     # the norm table takes no root: it works on exponents and signs; the
     # twisted CM unit takes none either, it comes from the root of Azizi's test
     assert all(roots) and len(roots) == 11
@@ -611,8 +651,7 @@ def test_azizi_extend_sees_two_subsets_when_a_generator_is_squared(p, q):
     g = gens[1]
     assert g.exponents == {p: 1} and g.torsion_exponent == 0
     gens[1] = UnitExpr(0, {p: 2 * g.exponents[p]}, g.witness * g.witness)
-    squared = FsuResult(field, "-1", tuple(gens))
-    assert squared.chars is None
+    squared = FsuResult(field, tuple(gens))
     with pytest.raises(Falsified, match="two independent unit subsets"):
         azizi_extend(squared, FieldBasis((2, p, q, -1)))
 
@@ -662,5 +701,30 @@ def test_one_prime_fields_are_built_once_per_scan():
     again = verify(13, 3)
     info = cache.cache_info()
     assert again == fresh and info.hits == 1 and info.currsize == 3
-    # bounded by a constant, whatever the range a scan covers
-    assert info.maxsize == 64
+    # every system is kept: a bound below the q-primes of a scan would thrash
+    assert info.maxsize is None
+
+
+def test_one_prime_systems_are_built_once_over_65_q_primes(monkeypatch):
+    """The scan's lookup order, p-major, cycles through the (2, q) systems
+    once per p; with 65 q-primes a 64-entry least-recently-used cache
+    missed at every one of them."""
+    pairs = [(p, q) for p, q in scan_pairs(1619) if p < 30]
+    assert len({q for _, q in pairs}) == 65 and len({p for p, _ in pairs}) == 3
+    built = collections.Counter()
+    pair = None
+
+    def cheap_fsu_biquadratic(d1, d2):
+        built[(d1, d2)] += 1
+        (field,) = [f for f in claims.BIQUAD_FSU if tuple(claims.value(s, *pair) for s in f) == (d1, d2)]
+        return types.SimpleNamespace(q_index_log2=claims.Q_LOG2[field])
+
+    monkeypatch.setattr(report, "fsu_biquadratic", cheap_fsu_biquadratic)
+    report._one_prime_fsu.cache_clear()
+    try:
+        for pair in pairs:
+            assert report._check_biquad_fsu_all(*pair, None, None)[0], pair
+    finally:
+        report._one_prime_fsu.cache_clear()  # drop the stubs
+    one_prime = [(2, d) for d in sorted({d for pair in pairs for d in pair})]
+    assert [built[key] for key in one_prime] == [1] * 68
