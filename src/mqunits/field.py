@@ -86,17 +86,11 @@ class FieldBasis:
         self.mask_of = {r: m for m, r in enumerate(rads)}
         assert len(self.mask_of) == self.dim
         self.is_cm = any(r < 0 for r in rads)
-        coef = []
-        for m1 in range(self.dim):
-            row = []
-            for m2 in range(self.dim):
-                r1, r2, r3 = rads[m1], rads[m2], rads[m1 ^ m2]
-                t2 = r1 * r2 // r3
-                t = math.isqrt(t2)
-                assert t * t == t2
-                row.append(-t if r1 < 0 and r2 < 0 else t)
-            coef.append(tuple(row))
-        self._coef = tuple(coef)
+        # r1*r2 = gcd(r1, r2)^2 * r3 for squarefree r1, r2, and
+        # sqrt(r1)*sqrt(r2) = -|gcd|*sqrt(r3) when both are i times a surd
+        gcd = math.gcd
+        self._coef = tuple(tuple(-gcd(r1, r2) if r1 < 0 and r2 < 0 else gcd(r1, r2) for r2 in rads)
+                           for r1 in rads)
         self.quad_units = None
         self.chars = None
         self.torsion = None

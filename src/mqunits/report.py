@@ -36,7 +36,7 @@ from .classnum import (
     subfield_radicands,
 )
 from .errors import Falsified
-from .field import FieldBasis, drop_bases, embed_element, serialize_element, sqrt_in_field
+from .field import _BASES, FieldBasis, embed_element, serialize_element, sqrt_in_field
 from .forms import DISCRIMINANT_GUARD, disc_of_radicand
 from .intarith import is_prime, unlimited_int_digits
 from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
@@ -308,7 +308,8 @@ def verify_pair(p: int, q: int) -> PairReport:
     first failed prerequisite.  An inapplicable pair yields a
     condition-only report with no checks, and so does a pair beyond the
     supported range p*q <= MAX_PQ, tagged Unsupported before p and q are
-    classified, so a huge input never reaches trial division.
+    classified, so a huge input never reaches trial division.  Bases
+    interned here are dropped at the end; those from before are kept.
     """
     t0 = time.perf_counter()
     if p * q > MAX_PQ:
@@ -322,19 +323,24 @@ def verify_pair(p: int, q: int) -> PairReport:
 
     rep = PairReport(p, q, condition, lemma_witnesses=[])
     artifacts = {}  # check id -> artifact, for the checks that passed
-    for cid in CHECK_IDS:
-        ok, detail = False, _skip_detail(cid, artifacts)
-        if detail is None:
-            inputs = [artifacts[pre] for pre in _PREREQUISITES.get(cid, ())]
-            try:
-                ok, detail, artifact = _CHECKS[cid](p, q, cond, rep, *inputs)
-            except Falsified as exc:
-                detail = f"falsified: {exc}"
-            except Exception as exc:
-                detail = f"error: {exc!r}"
-            if ok:
-                artifacts[cid] = artifact
-        rep.checks.append([cid, ok, detail])
+    kept = set(_BASES)
+    try:
+        for cid in CHECK_IDS:
+            ok, detail = False, _skip_detail(cid, artifacts)
+            if detail is None:
+                inputs = [artifacts[pre] for pre in _PREREQUISITES.get(cid, ())]
+                try:
+                    ok, detail, artifact = _CHECKS[cid](p, q, cond, rep, *inputs)
+                except Falsified as exc:
+                    detail = f"falsified: {exc}"
+                except Exception as exc:
+                    detail = f"error: {exc!r}"
+                if ok:
+                    artifacts[cid] = artifact
+            rep.checks.append([cid, ok, detail])
+    finally:
+        for gens in _BASES.keys() - kept:
+            del _BASES[gens]
     rep.elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
     return rep
 
@@ -363,7 +369,7 @@ def _one_prime_fsu(d1, d2):
     every p with every q, p-major, so a smaller LRU bound would miss at
     every (2, q) lookup.
 
-    A kept result may live in a basis that drop_bases has since forgotten.
+    A kept result may live in a basis that verify_pair has since dropped.
     Its units are only embedded into the fields of later pairs and its
     q_index_log2 is only read, so no arithmetic mixes it with the elements
     of a newer basis (FieldElement refuses that).  Every caller gets the
@@ -633,13 +639,8 @@ def _load_cached(cache_dir, key, p, q):
 
 def _scan_pair(pair):
     """The _outcome of verify_pair on a fresh pair, in this process or in a
-    pool worker.  The interned field bases are dropped afterwards: no later
-    pair reads them, and a scan would otherwise keep every basis it ever
-    built."""
-    try:
-        rep = verify_pair(*pair)
-    finally:
-        drop_bases()
+    pool worker."""
+    rep = verify_pair(*pair)
     return _outcome(rep, report_to_json(rep))
 
 

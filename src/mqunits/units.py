@@ -36,6 +36,7 @@ nonzero residue at CHAR_PRIMES primes l = 7 (mod 8), and a product that is
 still goes through the exact square root and its re-square.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -47,7 +48,7 @@ from .field import (
     FieldBasis,
     FieldElement,
     embed_element,
-    sign_at_embedding,
+    sign_at_embedding,  # not called here; perfbench/tracing.py wraps this binding
     signs_at_embeddings,
     sqrt_in_field,
 )
@@ -105,7 +106,7 @@ class FsuResult(Record):
         Both sides are put in Hermite normal form over the frame's labels."""
         labels = _real_labels(self.field)
         k = len(labels)
-        return [list(row[:k]) for row in self.frame] == _echelon(_exponent_rows(exps_list, labels), k)
+        return tuple(row[:k] for row in self.frame) == _hnf(_exponent_rows(exps_list, labels), k)
 
     def contains(self, exps: dict) -> bool:
         """Is the vector exps an integer combination of the generators?"""
@@ -161,8 +162,7 @@ def _torsion(basis: FieldBasis):
 def _norm_pos(w: FieldElement) -> FieldElement:
     """Normalize a witness of a totally real field to be positive at the
     all-plus embedding."""
-    signs = {g: 1 for g in w.basis.generators}
-    return w if sign_at_embedding(w, signs) > 0 else -w
+    return w if signs_at_embeddings(w, (0,))[0] > 0 else -w
 
 
 # primes per character vector; each is 7 (mod 8), so sqrt(2) exists mod l and
@@ -199,10 +199,8 @@ def _char_data(basis: FieldBasis) -> tuple:
             for l in sieve[seen:]:
                 if l & 7 != 7:
                     continue
-                for g in odd:
-                    if pow(g, l >> 1, l) != 1:
-                        break
-                else:
+                nonres = _nonresidues(l)
+                if not any(nonres[g % l] for g in odd):
                     primes.append(l)
                     if len(primes) == CHAR_PRIMES:
                         break
@@ -246,9 +244,20 @@ def _char_vector(w: FieldElement) -> int:
         r = x % l
         if not r:
             raise ArithmeticError(f"{w!r} vanishes at the character prime {l}")
-        if pow(r, l >> 1, l) != 1:
+        if _nonresidues(l)[r]:
             out |= 1 << i
     return out
+
+
+@functools.lru_cache(maxsize=512)
+def _nonresidues(l: int) -> bytes:
+    """Byte r is 0 exactly when r is a nonzero square mod the odd prime l
+    (Euler: pow(r, (l-1)/2, l) == 1).  Kept per process for the last 512
+    primes, l bytes each; a scan to 200 reads 93, one to 400 reads 106."""
+    table = bytearray(b"\1") * l
+    for x in range(1, (l + 1) >> 1):
+        table[x * x % l] = 0
+    return bytes(table)
 
 
 def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldElement) -> UnitExpr:
@@ -289,8 +298,9 @@ def _real_labels(field: FieldBasis) -> list:
     return [r for r in field.radicands if r > 1]
 
 
-def _exponent_rows(exps_list, labels, level: int = 4) -> list:
-    """Each exponent vector times level as an integer row over labels.
+def _exponent_rows(exps_list, labels, level: int = 4) -> tuple:
+    """Each exponent vector times level as an integer row over labels, in a
+    tuple of tuples.
     Raises ArithmeticError for an exponent whose denominator does not divide
     level and KeyError for a radicand outside labels."""
     col = {r: i for i, r in enumerate(labels)}
@@ -302,8 +312,8 @@ def _exponent_rows(exps_list, labels, level: int = 4) -> list:
             if rem:
                 raise ArithmeticError(f"exponent {e} of eps_{r} is not a multiple of 1/{level}")
             row[col[r]] = a
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _echelon(rows, ncols: int) -> list:
@@ -348,11 +358,17 @@ def _exponent_frame(labels, exps_list) -> tuple:
     of its rows (h | u) has u*G = h, the h form the Hermite normal form of
     the lattice G spans, and a dependent vector leaves no row.
     """
-    n, k = len(exps_list), len(labels)
+    n = len(exps_list)
     rows = _exponent_rows(exps_list, labels)
-    for i, row in enumerate(rows):
-        row += [int(i == j) for j in range(n)]
-    return tuple(map(tuple, _echelon(rows, k)))
+    return _hnf(tuple(row + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(rows)), len(labels))
+
+
+@functools.lru_cache(maxsize=256)
+def _hnf(rows: tuple, k: int) -> tuple:
+    """_echelon of the integer rows (a tuple of tuples) over their first k
+    columns, as a tuple of tuples.  Kept per process for the last 256
+    distinct inputs; a scan to 200 or to 400 reads 14."""
+    return tuple(map(tuple, _echelon(list(map(list, rows)), k)))
 
 
 def _frame_q_log2(frame, n: int) -> int:
@@ -613,8 +629,7 @@ def lattice_equal(a_list, b_list) -> bool:
     every = [*a_list, *b_list]
     labels = sorted({r for exps in every for r in exps})
     level, k = exponent_level(every), len(labels)
-    return (_echelon(_exponent_rows(a_list, labels, level), k)
-            == _echelon(_exponent_rows(b_list, labels, level), k))
+    return _hnf(_exponent_rows(a_list, labels, level), k) == _hnf(_exponent_rows(b_list, labels, level), k)
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +661,11 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
       w = +-prod g_i^c_i over the FSU generators, that is the product of
       s_i(sigma)*s_i(1) over the odd c_i, s_i(sigma) being the sign of g_i
       at sigma.
-    The c are solved on the frame of the FSU; a row vector outside its
-    lattice names no unit.  The signs come from one sign pass per generator
-    over the identity and the six embeddings of the columns.  A fixed sign must match; a
-    symbolic sign is resolved on first use and must stay consistent within
-    its row.  Any mismatch raises Falsified.
+    The exponents and the c, solved on the frame of the FSU, are _norm_plan's;
+    a row vector outside its lattice names no unit.  The signs come from one
+    sign pass per generator over the identity and the six column embeddings.
+    A fixed sign must match; a symbolic sign is resolved on first use and
+    must stay consistent within its row.  Any mismatch raises Falsified.
     """
     ps = [g for g in field.generators if g % 8 == 5]
     qs = [g for g in field.generators if g % 8 == 3]
@@ -663,46 +678,22 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     if fsu.field is not field:
         raise ValueError(f"the unit system lives in {fsu.field}, not in {field}")
 
-    named = claims.UNITS[cond.tag]
-    # column m - 1 holds the exponent of eps at radicand m; the labels are
-    # those of the frame, and the rows are scaled by 4 like it
-    labels = field.radicands[1:]
-    k = len(labels)
-    scaled = _exponent_rows([claims.exponents(v, p, q) for v in named.values()], labels)
-    vec = dict(zip(named, scaled))
-
-    bit = {g: 1 << i for i, g in enumerate(field.generators)}
-    t1, t2, t3 = bit[2], bit[p], bit[q]
-    masks = dict(zip(claims.NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
-    # the image of w under a column: tau multiplies the entry at mask m by
-    # -1 when m meets its mask in an odd number of bits, a norm adds w
-    factors = {col: [(-1 if (m & mask).bit_count() & 1 else 1) + (not col.startswith("tau"))
-                     for m in range(1, k + 1)] for col, mask in masks.items()}
-    embeddings = sorted({0, *masks.values()})
+    bits = tuple(1 << field.generators.index(g) for g in (2, p, q))
+    # each dict d of the claims enters the key flat, as (*d, *d.values())
+    units = tuple((name, *vec, *vec.values()) for name, vec in claims.UNITS[cond.tag].items())
+    table = tuple((label, *(e and (e[0], *e[1], *e[1].values()) for e in row))
+                  for label, row in claims.NORM_TABLES[cond.tag].items())
+    try:
+        embeddings, plan = _norm_plan(fsu.frame, bits, units, table)
+    except Falsified as exc:
+        raise Falsified(f"{field!r}: {exc}") from None
     gen_signs = [dict(zip(embeddings, signs_at_embeddings(g.witness, embeddings)))
                  for g in fsu.generators]
 
     rows = []
-    for label, claimed in claims.NORM_TABLES[cond.tag].items():
-        w = vec[label]
-        c = _frame_solve(fsu.frame, w)
-        if c is None:
-            raise Falsified(f"{label} is predicted to exist in {field!r} but its exponent vector "
-                            "is not in the unit lattice")
-        odd = [i for i, a in enumerate(c) if a & 1]
-        resolved = {}
-        entries = {}
-        for col, entry in zip(claims.NORM_COLUMNS, claimed):
-            if entry is None:
-                continue
-            sign, mono = entry
-            image = [a * f for a, f in zip(w, factors[col])]
-            target = [0] * k
-            for name, e in mono.items():
-                target = [a + e * b for a, b in zip(target, vec[name])]
-            if image != target:
-                raise Falsified(f"norm table shape mismatch at row {label}, column {col}")
-            mask = masks[col]
+    for label, odd, claimed in plan:
+        resolved, entries = {}, {}
+        for col, mask, sign, mono in claimed:
             got = math.prod(gen_signs[i][mask] * gen_signs[i][0] for i in odd)
             if sign in (1, -1):
                 if got != sign:
@@ -714,3 +705,47 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
                 entries[col] = (got, sign, dict(mono))
         rows.append(NormRow(label, entries))
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _norm_plan(frame: tuple, bits: tuple, units: tuple, table: tuple) -> tuple:
+    """The part of norm_table that no element decides, from the frame of an
+    FSU of K+, the bits of 2, p and q in its basis and one class's
+    claims.UNITS and claims.NORM_TABLES as flat tuples: (the embeddings to
+    sign, and per row (label, the i with c_i odd, and (column, mask, sign,
+    monomial) per claimed entry)).  Raises Falsified, which is never kept,
+    on a shape mismatch or a row outside the frame's lattice.  Kept per
+    process for the last 16 distinct inputs; a scan reads two."""
+    t1, t2, t3 = bits
+    # column m - 1 holds 4 times the exponent of eps at radicand m, as in the frame
+    letters = (("2", t1), ("p", t2), ("q", t3))
+    def items(flat):  # the (key, value) pairs of a flat dict
+        return tuple(zip(flat[:len(flat) >> 1], flat[len(flat) >> 1:]))
+    scaled = _exponent_rows([{sum(b for c, b in letters if c in s): Fraction(e) for s, e in items(u[1:])}
+                             for u in units], range(1, 8))
+    vec = {u[0]: row for u, row in zip(units, scaled)}
+    masks = dict(zip(claims.NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
+    # the image of w under a column: tau multiplies the entry at mask m by
+    # -1 when m meets its mask in an odd number of bits, a norm adds w
+    factors = {col: [(-1 if (m & mask).bit_count() & 1 else 1) + (not col.startswith("tau"))
+                     for m in range(1, 8)] for col, mask in masks.items()}
+    rows = []
+    for label, *claimed in table:
+        w = vec[label]
+        c = _frame_solve(frame, w)
+        if c is None:
+            raise Falsified(f"{label} is predicted to exist but its exponent vector "
+                            "is not in the unit lattice")
+        entries = []
+        for col, entry in zip(claims.NORM_COLUMNS, claimed):
+            if entry is None:
+                continue
+            sign, mono = entry[0], items(entry[1:])
+            target = [0] * 7
+            for name, e in mono:
+                target = [a + e * b for a, b in zip(target, vec[name])]
+            if [a * f for a, f in zip(w, factors[col])] != target:
+                raise Falsified(f"norm table shape mismatch at row {label}, column {col}")
+            entries.append((col, masks[col], sign, mono))
+        rows.append((label, tuple(i for i, a in enumerate(c) if a & 1), tuple(entries)))
+    return tuple(sorted({0, *masks.values()})), tuple(rows)

@@ -529,13 +529,17 @@ def test_scan_rejects_jobs_below_one():
 
 
 def test_scan_drops_the_bases_of_each_fresh_pair(tmp_path):
-    verify_pair(5, 11)
-    assert field._BASES
-    scan(12, cache_dir=str(tmp_path))
-    assert not field._BASES
+    # verify and scan leave the bases as they found them: those a pair
+    # interns are dropped, and a basis built before keeps its identity
+    field.drop_bases()
     basis = FieldBasis((2, 5))
-    scan(12, cache_dir=str(tmp_path))  # warm: verifies nothing, so drops nothing
-    assert FieldBasis((2, 5)) is basis
+    before = dict(field._BASES)
+    verify_pair(5, 11)
+    assert field._BASES == before
+    scan(12, cache_dir=str(tmp_path))
+    assert field._BASES == before
+    scan(12, cache_dir=str(tmp_path))  # warm: verifies nothing
+    assert field._BASES == before and FieldBasis((2, 5)) is basis
 
 
 def test_failed_checks_never_raise(monkeypatch):

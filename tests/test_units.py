@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import io
 import math
 import random
 import re
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mqunits import claims, report, units
 from mqunits.errors import Falsified
-from mqunits.field import FieldBasis, embed_element, sqrt_in_field
+from mqunits.field import FieldBasis, FieldElement, embed_element, sqrt_in_field
 from mqunits.quadratic import COND1, COND2, classify_pair
 from mqunits.report import scan_pairs
 from mqunits.units import (
@@ -26,10 +27,12 @@ from mqunits.units import (
     _base_units,
     _char_data,
     _char_vector,
+    _echelon,
     _embed_expr,
     _exponent_frame,
     _frame_q_log2,
     _make_expr,
+    _nonresidues,
     _torsion,
     azizi_extend,
     exponent_level,
@@ -713,3 +716,92 @@ def test_one_prime_systems_are_built_once_over_65_q_primes(monkeypatch):
         report._one_prime_fsu.cache_clear()  # drop the stubs
     one_prime = [(2, d) for d in sorted({d for pair in pairs for d in pair})]
     assert [built[key] for key in one_prime] == [1] * 68
+
+
+def _table_of_5_11_after_13_3():
+    """The field and FSU of (5, 11) once verify_pair(13, 3), of the same
+    class, has filled the frame and plan caches."""
+    assert classify_pair(13, 3).tag == classify_pair(5, 11).tag == COND1
+    report.verify_pair(13, 3)
+    field = FieldBasis((2, 5, 11))
+    fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (5, 11, 55)])
+    return field, fsu
+
+
+def _negate_one_sign(gen, embedding):
+    """signs_at_embeddings with the sign of gen at embedding negated."""
+    signs = units.signs_at_embeddings
+
+    def tampered(u, masks):
+        out = signs(u, masks)
+        return [-s if u is gen and j == embedding else s for s, j in zip(out, masks)]
+    return tampered
+
+
+@pytest.mark.parametrize("tamper", [
+    # one fixed sign of the table: the plan keeps it, so a plan keyed on the class alone would pass
+    lambda mp, fsu: mp.setitem(claims.NORM_TABLES[COND1], claims.E2,
+                               ((1, {claims.E2: -1}),) + claims.NORM_TABLES[COND1][claims.E2][1:]),
+    # one named unit: the other class's fourth root
+    lambda mp, fsu: mp.setitem(claims.UNITS[COND1], claims.F4, claims.UNITS[COND2][claims.F4]),
+    # the sign of one generator at the all-plus embedding, which every column reads
+    lambda mp, fsu: mp.setattr(units, "signs_at_embeddings", _negate_one_sign(fsu.generators[0].witness, 0)),
+], ids=["norm_tables_entry", "units_vector", "one_sign"])
+def test_cached_plans_and_frames_carry_no_verdict(monkeypatch, tamper):
+    field, fsu = _table_of_5_11_after_13_3()
+    rows = norm_table(field, fsu)
+    with monkeypatch.context() as mp:
+        tamper(mp, fsu)
+        with pytest.raises(Falsified):
+            norm_table(field, fsu)
+    assert norm_table(field, fsu) == rows
+
+
+def test_caches_hold_exact_frames_and_no_field_objects(monkeypatch):
+    """Every frame a scan caches is the Hermite normal form of its rows, and
+    no key or value of the per-process caches holds a basis or an element."""
+    seen = []
+    for name in ("_hnf", "_norm_plan", "_nonresidues"):
+        def recorded(*args, _cached=getattr(units, name), _name=name):
+            out = _cached(*args)
+            seen.append((_name, args, out))
+            return out
+        monkeypatch.setattr(units, name, recorded)
+    report.scan(60, out=io.StringIO())
+    frames = [(args, out) for name, args, out in seen if name == "_hnf"]
+    assert frames and {name for name, _, _ in seen} == {"_hnf", "_norm_plan", "_nonresidues"}
+    for (rows, k), frame in frames:
+        assert frame == tuple(map(tuple, _echelon([list(row) for row in rows], k)))
+
+    def walk(x):
+        assert not isinstance(x, (FieldBasis, FieldElement)), x
+        if isinstance(x, (tuple, list)):
+            for y in x:
+                walk(y)
+    for _, args, out in seen:
+        walk((args, out))
+
+
+@pytest.mark.parametrize("gens", [(2, 5, 11), (2, 13, 3), (2, 53, 43), (2, 277, 83)])
+def test_nonresidue_tables_follow_eulers_criterion(gens):
+    for l in _char_data(FieldBasis(gens))[0]:
+        table = _nonresidues(l)
+        assert len(table) == l
+        assert all(table[r] == (pow(r, l >> 1, l) != 1) for r in range(l)), l
+
+
+@pytest.mark.parametrize("gens", [
+    (-1,), (5,), (2, -1), (2, 3), (5, 3, -1), (-3, 5), (2, 5, 11), (6, 35, -7),
+    (2, 5, 11, -1), (2, 13, 3, -1), (2, 3, 5, 7),
+])
+def test_structure_constants_match_the_isqrt_rule(gens):
+    """sqrt(r1)*sqrt(r2) = c*sqrt(r3) with c = isqrt(r1*r2/r3), negated when
+    both radicands are negative: the rule the gcd form replaced."""
+    basis = FieldBasis(gens)
+    rads = basis.radicands
+    for m1, r1 in enumerate(rads):
+        for m2, r2 in enumerate(rads):
+            t2, rem = divmod(r1 * r2, rads[m1 ^ m2])
+            t = math.isqrt(t2)
+            assert rem == 0 and t * t == t2
+            assert basis._coef[m1][m2] == (-t if r1 < 0 and r2 < 0 else t), (gens, r1, r2)
