@@ -21,19 +21,13 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from fractions import Fraction
 
 from .intarith import is_perfect_square, is_squarefree, sqrt_interval, unlimited_int_digits
 
-# generator tuple -> its one FieldBasis
-_BASES = {}
-
-
-def drop_bases() -> None:
-    """Forget every interned basis, with the units and data kept on it.
-    Later FieldBasis calls build new bases, so an element of a dropped
-    basis must not meet one of its successor."""
-    _BASES.clear()
+# generator tuple -> its one live FieldBasis
+_BASES = weakref.WeakValueDictionary()
 
 
 class FieldBasis:
@@ -44,15 +38,16 @@ class FieldBasis:
     Generators must be multiplicatively independent modulo squares, which
     makes the 2^k radicands distinct and the surds linearly independent.
 
-    There is one instance per generator tuple: FieldBasis(gens) returns the
-    basis built by the first call with these generators, so bases compare
-    by identity.  A tuple that fails validation is never stored.  `sub` is
-    the subfield dropping the last generator (None for Q), `quad_units`
-    holds the fundamental units of the real quadratic subfields once
-    units._base_units has built them, `chars` the character data once
-    units._char_data has built it, and `torsion` the generator and order of
-    the roots of unity once units._torsion, the one routine that decides
-    them, has found them.  drop_bases forgets every interned basis.
+    There is one live instance per generator tuple: FieldBasis(gens)
+    returns the basis built with these generators for as long as anything
+    holds it (an element, a result, a cache or the caller), so bases compare
+    by identity.  The interning is weak, and nothing kept on a basis holds
+    an element, so refcounting frees a basis once the last holder lets go.
+    A tuple that fails validation is never stored.  `sub` is the subfield
+    dropping the last generator (None for Q), `chars` the character data
+    once units._char_data has built it, and `torsion` the generator of the
+    roots of unity as an integer pair (num, den) with its order, once
+    units._torsion, the one routine that decides them, has found them.
     """
 
     def __new__(cls, generators):
@@ -91,7 +86,6 @@ class FieldBasis:
         gcd = math.gcd
         self._coef = tuple(tuple(-gcd(r1, r2) if r1 < 0 and r2 < 0 else gcd(r1, r2) for r2 in rads)
                            for r1 in rads)
-        self.quad_units = None
         self.chars = None
         self.torsion = None
         self.sub = None

@@ -36,7 +36,7 @@ from .classnum import (
     subfield_radicands,
 )
 from .errors import Falsified
-from .field import _BASES, FieldBasis, embed_element, serialize_element, sqrt_in_field
+from .field import FieldBasis, embed_element, serialize_element, sqrt_in_field
 from .forms import DISCRIMINANT_GUARD, disc_of_radicand
 from .intarith import is_prime, unlimited_int_digits
 from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
@@ -308,8 +308,10 @@ def verify_pair(p: int, q: int) -> PairReport:
     first failed prerequisite.  An inapplicable pair yields a
     condition-only report with no checks, and so does a pair beyond the
     supported range p*q <= MAX_PQ, tagged Unsupported before p and q are
-    classified, so a huge input never reaches trial division.  Bases
-    interned here are dropped at the end; those from before are kept.
+    classified, so a huge input never reaches trial division.  A basis
+    built here lives while something holds it: most go with the pair's
+    artifacts, and the systems _one_prime_fsu keeps hold theirs for later
+    pairs.
     """
     t0 = time.perf_counter()
     if p * q > MAX_PQ:
@@ -323,24 +325,19 @@ def verify_pair(p: int, q: int) -> PairReport:
 
     rep = PairReport(p, q, condition, lemma_witnesses=[])
     artifacts = {}  # check id -> artifact, for the checks that passed
-    kept = set(_BASES)
-    try:
-        for cid in CHECK_IDS:
-            ok, detail = False, _skip_detail(cid, artifacts)
-            if detail is None:
-                inputs = [artifacts[pre] for pre in _PREREQUISITES.get(cid, ())]
-                try:
-                    ok, detail, artifact = _CHECKS[cid](p, q, cond, rep, *inputs)
-                except Falsified as exc:
-                    detail = f"falsified: {exc}"
-                except Exception as exc:
-                    detail = f"error: {exc!r}"
-                if ok:
-                    artifacts[cid] = artifact
-            rep.checks.append([cid, ok, detail])
-    finally:
-        for gens in _BASES.keys() - kept:
-            del _BASES[gens]
+    for cid in CHECK_IDS:
+        ok, detail = False, _skip_detail(cid, artifacts)
+        if detail is None:
+            inputs = [artifacts[pre] for pre in _PREREQUISITES.get(cid, ())]
+            try:
+                ok, detail, artifact = _CHECKS[cid](p, q, cond, rep, *inputs)
+            except Falsified as exc:
+                detail = f"falsified: {exc}"
+            except Exception as exc:
+                detail = f"error: {exc!r}"
+            if ok:
+                artifacts[cid] = artifact
+        rep.checks.append([cid, ok, detail])
     rep.elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
     return rep
 
@@ -367,13 +364,9 @@ def _one_prime_fsu(d1, d2):
     """fsu_biquadratic(d1, d2) for the fields Q(sqrt2, sqrt p) and
     Q(sqrt2, sqrt q), all kept across pairs, about 4 KB each: a scan pairs
     every p with every q, p-major, so a smaller LRU bound would miss at
-    every (2, q) lookup.
-
-    A kept result may live in a basis that verify_pair has since dropped.
-    Its units are only embedded into the fields of later pairs and its
-    q_index_log2 is only read, so no arithmetic mixes it with the elements
-    of a newer basis (FieldElement refuses that).  Every caller gets the
-    same result and must not change it."""
+    every (2, q) lookup.  A kept result keeps its basis interned, so later
+    pairs reuse that basis.  Every caller gets the same result and must
+    not change it."""
     return fsu_biquadratic(d1, d2)
 
 

@@ -127,19 +127,20 @@ def _quad_unit(r: int, basis: FieldBasis) -> FieldElement:
 
 
 def _base_units(basis: FieldBasis) -> dict:
-    """{r: eps_r} over the real quadratic subfields, built once per basis and
-    kept on it; callers must not change the dict."""
-    if basis.quad_units is None:
-        basis.quad_units = {r: _quad_unit(r, basis) for r in basis.radicands if r > 1}
-    return basis.quad_units
+    """{r: eps_r} over the real quadratic subfields, built on each call:
+    fundamental_unit is cached, so this only wraps its integers as
+    elements of the basis, and the basis holds no element of its own."""
+    return {r: _quad_unit(r, basis) for r in basis.radicands if r > 1}
 
 
 def _torsion(basis: FieldBasis):
     """(generator, order) of the roots of unity of the field, decided here
-    alone, once per basis and kept on it: -1, i, zeta8 = (sqrt2 + sqrt-2)/2,
+    alone, once per basis: -1, i, zeta8 = (sqrt2 + sqrt-2)/2,
     zeta12 = (sqrt3 + i)/2 or zeta24 = zeta8*(-1 + sqrt-3)/2.  No
     multiquadratic field holds zeta16 (Gal(Q(zeta16)/Q) = Z/2 x Z/4 is not
-    elementary abelian); one with sqrt-3 but not i raises ValueError."""
+    elementary abelian); one with sqrt-3 but not i raises ValueError.  The
+    basis keeps the generator as its integer pair, wrapped again on return,
+    so it holds no element of itself."""
     if basis.torsion is None:
         rads = basis.mask_of
         if -1 not in rads:
@@ -155,8 +156,9 @@ def _torsion(basis: FieldBasis):
         else:
             g, n = basis.surd(-1), 4
         assert g ** n == basis.one() and g ** (n // 2) == -basis.one()
-        basis.torsion = g, n
-    return basis.torsion
+        basis.torsion = (g._num, g._den), n
+    (num, den), n = basis.torsion
+    return FieldElement(basis, num, den), n
 
 
 def _norm_pos(w: FieldElement) -> FieldElement:

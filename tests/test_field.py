@@ -223,7 +223,7 @@ def test_torsion_order():
     for gens, order in [((2, 5, 11, -1), 8), ((2, 5, 3, -1), 24), ((5, 3), 2), ((5, 3, -1), 12),
                         ((2, -1), 8), ((-2, 5), 2), ((5, -1), 4)]:
         b = FieldBasis(gens)
-        assert _torsion(b)[1] == order and _torsion(b) is b.torsion, gens
+        assert _torsion(b)[1] == order, gens
     # Q(sqrt-3, sqrt5) holds the sixth roots of unity, which no builder needs
     with pytest.raises(ValueError, match="cube roots"):
         _torsion(FieldBasis((-3, 5)))

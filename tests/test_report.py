@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import hashlib
 import io
 import json
@@ -528,18 +529,36 @@ def test_scan_rejects_jobs_below_one():
         assert out.getvalue() == ""
 
 
-def test_scan_drops_the_bases_of_each_fresh_pair(tmp_path):
-    # verify and scan leave the bases as they found them: those a pair
-    # interns are dropped, and a basis built before keeps its identity
-    field.drop_bases()
+def test_bases_live_while_held(tmp_path):
+    # with the cyclic collector off, refcounting alone frees every basis a
+    # pair builds but those of the one-prime systems that
+    # report._one_prime_fsu keeps, with their subfields; a basis the caller
+    # holds keeps its identity
     basis = FieldBasis((2, 5))
-    before = dict(field._BASES)
-    verify_pair(5, 11)
-    assert field._BASES == before
-    scan(12, cache_dir=str(tmp_path))
-    assert field._BASES == before
-    scan(12, cache_dir=str(tmp_path))  # warm: verifies nothing
-    assert field._BASES == before and FieldBasis((2, 5)) is basis
+    gc.disable()
+    try:
+        before = set(field._BASES)
+        verify_pair(5, 11)
+        scan(12, cache_dir=str(tmp_path))
+        scan(12, cache_dir=str(tmp_path))  # warm: verifies nothing
+        one_prime = {(2, 3), (2, 5), (2, 11), (2,), ()}
+        assert set(field._BASES) <= before | one_prime
+        assert FieldBasis((2, 5)) is basis
+    finally:
+        gc.enable()
+
+
+def test_verify_pair_leaves_no_cycles():
+    # nothing kept on a basis holds an element of it, so refcounting alone
+    # frees what a pair built
+    verify_pair(13, 3)  # fills the per-process caches
+    gc.collect()
+    gc.disable()
+    try:
+        verify_pair(13, 11)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_failed_checks_never_raise(monkeypatch):

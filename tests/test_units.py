@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mqunits import claims, report, units
+from mqunits import claims, quadratic, report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, FieldElement, embed_element, sqrt_in_field
 from mqunits.quadratic import COND1, COND2, classify_pair
@@ -422,11 +422,14 @@ def test_lattice_helpers_match_fraction_reference(data):
 
 
 def test_base_units_built_once_per_basis():
+    # each call wraps the cached fundamental units as elements of the basis
+    # again; the basis itself keeps none of them
     field = FieldBasis((2, 13, 11))
     units = _base_units(field)
-    assert _base_units(field) is units and field.quad_units is units
+    misses = quadratic.fundamental_unit.cache_info().misses
+    assert _base_units(field) == units and quadratic.fundamental_unit.cache_info().misses == misses
     assert sorted(units) == [r for r in sorted(field.radicands) if r > 1]
-    assert _base_units(FieldBasis((2, 13))) is not units
+    assert all(u.basis is field for u in units.values())
 
 
 def test_exponent_level_of_each_unit_and_of_the_system():
@@ -675,7 +678,7 @@ def test_frame_reads_the_index_and_the_coordinates():
 
 def test_one_prime_fields_are_built_once_per_scan():
     def verify(p, q):
-        # as scan runs a pair: the bases are dropped afterwards
+        # as scan runs a pair
         line, _, _ = report._scan_pair((p, q))
         return re.sub(r'"elapsed_ms":[-+0-9.eE]+', "", line)
 
@@ -685,12 +688,16 @@ def test_one_prime_fields_are_built_once_per_scan():
     cache.cache_clear()
     verify(13, 11)
     assert cache.cache_info().currsize == 2
-    # Q(sqrt2, sqrt13) comes from the cache, in a basis that was dropped
+    # Q(sqrt2, sqrt13) comes from the cache
     again = verify(13, 3)
     info = cache.cache_info()
     assert again == fresh and info.hits == 1 and info.currsize == 3
     # every system is kept: a bound below the q-primes of a scan would thrash
     assert info.maxsize is None
+    # and keeps its basis interned: it is the system a fresh build gives, in
+    # the same basis
+    assert cache(2, 13) == fsu_biquadratic(2, 13)
+    assert cache(2, 13).field is FieldBasis((2, 13))
 
 
 def test_one_prime_systems_are_built_once_over_65_q_primes(monkeypatch):
