@@ -45,8 +45,8 @@ class FieldBasis:
     an element, so refcounting frees a basis once the last holder lets go.
     A tuple that fails validation is never stored.  `sub` is the subfield
     dropping the last generator (None for Q), `chars` the character data
-    once units._char_data has built it, and `torsion` the generator of the
-    roots of unity as an integer pair (num, den) with its order, once
+    once units._char_data has built it, and `torsion` the roots of unity in
+    integers (generators as pairs (num, den), orders and exponents), once
     units._torsion, the one routine that decides them, has found them.
     """
 

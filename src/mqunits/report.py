@@ -107,33 +107,27 @@ class ScanSummary(Record):
 
 def _unit_label(exponents) -> str:
     s = exponent_level([exponents])
-    parts = []
-    for r, e in sorted(exponents.items()):
-        n = int(e * s)
-        parts.append(f"eps_{r}" if n == 1 else f"eps_{r}^{n}")
-    inner = "*".join(parts)
-    if s == 1:
-        return inner
-    if s == 2:
-        return f"sqrt({inner})"
-    assert s == 4
-    return f"root4({inner})"
+    inner = "*".join(f"eps_{r}" if e * s == 1 else f"eps_{r}^{int(e * s)}"
+                     for r, e in sorted(exponents.items()))
+    return {1: inner, 2: f"sqrt({inner})", 4: f"root4({inner})"}[s]
 
 
-def _fsu_to_dict(fsu) -> dict:
-    gens = []
-    for g in fsu.generators:
-        gens.append({
-            "label": _unit_label(g.exponents),
-            "torsion_exponent": g.torsion_exponent,
-            "exponents": {str(r): str(Fraction(e)) for r, e in sorted(g.exponents.items())},
-            "witness": serialize_element(g.witness),
-        })
+def _unit_to_dict(g) -> dict:
+    return {
+        "label": _unit_label(g.exponents),
+        "torsion_exponent": g.torsion_exponent,
+        "exponents": {str(r): str(Fraction(e)) for r, e in sorted(g.exponents.items())},
+        "witness": serialize_element(g.witness),
+    }
+
+
+def _fsu_to_dict(fsu, gens=None) -> dict:
+    """The FSU as JSON data, with gens as its generator entries if given."""
     return {
         "field": list(fsu.field.generators),
         "torsion": fsu.torsion,
         "q_index_log2": fsu.q_index_log2,
-        "generators": gens,
+        "generators": [_unit_to_dict(g) for g in fsu.generators] if gens is None else gens,
     }
 
 
@@ -329,6 +323,7 @@ def verify_pair(p: int, q: int) -> PairReport:
         ok, detail = False, _skip_detail(cid, artifacts)
         if detail is None:
             inputs = [artifacts[pre] for pre in _PREREQUISITES.get(cid, ())]
+            inputs += [artifacts.get(c) for c in _ALSO_READS.get(cid, ())]
             try:
                 ok, detail, artifact = _CHECKS[cid](p, q, cond, rep, *inputs)
             except Falsified as exc:
@@ -342,8 +337,8 @@ def verify_pair(p: int, q: int) -> PairReport:
     return rep
 
 
-# Each check is called as check(p, q, cond, rep, *prerequisite artifacts) and
-# returns (passed, detail, artifact); it fills its report fields itself.
+# Each check is called as check(p, q, cond, rep, *prerequisite artifacts, *those
+# of _ALSO_READS) and returns (passed, detail, artifact); it fills its fields.
 
 
 def _check_classify(p, q, cond, rep):
@@ -408,14 +403,19 @@ def _check_azizi_square(p, q, cond, rep, biquad):
     u = kplus.surd(2) + kplus.from_rational(2)
     for g in biquad[(2, q)].generators:
         u = u * embed_element(g.witness, kplus)
-    if sqrt_in_field(u) is None:
+    w = sqrt_in_field(u)
+    if w is None:
         return False, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) is not a square in K+", None
-    return True, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) = w^2, w re-squared exactly", None
+    return True, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) = w^2, w re-squared exactly", w
 
 
-def _check_cm_fsu(p, q, cond, rep, fsu):
-    cm = azizi_extend(fsu, FieldBasis((2, p, q, -1)))
-    rep.fsu_cm = _fsu_to_dict(cm)
+def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root=None):
+    cm = azizi_extend(fsu, FieldBasis((2, p, q, -1)), azizi_root)
+    # a generator that azizi_extend only embedded keeps its fsu_real entry
+    gens = [entry if c.torsion_exponent == 0 and c.exponents == g.exponents
+            and c.witness == embed_element(g.witness, cm.field) else _unit_to_dict(c)
+            for c, g, entry in zip(cm.generators, fsu.generators, rep.fsu_real["generators"])]
+    rep.fsu_cm = _fsu_to_dict(cm, gens)
     rep.q_indices = {"real_log2": fsu.q_index_log2, "cm_log2": cm.q_index_log2}
     want_torsion = claims.CM_TORSION[q == 3]
     if cm.torsion != want_torsion:
@@ -533,6 +533,9 @@ _PREREQUISITES = {
     "kuroda_deg16": ("quad_h2_table", "cm_fsu", "kuroda_deg8"),
     "structures": ("quad_h2_table",),
 }
+# check id -> earlier checks whose artifacts it takes after those of its
+# prerequisites, None for one that did not pass; they gate nothing
+_ALSO_READS = {"cm_fsu": ("azizi_square",)}
 
 
 # ---------------------------------------------------------------------------

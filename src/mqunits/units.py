@@ -26,14 +26,14 @@ with the signs of the generators at the real embeddings (norm_table), one
 sign pass per generator for all the embeddings it needs.
 
 Each unit is verified once, where it is made: a claimed root by the
-re-square of sqrt_in_field, a unit with derived exponents by _make_expr; a
-unit carried into a larger field is embedded with its exponents and torsion
-exponent (_embed_expr).  Both searches form a subset product only when
-quadratic characters allow it to be +-1 times a square: a unit maps to a
-nonzero residue at CHAR_PRIMES primes l = 7 (mod 8), and a product that is
-+-w^2 has the same Legendre symbol, +1 or -1, at every one of them (Adleman,
-"Factoring numbers using singular integers", STOC 1991).  Every candidate
-still goes through the exact square root and its re-square.
+re-square of sqrt_in_field, a root that a subset search finds by deriving
+its identity from those of its subset (_halved), with no power taken, and
+a unit carried into a larger field by embedding (_embed_expr).  Both
+searches form a subset product only when quadratic characters allow it to
+be +-1 times a square: a unit maps to a nonzero residue at CHAR_PRIMES
+primes l = 7 (mod 8), and a product that is +-w^2 has the same Legendre
+symbol, +1 or -1, at every one of them (Adleman, STOC 1991).  Every
+candidate is rooted exactly and re-squared, or squares a known root.
 """
 
 import functools
@@ -67,10 +67,11 @@ class UnitExpr(Record):
     real case) and eps_r is the fundamental unit of Q(sqrt(r)).
     """
 
-    __slots__ = ("torsion_exponent", "exponents", "witness")
+    __slots__ = ("torsion_exponent", "exponents", "witness", "chars")
+    _uncompared = ("chars",)  # the witness's character vector, once computed
 
     def __init__(self, torsion_exponent: int, exponents: dict, witness: FieldElement):
-        super().__init__(torsion_exponent, exponents, witness)
+        super().__init__(torsion_exponent, exponents, witness, None)
 
 
 def exponent_level(exps_list) -> int:
@@ -134,13 +135,14 @@ def _base_units(basis: FieldBasis) -> dict:
 
 
 def _torsion(basis: FieldBasis):
-    """(generator, order) of the roots of unity of the field, decided here
-    alone, once per basis: -1, i, zeta8 = (sqrt2 + sqrt-2)/2,
-    zeta12 = (sqrt3 + i)/2 or zeta24 = zeta8*(-1 + sqrt-3)/2.  No
-    multiquadratic field holds zeta16 (Gal(Q(zeta16)/Q) = Z/2 x Z/4 is not
-    elementary abelian); one with sqrt-3 but not i raises ValueError.  The
-    basis keeps the generator as its integer pair, wrapped again on return,
-    so it holds no element of itself."""
+    """(zeta, n, xi, x) for the roots of unity of the field, decided here
+    alone, once per basis: their generator zeta, of order n, is -1, i,
+    zeta8 = (sqrt2 + sqrt-2)/2, zeta12 = (sqrt3 + i)/2 or
+    zeta24 = zeta8*(-1 + sqrt-3)/2, and xi = zeta^x, which is -1, i or
+    zeta8, generates those of 2-power order.  No multiquadratic field holds
+    zeta16 (Gal(Q(zeta16)/Q) = Z/2 x Z/4 is not elementary abelian); one
+    with sqrt-3 but not i raises ValueError.  The basis keeps them as
+    integers, wrapped again on return, so it holds no element of itself."""
     if basis.torsion is None:
         rads = basis.mask_of
         if -1 not in rads:
@@ -149,16 +151,18 @@ def _torsion(basis: FieldBasis):
             g, n = basis.from_rational(-1), 2
         elif 2 in rads:
             g, n = basis.element({2: Fraction(1, 2), -2: Fraction(1, 2)}), 8
-            if -3 in rads:
-                g, n = g * basis.element({1: Fraction(-1, 2), -3: Fraction(1, 2)}), 24
         elif -3 in rads:
             g, n = basis.element({3: Fraction(1, 2), -1: Fraction(1, 2)}), 12
         else:
             g, n = basis.surd(-1), 4
-        assert g ** n == basis.one() and g ** (n // 2) == -basis.one()
-        basis.torsion = (g._num, g._den), n
-    (num, den), n = basis.torsion
-    return FieldElement(basis, num, den), n
+        # xi = g^x: zeta8 itself or i = zeta12^3, and zeta8 = zeta24^9 as zeta3^9 = 1
+        xi, x = (g, 1) if n != 12 else (basis.surd(-1), 3)
+        if n == 8 and -3 in rads:
+            g, n, x = g * basis.element({1: Fraction(-1, 2), -3: Fraction(1, 2)}), 24, 9
+        assert g ** n == basis.one() and g ** (n // 2) == -basis.one() and g ** x == xi
+        basis.torsion = (g._num, g._den), n, (xi._num, xi._den), x
+    g, n, xi, x = basis.torsion
+    return FieldElement(basis, *g), n, FieldElement(basis, *xi), x
 
 
 def _norm_pos(w: FieldElement) -> FieldElement:
@@ -260,25 +264,6 @@ def _nonresidues(l: int) -> bytes:
     for x in range(1, (l + 1) >> 1):
         table[x * x % l] = 0
     return bytes(table)
-
-
-def _make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldElement) -> UnitExpr:
-    """Build a verified UnitExpr, solving for the torsion exponent."""
-    exps = {r: Fraction(e) for r, e in exps.items() if e}
-    s = exponent_level([exps])
-    assert s in (1, 2, 4), f"exponent denominator {s} out of range"
-    lhs = witness ** s
-    rhs = None
-    for r, e in exps.items():
-        power = base_units[r] ** int(e * s)
-        rhs = power if rhs is None else rhs * power
-    gen, order = _torsion(basis)
-    cur = rhs
-    for t in range(order):
-        if cur == lhs:
-            return UnitExpr(t, exps, witness)
-        cur = cur * gen
-    raise AssertionError("witness does not match its exponent vector")
 
 
 def _embed_expr(g: UnitExpr, big: FieldBasis) -> UnitExpr:
@@ -402,17 +387,22 @@ def _frame_solve(frame, row):
     return [-a for a in x[len(row):]]
 
 
-def _square_subsets(gens, vecs, factor=None):
-    """Yield (idxs, w) for each subset of the generators whose product u,
-    times factor when one is given, has u or -u = w^2: by size, then
-    lexicographically, from the empty subset when there is a factor and
-    from size 1 otherwise.  The product and its root are formed only when
-    the XOR of the character vectors of the subset and of factor is 0 (then
-    u is tried) or all ones (-u)."""
-    n = len(gens)
+def _square_subsets(gens, factor=None, known=None):
+    """Yield (idxs, neg, w) for each subset of the generators whose product
+    u, times factor when one is given, has w^2 = -u if neg else u: by size,
+    then lexicographically, from the empty subset when there is a factor
+    and from size 1 otherwise.  The product and its root are formed only
+    when the XOR of the character vectors of the subset (each computed once
+    and kept on its unit) and of factor is 0 (then u is tried) or all ones
+    (-u).  The candidate that known squares to takes known as its root."""
+    for g in gens:
+        if g.chars is None:
+            g.chars = _char_vector(g.witness)
+    vecs = [g.chars for g in gens]
     x0 = 0 if factor is None else _char_vector(factor)
-    for size in range(factor is None, n + 1):
-        for idxs in combinations(range(n), size):
+    known_sq = None if known is None else known * known
+    for size in range(factor is None, len(gens) + 1):
+        for idxs in combinations(range(len(gens)), size):
             x = x0
             for i in idxs:
                 x ^= vecs[i]
@@ -421,19 +411,28 @@ def _square_subsets(gens, vecs, factor=None):
             u = factor
             for i in idxs:
                 u = gens[i].witness if u is None else u * gens[i].witness
-            w = sqrt_in_field(-u if x else u)
+            u = -u if x else u
+            w = known if u == known_sq else sqrt_in_field(u)
             if w is not None:
-                yield idxs, w
+                yield idxs, x != 0, w
 
 
-def _halved(gens, idxs) -> dict:
-    """The exponent vector of a square root of the product of the generators
-    at idxs; _make_expr drops the exponents that cancel."""
-    out = {}
+def _halved(gens, idxs) -> tuple:
+    """(exps, m, odd) for a square root of the product u of the real units
+    at idxs: half the sum of their exponent vectors, zeros dropped, and with
+    m the largest of their levels, u^m = (-1)^odd * prod eps_r^(2m*exps[r]).
+    Raises ArithmeticError, under python -O too, unless m is 1 or 2 and
+    exps has level 1, 2 or 4."""
+    exps = {}
     for i in idxs:
         for r, e in gens[i].exponents.items():
-            out[r] = out.get(r, 0) + e / 2
-    return out
+            exps[r] = exps.get(r, 0) + e / 2
+    exps = {r: e for r, e in exps.items() if e}
+    levels = [exponent_level([gens[i].exponents]) for i in idxs]
+    m = max(levels)
+    if m > 2 or exponent_level([exps]) not in (1, 2, 4):
+        raise ArithmeticError(f"a root of a subset of level {m} has exponents {exps}")
+    return exps, m, sum(gens[i].torsion_exponent * (m // s) for i, s in zip(idxs, levels)) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,11 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
     Each sweep takes the first subset _square_subsets yields: by increasing
     size, then lexicographically, skipping a subset whose character vectors
     XOR to neither 0 nor all ones, whose product is not +-1 times a square.
-    The vectors are computed once per generator and not kept on the result.
+    The vectors stay on the generators, for azizi_extend.  A root's
+    exponents are _halved's and its torsion exponent is 0: it is taken
+    positive at the all-plus embedding, where every eps_r and generator is,
+    so a root of -u is a fault and raises ArithmeticError, under python -O
+    too, as does a subset outside _halved's shapes.
     """
     assert not field.is_cm
     gens = []
@@ -529,13 +532,11 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
             if key not in seen:
                 seen.add(key)
                 gens.append(_embed_expr(g, field))
-    vecs = [_char_vector(g.witness) for g in gens]
-    units = _base_units(field)
-    while (found := next(_square_subsets(gens, vecs), None)) is not None:
-        idxs, w = found
-        top = max(idxs)
-        gens[top] = _make_expr(field, units, _halved(gens, idxs), _norm_pos(w))
-        vecs[top] = _char_vector(gens[top].witness)
+    while (found := next(_square_subsets(gens), None)) is not None:
+        idxs, neg, w = found
+        if neg:
+            raise ArithmeticError(f"minus a product of units is a square in {field!r}")
+        gens[max(idxs)] = UnitExpr(0, _halved(gens, idxs)[0], _norm_pos(w))
     return FsuResult(field, tuple(gens))
 
 
@@ -543,52 +544,48 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
 # CM extension: one torsion-twisted square root
 
 
-def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis) -> FsuResult:
+def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis, root=None) -> FsuResult:
     """FSU of the CM field K(i) from the FSU of the totally real field K.
 
-    With 2^n the 2-power torsion order of K(i) and mu = zeta + 1/zeta for
-    the primitive 2^n-th root of unity zeta = zeta8 or i, searches all
-    subset products e of the real FSU, up to sign, for (2 + mu) * e a square
-    in K.  At most one subset can succeed; two successes contradict the
-    independence of the FSU and raise Falsified.  The search is the one
-    wada_fsu sweeps with, _square_subsets with the factor 2 + mu, run to the
-    end: every subset, the empty one first, whose character vectors
-    (computed here) XOR with that of 2 + mu to 0 (sign +1) or all ones
-    (sign -1) has its product formed and tested.  The real generators are
-    embedded without re-verification.  On success the highest-index
-    generator of the subset is replaced by (1 + zeta)*w/(2 + mu) for the
-    root w of (2 + mu)*e that the search found: since (1 + zeta)^2 =
-    zeta*(2 + mu), it is a square root of zeta*e, and _make_expr checks it
-    against its exponent identity.  That halves the
-    exponent lattice; otherwise the real FSU carries over unchanged except
-    for the enlarged torsion.
+    With xi = zeta8 or i the generator of the 2-power roots of unity of K(i)
+    and mu = xi + 1/xi, searches the subset products e of the real FSU, up
+    to sign, for (2 + mu) * e a square in K: _square_subsets with the factor
+    2 + mu, run to the end from the empty subset; root, a known square root
+    in K of one candidate, spares that candidate its descent.  Two hits
+    contradict the independence of the FSU and raise Falsified.  The real
+    generators are embedded without re-verification.  A hit replaces the
+    highest-index generator of its subset by (1 + xi)*w/(2 + mu) for the
+    root w of +-(2 + mu)*e it found: since (1 + xi)^2 = xi*(2 + mu), that
+    squares to +-xi*e.  For the subset's level m (_halved), its power 2m is
+    zeta^t times its monomial, with t = m*x plus n/2 for each -1 of the
+    sign and of e^m, where xi = zeta^x of order n (_torsion); exponents of
+    a level other than 2m raise ArithmeticError, under python -O too.  That
+    halves the exponent lattice; the rest of the real FSU carries over.
     """
     real = real_fsu.field
     if not cm_basis.is_cm:
         raise ValueError("cm_basis must contain a negative radicand")
     if cm_basis.generators != real.generators + (-1,):
         raise ValueError("cm_basis must extend the real basis by -1")
+    _, order, xi, x = _torsion(cm_basis)
     # the order is 4, 8, 12 or 24: 2^n is 8 exactly when zeta8 is in K(i)
-    zeta8 = _torsion(cm_basis)[1] % 8 == 0
-    mu = real.surd(2) if zeta8 else real.zero()
-    xi = cm_basis.element({2: Fraction(1, 2), -2: Fraction(1, 2)}) if zeta8 else cm_basis.surd(-1)
-    two_mu = mu + 2
-
+    two_mu = (real.surd(2) if order % 8 == 0 else real.zero()) + 2
     gens = real_fsu.generators
-    vecs = [_char_vector(g.witness) for g in gens]
-    hits = list(_square_subsets(gens, vecs, two_mu))
+    hits = list(_square_subsets(gens, two_mu, root))
     if len(hits) > 1:
         raise Falsified("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
-
-    units = _base_units(cm_basis)
     out = [_embed_expr(g, cm_basis) for g in gens]
     if hits:
-        idxs, w = hits[0]
+        idxs, neg, w = hits[0]
         if not idxs:
             raise Falsified("(2+mu) itself is a square, contradicting the torsion order")
-        # (1 + xi)^2 = xi*(2 + mu), so this squares to xi*w^2/(2 + mu) = xi*eps
-        root = embed_element(w * two_mu.inverse(), cm_basis) * (xi + 1)
-        out[max(idxs)] = _make_expr(cm_basis, units, _halved(gens, idxs), _first_positive(root))
+        exps, m, odd = _halved(gens, idxs)
+        if exponent_level([exps]) != 2 * m:
+            raise ArithmeticError(f"a root of a subset of level {m} has exponents {exps}")
+        # (1 + xi)^2 = xi*(2 + mu), so this squares to xi*w^2/(2 + mu) = +-xi*eps
+        twisted = embed_element(w * two_mu.inverse(), cm_basis) * (xi + 1)
+        t = (m * x + order // 2 * (m * neg + odd)) % order
+        out[max(idxs)] = UnitExpr(t, exps, _first_positive(twisted))
     return FsuResult(cm_basis, tuple(out))
 
 

@@ -208,14 +208,16 @@ def test_zeta():
     """The root-of-unity generator is primitive of its order; zeta8 and zeta24 by value."""
     for gens in [(2, 5, 11, -1), (2, 5, 3, -1), (5, 3), (5, 3, -1), (2, -1), (-2, 5), (5, -1)]:
         b = FieldBasis(gens)
-        g, n = _torsion(b)
+        g, n, xi, x = _torsion(b)
         one = b.one()
         assert g ** n == one and g ** (n // 2) == -one, gens
+        # xi = g^x generates the roots of unity of 2-power order
+        assert g ** x == xi and xi ** (n & -n) == one and xi ** ((n & -n) // 2) == -one, gens
         # a primitive n-th root: no power n/l is 1 for a prime l dividing n
         assert all(g ** (n // l) != one for l in (2, 3) if n % l == 0), gens
         if n % 8 == 0:
             z8 = b.element({2: Fraction(1, 2), -2: Fraction(1, 2)})
-            assert z8 * z8 == b.surd(-1)
+            assert z8 * z8 == b.surd(-1) and xi == z8
             assert g == (z8 if n == 8 else z8 * b.element({1: Fraction(-1, 2), -3: Fraction(1, 2)})), gens
 
 

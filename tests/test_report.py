@@ -576,6 +576,19 @@ def test_failed_checks_never_raise(monkeypatch):
     assert report_from_json(report_to_json(rep)) == rep
 
 
+def test_cm_fsu_takes_its_own_root_when_azizi_square_fails(monkeypatch):
+    # cm_fsu reads the root azizi_square took, but does not depend on it
+    want = verify_pair(13, 3)
+    monkeypatch.setattr(report, "sqrt_in_field", lambda u: None)
+    rep = verify_pair(13, 3)
+    checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
+    assert checks["azizi_square"] == (
+        False, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) is not a square in K+")
+    assert [c for c in rep.checks if c[0] != "azizi_square"] == [
+        c for c in want.checks if c[0] != "azizi_square"]
+    assert rep.fsu_cm == want.fsu_cm and rep.fsu_real == want.fsu_real
+
+
 def test_pair_beyond_the_discriminant_guard_round_trips():
     # p*q = 10061503 > 10^7: the class numbers of +-8pq are out of range, so
     # the pair is decided up front and no check runs

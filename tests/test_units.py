@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mqunits import claims, quadratic, report, units
+from mqunits import claims, cli, quadratic, report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, FieldElement, embed_element, sqrt_in_field
 from mqunits.quadratic import COND1, COND2, classify_pair
@@ -31,7 +31,6 @@ from mqunits.units import (
     _embed_expr,
     _exponent_frame,
     _frame_q_log2,
-    _make_expr,
     _nonresidues,
     _torsion,
     azizi_extend,
@@ -52,10 +51,30 @@ import norm_oracle
 H = Fraction(1, 2)
 
 
+def make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldElement) -> UnitExpr:
+    """The oracle of every unit identity: a UnitExpr of witness whose
+    torsion exponent is found by exponentiation.  It raises the witness to
+    the level s of exps, multiplies the base-unit powers, and walks the
+    torsion until the two sides agree; AssertionError when none does."""
+    exps = {r: Fraction(e) for r, e in exps.items() if e}
+    s = exponent_level([exps])
+    assert s in (1, 2, 4), f"exponent denominator {s} out of range"
+    lhs = witness ** s
+    rhs = math.prod((base_units[r] ** int(e * s) for r, e in exps.items()), start=basis.one())
+    gen, order = _torsion(basis)[:2]
+    for t in range(order):
+        if rhs == lhs:
+            return UnitExpr(t, exps, witness)
+        rhs = rhs * gen
+    raise AssertionError("witness does not match its exponent vector")
+
+
 def verify_unit_expr(expr: UnitExpr) -> None:
-    """Re-check the defining identity of a UnitExpr; raises on mismatch."""
+    """Re-prove the defining identity of a UnitExpr by the oracle: its
+    exponents and its torsion exponent modulo the order; raises on mismatch."""
     basis = expr.witness.basis
-    rebuilt = _make_expr(basis, _base_units(basis), expr.exponents, expr.witness)
+    rebuilt = make_expr(basis, _base_units(basis), expr.exponents, expr.witness)
+    assert rebuilt.exponents == expr.exponents
     assert rebuilt.torsion_exponent == expr.torsion_exponent % _torsion(basis)[1]
 
 
@@ -590,13 +609,13 @@ def test_embed_expr_matches_make_expr(real, big):
     small = gens[0].witness.basis
     # the witnesses are positive at the all-plus embedding, so their torsion
     # exponents are 0; the negated witnesses bring in -1 = zeta^(n/2)
-    gens += [_make_expr(small, _base_units(small), g.exponents, -g.witness) for g in gens]
+    gens += [make_expr(small, _base_units(small), g.exponents, -g.witness) for g in gens]
     assert any(g.torsion_exponent for g in gens)
     for g in gens:
         e = _embed_expr(g, big)
         assert e.exponents == g.exponents and e.witness.basis is big
         verify_unit_expr(e)
-        assert e == _make_expr(big, _base_units(big), g.exponents, e.witness)
+        assert e == make_expr(big, _base_units(big), g.exponents, e.witness)
 
 
 def test_embed_expr_refuses_cm_units():
@@ -606,30 +625,117 @@ def test_embed_expr_refuses_cm_units():
 
 
 def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
-    made, roots = [], []
-    make, sqrt = units._make_expr, units.sqrt_in_field
+    vectors, roots = [], []
+    char_vector, sqrt = units._char_vector, units.sqrt_in_field
 
-    def counting_make(*args):
-        made.append(1)
-        return make(*args)
+    def counting_char_vector(w):
+        vectors.append(w)
+        return char_vector(w)
 
     def counting_sqrt(u):
         w = sqrt(u)
         roots.append(w is not None)
         return w
 
-    monkeypatch.setattr(units, "_make_expr", counting_make)
+    monkeypatch.setattr(units, "_char_vector", counting_char_vector)
     monkeypatch.setattr(units, "sqrt_in_field", counting_sqrt)
     monkeypatch.setattr(report, "sqrt_in_field", counting_sqrt)
     report._one_prime_fsu.cache_clear()  # so that Q(sqrt2, sqrt13) and Q(sqrt2, sqrt3) are built
     assert report.verify_pair(13, 3).passed
-    # a claimed biquadratic root is checked by its re-square alone; the
-    # three units whose exponents are derived are the two roots of the
-    # saturation of K+ and the twisted CM unit
-    assert len(made) == 3
+    # every vector is of K+: the 7 generators the saturation starts from,
+    # the 2 roots it finds and 2 + sqrt2, each computed once; azizi_extend
+    # reads those of the generators from the units
+    assert len(vectors) == 10 and len({(w._num, w._den) for w in vectors}) == 10
+    assert all(w.basis is FieldBasis((2, 13, 3)) for w in vectors)
     # the norm table takes no root: it works on exponents and signs; the
-    # twisted CM unit takes none either, it comes from the root of Azizi's test
-    assert all(roots) and len(roots) == 11
+    # twisted CM unit takes none either, it comes from the root of Azizi's
+    # test, which azizi_square takes and cm_fsu checks by its square
+    assert all(roots) and len(roots) == 10
+
+
+def battery_units(p, q):
+    """The generators of K+ and K as the battery builds them, the known
+    Azizi root included."""
+    cond = classify_pair(p, q)
+    rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
+    biquad = report._check_biquad_fsu_all(p, q, cond, rep)[2]
+    fsu = report._check_wada_q_index(p, q, cond, rep, biquad)[2]
+    ok, _, root = report._check_azizi_square(p, q, cond, rep, biquad)
+    assert ok
+    cm = report._check_cm_fsu(p, q, cond, rep, fsu, root)[2]
+    return fsu.generators + cm.generators
+
+
+def test_every_derived_identity_matches_the_exponentiation_oracle():
+    """Each unit of fsu_real and fsu_cm of every pair of scan(60), and of
+    the CM fields the fsu verb reaches (zeta4 to zeta24), re-proved by
+    exponentiation: its exponents and its torsion exponent modulo the order."""
+    pairs = [pq for pq in scan_pairs(60) if classify_pair(*pq).is_applicable]
+    gens = [g for pq in pairs for g in battery_units(*pq)]
+    orders = set()
+    for rads in ((5,), (5, 3), (13, 3), (2, 5, 11), (2, 13, 3), (2, 29, 19)):
+        fsu = cli._build_fsu(rads, True)
+        gens += fsu.generators
+        orders.add(_torsion(fsu.field)[1])
+    assert orders == {4, 8, 12, 24} and len(gens) == 14 * len(pairs) + 1 + 3 + 3 + 3 * 7
+    for g in gens:
+        verify_unit_expr(g)
+    assert {g.torsion_exponent for g in gens} == {0, 2, 3, 18}
+
+
+def test_a_minus_hit_in_a_real_field_reads_error(monkeypatch):
+    # every generator of K+ is positive at the all-plus embedding, so no
+    # product of them is minus a square; a search that says so is wrong
+    search = units._square_subsets
+
+    def minus_hits(gens, factor=None, known=None):
+        for idxs, neg, w in search(gens, factor, known):
+            yield idxs, neg or factor is None, w
+    monkeypatch.setattr(units, "_square_subsets", minus_hits)
+    checks = {cid: (ok, detail) for cid, ok, detail in report.verify_pair(13, 3).checks}
+    assert checks["wada_q_index"] == (False, "error: ArithmeticError('minus a product of units "
+                                              "is a square in Q(sqrt(2),sqrt(13),sqrt(3))')")
+    assert checks["cm_fsu"] == (False, "skipped: wada_q_index failed")
+
+
+def test_a_level_8_subset_reads_error(monkeypatch):
+    # the hit of Azizi's search with the fourth root of K+ added: the root
+    # of such a product is not among the shapes whose identity is derived
+    search = units._square_subsets
+
+    def with_fourth_root(gens, factor=None, known=None):
+        for idxs, neg, w in search(gens, factor, known):
+            if factor is not None:
+                (j,) = [j for j, g in enumerate(gens) if exponent_level([g.exponents]) == 4]
+                idxs = tuple(sorted({*idxs, j}))
+            yield idxs, neg, w
+    monkeypatch.setattr(units, "_square_subsets", with_fourth_root)
+    checks = {cid: (ok, detail) for cid, ok, detail in report.verify_pair(13, 3).checks}
+    assert checks["wada_q_index"][0]
+    ok, detail = checks["cm_fsu"]
+    assert not ok and detail.startswith("error: ArithmeticError('a root of a subset of level 4 has")
+
+
+@pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
+def test_a_known_azizi_root_spares_one_descent_and_changes_nothing_else(monkeypatch, p, q):
+    field, real = deg8(p, q)
+    cm = FieldBasis((2, p, q, -1))
+    u = field.surd(2) + 2
+    for g in fsu_biquadratic(2, q).generators:
+        u = u * embed_element(g.witness, field)
+    w = sqrt_in_field(u)
+    roots = []
+    sqrt = units.sqrt_in_field
+    monkeypatch.setattr(units, "sqrt_in_field", lambda v: roots.append(v) or sqrt(v))
+    plain = azizi_extend(real, cm)
+    descents = len(roots)
+    assert u in roots
+    # either sign of the root, or an element that squares to no candidate
+    for root, spared in ((w, 1), (-w, 1), (field.surd(2), 0)):
+        roots.clear()
+        fsu = azizi_extend(real, cm, root)
+        assert fsu == plain
+        assert len(roots) == descents - spared and (u in roots) == (not spared)
 
 
 @pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
