@@ -11,10 +11,10 @@ denominator in lowest terms (Cohen, A Course in Computational Algebraic
 Number Theory, ch. 4).  FieldElement wraps a pair with its basis, and its
 operators are thin calls into the core.  Products reduce through the
 structure constants sqrt(r1)*sqrt(r2) = c*sqrt(r3) kept on the basis, square
-roots descend the quadratic tower on pairs with the last, quadratic level
-solved in closed form on integers, and real signs are decided by integer
-square roots of the numerator terms.  Fractions appear only at the edges:
-scalar arguments and coords.
+roots descend the quadratic tower on pairs with the last two levels, the
+biquadratic and the quadratic one, solved in closed form on integers, and
+real signs are decided by integer square roots of the numerator terms.
+Fractions appear only at the edges: scalar arguments and coords.
 """
 
 from __future__ import annotations
@@ -438,8 +438,57 @@ def _sqrt_quadratic(g: int, a: int, b: int, d: int):
     return None
 
 
+def _sqrt_biquadratic(basis: FieldBasis, x: tuple):
+    """A square root of the pair x over a basis of two generators g1, g2 as
+    a pair, or None: the biquadratic level of the descent in closed form.
+
+    With sqrt(g1)*sqrt(g2) = c*sqrt(r), x = (n0, n1, n2, n3)/d is a + b*sqrt(g2)
+    for a = (n0 + n1*sqrt(g1))/d and b*sqrt(g2) = (n2*sqrt(g2) + n3*sqrt(r))/d.
+    The steps are those of the descent, each square root in Q(sqrt(g1)) by
+    _sqrt_quadratic: with b = 0, sqrt(a), then sqrt(a*g2)*sqrt(g2)/g2;
+    otherwise the relative norm a^2 - g2*b^2 must be a square w^2, and for
+    +w, then -w, a nonzero s = sqrt((a +- w)/2) gives the root s + t*sqrt(g2)
+    with t = b/2s, whose s^2 + g2*t^2 = a and 2st = b are checked on integers.
+    """
+    g1, g2 = basis.generators
+    r, c = basis.radicands[3], basis._coef[1][2]
+    (n0, n1, n2, n3), d = x
+    if not (n2 or n3):
+        s = _sqrt_quadratic(g1, n0, n1, d)
+        if s is not None:
+            return s[0] + (0, 0), s[1]
+        s = _sqrt_quadratic(g1, n0 * g2, n1 * g2, d)
+        return None if s is None else _scaled(((0, 0, s[0][0], s[0][1] * c), s[1]), 1, g2)
+    # sqrt(g2)*sqrt(r) = h2*sqrt(g1) and sqrt(g1)*sqrt(r) = h1*sqrt(g2)
+    h1, h2 = g1 // c, g2 // c
+    w = _sqrt_quadratic(g1, n0 * n0 + g1 * n1 * n1 - g2 * n2 * n2 - r * n3 * n3,
+                        2 * (n0 * n1 - h2 * n2 * n3), d * d)
+    if w is None:
+        return None
+    (w0, w1), f = w
+    for dw in (d, -d):  # (a + w)/2, then (a - w)/2, over 2*d*f
+        s = _sqrt_quadratic(g1, n0 * f + w0 * dw, n1 * f + w1 * dw, 2 * d * f)
+        if s is None or not any(s[0]):
+            continue
+        (s0, s1), e = s
+        # t*sqrt(g2) = b*sqrt(g2)/2s = e*(n2*sqrt(g2) + n3*sqrt(r))*(s0 - s1*sqrt(g1))/m
+        m = 2 * d * (s0 * s0 - g1 * s1 * s1)
+        root = _scaled(((s0 * m, s1 * m, e * e * (n2 * s0 - h1 * n3 * s1),
+                         e * e * (n3 * s0 - c * n2 * s1)), 1), 1, e * m)
+        (y0, y1, y2, y3), z = root
+        zz = z * z
+        assert ((y0 * y0 + g1 * y1 * y1 + g2 * y2 * y2 + r * y3 * y3) * d == n0 * zz
+                and 2 * (y0 * y1 + h2 * y2 * y3) * d == n1 * zz
+                and 2 * (y0 * y2 + h1 * y1 * y3) * d == n2 * zz
+                and 2 * (y0 * y3 + c * y1 * y2) * d == n3 * zz)
+        return root
+    return None
+
+
 def _sqrt_descent(basis: FieldBasis, x: tuple):
     """A square root of the pair x over basis as a pair, or None."""
+    if basis.k == 2:
+        return _sqrt_biquadratic(basis, x)
     if basis.k == 1:
         (a, b), d = x
         return _sqrt_quadratic(basis.generators[0], a, b, d)
@@ -478,9 +527,10 @@ def sqrt_in_field(u: FieldElement):
     Descends the quadratic tower in generator order on integer pairs: with
     u = a + b*sqrt(d) over the subfield F, either b = 0 and one of a, a*d
     must be a square in F, or the relative norm a^2 - b^2*d must be a square
-    w^2 in F with (a+w)/2 or (a-w)/2 a square again.  At the quadratic level
-    F = Q, and the same steps run in closed form on integers
-    (_sqrt_quadratic).  The witness is re-squared, under python -O too.
+    w^2 in F with (a+w)/2 or (a-w)/2 a square again.  At the biquadratic
+    and quadratic levels the same steps run in closed form on integers
+    (_sqrt_biquadratic, _sqrt_quadratic).  The witness is re-squared, under
+    python -O too.
     Which of the two roots comes back is fixed by the order of the tries but
     not specified; callers normalize.
     """

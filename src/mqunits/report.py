@@ -350,7 +350,7 @@ def _make_lemma_check(tag):
         w = lemma_decompose(p, q, tag)
         rep.lemma_witnesses.append(_witness_to_dict(w))
         return True, f"case {w.case_id}: ({w.u1}*sqrt({w.r1}) + {w.u2}*sqrt({w.r2}))^2 = " \
-                     f"{'2*' if w.doubled else ''}eps_{tag}", None
+                     f"{'2*' if w.doubled else ''}eps_{tag}", w
     return check
 
 
@@ -379,8 +379,14 @@ def _check_biquad_fsu_all(p, q, cond, rep):
     return True, f"6 configurations, q_index_log2 = {qs}", built
 
 
-def _check_wada_q_index(p, q, cond, rep, biquad):
-    fsu = wada_fsu(FieldBasis((2, p, q)), [biquad[(2, p)], biquad[(2, q)], biquad[(2, p * q)]])
+def _check_wada_q_index(p, q, cond, rep, biquad, pq_witness=None):
+    kplus = FieldBasis((2, p, q))
+    root = None
+    if pq_witness is not None:
+        # (u1*sqrt(r1) + u2*sqrt(r2))^2 = eps_pq, or 2*eps_pq when doubled
+        w, h = pq_witness, 2 if pq_witness.doubled else 1
+        root = kplus.element({h * w.r1: Fraction(w.u1, h), h * w.r2: Fraction(w.u2, h)})
+    fsu = wada_fsu(kplus, [biquad[(2, p)], biquad[(2, q)], biquad[(2, p * q)]], root)
     rep.fsu_real = _fsu_to_dict(fsu)
     want = claims.Q_LOG2[claims.K_PLUS]
     if fsu.q_index_log2 != want:
@@ -398,12 +404,24 @@ def _check_wada_generators(p, q, cond, rep, fsu):
     return True, "lattice matches theorem; generators " + ", ".join(labels), None
 
 
-def _check_azizi_square(p, q, cond, rep, biquad):
-    kplus = FieldBasis((2, p, q))
-    u = kplus.surd(2) + kplus.from_rational(2)
-    for g in biquad[(2, q)].generators:
-        u = u * embed_element(g.witness, kplus)
+def _sqrt_from_subfield(u, big, p):
+    """A square root in big = k(sqrt p) of u in k, or None: (s + t*sqrt p)^2
+    with s, t in k lies in k only when s*t = 0, so the root is one of u in
+    k, or one of p*u in k divided by sqrt p."""
     w = sqrt_in_field(u)
+    if w is not None:
+        return embed_element(w, big)
+    w = sqrt_in_field(u * p)
+    return None if w is None else embed_element(w, big) * big.surd(p) / p
+
+
+def _check_azizi_square(p, q, cond, rep, biquad):
+    # u lies in k = Q(sqrt2, sqrt q), so its root in K+ = k(sqrt p) is taken in k
+    k = biquad[(2, q)]
+    u = k.field.surd(2) + 2
+    for g in k.generators:
+        u = u * g.witness
+    w = _sqrt_from_subfield(u, FieldBasis((2, p, q)), p)
     if w is None:
         return False, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) is not a square in K+", None
     return True, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) = w^2, w re-squared exactly", w
@@ -534,8 +552,9 @@ _PREREQUISITES = {
     "structures": ("quad_h2_table",),
 }
 # check id -> earlier checks whose artifacts it takes after those of its
-# prerequisites, None for one that did not pass; they gate nothing
-_ALSO_READS = {"cm_fsu": ("azizi_square",)}
+# prerequisites, None for one that did not pass; they gate nothing: a known
+# square root (the lemma_pq witness, the Azizi root) spares one descent
+_ALSO_READS = {"wada_q_index": ("lemma_pq",), "cm_fsu": ("azizi_square",)}
 
 
 # ---------------------------------------------------------------------------

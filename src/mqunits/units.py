@@ -33,7 +33,10 @@ searches form a subset product only when quadratic characters allow it to
 be +-1 times a square: a unit maps to a nonzero residue at CHAR_PRIMES
 primes l = 7 (mod 8), and a product that is +-w^2 has the same Legendre
 symbol, +1 or -1, at every one of them (Adleman, STOC 1991).  Every
-candidate is rooted exactly and re-squared, or squares a known root.
+candidate is rooted exactly and re-squared, or squares a known root: the
+caller's root of sqrt(eps_pq) or of Azizi's element, taken where it is
+cheaper, spares the candidate it squares to its descent and decides
+nothing, since any other candidate is still rooted.
 """
 
 import functools
@@ -175,6 +178,9 @@ def _norm_pos(w: FieldElement) -> FieldElement:
 # -1 is a non-residue: the vector of -1 is all ones
 CHAR_PRIMES = 16
 _ALL_CHARS = (1 << CHAR_PRIMES) - 1
+# the primes l = 7 (mod 8) of the shared sieve, increasing; every basis reads
+# them from the start, and _char_data grows them with the sieve
+_SEVENS = []
 
 
 def _char_data(basis: FieldBasis) -> tuple:
@@ -198,19 +204,18 @@ def _char_data(basis: FieldBasis) -> tuple:
         # a square there exactly when its odd part is
         odd = [g >> 1 if g & 1 == 0 else g for g in gens]
         odd = [g for g in odd if g != 1]
-        primes = []
-        seen, bound = 0, 1024
+        primes, i = [], 0
         while len(primes) < CHAR_PRIMES:
-            sieve = _sieve(bound)
-            for l in sieve[seen:]:
-                if l & 7 != 7:
-                    continue
-                nonres = _nonresidues(l)
-                if not any(nonres[g % l] for g in odd):
-                    primes.append(l)
-                    if len(primes) == CHAR_PRIMES:
-                        break
-            seen, bound = len(sieve), 2 * sieve[-1]
+            if i == len(_SEVENS):
+                _SEVENS[:] = [l for l in _sieve(2 * _SEVENS[-1] if _SEVENS else 1024) if l & 7 == 7]
+            l = _SEVENS[i]
+            i += 1
+            nonres = _nonresidues(l)
+            for g in odd:
+                if nonres[g % l]:
+                    break
+            else:
+                primes.append(l)
         big = math.prod(primes)
         cofactors = [big // l * pow(big // l, -1, l) for l in primes]
         roots = []
@@ -506,7 +511,7 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
 # degree-8 totally real fields: saturation by subset square roots
 
 
-def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
+def wada_fsu(field: FieldBasis, subfield_fsus, known=None) -> FsuResult:
     """FSU of a totally real multiquadratic field from three subfield FSUs.
 
     Starts from the union of the subfield generators (deduplicated in
@@ -517,7 +522,8 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
     Each sweep takes the first subset _square_subsets yields: by increasing
     size, then lexicographically, skipping a subset whose character vectors
     XOR to neither 0 nor all ones, whose product is not +-1 times a square.
-    The vectors stay on the generators, for azizi_extend.  A root's
+    The vectors stay on the generators, for azizi_extend; known, a square
+    root of one candidate, spares that candidate its descent.  A root's
     exponents are _halved's and its torsion exponent is 0: it is taken
     positive at the all-plus embedding, where every eps_r and generator is,
     so a root of -u is a fault and raises ArithmeticError, under python -O
@@ -532,7 +538,7 @@ def wada_fsu(field: FieldBasis, subfield_fsus) -> FsuResult:
             if key not in seen:
                 seen.add(key)
                 gens.append(_embed_expr(g, field))
-    while (found := next(_square_subsets(gens), None)) is not None:
+    while (found := next(_square_subsets(gens, None, known), None)) is not None:
         idxs, neg, w = found
         if neg:
             raise ArithmeticError(f"minus a product of units is a square in {field!r}")

@@ -490,7 +490,10 @@ def oracle_sqrt(u):
     return None
 
 
-ORACLE_FIELDS = ((5,), (2, 5), (2, 5, 3), (2, 5, 3, -1))
+# the biquadratic level is a closed form: CM fields, and generators that
+# are not coprime, where sqrt(g1)*sqrt(g2) = c*sqrt(r) with c != 1
+ORACLE_FIELDS = ((5,), (2, 5), (2, 5, 3), (2, 5, 3, -1),
+                 (2, -1), (3, -1), (-3, -1), (-1, 5), (6, 10), (10, 15))
 
 
 @pytest.mark.parametrize("gens", ORACLE_FIELDS)

@@ -1,19 +1,22 @@
+import collections
 import concurrent.futures
 import gc
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
-from mqunits import field, report
+from mqunits import field, report, units
 from mqunits.errors import Falsified
-from mqunits.field import FieldBasis
+from mqunits.field import FieldBasis, embed_element, sqrt_in_field
 from mqunits.forms import DISCRIMINANT_GUARD
 from mqunits.report import (
     CHECK_IDS,
@@ -443,10 +446,10 @@ def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
 def _fail_wada_fsu_on_5_11(monkeypatch):
     wada_fsu = report.wada_fsu
 
-    def failing(field, subfields):
+    def failing(field, subfields, known=None):
         if field.generators == (2, 5, 11):
             raise Falsified("forced")
-        return wada_fsu(field, subfields)
+        return wada_fsu(field, subfields, known)
 
     monkeypatch.setattr(report, "wada_fsu", failing)
 
@@ -587,6 +590,48 @@ def test_cm_fsu_takes_its_own_root_when_azizi_square_fails(monkeypatch):
     assert [c for c in rep.checks if c[0] != "azizi_square"] == [
         c for c in want.checks if c[0] != "azizi_square"]
     assert rep.fsu_cm == want.fsu_cm and rep.fsu_real == want.fsu_real
+
+
+def test_wada_q_index_takes_its_own_root_when_lemma_pq_fails(monkeypatch):
+    # wada_q_index reads the lemma_pq witness as the root of eps_pq, but
+    # does not depend on it: without it, K+ takes two roots, not one
+    roots = []
+    sqrt = units.sqrt_in_field
+    monkeypatch.setattr(units, "sqrt_in_field", lambda u: roots.append(u.basis.k) or sqrt(u))
+    want = verify_pair(13, 3)
+    assert roots.count(3) == 1
+
+    def failing(*args):
+        raise Falsified("forced")
+    monkeypatch.setitem(report._CHECKS, "lemma_pq", failing)
+    roots.clear()
+    rep = verify_pair(13, 3)
+    checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
+    assert checks["lemma_pq"] == (False, "falsified: forced")
+    assert [c for c in rep.checks if c[0] != "lemma_pq"] == [c for c in want.checks if c[0] != "lemma_pq"]
+    assert rep.fsu_real == want.fsu_real and rep.fsu_cm == want.fsu_cm
+    assert roots.count(3) == 2
+
+
+@pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
+def test_a_root_in_k_plus_of_an_element_of_k_is_taken_in_k(p, q):
+    # u in k = Q(sqrt2, sqrt q) is a square in K+ = k(sqrt p) exactly when u
+    # or p*u is one in k; the root agrees with the descent in K+ up to sign
+    k, kplus = FieldBasis((2, q)), FieldBasis((2, p, q))
+    rng = random.Random(p * q)
+    found = collections.Counter()
+    for _ in range(40):
+        v = k.element({r: Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for r in k.radicands})
+        if v.is_zero():
+            continue
+        for u in (v, v * v, -v * v, v * v * p, v * v * 2 * p, v * v * p * q, v * v * 3 * p):
+            got = report._sqrt_from_subfield(u, kplus, p)
+            want = sqrt_in_field(embed_element(u, kplus))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got in (want, -want)
+                found[sqrt_in_field(u) is not None] += 1
+    assert found[True] >= 40 and found[False] >= 80
 
 
 def test_pair_beyond_the_discriminant_guard_round_trips():

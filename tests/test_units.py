@@ -634,7 +634,7 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
 
     def counting_sqrt(u):
         w = sqrt(u)
-        roots.append(w is not None)
+        roots.append((w is not None, u.basis.k))
         return w
 
     monkeypatch.setattr(units, "_char_vector", counting_char_vector)
@@ -649,8 +649,11 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
     assert all(w.basis is FieldBasis((2, 13, 3)) for w in vectors)
     # the norm table takes no root: it works on exponents and signs; the
     # twisted CM unit takes none either, it comes from the root of Azizi's
-    # test, which azizi_square takes and cm_fsu checks by its square
-    assert all(roots) and len(roots) == 10
+    # test, which azizi_square takes in Q(sqrt2, sqrt3) and cm_fsu checks by
+    # its square; sqrt(eps_pq) is the lemma_pq witness, so the fourth root
+    # is the one root of K+
+    assert all(ok for ok, _ in roots) and len(roots) == 9
+    assert sorted(k for _, k in roots) == [2] * 8 + [3]
 
 
 def battery_units(p, q):
@@ -736,6 +739,25 @@ def test_a_known_azizi_root_spares_one_descent_and_changes_nothing_else(monkeypa
         fsu = azizi_extend(real, cm, root)
         assert fsu == plain
         assert len(roots) == descents - spared and (u in roots) == (not spared)
+
+
+@pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
+def test_a_known_root_of_eps_pq_spares_one_descent_and_changes_nothing_else(monkeypatch, p, q):
+    field, plain = deg8(p, q)
+    subs = [fsu_biquadratic(2, d) for d in (p, q, p * q)]
+    w = quadratic.lemma_decompose(p, q, "pq")
+    root = field.element({w.r1: w.u1, w.r2: w.u2}) * (field.surd(2) / 2 if w.doubled else 1)
+    assert root * root == embed_element(_base_units(FieldBasis((p * q,)))[p * q], field)
+    roots = []
+    sqrt = units.sqrt_in_field
+    monkeypatch.setattr(units, "sqrt_in_field", lambda v: roots.append(v) or sqrt(v))
+    assert wada_fsu(field, subs) == plain
+    descents = len(roots)
+    # the root, its negative, and twice the root, which squares to no candidate
+    for known, spared in ((root, 1), (-root, 1), (2 * root, 0)):
+        roots.clear()
+        assert wada_fsu(field, subs, known) == plain
+        assert len(roots) == descents - spared
 
 
 @pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
