@@ -4,11 +4,11 @@ Every claim is written over the symbols 1, 2, p, q, 2p, 2q, pq, 2pq and
 their negatives, which stand for the products they spell for a prime pair
 p = 5, q = 3 (mod 8); value() resolves a symbol for one pair.  A unit is an
 exponent vector {symbol: e} over the fundamental units eps_r of the real
-quadratic subfields Q(sqrt r), and a field is named by the symbols of its
-generators.  A claimed number reads ("==", n) when it is exact and
-(">=", n) when it is a lower bound.  The checks of the battery read these
-tables; no other module restates a claim.  The README lists which check
-reads which table.
+quadratic subfields Q(sqrt r), with e in (1/4)Z (quarters() resolves one),
+and a field is named by the symbols of its generators.  A claimed number
+reads ("==", n) when it is exact and (">=", n) when it is a lower bound.
+The checks of the battery read these tables; no other module restates a
+claim.  The README lists which check reads which table.
 """
 
 from fractions import Fraction
@@ -37,10 +37,15 @@ def holds(claim, x: int) -> bool:
     return x == n if rel == "==" else x >= n
 
 
-def exponents(vec: dict, p: int, q: int) -> dict:
-    """The exponent vector vec with its symbols resolved for the pair and its
-    exponents as Fractions (the tables write 1 as an int)."""
-    return {value(s, p, q): e if type(e) is Fraction else Fraction(e) for s, e in vec.items()}
+def quarters(vec: dict, p: int, q: int) -> dict:
+    """The vector vec for the pair as {r: 4*e} in integers, the form the other
+    modules read; ArithmeticError, under python -O too, for e outside (1/4)Z."""
+    out = {}
+    for s, e in vec.items():
+        out[value(s, p, q)], rem = divmod(4 * e.numerator, e.denominator)
+        if rem:
+            raise ArithmeticError(f"exponent {e} of eps_{s} is not a multiple of 1/4")
+    return out
 
 
 def _both(x):

@@ -41,7 +41,7 @@ from .forms import DISCRIMINANT_GUARD, disc_of_radicand
 from .intarith import is_prime, unlimited_int_digits
 from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
 from .units import (
-    _torsion,
+    _torsion_order,
     azizi_extend,
     exponent_level,
     fsu_biquadratic,
@@ -105,18 +105,23 @@ class ScanSummary(Record):
 # serialization
 
 
-def _unit_label(exponents) -> str:
-    s = exponent_level([exponents])
-    inner = "*".join(f"eps_{r}" if e * s == 1 else f"eps_{r}^{int(e * s)}"
-                     for r, e in sorted(exponents.items()))
+def _unit_label(quarters) -> str:
+    s = exponent_level([quarters])
+    inner = "*".join(f"eps_{r}" if n * s == 4 else f"eps_{r}^{n * s // 4}"
+                     for r, n in sorted(quarters.items()))
     return {1: inner, 2: f"sqrt({inner})", 4: f"root4({inner})"}[s]
+
+
+def _quarter_str(n: int) -> str:
+    """The exponent n/4 in lowest terms, as str(Fraction(n, 4)) prints it."""
+    return str(n >> 2) if n & 3 == 0 else f"{n >> 1}/2" if n & 1 == 0 else f"{n}/4"
 
 
 def _unit_to_dict(g) -> dict:
     return {
-        "label": _unit_label(g.exponents),
+        "label": _unit_label(g.quarters),
         "torsion_exponent": g.torsion_exponent,
-        "exponents": {str(r): str(Fraction(e)) for r, e in sorted(g.exponents.items())},
+        "exponents": {str(r): _quarter_str(n) for r, n in sorted(g.quarters.items())},
         "witness": serialize_element(g.witness),
     }
 
@@ -398,7 +403,7 @@ def _check_wada_generators(p, q, cond, rep, fsu):
     if not fsu.spans(theorem_real_exponents(p, q, cond.tag)):
         return False, "generator lattice differs from the theorem lattice", None
     other = COND2 if cond.tag == COND1 else COND1
-    if fsu.contains(claims.exponents(claims.UNITS[other][claims.F4], p, q)):
+    if fsu.contains(claims.quarters(claims.UNITS[other][claims.F4], p, q)):
         return False, f"lattice does not separate {cond.tag} from {other}", None
     labels = [g["label"] for g in rep.fsu_real["generators"]]
     return True, "lattice matches theorem; generators " + ", ".join(labels), None
@@ -430,7 +435,7 @@ def _check_azizi_square(p, q, cond, rep, biquad):
 def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root=None):
     cm = azizi_extend(fsu, FieldBasis((2, p, q, -1)), azizi_root)
     # a generator that azizi_extend only embedded keeps its fsu_real entry
-    gens = [entry if c.torsion_exponent == 0 and c.exponents == g.exponents
+    gens = [entry if c.torsion_exponent == 0 and c.quarters == g.quarters
             and c.witness == embed_element(g.witness, cm.field) else _unit_to_dict(c)
             for c, g, entry in zip(cm.generators, fsu.generators, rep.fsu_real["generators"])]
     rep.fsu_cm = _fsu_to_dict(cm, gens)
@@ -444,8 +449,8 @@ def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root=None):
     if not cm.spans(theorem_cm_exponents(p, q, cond.tag)):
         return False, "CM generator lattice differs from the theorem lattice", None
     twisted = [g for g in cm.generators if g.torsion_exponent]
-    order = _torsion(cm.field)[1]
-    if len(twisted) != 1 or exponent_level([twisted[0].exponents]) != 4:
+    order = _torsion_order(cm.field)
+    if len(twisted) != 1 or exponent_level([twisted[0].quarters]) != 4:
         return False, "expected exactly one generator twisted at the quartic level", None
     t = twisted[0].torsion_exponent
     if t % (order // 4) or (t // (order // 4)) % 2 == 0:

@@ -2,28 +2,25 @@
 
 A unit of a multiquadratic field is represented by a `UnitExpr`: an exact
 field element (the witness) together with its exponent vector over the
-fundamental units of the quadratic subfields, with denominators 1, 2 or 4.
-An FSU is a list of such units whose exponent matrix is nonsingular; the
-absolute determinant 2^(-j) records the index of the subfield-unit lattice.
-Each FsuResult carries one integer frame of its generators: the row Hermite
-normal form of their exponent rows times 4, over the real radicands of the
-field, with the transformation riding along (Cohen, A Course in
-Computational Algebraic Number Theory, section 2.4).  The index, the
-comparison with a theorem lattice and the coordinates of a vector in the
-unit lattice are all read from that frame.
+fundamental units of the quadratic subfields, in quarters: the exponents
+lie in (1/4)Z, and each vector is kept as integers {r: 4*e} from the claims
+(claims.quarters) to the report.  An FSU is a list of such units whose
+exponent matrix is nonsingular; the absolute determinant 2^(-j) records
+the index of the subfield-unit lattice.  Each FsuResult carries one integer
+frame of its generators: the row Hermite normal form of their quarter rows
+over the real radicands of the field, with the transformation riding along
+(Cohen, A Course in Computational Algebraic Number Theory, section 2.4).
+The index, the comparison with a theorem lattice and the coordinates of a
+vector in the unit lattice are all read from that frame.
 
 Construction goes bottom-up: known FSU shapes for the six relevant
 biquadratic configurations, then saturation by square roots of subset
 products for degree-8 totally real fields, then one torsion-twisted unit
 for the CM extension.  The builders materialize every predicted square root
 as an exact element; a missing root raises Falsified rather than guessing.
-The twisted unit takes no root of its own: with xi a primitive 2^n-th root
-of unity and mu = xi + 1/xi, (1 + xi)^2 = xi*(2 + mu), so the root w of
-(2 + mu)*eps that Azizi's criterion finds in the real field gives
-(1 + xi)*w/(2 + mu), a square root of xi*eps.  The norm tables of the
-degree-8 field take no root either: they are checked on exponent vectors,
-with the signs of the generators at the real embeddings (norm_table), one
-sign pass per generator for all the embeddings it needs.
+The twisted unit takes no root of its own (azizi_extend), and the norm
+tables of the degree-8 field take none either: they are checked on quarter
+vectors and on the signs of the generators at the real embeddings.
 
 Each unit is verified once, where it is made: a claimed root by the
 re-square of sqrt_in_field, a root that a subset search finds by deriving
@@ -33,10 +30,8 @@ searches form a subset product only when quadratic characters allow it to
 be +-1 times a square: a unit maps to a nonzero residue at CHAR_PRIMES
 primes l = 7 (mod 8), and a product that is +-w^2 has the same Legendre
 symbol, +1 or -1, at every one of them (Adleman, STOC 1991).  Every
-candidate is rooted exactly and re-squared, or squares a known root: the
-caller's root of sqrt(eps_pq) or of Azizi's element, taken where it is
-cheaper, spares the candidate it squares to its descent and decides
-nothing, since any other candidate is still rooted.
+candidate is rooted exactly and re-squared, or squares a known root of the
+caller, which decides nothing, since any other candidate is still rooted.
 """
 
 import functools
@@ -60,26 +55,27 @@ from .quadratic import classify_pair, fundamental_unit
 
 
 class UnitExpr(Record):
-    """A unit as torsion * product of quadratic fundamental units to rational powers.
+    """A unit as torsion * product of quadratic fundamental units to powers in (1/4)Z.
 
-    With s the lcm of the exponent denominators, the defining identity is
+    quarters maps r to n_r = 4*e_r; with s its level (exponent_level), the
+    defining identity is
 
-        witness**s == zeta**torsion_exponent * prod(eps_r ** (e_r * s))
+        witness**s == zeta**torsion_exponent * prod(eps_r ** (n_r * s / 4))
 
     where zeta generates the roots of unity of the field (-1 in the totally
     real case) and eps_r is the fundamental unit of Q(sqrt(r)).
     """
 
-    __slots__ = ("torsion_exponent", "exponents", "witness", "chars")
+    __slots__ = ("torsion_exponent", "quarters", "witness", "chars")
     _uncompared = ("chars",)  # the witness's character vector, once computed
 
-    def __init__(self, torsion_exponent: int, exponents: dict, witness: FieldElement):
-        super().__init__(torsion_exponent, exponents, witness, None)
+    def __init__(self, torsion_exponent: int, quarters: dict, witness: FieldElement):
+        super().__init__(torsion_exponent, quarters, witness, None)
 
 
-def exponent_level(exps_list) -> int:
-    """The lcm of the denominators of every exponent in the list of vectors."""
-    return math.lcm(*(e.denominator for exps in exps_list for e in exps.values()))
+def exponent_level(quarters_list) -> int:
+    """The lcm of the exponent denominators of the quarter vectors: 1, 2 or 4."""
+    return 4 // math.gcd(4, *(n for quarters in quarters_list for n in quarters.values()))
 
 
 class FsuResult(Record):
@@ -97,24 +93,24 @@ class FsuResult(Record):
     _uncompared = ("frame",)
 
     def __init__(self, field: FieldBasis, generators: tuple):
-        frame = _exponent_frame(_real_labels(field), [g.exponents for g in generators])
+        frame = _exponent_frame(_real_labels(field), [g.quarters for g in generators])
         super().__init__(field, generators, frame, _frame_q_log2(frame, len(generators)))
 
     @property
     def torsion(self) -> str:
-        n = _torsion(self.field)[1]
+        n = _torsion_order(self.field)
         return "-1" if n == 2 else f"zeta{n}"
 
-    def spans(self, exps_list) -> bool:
-        """Do the generators span the lattice of the vectors in exps_list?
-        Both sides are put in Hermite normal form over the frame's labels."""
+    def spans(self, quarters_list) -> bool:
+        """Do the generators span the lattice of the quarter vectors in the
+        list?  Both sides are compared in Hermite normal form."""
         labels = _real_labels(self.field)
         k = len(labels)
-        return tuple(row[:k] for row in self.frame) == _hnf(_exponent_rows(exps_list, labels), k)
+        return tuple(row[:k] for row in self.frame) == _hnf(_exponent_rows(quarters_list, labels), k)
 
-    def contains(self, exps: dict) -> bool:
-        """Is the vector exps an integer combination of the generators?"""
-        return _frame_solve(self.frame, _exponent_rows([exps], _real_labels(self.field))[0]) is not None
+    def contains(self, quarters: dict) -> bool:
+        """Is the quarter vector an integer combination of the generators?"""
+        return _frame_solve(self.frame, _exponent_rows([quarters], _real_labels(self.field))[0]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +162,13 @@ def _torsion(basis: FieldBasis):
         basis.torsion = (g._num, g._den), n, (xi._num, xi._den), x
     g, n, xi, x = basis.torsion
     return FieldElement(basis, *g), n, FieldElement(basis, *xi), x
+
+
+def _torsion_order(basis: FieldBasis) -> int:
+    """The order of the roots of unity of the field, as _torsion decides it."""
+    if basis.torsion is None:
+        _torsion(basis)
+    return basis.torsion[1]
 
 
 def _norm_pos(w: FieldElement) -> FieldElement:
@@ -280,7 +283,7 @@ def _embed_expr(g: UnitExpr, big: FieldBasis) -> UnitExpr:
     """
     if g.witness.basis.is_cm:
         raise ValueError("only units of totally real fields are embedded")
-    return UnitExpr(g.torsion_exponent * (_torsion(big)[1] // 2), dict(g.exponents),
+    return UnitExpr(g.torsion_exponent * (_torsion_order(big) // 2), dict(g.quarters),
                     embed_element(g.witness, big))
 
 
@@ -290,20 +293,15 @@ def _real_labels(field: FieldBasis) -> list:
     return [r for r in field.radicands if r > 1]
 
 
-def _exponent_rows(exps_list, labels, level: int = 4) -> tuple:
-    """Each exponent vector times level as an integer row over labels, in a
-    tuple of tuples.
-    Raises ArithmeticError for an exponent whose denominator does not divide
-    level and KeyError for a radicand outside labels."""
+def _exponent_rows(quarters_list, labels) -> tuple:
+    """Each quarter vector as an integer row over labels, in a tuple of
+    tuples.  Raises KeyError for a radicand outside labels."""
     col = {r: i for i, r in enumerate(labels)}
     rows = []
-    for exps in exps_list:
+    for quarters in quarters_list:
         row = [0] * len(labels)
-        for r, e in exps.items():
-            a, rem = divmod(level * e.numerator, e.denominator)
-            if rem:
-                raise ArithmeticError(f"exponent {e} of eps_{r} is not a multiple of 1/{level}")
-            row[col[r]] = a
+        for r, n in quarters.items():
+            row[col[r]] = n
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -342,16 +340,16 @@ def _echelon(rows, ncols: int) -> list:
     return out
 
 
-def _exponent_frame(labels, exps_list) -> tuple:
-    """The integer frame of the exponent vectors in exps_list over labels.
+def _exponent_frame(labels, quarters_list) -> tuple:
+    """The integer frame of the quarter vectors in quarters_list over labels.
 
-    With G the matrix of the vectors times 4 (_exponent_rows), the frame is
-    the row Hermite normal form of (G | identity) over the columns of G: each
-    of its rows (h | u) has u*G = h, the h form the Hermite normal form of
-    the lattice G spans, and a dependent vector leaves no row.
+    With G the matrix of their rows (_exponent_rows), the frame is the row
+    Hermite normal form of (G | identity) over the columns of G: each of its
+    rows (h | u) has u*G = h, the h form the Hermite normal form of the
+    lattice G spans, and a dependent vector leaves no row.
     """
-    n = len(exps_list)
-    rows = _exponent_rows(exps_list, labels)
+    n = len(quarters_list)
+    rows = _exponent_rows(quarters_list, labels)
     return _hnf(tuple(row + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(rows)), len(labels))
 
 
@@ -423,21 +421,21 @@ def _square_subsets(gens, factor=None, known=None):
 
 
 def _halved(gens, idxs) -> tuple:
-    """(exps, m, odd) for a square root of the product u of the real units
-    at idxs: half the sum of their exponent vectors, zeros dropped, and with
-    m the largest of their levels, u^m = (-1)^odd * prod eps_r^(2m*exps[r]).
-    Raises ArithmeticError, under python -O too, unless m is 1 or 2 and
-    exps has level 1, 2 or 4."""
-    exps = {}
+    """(quarters, m, odd) for a square root of the product u of the real
+    units at idxs: half the sum of their quarter vectors, zeros dropped, and
+    with m the largest of their levels, u^m = (-1)^odd * prod
+    eps_r^(m*quarters[r]/2).  Raises ArithmeticError, under python -O too,
+    unless m is 1 or 2, which makes every quarter even and no sum odd."""
+    total = {}
     for i in idxs:
-        for r, e in gens[i].exponents.items():
-            exps[r] = exps.get(r, 0) + e / 2
-    exps = {r: e for r, e in exps.items() if e}
-    levels = [exponent_level([gens[i].exponents]) for i in idxs]
+        for r, n in gens[i].quarters.items():
+            total[r] = total.get(r, 0) + n
+    levels = [exponent_level([gens[i].quarters]) for i in idxs]
     m = max(levels)
-    if m > 2 or exponent_level([exps]) not in (1, 2, 4):
-        raise ArithmeticError(f"a root of a subset of level {m} has exponents {exps}")
-    return exps, m, sum(gens[i].torsion_exponent * (m // s) for i, s in zip(idxs, levels)) & 1
+    if m > 2:
+        raise ArithmeticError(f"a root of a subset of level {m} has quarter sums {total}")
+    quarters = {r: n >> 1 for r, n in total.items() if n}
+    return quarters, m, sum(gens[i].torsion_exponent * (m // s) for i, s in zip(idxs, levels)) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +446,7 @@ def fsu_quadratic(d: int) -> FsuResult:
     """FSU of the real quadratic field Q(sqrt(d)): its fundamental unit."""
     basis = FieldBasis((d,))
     assert not basis.is_cm
-    expr = UnitExpr(0, {d: Fraction(1)}, _quad_unit(d, basis))
+    expr = UnitExpr(0, {d: 4}, _quad_unit(d, basis))
     return FsuResult(basis, (expr,))
 
 
@@ -490,20 +488,20 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     units = _base_units(basis)
     gens = []
     for vec in system:
-        exps = claims.exponents(vec, p, q)
-        level = exponent_level([exps])
+        quarters = claims.quarters(vec, p, q)
+        level = exponent_level([quarters])
         if level == 1:  # a quadratic unit itself
-            (r,) = exps
-            gens.append(UnitExpr(0, exps, units[r]))
+            (r,) = quarters
+            gens.append(UnitExpr(0, quarters, units[r]))
             continue
         if level != 2:
-            raise ValueError(f"claimed unit {exps} is neither a quadratic unit nor a square root")
+            raise ValueError(f"claimed unit {vec} is neither a quadratic unit nor a square root")
         # the re-square of sqrt_in_field is the identity check of the root
-        w = sqrt_in_field(math.prod((units[r] ** int(2 * e) for r, e in exps.items()), start=basis.one()))
+        w = sqrt_in_field(math.prod((units[r] ** (n >> 1) for r, n in quarters.items()), start=basis.one()))
         if w is None:
-            names = "*".join(f"eps_{r}" for r in exps)
+            names = "*".join(f"eps_{r}" for r in quarters)
             raise Falsified(f"{names} is predicted to be a square in {basis!r} but is not")
-        gens.append(UnitExpr(0, exps, _norm_pos(w)))
+        gens.append(UnitExpr(0, quarters, _norm_pos(w)))
     return FsuResult(basis, tuple(gens))
 
 
@@ -519,25 +517,20 @@ def wada_fsu(field: FieldBasis, subfield_fsus, known=None) -> FsuResult:
     for being a square in the field.  A found square root replaces the
     highest-index generator of its subset and the sweep restarts; the loop
     ends with a full sweep that finds nothing, which is the closure proof.
-    Each sweep takes the first subset _square_subsets yields: by increasing
-    size, then lexicographically, skipping a subset whose character vectors
-    XOR to neither 0 nor all ones, whose product is not +-1 times a square.
-    The vectors stay on the generators, for azizi_extend; known, a square
-    root of one candidate, spares that candidate its descent.  A root's
-    exponents are _halved's and its torsion exponent is 0: it is taken
-    positive at the all-plus embedding, where every eps_r and generator is,
-    so a root of -u is a fault and raises ArithmeticError, under python -O
-    too, as does a subset outside _halved's shapes.
+    Each sweep takes the first subset _square_subsets yields.  The vectors
+    stay on the generators, for azizi_extend; known, a square root of one
+    candidate, spares that candidate its descent.  A root's quarters are
+    _halved's and its torsion exponent is 0: it is taken positive at the
+    all-plus embedding, where every eps_r and generator is, so a root of -u
+    is a fault and raises ArithmeticError, under python -O too, as does a
+    subset outside _halved's shapes.
     """
     assert not field.is_cm
-    gens = []
-    seen = set()
+    first = {}  # each vector's first generator, in the order of first sight
     for fsu in subfield_fsus:
         for g in fsu.generators:
-            key = frozenset(g.exponents.items())
-            if key not in seen:
-                seen.add(key)
-                gens.append(_embed_expr(g, field))
+            first.setdefault(frozenset(g.quarters.items()), g)
+    gens = [_embed_expr(g, field) for g in first.values()]
     while (found := next(_square_subsets(gens, None, known), None)) is not None:
         idxs, neg, w = found
         if neg:
@@ -585,13 +578,13 @@ def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis, root=None) -> FsuRes
         idxs, neg, w = hits[0]
         if not idxs:
             raise Falsified("(2+mu) itself is a square, contradicting the torsion order")
-        exps, m, odd = _halved(gens, idxs)
-        if exponent_level([exps]) != 2 * m:
-            raise ArithmeticError(f"a root of a subset of level {m} has exponents {exps}")
+        quarters, m, odd = _halved(gens, idxs)
+        if exponent_level([quarters]) != 2 * m:
+            raise ArithmeticError(f"a root of a subset of level {m} has quarters {quarters}")
         # (1 + xi)^2 = xi*(2 + mu), so this squares to xi*w^2/(2 + mu) = +-xi*eps
         twisted = embed_element(w * two_mu.inverse(), cm_basis) * (xi + 1)
         t = (m * x + order // 2 * (m * neg + odd)) % order
-        out[max(idxs)] = UnitExpr(t, exps, _first_positive(twisted))
+        out[max(idxs)] = UnitExpr(t, quarters, _first_positive(twisted))
     return FsuResult(cm_basis, tuple(out))
 
 
@@ -615,26 +608,25 @@ def unit_index(fsu: FsuResult) -> int:
 
 
 def theorem_real_exponents(p: int, q: int, tag: str):
-    """Reference FSU exponent vectors for Q(sqrt2, sqrt p, sqrt q): claims.KPLUS_FSU."""
-    return [claims.exponents(claims.UNITS[tag][name], p, q) for name in claims.KPLUS_FSU]
+    """Reference FSU quarter vectors for Q(sqrt2, sqrt p, sqrt q): claims.KPLUS_FSU."""
+    return [claims.quarters(claims.UNITS[tag][name], p, q) for name in claims.KPLUS_FSU]
 
 
 def theorem_cm_exponents(p: int, q: int, tag: str):
-    """Reference FSU exponent vectors for Q(sqrt2, sqrt p, sqrt q, i): claims.CM_FSU."""
-    return [claims.exponents(claims.UNITS[tag][name], p, q) for name in claims.CM_FSU]
+    """Reference FSU quarter vectors for Q(sqrt2, sqrt p, sqrt q, i): claims.CM_FSU."""
+    return [claims.quarters(claims.UNITS[tag][name], p, q) for name in claims.CM_FSU]
 
 
-def vector_in_lattice(vec: dict, exps_list) -> bool:
-    """Is `vec` an integer combination of the exponent vectors in exps_list?"""
-    return lattice_equal(exps_list, [*exps_list, vec])
+def vector_in_lattice(vec: dict, quarters_list) -> bool:
+    """Is the quarter vector `vec` an integer combination of those in quarters_list?"""
+    return lattice_equal(quarters_list, [*quarters_list, vec])
 
 
 def lattice_equal(a_list, b_list) -> bool:
-    """Do two lists of exponent vectors span the same lattice?"""
-    every = [*a_list, *b_list]
-    labels = sorted({r for exps in every for r in exps})
-    level, k = exponent_level(every), len(labels)
-    return _hnf(_exponent_rows(a_list, labels, level), k) == _hnf(_exponent_rows(b_list, labels, level), k)
+    """Do two lists of quarter vectors span the same lattice?"""
+    labels = sorted({r for quarters in (*a_list, *b_list) for r in quarters})
+    k = len(labels)
+    return _hnf(_exponent_rows(a_list, labels), k) == _hnf(_exponent_rows(b_list, labels), k)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +647,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
 
     A named unit is the one with its exponent vector that is positive at the
     all-plus embedding, and an entry claims tau(w) or w*tau(w) = sign *
-    monomial.  The claim is checked in two parts, on integer exponent
-    vectors scaled by 4:
+    monomial.  The claim is checked in two parts, on quarter vectors:
     - the exponents: tau(eps_r) = N(eps_r)/eps_r when tau moves sqrt(r), so
       tau negates those exponents of w; that, plus w for a norm column, must
       be the vector of the monomial;
@@ -665,7 +656,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
       that of w at the embedding sigma negating the column's mask.  With
       w = +-prod g_i^c_i over the FSU generators, that is the product of
       s_i(sigma)*s_i(1) over the odd c_i, s_i(sigma) being the sign of g_i
-      at sigma.
+      at sigma: a row XORs the bits m where s_i(sigma_m)*s_i(1) = -1.
     The exponents and the c, solved on the frame of the FSU, are _norm_plan's;
     a row vector outside its lattice names no unit.  The signs come from one
     sign pass per generator over the identity and the six column embeddings.
@@ -684,22 +675,25 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
         raise ValueError(f"the unit system lives in {fsu.field}, not in {field}")
 
     bits = tuple(1 << field.generators.index(g) for g in (2, p, q))
-    # each dict d of the claims enters the key flat, as (*d, *d.values())
-    units = tuple((name, *vec, *vec.values()) for name, vec in claims.UNITS[cond.tag].items())
-    table = tuple((label, *(e and (e[0], *e[1], *e[1].values()) for e in row))
+    # the claims enter the key by value: named units as quarter rows, entries flat
+    named = claims.UNITS[cond.tag]
+    unit_rows = _exponent_rows([claims.quarters(v, p, q) for v in named.values()], _real_labels(field))
+    table = tuple((label, *(e and (e[0], *e[1].items()) for e in row))
                   for label, row in claims.NORM_TABLES[cond.tag].items())
     try:
-        embeddings, plan = _norm_plan(fsu.frame, bits, units, table)
+        embeddings, plan = _norm_plan(fsu.frame, bits, tuple(zip(named, unit_rows)), table)
     except Falsified as exc:
         raise Falsified(f"{field!r}: {exc}") from None
-    gen_signs = [dict(zip(embeddings, signs_at_embeddings(g.witness, embeddings)))
-                 for g in fsu.generators]
+    # the embeddings start at 0, the identity
+    signs = [signs_at_embeddings(g.witness, embeddings) for g in fsu.generators]
+    flips = [sum(1 << m for m, s in zip(embeddings, ss) if s != ss[0]) for ss in signs]
 
     rows = []
     for label, odd, claimed in plan:
+        flip = functools.reduce(int.__xor__, (flips[i] for i in odd), 0)
         resolved, entries = {}, {}
         for col, mask, sign, mono in claimed:
-            got = math.prod(gen_signs[i][mask] * gen_signs[i][0] for i in odd)
+            got = -1 if flip >> mask & 1 else 1
             if sign in (1, -1):
                 if got != sign:
                     raise Falsified(f"norm table mismatch at row {label}, column {col}")
@@ -715,20 +709,16 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
 @functools.lru_cache(maxsize=16)
 def _norm_plan(frame: tuple, bits: tuple, units: tuple, table: tuple) -> tuple:
     """The part of norm_table that no element decides, from the frame of an
-    FSU of K+, the bits of 2, p and q in its basis and one class's
-    claims.UNITS and claims.NORM_TABLES as flat tuples: (the embeddings to
-    sign, and per row (label, the i with c_i odd, and (column, mask, sign,
-    monomial) per claimed entry)).  Raises Falsified, which is never kept,
-    on a shape mismatch or a row outside the frame's lattice.  Kept per
-    process for the last 16 distinct inputs; a scan reads two."""
+    FSU of K+, the bits of 2, p and q in its basis, one class's claims.UNITS
+    as (name, quarter row) pairs and its claims.NORM_TABLES as flat tuples:
+    (the embeddings to sign, and per row (label, the i with c_i odd, and
+    (column, mask, sign, monomial items) per claimed entry)).  Raises
+    Falsified, which is never kept, on a shape mismatch or a row outside the
+    frame's lattice.  Kept per process for the last 16 distinct inputs; a
+    scan reads two."""
     t1, t2, t3 = bits
-    # column m - 1 holds 4 times the exponent of eps at radicand m, as in the frame
-    letters = (("2", t1), ("p", t2), ("q", t3))
-    def items(flat):  # the (key, value) pairs of a flat dict
-        return tuple(zip(flat[:len(flat) >> 1], flat[len(flat) >> 1:]))
-    scaled = _exponent_rows([{sum(b for c, b in letters if c in s): Fraction(e) for s, e in items(u[1:])}
-                             for u in units], range(1, 8))
-    vec = {u[0]: row for u, row in zip(units, scaled)}
+    # column m - 1 holds the quarter of eps at the radicand of mask m, as in the frame
+    vec = dict(units)
     masks = dict(zip(claims.NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
     # the image of w under a column: tau multiplies the entry at mask m by
     # -1 when m meets its mask in an odd number of bits, a norm adds w
@@ -745,7 +735,7 @@ def _norm_plan(frame: tuple, bits: tuple, units: tuple, table: tuple) -> tuple:
         for col, entry in zip(claims.NORM_COLUMNS, claimed):
             if entry is None:
                 continue
-            sign, mono = entry[0], items(entry[1:])
+            sign, mono = entry[0], entry[1:]
             target = [0] * 7
             for name, e in mono:
                 target = [a + e * b for a, b in zip(target, vec[name])]

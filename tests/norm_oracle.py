@@ -48,7 +48,8 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
         E2: base[2], EP: base[p], EQ: base[q], E2P: base[2 * p],
         E2Q: base[2 * q], EPQ: base[p * q], E2PQ: base[2 * p * q],
     }
-    by_exps = {frozenset(g.exponents.items()): g.witness for g in fsu.generators}
+    by_exps = {frozenset((r, Fraction(n, 4)) for r, n in g.quarters.items()): g.witness
+               for g in fsu.generators}
 
     def materialize(name, exps, square):
         key = frozenset(exps.items())

@@ -114,8 +114,7 @@ def test_criterion_02_fsu_q_index_and_generators(scan_run):
         ok, detail = _check(rep, "wada_generators")
         assert ok, (p, q, detail)
         tag = rep["condition"]["tag"]
-        want = {_unit_label({int(r): Fraction(e) for r, e in vec.items()})
-                for vec in theorem_real_exponents(p, q, tag)}
+        want = {_unit_label(quarters) for quarters in theorem_real_exponents(p, q, tag)}
         got = {g["label"] for g in rep["fsu_real"]["generators"]}
         assert got == want, (p, q, got ^ want)
         root4 = next(g for g in rep["fsu_real"]["generators"]

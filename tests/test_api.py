@@ -85,8 +85,8 @@ def _records():
          (13, 3, cond, [], None, None, None, None, None, None, [], 1.5), {"checks": [["c", True, ""]]}),
         (ScanSummary, ("range", "pairs_examined", "cond1_count", "cond2_count", "failures"),
          ([1, 30], 4, 2, 2, []), {"failures": [[13, 3, "c"]]}),
-        (UnitExpr, ("torsion_exponent", "exponents", "witness"),
-         (gen.torsion_exponent, gen.exponents, gen.witness), {"torsion_exponent": 1}),
+        (UnitExpr, ("torsion_exponent", "quarters", "witness"),
+         (gen.torsion_exponent, gen.quarters, gen.witness), {"torsion_exponent": 1}),
         (FsuResult, ("field", "generators"), (fsu.field, fsu.generators), {"field": FieldBasis((5, -1))}),
         (NormRow, ("label", "entries"), ("eps", {"tau": "+1"}), {"label": "eta"}),
     ]]

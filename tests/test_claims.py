@@ -20,8 +20,8 @@ def test_value_resolves_every_symbol():
     assert [claims.value(s, 5, 3) for s in claims.SUBFIELDS] == \
         [-1, 2, -2, 5, -5, 3, -3, 10, -10, 6, -6, 15, -15, 30, -30]
     assert claims.value("1", 5, 3) == 1
-    assert claims.exponents(claims.UNITS[COND1][claims.F4], 5, 11) == \
-        {5: claims.H, 22: claims.Q4, 55: claims.Q4, 110: claims.Q4}
+    # and the vectors as integer quarters, 4 times each exponent
+    assert claims.quarters(claims.UNITS[COND1][claims.F4], 5, 11) == {5: 2, 22: 1, 55: 1, 110: 1}
 
 
 def test_pell_shapes_leave_no_doubled_product_a_square():

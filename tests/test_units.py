@@ -3,6 +3,7 @@
 import collections
 import functools
 import io
+import json
 import math
 import random
 import re
@@ -46,25 +47,26 @@ from mqunits.units import (
     wada_fsu,
 )
 
+import exponent_oracle
 import norm_oracle
 
 H = Fraction(1, 2)
 
 
-def make_expr(basis: FieldBasis, base_units: dict, exps: dict, witness: FieldElement) -> UnitExpr:
+def make_expr(basis: FieldBasis, base_units: dict, quarters: dict, witness: FieldElement) -> UnitExpr:
     """The oracle of every unit identity: a UnitExpr of witness whose
-    torsion exponent is found by exponentiation.  It raises the witness to
-    the level s of exps, multiplies the base-unit powers, and walks the
+    torsion exponent is found by exponentiation.  It takes the exponents
+    n/4 of the quarter vector as Fractions, raises the witness to the lcm s
+    of their denominators, multiplies the base-unit powers, and walks the
     torsion until the two sides agree; AssertionError when none does."""
-    exps = {r: Fraction(e) for r, e in exps.items() if e}
-    s = exponent_level([exps])
-    assert s in (1, 2, 4), f"exponent denominator {s} out of range"
+    exps = {r: Fraction(n, 4) for r, n in quarters.items() if n}
+    s = math.lcm(*(e.denominator for e in exps.values()))
     lhs = witness ** s
     rhs = math.prod((base_units[r] ** int(e * s) for r, e in exps.items()), start=basis.one())
     gen, order = _torsion(basis)[:2]
     for t in range(order):
         if rhs == lhs:
-            return UnitExpr(t, exps, witness)
+            return UnitExpr(t, {r: n for r, n in quarters.items() if n}, witness)
         rhs = rhs * gen
     raise AssertionError("witness does not match its exponent vector")
 
@@ -73,8 +75,8 @@ def verify_unit_expr(expr: UnitExpr) -> None:
     """Re-prove the defining identity of a UnitExpr by the oracle: its
     exponents and its torsion exponent modulo the order; raises on mismatch."""
     basis = expr.witness.basis
-    rebuilt = make_expr(basis, _base_units(basis), expr.exponents, expr.witness)
-    assert rebuilt.exponents == expr.exponents
+    rebuilt = make_expr(basis, _base_units(basis), expr.quarters, expr.witness)
+    assert rebuilt.quarters == expr.quarters
     assert rebuilt.torsion_exponent == expr.torsion_exponent % _torsion(basis)[1]
 
 
@@ -85,15 +87,15 @@ def deg8(p, q):
     return field, wada_fsu(field, subs)
 
 
-def exps_list(fsu):
-    return [g.exponents for g in fsu.generators]
+def quarters_list(fsu):
+    return [g.quarters for g in fsu.generators]
 
 
 def test_fsu_quadratic():
     fsu = fsu_quadratic(5)
     assert fsu.torsion == "-1" and fsu.q_index_log2 == 0
     (g,) = fsu.generators
-    assert g.exponents == {5: 1} and g.torsion_exponent == 0
+    assert g.quarters == {5: 4} and g.torsion_exponent == 0
     assert g.witness == fsu.field.element({1: H, 5: H})
     assert unit_index(fsu) == 1
     verify_unit_expr(g)
@@ -101,7 +103,7 @@ def test_fsu_quadratic():
 
 def test_biquad_cond1_pq():
     fsu = fsu_biquadratic(5, 11)
-    assert exps_list(fsu) == [{5: 1}, {11: 1}, {55: H}]
+    assert quarters_list(fsu) == [{5: 4}, {11: 4}, {55: 2}]
     assert fsu.generators[2].witness == fsu.field.element({5: 3, 11: 2})
     assert fsu.q_index_log2 == 1 and unit_index(fsu) == 2
     for g in fsu.generators:
@@ -111,7 +113,7 @@ def test_biquad_cond1_pq():
 
 def test_biquad_cond2_pq():
     fsu = fsu_biquadratic(5, 3)
-    assert exps_list(fsu) == [{5: 1}, {3: 1}, {3: H, 15: H}]
+    assert quarters_list(fsu) == [{5: 4}, {3: 4}, {3: 2, 15: 2}]
     w = fsu.generators[2].witness
     assert w == fsu.field.element({1: Fraction(3, 2), 3: H, 5: H, 15: H})
     assert fsu.q_index_log2 == 1
@@ -119,7 +121,7 @@ def test_biquad_cond2_pq():
 
 def test_biquad_2_q_example():
     fsu = fsu_biquadratic(2, 3)
-    assert exps_list(fsu) == [{2: 1}, {3: H}, {6: H}]
+    assert quarters_list(fsu) == [{2: 4}, {3: 2}, {6: 2}]
     basis = fsu.field
     assert fsu.generators[1].witness == basis.element({2: H, 6: H})
     assert fsu.generators[2].witness == basis.element({2: 1, 3: 1})
@@ -149,10 +151,10 @@ def test_wada_deg8_cond1():
     field, fsu = deg8(5, 11)
     assert len(fsu.generators) == 7 and fsu.q_index_log2 == 6
     assert unit_index(fsu) == 64
-    assert lattice_equal(exps_list(fsu), theorem_real_exponents(5, 11, COND1))
-    assert vector_in_lattice({22: H}, exps_list(fsu))
+    assert lattice_equal(quarters_list(fsu), theorem_real_exponents(5, 11, COND1))
+    assert vector_in_lattice({22: 2}, quarters_list(fsu))
     other_f4 = theorem_real_exponents(5, 11, COND2)[6]
-    assert not vector_in_lattice(other_f4, exps_list(fsu))
+    assert not vector_in_lattice(other_f4, quarters_list(fsu))
     for g in fsu.generators:
         verify_unit_expr(g)
 
@@ -160,9 +162,9 @@ def test_wada_deg8_cond1():
 def test_wada_deg8_cond2():
     field, fsu = deg8(5, 3)
     assert len(fsu.generators) == 7 and fsu.q_index_log2 == 6
-    assert lattice_equal(exps_list(fsu), theorem_real_exponents(5, 3, COND2))
-    assert vector_in_lattice({6: H}, exps_list(fsu))
-    assert not vector_in_lattice(theorem_real_exponents(5, 3, COND1)[6], exps_list(fsu))
+    assert lattice_equal(quarters_list(fsu), theorem_real_exponents(5, 3, COND2))
+    assert vector_in_lattice({6: 2}, quarters_list(fsu))
+    assert not vector_in_lattice(theorem_real_exponents(5, 3, COND1)[6], quarters_list(fsu))
 
 
 def test_wada_degenerate_biquadratic():
@@ -170,7 +172,7 @@ def test_wada_degenerate_biquadratic():
     fsu = wada_fsu(field, (fsu_quadratic(5), fsu_quadratic(11), fsu_quadratic(55)))
     direct = fsu_biquadratic(5, 11)
     assert fsu.q_index_log2 == direct.q_index_log2 == 1
-    assert lattice_equal(exps_list(fsu), exps_list(direct))
+    assert lattice_equal(quarters_list(fsu), quarters_list(direct))
 
 
 def test_biquadratic_claim_outside_the_half_level_is_refused(monkeypatch):
@@ -198,7 +200,7 @@ def test_azizi_eighth_roots_of_unity():
     fsu = azizi_extend(fsu_quadratic(2), FieldBasis((2, -1)))
     assert fsu.torsion == "zeta8" and fsu.q_index_log2 == 0
     (g,) = fsu.generators
-    assert g.exponents == {2: 1} and unit_index(fsu) == 2
+    assert g.quarters == {2: 4} and unit_index(fsu) == 2
 
 
 def test_azizi_biquadratic_cm():
@@ -207,13 +209,13 @@ def test_azizi_biquadratic_cm():
     fsu = azizi_extend(real, cm)
     assert fsu.torsion == "zeta12" and fsu.q_index_log2 == 2
     assert unit_index(fsu) == 8
-    twisted = [g for g in fsu.generators if g.exponents == {3: H}]
+    twisted = [g for g in fsu.generators if g.quarters == {3: 2}]
     assert len(twisted) == 1
     g = twisted[0]
     assert g.torsion_exponent == 3
     eps3 = cm.element({1: 2, 3: 1})
     assert g.witness * g.witness == cm.surd(-1) * eps3
-    assert exps_list(fsu) == [{5: 1}, {3: H}, {3: H, 15: H}]
+    assert quarters_list(fsu) == [{5: 4}, {3: 2}, {3: 2, 15: 2}]
 
 
 def test_azizi_rejects_wrong_basis():
@@ -229,8 +231,8 @@ def test_azizi_deg16():
     fsu = azizi_extend(real, cm)
     assert fsu.torsion == "zeta8" and fsu.q_index_log2 == 7
     assert unit_index(fsu) == 256
-    assert lattice_equal(exps_list(fsu), theorem_cm_exponents(5, 11, COND1))
-    twisted = [g for g in fsu.generators if g.exponents == {2: H, 11: Fraction(1, 4), 22: Fraction(1, 4)}]
+    assert lattice_equal(quarters_list(fsu), theorem_cm_exponents(5, 11, COND1))
+    twisted = [g for g in fsu.generators if g.quarters == {2: 2, 11: 1, 22: 1}]
     assert len(twisted) == 1
     assert twisted[0].torsion_exponent == 2
     for g in fsu.generators:
@@ -289,8 +291,8 @@ def test_norm_table_row_outside_the_unit_lattice_is_falsified():
     field, fsu = deg8(5, 11)
     # squaring one generator leaves an index-2 sublattice, which misses one
     # of the seven named units that span the full lattice
-    g = max(fsu.generators, key=lambda g: exponent_level([g.exponents]))
-    squared = UnitExpr(0, {r: 2 * e for r, e in g.exponents.items()}, g.witness * g.witness)
+    g = max(fsu.generators, key=lambda g: exponent_level([g.quarters]))
+    squared = UnitExpr(0, {r: 2 * n for r, n in g.quarters.items()}, g.witness * g.witness)
     gens = tuple(squared if h is g else h for h in fsu.generators)
     small = FsuResult(field, gens)
     assert small.q_index_log2 == fsu.q_index_log2 - 1
@@ -299,12 +301,13 @@ def test_norm_table_row_outside_the_unit_lattice_is_falsified():
 
 
 def test_lattice_helpers():
-    a = [{2: Fraction(1)}, {3: H}]
-    assert vector_in_lattice({2: 1, 3: 1}, a)
-    assert not vector_in_lattice({3: Fraction(1, 4)}, a)
-    assert lattice_equal(a, [{2: 1, 3: 1}, {3: H}])
-    assert not lattice_equal(a, [{2: 1}, {3: 1}])
-    assert not lattice_equal(a, [{2: 1}])
+    # quarter vectors: {2: 4} is eps_2 itself, {3: 2} is sqrt(eps_3)
+    a = [{2: 4}, {3: 2}]
+    assert vector_in_lattice({2: 4, 3: 4}, a)
+    assert not vector_in_lattice({3: 1}, a)
+    assert lattice_equal(a, [{2: 4, 3: 4}, {3: 2}])
+    assert not lattice_equal(a, [{2: 4}, {3: 4}])
+    assert not lattice_equal(a, [{2: 4}])
     gens = theorem_real_exponents(5, 11, COND1)
     # doubling one generator gives an index-2 sublattice with the same span
     sub = [dict(g) for g in gens]
@@ -320,17 +323,17 @@ def test_lattice_helpers():
     assert lattice_equal(gens, mixed)
     assert lattice_equal(mixed, gens)
     # a vector outside the label set of the other list
-    assert not lattice_equal(gens, gens[:6] + [{7: Fraction(1)}])
+    assert not lattice_equal(gens, gens[:6] + [{7: 4}])
 
 
 def test_lattice_equal_rank_deficient_lists():
     # dependent lists compare by the lattice they span, not by their length
-    a = [{2: H, 3: H}, {2: 1, 3: 1}]
-    b = [{2: -H, 3: -H}]
+    a = [{2: 2, 3: 2}, {2: 4, 3: 4}]
+    b = [{2: -2, 3: -2}]
     assert lattice_equal(a, b) and lattice_equal(b, a)
-    assert lattice_equal([{2: 1}, {3: 1}, {2: 1, 3: 1}], [{2: 1}, {3: 1}])
-    assert not lattice_equal(b, [{2: 1, 3: 1}])
-    assert not lattice_equal(a, [{2: H}, {3: H}])
+    assert lattice_equal([{2: 4}, {3: 4}, {2: 4, 3: 4}], [{2: 4}, {3: 4}])
+    assert not lattice_equal(b, [{2: 4, 3: 4}])
+    assert not lattice_equal(a, [{2: 2}, {3: 2}])
 
 
 def fraction_inverse_det(rows):
@@ -403,8 +406,9 @@ def exponent_matrices(draw):
     return draw(unimodular_change(tri))
 
 
-def as_dicts(rows, labels):
-    return [{r: e for r, e in zip(labels, row) if e} for row in rows]
+def as_quarters(rows, labels):
+    """The Fraction rows as quarter vectors over labels, zeros dropped."""
+    return [{r: int(4 * e) for r, e in zip(labels, row) if e} for row in rows]
 
 
 @settings(max_examples=200, deadline=None)
@@ -416,7 +420,7 @@ def test_lattice_helpers_match_fraction_reference(data):
     a_rows = data.draw(unimodular_change(b_rows))
     i = data.draw(st.integers(0, n - 1))
     sub_rows = [[2 * e for e in row] if k == i else row for k, row in enumerate(a_rows)]
-    b, a, sub = (as_dicts(rows, labels) for rows in (b_rows, a_rows, sub_rows))
+    b, a, sub = (as_quarters(rows, labels) for rows in (b_rows, a_rows, sub_rows))
 
     assert fraction_lattice_equal(a_rows, b_rows)
     assert lattice_equal(a, b) and lattice_equal(b, a)
@@ -426,9 +430,13 @@ def test_lattice_helpers_match_fraction_reference(data):
     coeffs = [data.draw(st.integers(-3, 3)) for _ in range(n)]
     coeffs[i] += data.draw(st.sampled_from((0, H, Fraction(1, 4))))
     v_row = [sum(c * row[j] for c, row in zip(coeffs, b_rows)) for j in range(n)]
-    (v,) = as_dicts([v_row], labels)
-    assert vector_in_lattice(v, b) == fraction_in_lattice([v_row], b_rows)
-    assert vector_in_lattice(v, sub) == fraction_in_lattice([v_row], sub_rows)
+    if any((4 * e).denominator != 1 for e in v_row):
+        # outside (1/4)Z, where both lattices lie, and so in neither
+        assert not fraction_in_lattice([v_row], b_rows) and not fraction_in_lattice([v_row], sub_rows)
+    else:
+        (v,) = as_quarters([v_row], labels)
+        assert vector_in_lattice(v, b) == fraction_in_lattice([v_row], b_rows)
+        assert vector_in_lattice(v, sub) == fraction_in_lattice([v_row], sub_rows)
 
     for rows, exps in ((b_rows, b), (sub_rows, sub)):
         frame = _exponent_frame(labels, exps)
@@ -453,17 +461,17 @@ def test_base_units_built_once_per_basis():
 
 def test_exponent_level_of_each_unit_and_of_the_system():
     field, fsu = deg8(5, 11)
-    levels = sorted({exponent_level([g.exponents]) for g in fsu.generators})
+    levels = sorted({exponent_level([g.quarters]) for g in fsu.generators})
     assert levels == [1, 2, 4]
-    assert exponent_level(exps_list(fsu)) == 4
+    assert exponent_level(quarters_list(fsu)) == 4
 
 
 def test_q_log2_raises_under_python_O():
-    # the index of {2: 3} is 1/3, not a power of 2; the second list is singular
+    # in quarters: the index of {2: 12}, eps_2^3, is 1/3, not a power of 2;
+    # the second list is singular
     code = textwrap.dedent("""
-        from fractions import Fraction
         from mqunits.units import _frame_q_log2, _exponent_frame
-        for exps in ([{2: Fraction(3)}], [{2: Fraction(1, 2), 3: 1}, {2: 1, 3: 2}]):
+        for exps in ([{2: 12}], [{2: 2, 3: 4}, {2: 4, 3: 8}]):
             try:
                 print("returned", _frame_q_log2(_exponent_frame([2, 3][:len(exps)], exps), len(exps)))
             except ArithmeticError:
@@ -609,13 +617,13 @@ def test_embed_expr_matches_make_expr(real, big):
     small = gens[0].witness.basis
     # the witnesses are positive at the all-plus embedding, so their torsion
     # exponents are 0; the negated witnesses bring in -1 = zeta^(n/2)
-    gens += [make_expr(small, _base_units(small), g.exponents, -g.witness) for g in gens]
+    gens += [make_expr(small, _base_units(small), g.quarters, -g.witness) for g in gens]
     assert any(g.torsion_exponent for g in gens)
     for g in gens:
         e = _embed_expr(g, big)
-        assert e.exponents == g.exponents and e.witness.basis is big
+        assert e.quarters == g.quarters and e.witness.basis is big
         verify_unit_expr(e)
-        assert e == make_expr(big, _base_units(big), g.exponents, e.witness)
+        assert e == make_expr(big, _base_units(big), g.quarters, e.witness)
 
 
 def test_embed_expr_refuses_cm_units():
@@ -656,9 +664,9 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
     assert sorted(k for _, k in roots) == [2] * 8 + [3]
 
 
-def battery_units(p, q):
-    """The generators of K+ and K as the battery builds them, the known
-    Azizi root included."""
+def battery_systems(p, q):
+    """The biquadratic systems by field, and the FSUs of K+ and K, as the
+    battery builds them, the known Azizi root included."""
     cond = classify_pair(p, q)
     rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
     biquad = report._check_biquad_fsu_all(p, q, cond, rep)[2]
@@ -666,6 +674,12 @@ def battery_units(p, q):
     ok, _, root = report._check_azizi_square(p, q, cond, rep, biquad)
     assert ok
     cm = report._check_cm_fsu(p, q, cond, rep, fsu, root)[2]
+    return biquad, fsu, cm
+
+
+def battery_units(p, q):
+    """The generators of K+ and K as the battery builds them."""
+    _, fsu, cm = battery_systems(p, q)
     return fsu.generators + cm.generators
 
 
@@ -684,6 +698,104 @@ def test_every_derived_identity_matches_the_exponentiation_oracle():
     for g in gens:
         verify_unit_expr(g)
     assert {g.torsion_exponent for g in gens} == {0, 2, 3, 18}
+
+
+def assert_four_times(fsu, vectors):
+    """The quarters of the generators are integers, 4 times the vectors."""
+    got = [g.quarters for g in fsu.generators]
+    assert all(type(n) is int for quarters in got for n in quarters.values())
+    assert got == [{r: 4 * e for r, e in exps.items()} for exps in vectors]
+
+
+def test_quarters_are_four_times_the_fraction_route():
+    """Every unit of fsu_real and fsu_cm of the pairs of scan(60), and of
+    the fields of the fsu verb with and without CM, against the exponents
+    that exponent_oracle finds on Fractions over the same witnesses."""
+    pairs = [pq for pq in scan_pairs(60) if classify_pair(*pq).is_applicable]
+    for p, q in pairs:
+        biquad, fsu, cm = battery_systems(p, q)
+        subs = [(exponent_oracle.biquadratic(("2", s), p, q), biquad[(2, d)])
+                for s, d in (("p", p), ("q", q), ("pq", p * q))]
+        real = exponent_oracle.wada(fsu.field, subs)
+        assert_four_times(fsu, real)
+        assert_four_times(cm, exponent_oracle.azizi(real, fsu, cm.field))
+    for rads in ((5,), (5, 3), (13, 3), (2, 5, 11), (2, 13, 3), (2, 29, 19)):
+        fsu = cli._build_fsu(rads, False)
+        if len(rads) == 1:
+            vectors = [{rads[0]: Fraction(1)}]
+        elif len(rads) == 2:
+            vectors = exponent_oracle.biquadratic(("p", "q"), *rads)
+        else:
+            _, p, q = rads
+            vectors = exponent_oracle.wada(fsu.field, [
+                (exponent_oracle.biquadratic(("2", s), p, q), fsu_biquadratic(2, d))
+                for s, d in (("p", p), ("q", q), ("pq", p * q))])
+        assert_four_times(fsu, vectors)
+        cm = cli._build_fsu(rads, True)
+        assert_four_times(cm, exponent_oracle.azizi(vectors, fsu, cm.field))
+
+
+def test_report_strings_from_quarters_match_the_fraction_formatting():
+    # every quarter n in -64..64, alone and beside a companion exponent
+    # 1/s that sets the level to s, for each level s it allows
+    for n in range(-64, 65):
+        assert report._quarter_str(n) == str(Fraction(n, 4)), n
+        for s in (1, 2, 4):
+            if n % (4 // s):
+                continue
+            for quarters in ({5: n}, {5: n, 7: 4 // s}, {2: 4 // s, 5: n}):
+                exps = {r: Fraction(m, 4) for r, m in quarters.items()}
+                assert exponent_level([quarters]) == exponent_oracle.level(exps)
+                assert report._unit_label(quarters) == exponent_oracle.unit_label(exps), quarters
+                entry = report._unit_to_dict(UnitExpr(0, quarters, FieldBasis((2,)).one()))
+                assert entry["exponents"] == exponent_oracle.exponent_strings(exps), quarters
+
+
+def battery_checks(flags, setup):
+    """{check id: [passed, detail]} of verify_pair(13, 3) in a fresh
+    interpreter started with flags, after the statements of setup."""
+    code = textwrap.dedent(setup) + textwrap.dedent("""
+        import json
+        from mqunits import report
+        print(json.dumps({cid: [ok, detail] for cid, ok, detail in report.verify_pair(13, 3).checks}))
+    """)
+    res = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_claimed_eighth_reads_error(flags):
+    # the named units reach the checks as quarters; an exponent 1/8 has none
+    checks = battery_checks(flags, """
+        from fractions import Fraction
+        from mqunits import claims
+        claims.UNITS["Cond1"][claims.F4]["2q"] = Fraction(1, 8)
+    """)
+    assert checks["wada_q_index"][0] and checks["azizi_square"][0]
+    error = [False, "error: ArithmeticError('exponent 1/8 of eps_2q is not a multiple of 1/4')"]
+    for cid in ("wada_generators", "cm_fsu", "norm_tables"):
+        assert checks[cid] == error, cid
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_an_odd_quarter_sum_reads_error(flags):
+    # eps_pq carried into K+ as eps_pq^(3/4): the saturation's first hit is
+    # the singleton {eps_pq}, whose quarter sum 3 halves to an eighth
+    checks = battery_checks(flags, """
+        from mqunits import units
+        embed = units._embed_expr
+
+        def skewed(g, big):
+            e = embed(g, big)
+            if e.quarters == {39: 4}:
+                e.quarters = {39: 3}
+            return e
+        units._embed_expr = skewed
+    """)
+    assert checks["biquad_fsu_all"][0]
+    assert checks["wada_q_index"] == [
+        False, "error: ArithmeticError('a root of a subset of level 4 has quarter sums {39: 3}')"]
 
 
 def test_a_minus_hit_in_a_real_field_reads_error(monkeypatch):
@@ -709,7 +821,7 @@ def test_a_level_8_subset_reads_error(monkeypatch):
     def with_fourth_root(gens, factor=None, known=None):
         for idxs, neg, w in search(gens, factor, known):
             if factor is not None:
-                (j,) = [j for j, g in enumerate(gens) if exponent_level([g.exponents]) == 4]
+                (j,) = [j for j, g in enumerate(gens) if exponent_level([g.quarters]) == 4]
                 idxs = tuple(sorted({*idxs, j}))
             yield idxs, neg, w
     monkeypatch.setattr(units, "_square_subsets", with_fourth_root)
@@ -768,8 +880,8 @@ def test_azizi_extend_sees_two_subsets_when_a_generator_is_squared(p, q):
     field, fsu = deg8(p, q)
     gens = list(fsu.generators)
     g = gens[1]
-    assert g.exponents == {p: 1} and g.torsion_exponent == 0
-    gens[1] = UnitExpr(0, {p: 2 * g.exponents[p]}, g.witness * g.witness)
+    assert g.quarters == {p: 4} and g.torsion_exponent == 0
+    gens[1] = UnitExpr(0, {p: 2 * g.quarters[p]}, g.witness * g.witness)
     squared = FsuResult(field, tuple(gens))
     with pytest.raises(Falsified, match="two independent unit subsets"):
         azizi_extend(squared, FieldBasis((2, p, q, -1)))
@@ -793,15 +905,15 @@ def test_frame_reads_the_index_and_the_coordinates():
     field, fsu = deg8(5, 11)
     n = len(fsu.generators)
     assert len(fsu.frame) == n and all(len(row) == 2 * n for row in fsu.frame)
-    g = [[int(4 * e.get(r, 0)) for r in field.radicands[1:]] for e in exps_list(fsu)]
+    g = [[quarters.get(r, 0) for r in field.radicands[1:]] for quarters in quarters_list(fsu)]
     for row in fsu.frame:
         h, u = row[:n], row[n:]
         assert list(h) == [sum(c * gi[j] for c, gi in zip(u, g)) for j in range(n)]
     assert fsu.q_index_log2 == 6
     assert fsu.spans(theorem_real_exponents(5, 11, COND1))
     assert not fsu.spans(theorem_real_exponents(5, 11, COND2))
-    assert fsu.contains({22: H}) and not fsu.contains(theorem_real_exponents(5, 11, COND2)[6])
-    assert not fsu.contains({2: Fraction(1, 4)})
+    assert fsu.contains({22: 2}) and not fsu.contains(theorem_real_exponents(5, 11, COND2)[6])
+    assert not fsu.contains({2: 1})
 
 
 def test_one_prime_fields_are_built_once_per_scan():
