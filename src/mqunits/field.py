@@ -44,10 +44,9 @@ class FieldBasis:
     by identity.  The interning is weak, and nothing kept on a basis holds
     an element, so refcounting frees a basis once the last holder lets go.
     A tuple that fails validation is never stored.  `sub` is the subfield
-    dropping the last generator (None for Q), `chars` the character data
-    once units._char_data has built it, and `torsion` the roots of unity in
-    integers (generators as pairs (num, den), orders and exponents), once
-    units._torsion, the one routine that decides them, has found them.
+    dropping the last generator (None for Q), and `chars` the character
+    data once units._char_data has built it, the only data of units kept
+    on a basis.
     """
 
     def __new__(cls, generators):
@@ -87,7 +86,6 @@ class FieldBasis:
         self._coef = tuple(tuple(-gcd(r1, r2) if r1 < 0 and r2 < 0 else gcd(r1, r2) for r2 in rads)
                            for r1 in rads)
         self.chars = None
-        self.torsion = None
         self.sub = None
         if self.k:
             # sqrt(r_m)*sqrt(g_top) = _top[m]*sqrt(r_{m|top}) for m below top;

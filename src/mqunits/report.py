@@ -168,7 +168,10 @@ def report_from_dict(d: dict) -> PairReport:
 
 @unlimited_int_digits()
 def report_from_json(s: str) -> PairReport:
-    return report_from_dict(json.loads(s))
+    try:
+        return report_from_dict(json.loads(s))
+    except RecursionError:  # json.loads on nesting deeper than the interpreter recurses
+        raise _malformed("nesting too deep") from None
 
 
 def report_emit(report: PairReport, format: str = "json") -> bytes:
@@ -459,8 +462,8 @@ def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root=None):
 
 
 def _check_norm_tables(p, q, cond, rep, fsu):
-    rows = norm_table(fsu.field, fsu)
-    n_entries = sum(len(row.entries) for row in rows)
+    rows = norm_table(fsu)
+    n_entries = sum(e is not None for row in claims.NORM_TABLES[cond.tag].values() for e in row)
     return True, f"{len(rows)} rows, {n_entries} entries consistent", None
 
 

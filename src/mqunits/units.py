@@ -20,7 +20,10 @@ for the CM extension.  The builders materialize every predicted square root
 as an exact element; a missing root raises Falsified rather than guessing.
 The twisted unit takes no root of its own (azizi_extend), and the norm
 tables of the degree-8 field take none either: they are checked on quarter
-vectors and on the signs of the generators at the real embeddings.
+vectors and on the signs of the generators at the real embeddings, and
+norm_table returns only the symbolic signs each row resolves.  The roots of
+unity are read off the field's shape (_torsion_order), so the only data of
+this module kept on a basis is its character data (_char_data).
 
 Each unit is verified once, where it is made: a claimed root by the
 re-square of sqrt_in_field, a root that a subset search finds by deriving
@@ -87,7 +90,7 @@ class FsuResult(Record):
     equality; q_index_log2 is read off its diagonal and raises
     ArithmeticError, under python -O too, unless the exponent matrix is
     square and nonsingular with index a power of 2.  torsion names the
-    generator of the roots of unity that _torsion decides, "-1" or "zetaN"."""
+    generator of the roots of unity that _torsion_order reads, "-1" or "zetaN"."""
 
     __slots__ = ("field", "generators", "frame", "q_index_log2")
     _uncompared = ("frame",)
@@ -133,42 +136,48 @@ def _base_units(basis: FieldBasis) -> dict:
     return {r: _quad_unit(r, basis) for r in basis.radicands if r > 1}
 
 
+def _torsion_order(basis: FieldBasis) -> int:
+    """The order of the roots of unity of the field, read off which of -1, 2
+    and -3 are radicands: 2 without i, else 4, times 2 for zeta8 and 3 for
+    zeta3.  No multiquadratic field holds zeta16 (Gal(Q(zeta16)/Q) = Z/2 x
+    Z/4 is not elementary abelian); one with sqrt-3 but not i raises ValueError."""
+    rads = basis.mask_of
+    if -1 not in rads:
+        if -3 in rads:
+            raise ValueError(f"{basis!r} holds the cube roots of unity but not i")
+        return 2
+    return 4 * (2 if 2 in rads else 1) * (3 if -3 in rads else 1)
+
+
+# the orders that _torsion has met in this process, each asserted on first meeting
+_PROVED_ORDERS = set()
+
+
 def _torsion(basis: FieldBasis):
-    """(zeta, n, xi, x) for the roots of unity of the field, decided here
-    alone, once per basis: their generator zeta, of order n, is -1, i,
+    """(zeta, n, xi, x) for the roots of unity of the field, built on each
+    call: their generator zeta, of order n (_torsion_order), is -1, i,
     zeta8 = (sqrt2 + sqrt-2)/2, zeta12 = (sqrt3 + i)/2 or
     zeta24 = zeta8*(-1 + sqrt-3)/2, and xi = zeta^x, which is -1, i or
-    zeta8, generates those of 2-power order.  No multiquadratic field holds
-    zeta16 (Gal(Q(zeta16)/Q) = Z/2 x Z/4 is not elementary abelian); one
-    with sqrt-3 but not i raises ValueError.  The basis keeps them as
-    integers, wrapped again on return, so it holds no element of itself."""
-    if basis.torsion is None:
-        rads = basis.mask_of
-        if -1 not in rads:
-            if -3 in rads:
-                raise ValueError(f"{basis!r} holds the cube roots of unity but not i")
-            g, n = basis.from_rational(-1), 2
-        elif 2 in rads:
-            g, n = basis.element({2: Fraction(1, 2), -2: Fraction(1, 2)}), 8
-        elif -3 in rads:
-            g, n = basis.element({3: Fraction(1, 2), -1: Fraction(1, 2)}), 12
-        else:
-            g, n = basis.surd(-1), 4
-        # xi = g^x: zeta8 itself or i = zeta12^3, and zeta8 = zeta24^9 as zeta3^9 = 1
-        xi, x = (g, 1) if n != 12 else (basis.surd(-1), 3)
-        if n == 8 and -3 in rads:
-            g, n, x = g * basis.element({1: Fraction(-1, 2), -3: Fraction(1, 2)}), 24, 9
+    zeta8, generates those of 2-power order.  They are the same surds in
+    every field of order n, so their identities are proved once per order."""
+    n = _torsion_order(basis)
+    half = Fraction(1, 2)
+    if n == 2:
+        g = basis.from_rational(-1)
+    elif n % 8 == 0:
+        g = basis.element({2: half, -2: half})
+    elif n == 12:
+        g = basis.element({3: half, -1: half})
+    else:
+        g = basis.surd(-1)
+    # xi = g^x: zeta8 itself or i = zeta12^3, and zeta8 = zeta24^9 as zeta3^9 = 1
+    xi, x = (g, 1) if n != 12 else (basis.surd(-1), 3)
+    if n == 24:
+        g, x = g * basis.element({1: -half, -3: half}), 9
+    if n not in _PROVED_ORDERS:
         assert g ** n == basis.one() and g ** (n // 2) == -basis.one() and g ** x == xi
-        basis.torsion = (g._num, g._den), n, (xi._num, xi._den), x
-    g, n, xi, x = basis.torsion
-    return FieldElement(basis, *g), n, FieldElement(basis, *xi), x
-
-
-def _torsion_order(basis: FieldBasis) -> int:
-    """The order of the roots of unity of the field, as _torsion decides it."""
-    if basis.torsion is None:
-        _torsion(basis)
-    return basis.torsion[1]
+        _PROVED_ORDERS.add(n)
+    return g, n, xi, x
 
 
 def _norm_pos(w: FieldElement) -> FieldElement:
@@ -633,17 +642,11 @@ def lattice_equal(a_list, b_list) -> bool:
 # conjugation and relative norm tables
 
 
-class NormRow(Record):
-    __slots__ = ("label", "entries")
-
-    def __init__(self, label: str, entries: dict):
-        super().__init__(label, entries)
-
-
-def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
-    """Check conjugates and relative norms of the degree-8 units against the
-    table claims.NORM_TABLES of the pair's class, resolving the symbolic signs,
-    and return the rows, one NormRow per named unit.
+def norm_table(fsu: FsuResult) -> dict:
+    """Check conjugates and relative norms of the degree-8 units of fsu.field
+    against the table claims.NORM_TABLES of the pair's class, and return the
+    symbolic signs each row resolved: {label: {letter: +-1}}, one key per
+    row, empty for a row whose signs are all fixed.
 
     A named unit is the one with its exponent vector that is positive at the
     all-plus embedding, and an entry claims tau(w) or w*tau(w) = sign *
@@ -663,6 +666,7 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     A fixed sign must match; a symbolic sign is resolved on first use and
     must stay consistent within its row.  Any mismatch raises Falsified.
     """
+    field = fsu.field
     ps = [g for g in field.generators if g % 8 == 5]
     qs = [g for g in field.generators if g % 8 == 3]
     if field.is_cm or field.k != 3 or 2 not in field.generators or len(ps) != 1 or len(qs) != 1:
@@ -671,8 +675,6 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     cond = classify_pair(p, q)
     if not cond.is_applicable:
         raise ValueError(f"pair ({p}, {q}) is not applicable: {cond.reason}")
-    if fsu.field is not field:
-        raise ValueError(f"the unit system lives in {fsu.field}, not in {field}")
 
     bits = tuple(1 << field.generators.index(g) for g in (2, p, q))
     # the claims enter the key by value: named units as quarter rows, entries flat
@@ -688,22 +690,18 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     signs = [signs_at_embeddings(g.witness, embeddings) for g in fsu.generators]
     flips = [sum(1 << m for m, s in zip(embeddings, ss) if s != ss[0]) for ss in signs]
 
-    rows = []
+    rows = {}
     for label, odd, claimed in plan:
         flip = functools.reduce(int.__xor__, (flips[i] for i in odd), 0)
-        resolved, entries = {}, {}
-        for col, mask, sign, mono in claimed:
+        resolved = rows[label] = {}
+        for col, mask, sign in claimed:
             got = -1 if flip >> mask & 1 else 1
             if sign in (1, -1):
                 if got != sign:
                     raise Falsified(f"norm table mismatch at row {label}, column {col}")
-                entries[col] = (sign, None, dict(mono))
             elif resolved.setdefault(sign, got) != got:
                 raise Falsified(f"inconsistent sign {sign} in norm table row {label}")
-            else:
-                entries[col] = (got, sign, dict(mono))
-        rows.append(NormRow(label, entries))
-    return tuple(rows)
+    return rows
 
 
 @functools.lru_cache(maxsize=16)
@@ -712,10 +710,10 @@ def _norm_plan(frame: tuple, bits: tuple, units: tuple, table: tuple) -> tuple:
     FSU of K+, the bits of 2, p and q in its basis, one class's claims.UNITS
     as (name, quarter row) pairs and its claims.NORM_TABLES as flat tuples:
     (the embeddings to sign, and per row (label, the i with c_i odd, and
-    (column, mask, sign, monomial items) per claimed entry)).  Raises
-    Falsified, which is never kept, on a shape mismatch or a row outside the
-    frame's lattice.  Kept per process for the last 16 distinct inputs; a
-    scan reads two."""
+    (column, mask, sign) per claimed entry)); the monomials are checked here
+    and not kept.  Raises Falsified, which is never kept, on a shape
+    mismatch or a row outside the frame's lattice.  Kept per process for the
+    last 16 distinct inputs; a scan reads two."""
     t1, t2, t3 = bits
     # column m - 1 holds the quarter of eps at the radicand of mask m, as in the frame
     vec = dict(units)
@@ -741,6 +739,6 @@ def _norm_plan(frame: tuple, bits: tuple, units: tuple, table: tuple) -> tuple:
                 target = [a + e * b for a, b in zip(target, vec[name])]
             if [a * f for a, f in zip(w, factors[col])] != target:
                 raise Falsified(f"norm table shape mismatch at row {label}, column {col}")
-            entries.append((col, masks[col], sign, mono))
+            entries.append((col, masks[col], sign))
         rows.append((label, tuple(i for i, a in enumerate(c) if a & 1), tuple(entries)))
     return tuple(sorted({0, *masks.values()})), tuple(rows)

@@ -15,9 +15,9 @@ from mqunits.claims import (
     E2, E2P, E2PQ, E2Q, EP, EPQ, EQ, F4, NORM_COLUMNS, NORM_TABLES, S2PQ, S2Q, SP2P, SPQ, SQ,
 )
 from mqunits.errors import Falsified
-from mqunits.field import FieldBasis, FieldElement, _conjugate, sqrt_in_field
+from mqunits.field import FieldElement, _conjugate, sqrt_in_field
 from mqunits.quadratic import COND1, classify_pair
-from mqunits.units import FsuResult, NormRow, _base_units, _norm_pos
+from mqunits.units import FsuResult, _base_units, _norm_pos
 
 
 def conjugate(u: FieldElement, mask: int) -> FieldElement:
@@ -25,13 +25,16 @@ def conjugate(u: FieldElement, mask: int) -> FieldElement:
     return FieldElement(u.basis, *_conjugate((u._num, u._den), mask))
 
 
-def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
-    """The norm table of field, every entry evaluated as a field element.
+def norm_table(fsu: FsuResult) -> dict:
+    """The norm table of fsu.field, every entry evaluated as a field
+    element, and {label: {letter: +-1}}, the symbolic signs each row
+    resolved.
 
     A fixed-sign entry must match exactly; a symbolic sign is resolved on
     first use and must stay consistent within its row.  Any mismatch raises
     Falsified.
     """
+    field = fsu.field
     ps = [g for g in field.generators if g % 8 == 5]
     qs = [g for g in field.generators if g % 8 == 3]
     if field.is_cm or field.k != 3 or 2 not in field.generators or len(ps) != 1 or len(qs) != 1:
@@ -40,8 +43,6 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     cond = classify_pair(p, q)
     if not cond.is_applicable:
         raise ValueError(f"pair ({p}, {q}) is not applicable: {cond.reason}")
-    if fsu.field is not field:
-        raise ValueError(f"the unit system lives in {fsu.field}, not in {field}")
 
     base = _base_units(field)
     env = {
@@ -84,11 +85,10 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
     t1, t2, t3 = bit[2], bit[p], bit[q]
     masks = dict(zip(NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
 
-    rows = []
+    rows = {}
     for label, claimed in NORM_TABLES[cond.tag].items():
         w = env[label]
-        resolved = {}
-        entries = {}
+        resolved = rows[label] = {}
         for col, entry in zip(NORM_COLUMNS, claimed):
             if entry is None:
                 continue
@@ -100,7 +100,6 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
             if sign in (1, -1):
                 if computed != (value if sign > 0 else -value):
                     raise Falsified(f"norm table mismatch at row {label}, column {col}")
-                entries[col] = (sign, None, dict(mono))
                 continue
             if computed == value:
                 got = 1
@@ -110,6 +109,4 @@ def norm_table(field: FieldBasis, fsu: FsuResult) -> tuple:
                 raise Falsified(f"norm table shape mismatch at row {label}, column {col}")
             if resolved.setdefault(sign, got) != got:
                 raise Falsified(f"inconsistent sign {sign} in norm table row {label}")
-            entries[col] = (got, sign, dict(mono))
-        rows.append(NormRow(label, entries))
-    return tuple(rows)
+    return rows

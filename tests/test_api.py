@@ -18,7 +18,7 @@ from mqunits.field import FieldBasis
 from mqunits.forms import ClassNumberReport
 from mqunits.quadratic import ConditionClass, DecompositionWitness, QuadraticUnit
 from mqunits.report import PairReport, ScanSummary
-from mqunits.units import FsuResult, NormRow, UnitExpr, fsu_quadratic
+from mqunits.units import FsuResult, UnitExpr, fsu_quadratic
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -88,7 +88,6 @@ def _records():
         (UnitExpr, ("torsion_exponent", "quarters", "witness"),
          (gen.torsion_exponent, gen.quarters, gen.witness), {"torsion_exponent": 1}),
         (FsuResult, ("field", "generators"), (fsu.field, fsu.generators), {"field": FieldBasis((5, -1))}),
-        (NormRow, ("label", "entries"), ("eps", {"tau": "+1"}), {"label": "eta"}),
     ]]
 
 

@@ -24,6 +24,24 @@ def test_value_resolves_every_symbol():
     assert claims.quarters(claims.UNITS[COND1][claims.F4], 5, 11) == {5: 2, 22: 1, 55: 1, 110: 1}
 
 
+@pytest.mark.parametrize("tag", [COND1, COND2])
+def test_norm_table_shape(tag):
+    # report._check_norm_tables counts these; units.norm_table returns only the
+    # letters of the two rows with symbolic signs
+    table = claims.NORM_TABLES[tag]
+    sizes = {label: sum(e is not None for e in row) for label, row in table.items()}
+    assert len(table) == 8 and sum(sizes.values()) == 66
+    assert all(len(row) == len(claims.NORM_COLUMNS) == 9 for row in table.values())
+    assert [label for label, n in sizes.items() if n == 9] == [
+        label for label in table if label not in (claims.SP2P, claims.F4)]
+    assert sizes[claims.SP2P] == sizes[claims.F4] == 6
+
+    def letters(label):
+        return {e[0] for e in table[label] if e is not None and e[0] not in (1, -1)}
+    assert letters(claims.SP2P) == {"u", "v"} and letters(claims.F4) == {"r", "s", "t"}
+    assert all(letters(label) == set() for label in table if label not in (claims.SP2P, claims.F4))
+
+
 def test_pell_shapes_leave_no_doubled_product_a_square():
     # lemma_decompose tests each side of x-1, x+1 against its predicted shape
     # s only: s is squarefree, so it is the side's squarefree kernel, and

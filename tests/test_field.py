@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqunits import field as field_module
+from mqunits import field as field_module, units
 from mqunits.field import (
     FieldBasis,
     FieldElement,
@@ -24,7 +24,7 @@ from mqunits.field import (
 )
 from mqunits.intarith import is_perfect_square
 from mqunits.quadratic import fundamental_unit
-from mqunits.units import _torsion, fsu_biquadratic
+from mqunits.units import _torsion, _torsion_order, fsu_biquadratic
 
 from norm_oracle import conjugate
 
@@ -225,10 +225,29 @@ def test_torsion_order():
     for gens, order in [((2, 5, 11, -1), 8), ((2, 5, 3, -1), 24), ((5, 3), 2), ((5, 3, -1), 12),
                         ((2, -1), 8), ((-2, 5), 2), ((5, -1), 4)]:
         b = FieldBasis(gens)
-        assert _torsion(b)[1] == order, gens
+        assert _torsion_order(b) == _torsion(b)[1] == order, gens
     # Q(sqrt-3, sqrt5) holds the sixth roots of unity, which no builder needs
-    with pytest.raises(ValueError, match="cube roots"):
-        _torsion(FieldBasis((-3, 5)))
+    for find in (_torsion_order, _torsion):
+        with pytest.raises(ValueError, match="cube roots"):
+            find(FieldBasis((-3, 5)))
+
+
+def test_torsion_identities_are_proved_once_per_order(monkeypatch):
+    powers = []
+    pow_ = FieldElement.__pow__
+
+    def counted(self, n):
+        powers.append(n)
+        return pow_(self, n)
+
+    monkeypatch.setattr(units, "_PROVED_ORDERS", set())
+    monkeypatch.setattr(FieldElement, "__pow__", counted)
+    assert _torsion(FieldBasis((2, 5, 3, -1)))[1] == 24
+    assert len(powers) == (3 if __debug__ else 0)
+    # a new field of an order already proved: its zeta is built, not raised to a power
+    powers.clear()
+    g, n, xi, x = _torsion(FieldBasis((2, 13, 3, -1)))
+    assert n == 24 and x == 9 and powers == []
 
 
 def test_basis_validation():

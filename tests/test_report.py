@@ -317,6 +317,22 @@ def test_scan_recovers_from_corrupt_cache(tmp_path):
     assert _digest_holds(cache, 5, 3)
 
 
+def test_scan_recomputes_a_cached_line_nested_too_deep_to_decode(tmp_path, monkeypatch):
+    # json.loads raises RecursionError, which is no ValueError, on nesting this deep
+    cache = str(tmp_path / "cache")
+    scan(12, cache_dir=cache)
+    path = os.path.join(cache, "pair_5_11.json")
+    _rewrite_digest(path, "[" * 200000)
+    with pytest.raises(ValueError, match="malformed report: nesting too deep"):
+        report_from_json(_pair_line(path))
+    calls = _count_verify_calls(monkeypatch)
+    out = io.StringIO()
+    summary = scan(12, cache_dir=cache, out=out)
+    line = out.getvalue().splitlines()[1]
+    assert calls == [(5, 11)] and summary.failures == []
+    assert report_from_json(line).passed and _pair_line(path) == line
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: None,
     lambda d: [1, 2],

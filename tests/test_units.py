@@ -241,26 +241,18 @@ def test_azizi_deg16():
 
 @pytest.mark.parametrize("p,q", [(5, 11), (5, 3)])
 def test_norm_table(p, q):
-    field, fsu = deg8(p, q)
-    rows = norm_table(field, fsu)
-    assert isinstance(rows, tuple) and len(rows) == 8
-    labels = [row.label for row in rows]
-    assert labels[0] == "eps_2" and labels[-1] == "fourth_root"
-    for row in rows:
-        for col, (sign, symbol, mono) in row.entries.items():
-            assert col in claims.NORM_COLUMNS and sign in (-1, 1)
-    full_rows = [row for row in rows if len(row.entries) == 9]
-    assert len(full_rows) == 6
-    assert len(rows[-1].entries) == 6
-    sp2p = next(row for row in rows if row.label == "sqrt_eps_2_eps_p_eps_2p")
-    sign, symbol, mono = sp2p.entries["n3"]
-    assert sign == 1 and symbol is None
+    _, fsu = deg8(p, q)
+    rows = norm_table(fsu)
+    assert list(rows) == list(claims.NORM_TABLES[classify_pair(p, q).tag])
+    assert rows.pop(claims.SP2P).keys() == {"u", "v"}
+    assert rows.pop(claims.F4).keys() == {"r", "s", "t"}
+    assert all(resolved == {} for resolved in rows.values())
 
 
 def test_norm_table_requires_deg8_shape():
     fsu = fsu_biquadratic(5, 11)
     with pytest.raises(ValueError):
-        norm_table(fsu.field, fsu)
+        norm_table(fsu)
 
 
 def test_norm_table_matches_the_oracle():
@@ -270,7 +262,7 @@ def test_norm_table_matches_the_oracle():
     for p, q in pairs + [(653, 347), (3181, 3011)]:
         field = FieldBasis((2, p, q))
         fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (p, q, p * q)])
-        assert norm_table(field, fsu) == norm_oracle.norm_table(field, fsu), (p, q)
+        assert norm_table(fsu) == norm_oracle.norm_table(fsu), (p, q)
 
 
 @pytest.mark.parametrize("entry", [
@@ -278,13 +270,13 @@ def test_norm_table_matches_the_oracle():
     (-1, {claims.E2: -2}),  # its monomial exponent altered
 ])
 def test_tampered_norm_table_entry_is_falsified(monkeypatch, entry):
-    field, fsu = deg8(5, 11)
+    _, fsu = deg8(5, 11)
     table = claims.NORM_TABLES[COND1]
     assert table[claims.E2][0] == (-1, {claims.E2: -1})
     monkeypatch.setitem(table, claims.E2, (entry,) + table[claims.E2][1:])
     for table in (norm_table, norm_oracle.norm_table):
         with pytest.raises(Falsified, match="norm table"):
-            table(field, fsu)
+            table(fsu)
 
 
 def test_norm_table_row_outside_the_unit_lattice_is_falsified():
@@ -297,7 +289,7 @@ def test_norm_table_row_outside_the_unit_lattice_is_falsified():
     small = FsuResult(field, gens)
     assert small.q_index_log2 == fsu.q_index_log2 - 1
     with pytest.raises(Falsified, match="is predicted to exist"):
-        norm_table(field, small)
+        norm_table(small)
 
 
 def test_lattice_helpers():
@@ -966,13 +958,11 @@ def test_one_prime_systems_are_built_once_over_65_q_primes(monkeypatch):
 
 
 def _table_of_5_11_after_13_3():
-    """The field and FSU of (5, 11) once verify_pair(13, 3), of the same
-    class, has filled the frame and plan caches."""
+    """The FSU of K+ of (5, 11) once verify_pair(13, 3), of the same class,
+    has filled the frame and plan caches."""
     assert classify_pair(13, 3).tag == classify_pair(5, 11).tag == COND1
     report.verify_pair(13, 3)
-    field = FieldBasis((2, 5, 11))
-    fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (5, 11, 55)])
-    return field, fsu
+    return wada_fsu(FieldBasis((2, 5, 11)), [fsu_biquadratic(2, d) for d in (5, 11, 55)])
 
 
 def _negate_one_sign(gen, embedding):
@@ -995,13 +985,13 @@ def _negate_one_sign(gen, embedding):
     lambda mp, fsu: mp.setattr(units, "signs_at_embeddings", _negate_one_sign(fsu.generators[0].witness, 0)),
 ], ids=["norm_tables_entry", "units_vector", "one_sign"])
 def test_cached_plans_and_frames_carry_no_verdict(monkeypatch, tamper):
-    field, fsu = _table_of_5_11_after_13_3()
-    rows = norm_table(field, fsu)
+    fsu = _table_of_5_11_after_13_3()
+    rows = norm_table(fsu)
     with monkeypatch.context() as mp:
         tamper(mp, fsu)
         with pytest.raises(Falsified):
-            norm_table(field, fsu)
-    assert norm_table(field, fsu) == rows
+            norm_table(fsu)
+    assert norm_table(fsu) == rows
 
 
 def test_caches_hold_exact_frames_and_no_field_objects(monkeypatch):
@@ -1027,6 +1017,21 @@ def test_caches_hold_exact_frames_and_no_field_objects(monkeypatch):
                 walk(y)
     for _, args, out in seen:
         walk((args, out))
+
+
+def test_a_basis_keeps_no_roots_of_unity(monkeypatch):
+    """The roots of unity are read off the radicands: no basis that a scan
+    builds, CM ones included, keeps them."""
+    built = []
+    build = FieldBasis._build
+
+    def recorded(self, generators):
+        build(self, generators)
+        built.append(self)
+    monkeypatch.setattr(FieldBasis, "_build", recorded)
+    report.scan(60, out=io.StringIO())
+    assert any(b.is_cm for b in built) and any(b.chars is not None for b in built)
+    assert not any(hasattr(b, "torsion") for b in built)
 
 
 @pytest.mark.parametrize("gens", [(2, 5, 11), (2, 13, 3), (2, 53, 43), (2, 277, 83)])
