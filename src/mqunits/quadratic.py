@@ -1,18 +1,17 @@
 """Real quadratic units, prime-pair classification, and Pell decompositions.
 
 The fundamental unit of Q(sqrt(d)) comes from the continued fraction of
-sqrt(d) (of (1+sqrt(d))/2 when d = 1 mod 4): the unit is the product of the
-complete quotients over one period and its norm is (-1)**period.
+sqrt(d), or of (1+sqrt(d))/2 when d = 1 mod 4, walked only to the middle of
+its symmetric period (Cohen, GTM 138, 5.7; Lenstra, "Solving the Pell
+equation", Notices AMS 49, 2002).
 
 For prime pairs with p = 5 mod 8 and q = 3 mod 8 the fundamental units of
-Q(sqrt(2pq)), Q(sqrt(pq)), Q(sqrt(2q)) and Q(sqrt(q)) all have norm +1, so
-writing eps = x + y*sqrt(d) the product (x-1)(x+1) = d*y**2 forces each of
-x-1 and x+1 into a squarefree-times-square shape.  Which shape survives is
-determined by the quadratic residue symbol (p/q), and from the surviving
-shape one reads off an exact surd identity such as
-sqrt(2*eps_2pq) = u1*sqrt(p) + u2*sqrt(2q).  lemma_decompose tests each side
-against the one squarefree shape the claims predict, which as the side's
-squarefree kernel excludes every other, and recovers that witness.
+Q(sqrt(2pq)), Q(sqrt(pq)), Q(sqrt(2q)) and Q(sqrt(q)) have norm +1, and the
+quadratic residue symbol (p/q) decides the surd identity m*eps = (u1*sqrt(r1)
++ u2*sqrt(r2))**2, r1*r2 = d, m = 1 or 2, such as sqrt(2*eps_2pq) =
+u1*sqrt(p) + u2*sqrt(2q).  lemma_decompose reads it off the midpoint of the
+period, and its sign puts x-1 and x+1 of eps = x + y*sqrt(d) into the
+squarefree-times-square shapes the claims predict.
 """
 
 from __future__ import annotations
@@ -76,40 +75,48 @@ class DecompositionWitness(FrozenRecord):
         super().__init__(radicand_tag, case_id, u1, u2, r1, r2, doubled, unit)
 
 
+def _half_period(d: int):
+    """(Q0, N, a, b) at the first symmetric midpoint k of the continued
+    fraction of (P0 + sqrt(d))/Q0, from (P0, Q0) = (1, 2) when d = 1 mod 4
+    and (0, 1) otherwise; the fundamental unit is Q0*a*b/N, with N = Q_k.
+
+    With the convergents p_j/q_j, alpha_j = (Q0*p_(j-1) - P0*q_(j-1) +
+    q_(j-1)*sqrt(d))/Q0 has norm +-Q_j/Q0.  a = b = alpha_k at the first
+    P_k = P_(k+1) of an even period, for a unit of norm +1; a = alpha_k and
+    b = alpha_(k+1) at the first Q_k = Q_(k+1) of an odd one, for norm -1.
+    Each is (A, B) for (A + B*sqrt(d))/Q0.
+    """
+    sq = math.isqrt(d)
+    P0, Q0 = P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    # the convergents p_(k-1)/q_(k-1) and p_(k-2)/q_(k-2)
+    p1, q1, p2, q2 = 1, 0, 0, 1
+    while True:
+        a = (P + sq) // Q
+        P_next = a * Q - P
+        Q_next = (d - P_next * P_next) // Q
+        alpha = (Q0 * p1 - P0 * q1, q1)
+        p1, q1, p2, q2 = a * p1 + p2, a * q1 + q2, p1, q1
+        # both hold only where the period is 1, which is odd
+        if Q_next == Q:
+            return Q0, Q, alpha, (Q0 * p1 - P0 * q1, q1)
+        if P_next == P:
+            return Q0, Q, alpha, alpha
+        P, Q = P_next, Q_next
+
+
 @lru_cache(maxsize=None)
 def fundamental_unit(d: int) -> QuadraticUnit:
-    """Fundamental unit of the maximal order of Q(sqrt(d)), d squarefree > 1.
-
-    Runs the (P, Q) continued-fraction recurrence starting from sqrt(d), or
-    from (1+sqrt(d))/2 when d = 1 mod 4, and multiplies the complete quotients
-    (P_i + sqrt(d))/Q_i over one full period.  The norm is (-1)**period.
-    """
+    """Fundamental unit of the maximal order of Q(sqrt(d)), d squarefree > 1,
+    from one walk to the middle of the period (_half_period)."""
     if d <= 1:
         raise ValueError("radicand must exceed 1")
     if not is_squarefree(d):
         raise ValueError(f"{d} is not squarefree")
-    sq = math.isqrt(d)
-
-    def step(P, Q):
-        a = (P + sq) // Q
-        P2 = a * Q - P
-        return P2, (d - P2 * P2) // Q
-
-    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
-    first = step(P, Q)
-    # the product so far is (x + y*sqrt(d))/den, kept in lowest terms
-    x, y, den = 1, 0, 1
-    P, Q = first
-    period = 0
-    while True:
-        x, y, den = x * P + y * d, x + y * P, den * Q
-        g = math.gcd(x, y, den)
-        x, y, den = x // g, y // g, den // g
-        period += 1
-        P, Q = step(P, Q)
-        if (P, Q) == first:
-            break
-    return QuadraticUnit(d=d, x=x, y=y, denom=den, norm=-1 if period % 2 else 1)
+    den, N, (A, B), (A2, B2) = _half_period(d)
+    x, y = (A * A2 + d * B * B2) // N, (A * B2 + A2 * B) // N
+    if den == 2 and x % 2 == 0 and y % 2 == 0:
+        x, y, den = x // 2, y // 2, 1
+    return QuadraticUnit(d=d, x=x, y=y, denom=den, norm=1 if (A, B) == (A2, B2) else -1)
 
 
 def classify_pair(p: int, q: int) -> ConditionClass:
@@ -132,15 +139,12 @@ def classify_pair(p: int, q: int) -> ConditionClass:
 def lemma_decompose(p: int, q: int, tag: str) -> DecompositionWitness:
     """Decompose the unit of the field tagged by `tag` into its forced Pell shape.
 
-    tag picks the radicand d: "2pq", "pq", "2q" or "q".  Writing the unit as
-    x + y*sqrt(d), claims.PELL_CASES predicts for the pair's condition a
-    squarefree shape s of each side n = x-1, x+1.  One division and one
-    square test decide whether n = s*u**2, with no factoring of the huge
-    integer n.  When it holds, s is the squarefree kernel of n, which is
-    unique, so no other shape can match; and 2*n or 2d*n could only be a
-    square if s were 2 or the squarefree kernel of 2d, which no shape of the
-    table is.  The roots u of the two sides give the surd identity, which is
-    re-squared.  Any violation raises Falsified.
+    tag picks the radicand d: "2pq", "pq", "2q" or "q", none 1 mod 4, so
+    Q0 = 1.  At the midpoint A + B*sqrt(d) = alpha_k of an even period, with
+    N = Q_k, one claimed r_i has m*N = r_i*s**2; then u_i = A*s/N and u_j =
+    B*s*r_i/N.  The identity is re-squared against fundamental_unit(d), and
+    its sign must put x-1 and x+1 into the claimed shapes.  An odd period,
+    an N that fits neither r, or any other violation raises Falsified.
     """
     if tag not in DECOMPOSITION_TAGS:
         raise ValueError(f"unknown tag {tag!r}")
@@ -149,35 +153,28 @@ def lemma_decompose(p: int, q: int, tag: str) -> DecompositionWitness:
         raise ValueError(f"pair ({p},{q}) not applicable: {cond.reason}")
 
     d = value(tag, p, q)
-    unit = fundamental_unit(d)
-    if unit.norm != 1 or unit.denom != 1:
-        raise Falsified(f"unit of Q(sqrt({d})) should have norm +1 and integer coordinates")
-    x = unit.x
+    _, N, (A, B), b = _half_period(d)
+    if b != (A, B):
+        raise Falsified(f"unit of Q(sqrt({d})) has norm -1, not +1: the period is odd")
     s_minus, s_plus, u1_side, r1_label, r2_label, doubled = PELL_CASES[cond.tag][tag]
-    roots = {}
-    for side, n, shape in (("minus", x - 1, s_minus), ("plus", x + 1, s_plus)):
-        s = value(shape, p, q)
-        square, roots[side] = is_perfect_square(n // s) if n % s == 0 else (False, None)
-        if not square:
-            raise Falsified(f"x{'-' if side == 'minus' else '+'}1 of eps_{d} is not {s} times a square, "
-                            f"the predicted shape {shape}*u^2")
-
-    u1 = roots[u1_side]
-    u2 = roots["plus" if u1_side == "minus" else "minus"]
-    r1 = value(r1_label, p, q)
-    r2 = value(r2_label, p, q)
+    r1, r2, m = value(r1_label, p, q), value(r2_label, p, q), 2 if doubled else 1
+    for r in (r1, r2):
+        square, s = is_perfect_square(m * N // r) if m * N % r == 0 else (False, None)
+        if square:
+            break
+    else:
+        raise Falsified(f"the midpoint norm N = {N} of sqrt({d}) fits neither r1 = {r1} nor r2 = {r2}")
+    u, v = A * s // N, B * s * r // N
+    u1, u2 = (u, v) if r == r1 else (v, u)
+    unit = fundamental_unit(d)
     # re-square the surd identity: (u1*sqrt(r1) + u2*sqrt(r2))**2 == m*eps
-    m = 2 if doubled else 1
-    if r1 * r2 != d or u1 * u1 * r1 + u2 * u2 * r2 != m * x or 2 * u1 * u2 != m * unit.y:
+    if r1 * r2 != d or u1 * u1 * r1 + u2 * u2 * r2 != m * unit.x or 2 * u1 * u2 != m * unit.y:
         raise Falsified(f"the witness for eps_{d} does not re-square")
-    case_id = f"x-1={s_minus}*u^2, x+1={s_plus}*u^2"
-    return DecompositionWitness(
-        radicand_tag=tag,
-        case_id=case_id,
-        u1=u1,
-        u2=u2,
-        r1=r1,
-        r2=r2,
-        doubled=doubled,
-        unit=unit,
-    )
+    # then u1**2*r1 - u2**2*r2 = -m gives x-1 = (2*r1/m)*u1**2, x+1 = (2*r2/m)*u2**2; +m swaps
+    shapes = (s_minus, s_plus) if u1_side == "minus" else (s_plus, s_minus)
+    if (u1 * u1 * r1 - u2 * u2 * r2 != (-m if u1_side == "minus" else m)
+            or [m * value(s, p, q) for s in shapes] != [2 * r1, 2 * r2]):
+        raise Falsified(f"eps_{d} does not have x-1 = {s_minus}*u^2 and x+1 = {s_plus}*u^2 "
+                        f"with u1 on the {u1_side} side")
+    return DecompositionWitness(radicand_tag=tag, case_id=f"x-1={s_minus}*u^2, x+1={s_plus}*u^2",
+                                u1=u1, u2=u2, r1=r1, r2=r2, doubled=doubled, unit=unit)

@@ -22,6 +22,7 @@ under the key of the code that wrote it, then the report line.
 import functools
 import json
 import os
+import sys
 import time
 from contextlib import nullcontext
 from fractions import Fraction
@@ -643,13 +644,14 @@ def _load_cached(cache_dir, key, p, q):
     writes under this code's key for the rest of the file, and the rest
     still decodes and validates as a report.  The digest proves the text is
     the canonical line this code wrote, so scan prints it as it is, with no
-    re-encoding.  A missing file, a file written by other code or in
-    another format, a hand edit, or a file that is not a report is a miss:
-    the pair is recomputed."""
+    re-encoding.  A missing or unreadable file (a directory, one without
+    read permission), a file written by other code or in another format, a
+    hand edit, or a file that is not a report is a miss: the pair is
+    recomputed."""
     try:
         with open(os.path.join(cache_dir, _pair_name(p, q)), "rb") as fh:
             digest, _, data = fh.read().partition(b"\n")
-    except FileNotFoundError:
+    except OSError:
         return None
     if digest != _sha256(key.encode() + data).encode():
         return None
@@ -673,7 +675,9 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None) -> S
 
     With a cache directory, finished pairs are reused and each newly
     computed one is written atomically as soon as it is done, so an
-    interrupted scan keeps the pairs it finished.  A pair file is reused
+    interrupted scan keeps the pairs it finished.  A pair file that cannot
+    be written is named in one line on stderr and left uncached; the scan
+    goes on, and its output does not change.  A pair file is reused
     only if the digest it holds names this code and its bytes (see
     _load_cached); a reused pair is printed as the stored text, so a warm
     scan prints the bytes it checked.
@@ -707,7 +711,10 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None) -> S
             hit = cached.get(pair)
             line, tag, failed = hit or next(fresh)
             if hit is None and cache_dir:
-                _store(cache_dir, key, *pair, line)
+                try:
+                    _store(cache_dir, key, *pair, line)
+                except OSError as exc:
+                    print(f"mqunits: pair ({pair[0]}, {pair[1]}) left uncached: {exc}", file=sys.stderr)
             c1 += tag == COND1
             c2 += tag == COND2
             failures += [[*pair, cid] for cid in failed]

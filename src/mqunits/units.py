@@ -480,11 +480,11 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     qs = [f for f in primes if f % 8 == 3]
     key = None
     if len(ps) <= 1 and len(qs) <= 1 and len(ps) + len(qs) == len(primes):
-        # a prime the field lacks stands as 0, which no radicand equals
+        # a prime the field lacks stands as 0, which no radicand equals; two
+        # distinct radicands of a biquadratic field determine its third
         p, q = (ps or [0])[0], (qs or [0])[0]
         for s1, s2 in claims.BIQUAD_FSU:
-            a, b = claims.value(s1, p, q), claims.value(s2, p, q)
-            if {a, b, a * b // math.gcd(a, b) ** 2} == rads:
+            if {claims.value(s1, p, q), claims.value(s2, p, q)} <= rads:
                 key = s1, s2
     if key is None:
         raise ValueError(f"unknown biquadratic configuration {sorted(rads)}")

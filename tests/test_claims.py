@@ -43,10 +43,10 @@ def test_norm_table_shape(tag):
 
 
 def test_pell_shapes_leave_no_doubled_product_a_square():
-    # lemma_decompose tests each side of x-1, x+1 against its predicted shape
-    # s only: s is squarefree, so it is the side's squarefree kernel, and
-    # 2*(x+-1) or 2d*(x+-1) would be a square only if s were 2 or the
-    # squarefree kernel of 2d
+    # lemma_decompose proves x-1 = s*u^2 and x+1 = s'*u'^2 for the predicted
+    # shapes s, s' only: s is squarefree, so it is the side's squarefree
+    # kernel, and 2*(x+-1) or 2d*(x+-1) would be a square only if s were 2
+    # or the squarefree kernel of 2d
     for cls, cases in claims.PELL_CASES.items():
         for tag, (s_minus, s_plus, *_) in cases.items():
             for p, q in PAIRS.values():

@@ -116,6 +116,19 @@ def test_scan_emits_reports_and_summary(tmp_path):
     assert warm.stdout == res.stdout
 
 
+def test_scan_with_a_directory_for_a_pair_file_prints_the_cold_bytes(tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "pair_5_3.json").mkdir(parents=True)
+    res = run_cli("scan", "--max", "12", "--cache", str(cache))
+    cold = run_cli("scan", "--max", "12")
+    assert res.returncode == cold.returncode == 0
+
+    def without_elapsed(out):
+        return re.sub(r'"elapsed_ms":[-+0-9.eE]+', "", out)
+    assert without_elapsed(res.stdout) == without_elapsed(cold.stdout)
+    assert res.stderr.startswith("mqunits: pair (5, 3) left uncached: ") and res.stderr.count("\n") == 1
+
+
 def test_scan_cache_path_not_a_directory_exits_2(tmp_path):
     cache = tmp_path / "cache"
     cache.write_text("not a directory\n")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pell_oracle
 from mqunits.errors import Falsified
 from mqunits.intarith import is_perfect_square, is_squarefree
 from mqunits.quadratic import (
@@ -20,6 +22,7 @@ from mqunits.quadratic import (
     fundamental_unit,
     lemma_decompose,
 )
+from mqunits.report import scan_pairs
 
 
 def pell_minimal_unit(d):
@@ -71,6 +74,34 @@ def test_fundamental_unit_matches_fraction_recurrence():
     for d in radicands:
         u = fundamental_unit(d)
         assert (u.x, u.y, u.denom, u.norm) == fraction_unit(d), d
+
+
+def test_fundamental_unit_matches_the_full_period_oracle():
+    # both period parities, both starts (1+sqrt(d))/2 and sqrt(d), and one unit of 9009 bits
+    radicands = [d for d in range(2, 30000) if is_squarefree(d)]
+    assert len(radicands) == 18241
+    for d in radicands + [2 * 17333 * 17387]:
+        assert fundamental_unit(d) == pell_oracle.fundamental_unit(d), d
+
+
+@pytest.mark.parametrize("d,digest", [
+    (31741 * 31531, "cced2dba8b332147829a18e00f98c13d3ca7707a498099d4ea7a579756f286b1"),
+    (2 * 31741 * 31531, "8ec23102c88f08cab42222cd72b29d5e59588a7198018863f9dbb6ec5f7d7ab6"),
+])
+def test_fundamental_unit_of_a_large_radicand_is_pinned(d, digest):
+    # SHA-256 of "x y" in hex, taken from the full-period product: x has 17111 and 24868 bits,
+    # whose full period takes seconds, so the oracle is not run here
+    u = fundamental_unit(d)
+    assert (u.denom, u.norm) == (1, 1)
+    assert hashlib.sha256(f"{u.x:x} {u.y:x}".encode()).hexdigest() == digest
+
+
+def test_lemma_decompose_matches_the_shape_oracle():
+    pairs = scan_pairs(400)
+    assert len(pairs) * len(DECOMPOSITION_TAGS) == 1760
+    for p, q in pairs:
+        for tag in DECOMPOSITION_TAGS:
+            assert lemma_decompose(p, q, tag) == pell_oracle.lemma_decompose(p, q, tag), (p, q, tag)
 
 
 def test_fundamental_unit_frozen_values():
@@ -190,6 +221,50 @@ def test_lemma_decompose_wrong_witness_is_falsified_under_python_O():
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "falsified: the witness for eps_11 does not re-square\n"
+
+
+# each fault, set up in a fresh interpreter under python -O, and the Falsified it must raise
+LEMMA_FAULTS = {
+    "odd period": (
+        # the radicand of tag q read as 10, whose unit 3+sqrt(10) has norm -1
+        'quadratic.value = lambda s, p, q, value=quadratic.value: 10 if s == "q" else value(s, p, q)',
+        (5, 11, "q"), "unit of Q(sqrt(10)) has norm -1, not +1: the period is odd"),
+    "norm outside both kernels": (
+        # the class-1 roots p, 2q for a class-2 pair: N = 5 and 2*N = 2p, the class-2 root
+        'quadratic.PELL_CASES[quadratic.COND2]["2pq"] = quadratic.PELL_CASES[quadratic.COND1]["2pq"]',
+        (5, 3, "2pq"), "the midpoint norm N = 5 of sqrt(30) fits neither r1 = 5 nor r2 = 6"),
+    "wrong unit": (
+        # the square of the unit, which the midpoint witness does not square to
+        "unit = quadratic.fundamental_unit\n"
+        "quadratic.fundamental_unit = lambda d: quadratic.QuadraticUnit("
+        "d, unit(d).x ** 2 + d * unit(d).y ** 2, 2 * unit(d).x * unit(d).y, 1, 1)",
+        (5, 11, "q"), "the witness for eps_11 does not re-square"),
+    "wrong sign": (
+        # shapes that fit u1 on the plus side, where 3^2 - 11*1^2 = -2 puts it on the minus side
+        'quadratic.PELL_CASES[quadratic.COND1]["q"] = ("q", "1", "plus", "1", "q", True)',
+        (5, 11, "q"), "eps_11 does not have x-1 = q*u^2 and x+1 = 1*u^2 with u1 on the plus side"),
+    "wrong shape": (
+        # the sign is right, but x-1 = 9 is not 11 times a square
+        'quadratic.PELL_CASES[quadratic.COND1]["q"] = ("q", "1", "minus", "1", "q", True)',
+        (5, 11, "q"), "eps_11 does not have x-1 = q*u^2 and x+1 = 1*u^2 with u1 on the minus side"),
+}
+
+
+@pytest.mark.parametrize("fault", list(LEMMA_FAULTS))
+def test_every_lemma_decompose_fault_is_falsified_under_python_O(fault):
+    setup, args, message = LEMMA_FAULTS[fault]
+    code = "\n".join([
+        "from mqunits import quadratic",
+        "from mqunits.errors import Falsified",
+        setup,
+        "try:",
+        f"    print(quadratic.lemma_decompose{args})",
+        "except Falsified as exc:",
+        "    print('falsified:', exc)",
+    ])
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"falsified: {message}\n"
 
 
 def test_lemma_decompose_rejects_bad_calls():

@@ -436,6 +436,53 @@ def test_scan_recomputes_only_the_pair_whose_digest_line_is_lost(tmp_path, monke
     assert _digest_holds(cache, 5, 3) and _digest_holds(cache, 5, 11)
 
 
+def test_scan_treats_a_directory_named_like_a_pair_file_as_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    (cache / "pair_5_3.json").mkdir(parents=True)
+    cold_out, out = io.StringIO(), io.StringIO()
+    assert scan(12, out=cold_out) == scan(12, cache_dir=str(cache), out=out)
+    assert _without_elapsed(out) == _without_elapsed(cold_out)
+    # the directory cannot be replaced by a file: the pair is named and left uncached
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mqunits: pair (5, 3) left uncached: ")
+    assert (cache / "pair_5_3.json").is_dir() and _digest_holds(str(cache), 5, 11)
+
+
+as_root = pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                             reason="root reads and writes past the permission bits")
+
+
+@as_root
+def test_scan_recomputes_an_unreadable_pair_file(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    cold_out = io.StringIO()
+    scan(12, cache_dir=cache, out=cold_out)
+    os.chmod(os.path.join(cache, "pair_5_3.json"), 0)
+    calls = _count_verify_calls(monkeypatch)
+    out = io.StringIO()
+    scan(12, cache_dir=cache, out=out)
+    assert calls == [(5, 3)] and _without_elapsed(out) == _without_elapsed(cold_out)
+    # the fresh file replaced the unreadable one
+    assert _digest_holds(cache, 5, 3)
+
+
+@as_root
+def test_scan_into_a_read_only_cache_prints_the_uncached_bytes(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(0o555)
+    try:
+        cold_out, out = io.StringIO(), io.StringIO()
+        assert scan(12, out=cold_out) == scan(12, cache_dir=str(cache), out=out)
+    finally:
+        cache.chmod(0o755)
+    assert _without_elapsed(out) == _without_elapsed(cold_out)
+    err = capsys.readouterr().err.splitlines()
+    assert [line.partition(" left uncached: ")[0] for line in err] == [
+        "mqunits: pair (5, 3)", "mqunits: pair (5, 11)"]
+    assert os.listdir(cache) == []
+
+
 def test_interrupted_scan_keeps_finished_pairs(tmp_path, monkeypatch):
     calls = []
 
