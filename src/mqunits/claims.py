@@ -4,13 +4,15 @@ Every claim is written over the symbols 1, 2, p, q, 2p, 2q, pq, 2pq and
 their negatives, which stand for the products they spell for a prime pair
 p = 5, q = 3 (mod 8); value() resolves a symbol for one pair.  A unit is an
 exponent vector {symbol: e} over the fundamental units eps_r of the real
-quadratic subfields Q(sqrt r), with e in (1/4)Z (quarters() resolves one),
-and a field is named by the symbols of its generators.  A claimed number
-reads ("==", n) when it is exact and (">=", n) when it is a lower bound.
-The checks of the battery read these tables; no other module restates a
-claim.  The README lists which check reads which table.
+quadratic subfields Q(sqrt r), with e in (1/4)Z; row() resolves one for
+every pair, over the masks of (2, p, q), and unit_rows() the named units
+once per class.  A field is named by the symbols of its generators.  A
+claimed number reads ("==", n) when it is exact and (">=", n) when it is
+a lower bound.  The checks of the battery read these tables; no other
+module restates a claim.  The README lists which check reads which table.
 """
 
+import functools
 from fractions import Fraction
 
 COND1 = "Cond1"  # (p/q) = +1
@@ -37,15 +39,25 @@ def holds(claim, x: int) -> bool:
     return x == n if rel == "==" else x >= n
 
 
-def quarters(vec: dict, p: int, q: int) -> dict:
-    """The vector vec for the pair as {r: 4*e} in integers, the form the other
-    modules read; ArithmeticError, under python -O too, for e outside (1/4)Z."""
-    out = {}
+def radicands(p: int, q: int) -> tuple:
+    """The radicands of Q(sqrt2, sqrt p, sqrt q) in mask order over (2, p, q)."""
+    return 1, 2, p, 2 * p, q, 2 * q, p * q, 2 * p * q
+
+
+# symbol -> its mask over (2, p, q): bit 0 for 2, bit 1 for p, bit 2 for q
+_MASKS = {s: ("2" in s) | ("p" in s) << 1 | ("q" in s) << 2 for s in ("2", "p", "2p", "q", "2q", "pq", "2pq")}
+
+
+def row(vec: dict) -> tuple:
+    """The vector vec as its row of integers 4*e over the masks 1 to 7 of
+    (2, p, q), the same for every pair; ArithmeticError, under python -O
+    too, for e outside (1/4)Z."""
+    out = [0] * 7
     for s, e in vec.items():
-        out[value(s, p, q)], rem = divmod(4 * e.numerator, e.denominator)
+        out[_MASKS[s] - 1], rem = divmod(4 * e.numerator, e.denominator)
         if rem:
             raise ArithmeticError(f"exponent {e} of eps_{s} is not a multiple of 1/4")
-    return out
+    return tuple(out)
 
 
 def _both(x):
@@ -112,6 +124,14 @@ UNITS = {
     COND1: {**_UNITS, F4: {"p": H, "2q": Q4, "pq": Q4, "2pq": Q4}},
     COND2: {**_UNITS, F4: {"2": H, "p": H, "q": Q4, "pq": Q4, "2pq": Q4}},
 }
+
+
+@functools.lru_cache(maxsize=None)
+def unit_rows(tag: str) -> dict:
+    """{name: row(UNITS[tag][name])}, once per class and process: callers
+    must not change it, and an edit to UNITS is read once this is cleared."""
+    return {name: row(vec) for name, vec in UNITS[tag].items()}
+
 
 # The unit groups of K+ and K: these named units form an FSU of each.  K
 # takes the FSU of K+ with sqrt(eps_2q) replaced by the torsion-twisted root.

@@ -44,7 +44,8 @@ class FieldBasis:
     by identity.  The interning is weak, and nothing kept on a basis holds
     an element, so refcounting frees a basis once the last holder lets go.
     A tuple that fails validation is never stored.  `sub` is the subfield
-    dropping the last generator (None for Q), and `chars` the character
+    dropping the last generator (None for Q), built first, so that a build
+    tests only the generator it adds, and `chars` the character
     data once units._char_data has built it, the only data of units kept
     on a basis.
     """
@@ -63,20 +64,21 @@ class FieldBasis:
         return FieldBasis, (self.generators,)
 
     def _build(self, generators):
-        for g in generators:
-            if g == 1 or not is_squarefree(g):
-                raise ValueError(f"generator {g} must be squarefree and != 0, 1")
+        self.sub = FieldBasis(generators[:-1]) if generators else None
         self.generators = generators
         self.k = len(generators)
         self.dim = 1 << self.k
-        # the squarefree part of r*g for squarefree r and g is r*g/gcd(r, g)^2
-        rads = [1]
-        for g in generators:
-            rads += [r * g // math.gcd(r, g) ** 2 for r in rads]
-        for m in range(1, self.dim):
-            if rads[m] == 1:
+        rads = (1,)
+        if self.k:
+            g = generators[-1]
+            if g == 1 or not is_squarefree(g):
+                raise ValueError(f"generator {g} must be squarefree and != 0, 1")
+            # g is independent exactly when it is no radicand of the sub, and
+            # the squarefree part of r*g for squarefree r and g is r*g/gcd(r, g)^2
+            if g in self.sub.mask_of:
                 raise ValueError("generators are multiplicatively dependent modulo squares")
-        self.radicands = tuple(rads)
+            rads = self.sub.radicands + tuple(r * g // math.gcd(r, g) ** 2 for r in self.sub.radicands)
+        self.radicands = rads
         self.mask_of = {r: m for m, r in enumerate(rads)}
         assert len(self.mask_of) == self.dim
         self.is_cm = any(r < 0 for r in rads)
@@ -86,7 +88,6 @@ class FieldBasis:
         self._coef = tuple(tuple(-gcd(r1, r2) if r1 < 0 and r2 < 0 else gcd(r1, r2) for r2 in rads)
                            for r1 in rads)
         self.chars = None
-        self.sub = None
         if self.k:
             # sqrt(r_m)*sqrt(g_top) = _top[m]*sqrt(r_{m|top}) for m below top;
             # _top_lift scales the top half of a numerator tuple to a common
@@ -95,7 +96,6 @@ class FieldBasis:
             self._top = tuple(self._coef[m][half] for m in range(half))
             lcm = math.lcm(*self._top)
             self._top_lift = (tuple(lcm // c for c in self._top), lcm)
-            self.sub = FieldBasis(generators[:-1])
 
     def __repr__(self):
         surds = ",".join(f"sqrt({g})" for g in self.generators)

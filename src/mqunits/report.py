@@ -47,8 +47,6 @@ from .units import (
     exponent_level,
     fsu_biquadratic,
     norm_table,
-    theorem_cm_exponents,
-    theorem_real_exponents,
     unit_index,
     wada_fsu,
 )
@@ -404,10 +402,11 @@ def _check_wada_q_index(p, q, cond, rep, biquad, pq_witness=None):
 
 
 def _check_wada_generators(p, q, cond, rep, fsu):
-    if not fsu.spans(theorem_real_exponents(p, q, cond.tag)):
+    named = claims.unit_rows(cond.tag)
+    if not fsu.spans([named[name] for name in claims.KPLUS_FSU]):
         return False, "generator lattice differs from the theorem lattice", None
     other = COND2 if cond.tag == COND1 else COND1
-    if fsu.contains(claims.quarters(claims.UNITS[other][claims.F4], p, q)):
+    if fsu.contains(claims.unit_rows(other)[claims.F4]):
         return False, f"lattice does not separate {cond.tag} from {other}", None
     labels = [g["label"] for g in rep.fsu_real["generators"]]
     return True, "lattice matches theorem; generators " + ", ".join(labels), None
@@ -450,7 +449,8 @@ def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root=None):
     want = claims.Q_LOG2[claims.K_CM]
     if cm.q_index_log2 != want:
         return False, f"q_log2 = {cm.q_index_log2}, expected {want}", None
-    if not cm.spans(theorem_cm_exponents(p, q, cond.tag)):
+    named = claims.unit_rows(cond.tag)
+    if not cm.spans([named[name] for name in claims.CM_FSU]):
         return False, "CM generator lattice differs from the theorem lattice", None
     twisted = [g for g in cm.generators if g.torsion_exponent]
     order = _torsion_order(cm.field)

@@ -4,7 +4,7 @@ A unit of a multiquadratic field is represented by a `UnitExpr`: an exact
 field element (the witness) together with its exponent vector over the
 fundamental units of the quadratic subfields, in quarters: the exponents
 lie in (1/4)Z, and each vector is kept as integers {r: 4*e} from the claims
-(claims.quarters) to the report.  An FSU is a list of such units whose
+(claims.row) to the report.  An FSU is a list of such units whose
 exponent matrix is nonsingular; the absolute determinant 2^(-j) records
 the index of the subfield-unit lattice.  Each FsuResult carries one integer
 frame of its generators: the row Hermite normal form of their quarter rows
@@ -96,7 +96,7 @@ class FsuResult(Record):
     _uncompared = ("frame",)
 
     def __init__(self, field: FieldBasis, generators: tuple):
-        frame = _exponent_frame(_real_labels(field), [g.quarters for g in generators])
+        frame = _exponent_frame([r for r in field.radicands if r > 1], [g.quarters for g in generators])
         super().__init__(field, generators, frame, _frame_q_log2(frame, len(generators)))
 
     @property
@@ -104,16 +104,17 @@ class FsuResult(Record):
         n = _torsion_order(self.field)
         return "-1" if n == 2 else f"zeta{n}"
 
-    def spans(self, quarters_list) -> bool:
-        """Do the generators span the lattice of the quarter vectors in the
-        list?  Both sides are compared in Hermite normal form."""
-        labels = _real_labels(self.field)
-        k = len(labels)
-        return tuple(row[:k] for row in self.frame) == _hnf(_exponent_rows(quarters_list, labels), k)
+    def spans(self, rows) -> bool:
+        """Do the generators span the lattice of the rows?  A row holds the
+        quarters at the real radicands of the field in mask order, as the
+        frame does (a claims.row for K+ and K); both sides are compared in
+        Hermite normal form."""
+        k = len(self.generators)
+        return tuple(row[:k] for row in self.frame) == _hnf(tuple(rows), k)
 
-    def contains(self, quarters: dict) -> bool:
-        """Is the quarter vector an integer combination of the generators?"""
-        return _frame_solve(self.frame, _exponent_rows([quarters], _real_labels(self.field))[0]) is not None
+    def contains(self, row) -> bool:
+        """Is the row an integer combination of the generators?"""
+        return _frame_solve(self.frame, row) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +295,6 @@ def _embed_expr(g: UnitExpr, big: FieldBasis) -> UnitExpr:
         raise ValueError("only units of totally real fields are embedded")
     return UnitExpr(g.torsion_exponent * (_torsion_order(big) // 2), dict(g.quarters),
                     embed_element(g.witness, big))
-
-
-def _real_labels(field: FieldBasis) -> list:
-    """The real radicands r > 1 of the field in mask order: the labels of
-    exponent vectors over the fundamental units eps_r."""
-    return [r for r in field.radicands if r > 1]
 
 
 def _exponent_rows(quarters_list, labels) -> tuple:
@@ -495,9 +490,10 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
             raise ValueError(f"pair not applicable: {actual.reason}")
         system = system[actual.tag]
     units = _base_units(basis)
+    rads_pq = claims.radicands(p, q)
     gens = []
     for vec in system:
-        quarters = claims.quarters(vec, p, q)
+        quarters = {rads_pq[m]: n for m, n in enumerate(claims.row(vec), 1) if n}
         level = exponent_level([quarters])
         if level == 1:  # a quadratic unit itself
             (r,) = quarters
@@ -613,17 +609,7 @@ def unit_index(fsu: FsuResult) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reference unit groups for the degree-8 and degree-16 fields
-
-
-def theorem_real_exponents(p: int, q: int, tag: str):
-    """Reference FSU quarter vectors for Q(sqrt2, sqrt p, sqrt q): claims.KPLUS_FSU."""
-    return [claims.quarters(claims.UNITS[tag][name], p, q) for name in claims.KPLUS_FSU]
-
-
-def theorem_cm_exponents(p: int, q: int, tag: str):
-    """Reference FSU quarter vectors for Q(sqrt2, sqrt p, sqrt q, i): claims.CM_FSU."""
-    return [claims.quarters(claims.UNITS[tag][name], p, q) for name in claims.CM_FSU]
+# lattices of quarter vectors over any radicands
 
 
 def vector_in_lattice(vec: dict, quarters_list) -> bool:
@@ -646,7 +632,8 @@ def norm_table(fsu: FsuResult) -> dict:
     """Check conjugates and relative norms of the degree-8 units of fsu.field
     against the table claims.NORM_TABLES of the pair's class, and return the
     symbolic signs each row resolved: {label: {letter: +-1}}, one key per
-    row, empty for a row whose signs are all fixed.
+    row, empty for a row whose signs are all fixed.  The field must be
+    FieldBasis((2, p, q)), in that order; any other raises ValueError.
 
     A named unit is the one with its exponent vector that is positive at the
     all-plus embedding, and an entry claims tau(w) or w*tau(w) = sign *
@@ -667,23 +654,15 @@ def norm_table(fsu: FsuResult) -> dict:
     must stay consistent within its row.  Any mismatch raises Falsified.
     """
     field = fsu.field
-    ps = [g for g in field.generators if g % 8 == 5]
-    qs = [g for g in field.generators if g % 8 == 3]
-    if field.is_cm or field.k != 3 or 2 not in field.generators or len(ps) != 1 or len(qs) != 1:
-        raise ValueError(f"{field} is not Q(sqrt2, sqrt p, sqrt q) with p = 5, q = 3 (mod 8)")
-    p, q = ps[0], qs[0]
-    cond = classify_pair(p, q)
+    gens = field.generators
+    if field.is_cm or len(gens) != 3 or gens[0] != 2 or gens[1] % 8 != 5 or gens[2] % 8 != 3:
+        raise ValueError(f"{field} is not Q(sqrt2, sqrt p, sqrt q), in that order, "
+                         "with p = 5, q = 3 (mod 8)")
+    cond = classify_pair(*gens[1:])
     if not cond.is_applicable:
-        raise ValueError(f"pair ({p}, {q}) is not applicable: {cond.reason}")
-
-    bits = tuple(1 << field.generators.index(g) for g in (2, p, q))
-    # the claims enter the key by value: named units as quarter rows, entries flat
-    named = claims.UNITS[cond.tag]
-    unit_rows = _exponent_rows([claims.quarters(v, p, q) for v in named.values()], _real_labels(field))
-    table = tuple((label, *(e and (e[0], *e[1].items()) for e in row))
-                  for label, row in claims.NORM_TABLES[cond.tag].items())
+        raise ValueError(f"pair {gens[1:]} is not applicable: {cond.reason}")
     try:
-        embeddings, plan = _norm_plan(fsu.frame, bits, tuple(zip(named, unit_rows)), table)
+        embeddings, plan = _norm_plan(fsu.frame, cond.tag)
     except Falsified as exc:
         raise Falsified(f"{field!r}: {exc}") from None
     # the embeddings start at 0, the identity
@@ -705,25 +684,23 @@ def norm_table(fsu: FsuResult) -> dict:
 
 
 @functools.lru_cache(maxsize=16)
-def _norm_plan(frame: tuple, bits: tuple, units: tuple, table: tuple) -> tuple:
+def _norm_plan(frame: tuple, tag: str) -> tuple:
     """The part of norm_table that no element decides, from the frame of an
-    FSU of K+, the bits of 2, p and q in its basis, one class's claims.UNITS
-    as (name, quarter row) pairs and its claims.NORM_TABLES as flat tuples:
-    (the embeddings to sign, and per row (label, the i with c_i odd, and
-    (column, mask, sign) per claimed entry)); the monomials are checked here
-    and not kept.  Raises Falsified, which is never kept, on a shape
-    mismatch or a row outside the frame's lattice.  Kept per process for the
-    last 16 distinct inputs; a scan reads two."""
-    t1, t2, t3 = bits
-    # column m - 1 holds the quarter of eps at the radicand of mask m, as in the frame
-    vec = dict(units)
-    masks = dict(zip(claims.NORM_COLUMNS, (t1, t2, t3, t1, t2, t3, t1 | t2, t1 | t3, t2 | t3)))
+    FSU of K+ and the class: (the embeddings to sign, and per row of
+    claims.NORM_TABLES[tag] (label, the i with c_i odd, and (column, mask,
+    sign) per claimed entry)); the monomials are checked here on the rows of
+    claims.unit_rows(tag) and not kept.  Raises Falsified, which is never
+    kept, on a shape mismatch or a row outside the frame's lattice.  Kept
+    per process for the last 16 inputs; a scan reads two.  The claims are
+    read on a miss: an edit to them is read once this cache is cleared."""
+    vec = claims.unit_rows(tag)
+    masks = dict(zip(claims.NORM_COLUMNS, (1, 2, 4, 1, 2, 4, 3, 5, 6)))  # over (2, p, q)
     # the image of w under a column: tau multiplies the entry at mask m by
     # -1 when m meets its mask in an odd number of bits, a norm adds w
     factors = {col: [(-1 if (m & mask).bit_count() & 1 else 1) + (not col.startswith("tau"))
                      for m in range(1, 8)] for col, mask in masks.items()}
     rows = []
-    for label, *claimed in table:
+    for label, claimed in claims.NORM_TABLES[tag].items():
         w = vec[label]
         c = _frame_solve(frame, w)
         if c is None:
@@ -733,9 +710,9 @@ def _norm_plan(frame: tuple, bits: tuple, units: tuple, table: tuple) -> tuple:
         for col, entry in zip(claims.NORM_COLUMNS, claimed):
             if entry is None:
                 continue
-            sign, mono = entry[0], entry[1:]
+            sign, mono = entry
             target = [0] * 7
-            for name, e in mono:
+            for name, e in mono.items():
                 target = [a + e * b for a, b in zip(target, vec[name])]
             if [a * f for a, f in zip(w, factors[col])] != target:
                 raise Falsified(f"norm table shape mismatch at row {label}, column {col}")

@@ -18,11 +18,12 @@ from itertools import combinations
 
 import pytest
 
+from mqunits import claims
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
 from mqunits.forms import class_number_imaginary, class_number_real, disc_of_radicand
 from mqunits.quadratic import DECOMPOSITION_TAGS, lemma_decompose
 from mqunits.report import _unit_label, scan_pairs, validate_report_dict
-from mqunits.units import fsu_biquadratic, theorem_real_exponents, wada_fsu
+from mqunits.units import fsu_biquadratic, wada_fsu
 
 
 SCAN_MAX = 200
@@ -114,7 +115,10 @@ def test_criterion_02_fsu_q_index_and_generators(scan_run):
         ok, detail = _check(rep, "wada_generators")
         assert ok, (p, q, detail)
         tag = rep["condition"]["tag"]
-        want = {_unit_label(quarters) for quarters in theorem_real_exponents(p, q, tag)}
+        rads = claims.radicands(p, q)
+        named = claims.unit_rows(tag)
+        want = {_unit_label({rads[m]: n for m, n in enumerate(named[name], 1) if n})
+                for name in claims.KPLUS_FSU}
         got = {g["label"] for g in rep["fsu_real"]["generators"]}
         assert got == want, (p, q, got ^ want)
         root4 = next(g for g in rep["fsu_real"]["generators"]

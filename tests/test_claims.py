@@ -5,12 +5,14 @@ import math
 
 import pytest
 
-from mqunits import claims, report
+from mqunits import claims
 from mqunits.claims import COND1, COND2, K_2P, K_CM, K_PLUS
 from mqunits.classnum import claimed_h2, kuroda_h2
 from mqunits.intarith import is_squarefree
 from mqunits.quadratic import classify_pair
 from mqunits.report import verify_pair
+
+from claim_caches import verify_patched
 
 # one pair of each condition class; (13, 3) has the zeta24 torsion of q = 3
 PAIRS = {COND1: (13, 3), COND2: (13, 11)}
@@ -20,8 +22,13 @@ def test_value_resolves_every_symbol():
     assert [claims.value(s, 5, 3) for s in claims.SUBFIELDS] == \
         [-1, 2, -2, 5, -5, 3, -3, 10, -10, 6, -6, 15, -15, 30, -30]
     assert claims.value("1", 5, 3) == 1
-    # and the vectors as integer quarters, 4 times each exponent
-    assert claims.quarters(claims.UNITS[COND1][claims.F4], 5, 11) == {5: 2, 22: 1, 55: 1, 110: 1}
+    # and the vectors as integer quarters, 4 times each exponent, over the
+    # masks of (2, p, q), whose radicands are those of the pair
+    rads = claims.radicands(5, 11)
+    assert rads == (1, 2, 5, 10, 11, 22, 55, 110)
+    f4 = claims.row(claims.UNITS[COND1][claims.F4])
+    assert f4 == claims.unit_rows(COND1)[claims.F4] == (0, 2, 0, 0, 1, 1, 1)
+    assert {rads[m]: n for m, n in enumerate(f4, 1) if n} == {5: 2, 22: 1, 55: 1, 110: 1}
 
 
 @pytest.mark.parametrize("tag", [COND1, COND2])
@@ -121,25 +128,10 @@ def assert_fails_exactly(rep, cid, ways=("error:", "skipped:")):
 def test_one_claim_fault_fails_exactly_the_check_that_reads_it(monkeypatch, cid, tag):
     p, q = PAIRS[tag]
     assert classify_pair(p, q).tag == tag
-    with monkeypatch.context() as mp:
-        FAULTS[cid](mp, tag, p, q)
-        rep = verify_pair(p, q)
+    rep = verify_patched(monkeypatch, lambda mp: FAULTS[cid](mp, tag, p, q), p, q)
     # the check fails by Falsified or by returning False
     assert_fails_exactly(rep, cid)
     assert verify_pair(p, q).passed
-
-
-def _verify_with_one_prime_cache_cleared(mp, fault, p, q):
-    """verify_pair(p, q) with fault applied; the systems of Q(sqrt2, sqrt p)
-    and Q(sqrt2, sqrt q) are kept across pairs (report._one_prime_fsu), so
-    a fault in them is seen only with that cache cleared on both sides."""
-    report._one_prime_fsu.cache_clear()
-    try:
-        with mp.context() as m:
-            fault(m)
-            return verify_pair(p, q)
-    finally:
-        report._one_prime_fsu.cache_clear()
 
 
 @pytest.mark.parametrize("tag", [COND1, COND2])
@@ -147,7 +139,7 @@ def test_a_one_prime_system_fault_fails_biquad_fsu_all(monkeypatch, tag):
     # Q(sqrt2, sqrt q) has one system, read by pairs of both classes
     p, q = PAIRS[tag]
     plain = ({"2": 1}, {"q": 1}, {"2q": 1})
-    rep = _verify_with_one_prime_cache_cleared(
+    rep = verify_patched(
         monkeypatch, lambda mp: mp.setitem(claims.BIQUAD_FSU, ("2", "q"), plain), p, q)
     # three plain units have index 1: the check returns False, it raises nothing
     assert_fails_exactly(rep, "biquad_fsu_all", ("error:", "skipped:", "falsified:"))
@@ -167,7 +159,7 @@ def test_a_plain_system_in_any_biquad_fsu_leaf_fails_biquad_fsu_all(monkeypatch)
                 fault = lambda mp, entry=entry, tag=tag: mp.setitem(entry, tag, plain)
             else:
                 fault = lambda mp, field=field: mp.setitem(claims.BIQUAD_FSU, field, plain)
-            rep = _verify_with_one_prime_cache_cleared(monkeypatch, fault, *PAIRS[tag])
+            rep = verify_patched(monkeypatch, fault, *PAIRS[tag])
             assert_fails_exactly(rep, "biquad_fsu_all", ("error:", "skipped:", "falsified:"))
             faulted.append((field, tag))
     assert len(faulted) == 12

@@ -22,7 +22,7 @@ from mqunits.field import (
     signs_at_embeddings,
     sqrt_in_field,
 )
-from mqunits.intarith import is_perfect_square
+from mqunits.intarith import is_perfect_square, is_squarefree
 from mqunits.quadratic import fundamental_unit
 from mqunits.units import _torsion, _torsion_order, fsu_biquadratic
 
@@ -286,6 +286,21 @@ def test_radicands_are_the_squarefree_parts_of_the_subset_products():
         b = FieldBasis(gens)
         for m, r in enumerate(b.radicands):
             assert r == _squarefree_part(math.prod(g for i, g in enumerate(gens) if m >> i & 1))
+
+
+def test_a_basis_on_a_live_sub_tests_only_the_generator_it_adds(monkeypatch):
+    sub = FieldBasis((2, 5))
+    tested = []
+    monkeypatch.setattr(field_module, "is_squarefree", lambda n: tested.append(n) or is_squarefree(n))
+    b = FieldBasis((2, 5, 11 * 19))
+    assert b.sub is sub and tested == [209]
+    assert b.radicands == (1, 2, 5, 10, 209, 418, 1045, 2090)
+    # each fault of the added generator reads as it did when all were tested
+    for gens, message in (((2, 5, 1), "generator 1 must be squarefree"), ((2, 5, 45), "generator 45 must"),
+                          ((2, 5, 10), "dependent modulo squares")):
+        with pytest.raises(ValueError, match=message):
+            FieldBasis(gens)
+    assert tested == [209, 45, 10]
 
 
 def test_basis_interned_by_generator_tuple():

@@ -40,8 +40,6 @@ from mqunits.units import (
     fsu_quadratic,
     lattice_equal,
     norm_table,
-    theorem_cm_exponents,
-    theorem_real_exponents,
     unit_index,
     vector_in_lattice,
     wada_fsu,
@@ -49,6 +47,7 @@ from mqunits.units import (
 
 import exponent_oracle
 import norm_oracle
+from claim_caches import clear_claim_caches
 
 H = Fraction(1, 2)
 
@@ -89,6 +88,13 @@ def deg8(p, q):
 
 def quarters_list(fsu):
     return [g.quarters for g in fsu.generators]
+
+
+def named_quarters(p, q, tag, names=claims.KPLUS_FSU):
+    """The quarter vectors of the named units of the class for the pair,
+    read off their rows over the masks of (2, p, q)."""
+    rads, rows = claims.radicands(p, q), claims.unit_rows(tag)
+    return [{rads[m]: n for m, n in enumerate(rows[name], 1) if n} for name in names]
 
 
 def test_fsu_quadratic():
@@ -151,9 +157,9 @@ def test_wada_deg8_cond1():
     field, fsu = deg8(5, 11)
     assert len(fsu.generators) == 7 and fsu.q_index_log2 == 6
     assert unit_index(fsu) == 64
-    assert lattice_equal(quarters_list(fsu), theorem_real_exponents(5, 11, COND1))
+    assert lattice_equal(quarters_list(fsu), named_quarters(5, 11, COND1))
     assert vector_in_lattice({22: 2}, quarters_list(fsu))
-    other_f4 = theorem_real_exponents(5, 11, COND2)[6]
+    other_f4 = named_quarters(5, 11, COND2)[6]
     assert not vector_in_lattice(other_f4, quarters_list(fsu))
     for g in fsu.generators:
         verify_unit_expr(g)
@@ -162,9 +168,9 @@ def test_wada_deg8_cond1():
 def test_wada_deg8_cond2():
     field, fsu = deg8(5, 3)
     assert len(fsu.generators) == 7 and fsu.q_index_log2 == 6
-    assert lattice_equal(quarters_list(fsu), theorem_real_exponents(5, 3, COND2))
+    assert lattice_equal(quarters_list(fsu), named_quarters(5, 3, COND2))
     assert vector_in_lattice({6: 2}, quarters_list(fsu))
-    assert not vector_in_lattice(theorem_real_exponents(5, 3, COND1)[6], quarters_list(fsu))
+    assert not vector_in_lattice(named_quarters(5, 3, COND1)[6], quarters_list(fsu))
 
 
 def test_wada_degenerate_biquadratic():
@@ -231,7 +237,7 @@ def test_azizi_deg16():
     fsu = azizi_extend(real, cm)
     assert fsu.torsion == "zeta8" and fsu.q_index_log2 == 7
     assert unit_index(fsu) == 256
-    assert lattice_equal(quarters_list(fsu), theorem_cm_exponents(5, 11, COND1))
+    assert lattice_equal(quarters_list(fsu), named_quarters(5, 11, COND1, claims.CM_FSU))
     twisted = [g for g in fsu.generators if g.quarters == {2: 2, 11: 1, 22: 1}]
     assert len(twisted) == 1
     assert twisted[0].torsion_exponent == 2
@@ -253,6 +259,12 @@ def test_norm_table_requires_deg8_shape():
     fsu = fsu_biquadratic(5, 11)
     with pytest.raises(ValueError):
         norm_table(fsu)
+    # K+ with its generators in another order: the plans read the masks of (2, p, q)
+    field = FieldBasis((5, 2, 11))
+    fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (5, 11, 55)])
+    assert fsu.q_index_log2 == 6
+    with pytest.raises(ValueError, match="in that order"):
+        norm_table(fsu)
 
 
 def test_norm_table_matches_the_oracle():
@@ -273,10 +285,15 @@ def test_tampered_norm_table_entry_is_falsified(monkeypatch, entry):
     _, fsu = deg8(5, 11)
     table = claims.NORM_TABLES[COND1]
     assert table[claims.E2][0] == (-1, {claims.E2: -1})
-    monkeypatch.setitem(table, claims.E2, (entry,) + table[claims.E2][1:])
-    for table in (norm_table, norm_oracle.norm_table):
-        with pytest.raises(Falsified, match="norm table"):
-            table(fsu)
+    try:
+        with monkeypatch.context() as mp:
+            mp.setitem(table, claims.E2, (entry,) + table[claims.E2][1:])
+            clear_claim_caches()
+            for table in (norm_table, norm_oracle.norm_table):
+                with pytest.raises(Falsified, match="norm table"):
+                    table(fsu)
+    finally:
+        clear_claim_caches()
 
 
 def test_norm_table_row_outside_the_unit_lattice_is_falsified():
@@ -300,7 +317,7 @@ def test_lattice_helpers():
     assert lattice_equal(a, [{2: 4, 3: 4}, {3: 2}])
     assert not lattice_equal(a, [{2: 4}, {3: 4}])
     assert not lattice_equal(a, [{2: 4}])
-    gens = theorem_real_exponents(5, 11, COND1)
+    gens = named_quarters(5, 11, COND1)
     # doubling one generator gives an index-2 sublattice with the same span
     sub = [dict(g) for g in gens]
     sub[6] = {r: 2 * e for r, e in sub[6].items()}
@@ -902,10 +919,19 @@ def test_frame_reads_the_index_and_the_coordinates():
         h, u = row[:n], row[n:]
         assert list(h) == [sum(c * gi[j] for c, gi in zip(u, g)) for j in range(n)]
     assert fsu.q_index_log2 == 6
-    assert fsu.spans(theorem_real_exponents(5, 11, COND1))
-    assert not fsu.spans(theorem_real_exponents(5, 11, COND2))
-    assert fsu.contains({22: 2}) and not fsu.contains(theorem_real_exponents(5, 11, COND2)[6])
-    assert not fsu.contains({2: 1})
+    # the claims' rows are over the masks of (2, p, q), the columns of the frame
+    rows = [claims.unit_rows(tag) for tag in (COND1, COND2)]
+    assert fsu.spans([rows[0][name] for name in claims.KPLUS_FSU])
+    assert not fsu.spans([rows[1][name] for name in claims.KPLUS_FSU])
+    assert fsu.contains(claims.row({"2q": H})) and not fsu.contains(rows[1][claims.F4])
+    assert not fsu.contains(claims.row({"2": Fraction(1, 4)}))
+
+
+def test_a_scan_resolves_the_named_units_once_per_class():
+    claims.unit_rows.cache_clear()
+    report.scan(60, out=io.StringIO())
+    info = claims.unit_rows.cache_info()
+    assert info.misses == 2 and info.currsize == 2 and info.hits > 0
 
 
 def test_one_prime_fields_are_built_once_per_scan():
@@ -976,21 +1002,27 @@ def _negate_one_sign(gen, embedding):
 
 
 @pytest.mark.parametrize("tamper", [
-    # one fixed sign of the table: the plan keeps it, so a plan keyed on the class alone would pass
-    lambda mp, fsu: mp.setitem(claims.NORM_TABLES[COND1], claims.E2,
-                               ((1, {claims.E2: -1}),) + claims.NORM_TABLES[COND1][claims.E2][1:]),
+    # one fixed sign of the table: the plan keeps it, so the plans are
+    # cleared for the edit to be read, as for any edit to the claims
+    lambda mp, fsu: (mp.setitem(claims.NORM_TABLES[COND1], claims.E2,
+                                ((1, {claims.E2: -1}),) + claims.NORM_TABLES[COND1][claims.E2][1:]),
+                     clear_claim_caches()),
     # one named unit: the other class's fourth root
-    lambda mp, fsu: mp.setitem(claims.UNITS[COND1], claims.F4, claims.UNITS[COND2][claims.F4]),
+    lambda mp, fsu: (mp.setitem(claims.UNITS[COND1], claims.F4, claims.UNITS[COND2][claims.F4]),
+                     clear_claim_caches()),
     # the sign of one generator at the all-plus embedding, which every column reads
     lambda mp, fsu: mp.setattr(units, "signs_at_embeddings", _negate_one_sign(fsu.generators[0].witness, 0)),
 ], ids=["norm_tables_entry", "units_vector", "one_sign"])
 def test_cached_plans_and_frames_carry_no_verdict(monkeypatch, tamper):
     fsu = _table_of_5_11_after_13_3()
     rows = norm_table(fsu)
-    with monkeypatch.context() as mp:
-        tamper(mp, fsu)
-        with pytest.raises(Falsified):
-            norm_table(fsu)
+    try:
+        with monkeypatch.context() as mp:
+            tamper(mp, fsu)
+            with pytest.raises(Falsified):
+                norm_table(fsu)
+    finally:
+        clear_claim_caches()
     assert norm_table(fsu) == rows
 
 
@@ -998,20 +1030,24 @@ def test_caches_hold_exact_frames_and_no_field_objects(monkeypatch):
     """Every frame a scan caches is the Hermite normal form of its rows, and
     no key or value of the per-process caches holds a basis or an element."""
     seen = []
-    for name in ("_hnf", "_norm_plan", "_nonresidues"):
-        def recorded(*args, _cached=getattr(units, name), _name=name):
+    cached = {name: (units, name) for name in ("_hnf", "_norm_plan", "_nonresidues")}
+    cached["unit_rows"] = (claims, "unit_rows")
+    for name, (module, attr) in cached.items():
+        def recorded(*args, _cached=getattr(module, attr), _name=name):
             out = _cached(*args)
             seen.append((_name, args, out))
             return out
-        monkeypatch.setattr(units, name, recorded)
+        monkeypatch.setattr(module, attr, recorded)
     report.scan(60, out=io.StringIO())
     frames = [(args, out) for name, args, out in seen if name == "_hnf"]
-    assert frames and {name for name, _, _ in seen} == {"_hnf", "_norm_plan", "_nonresidues"}
+    assert frames and {name for name, _, _ in seen} == set(cached)
     for (rows, k), frame in frames:
         assert frame == tuple(map(tuple, _echelon([list(row) for row in rows], k)))
 
     def walk(x):
         assert not isinstance(x, (FieldBasis, FieldElement)), x
+        if isinstance(x, dict):
+            walk(tuple(x.items()))
         if isinstance(x, (tuple, list)):
             for y in x:
                 walk(y)
