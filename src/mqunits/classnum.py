@@ -31,10 +31,11 @@ _V_BY_DEGREE = {4: 2, 8: 9, 16: 16}
 
 
 def quadratic_h2(r: int) -> ClassNumberReport:
-    """h and h2 of Q(sqrt(r)) for squarefree r, either sign.
+    """h and h2 of Q(sqrt(r)) for squarefree r, either sign, under D = disc_of_radicand(r).
 
     For r < 0 only the reduced forms are counted: no check reads the group
-    structure that class_number_imaginary adds.
+    structure that class_number_imaginary adds.  supported_discriminant
+    rejects the D of an r that is 1 or not squarefree.
     """
     if r > 1:
         return class_number_real(r)

@@ -43,21 +43,21 @@ DISCRIMINANT_GUARD = 8 * 10**7
 class ClassNumberReport(FrozenRecord):
     """Class number of one quadratic field with its exact 2-part.
 
+    discriminant is the field's fundamental discriminant D, of either sign.
     group_structure lists primary cyclic orders (imaginary case only);
     two_rank counts its even entries.  Real fields report h and h2 only.
     """
 
-    __slots__ = ("discriminant_or_radicand", "h", "h2", "two_rank", "group_structure")
+    __slots__ = ("discriminant", "h", "h2", "two_rank", "group_structure")
 
-    def __init__(self, discriminant_or_radicand: int, h: int, h2: int, two_rank: int | None = None,
+    def __init__(self, discriminant: int, h: int, h2: int, two_rank: int | None = None,
                  group_structure: tuple[int, ...] | None = None):
-        super().__init__(discriminant_or_radicand, h, h2, two_rank, group_structure)
+        super().__init__(discriminant, h, h2, two_rank, group_structure)
 
 
 def disc_of_radicand(m: int) -> int:
-    """Fundamental discriminant of Q(sqrt(m)) for squarefree m."""
-    if m in (0, 1) or not is_squarefree(m):
-        raise ValueError(f"{m} is not a valid radicand")
+    """Fundamental discriminant of Q(sqrt(m)) for squarefree m, unchecked:
+    supported_discriminant validates it before any form is counted."""
     return m if m % 4 == 1 else 4 * m
 
 
@@ -350,7 +350,7 @@ def class_number_imaginary(D: int) -> ClassNumberReport:
     h = count_reduced_forms(D)
     structure = _group_structure(h, D)
     return ClassNumberReport(
-        discriminant_or_radicand=D,
+        discriminant=D,
         h=h,
         h2=h & -h,
         two_rank=sum(1 for n in structure if n % 2 == 0),
@@ -381,15 +381,11 @@ def _enumerate_indefinite(D):
 
 
 def _rho(form, D, s):
-    """One reduction step on an indefinite form; cycles through each class."""
+    """One reduction step on a reduced indefinite form, s = isqrt(D): the
+    next reduced form of its cycle.  A reduced form has |c| < sqrt(D), so
+    the new b is the r in (s - 2|c|, s] with r = -b (mod 2|c|)."""
     _, b, c = form
-    c2 = abs(c)
-    if c2 <= s:
-        r = s - ((s + b) % (2 * c2))
-    else:
-        r = (-b) % (2 * c2)
-        if r > c2:
-            r -= 2 * c2
+    r = s - ((s + b) % (2 * abs(c)))
     return (c, r, (r * r - D) // (4 * c))
 
 
@@ -474,12 +470,12 @@ def _narrow_class_number(D):
 
 @lru_cache(maxsize=None)
 def class_number_real(d: int) -> ClassNumberReport:
-    """Wide class number of Q(sqrt(d)): rho cycles give the narrow number,
-    halved exactly when the principal form and its negative lie in different
-    cycles, that is when the fundamental unit has norm +1 (Buell, ch. 3)."""
+    """Wide class number of Q(sqrt(d)), under its discriminant D: rho cycles give the
+    narrow number, halved exactly when the principal form and its negative lie in
+    different cycles, that is when the fundamental unit has norm +1 (Buell, ch. 3)."""
     if d <= 1:
         raise ValueError(f"{d} is not a valid real radicand")
-    D = supported_discriminant(d if d % 4 == 1 else 4 * d)
+    D = supported_discriminant(disc_of_radicand(d))
     h_narrow, negative_norm = _narrow_class_number(D)
     h = h_narrow if negative_norm else h_narrow // 2
-    return ClassNumberReport(discriminant_or_radicand=d, h=h, h2=h & -h)
+    return ClassNumberReport(discriminant=D, h=h, h2=h & -h)

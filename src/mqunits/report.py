@@ -38,9 +38,9 @@ from .classnum import (
 )
 from .errors import Falsified
 from .field import FieldBasis, embed_element, serialize_element, sqrt_in_field
-from .forms import DISCRIMINANT_GUARD, disc_of_radicand
+from .forms import DISCRIMINANT_GUARD
 from .intarith import is_prime, unlimited_int_digits
-from .quadratic import COND1, COND2, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
+from .quadratic import COND1, COND2, NOT_APPLICABLE, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
 from .units import (
     _torsion_order,
     azizi_extend,
@@ -231,21 +231,26 @@ _NEG_PQ_ROW = claims.SUBFIELDS.index("-pq")
 def validate_report_dict(d) -> None:
     """Check the fixed schema; raise ValueError on any deviation.
 
-    Beyond key order and coarse types, the check list must agree with the
-    prerequisite table: a check with a failed prerequisite reads
-    "skipped: <first failed prerequisite> failed".  An artifact field must
-    be well formed when the check that fills it passed, and may be null
-    when that check failed; lemma_witnesses holds one entry per passed
-    lemma check.  The stated class numbers must agree with each other: the
-    h2_table rows follow subfield_radicands with h2 = h & -h, and a passed
-    kuroda_deg16 or structures entry restates h2(-pq) as h2_K = 2^m.  No
-    class number is recomputed, so an edited h with a consistent h2 passes.
+    Beyond key order and types (int p and q, a number for elapsed_ms, no
+    bool among them, a tag verify_pair writes and a str reason), the check
+    list must agree with the prerequisite table: a check with a failed
+    prerequisite reads "skipped: <first failed prerequisite> failed".  An
+    artifact field must be well formed when the check that fills it passed,
+    and may be null when that check failed; lemma_witnesses holds one entry
+    per passed lemma check.  The stated class numbers must agree with each
+    other: the h2_table rows follow subfield_radicands with h2 = h & -h, and
+    a passed kuroda_deg16 or structures entry restates h2(-pq) as
+    h2_K = 2^m.  No class number is recomputed, so an edited h with a
+    consistent h2 passes.
     """
     _require(isinstance(d, dict) and tuple(d) == _REPORT_KEYS, "key set or order")
     _require(d["schema"] == REPORT_SCHEMA, "schema")
-    _require(isinstance(d["p"], int) and isinstance(d["q"], int), "p, q")
+    # type(x) is int: JSON true decodes to a bool, which isinstance counts as int
+    _require(type(d["p"]) is int and type(d["q"]) is int, "p, q")
+    _require(type(d["elapsed_ms"]) in (int, float), "elapsed_ms")
     cond = d["condition"]
-    _require(isinstance(cond, dict) and set(cond) == {"tag", "reason"}, "condition")
+    _require(isinstance(cond, dict) and set(cond) == {"tag", "reason"} and isinstance(cond["reason"], str)
+             and cond["tag"] in (COND1, COND2, NOT_APPLICABLE, UNSUPPORTED), "condition")
     checks = d["checks"]
     if cond["tag"] not in (COND1, COND2):
         _require(checks == [] and all(d[k] is None for k in _ARTIFACT_KEYS),
@@ -275,7 +280,6 @@ def validate_report_dict(d) -> None:
             if type(row) is not dict or tuple(row) != _H2_ROW_KEYS:
                 raise _malformed(f"h2_table row keys of {r}")
             radicand, discriminant, h, h2 = row.values()
-            # type(x) is int: JSON true decodes to a bool, which isinstance counts as int
             if not (radicand == r and discriminant == (r if r % 4 == 1 else 4 * r)
                     and type(h) is int and h >= 1 and type(h2) is int and h2 == h & -h):
                 raise _malformed(f"h2_table row of {r}")
@@ -475,7 +479,7 @@ def _check_quad_h2_table(p, q, cond, rep):
     table, h2, bad = [], {}, []
     for s, r in zip(claims.SUBFIELDS, subfield_radicands(p, q)):
         cr = quadratic_h2(r)
-        table.append({"radicand": r, "discriminant": disc_of_radicand(r),
+        table.append({"radicand": r, "discriminant": cr.discriminant,
                       "h": cr.h, "h2": cr.h2})
         h2[s] = cr.h2
         if not claims.holds(claimed[s], cr.h2):

@@ -484,11 +484,8 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     if key is None:
         raise ValueError(f"unknown biquadratic configuration {sorted(rads)}")
     system = claims.BIQUAD_FSU[key]
-    if ps and qs:
-        actual = classify_pair(p, q)
-        if not actual.is_applicable:
-            raise ValueError(f"pair not applicable: {actual.reason}")
-        system = system[actual.tag]
+    if ps and qs:  # p = 5 and q = 3 (mod 8): Cond1 or Cond2
+        system = system[classify_pair(p, q).tag]
     units = _base_units(basis)
     rads_pq = claims.radicands(p, q)
     gens = []
@@ -658,11 +655,9 @@ def norm_table(fsu: FsuResult) -> dict:
     if field.is_cm or len(gens) != 3 or gens[0] != 2 or gens[1] % 8 != 5 or gens[2] % 8 != 3:
         raise ValueError(f"{field} is not Q(sqrt2, sqrt p, sqrt q), in that order, "
                          "with p = 5, q = 3 (mod 8)")
-    cond = classify_pair(*gens[1:])
-    if not cond.is_applicable:
-        raise ValueError(f"pair {gens[1:]} is not applicable: {cond.reason}")
+    tag = classify_pair(*gens[1:]).tag  # Cond1 or Cond2 after the residue tests
     try:
-        embeddings, plan = _norm_plan(fsu.frame, cond.tag)
+        embeddings, plan = _norm_plan(fsu.frame, tag)
     except Falsified as exc:
         raise Falsified(f"{field!r}: {exc}") from None
     # the embeddings start at 0, the identity

@@ -74,7 +74,7 @@ def _records():
     (gen,) = fsu.generators
     cond = {"tag": "Cond1", "reason": "r"}
     return [pytest.param(*case, id=case[0].__name__) for case in [
-        (ClassNumberReport, ("discriminant_or_radicand", "h", "h2", "two_rank", "group_structure"),
+        (ClassNumberReport, ("discriminant", "h", "h2", "two_rank", "group_structure"),
          (-20, 2, 2, 1, (2,)), {"h": 4}),
         (QuadraticUnit, ("d", "x", "y", "denom", "norm"), (2, 1, 1, 1, -1), {"x": 3, "y": 2, "norm": 1}),
         (ConditionClass, ("tag", "reason"), ("Cond1", "r"), {"tag": "Cond2"}),

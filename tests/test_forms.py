@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from mqunits import forms, quadratic
+from mqunits.classnum import quadratic_h2
 from mqunits.forms import (
     DISCRIMINANT_GUARD,
     class_number_imaginary,
@@ -646,10 +647,17 @@ def test_disc_of_radicand():
     assert disc_of_radicand(-1) == -4
     assert disc_of_radicand(-55) == -55
     assert disc_of_radicand(10) == 40
-    with pytest.raises(ValueError):
-        disc_of_radicand(12)
-    with pytest.raises(ValueError):
-        disc_of_radicand(1)
+    # the rule is unchecked: supported_discriminant rejects the D of a bad radicand
+    for bad in (lambda: quadratic_h2(12), lambda: class_number_real(12), lambda: quadratic_h2(1)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_class_number_reports_carry_the_fundamental_discriminant():
+    assert class_number_real(3).discriminant == 12
+    assert class_number_real(5).discriminant == 5
+    assert quadratic_h2(-1).discriminant == -4
+    assert class_number_imaginary(-20).discriminant == -20
 
 
 def test_is_fundamental_discriminant():

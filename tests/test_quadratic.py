@@ -26,23 +26,33 @@ from mqunits.report import scan_pairs
 
 
 def pell_minimal_unit(d):
-    """Smallest unit > 1 of the maximal order, by exhaustive search on the surd coefficient."""
-    for k in itertools.count(1):
-        sols = []
-        if k % 2 and d % 4 == 1:
-            for nrm in (-1, 1):
-                square, x = is_perfect_square(d * k * k + 4 * nrm)
-                if square:
-                    sols.append((x, k, 2, nrm))
-        if k % 2 == 0:
-            y = k // 2
-            for nrm in (-1, 1):
-                square, x = is_perfect_square(d * y * y + nrm)
-                if square:
-                    sols.append((x, y, 1, nrm))
-        if sols:
-            x, y, denom, nrm = min(sols)
-            return QuadraticUnit(d=d, x=x, y=y, denom=denom, norm=nrm)
+    """Smallest unit > 1 of the maximal order, by exhaustive search on the surd coefficient.
+
+    A unit is (x + y*sqrt(d))/c with x*x - d*y*y = norm*c*c, c = 2 only when d = 1 (mod 4); the
+    first y with a solution gives it, and of the two norms -1 has the smaller x.  With t = d*y*y,
+    s = isqrt(t + c*c) is that x for either norm: t + c*c = s*s for norm +1, and x*x = t - c*c
+    has s = x once x >= c*c, as x*x + 2*c*c < (x + 1)**2.  Only t < c**4 + c*c allows a smaller
+    x, and there norm -1 is tested on its own first.
+    """
+    c = 2 if d % 4 == 1 else 1
+    cc = c * c
+    for y in itertools.count(1):
+        t = d * y * y
+        if t < cc * cc + cc:
+            x = math.isqrt(t - cc)
+            if x * x == t - cc:
+                return _unit(d, x, y, c, -1)
+        x = math.isqrt(t + cc)
+        n = x * x - t
+        if abs(n) == cc:
+            return _unit(d, x, y, c, n // cc)
+
+
+def _unit(d, x, y, c, norm):
+    """(x + y*sqrt(d))/c in lowest terms: both even when c = 2 and y is even."""
+    if c == 2 and y % 2 == 0:
+        x, y, c = x // 2, y // 2, 1
+    return QuadraticUnit(d=d, x=x, y=y, denom=c, norm=norm)
 
 
 def fraction_unit(d):

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from mqunits import field, report, units
+from mqunits import field, forms, report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, embed_element, sqrt_in_field
 from mqunits.forms import DISCRIMINANT_GUARD
+from mqunits.intarith import is_squarefree
 from mqunits.report import (
     CHECK_IDS,
     MAX_PQ,
@@ -156,6 +157,26 @@ def test_validate_rejects_mangled_reports():
             validate_report_dict(bad)
 
 
+@pytest.mark.parametrize("pair,mangle", [
+    ((5, 7), lambda d: d.update(p=True)),
+    ((5, 7), lambda d: d.update(q=False)),
+    ((5, 7), lambda d: d["condition"].update(tag="Bogus")),
+    ((5, 7), lambda d: d["condition"].update(reason=42)),
+    ((5, 7), lambda d: d.update(elapsed_ms="abc")),
+    ((5, 3), lambda d: d.update(elapsed_ms=None)),
+    ((5, 3), lambda d: d.update(elapsed_ms=True)),
+    ((5, 3), lambda d: d["condition"].update(reason=5)),
+], ids=["p_bool", "q_bool", "tag_unknown", "reason_int_inapplicable", "elapsed_str", "elapsed_null",
+        "elapsed_bool", "reason_int_cond1"])
+def test_report_from_json_rejects_a_malformed_scalar_field(pair, mangle):
+    rep = verify_pair(*pair)
+    d = json.loads(report_to_json(rep))
+    assert report_from_json(json.dumps(d)) == rep
+    mangle(d)
+    with pytest.raises(ValueError, match="malformed report"):
+        report_from_json(json.dumps(d))
+
+
 def test_scan_pairs_enumeration():
     assert scan_pairs(12) == [(5, 3), (5, 11)]
     pairs = scan_pairs(200)
@@ -289,6 +310,21 @@ def test_scan_ignores_an_old_class_number_memo(tmp_path):
     assert memo.stat().st_mtime_ns == before.st_mtime_ns
 
 
+def test_a_repeated_pair_tests_no_radicand_again(monkeypatch):
+    # the class numbers are memoized on the radicand or the discriminant, and
+    # supported_discriminant is the one squarefree test of a subfield radicand
+    verify_pair(13, 3)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_squarefree(n)
+
+    monkeypatch.setattr(forms, "is_squarefree", counted)
+    assert verify_pair(13, 3).passed
+    assert calls == []
+
+
 def test_verify_pair_reads_no_group_structure():
     # a fresh interpreter, so no class number computed by another test is cached
     code = textwrap.dedent("""
@@ -394,6 +430,26 @@ def test_scan_recomputes_a_hand_edit_that_validates(tmp_path, monkeypatch):
     # the recomputed file is reused
     scan(12, cache_dir=cache)
     assert calls == [(5, 11)] and _digest_holds(cache, 5, 11)
+
+
+def test_scan_recomputes_a_digest_valid_pair_file_with_a_malformed_field(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    cold_out = io.StringIO()
+    scan(12, cache_dir=cache, out=cold_out)
+    path = os.path.join(cache, "pair_5_3.json")
+    forged, n = re.subn(r'"elapsed_ms":[-+0-9.eE]+', '"elapsed_ms":"forged"', _pair_line(path))
+    assert n == 1
+    _rewrite_digest(path, forged)
+    calls = _count_verify_calls(monkeypatch)
+    warm_out = io.StringIO()
+    scan(12, cache_dir=cache, out=warm_out)
+    assert calls == [(5, 3)]
+
+    def cut(text):
+        return re.sub(r'"elapsed_ms":[-+0-9.eE]+', "", text)
+
+    assert cut(warm_out.getvalue()) == cut(cold_out.getvalue())
+    assert _digest_holds(cache, 5, 3)
 
 
 def test_scan_reuses_a_pair_file_rewritten_with_equal_bytes(tmp_path, monkeypatch):
