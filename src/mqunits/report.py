@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from fractions import Fraction
 
 from . import claims
 from ._record import Record
@@ -46,7 +45,9 @@ from .units import (
     azizi_extend,
     exponent_level,
     fsu_biquadratic,
+    fsu_in_kplus,
     norm_table,
+    pell_root,
     unit_index,
     wada_fsu,
 )
@@ -313,10 +314,10 @@ def verify_pair(p: int, q: int) -> PairReport:
     first failed prerequisite.  An inapplicable pair yields a
     condition-only report with no checks, and so does a pair beyond the
     supported range p*q <= MAX_PQ, tagged Unsupported before p and q are
-    classified, so a huge input never reaches trial division.  A basis
-    built here lives while something holds it: most go with the pair's
-    artifacts, and the systems _one_prime_fsu keeps hold theirs for later
-    pairs.
+    classified, so a huge input never reaches trial division.  A pair
+    builds two bases of its own, K+ and K, which hold the biquadratic
+    systems with p and q; _one_prime_fsu keeps the other two, and their
+    bases, for later pairs.
     """
     t0 = time.perf_counter()
     if p * q > MAX_PQ:
@@ -334,7 +335,6 @@ def verify_pair(p: int, q: int) -> PairReport:
         ok, detail = False, _skip_detail(cid, artifacts)
         if detail is None:
             inputs = [artifacts[pre] for pre in _PREREQUISITES.get(cid, ())]
-            inputs += [artifacts.get(c) for c in _ALSO_READS.get(cid, ())]
             try:
                 ok, detail, artifact = _CHECKS[cid](p, q, cond, rep, *inputs)
             except Falsified as exc:
@@ -348,8 +348,8 @@ def verify_pair(p: int, q: int) -> PairReport:
     return rep
 
 
-# Each check is called as check(p, q, cond, rep, *prerequisite artifacts, *those
-# of _ALSO_READS) and returns (passed, detail, artifact); it fills its fields.
+# Each check is called as check(p, q, cond, rep, *prerequisite artifacts) and
+# returns (passed, detail, artifact); it fills its fields.
 
 
 def _check_classify(p, q, cond, rep):
@@ -376,28 +376,27 @@ def _one_prime_fsu(d1, d2):
     return fsu_biquadratic(d1, d2)
 
 
-def _check_biquad_fsu_all(p, q, cond, rep):
+def _check_biquad_fsu_all(p, q, cond, rep, *witnesses):
+    # the artifact: the six systems by (d1, d2), those with p and q in K+, and sqrt(eps_pq)
+    kplus = FieldBasis((2, p, q))
+    roots = {w.unit.d: pell_root(w, kplus) for w in witnesses}
     built = {}
     qs = []
     for field in claims.BIQUAD_FSU:
         d1, d2 = (claims.value(s, p, q) for s in field)
-        fsu = (_one_prime_fsu if d1 == 2 and d2 in (p, q) else fsu_biquadratic)(d1, d2)
+        one_prime = d1 == 2 and d2 in (p, q)
+        fsu = _one_prime_fsu(d1, d2) if one_prime else fsu_in_kplus(kplus, field, cond.tag, roots)
         want = claims.Q_LOG2[field]
         if fsu.q_index_log2 != want:
             return False, f"Q(sqrt{d1}, sqrt{d2}) has q_log2 {fsu.q_index_log2}, expected {want}", None
         built[(d1, d2)] = fsu
         qs.append(fsu.q_index_log2)
-    return True, f"6 configurations, q_index_log2 = {qs}", built
+    return True, f"6 configurations, q_index_log2 = {qs}", (built, roots[p * q])
 
 
-def _check_wada_q_index(p, q, cond, rep, biquad, pq_witness=None):
-    kplus = FieldBasis((2, p, q))
-    root = None
-    if pq_witness is not None:
-        # (u1*sqrt(r1) + u2*sqrt(r2))^2 = eps_pq, or 2*eps_pq when doubled
-        w, h = pq_witness, 2 if pq_witness.doubled else 1
-        root = kplus.element({h * w.r1: Fraction(w.u1, h), h * w.r2: Fraction(w.u2, h)})
-    fsu = wada_fsu(kplus, [biquad[(2, p)], biquad[(2, q)], biquad[(2, p * q)]], root)
+def _check_wada_q_index(p, q, cond, rep, biquad):
+    built, pq_root = biquad
+    fsu = wada_fsu(pq_root.basis, [built[(2, p)], built[(2, q)], built[(2, p * q)]], pq_root)
     rep.fsu_real = _fsu_to_dict(fsu)
     want = claims.Q_LOG2[claims.K_PLUS]
     if fsu.q_index_log2 != want:
@@ -416,30 +415,24 @@ def _check_wada_generators(p, q, cond, rep, fsu):
     return True, "lattice matches theorem; generators " + ", ".join(labels), None
 
 
-def _sqrt_from_subfield(u, big, p):
-    """A square root in big = k(sqrt p) of u in k, or None: (s + t*sqrt p)^2
-    with s, t in k lies in k only when s*t = 0, so the root is one of u in
-    k, or one of p*u in k divided by sqrt p."""
-    w = sqrt_in_field(u)
-    if w is not None:
-        return embed_element(w, big)
-    w = sqrt_in_field(u * p)
-    return None if w is None else embed_element(w, big) * big.surd(p) / p
-
-
 def _check_azizi_square(p, q, cond, rep, biquad):
-    # u lies in k = Q(sqrt2, sqrt q), so its root in K+ = k(sqrt p) is taken in k
-    k = biquad[(2, q)]
+    # u lies in k = Q(sqrt2, sqrt q), and so does its root in K+ = k(sqrt p):
+    # (s + t*sqrt p)^2 with s, t in k lies in k only when s*t = 0, and a root
+    # t*sqrt p would make p*u a square in k.  It is not one: p is unramified
+    # in k and prime to u, a unit times 2 + sqrt2, so p*u has valuation 1 at
+    # each prime of k above p
+    k = biquad[0][(2, q)]
     u = k.field.surd(2) + 2
     for g in k.generators:
         u = u * g.witness
-    w = _sqrt_from_subfield(u, FieldBasis((2, p, q)), p)
+    w = sqrt_in_field(u)
     if w is None:
         return False, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) is not a square in K+", None
-    return True, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) = w^2, w re-squared exactly", w
+    return (True, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) = w^2, w re-squared exactly",
+            embed_element(w, FieldBasis((2, p, q))))
 
 
-def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root=None):
+def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root):
     cm = azizi_extend(fsu, FieldBasis((2, p, q, -1)), azizi_root)
     # a generator that azizi_extend only embedded keeps its fsu_real entry
     gens = [entry if c.torsion_exponent == 0 and c.quarters == g.quarters
@@ -499,7 +492,7 @@ def _check_quad_h2_table(p, q, cond, rep):
 
 
 def _check_kuroda_deg4(p, q, cond, rep, h2, biquad):
-    val = kuroda_h2(claims.K_2P, h2, unit_index(biquad[(2, p)]))
+    val = kuroda_h2(claims.K_2P, h2, unit_index(biquad[0][(2, p)]))
     want = claimed_h2(claims.K_2P, cond.tag)
     if val != want:
         return False, f"h2(Q(sqrt2, sqrt{p})) = {val}, expected {want}", None
@@ -554,20 +547,17 @@ _LEMMA_IDS = {cid for cid in CHECK_IDS if cid.startswith("lemma_")}
 # check id -> the checks that must pass before it runs, in the order their
 # artifacts are passed to it; a check not listed has none
 _PREREQUISITES = {
+    "biquad_fsu_all": ("lemma_q", "lemma_2q", "lemma_pq", "lemma_2pq"),
     "wada_q_index": ("biquad_fsu_all",),
     "wada_generators": ("wada_q_index",),
     "azizi_square": ("biquad_fsu_all",),
-    "cm_fsu": ("wada_q_index",),
+    "cm_fsu": ("wada_q_index", "azizi_square"),
     "norm_tables": ("wada_q_index",),
     "kuroda_deg4": ("quad_h2_table", "biquad_fsu_all"),
     "kuroda_deg8": ("quad_h2_table", "wada_q_index"),
     "kuroda_deg16": ("quad_h2_table", "cm_fsu", "kuroda_deg8"),
     "structures": ("quad_h2_table",),
 }
-# check id -> earlier checks whose artifacts it takes after those of its
-# prerequisites, None for one that did not pass; they gate nothing: a known
-# square root (the lemma_pq witness, the Azizi root) spares one descent
-_ALSO_READS = {"wada_q_index": ("lemma_pq",), "cm_fsu": ("azizi_square",)}
 
 
 # ---------------------------------------------------------------------------

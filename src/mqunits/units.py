@@ -8,7 +8,7 @@ lie in (1/4)Z, and each vector is kept as integers {r: 4*e} from the claims
 exponent matrix is nonsingular; the absolute determinant 2^(-j) records
 the index of the subfield-unit lattice.  Each FsuResult carries one integer
 frame of its generators: the row Hermite normal form of their quarter rows
-over the real radicands of the field, with the transformation riding along
+over the real radicands they use, with the transformation riding along
 (Cohen, A Course in Computational Algebraic Number Theory, section 2.4).
 The index, the comparison with a theorem lattice and the coordinates of a
 vector in the unit lattice are all read from that frame.
@@ -26,15 +26,16 @@ unity are read off the field's shape (_torsion_order), so the only data of
 this module kept on a basis is its character data (_char_data).
 
 Each unit is verified once, where it is made: a claimed root by the
-re-square of sqrt_in_field, a root that a subset search finds by deriving
-its identity from those of its subset (_halved), with no power taken, and
-a unit carried into a larger field by embedding (_embed_expr).  Both
-searches form a subset product only when quadratic characters allow it to
-be +-1 times a square: a unit maps to a nonzero residue at CHAR_PRIMES
-primes l = 7 (mod 8), and a product that is +-w^2 has the same Legendre
-symbol, +1 or -1, at every one of them (Adleman, STOC 1991).  Every
-candidate is rooted exactly and re-squared, or squares a known root of the
-caller, which decides nothing, since any other candidate is still rooted.
+re-square of sqrt_in_field or of the Pell witnesses it is a product of
+(fsu_in_kplus), a root that a subset search finds by deriving its identity
+from those of its subset (_halved), with no power taken, and a unit
+carried into a larger field by embedding (_embed_expr).  Both searches
+form a subset product only when quadratic characters allow it to be +-1
+times a square: a unit maps to a nonzero residue at CHAR_PRIMES primes
+l = 7 (mod 8), and a product that is +-w^2 has the same Legendre symbol,
++1 or -1, at every one of them (Adleman, STOC 1991).  Every candidate is
+rooted exactly and re-squared, or squares a known root of the caller,
+which decides nothing, since any other candidate is still rooted.
 """
 
 import functools
@@ -85,18 +86,19 @@ class FsuResult(Record):
     """A fundamental system of units of `field` modulo roots of unity: the
     field and its generators, with everything else derived from them.
 
-    frame is the exponent frame of the generators over the real radicands
-    of the field (_exponent_frame), built once here and left out of
-    equality; q_index_log2 is read off its diagonal and raises
-    ArithmeticError, under python -O too, unless the exponent matrix is
-    square and nonsingular with index a power of 2.  torsion names the
-    generator of the roots of unity that _torsion_order reads, "-1" or "zetaN"."""
+    frame is the exponent frame of the generators over the radicands they
+    use (_exponent_frame), built once here and left out of equality;
+    q_index_log2 is read off its diagonal and raises ArithmeticError, under
+    python -O too, unless the exponent matrix is square and nonsingular
+    with index a power of 2.  torsion names the generator of the roots of
+    unity that _torsion_order reads, "-1" or "zetaN"."""
 
     __slots__ = ("field", "generators", "frame", "q_index_log2")
     _uncompared = ("frame",)
 
     def __init__(self, field: FieldBasis, generators: tuple):
-        frame = _exponent_frame([r for r in field.radicands if r > 1], [g.quarters for g in generators])
+        used = {r for g in generators for r in g.quarters}
+        frame = _exponent_frame([r for r in field.radicands if r in used], [g.quarters for g in generators])
         super().__init__(field, generators, frame, _frame_q_log2(frame, len(generators)))
 
     @property
@@ -460,10 +462,10 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     Covers the six configurations of claims.BIQUAD_FSU, built from primes
     p = 5 mod 8 and q = 3 mod 8 and found by their radicand sets, so the
     order of d1 and d2 does not matter.  The system is the one claimed for
-    the condition class of the pair (p, q) when both primes appear, and
-    the field's one system otherwise.
-    Predicted square roots are materialized exactly; raises Falsified when
-    one does not exist, ValueError for an unknown configuration.
+    the condition class of the pair (p, q) when both primes appear (the
+    battery builds those in K+: fsu_in_kplus), and the field's one system
+    otherwise.  Predicted square roots are materialized exactly; raises
+    Falsified when one does not exist, ValueError for an unknown configuration.
     """
     basis = FieldBasis((d1, d2))
     if basis.is_cm:
@@ -487,24 +489,61 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     if ps and qs:  # p = 5 and q = 3 (mod 8): Cond1 or Cond2
         system = system[classify_pair(p, q).tag]
     units = _base_units(basis)
-    rads_pq = claims.radicands(p, q)
-    gens = []
-    for vec in system:
-        quarters = {rads_pq[m]: n for m, n in enumerate(claims.row(vec), 1) if n}
-        level = exponent_level([quarters])
-        if level == 1:  # a quadratic unit itself
-            (r,) = quarters
-            gens.append(UnitExpr(0, quarters, units[r]))
-            continue
-        if level != 2:
-            raise ValueError(f"claimed unit {vec} is neither a quadratic unit nor a square root")
+
+    def root(quarters):
         # the re-square of sqrt_in_field is the identity check of the root
         w = sqrt_in_field(math.prod((units[r] ** (n >> 1) for r, n in quarters.items()), start=basis.one()))
         if w is None:
             names = "*".join(f"eps_{r}" for r in quarters)
             raise Falsified(f"{names} is predicted to be a square in {basis!r} but is not")
-        gens.append(UnitExpr(0, quarters, _norm_pos(w)))
-    return FsuResult(basis, tuple(gens))
+        return _norm_pos(w)
+
+    return FsuResult(basis, _claimed_units(system, p, q, units, root))
+
+
+def _claimed_units(system, p, q, units, root) -> tuple:
+    """The vectors of system as units: units[r] for eps_r itself and
+    root(quarters) for a square root; ValueError for any other vector."""
+    rads_pq = claims.radicands(p, q)
+    gens = []
+    for vec in system:
+        quarters = {rads_pq[m]: n for m, n in enumerate(claims.row(vec), 1) if n}
+        level = exponent_level([quarters])
+        if level != 2 and list(quarters.values()) != [4]:
+            raise ValueError(f"claimed unit {vec} is neither a quadratic unit nor a square root")
+        gens.append(UnitExpr(0, quarters, root(quarters) if level == 2 else units[next(iter(quarters))]))
+    return tuple(gens)
+
+
+def pell_root(w, basis: FieldBasis) -> FieldElement:
+    """sqrt(eps_d) in basis from the Pell lemma witness w of d, which the
+    lemma re-squared: u1*sqrt(r1) + u2*sqrt(r2), positive as u1, u2 > 0,
+    times sqrt2/2 when doubled, with sqrt2*sqrt(r) = sqrt(2r) or 2*sqrt(r/2)."""
+    h = 2 if w.doubled else 1
+    return basis.element({h * r // math.gcd(h, r) ** 2: Fraction(u * math.gcd(h, r), h)
+                          for u, r in ((w.u1, w.r1), (w.u2, w.r2))})
+
+
+def fsu_in_kplus(kplus: FieldBasis, field, tag: str, roots: dict) -> FsuResult:
+    """The claimed system of class tag of the subfield named by field, a key
+    of claims.BIQUAD_FSU holding p and q, in kplus = Q(sqrt2, sqrt p, sqrt q).
+    A root is a product of the roots {d: pell_root}, so it squares to its
+    claim and is positive at the all-plus embedding.  A factor with no root,
+    or a unit outside the four masks of field, raises Falsified."""
+    _, p, q = kplus.generators
+    m1, m2 = (kplus.mask_of[claims.value(s, p, q)] for s in field)
+    where = f"Q(sqrt {field[0]}, sqrt {field[1]})"
+
+    def root(quarters):
+        if not quarters.keys() <= roots.keys():
+            raise Falsified(f"the root of {quarters} claimed in {where} has a factor with no Pell root")
+        return functools.reduce(FieldElement.__mul__, (roots[r] ** (n >> 1) for r, n in quarters.items()))
+
+    gens = _claimed_units(claims.BIQUAD_FSU[field][tag], p, q, _base_units(kplus), root)
+    for g in gens:
+        if any(n and m not in (0, m1, m2, m1 ^ m2) for m, n in enumerate(g.witness._num)):
+            raise Falsified(f"the unit of {g.quarters} is claimed in {where} but lies outside it")
+    return FsuResult(kplus, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +559,12 @@ def wada_fsu(field: FieldBasis, subfield_fsus, known=None) -> FsuResult:
     highest-index generator of its subset and the sweep restarts; the loop
     ends with a full sweep that finds nothing, which is the closure proof.
     Each sweep takes the first subset _square_subsets yields.  The vectors
-    stay on the generators, for azizi_extend; known, a square root of one
-    candidate, spares that candidate its descent.  A root's quarters are
-    _halved's and its torsion exponent is 0: it is taken positive at the
-    all-plus embedding, where every eps_r and generator is, so a root of -u
-    is a fault and raises ArithmeticError, under python -O too, as does a
-    subset outside _halved's shapes.
+    stay on the generators, for azizi_extend; known, a square root in field
+    of one candidate (the battery's is sqrt(eps_pq)), spares that candidate
+    its descent.  A root's quarters are _halved's and its torsion exponent
+    is 0: it is taken positive at the all-plus embedding, where every eps_r
+    and generator is, so a root of -u is a fault and raises ArithmeticError,
+    under python -O too, as does a subset outside _halved's shapes.
     """
     assert not field.is_cm
     first = {}  # each vector's first generator, in the order of first sight

@@ -14,6 +14,8 @@ from mqunits.report import verify_pair
 
 from claim_caches import verify_patched
 
+H = claims.H
+
 # one pair of each condition class; (13, 3) has the zeta24 torsion of q = 3
 PAIRS = {COND1: (13, 3), COND2: (13, 11)}
 
@@ -164,3 +166,31 @@ def test_a_plain_system_in_any_biquad_fsu_leaf_fails_biquad_fsu_all(monkeypatch)
             faulted.append((field, tag))
     assert len(faulted) == 12
     assert all(verify_pair(*pair).passed for pair in PAIRS.values())
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+def test_a_root_claimed_outside_its_field_fails_biquad_fsu_all(monkeypatch, tag):
+    # sqrt(eps_pq) lies in K+ but not in Q(sqrt p, sqrt 2q): the root is the
+    # lemma's, and its terms fall outside the four masks of the claimed field
+    p, q = PAIRS[tag]
+    field = ("p", "2q")
+    moved = claims.BIQUAD_FSU[field][tag][:2] + ({"pq": H},)
+    rep = verify_patched(monkeypatch, lambda mp: mp.setitem(claims.BIQUAD_FSU[field], tag, moved), p, q)
+    detail = {c: d for c, _, d in rep.checks}["biquad_fsu_all"]
+    assert detail == (f"falsified: the unit of {{{p * q}: 2}} is claimed in Q(sqrt p, sqrt 2q) "
+                      "but lies outside it")
+    assert_fails_exactly(rep, "biquad_fsu_all")
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+def test_a_half_exponent_with_no_lemma_root_fails_biquad_fsu_all(monkeypatch, tag):
+    # no Pell lemma gives sqrt(eps_p), so a half exponent on p has no root
+    p, q = PAIRS[tag]
+    field = ("p", "q")
+    system = claims.BIQUAD_FSU[field][tag]
+    moved = system[:2] + ({"p": H, **{s: e for s, e in system[2].items() if s != "pq"}},)
+    rep = verify_patched(monkeypatch, lambda mp: mp.setitem(claims.BIQUAD_FSU[field], tag, moved), p, q)
+    detail = {c: d for c, _, d in rep.checks}["biquad_fsu_all"]
+    assert detail.startswith(f"falsified: the root of {{{p}: 2") and detail.endswith(
+        "claimed in Q(sqrt p, sqrt q) has a factor with no Pell root")
+    assert_fails_exactly(rep, "biquad_fsu_all")

@@ -13,7 +13,7 @@ from mqunits.classnum import (
     subfield_radicands,
 )
 from mqunits.errors import Falsified
-from mqunits.quadratic import classify_pair
+from mqunits.quadratic import classify_pair, lemma_decompose
 from mqunits.units import unit_index
 
 
@@ -62,13 +62,16 @@ def structures(p, q):
 
 
 def battery_fsus(p, q):
-    """The FSUs of Q(sqrt2, sqrt p), K+ and K, built as the battery builds them."""
+    """The FSUs of Q(sqrt2, sqrt p), K+ and K, built as the battery builds
+    them, from the lemma witnesses and the Azizi root."""
     cond = classify_pair(p, q)
     rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
-    biquad = report._check_biquad_fsu_all(p, q, cond, rep)[2]
+    witnesses = [lemma_decompose(p, q, tag) for tag in ("q", "2q", "pq", "2pq")]
+    biquad = report._check_biquad_fsu_all(p, q, cond, rep, *witnesses)[2]
     fsu = report._check_wada_q_index(p, q, cond, rep, biquad)[2]
-    cm = report._check_cm_fsu(p, q, cond, rep, fsu)[2]
-    return {K_2P: biquad[(2, p)], K_PLUS: fsu, K_CM: cm}
+    root = report._check_azizi_square(p, q, cond, rep, biquad)[2]
+    cm = report._check_cm_fsu(p, q, cond, rep, fsu, root)[2]
+    return {K_2P: biquad[0][(2, p)], K_PLUS: fsu, K_CM: cm}
 
 
 def test_instance_builders():

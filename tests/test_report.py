@@ -698,59 +698,55 @@ def test_failed_checks_never_raise(monkeypatch):
     assert report_from_json(report_to_json(rep)) == rep
 
 
-def test_cm_fsu_takes_its_own_root_when_azizi_square_fails(monkeypatch):
-    # cm_fsu reads the root azizi_square took, but does not depend on it
-    want = verify_pair(13, 3)
-    monkeypatch.setattr(report, "sqrt_in_field", lambda u: None)
-    rep = verify_pair(13, 3)
-    checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
-    assert checks["azizi_square"] == (
-        False, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) is not a square in K+")
-    assert [c for c in rep.checks if c[0] != "azizi_square"] == [
-        c for c in want.checks if c[0] != "azizi_square"]
-    assert rep.fsu_cm == want.fsu_cm and rep.fsu_real == want.fsu_real
-
-
-def test_wada_q_index_takes_its_own_root_when_lemma_pq_fails(monkeypatch):
-    # wada_q_index reads the lemma_pq witness as the root of eps_pq, but
-    # does not depend on it: without it, K+ takes two roots, not one
-    roots = []
-    sqrt = units.sqrt_in_field
-    monkeypatch.setattr(units, "sqrt_in_field", lambda u: roots.append(u.basis.k) or sqrt(u))
-    want = verify_pair(13, 3)
-    assert roots.count(3) == 1
-
+def _checks_with(monkeypatch, cid, p, q):
+    """{check id: (passed, detail)} of verify_pair(p, q) with cid forced to fail."""
     def failing(*args):
         raise Falsified("forced")
-    monkeypatch.setitem(report._CHECKS, "lemma_pq", failing)
-    roots.clear()
-    rep = verify_pair(13, 3)
-    checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
+    with monkeypatch.context() as mp:
+        mp.setitem(report._CHECKS, cid, failing)
+        return {c: (ok, detail) for c, ok, detail in verify_pair(p, q).checks}
+
+
+def test_a_failed_lemma_skips_the_biquadratic_systems(monkeypatch):
+    # biquad_fsu_all forms its roots from the four lemma witnesses, so it
+    # runs only when all four passed, and the unit checks wait for it
+    checks = _checks_with(monkeypatch, "lemma_pq", 13, 3)
     assert checks["lemma_pq"] == (False, "falsified: forced")
-    assert [c for c in rep.checks if c[0] != "lemma_pq"] == [c for c in want.checks if c[0] != "lemma_pq"]
-    assert rep.fsu_real == want.fsu_real and rep.fsu_cm == want.fsu_cm
-    assert roots.count(3) == 2
+    assert checks["biquad_fsu_all"] == (False, "skipped: lemma_pq failed")
+    for cid in ("wada_q_index", "azizi_square", "kuroda_deg4"):
+        assert checks[cid] == (False, "skipped: biquad_fsu_all failed"), cid
+    for cid in ("classify", "lemma_q", "lemma_2q", "lemma_2pq", "quad_h2_table", "structures"):
+        assert checks[cid][0], cid
+
+
+def test_a_failed_azizi_square_skips_cm_fsu(monkeypatch):
+    # cm_fsu twists the root that azizi_square took, and takes none of its own
+    checks = _checks_with(monkeypatch, "azizi_square", 13, 3)
+    assert checks["azizi_square"] == (False, "falsified: forced")
+    assert checks["cm_fsu"] == (False, "skipped: azizi_square failed")
+    assert checks["kuroda_deg16"] == (False, "skipped: cm_fsu failed")
+    assert [cid for cid, (ok, _) in checks.items() if not ok] == ["azizi_square", "cm_fsu", "kuroda_deg16"]
 
 
 @pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
-def test_a_root_in_k_plus_of_an_element_of_k_is_taken_in_k(p, q):
-    # u in k = Q(sqrt2, sqrt q) is a square in K+ = k(sqrt p) exactly when u
-    # or p*u is one in k; the root agrees with the descent in K+ up to sign
-    k, kplus = FieldBasis((2, q)), FieldBasis((2, p, q))
-    rng = random.Random(p * q)
-    found = collections.Counter()
-    for _ in range(40):
-        v = k.element({r: Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for r in k.radicands})
-        if v.is_zero():
-            continue
-        for u in (v, v * v, -v * v, v * v * p, v * v * 2 * p, v * v * p * q, v * v * 3 * p):
-            got = report._sqrt_from_subfield(u, kplus, p)
-            want = sqrt_in_field(embed_element(u, kplus))
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got in (want, -want)
-                found[sqrt_in_field(u) is not None] += 1
-    assert found[True] >= 40 and found[False] >= 80
+def test_the_azizi_root_taken_in_k_is_the_root_in_k_plus(monkeypatch, p, q):
+    # u lies in k = Q(sqrt2, sqrt q): its root taken in k and embedded is,
+    # up to sign, the root that the descent in K+ = k(sqrt p) finds
+    seen = []
+    check = report._CHECKS["azizi_square"]
+
+    def kept(p, q, cond, rep, biquad):
+        out = check(p, q, cond, rep, biquad)
+        seen.append((biquad[0][(2, q)], out[2]))
+        return out
+    monkeypatch.setitem(report._CHECKS, "azizi_square", kept)
+    assert verify_pair(p, q).passed
+    ((k, got),) = seen
+    u = k.field.surd(2) + 2
+    for g in k.generators:
+        u = u * g.witness
+    want = sqrt_in_field(embed_element(u, FieldBasis((2, p, q))))
+    assert got.basis is want.basis and got in (want, -want)
 
 
 def test_pair_beyond_the_discriminant_guard_round_trips():

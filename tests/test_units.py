@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mqunits import claims, cli, quadratic, report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, FieldElement, embed_element, sqrt_in_field
-from mqunits.quadratic import COND1, COND2, classify_pair
+from mqunits.quadratic import COND1, COND2, classify_pair, lemma_decompose
 from mqunits.report import scan_pairs
 from mqunits.units import (
     CHAR_PRIMES,
@@ -457,6 +457,24 @@ def test_lattice_helpers_match_fraction_reference(data):
                 _frame_q_log2(frame, n)
 
 
+def test_a_system_is_framed_over_the_radicands_it_uses():
+    # three units of Q(sqrt5, sqrt11) kept in K+ make a square frame in K+,
+    # while a system that is not square and nonsingular over the radicands
+    # it uses still raises, in K+ and in K
+    kplus = FieldBasis((2, 5, 11))
+    sub = [UnitExpr(0, g.quarters, embed_element(g.witness, kplus)) for g in fsu_biquadratic(5, 11).generators]
+    assert FsuResult(kplus, tuple(sub)).q_index_log2 == fsu_biquadratic(5, 11).q_index_log2 == 1
+    one = kplus.one()
+    plain = [UnitExpr(0, {r: 4}, one) for r in kplus.radicands[1:]]
+    assert FsuResult(kplus, tuple(plain)).q_index_log2 == 0
+    singular = plain[:5] + [UnitExpr(0, {55: 4, 110: 4}, one), UnitExpr(0, {55: 8, 110: 8}, one)]
+    for field in (kplus, FieldBasis((2, 5, 11, -1))):
+        # one generator too many over six radicands, and over seven; seven of rank six
+        for gens in (plain[:6] + plain[:1], plain + [UnitExpr(0, {2: 4, 5: 4}, one)], singular):
+            with pytest.raises(ArithmeticError, match="not square and nonsingular"):
+                FsuResult(field, tuple(gens))
+
+
 def test_base_units_built_once_per_basis():
     # each call wraps the cached fundamental units as elements of the basis
     # again; the basis itself keeps none of them
@@ -667,23 +685,57 @@ def test_verify_pair_makes_each_unit_once_and_no_failing_root(monkeypatch):
     # the norm table takes no root: it works on exponents and signs; the
     # twisted CM unit takes none either, it comes from the root of Azizi's
     # test, which azizi_square takes in Q(sqrt2, sqrt3) and cm_fsu checks by
-    # its square; sqrt(eps_pq) is the lemma_pq witness, so the fourth root
-    # is the one root of K+
-    assert all(ok for ok, _ in roots) and len(roots) == 9
-    assert sorted(k for _, k in roots) == [2] * 8 + [3]
+    # its square; sqrt(eps_pq) and the roots of the biquadratic fields with p
+    # and q are products of the lemma witnesses, so the one-prime systems take
+    # three roots, and the fourth root is the one root of K+
+    assert all(ok for ok, _ in roots) and len(roots) == 5
+    assert sorted(k for _, k in roots) == [2] * 4 + [3]
+
+
+def test_the_biquadratic_systems_with_p_and_q_take_no_root_and_build_no_field(monkeypatch):
+    # their roots are products of the lemma roots in K+, so once the
+    # one-prime systems are kept, biquad_fsu_all takes no square root, and
+    # the pair builds K+ and K but no biquadratic field
+    assert report.verify_pair(13, 3).passed  # keeps Q(sqrt2, sqrt13) and Q(sqrt2, sqrt3)
+    in_check, roots, built = [False], [], []
+    check, sqrt, build = report._CHECKS["biquad_fsu_all"], units.sqrt_in_field, FieldBasis._build
+
+    def watched(*args):
+        in_check[0] = True
+        try:
+            return check(*args)
+        finally:
+            in_check[0] = False
+
+    def counting_sqrt(u):
+        roots.append(in_check[0])
+        return sqrt(u)
+
+    def counting_build(basis, generators):
+        built.append(len(generators))
+        build(basis, generators)
+
+    monkeypatch.setitem(report._CHECKS, "biquad_fsu_all", watched)
+    monkeypatch.setattr(units, "sqrt_in_field", counting_sqrt)
+    monkeypatch.setattr(report, "sqrt_in_field", counting_sqrt)
+    monkeypatch.setattr(FieldBasis, "_build", counting_build)
+    assert report.verify_pair(13, 3).passed
+    assert roots and not any(roots)
+    assert set(built) <= {3, 4}  # K+ and K, unless a caller keeps them alive
 
 
 def battery_systems(p, q):
     """The biquadratic systems by field, and the FSUs of K+ and K, as the
-    battery builds them, the known Azizi root included."""
+    battery builds them from the lemma witnesses and the Azizi root."""
     cond = classify_pair(p, q)
     rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
-    biquad = report._check_biquad_fsu_all(p, q, cond, rep)[2]
+    witnesses = [lemma_decompose(p, q, tag) for tag in ("q", "2q", "pq", "2pq")]
+    biquad = report._check_biquad_fsu_all(p, q, cond, rep, *witnesses)[2]
     fsu = report._check_wada_q_index(p, q, cond, rep, biquad)[2]
     ok, _, root = report._check_azizi_square(p, q, cond, rep, biquad)
     assert ok
     cm = report._check_cm_fsu(p, q, cond, rep, fsu, root)[2]
-    return biquad, fsu, cm
+    return biquad[0], fsu, cm
 
 
 def battery_units(p, q):
@@ -972,11 +1024,18 @@ def test_one_prime_systems_are_built_once_over_65_q_primes(monkeypatch):
         (field,) = [f for f in claims.BIQUAD_FSU if tuple(claims.value(s, *pair) for s in f) == (d1, d2)]
         return types.SimpleNamespace(q_index_log2=claims.Q_LOG2[field])
 
+    def cheap_fsu_in_kplus(kplus, field, tag, roots):
+        return types.SimpleNamespace(q_index_log2=claims.Q_LOG2[field])
+
     monkeypatch.setattr(report, "fsu_biquadratic", cheap_fsu_biquadratic)
+    monkeypatch.setattr(report, "fsu_in_kplus", cheap_fsu_in_kplus)
+    monkeypatch.setattr(report, "pell_root", lambda w, basis: None)
     report._one_prime_fsu.cache_clear()
     try:
         for pair in pairs:
-            assert report._check_biquad_fsu_all(*pair, None, None)[0], pair
+            # the one witness the check reads beyond its root, that of pq
+            pq = types.SimpleNamespace(unit=types.SimpleNamespace(d=pair[0] * pair[1]))
+            assert report._check_biquad_fsu_all(*pair, classify_pair(*pair), None, pq)[0], pair
     finally:
         report._one_prime_fsu.cache_clear()  # drop the stubs
     one_prime = [(2, d) for d in sorted({d for pair in pairs for d in pair})]
