@@ -15,7 +15,8 @@ import sys
 
 from .errors import Falsified
 from .field import FieldBasis
-from .forms import DISCRIMINANT_GUARD, class_number_imaginary, class_number_real, supported_discriminant
+from .forms import (DISCRIMINANT_GUARD, class_number_imaginary, class_number_real, disc_of_radicand,
+                    supported_discriminant)
 from .intarith import unlimited_int_digits
 from .quadratic import UNSUPPORTED
 from .report import (
@@ -88,13 +89,12 @@ def _cmd_fsu(args) -> int:
 
 
 def _cmd_classnum(args) -> int:
-    D = supported_discriminant(args.disc)
-    if D < 0:
-        rep = class_number_imaginary(D)
-        radicand = None
-    else:
-        radicand = D if D % 4 == 1 else D // 4
-        rep = class_number_real(radicand)
+    D = args.disc
+    radicand = None if D < 0 else D if D % 4 == 1 else D // 4
+    if radicand is not None and (radicand <= 1 or disc_of_radicand(radicand) != D):
+        supported_discriminant(D)  # raises: D is not fundamental, or 20 would be answered for 5
+    # the entries validate the discriminant they count for, so D is tested once
+    rep = class_number_imaginary(D) if radicand is None else class_number_real(radicand)
     print(json.dumps({
         "discriminant": D,
         "radicand": radicand,

@@ -2,9 +2,9 @@
 
 Imaginary fields: the class number is the count of reduced primitive
 positive-definite forms of the fundamental discriminant, and
-class_number_imaginary adds the class-group structure from composition and
-the torsion of each Sylow subgroup.  Real fields: the narrow class number
-is the number of rho-reduction cycles of reduced indefinite forms.  The
+class_number_imaginary adds the class-group structure from the relations
+of the prime forms in each Sylow subgroup.  Real fields: the narrow class
+number is the number of rho-reduction cycles of reduced indefinite forms.  The
 group K of negation nu (a, b, c) -> (-a, b, -c), which commutes with rho,
 and reflection sigma (a, b, c) -> (c, b, a), which reverses rho and
 carries a cycle to that of the inverse class, permutes the cycles; each
@@ -21,10 +21,11 @@ so every rho cycle holds a form with |a| < sqrt(D)/2, and the walks start
 from those with a > 0 alone.  The table of roots is walked only over the a
 that have any, built from the odd prime powers with roots.  It counts
 roots without finding them, and finds them, one Chinese remaindering per
-a, only where forms are read: a >= sqrt(|D|)/2 when D < 0, the Sylow
-subgroups, and rho-walk starts until the walks hold every form counted.
-Everything is integer arithmetic; square-root comparisons against sqrt(D)
-are done through isqrt brackets, never floats.
+a, only where forms are read: a >= sqrt(|D|)/2 when D < 0 and rho-walk
+starts until the walks hold every form counted.  The structure lists no
+form: its prime forms share the count's cached chains.  Everything is
+integer arithmetic; square-root comparisons against sqrt(D) are done
+through isqrt brackets, never floats.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from functools import lru_cache
 
 from ._record import FrozenRecord
-from .intarith import _sieve, is_squarefree, prime_factors, sqrt_mod_prime
+from .intarith import _echelon, _sieve, is_squarefree, prime_factors, sqrt_mod_prime
 from .quadratic import fundamental_unit  # noqa: F401  unused; perfbench traces this binding
 
 DISCRIMINANT_GUARD = 8 * 10**7
@@ -165,7 +166,7 @@ def _sqrt_table(D, A, lo=0):
 @lru_cache(maxsize=1)
 def _chains(D, A):
     """(l, 1 + (D/l) roots mod each l^e, the l^e <= A with roots) per odd prime l <= A with
-    roots, for a fundamental D; cached for the last (D, A): a count and a listing share it."""
+    roots, for a fundamental D; cached for the last (D, A): the count and the prime forms share it."""
     chains = []
     for l in itertools.islice(_sieve(A), 1, None):
         if l > A:
@@ -264,21 +265,35 @@ def _form_pow(f, n, D):
     return _principal_form(D) if result is None else result
 
 
-def _group_structure(h, D):
-    """Primary cyclic decomposition of the class group, of order h, by Sylow torsion.
+def _prime_forms(D):
+    """Yield a reduced form of norm l, one of each inverse pair, for each prime
+    l <= sqrt(|D|/3) that splits or ramifies, of a negative fundamental D: for
+    l = 2 unless D = 5 (mod 8), with b*b = D (mod 8), and for an odd l from the
+    chains of the count, with b the root of D (mod l) of the parity of D.  Every
+    class holds a reduced form with a <= sqrt(|D|/3), whose ideal is a product
+    of primes of norm dividing a, so these forms generate the class group."""
+    A = math.isqrt(-D // 3)
+    if D % 8 != 5 and A >= 2:
+        b = 2 if D % 8 == 4 else D % 2
+        yield _reduce_posdef(2, b, (b * b - D) // 8, D)
+    for l, _, _ in _chains(D, A):
+        r = sqrt_mod_prime(D, l)
+        b = r if (r - D) % 2 == 0 else l - r
+        yield _reduce_posdef(l, b, (b * b - D) // (4 * l), D)
 
-    For each prime l with l^e exactly dividing h: when e = 1 the l-part is
-    cyclic of order l.  Otherwise forms, listed lazily in any order, are
-    raised to the power h/l^e, which lands in the l-Sylow subgroup, and the
-    subgroup generated so far is closed under composition, coset by coset,
-    until it has l^e elements.  The l^j-torsion is counted inside that
-    subgroup alone, from the depth of each element f, the least j with
-    f^(l^j) principal: 1 plus the depth of f^l, so each element is raised
-    to the l-th power once (Cohen, GTM 138, 5.4).  h is counted and the
-    forms listed, so a Sylow subgroup of another size, an l-power chain
-    longer than e, torsion counts not stepping by powers of l, or a product
-    other than h mean the two routes disagree, and raise ArithmeticError.
-    """
+
+def _group_structure(h, D):
+    """Primary cyclic decomposition of the class group, of order h, from the
+    relations of the prime forms in each Sylow subgroup (Cohen, GTM 138,
+    2.4.3 and 5.4).  For each prime l with l^e exactly dividing h: when e = 1
+    the l-part is cyclic of order l.  Otherwise the x = f^(h/l^e) of the
+    prime forms f generate the l-Sylow subgroup H.  An x outside H so far
+    adds the cosets H x^j until x^j = w lies in the old H, and the relation
+    j x = w over the earlier generators; the relations are triangular with
+    determinant |H|, and alternate row echelons of them and of their
+    transpose reach the diagonal of its cyclic orders.  h is counted, so a
+    power of x in one of its own new cosets, a Sylow subgroup of another
+    size, or a product other than h means the two disagree: ArithmeticError."""
     e = _principal_form(D)
     structure = []
     for l in prime_factors(h):
@@ -289,44 +304,28 @@ def _group_structure(h, D):
         if exp == 1:  # a group of prime order is cyclic
             structure.append(l)
             continue
-        sylow = {e}
-        for f in _enumerate_posdef(D):
-            if len(sylow) == l**exp:
-                break
+        sylow, relations = {e: ()}, []  # each element -> its exponents over the generators so far
+        for f in itertools.takewhile(lambda f: len(sylow) < l**exp, _prime_forms(D)):
             x = _form_pow(f, hh, D)
             if x in sylow:
                 continue
-            g, reps = x, [y for y in sylow if y != e]
-            while x not in sylow:
-                sylow.add(x)  # the representative e gives x itself
-                sylow.update(compose_forms(y, x, D) for y in reps)
-                x = compose_forms(x, g, D)
+            k = len(relations)
+            old = [(y, v + (0,) * (k - len(v))) for y, v in sylow.items() if y != e]
+            xj, j = x, 1
+            while xj not in sylow:
+                sylow[xj] = (0,) * k + (j,)  # the representative e gives x^j itself
+                sylow.update((compose_forms(y, xj, D), v + (j,)) for y, v in old)
+                xj, j = compose_forms(xj, x, D), j + 1
+            w = sylow[xj]
+            if len(w) > k:
+                raise ArithmeticError(f"a power of {x} in {D} lands in its own new coset, against the group law")
+            relations.append([-n for n in w] + [0] * (k - len(w)) + [j])
         if len(sylow) != l**exp:
             raise ArithmeticError(f"the {l}-Sylow subgroup of {D} has {len(sylow)} elements, not {l**exp}")
-        depth = {e: 0}
-        for f in sylow:
-            chain = []
-            while f not in depth and len(chain) <= exp:
-                chain.append(f)
-                f = _form_pow(f, l, D)
-            if f not in depth or depth[f] + len(chain) > exp:
-                raise ArithmeticError(f"the {l}-power chain of {chain[0]} in {D} is longer than {exp}")
-            for j, g in enumerate(reversed(chain), depth[f] + 1):
-                depth[g] = j
-        counts = [sum(depth[f] <= j for f in sylow) for j in range(exp + 1)]  # the l^j-torsion
-        t = []
-        for j in range(1, exp + 1):
-            ratio, rest = divmod(counts[j], counts[j - 1])
-            tj = 0
-            while ratio % l == 0:
-                ratio //= l
-                tj += 1
-            if ratio != 1 or rest:
-                raise ArithmeticError(f"the {l}-torsion counts {counts} of {D} do not step by powers of {l}")
-            t.append(tj)
-        t.append(0)
-        for j in range(1, exp + 1):
-            structure.extend([l**j] * (t[j - 1] - t[j]))
+        m = [row + [0] * (len(relations) - len(row)) for row in relations]
+        while any(a for i, row in enumerate(m) for j, a in enumerate(row) if i != j):
+            m = [list(col) for col in zip(*_echelon(m, len(m)))]
+        structure.extend(row[i] for i, row in enumerate(m) if row[i] != 1)
     if math.prod(structure) != h:
         raise ArithmeticError(f"the class group structure {structure} of {D} does not multiply to h = {h}")
     return tuple(sorted(structure))

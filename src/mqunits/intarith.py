@@ -3,8 +3,8 @@
 Everything here is pure and deterministic: a grow-on-demand prime sieve,
 distinct prime factors by trial division up to FACTOR_LIMIT, with the
 primality and squarefree tests built on them, perfect-square testing,
-square roots modulo an odd prime, and integer brackets of scaled square
-roots for exact sign determination.
+square roots modulo an odd prime, integer brackets of scaled square
+roots for exact sign determination, and one row Hermite normal form.
 No floating point anywhere.  unlimited_int_digits lifts the interpreter's
 limit on int <-> str conversion for the code that prints or reads units.
 """
@@ -119,6 +119,40 @@ def sqrt_interval(n: int, digits: int) -> tuple[int, int]:
     target = n * 100**digits
     lo = math.isqrt(target)
     return lo, lo if lo * lo == target else lo + 1
+
+
+def _echelon(rows, ncols: int) -> list:
+    """The row Hermite normal form of the integer rows over their first
+    ncols columns; later columns ride along with every row operation.
+
+    The nonzero rows come out in echelon form with positive pivots, and the
+    entries above each pivot are reduced into [0, pivot), which makes the
+    form unique for the lattice the rows span.  The rows are changed in
+    place.
+    """
+    out = []
+    for c in range(ncols):
+        live = [row for row in rows if row[c]]
+        if not live:
+            continue
+        # Euclid down column c: reduce every other live row by the smallest
+        while len(live) > 1:
+            piv = min(live, key=lambda row: abs(row[c]))
+            for row in live:
+                if row is not piv:
+                    f = row[c] // piv[c]
+                    row[:] = [a - f * b for a, b in zip(row, piv)]
+            live = [row for row in live if row[c]]
+        (piv,) = live
+        rows = [row for row in rows if row is not piv]
+        if piv[c] < 0:
+            piv = [-a for a in piv]
+        for row in out:
+            f = row[c] // piv[c]
+            if f:
+                row[:] = [a - f * b for a, b in zip(row, piv)]
+        out.append(piv)
+    return out
 
 
 @contextmanager

@@ -259,13 +259,13 @@ def validate_report_dict(d) -> None:
         return
     _require(isinstance(checks, list) and len(checks) == len(CHECK_IDS), "check count")
     passed = set()
-    # the loops below run once per cached report, so they raise without a
-    # call or a formatted message per entry
-    for cid, c in zip(CHECK_IDS, checks):
+    # once per cached report: no call or message per entry, and no prerequisite
+    # walk before the first failed check, as a check follows its prerequisites
+    for i, (cid, c) in enumerate(zip(CHECK_IDS, checks)):
         if not (isinstance(c, list) and len(c) == 3 and c[0] == cid
                 and isinstance(c[1], bool) and isinstance(c[2], str)):
             raise _malformed(f"check entry {cid}")
-        skip = _skip_detail(cid, passed)
+        skip = _skip_detail(cid, passed) if len(passed) < i else None
         if skip is not None and c[1:] != [False, skip]:
             raise _malformed(f"{cid} must read {skip!r}")
         if c[1]:

@@ -54,7 +54,7 @@ from .field import (
     signs_at_embeddings,
     sqrt_in_field,
 )
-from .intarith import _sieve, prime_factors
+from .intarith import _echelon, _sieve, prime_factors
 from .quadratic import classify_pair, fundamental_unit
 
 
@@ -310,40 +310,6 @@ def _exponent_rows(quarters_list, labels) -> tuple:
             row[col[r]] = n
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _echelon(rows, ncols: int) -> list:
-    """The row Hermite normal form of the integer rows over their first
-    ncols columns; later columns ride along with every row operation.
-
-    The nonzero rows come out in echelon form with positive pivots, and the
-    entries above each pivot are reduced into [0, pivot), which makes the
-    form unique for the lattice the rows span.  The rows are changed in
-    place.
-    """
-    out = []
-    for c in range(ncols):
-        live = [row for row in rows if row[c]]
-        if not live:
-            continue
-        # Euclid down column c: reduce every other live row by the smallest
-        while len(live) > 1:
-            piv = min(live, key=lambda row: abs(row[c]))
-            for row in live:
-                if row is not piv:
-                    f = row[c] // piv[c]
-                    row[:] = [a - f * b for a, b in zip(row, piv)]
-            live = [row for row in live if row[c]]
-        (piv,) = live
-        rows = [row for row in rows if row is not piv]
-        if piv[c] < 0:
-            piv = [-a for a in piv]
-        for row in out:
-            f = row[c] // piv[c]
-            if f:
-                row[:] = [a - f * b for a, b in zip(row, piv)]
-        out.append(piv)
-    return out
 
 
 def _exponent_frame(labels, quarters_list) -> tuple:

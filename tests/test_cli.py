@@ -239,3 +239,28 @@ def test_classnum_verb():
     d = json.loads(res.stdout)
     assert d["radicand"] == 10 and d["h"] == 2
     assert d["group_structure"] is None
+
+
+@pytest.mark.parametrize("disc, radicand", [("40", 10), ("-440", None)])
+def test_classnum_tests_its_discriminant_squarefree_once(disc, radicand, monkeypatch, capsys):
+    # the class-number entry validates D; the verb only refuses a D that no
+    # radicand gives, such as 20, which needs no squarefree test
+    from mqunits import forms
+
+    for entry in (forms.class_number_imaginary, forms.count_reduced_forms, forms.class_number_real):
+        entry.cache_clear()
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_squarefree(n)
+
+    is_squarefree = forms.is_squarefree
+    monkeypatch.setattr(forms, "is_squarefree", counted)
+    assert cli.main(["classnum", "--disc", disc]) == 0
+    assert json.loads(capsys.readouterr().out)["radicand"] == radicand
+    assert len(calls) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classnum", "--disc", "20"])
+    assert exc.value.code == 2 and "20 is not a fundamental discriminant" in capsys.readouterr().err
+    assert len(calls) == 1

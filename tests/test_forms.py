@@ -22,6 +22,7 @@ from mqunits.forms import (
     _enumerate_posdef,
     _group_structure,
     _narrow_class_number,
+    _prime_forms,
     _principal_form,
     _reduce_posdef,
     _rho,
@@ -430,17 +431,15 @@ def _squares_miss_the_principal_form(D, bound):
 
 
 def test_composition_that_misses_the_principal_form_raises(monkeypatch):
-    # -260 has the group (2, 4); its 8 forms make the 2-Sylow subgroup as before
+    # -260 has the group (2, 4); the norm-2 prime form has order 2, so its
+    # square lands on the form itself, in the coset it has just opened
     monkeypatch.setattr(forms, "compose_forms", _squares_miss_the_principal_form(-260, 100))
-    with pytest.raises(ArithmeticError, match="2-power chain"):
+    with pytest.raises(ArithmeticError, match="against the group law"):
         _group_structure(8, -260)
 
 
-def test_each_sylow_element_is_raised_to_the_l_th_power_once(monkeypatch):
-    # -6611599 has the cyclic group of order 1024: about h compositions close
-    # the Sylow subgroup and h more take each element's square once
-    D = -6611599
-    h = count_reduced_forms(D)
+def _counted_compositions(monkeypatch):
+    """Patch forms.compose_forms to count its calls; return the list of calls."""
     calls = []
 
     def counted(f1, f2, D):
@@ -448,8 +447,67 @@ def test_each_sylow_element_is_raised_to_the_l_th_power_once(monkeypatch):
         return compose_forms(f1, f2, D)
 
     monkeypatch.setattr(forms, "compose_forms", counted)
+    return calls
+
+
+def test_a_cyclic_sylow_subgroup_is_closed_in_about_h_compositions(monkeypatch):
+    # -6611599 has the cyclic group of order 1024: the first prime form
+    # generates it, one composition makes each element, and no element is
+    # raised to any power afterwards
+    D = -6611599
+    h = count_reduced_forms(D)
+    calls = _counted_compositions(monkeypatch)
     assert _group_structure(h, D) == (h,) == (1024,)
-    assert len(calls) <= 2 * h + 2 * h.bit_length()
+    assert len(calls) <= h + 2 * h.bit_length()
+
+
+def test_structures_of_a_fixed_range_stay_within_their_composition_budget(monkeypatch):
+    # the 3050 fundamental -110000 < D < -100000: 78811 compositions close
+    # their Sylow subgroups (221303 when every listed form was raised to
+    # h/l^e and every Sylow element to the l-th power)
+    discs = [D for D in range(-100001, -110000, -1) if is_fundamental_discriminant(D)]
+    assert len(discs) == 3050
+    hs = [count_reduced_forms(D) for D in discs]
+    calls = _counted_compositions(monkeypatch)
+    for D, h in zip(discs, hs):
+        assert math.prod(_group_structure(h, D)) == h
+    assert len(calls) <= 78811
+
+
+def test_group_structure_lists_no_forms(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("_group_structure walked a root table")
+
+    discs = (-260, -440, -3896, -2184, -6611599)
+    hs = [count_reduced_forms(D) for D in discs]
+    monkeypatch.setattr(forms, "_sqrt_table", no_table)
+    for D, h in zip(discs, hs):
+        assert math.prod(_group_structure(h, D)) == h
+
+
+def test_a_norm_2_prime_form_exactly_when_2_is_not_inert():
+    # 2 is inert exactly when D = 5 (mod 8); D = 4 (mod 8), as -84 and -260,
+    # ramifies it; below |D| = 12 no prime reaches sqrt(|D|/3)
+    assert -84 % 8 == -260 % 8 == 4
+    for D in range(-12, -5000, -1):
+        if is_fundamental_discriminant(D):
+            twos = [f for f in _prime_forms(D) if f[0] == 2]
+            assert len(twos) == (D % 8 != 5), D
+            for f in twos:
+                assert f[1] * f[1] - 8 * f[2] == D and _reduce_posdef(*f, D) == f, D
+
+
+def test_the_prime_forms_generate_the_class_group():
+    for D in range(-3, -5000, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        group = {_principal_form(D)}
+        for g in _prime_forms(D):
+            grown = group
+            while grown:
+                grown = {compose_forms(f, g, D) for f in grown} - group
+                group |= grown
+        assert len(group) == count_reduced_forms(D), D
 
 
 def test_broken_rho_raises(monkeypatch):

@@ -809,3 +809,10 @@ def test_a_unit_over_the_digit_limit_round_trips_in_process():
     if limit is not None:
         assert max(map(len, g["witness"].replace("/", " ").replace("*", " ").split())) > limit
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_each_check_follows_its_prerequisites():
+    # validate_report_dict looks for a skipped entry only after the first
+    # failed check, which is sound only in this order
+    for cid, pres in report._PREREQUISITES.items():
+        assert all(CHECK_IDS.index(pre) < CHECK_IDS.index(cid) for pre in pres), cid
