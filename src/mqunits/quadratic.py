@@ -75,10 +75,12 @@ class DecompositionWitness(FrozenRecord):
         super().__init__(radicand_tag, case_id, u1, u2, r1, r2, doubled, unit)
 
 
+@lru_cache(maxsize=1)
 def _half_period(d: int):
     """(Q0, N, a, b) at the first symmetric midpoint k of the continued
     fraction of (P0 + sqrt(d))/Q0, from (P0, Q0) = (1, 2) when d = 1 mod 4
     and (0, 1) otherwise; the fundamental unit is Q0*a*b/N, with N = Q_k.
+    The last walk is kept, so a lemma's re-square reads it: one walk per radicand.
 
     With the convergents p_j/q_j, alpha_j = (Q0*p_(j-1) - P0*q_(j-1) +
     q_(j-1)*sqrt(d))/Q0 has norm +-Q_j/Q0.  a = b = alpha_k at the first

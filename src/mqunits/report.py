@@ -234,8 +234,8 @@ def validate_report_dict(d) -> None:
 
     Beyond key order and types (int p and q, a number for elapsed_ms, no
     bool among them, a tag verify_pair writes and a str reason), the check
-    list must agree with the prerequisite table: a check with a failed
-    prerequisite reads "skipped: <first failed prerequisite> failed".  An
+    list must agree with the prerequisite table: a check with a prerequisite
+    that did not pass reads "skipped: <check> failed" (_skip_detail).  An
     artifact field must be well formed when the check that fills it passed,
     and may be null when that check failed; lemma_witnesses holds one entry
     per passed lemma check.  The stated class numbers must agree with each
@@ -298,10 +298,10 @@ def validate_report_dict(d) -> None:
 
 
 def _skip_detail(cid, passed):
-    """The detail of a check whose prerequisite did not pass, else None."""
+    """The skip detail of cid, naming the failed check behind any skipped prerequisites, else None."""
     for pre in _PREREQUISITES.get(cid, ()):
         if pre not in passed:
-            return f"skipped: {pre} failed"
+            return _skip_detail(pre, passed) or f"skipped: {pre} failed"
     return None
 
 
@@ -311,10 +311,10 @@ def verify_pair(p: int, q: int) -> PairReport:
 
     A check runs only when all of its prerequisites passed, and receives
     their artifacts in prerequisite order; otherwise its entry names the
-    first failed prerequisite.  An inapplicable pair yields a
-    condition-only report with no checks, and so does a pair beyond the
-    supported range p*q <= MAX_PQ, tagged Unsupported before p and q are
-    classified, so a huge input never reaches trial division.  A pair
+    failed check that caused the skip (_skip_detail).  An inapplicable
+    pair yields a condition-only report with no checks, and so does a pair
+    beyond the supported range p*q <= MAX_PQ, tagged Unsupported before p
+    and q are classified, so a huge input never reaches trial division.  A pair
     builds two bases of its own, K+ and K, which hold the biquadratic
     systems with p and q; _one_prime_fsu keeps the other two, and their
     bases, for later pairs.
@@ -408,11 +408,8 @@ def _check_wada_generators(p, q, cond, rep, fsu):
     named = claims.unit_rows(cond.tag)
     if not fsu.spans([named[name] for name in claims.KPLUS_FSU]):
         return False, "generator lattice differs from the theorem lattice", None
-    other = COND2 if cond.tag == COND1 else COND1
-    if fsu.contains(claims.unit_rows(other)[claims.F4]):
-        return False, f"lattice does not separate {cond.tag} from {other}", None
     labels = [g["label"] for g in rep.fsu_real["generators"]]
-    return True, "lattice matches theorem; generators " + ", ".join(labels), None
+    return True, "lattice matches theorem; generators " + ", ".join(labels), fsu
 
 
 def _check_azizi_square(p, q, cond, rep, biquad):
@@ -552,7 +549,7 @@ _PREREQUISITES = {
     "wada_generators": ("wada_q_index",),
     "azizi_square": ("biquad_fsu_all",),
     "cm_fsu": ("wada_q_index", "azizi_square"),
-    "norm_tables": ("wada_q_index",),
+    "norm_tables": ("wada_generators",),  # it names units by their rows in the claimed lattice
     "kuroda_deg4": ("quad_h2_table", "biquad_fsu_all"),
     "kuroda_deg8": ("quad_h2_table", "wada_q_index"),
     "kuroda_deg16": ("quad_h2_table", "cm_fsu", "kuroda_deg8"),

@@ -11,6 +11,7 @@ from mqunits.classnum import claimed_h2, kuroda_h2
 from mqunits.intarith import is_squarefree
 from mqunits.quadratic import classify_pair
 from mqunits.report import verify_pair
+from mqunits.units import _exponent_frame, _frame_q_log2, _frame_solve
 
 from claim_caches import verify_patched
 
@@ -105,9 +106,9 @@ FAULTS = {
         claims.PELL_CASES[tag], "q", ("q", "1", "minus", "1", "q", True)),
     "biquad_fsu_all": lambda mp, tag, p, q: mp.setitem(claims.Q_LOG2, ("2", "q"), 1),
     "wada_q_index": lambda mp, tag, p, q: mp.setitem(claims.Q_LOG2, K_PLUS, 5),
-    # the other class's fourth root put in the lattice of this one
+    # this class's fourth root replaced by the other class's, which its lattice excludes
     "wada_generators": lambda mp, tag, p, q: mp.setitem(
-        claims.UNITS[_other(tag)], claims.F4, claims.UNITS[tag][claims.F4]),
+        claims.UNITS[tag], claims.F4, claims.UNITS[_other(tag)][claims.F4]),
     "cm_fsu": lambda mp, tag, p, q: mp.setitem(claims.CM_TORSION, q == 3, "zeta12"),
     "norm_tables": lambda mp, tag, p, q: mp.setitem(
         claims.NORM_TABLES[tag], claims.E2,
@@ -118,11 +119,15 @@ FAULTS = {
 
 
 def assert_fails_exactly(rep, cid, ways=("error:", "skipped:")):
-    """cid failed, not in one of the ways given, and every other failed entry
-    is a check skipped below it."""
+    """cid failed, not in one of the ways given, every other failed entry
+    is a check skipped below it, and every skip names a check that failed
+    and was not skipped."""
     failed = {c: detail for c, ok, detail in rep.checks if not ok}
     assert not failed[cid].startswith(ways), failed[cid]
     assert all(detail.startswith("skipped: ") for c, detail in failed.items() if c != cid), failed
+    named = {detail.removeprefix("skipped: ").removesuffix(" failed")
+             for detail in failed.values() if detail.startswith("skipped: ")}
+    assert all(not failed.get(c, "skipped: ").startswith("skipped: ") for c in named), failed
 
 
 @pytest.mark.parametrize("tag", [COND1, COND2])
@@ -134,6 +139,17 @@ def test_one_claim_fault_fails_exactly_the_check_that_reads_it(monkeypatch, cid,
     # the check fails by Falsified or by returning False
     assert_fails_exactly(rep, cid)
     assert verify_pair(p, q).passed
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+def test_the_claimed_lattice_of_k_plus_excludes_the_other_fourth_root(tag):
+    # wada_generators proves a pair's lattice the claimed one, so which fourth
+    # root it holds follows from the claims alone, the same for every pair
+    rows = claims.unit_rows(tag)
+    frame = _exponent_frame(range(1, 8), [dict(enumerate(rows[name], 1)) for name in claims.KPLUS_FSU])
+    assert _frame_q_log2(frame, 7) == claims.Q_LOG2[K_PLUS]
+    assert _frame_solve(frame, rows[claims.F4]) is not None
+    assert _frame_solve(frame, claims.unit_rows(_other(tag))[claims.F4]) is None
 
 
 @pytest.mark.parametrize("tag", [COND1, COND2])

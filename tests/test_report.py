@@ -688,9 +688,9 @@ def test_failed_checks_never_raise(monkeypatch):
     rep = verify_pair(5, 11)
     checks = {cid: (ok, detail) for cid, ok, detail in rep.checks}
     assert checks["wada_q_index"] == (False, "falsified: forced")
-    for cid in ("wada_generators", "cm_fsu", "norm_tables", "kuroda_deg8"):
+    # a skip names the check that failed, through the skipped cm_fsu too
+    for cid in ("wada_generators", "cm_fsu", "norm_tables", "kuroda_deg8", "kuroda_deg16"):
         assert checks[cid] == (False, "skipped: wada_q_index failed")
-    assert checks["kuroda_deg16"] == (False, "skipped: cm_fsu failed")
     for cid in ("classify", "lemma_q", "lemma_2q", "lemma_pq", "lemma_2pq",
                 "biquad_fsu_all", "azizi_square", "quad_h2_table", "kuroda_deg4", "structures"):
         assert checks[cid][0], cid
@@ -698,33 +698,43 @@ def test_failed_checks_never_raise(monkeypatch):
     assert report_from_json(report_to_json(rep)) == rep
 
 
-def _checks_with(monkeypatch, cid, p, q):
-    """{check id: (passed, detail)} of verify_pair(p, q) with cid forced to fail."""
+def _verify_with(monkeypatch, cid, p, q):
+    """verify_pair(p, q) with cid forced to fail."""
     def failing(*args):
         raise Falsified("forced")
     with monkeypatch.context() as mp:
         mp.setitem(report._CHECKS, cid, failing)
-        return {c: (ok, detail) for c, ok, detail in verify_pair(p, q).checks}
+        return verify_pair(p, q)
+
+
+def _checks(rep):
+    return {c: (ok, detail) for c, ok, detail in rep.checks}
 
 
 def test_a_failed_lemma_skips_the_biquadratic_systems(monkeypatch):
     # biquad_fsu_all forms its roots from the four lemma witnesses, so it
-    # runs only when all four passed, and the unit checks wait for it
-    checks = _checks_with(monkeypatch, "lemma_pq", 13, 3)
-    assert checks["lemma_pq"] == (False, "falsified: forced")
-    assert checks["biquad_fsu_all"] == (False, "skipped: lemma_pq failed")
-    for cid in ("wada_q_index", "azizi_square", "kuroda_deg4"):
-        assert checks[cid] == (False, "skipped: biquad_fsu_all failed"), cid
-    for cid in ("classify", "lemma_q", "lemma_2q", "lemma_2pq", "quad_h2_table", "structures"):
-        assert checks[cid][0], cid
+    # runs only when all four passed, and the unit checks wait for it; each
+    # skip names the lemma, not a check skipped on the way to it
+    for p, q in ((13, 3), (13, 11)):
+        rep = _verify_with(monkeypatch, "lemma_pq", p, q)
+        checks = _checks(rep)
+        assert checks["lemma_pq"] == (False, "falsified: forced")
+        skipped = [cid for cid, (ok, _) in checks.items() if not ok and cid != "lemma_pq"]
+        assert skipped == ["biquad_fsu_all", "wada_q_index", "wada_generators", "azizi_square", "cm_fsu",
+                           "norm_tables", "kuroda_deg4", "kuroda_deg8", "kuroda_deg16"], (p, q)
+        for cid in skipped:
+            assert checks[cid] == (False, "skipped: lemma_pq failed"), (p, q, cid)
+        for cid in ("classify", "lemma_q", "lemma_2q", "lemma_2pq", "quad_h2_table", "structures"):
+            assert checks[cid][0], (p, q, cid)
+        validate_report_dict(report_to_dict(rep))
 
 
 def test_a_failed_azizi_square_skips_cm_fsu(monkeypatch):
     # cm_fsu twists the root that azizi_square took, and takes none of its own
-    checks = _checks_with(monkeypatch, "azizi_square", 13, 3)
+    checks = _checks(_verify_with(monkeypatch, "azizi_square", 13, 3))
     assert checks["azizi_square"] == (False, "falsified: forced")
     assert checks["cm_fsu"] == (False, "skipped: azizi_square failed")
-    assert checks["kuroda_deg16"] == (False, "skipped: cm_fsu failed")
+    assert checks["kuroda_deg16"] == (False, "skipped: azizi_square failed")
     assert [cid for cid, (ok, _) in checks.items() if not ok] == ["azizi_square", "cm_fsu", "kuroda_deg16"]
 
 

@@ -32,6 +32,7 @@ from mqunits.units import (
     _embed_expr,
     _exponent_frame,
     _frame_q_log2,
+    _frame_solve,
     _nonresidues,
     _torsion,
     azizi_extend,
@@ -579,10 +580,10 @@ def test_char_vectors_of_squares(p, q):
 
 
 @pytest.mark.parametrize("gens,primes", [
-    ((2, 5, 11), (79, 151, 239, 271, 359, 431, 439, 479,
-                  919, 1031, 1151, 1231, 1319, 1399, 1471, 1559)),
-    ((2, 13, 3), (23, 191, 263, 311, 503, 599, 647, 719,
-                  887, 911, 1031, 1223, 1439, 1511, 1559, 1583)),
+    ((2, 5, 11), (79, 151, 239, 271, 359, 431, 439, 479, 919, 1031,
+                  1151, 1231, 1319, 1399, 1471, 1559, 1759, 1999, 2111, 2239)),
+    ((2, 13, 3), (23, 191, 263, 311, 503, 599, 647, 719, 887, 911,
+                  1031, 1223, 1439, 1511, 1559, 1583, 1823, 1847, 1871, 2063)),
 ])
 def test_char_primes_are_pinned(gens, primes):
     # the primes enter every character vector, so the search order must not move them
@@ -835,8 +836,9 @@ def test_a_claimed_eighth_reads_error(flags):
     """)
     assert checks["wada_q_index"][0] and checks["azizi_square"][0]
     error = [False, "error: ArithmeticError('exponent 1/8 of eps_2q is not a multiple of 1/4')"]
-    for cid in ("wada_generators", "cm_fsu", "norm_tables"):
+    for cid in ("wada_generators", "cm_fsu"):
         assert checks[cid] == error, cid
+    assert checks["norm_tables"] == [False, "skipped: wada_generators failed"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -975,8 +977,9 @@ def test_frame_reads_the_index_and_the_coordinates():
     rows = [claims.unit_rows(tag) for tag in (COND1, COND2)]
     assert fsu.spans([rows[0][name] for name in claims.KPLUS_FSU])
     assert not fsu.spans([rows[1][name] for name in claims.KPLUS_FSU])
-    assert fsu.contains(claims.row({"2q": H})) and not fsu.contains(rows[1][claims.F4])
-    assert not fsu.contains(claims.row({"2": Fraction(1, 4)}))
+    assert _frame_solve(fsu.frame, claims.row({"2q": H})) is not None
+    assert _frame_solve(fsu.frame, rows[1][claims.F4]) is None
+    assert _frame_solve(fsu.frame, claims.row({"2": Fraction(1, 4)})) is None
 
 
 def test_a_scan_resolves_the_named_units_once_per_class():
