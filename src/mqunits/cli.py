@@ -95,14 +95,9 @@ def _cmd_classnum(args) -> int:
         supported_discriminant(D)  # raises: D is not fundamental, or 20 would be answered for 5
     # the entries validate the discriminant they count for, so D is tested once
     rep = class_number_imaginary(D) if radicand is None else class_number_real(radicand)
-    print(json.dumps({
-        "discriminant": D,
-        "radicand": radicand,
-        "h": rep.h,
-        "h2": rep.h2,
-        "two_rank": rep.two_rank,
-        "group_structure": None if rep.group_structure is None else list(rep.group_structure),
-    }, separators=(",", ":")))
+    # a tuple prints as a JSON list
+    fields = {k: getattr(rep, k) for k in ("h", "h2", "two_rank", "group_structure")}
+    print(json.dumps({"discriminant": D, "radicand": radicand, **fields}, separators=(",", ":")))
     return 0
 
 

@@ -219,15 +219,12 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not any(self._num)
 
-    def is_rational(self) -> bool:
-        return not any(self._num[1:])
-
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return (self.basis is other.basis and self._den == other._den
                     and self._num == other._num)
         if isinstance(other, (int, Fraction)):
-            return (self.is_rational() and self._num[0] == other.numerator
+            return (not any(self._num[1:]) and self._num[0] == other.numerator
                     and self._den == other.denominator)
         return NotImplemented
 
@@ -583,7 +580,9 @@ def parse_element(s: str, basis: FieldBasis) -> FieldElement:
 
 
 def embed_element(u: FieldElement, big: FieldBasis) -> FieldElement:
-    """Reinterpret u inside a larger basis containing all its radicands."""
+    """Reinterpret u inside a larger basis containing all its radicands (u itself if in big)."""
+    if u.basis is big:
+        return u
     num = [0] * big.dim
     rads = u.basis.radicands
     for m, n in enumerate(u._num):

@@ -180,6 +180,22 @@ def _chains(D, A):
     return chains
 
 
+def _genus_t(D, A, exact=False):
+    """The number t of primes dividing the fundamental D, whose narrow class
+    group has 2-rank t - 1 (genus theory; Cox, Primes of the Form x^2 + ny^2,
+    section 3), from the chains of its count (_chains(D, A), cached): 2 when
+    4 | D, each ramified odd l <= A (one root), and the cofactor c > 1 left.
+    That is a lower bound, short only when c >= (A+1)^2 holds two primes >
+    A; exact factors such a c."""
+    c = abs(D)
+    t = int(c % 4 == 0)
+    c >>= (c & -c).bit_length() - 1
+    for l, nl, _ in _chains(D, A):
+        if nl == 1:
+            t, c = t + 1, c // l
+    return t + (len(prime_factors(c)) if exact and math.isqrt(c) > A else c > 1)
+
+
 def _drain(table):
     """The return value N(lo) of a root table, and the entries it yields."""
     entries = []
@@ -335,26 +351,29 @@ def _group_structure(h, D):
 def count_reduced_forms(D: int) -> int:
     """h(D) of a negative fundamental discriminant, without the group structure.
     A root b of b*b = D (mod 4a) in (-a, a] with 4a^2 < |D| always gives a
-    reduced form, as c >= |D|/(4a) > a, so only the larger a are listed."""
+    reduced form, as c >= |D|/(4a) > a, so only the larger a are listed.  An
+    h that 2^(t-1) does not divide (_genus_t) raises ArithmeticError."""
     if D >= 0:
         raise ValueError(f"{D} is not a negative fundamental discriminant")
     D = supported_discriminant(D)
-    n, window = _drain(_sqrt_table(D, math.isqrt(-D // 3), math.isqrt((-D - 1) // 4)))
-    return n + sum(1 for _ in _enumerate_posdef(D, window))
+    A = math.isqrt(-D // 3)
+    n, window = _drain(_sqrt_table(D, A, math.isqrt((-D - 1) // 4)))
+    h = n + sum(1 for _ in _enumerate_posdef(D, window))
+    if h % (1 << (_genus_t(D, A) - 1)):
+        raise ArithmeticError(f"h({D}) = {h} has a 2-rank below genus theory's")
+    return h
 
 
 @lru_cache(maxsize=None)
 def class_number_imaginary(D: int) -> ClassNumberReport:
-    """Class number and 2-group data of the imaginary field with discriminant D."""
+    """Class number and 2-group data of the imaginary field with discriminant D.
+    A 2-rank of the structure other than genus theory's raises ArithmeticError."""
     h = count_reduced_forms(D)
     structure = _group_structure(h, D)
-    return ClassNumberReport(
-        discriminant=D,
-        h=h,
-        h2=h & -h,
-        two_rank=sum(1 for n in structure if n % 2 == 0),
-        group_structure=structure,
-    )
+    two_rank = sum(1 for n in structure if n % 2 == 0)
+    if two_rank != _genus_t(D, math.isqrt(-D // 3), exact=True) - 1:
+        raise ArithmeticError(f"the class group {structure} of {D} has 2-rank {two_rank}, against genus theory")
+    return ClassNumberReport(discriminant=D, h=h, h2=h & -h, two_rank=two_rank, group_structure=structure)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +432,8 @@ def _narrow_class_number(D):
     of another orbit, an orbit that disagrees on nu, or another count when
     the walks stop means rho or the count is broken, and raises
     ArithmeticError.  A count short by exactly the forms of the last orbits
-    walked stops the walks before those orbits, and is not seen.
+    walked stops the walks before those orbits, and is seen only when the
+    cycles left break genus theory: 2^(t-1) | h+ (_genus_t).
     """
     s = math.isqrt(D)
     half = s // 2
@@ -464,6 +484,8 @@ def _narrow_class_number(D):
             break
     if found != total:
         raise ArithmeticError(f"the rho cycles of {D} hold {found} forms with 0 < a <= {half}, the table {total}")
+    if cycles % (1 << (_genus_t(D, half) - 1)):
+        raise ArithmeticError(f"the {cycles} rho cycles of {D} are a 2-rank below genus theory's")
     return cycles, shared
 
 

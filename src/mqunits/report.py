@@ -137,17 +137,9 @@ def _fsu_to_dict(fsu, gens=None) -> dict:
 
 
 def _witness_to_dict(w) -> dict:
-    return {
-        "tag": w.radicand_tag,
-        "case_id": w.case_id,
-        "u1": w.u1,
-        "u2": w.u2,
-        "r1": w.r1,
-        "r2": w.r2,
-        "doubled": w.doubled,
-        "unit": {"d": w.unit.d, "x": w.unit.x, "y": w.unit.y, "denom": w.unit.denom,
-                 "norm": w.unit.norm},
-    }
+    """The fields of the witness and of its unit, in slot order, radicand_tag as tag."""
+    return {"tag": w.radicand_tag, **{k: getattr(w, k) for k in w.__slots__[1:-1]},
+            "unit": {k: getattr(w.unit, k) for k in w.unit.__slots__}}
 
 
 def report_to_dict(report: PairReport) -> dict:
@@ -311,13 +303,14 @@ def verify_pair(p: int, q: int) -> PairReport:
 
     A check runs only when all of its prerequisites passed, and receives
     their artifacts in prerequisite order; otherwise its entry names the
-    failed check that caused the skip (_skip_detail).  An inapplicable
-    pair yields a condition-only report with no checks, and so does a pair
-    beyond the supported range p*q <= MAX_PQ, tagged Unsupported before p
-    and q are classified, so a huge input never reaches trial division.  A pair
-    builds two bases of its own, K+ and K, which hold the biquadratic
-    systems with p and q; _one_prime_fsu keeps the other two, and their
-    bases, for later pairs.
+    failed check that caused the skip (_skip_detail).  Beyond those a check
+    reads only the systems of Q(sqrt2, sqrt p) and Q(sqrt2, sqrt q), checked
+    where they are built, which _one_prime_fsu keeps with their bases for
+    later pairs.  An inapplicable pair yields a condition-only report with
+    no checks, and so does a pair beyond the supported range p*q <= MAX_PQ,
+    tagged Unsupported before p and q are classified, so a huge input never
+    reaches trial division.  A pair builds two bases of its own, K+ and K,
+    which hold the other systems.
     """
     t0 = time.perf_counter()
     if p * q > MAX_PQ:
@@ -370,33 +363,29 @@ def _one_prime_fsu(d1, d2):
     """fsu_biquadratic(d1, d2) for the fields Q(sqrt2, sqrt p) and
     Q(sqrt2, sqrt q), all kept across pairs, about 4 KB each: a scan pairs
     every p with every q, p-major, so a smaller LRU bound would miss at
-    every (2, q) lookup.  A kept result keeps its basis interned, so later
-    pairs reuse that basis.  Every caller gets the same result and must
-    not change it."""
+    every (2, q) lookup.  fsu_biquadratic checks the system and a raise is
+    not kept, so a faulty claim fails every check that reads it.  A result
+    keeps its basis interned for later pairs.  Every caller gets the same
+    result and must not change it."""
     return fsu_biquadratic(d1, d2)
 
 
 def _check_biquad_fsu_all(p, q, cond, rep, *witnesses):
-    # the artifact: the six systems by (d1, d2), those with p and q in K+, and sqrt(eps_pq)
+    # fsu_in_kplus and fsu_biquadratic check each claimed index; the artifact: the (2, pq) system and sqrt(eps_pq)
     kplus = FieldBasis((2, p, q))
     roots = {w.unit.d: pell_root(w, kplus) for w in witnesses}
-    built = {}
-    qs = []
+    systems = {}
     for field in claims.BIQUAD_FSU:
         d1, d2 = (claims.value(s, p, q) for s in field)
         one_prime = d1 == 2 and d2 in (p, q)
-        fsu = _one_prime_fsu(d1, d2) if one_prime else fsu_in_kplus(kplus, field, cond.tag, roots)
-        want = claims.Q_LOG2[field]
-        if fsu.q_index_log2 != want:
-            return False, f"Q(sqrt{d1}, sqrt{d2}) has q_log2 {fsu.q_index_log2}, expected {want}", None
-        built[(d1, d2)] = fsu
-        qs.append(fsu.q_index_log2)
-    return True, f"6 configurations, q_index_log2 = {qs}", (built, roots[p * q])
+        systems[field] = _one_prime_fsu(d1, d2) if one_prime else fsu_in_kplus(kplus, field, cond.tag, roots)
+    qs = [fsu.q_index_log2 for fsu in systems.values()]
+    return True, f"6 configurations, q_index_log2 = {qs}", (systems[("2", "pq")], roots[p * q])
 
 
 def _check_wada_q_index(p, q, cond, rep, biquad):
-    built, pq_root = biquad
-    fsu = wada_fsu(pq_root.basis, [built[(2, p)], built[(2, q)], built[(2, p * q)]], pq_root)
+    pq_fsu, pq_root = biquad
+    fsu = wada_fsu(pq_root.basis, [_one_prime_fsu(2, p), _one_prime_fsu(2, q), pq_fsu], pq_root)
     rep.fsu_real = _fsu_to_dict(fsu)
     want = claims.Q_LOG2[claims.K_PLUS]
     if fsu.q_index_log2 != want:
@@ -412,13 +401,13 @@ def _check_wada_generators(p, q, cond, rep, fsu):
     return True, "lattice matches theorem; generators " + ", ".join(labels), fsu
 
 
-def _check_azizi_square(p, q, cond, rep, biquad):
+def _check_azizi_square(p, q, cond, rep):
     # u lies in k = Q(sqrt2, sqrt q), and so does its root in K+ = k(sqrt p):
     # (s + t*sqrt p)^2 with s, t in k lies in k only when s*t = 0, and a root
     # t*sqrt p would make p*u a square in k.  It is not one: p is unramified
     # in k and prime to u, a unit times 2 + sqrt2, so p*u has valuation 1 at
     # each prime of k above p
-    k = biquad[0][(2, q)]
+    k = _one_prime_fsu(2, q)
     u = k.field.surd(2) + 2
     for g in k.generators:
         u = u * g.witness
@@ -488,8 +477,8 @@ def _check_quad_h2_table(p, q, cond, rep):
 # bound, and so compares the table's h2(-pq) with a product that contains it
 
 
-def _check_kuroda_deg4(p, q, cond, rep, h2, biquad):
-    val = kuroda_h2(claims.K_2P, h2, unit_index(biquad[0][(2, p)]))
+def _check_kuroda_deg4(p, q, cond, rep, h2):
+    val = kuroda_h2(claims.K_2P, h2, unit_index(_one_prime_fsu(2, p)))
     want = claimed_h2(claims.K_2P, cond.tag)
     if val != want:
         return False, f"h2(Q(sqrt2, sqrt{p})) = {val}, expected {want}", None
@@ -542,15 +531,15 @@ CHECK_IDS = tuple(_CHECKS)
 _LEMMA_IDS = {cid for cid in CHECK_IDS if cid.startswith("lemma_")}
 
 # check id -> the checks that must pass before it runs, in the order their
-# artifacts are passed to it; a check not listed has none
+# artifacts are passed to it; a check not listed has none.  A check reads
+# only these artifacts and the kept one-prime systems (_one_prime_fsu)
 _PREREQUISITES = {
     "biquad_fsu_all": ("lemma_q", "lemma_2q", "lemma_pq", "lemma_2pq"),
     "wada_q_index": ("biquad_fsu_all",),
     "wada_generators": ("wada_q_index",),
-    "azizi_square": ("biquad_fsu_all",),
     "cm_fsu": ("wada_q_index", "azizi_square"),
     "norm_tables": ("wada_generators",),  # it names units by their rows in the claimed lattice
-    "kuroda_deg4": ("quad_h2_table", "biquad_fsu_all"),
+    "kuroda_deg4": ("quad_h2_table",),
     "kuroda_deg8": ("quad_h2_table", "wada_q_index"),
     "kuroda_deg16": ("quad_h2_table", "cm_fsu", "kuroda_deg8"),
     "structures": ("quad_h2_table",),
@@ -723,12 +712,6 @@ def scan(max_n: int, jobs: int = 1, cache_dir: str | None = None, out=None) -> S
 
 
 def summary_to_json(summary: ScanSummary) -> str:
-    return json.dumps({
-        "schema": SCAN_SCHEMA,
-        "range": summary.range,
-        "pairs_examined": summary.pairs_examined,
-        "cond1_count": summary.cond1_count,
-        "cond2_count": summary.cond2_count,
-        "failures": summary.failures,
-    }, separators=(",", ":"))
+    return json.dumps({"schema": SCAN_SCHEMA, **{k: getattr(summary, k) for k in summary.__slots__}},
+                      separators=(",", ":"))
 

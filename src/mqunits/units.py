@@ -14,10 +14,10 @@ The index, the comparison with a theorem lattice and the coordinates of a
 vector in the unit lattice are all read from that frame.
 
 Construction goes bottom-up: known FSU shapes for the six relevant
-biquadratic configurations, then saturation by square roots of subset
-products for degree-8 totally real fields, then one torsion-twisted unit
-for the CM extension.  The builders materialize every predicted square root
-as an exact element; a missing root raises Falsified rather than guessing.
+biquadratic configurations, each checked against its claimed index where
+it is built, then saturation by square roots of subset products for
+degree-8 real fields, then one torsion-twisted unit for the CM extension.
+Every predicted square root is exact; a missing one raises Falsified.
 The twisted unit takes no root of its own (azizi_extend), and the norm
 tables of the degree-8 field take none either: they are checked on quarter
 vectors and on the signs of the generators at the real embeddings, and
@@ -127,13 +127,6 @@ def _quad_unit(r: int, basis: FieldBasis) -> FieldElement:
     num = [0] * basis.dim
     num[0], num[basis.mask_of[r]] = u.x, u.y
     return FieldElement(basis, tuple(num), u.denom)
-
-
-def _base_units(basis: FieldBasis) -> dict:
-    """{r: eps_r} over the real quadratic subfields, built on each call:
-    fundamental_unit is cached, so this only wraps its integers as
-    elements of the basis, and the basis holds no element of its own."""
-    return {r: _quad_unit(r, basis) for r in basis.radicands if r > 1}
 
 
 def _torsion_order(basis: FieldBasis) -> int:
@@ -428,7 +421,8 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     the condition class of the pair (p, q) when both primes appear (the
     battery builds those in K+: fsu_in_kplus), and the field's one system
     otherwise.  Predicted square roots are materialized exactly; raises
-    Falsified when one does not exist, ValueError for an unknown configuration.
+    Falsified when one does not exist or as _claimed_fsu checks, ValueError
+    for an unknown configuration.
     """
     basis = FieldBasis((d1, d2))
     if basis.is_cm:
@@ -451,31 +445,42 @@ def fsu_biquadratic(d1: int, d2: int) -> FsuResult:
     system = claims.BIQUAD_FSU[key]
     if ps and qs:  # p = 5 and q = 3 (mod 8): Cond1 or Cond2
         system = system[classify_pair(p, q).tag]
-    units = _base_units(basis)
 
     def root(quarters):
         # the re-square of sqrt_in_field is the identity check of the root
-        w = sqrt_in_field(math.prod((units[r] ** (n >> 1) for r, n in quarters.items()), start=basis.one()))
+        w = sqrt_in_field(math.prod((_quad_unit(r, basis) ** (n >> 1) for r, n in quarters.items()),
+                                    start=basis.one()))
         if w is None:
             names = "*".join(f"eps_{r}" for r in quarters)
             raise Falsified(f"{names} is predicted to be a square in {basis!r} but is not")
         return _norm_pos(w)
 
-    return FsuResult(basis, _claimed_units(system, p, q, units, root))
+    return _claimed_fsu(basis, key, system, p, q, root)
 
 
-def _claimed_units(system, p, q, units, root) -> tuple:
-    """The vectors of system as units: units[r] for eps_r itself and
-    root(quarters) for a square root; ValueError for any other vector."""
+def _claimed_fsu(basis, field, system, p, q, root) -> FsuResult:
+    """The vectors of system, claimed for the subfield named by field (a key
+    of claims.BIQUAD_FSU), as units of basis: eps_r itself and root(quarters)
+    for a square root; ValueError for any other vector.  A unit outside the
+    four masks of field, or an index other than claims.Q_LOG2[field], raises
+    Falsified."""
     rads_pq = claims.radicands(p, q)
+    m1, m2 = (basis.mask_of[claims.value(s, p, q)] for s in field)
+    where = f"Q(sqrt {field[0]}, sqrt {field[1]})"
     gens = []
     for vec in system:
         quarters = {rads_pq[m]: n for m, n in enumerate(claims.row(vec), 1) if n}
         level = exponent_level([quarters])
         if level != 2 and list(quarters.values()) != [4]:
             raise ValueError(f"claimed unit {vec} is neither a quadratic unit nor a square root")
-        gens.append(UnitExpr(0, quarters, root(quarters) if level == 2 else units[next(iter(quarters))]))
-    return tuple(gens)
+        w = root(quarters) if level == 2 else _quad_unit(next(iter(quarters)), basis)
+        if any(n and m not in (0, m1, m2, m1 ^ m2) for m, n in enumerate(w._num)):
+            raise Falsified(f"the unit of {quarters} is claimed in {where} but lies outside it")
+        gens.append(UnitExpr(0, quarters, w))
+    fsu = FsuResult(basis, tuple(gens))
+    if fsu.q_index_log2 != claims.Q_LOG2[field]:
+        raise Falsified(f"{where} has q_log2 {fsu.q_index_log2}, expected {claims.Q_LOG2[field]}")
+    return fsu
 
 
 def pell_root(w, basis: FieldBasis) -> FieldElement:
@@ -491,22 +496,17 @@ def fsu_in_kplus(kplus: FieldBasis, field, tag: str, roots: dict) -> FsuResult:
     """The claimed system of class tag of the subfield named by field, a key
     of claims.BIQUAD_FSU holding p and q, in kplus = Q(sqrt2, sqrt p, sqrt q).
     A root is a product of the roots {d: pell_root}, so it squares to its
-    claim and is positive at the all-plus embedding.  A factor with no root,
-    or a unit outside the four masks of field, raises Falsified."""
+    claim and is positive at the all-plus embedding.  A factor with no root
+    raises Falsified, and so does what _claimed_fsu checks."""
     _, p, q = kplus.generators
-    m1, m2 = (kplus.mask_of[claims.value(s, p, q)] for s in field)
-    where = f"Q(sqrt {field[0]}, sqrt {field[1]})"
 
     def root(quarters):
         if not quarters.keys() <= roots.keys():
-            raise Falsified(f"the root of {quarters} claimed in {where} has a factor with no Pell root")
+            raise Falsified(f"the root of {quarters} claimed in Q(sqrt {field[0]}, sqrt {field[1]}) "
+                            "has a factor with no Pell root")
         return functools.reduce(FieldElement.__mul__, (roots[r] ** (n >> 1) for r, n in quarters.items()))
 
-    gens = _claimed_units(claims.BIQUAD_FSU[field][tag], p, q, _base_units(kplus), root)
-    for g in gens:
-        if any(n and m not in (0, m1, m2, m1 ^ m2) for m, n in enumerate(g.witness._num)):
-            raise Falsified(f"the unit of {g.quarters} is claimed in {where} but lies outside it")
-    return FsuResult(kplus, gens)
+    return _claimed_fsu(kplus, field, claims.BIQUAD_FSU[field][tag], p, q, root)
 
 
 # ---------------------------------------------------------------------------

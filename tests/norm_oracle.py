@@ -17,7 +17,7 @@ from mqunits.claims import (
 from mqunits.errors import Falsified
 from mqunits.field import FieldElement, _conjugate, sqrt_in_field
 from mqunits.quadratic import COND1, classify_pair
-from mqunits.units import FsuResult, _base_units, _norm_pos
+from mqunits.units import FsuResult, _norm_pos, _quad_unit
 
 
 def conjugate(u: FieldElement, mask: int) -> FieldElement:
@@ -44,11 +44,8 @@ def norm_table(fsu: FsuResult) -> dict:
     if not cond.is_applicable:
         raise ValueError(f"pair ({p}, {q}) is not applicable: {cond.reason}")
 
-    base = _base_units(field)
-    env = {
-        E2: base[2], EP: base[p], EQ: base[q], E2P: base[2 * p],
-        E2Q: base[2 * q], EPQ: base[p * q], E2PQ: base[2 * p * q],
-    }
+    env = {name: _quad_unit(r, field) for name, r in (
+        (E2, 2), (EP, p), (EQ, q), (E2P, 2 * p), (E2Q, 2 * q), (EPQ, p * q), (E2PQ, 2 * p * q))}
     by_exps = {frozenset((r, Fraction(n, 4)) for r, n in g.quarters.items()): g.witness
                for g in fsu.generators}
 

@@ -104,7 +104,8 @@ def _other(tag):
 FAULTS = {
     "lemma_q": lambda mp, tag, p, q: mp.setitem(
         claims.PELL_CASES[tag], "q", ("q", "1", "minus", "1", "q", True)),
-    "biquad_fsu_all": lambda mp, tag, p, q: mp.setitem(claims.Q_LOG2, ("2", "q"), 1),
+    # a field with p and q: its system is built in K+ for this check alone
+    "biquad_fsu_all": lambda mp, tag, p, q: mp.setitem(claims.Q_LOG2, ("p", "q"), 2),
     "wada_q_index": lambda mp, tag, p, q: mp.setitem(claims.Q_LOG2, K_PLUS, 5),
     # this class's fourth root replaced by the other class's, which its lattice excludes
     "wada_generators": lambda mp, tag, p, q: mp.setitem(
@@ -118,13 +119,13 @@ FAULTS = {
 }
 
 
-def assert_fails_exactly(rep, cid, ways=("error:", "skipped:")):
-    """cid failed, not in one of the ways given, every other failed entry
-    is a check skipped below it, and every skip names a check that failed
-    and was not skipped."""
+def assert_fails_exactly(rep, *cids, ways=("error:", "skipped:")):
+    """The checks cids failed, none in one of the ways given, every other
+    failed entry is a check skipped below them, and every skip names a
+    check that failed and was not skipped."""
     failed = {c: detail for c, ok, detail in rep.checks if not ok}
-    assert not failed[cid].startswith(ways), failed[cid]
-    assert all(detail.startswith("skipped: ") for c, detail in failed.items() if c != cid), failed
+    assert all(not failed[cid].startswith(ways) for cid in cids), failed
+    assert all(detail.startswith("skipped: ") for c, detail in failed.items() if c not in cids), failed
     named = {detail.removeprefix("skipped: ").removesuffix(" failed")
              for detail in failed.values() if detail.startswith("skipped: ")}
     assert all(not failed.get(c, "skipped: ").startswith("skipped: ") for c in named), failed
@@ -152,6 +153,14 @@ def test_the_claimed_lattice_of_k_plus_excludes_the_other_fourth_root(tag):
     assert _frame_solve(frame, claims.unit_rows(_other(tag))[claims.F4]) is None
 
 
+# the check besides biquad_fsu_all that reads the kept system of a one-prime field
+ONE_PRIME_READERS = {("2", "q"): "azizi_square", K_2P: "kuroda_deg4"}
+
+
+def _failed(rep):
+    return {c: detail for c, ok, detail in rep.checks if not ok and not detail.startswith("skipped: ")}
+
+
 @pytest.mark.parametrize("tag", [COND1, COND2])
 def test_a_one_prime_system_fault_fails_biquad_fsu_all(monkeypatch, tag):
     # Q(sqrt2, sqrt q) has one system, read by pairs of both classes
@@ -159,14 +168,32 @@ def test_a_one_prime_system_fault_fails_biquad_fsu_all(monkeypatch, tag):
     plain = ({"2": 1}, {"q": 1}, {"2q": 1})
     rep = verify_patched(
         monkeypatch, lambda mp: mp.setitem(claims.BIQUAD_FSU, ("2", "q"), plain), p, q)
-    # three plain units have index 1: the check returns False, it raises nothing
-    assert_fails_exactly(rep, "biquad_fsu_all", ("error:", "skipped:", "falsified:"))
+    # three plain units have index 1: fsu_biquadratic compares that with the
+    # claimed index as it builds the system, and both checks that read it fail
+    detail = "falsified: Q(sqrt 2, sqrt q) has q_log2 0, expected 2"
+    assert _failed(rep) == {"biquad_fsu_all": detail, "azizi_square": detail}
+    assert_fails_exactly(rep, "biquad_fsu_all", "azizi_square")
+    assert verify_pair(p, q).passed
+
+
+@pytest.mark.parametrize("tag", [COND1, COND2])
+@pytest.mark.parametrize("field", list(ONE_PRIME_READERS), ids="-".join)
+def test_a_one_prime_index_fault_fails_biquad_fsu_all_and_its_reader(monkeypatch, field, tag):
+    # the kept system is checked where it is built, so every check that reads
+    # it fails with the field named, and no other check runs on a wrong one
+    p, q = PAIRS[tag]
+    want = claims.Q_LOG2[field] + 1
+    rep = verify_patched(monkeypatch, lambda mp: mp.setitem(claims.Q_LOG2, field, want), p, q)
+    detail = f"falsified: Q(sqrt {field[0]}, sqrt {field[1]}) has q_log2 {want - 1}, expected {want}"
+    assert _failed(rep) == {"biquad_fsu_all": detail, ONE_PRIME_READERS[field]: detail}
+    assert_fails_exactly(rep, "biquad_fsu_all", ONE_PRIME_READERS[field])
     assert verify_pair(p, q).passed
 
 
 def test_a_plain_system_in_any_biquad_fsu_leaf_fails_biquad_fsu_all(monkeypatch):
     # a system keyed by class fails on a pair of that class; a one-prime
-    # system is read by both classes, so it fails on a pair of each
+    # system is read by both classes, so it fails on a pair of each, and
+    # fails the check that reads it too
     faulted = []
     for field, entry in claims.BIQUAD_FSU.items():
         third = "".join(s for s in "2pq" if "".join(field).count(s) % 2)
@@ -178,7 +205,10 @@ def test_a_plain_system_in_any_biquad_fsu_leaf_fails_biquad_fsu_all(monkeypatch)
             else:
                 fault = lambda mp, field=field: mp.setitem(claims.BIQUAD_FSU, field, plain)
             rep = verify_patched(monkeypatch, fault, *PAIRS[tag])
-            assert_fails_exactly(rep, "biquad_fsu_all", ("error:", "skipped:", "falsified:"))
+            failed = _failed(rep)
+            assert set(failed) == {"biquad_fsu_all", *([ONE_PRIME_READERS[field]] if not by_class else [])}
+            assert all(" has q_log2 0, expected " in detail for detail in failed.values()), failed
+            assert_fails_exactly(rep, *failed)
             faulted.append((field, tag))
     assert len(faulted) == 12
     assert all(verify_pair(*pair).passed for pair in PAIRS.values())

@@ -349,6 +349,8 @@ def test_embed_element():
     eps55 = unit_element(55, small)
     lifted = embed_element(eps55, big)
     assert lifted == unit_element(55, big)
+    # an element already in big is not copied: elements are immutable
+    assert embed_element(lifted, big) is lifted
     with pytest.raises(ValueError):
         embed_element(big.surd(5), small)
 

@@ -409,6 +409,80 @@ def test_miscounted_table_raises(monkeypatch, D, offset):
         _narrow_class_number(D)
 
 
+def test_a_count_short_by_one_orbit_breaks_genus_theory(monkeypatch):
+    # two forms short, the walks stop one orbit early and find 2 cycles of
+    # the 4; 60 has three prime divisors, so 4 must divide the narrow number
+    monkeypatch.setattr(forms, "_sqrt_table", _miscounted_table(-2))
+    with pytest.raises(ArithmeticError, match="genus theory"):
+        _narrow_class_number(60)
+
+
+def test_an_imaginary_count_off_by_one_breaks_genus_theory(monkeypatch):
+    # one form more, h(-440) = 12 reads 13, which 2^(3-1) does not divide
+    count_reduced_forms.cache_clear()
+    monkeypatch.setattr(forms, "_sqrt_table", _miscounted_table(1))
+    try:
+        with pytest.raises(ArithmeticError, match=r"h\(-440\) = 13 has a 2-rank below genus theory's"):
+            count_reduced_forms(-440)
+    finally:
+        count_reduced_forms.cache_clear()
+
+
+def test_a_structure_of_the_wrong_2_rank_breaks_genus_theory(monkeypatch):
+    # given h = 13, the closure finds the cyclic group of order 13, whose
+    # 2-rank is 0; -440 = -8*5*11 has three prime divisors, so it must be 2
+    class_number_imaginary.cache_clear()
+    monkeypatch.setattr(forms, "count_reduced_forms", lambda D: 13)
+    try:
+        assert _group_structure(13, -440) == (13,)
+        with pytest.raises(ArithmeticError, match="2-rank 0, against genus theory"):
+            class_number_imaginary(-440)
+    finally:
+        class_number_imaginary.cache_clear()
+
+
+def test_genus_count_is_exact_where_asked_and_a_lower_bound_elsewhere():
+    # the cofactor holds two primes, each above A, only when no prime <= A
+    # divides D, as for -15 = -3*5 with A = 2 and 21 = 3*7 with A = 2
+    seen_short = []
+    for D in range(-5000, 5000):
+        if not is_fundamental_discriminant(D):
+            continue
+        A = math.isqrt(-D // 3) if D < 0 else math.isqrt(D) // 2
+        _drain(_sqrt_table(D, A))  # fills the chains for (D, A), as the count does
+        t = len(prime_factors(D))
+        assert forms._genus_t(D, A, exact=True) == t, D
+        low = forms._genus_t(D, A)
+        assert low in (t, t - 1), D
+        if low < t:
+            seen_short.append(D)
+    assert len(seen_short) == 183 and {-15, -35, 21, 33} <= set(seen_short)
+    assert all(min(prime_factors(D)) > math.isqrt(abs(D) // 3) for D in seen_short if D < 0)
+
+
+def test_genus_theory_raises_under_python_O():
+    code = textwrap.dedent("""\
+        import sys
+        import test_forms
+        from mqunits import forms
+        forms._sqrt_table = test_forms._miscounted_table(-2)
+        try:
+            print("returned", forms._narrow_class_number(60))
+        except ArithmeticError:
+            print("raised", sys.flags.optimize)
+        forms.count_reduced_forms = lambda D: 13
+        try:
+            print("returned", forms.class_number_imaginary(-440))
+        except ArithmeticError:
+            print("raised", sys.flags.optimize)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(__file__), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised 1\n" * 2
+
+
 def test_structure_of_a_miscounted_group_raises():
     # -260 has h = 8, so no 16 forms make a 2-Sylow subgroup
     with pytest.raises(ArithmeticError, match="2-Sylow subgroup of -260 has 8 elements, not 16"):

@@ -713,18 +713,21 @@ def _checks(rep):
 
 def test_a_failed_lemma_skips_the_biquadratic_systems(monkeypatch):
     # biquad_fsu_all forms its roots from the four lemma witnesses, so it
-    # runs only when all four passed, and the unit checks wait for it; each
-    # skip names the lemma, not a check skipped on the way to it
+    # runs only when all four passed, and the checks of K+ and K wait for it;
+    # each skip names the lemma, not a check skipped on the way to it.
+    # azizi_square and kuroda_deg4 read only the kept one-prime systems, which
+    # no lemma builds, so they still run
     for p, q in ((13, 3), (13, 11)):
         rep = _verify_with(monkeypatch, "lemma_pq", p, q)
         checks = _checks(rep)
         assert checks["lemma_pq"] == (False, "falsified: forced")
         skipped = [cid for cid, (ok, _) in checks.items() if not ok and cid != "lemma_pq"]
-        assert skipped == ["biquad_fsu_all", "wada_q_index", "wada_generators", "azizi_square", "cm_fsu",
-                           "norm_tables", "kuroda_deg4", "kuroda_deg8", "kuroda_deg16"], (p, q)
+        assert skipped == ["biquad_fsu_all", "wada_q_index", "wada_generators", "cm_fsu",
+                           "norm_tables", "kuroda_deg8", "kuroda_deg16"], (p, q)
         for cid in skipped:
             assert checks[cid] == (False, "skipped: lemma_pq failed"), (p, q, cid)
-        for cid in ("classify", "lemma_q", "lemma_2q", "lemma_2pq", "quad_h2_table", "structures"):
+        for cid in ("classify", "lemma_q", "lemma_2q", "lemma_2pq", "azizi_square", "quad_h2_table",
+                    "kuroda_deg4", "structures"):
             assert checks[cid][0], (p, q, cid)
         validate_report_dict(report_to_dict(rep))
 
@@ -745,9 +748,9 @@ def test_the_azizi_root_taken_in_k_is_the_root_in_k_plus(monkeypatch, p, q):
     seen = []
     check = report._CHECKS["azizi_square"]
 
-    def kept(p, q, cond, rep, biquad):
-        out = check(p, q, cond, rep, biquad)
-        seen.append((biquad[0][(2, q)], out[2]))
+    def kept(p, q, cond, rep):
+        out = check(p, q, cond, rep)
+        seen.append((report._one_prime_fsu(2, q), out[2]))
         return out
     monkeypatch.setitem(report._CHECKS, "azizi_square", kept)
     assert verify_pair(p, q).passed

@@ -25,7 +25,6 @@ from mqunits.units import (
     CHAR_PRIMES,
     FsuResult,
     UnitExpr,
-    _base_units,
     _char_data,
     _char_vector,
     _echelon,
@@ -34,6 +33,7 @@ from mqunits.units import (
     _frame_q_log2,
     _frame_solve,
     _nonresidues,
+    _quad_unit,
     _torsion,
     azizi_extend,
     exponent_level,
@@ -53,7 +53,7 @@ from claim_caches import clear_claim_caches
 H = Fraction(1, 2)
 
 
-def make_expr(basis: FieldBasis, base_units: dict, quarters: dict, witness: FieldElement) -> UnitExpr:
+def make_expr(basis: FieldBasis, quarters: dict, witness: FieldElement) -> UnitExpr:
     """The oracle of every unit identity: a UnitExpr of witness whose
     torsion exponent is found by exponentiation.  It takes the exponents
     n/4 of the quarter vector as Fractions, raises the witness to the lcm s
@@ -62,7 +62,7 @@ def make_expr(basis: FieldBasis, base_units: dict, quarters: dict, witness: Fiel
     exps = {r: Fraction(n, 4) for r, n in quarters.items() if n}
     s = math.lcm(*(e.denominator for e in exps.values()))
     lhs = witness ** s
-    rhs = math.prod((base_units[r] ** int(e * s) for r, e in exps.items()), start=basis.one())
+    rhs = math.prod((_quad_unit(r, basis) ** int(e * s) for r, e in exps.items()), start=basis.one())
     gen, order = _torsion(basis)[:2]
     for t in range(order):
         if rhs == lhs:
@@ -75,7 +75,7 @@ def verify_unit_expr(expr: UnitExpr) -> None:
     """Re-prove the defining identity of a UnitExpr by the oracle: its
     exponents and its torsion exponent modulo the order; raises on mismatch."""
     basis = expr.witness.basis
-    rebuilt = make_expr(basis, _base_units(basis), expr.quarters, expr.witness)
+    rebuilt = make_expr(basis, expr.quarters, expr.witness)
     assert rebuilt.quarters == expr.quarters
     assert rebuilt.torsion_exponent == expr.torsion_exponent % _torsion(basis)[1]
 
@@ -476,15 +476,17 @@ def test_a_system_is_framed_over_the_radicands_it_uses():
                 FsuResult(field, tuple(gens))
 
 
-def test_base_units_built_once_per_basis():
-    # each call wraps the cached fundamental units as elements of the basis
+def test_quad_unit_wraps_the_cached_unit_in_the_basis():
+    # each call wraps the cached fundamental unit as an element of the basis
     # again; the basis itself keeps none of them
     field = FieldBasis((2, 13, 11))
-    units = _base_units(field)
+    units = {r: _quad_unit(r, field) for r in field.radicands if r > 1}
     misses = quadratic.fundamental_unit.cache_info().misses
-    assert _base_units(field) == units and quadratic.fundamental_unit.cache_info().misses == misses
-    assert sorted(units) == [r for r in sorted(field.radicands) if r > 1]
-    assert all(u.basis is field for u in units.values())
+    assert {r: _quad_unit(r, field) for r in units} == units
+    assert quadratic.fundamental_unit.cache_info().misses == misses
+    for r, u in units.items():
+        eps = quadratic.fundamental_unit(r)
+        assert u.basis is field and u.coords == {1: Fraction(eps.x, eps.denom), r: Fraction(eps.y, eps.denom)}
 
 
 def test_exponent_level_of_each_unit_and_of_the_system():
@@ -645,13 +647,13 @@ def test_embed_expr_matches_make_expr(real, big):
     small = gens[0].witness.basis
     # the witnesses are positive at the all-plus embedding, so their torsion
     # exponents are 0; the negated witnesses bring in -1 = zeta^(n/2)
-    gens += [make_expr(small, _base_units(small), g.quarters, -g.witness) for g in gens]
+    gens += [make_expr(small, g.quarters, -g.witness) for g in gens]
     assert any(g.torsion_exponent for g in gens)
     for g in gens:
         e = _embed_expr(g, big)
         assert e.quarters == g.quarters and e.witness.basis is big
         verify_unit_expr(e)
-        assert e == make_expr(big, _base_units(big), g.quarters, e.witness)
+        assert e == make_expr(big, g.quarters, e.witness)
 
 
 def test_embed_expr_refuses_cm_units():
@@ -726,17 +728,18 @@ def test_the_biquadratic_systems_with_p_and_q_take_no_root_and_build_no_field(mo
 
 
 def battery_systems(p, q):
-    """The biquadratic systems by field, and the FSUs of K+ and K, as the
-    battery builds them from the lemma witnesses and the Azizi root."""
+    """The systems of Q(sqrt2, sqrt d) for d = p, q, pq, and the FSUs of K+
+    and K, as the battery builds them from the lemma witnesses, the kept
+    one-prime systems and the Azizi root."""
     cond = classify_pair(p, q)
     rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
     witnesses = [lemma_decompose(p, q, tag) for tag in ("q", "2q", "pq", "2pq")]
     biquad = report._check_biquad_fsu_all(p, q, cond, rep, *witnesses)[2]
     fsu = report._check_wada_q_index(p, q, cond, rep, biquad)[2]
-    ok, _, root = report._check_azizi_square(p, q, cond, rep, biquad)
+    ok, _, root = report._check_azizi_square(p, q, cond, rep)
     assert ok
     cm = report._check_cm_fsu(p, q, cond, rep, fsu, root)[2]
-    return biquad[0], fsu, cm
+    return (report._one_prime_fsu(2, p), report._one_prime_fsu(2, q), biquad[0]), fsu, cm
 
 
 def battery_units(p, q):
@@ -775,9 +778,9 @@ def test_quarters_are_four_times_the_fraction_route():
     that exponent_oracle finds on Fractions over the same witnesses."""
     pairs = [pq for pq in scan_pairs(60) if classify_pair(*pq).is_applicable]
     for p, q in pairs:
-        biquad, fsu, cm = battery_systems(p, q)
-        subs = [(exponent_oracle.biquadratic(("2", s), p, q), biquad[(2, d)])
-                for s, d in (("p", p), ("q", q), ("pq", p * q))]
+        systems, fsu, cm = battery_systems(p, q)
+        subs = [(exponent_oracle.biquadratic(("2", s), p, q), system)
+                for s, system in zip(("p", "q", "pq"), systems)]
         real = exponent_oracle.wada(fsu.field, subs)
         assert_four_times(fsu, real)
         assert_four_times(cm, exponent_oracle.azizi(real, fsu, cm.field))
@@ -922,7 +925,7 @@ def test_a_known_root_of_eps_pq_spares_one_descent_and_changes_nothing_else(monk
     subs = [fsu_biquadratic(2, d) for d in (p, q, p * q)]
     w = quadratic.lemma_decompose(p, q, "pq")
     root = field.element({w.r1: w.u1, w.r2: w.u2}) * (field.surd(2) / 2 if w.doubled else 1)
-    assert root * root == embed_element(_base_units(FieldBasis((p * q,)))[p * q], field)
+    assert root * root == _quad_unit(p * q, field)
     roots = []
     sqrt = units.sqrt_in_field
     monkeypatch.setattr(units, "sqrt_in_field", lambda v: roots.append(v) or sqrt(v))
@@ -1000,11 +1003,15 @@ def test_one_prime_fields_are_built_once_per_scan():
     fresh = verify(13, 3)
     cache.cache_clear()
     verify(13, 11)
-    assert cache.cache_info().currsize == 2
-    # Q(sqrt2, sqrt13) comes from the cache
+    before = cache.cache_info()
+    assert before.currsize == 2
+    # a pair reads its two systems six times: biquad_fsu_all and wada_q_index
+    # both, azizi_square that of q and kuroda_deg4 that of p; only the first
+    # read of Q(sqrt2, sqrt3) builds, Q(sqrt2, sqrt13) comes from the cache
     again = verify(13, 3)
     info = cache.cache_info()
-    assert again == fresh and info.hits == 1 and info.currsize == 3
+    assert again == fresh and info.currsize == 3
+    assert (info.misses - before.misses, info.hits - before.hits) == (1, 5)
     # every system is kept: a bound below the q-primes of a scan would thrash
     assert info.maxsize is None
     # and keeps its basis interned: it is the system a fresh build gives, in

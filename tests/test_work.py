@@ -4,6 +4,7 @@ Time on a shared host cannot show a change of a few percent, but the work
 of a scan is fixed: the same counts under every hash seed and every run.
 So each count is pinned here as an upper bound, at its value when the
 budget was last lowered; a change that lowers a count lowers its bound,
+here and in the table of the README, which a test compares row for row,
 and one that raises a count says why.  The per-process caches are cleared
 first, so the scan starts as a fresh interpreter does, but for the bases
 and class numbers that other tests keep alive, which only lower a count.
@@ -15,17 +16,20 @@ under different hash seeds.
 import gc
 import io
 import json
+import os
+import re
 
 import pytest
 
 from mqunits import field, forms, quadratic, report, units
-from mqunits.field import FieldBasis
+from mqunits.field import FieldBasis, FieldElement
 
 from claim_caches import clear_claim_caches
 
 # count -> its upper bound over a cold scan(200)
 BUDGETS = {
     "FieldBasis builds": 339,
+    "FieldElement builds": 10165,
     "sqrt_in_field calls": 349,
     "sqrt_in_field misses": 0,
     "_char_vector calls": 1560,
@@ -70,6 +74,12 @@ def scan_work(monkeypatch) -> dict:
         counts["FieldBasis builds"] += 1
         build(self, generators)
     monkeypatch.setattr(FieldBasis, "_build", counted_build)
+    element = FieldElement.__init__
+
+    def counted_element(self, *args):
+        counts["FieldElement builds"] += 1
+        element(self, *args)
+    monkeypatch.setattr(FieldElement, "__init__", counted_element)
     for module in (units, report):
         counted(module, "sqrt_in_field", "sqrt_in_field calls", "sqrt_in_field misses")
     counted(units, "_char_vector", "_char_vector calls")
@@ -94,6 +104,25 @@ def work():
 @pytest.mark.parametrize("name", BUDGETS)
 def test_scan_200_keeps_its_work_budget(work, name):
     assert work[name] <= BUDGETS[name], (name, work[name])
+
+
+def readme_budgets() -> list:
+    """The rows of the README's budget table as (count, bound): the first
+    column with its backticks and a closing parenthetical dropped."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| Budget | Bound |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, bound = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((re.sub(r" \(.*\)$", "", name.replace("`", "")), int(bound)))
+    return rows
+
+
+def test_the_readme_lists_every_budget_at_its_bound():
+    assert readme_budgets() == list(BUDGETS.items())
 
 
 if __name__ == "__main__":
