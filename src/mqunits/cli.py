@@ -3,9 +3,9 @@
 Verbs: `verify` runs the full check battery for one pair, `scan` sweeps all
 pairs up to a bound, `fsu` prints a fundamental system of units for a field
 given by its radicands, `classnum` prints the class number data of one
-quadratic field.  Exit code 0 means every check passed, 1 means some check
-failed or a claim was falsified, 2 means the invocation was malformed or the
-pair lies beyond the supported range.
+quadratic field.  Exit code 0 means every check passed, 1 means a check
+failed, a claim was falsified or the computation contradicted itself, 2
+means the invocation was malformed or the pair is beyond the supported range.
 """
 
 import argparse
@@ -71,9 +71,7 @@ def _build_fsu(radicands, cm):
             raise ValueError("degree-8 fields need one radicand = 5 and one = 3 (mod 8)")
         field = FieldBasis((2, p, q))
         fsu = wada_fsu(field, [fsu_biquadratic(2, d) for d in (p, q, p * q)])
-    if cm:
-        fsu = azizi_extend(fsu, FieldBasis(fsu.field.generators + (-1,)))
-    return fsu
+    return azizi_extend(fsu) if cm else fsu
 
 
 def _cmd_fsu(args) -> int:
@@ -139,6 +137,9 @@ def main(argv=None) -> int:
             return args.run(args)
     except Falsified as exc:
         print(f"FAIL {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # a contradiction in our own computation, not in a claim
+        print(f"error: {exc!r}", file=sys.stderr)
         return 1
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

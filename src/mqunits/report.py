@@ -36,7 +36,7 @@ from .classnum import (
     subfield_radicands,
 )
 from .errors import Falsified
-from .field import FieldBasis, embed_element, serialize_element, sqrt_in_field
+from .field import FieldBasis, serialize_element, sqrt_in_field
 from .forms import DISCRIMINANT_GUARD
 from .intarith import is_prime, unlimited_int_digits
 from .quadratic import COND1, COND2, NOT_APPLICABLE, UNSUPPORTED, ConditionClass, classify_pair, lemma_decompose
@@ -402,11 +402,12 @@ def _check_wada_generators(p, q, cond, rep, fsu):
 
 
 def _check_azizi_square(p, q, cond, rep):
-    # u lies in k = Q(sqrt2, sqrt q), and so does its root in K+ = k(sqrt p):
-    # (s + t*sqrt p)^2 with s, t in k lies in k only when s*t = 0, and a root
-    # t*sqrt p would make p*u a square in k.  It is not one: p is unramified
-    # in k and prime to u, a unit times 2 + sqrt2, so p*u has valuation 1 at
-    # each prime of k above p
+    """Azizi's unit u = (2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) is a square
+    in K+, and the artifact is its root w in k = Q(sqrt2, sqrt q), where it
+    is taken.  The root in K+ = k(sqrt p) is w: (s + t*sqrt p)^2 with s, t
+    in k lies in k only when s*t = 0, and a root t*sqrt p would make p*u a
+    square in k.  It is not one: p is unramified in k and prime to u, a unit
+    times 2 + sqrt2, so p*u has valuation 1 at each prime of k above p."""
     k = _one_prime_fsu(2, q)
     u = k.field.surd(2) + 2
     for g in k.generators:
@@ -414,15 +415,14 @@ def _check_azizi_square(p, q, cond, rep):
     w = sqrt_in_field(u)
     if w is None:
         return False, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) is not a square in K+", None
-    return (True, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) = w^2, w re-squared exactly",
-            embed_element(w, FieldBasis((2, p, q))))
+    return True, "(2+sqrt2)*eps_2*sqrt(eps_q)*sqrt(eps_2q) = w^2, w re-squared exactly", w
 
 
 def _check_cm_fsu(p, q, cond, rep, fsu, azizi_root):
-    cm = azizi_extend(fsu, FieldBasis((2, p, q, -1)), azizi_root)
-    # a generator that azizi_extend only embedded keeps its fsu_real entry
-    gens = [entry if c.torsion_exponent == 0 and c.quarters == g.quarters
-            and c.witness == embed_element(g.witness, cm.field) else _unit_to_dict(c)
+    """K's FSU from azizi_extend, checked against the claims.  An untwisted
+    generator (torsion 0, the real one's quarters) keeps its fsu_real entry."""
+    cm = azizi_extend(fsu, azizi_root)
+    gens = [entry if c.torsion_exponent == 0 and c.quarters == g.quarters else _unit_to_dict(c)
             for c, g, entry in zip(cm.generators, fsu.generators, rep.fsu_real["generators"])]
     rep.fsu_cm = _fsu_to_dict(cm, gens)
     rep.q_indices = {"real_log2": fsu.q_index_log2, "cm_log2": cm.q_index_log2}

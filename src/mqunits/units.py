@@ -547,41 +547,39 @@ def wada_fsu(field: FieldBasis, subfield_fsus, known=None) -> FsuResult:
 # CM extension: one torsion-twisted square root
 
 
-def azizi_extend(real_fsu: FsuResult, cm_basis: FieldBasis, root=None) -> FsuResult:
-    """FSU of the CM field K(i) from the FSU of the totally real field K.
+def azizi_extend(real_fsu: FsuResult, root=None) -> FsuResult:
+    """FSU of the CM field K(i) = FieldBasis(K's generators and -1) from the
+    FSU of the totally real field K.
 
     With xi = zeta8 or i the generator of the 2-power roots of unity of K(i)
     and mu = xi + 1/xi, searches the subset products e of the real FSU, up
     to sign, for (2 + mu) * e a square in K: _square_subsets with the factor
     2 + mu, run to the end from the empty subset; root, a known square root
-    in K of one candidate, spares that candidate its descent.  Two hits
-    contradict the independence of the FSU and raise Falsified.  The real
-    generators are embedded without re-verification.  A hit replaces the
-    highest-index generator of its subset by (1 + xi)*w/(2 + mu) for the
-    root w of +-(2 + mu)*e it found: since (1 + xi)^2 = xi*(2 + mu), that
+    of one candidate in a subfield of K, spares that candidate its descent.
+    Two hits (a dependent FSU) or a hit on 2 + mu alone (a wrong torsion
+    order) are faults of the computation and raise ArithmeticError.  A hit
+    replaces the highest-index generator of its subset by (1 + xi)*w/(2 + mu)
+    for the root w of +-(2 + mu)*e it found; (1 + xi)^2 = xi*(2 + mu), so it
     squares to +-xi*e.  For the subset's level m (_halved), its power 2m is
-    zeta^t times its monomial, with t = m*x plus n/2 for each -1 of the
-    sign and of e^m, where xi = zeta^x of order n (_torsion); exponents of
-    a level other than 2m raise ArithmeticError, under python -O too.  That
-    halves the exponent lattice; the rest of the real FSU carries over.
+    zeta^t times its monomial, with t = m*x plus n/2 for each -1 of the sign
+    and of e^m, where xi = zeta^x of order n (_torsion); quarters of a level
+    other than 2m raise ArithmeticError, under python -O too.  Every other
+    generator is the real one at its index, embedded (_embed_expr).
     """
     real = real_fsu.field
-    if not cm_basis.is_cm:
-        raise ValueError("cm_basis must contain a negative radicand")
-    if cm_basis.generators != real.generators + (-1,):
-        raise ValueError("cm_basis must extend the real basis by -1")
+    cm_basis = FieldBasis(real.generators + (-1,))
     _, order, xi, x = _torsion(cm_basis)
     # the order is 4, 8, 12 or 24: 2^n is 8 exactly when zeta8 is in K(i)
     two_mu = (real.surd(2) if order % 8 == 0 else real.zero()) + 2
     gens = real_fsu.generators
-    hits = list(_square_subsets(gens, two_mu, root))
+    hits = list(_square_subsets(gens, two_mu, None if root is None else embed_element(root, real)))
     if len(hits) > 1:
-        raise Falsified("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
+        raise ArithmeticError("two independent unit subsets make (2+mu)*eps square; FSU was dependent")
     out = [_embed_expr(g, cm_basis) for g in gens]
     if hits:
         idxs, neg, w = hits[0]
         if not idxs:
-            raise Falsified("(2+mu) itself is a square, contradicting the torsion order")
+            raise ArithmeticError("(2+mu) itself is a square, contradicting the torsion order")
         quarters, m, odd = _halved(gens, idxs)
         if exponent_level([quarters]) != 2 * m:
             raise ArithmeticError(f"a root of a subset of level {m} has quarters {quarters}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from mqunits import claims
-from mqunits.field import embed_element
+from mqunits.field import FieldBasis, embed_element
 from mqunits.quadratic import classify_pair
 from mqunits.units import _norm_pos, _square_subsets, _torsion
 
@@ -72,11 +72,11 @@ def wada(field, subsystems, known=None) -> list:
     return vectors
 
 
-def azizi(vectors: list, real_fsu, cm_basis, root=None) -> list:
-    """The vectors of azizi_extend(real_fsu, cm_basis, root), where vectors
-    are those of the generators of real_fsu."""
-    order = _torsion(cm_basis)[1]
+def azizi(vectors: list, real_fsu, root=None) -> list:
+    """The vectors of azizi_extend(real_fsu, root), where vectors are those
+    of the generators of real_fsu and root, when given, lies in its field."""
     real = real_fsu.field
+    order = _torsion(FieldBasis(real.generators + (-1,)))[1]
     two_mu = (real.surd(2) if order % 8 == 0 else real.zero()) + 2
     out = list(vectors)
     units = [_searched(g.witness) for g in real_fsu.generators]

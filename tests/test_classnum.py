@@ -13,8 +13,10 @@ from mqunits.classnum import (
     subfield_radicands,
 )
 from mqunits.errors import Falsified
-from mqunits.quadratic import classify_pair, lemma_decompose
+from mqunits.quadratic import classify_pair
 from mqunits.units import unit_index
+
+from battery import battery_systems
 
 
 def h2_of(field, values):
@@ -63,16 +65,9 @@ def structures(p, q):
 
 def battery_fsus(p, q):
     """The FSUs of Q(sqrt2, sqrt p), K+ and K, built as the battery builds
-    them, from the lemma witnesses, the kept one-prime systems and the Azizi
-    root."""
-    cond = classify_pair(p, q)
-    rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
-    witnesses = [lemma_decompose(p, q, tag) for tag in ("q", "2q", "pq", "2pq")]
-    biquad = report._check_biquad_fsu_all(p, q, cond, rep, *witnesses)[2]
-    fsu = report._check_wada_q_index(p, q, cond, rep, biquad)[2]
-    root = report._check_azizi_square(p, q, cond, rep)[2]
-    cm = report._check_cm_fsu(p, q, cond, rep, fsu, root)[2]
-    return {K_2P: report._one_prime_fsu(2, p), K_PLUS: fsu, K_CM: cm}
+    them (battery_systems)."""
+    systems, fsu, cm = battery_systems(p, q)
+    return {K_2P: systems[0], K_PLUS: fsu, K_CM: cm}
 
 
 def test_instance_builders():

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -215,6 +216,40 @@ def test_fsu_prints_the_pinned_bytes(capsys, radicands, cm):
     assert cli.main(["fsu", "--radicands", radicands] + ["--cm"] * cm) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == FSU_DIGESTS[radicands][cm]
+
+
+# statements that make azizi_extend contradict itself, by the message it raises
+CONTRADICTIONS = {
+    # eps_p squared in the real system: two subsets make (2 + sqrt2)*e a square
+    "two independent unit subsets": """
+        from mqunits import units
+        wada = cli.wada_fsu
+        def dependent(field, subs):
+            gens = list(wada(field, subs).generators)
+            g = gens[1]
+            gens[1] = units.UnitExpr(0, {r: 2 * n for r, n in g.quarters.items()}, g.witness * g.witness)
+            return units.FsuResult(field, tuple(gens))
+        cli.wada_fsu = dependent
+    """,
+    # a torsion order short of zeta8: mu = 0, and 2 + mu = sqrt2^2 is a square
+    "contradicting the torsion order": """
+        from mqunits import units
+        units._torsion_order = lambda basis: 4 if basis.is_cm else 2
+    """,
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("message", list(CONTRADICTIONS))
+def test_a_contradiction_of_azizi_extend_is_one_error_line(flags, message):
+    # a fault of our own computation, not a falsified claim: exit 1 with one
+    # line on stderr and no traceback, under python -O too
+    code = "from mqunits import cli\n" + textwrap.dedent(CONTRADICTIONS[message]) + \
+        'raise SystemExit(cli.main(["fsu", "--radicands", "2,13,3", "--cm"]))\n'
+    res = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: ArithmeticError(") and res.stderr.count("\n") == 1
+    assert message in res.stderr
 
 
 def test_fsu_prints_a_unit_over_the_default_digit_limit():

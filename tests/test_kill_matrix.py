@@ -1,11 +1,11 @@
 """The kill matrix, seeded: one fault at a time in the claims or in the
-class-number code, run through the battery on one pair of each condition
-class, with every per-process cache cleared around it as
+class-number code, run through the battery on eight pairs of the two
+condition classes, with every per-process cache cleared around it as
 tests/test_work.py clears them, so that no fault reads a value cached
 before it or leaves one behind.
 
 A fault is killed when a check fails on every pair.  A fault that still
-leaves all 16 checks green on both pairs is pinned as a strict xfail that
+leaves all 16 checks green on every pair is pinned as a strict xfail that
 names the ROADMAP item meant to kill it: once that item lands, the xfail
 passes, which fails the suite, and the fault moves to KILLED.
 """
@@ -18,8 +18,9 @@ from mqunits.forms import ClassNumberReport
 
 from test_work import _clear_caches
 
-# (13, 3) of Cond1, with the zeta24 torsion of q = 3, and (13, 11) of Cond2
-PAIRS = ((13, 3), (13, 11))
+# the pairs of ROADMAP item 2: five of Cond1 and three of Cond2, the
+# zeta24 torsion of q = 3 in both
+PAIRS = ((13, 3), (5, 11), (37, 11), (53, 43), (61, 19), (13, 11), (29, 3), (5, 3))
 
 
 def _real_h_times(k):

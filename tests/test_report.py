@@ -743,8 +743,9 @@ def test_a_failed_azizi_square_skips_cm_fsu(monkeypatch):
 
 @pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
 def test_the_azizi_root_taken_in_k_is_the_root_in_k_plus(monkeypatch, p, q):
-    # u lies in k = Q(sqrt2, sqrt q): its root taken in k and embedded is,
-    # up to sign, the root that the descent in K+ = k(sqrt p) finds
+    # u lies in k = Q(sqrt2, sqrt q): azizi_square passes on its root taken
+    # in k, which embedded is, up to sign, the root that the descent in
+    # K+ = k(sqrt p) finds
     seen = []
     check = report._CHECKS["azizi_square"]
 
@@ -758,8 +759,9 @@ def test_the_azizi_root_taken_in_k_is_the_root_in_k_plus(monkeypatch, p, q):
     u = k.field.surd(2) + 2
     for g in k.generators:
         u = u * g.witness
+    assert got.basis is k.field and got * got == u
     want = sqrt_in_field(embed_element(u, FieldBasis((2, p, q))))
-    assert got.basis is want.basis and got in (want, -want)
+    assert embed_element(got, want.basis) in (want, -want)
 
 
 def test_pair_beyond_the_discriminant_guard_round_trips():

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mqunits import claims, cli, quadratic, report, units
 from mqunits.errors import Falsified
 from mqunits.field import FieldBasis, FieldElement, embed_element, sqrt_in_field
-from mqunits.quadratic import COND1, COND2, classify_pair, lemma_decompose
+from mqunits.quadratic import COND1, COND2, classify_pair
 from mqunits.report import scan_pairs
 from mqunits.units import (
     CHAR_PRIMES,
@@ -48,6 +48,7 @@ from mqunits.units import (
 
 import exponent_oracle
 import norm_oracle
+from battery import battery_systems
 from claim_caches import clear_claim_caches
 
 H = Fraction(1, 2)
@@ -204,7 +205,8 @@ def test_fsu_torsion_name():
 
 
 def test_azizi_eighth_roots_of_unity():
-    fsu = azizi_extend(fsu_quadratic(2), FieldBasis((2, -1)))
+    fsu = azizi_extend(fsu_quadratic(2))
+    assert fsu.field is FieldBasis((2, -1))
     assert fsu.torsion == "zeta8" and fsu.q_index_log2 == 0
     (g,) = fsu.generators
     assert g.quarters == {2: 4} and unit_index(fsu) == 2
@@ -212,8 +214,9 @@ def test_azizi_eighth_roots_of_unity():
 
 def test_azizi_biquadratic_cm():
     real = fsu_biquadratic(5, 3)
-    cm = FieldBasis((5, 3, -1))
-    fsu = azizi_extend(real, cm)
+    fsu = azizi_extend(real)
+    cm = fsu.field
+    assert cm is FieldBasis((5, 3, -1))
     assert fsu.torsion == "zeta12" and fsu.q_index_log2 == 2
     assert unit_index(fsu) == 8
     twisted = [g for g in fsu.generators if g.quarters == {3: 2}]
@@ -225,17 +228,10 @@ def test_azizi_biquadratic_cm():
     assert quarters_list(fsu) == [{5: 4}, {3: 2}, {3: 2, 15: 2}]
 
 
-def test_azizi_rejects_wrong_basis():
-    with pytest.raises(ValueError):
-        azizi_extend(fsu_quadratic(2), FieldBasis((2, 3)))
-    with pytest.raises(ValueError):
-        azizi_extend(fsu_quadratic(2), FieldBasis((3, -1)))
-
-
 def test_azizi_deg16():
     field, real = deg8(5, 11)
-    cm = FieldBasis((2, 5, 11, -1))
-    fsu = azizi_extend(real, cm)
+    fsu = azizi_extend(real)
+    assert fsu.field is FieldBasis((2, 5, 11, -1))
     assert fsu.torsion == "zeta8" and fsu.q_index_log2 == 7
     assert unit_index(fsu) == 256
     assert lattice_equal(quarters_list(fsu), named_quarters(5, 11, COND1, claims.CM_FSU))
@@ -657,7 +653,7 @@ def test_embed_expr_matches_make_expr(real, big):
 
 
 def test_embed_expr_refuses_cm_units():
-    cm = azizi_extend(fsu_biquadratic(5, 3), FieldBasis((5, 3, -1)))
+    cm = azizi_extend(fsu_biquadratic(5, 3))
     with pytest.raises(ValueError):
         _embed_expr(cm.generators[0], FieldBasis((2, 5, 3, -1)))
 
@@ -727,21 +723,6 @@ def test_the_biquadratic_systems_with_p_and_q_take_no_root_and_build_no_field(mo
     assert set(built) <= {3, 4}  # K+ and K, unless a caller keeps them alive
 
 
-def battery_systems(p, q):
-    """The systems of Q(sqrt2, sqrt d) for d = p, q, pq, and the FSUs of K+
-    and K, as the battery builds them from the lemma witnesses, the kept
-    one-prime systems and the Azizi root."""
-    cond = classify_pair(p, q)
-    rep = report.PairReport(p, q, {"tag": cond.tag, "reason": cond.reason})
-    witnesses = [lemma_decompose(p, q, tag) for tag in ("q", "2q", "pq", "2pq")]
-    biquad = report._check_biquad_fsu_all(p, q, cond, rep, *witnesses)[2]
-    fsu = report._check_wada_q_index(p, q, cond, rep, biquad)[2]
-    ok, _, root = report._check_azizi_square(p, q, cond, rep)
-    assert ok
-    cm = report._check_cm_fsu(p, q, cond, rep, fsu, root)[2]
-    return (report._one_prime_fsu(2, p), report._one_prime_fsu(2, q), biquad[0]), fsu, cm
-
-
 def battery_units(p, q):
     """The generators of K+ and K as the battery builds them."""
     _, fsu, cm = battery_systems(p, q)
@@ -783,7 +764,7 @@ def test_quarters_are_four_times_the_fraction_route():
                 for s, system in zip(("p", "q", "pq"), systems)]
         real = exponent_oracle.wada(fsu.field, subs)
         assert_four_times(fsu, real)
-        assert_four_times(cm, exponent_oracle.azizi(real, fsu, cm.field))
+        assert_four_times(cm, exponent_oracle.azizi(real, fsu))
     for rads in ((5,), (5, 3), (13, 3), (2, 5, 11), (2, 13, 3), (2, 29, 19)):
         fsu = cli._build_fsu(rads, False)
         if len(rads) == 1:
@@ -797,7 +778,7 @@ def test_quarters_are_four_times_the_fraction_route():
                 for s, d in (("p", p), ("q", q), ("pq", p * q))])
         assert_four_times(fsu, vectors)
         cm = cli._build_fsu(rads, True)
-        assert_four_times(cm, exponent_oracle.azizi(vectors, fsu, cm.field))
+        assert_four_times(cm, exponent_oracle.azizi(vectors, fsu))
 
 
 def test_report_strings_from_quarters_match_the_fraction_formatting():
@@ -900,21 +881,24 @@ def test_a_level_8_subset_reads_error(monkeypatch):
 @pytest.mark.parametrize("p,q", [(13, 3), (5, 11)])
 def test_a_known_azizi_root_spares_one_descent_and_changes_nothing_else(monkeypatch, p, q):
     field, real = deg8(p, q)
-    cm = FieldBasis((2, p, q, -1))
-    u = field.surd(2) + 2
-    for g in fsu_biquadratic(2, q).generators:
-        u = u * embed_element(g.witness, field)
+    k = fsu_biquadratic(2, q)
+    u_k = k.field.surd(2) + 2
+    for g in k.generators:
+        u_k = u_k * g.witness
+    w_k = sqrt_in_field(u_k)
+    u = embed_element(u_k, field)
     w = sqrt_in_field(u)
     roots = []
     sqrt = units.sqrt_in_field
     monkeypatch.setattr(units, "sqrt_in_field", lambda v: roots.append(v) or sqrt(v))
-    plain = azizi_extend(real, cm)
+    plain = azizi_extend(real)
     descents = len(roots)
     assert u in roots
-    # either sign of the root, or an element that squares to no candidate
-    for root, spared in ((w, 1), (-w, 1), (field.surd(2), 0)):
+    # either sign of the root, taken in K+ or in Q(sqrt2, sqrt q) as
+    # azizi_square takes it, or an element that squares to no candidate
+    for root, spared in ((w, 1), (-w, 1), (w_k, 1), (-w_k, 1), (field.surd(2), 0)):
         roots.clear()
-        fsu = azizi_extend(real, cm, root)
+        fsu = azizi_extend(real, root)
         assert fsu == plain
         assert len(roots) == descents - spared and (u in roots) == (not spared)
 
@@ -949,8 +933,8 @@ def test_azizi_extend_sees_two_subsets_when_a_generator_is_squared(p, q):
     assert g.quarters == {p: 4} and g.torsion_exponent == 0
     gens[1] = UnitExpr(0, {p: 2 * g.quarters[p]}, g.witness * g.witness)
     squared = FsuResult(field, tuple(gens))
-    with pytest.raises(Falsified, match="two independent unit subsets"):
-        azizi_extend(squared, FieldBasis((2, p, q, -1)))
+    with pytest.raises(ArithmeticError, match="two independent unit subsets"):
+        azizi_extend(squared)
 
 
 @pytest.mark.parametrize("make,big", [
@@ -960,11 +944,45 @@ def test_azizi_extend_sees_two_subsets_when_a_generator_is_squared(p, q):
     (lambda: fsu_biquadratic(5, 3), (5, 3, -1)),  # zeta12: xi = i, mu = 0
 ])
 def test_closed_form_twisted_unit_is_the_root_sqrt_in_field_finds(make, big):
-    fsu = azizi_extend(make(), FieldBasis(big))
+    fsu = azizi_extend(make())
+    assert fsu.field is FieldBasis(big)
     (g,) = [g for g in fsu.generators if g.torsion_exponent]
     # the twisted unit squares to xi*eps; the descent finds the same sign of its root
     assert sqrt_in_field(g.witness * g.witness) == g.witness
     verify_unit_expr(g)
+
+
+# the radicands of the fields that CI prints with fsu --cm
+CI_CM_FIELDS = ((5,), (2, 5), (2, 3), (5, 3), (13, 3), (2, 5, 11), (2, 13, 3), (2, 29, 19))
+
+
+@pytest.mark.parametrize("pair,rads", [((13, 3), None), ((13, 11), None), *((None, r) for r in CI_CM_FIELDS)],
+                         ids=["pair-13-3", "pair-13-11", *("fsu-" + "-".join(map(str, r)) for r in CI_CM_FIELDS)])
+def test_azizi_extend_twists_one_generator_and_embeds_the_rest(pair, rads):
+    # cm_fsu keeps the fsu_real entry of a CM generator with torsion exponent
+    # 0 and the quarters of the real generator at its index: such a generator
+    # must be that one embedded, and the twisted unit must differ from it in both
+    real = battery_systems(*pair)[1] if pair else cli._build_fsu(rads, False)
+    cm = azizi_extend(real)
+    twisted = 0
+    for c, g in zip(cm.generators, real.generators, strict=True):
+        if c.torsion_exponent == 0 and c.quarters == g.quarters:
+            assert c.witness == embed_element(g.witness, cm.field)
+        else:
+            twisted += 1
+            assert c.torsion_exponent and c.quarters != g.quarters
+    # one unit is twisted exactly when it halves the lattice, which it does
+    # in every field here but Q(sqrt5, i) and Q(sqrt2, sqrt5, i)
+    assert twisted == cm.q_index_log2 - real.q_index_log2 == (rads not in ((5,), (2, 5)))
+
+
+def test_a_torsion_order_short_of_zeta8_is_an_error_of_cm_fsu(monkeypatch):
+    # with zeta8 missed, mu = 0 and 2 + mu = sqrt2^2 is a square in K+: a
+    # fault of the computation, which verify_pair reports as error:
+    monkeypatch.setattr(units, "_torsion_order", lambda basis: 4 if basis.is_cm else 2)
+    checks = {cid: (ok, detail) for cid, ok, detail in report.verify_pair(13, 3).checks}
+    assert checks["cm_fsu"] == (False, "error: ArithmeticError('(2+mu) itself is a square, "
+                                       "contradicting the torsion order')")
 
 
 def test_frame_reads_the_index_and_the_coordinates():
